@@ -9,17 +9,16 @@ measure, and photon-echo response kernels.
 from .dephasing import (
     ENGINE_NAMES,
     BrownianMatsubara,
-    DephasingSample,
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
+    flip_exponent,
     make_evaluator,
 )
 from .dynamics import (
     DensityMatrix2,
     LiouvilleOp,
     SystemParams,
-    TwoTimeKernelSet,
     coherence_flip,
     identity_op,
     propagate_single,
@@ -50,16 +49,13 @@ from .measures import (
     pair_distance,
     sigma,
 )
-from .response import echo_response, linear_response
+from .response import echo_response, flip_exponent_grid
 from .spectral import (
     BathParams,
     BrownianCorrelation,
-    CorrelationSample,
     OverdampedBrownian,
     TabulatedSpectralDensity,
     correlation_function,
-    correlation_series,
-    spectral_density,
 )
 
 __version__ = "0.1.0"

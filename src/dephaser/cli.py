@@ -36,7 +36,7 @@ from .measures import (
     decay_exponent_rate,
     non_markovianity,
 )
-from .response import echo_response
+from .response import flip_exponent_grid
 from .spectral import BathParams
 
 SCHEMA_VERSION = 1
@@ -138,19 +138,20 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 @dataclass
 class Series:
     columns: list
-    rows: list
+    rows: np.ndarray  # 2-d float, one row per output line
 
 
 def _write_series(series: Series, fmt: str, fh) -> None:
     if fmt == "csv":
         fh.write(",".join(series.columns) + "\n")
+        line = ",".join(["%.17g"] * len(series.columns)) + "\n"
         for row in series.rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "columns": list(series.columns),
-            "rows": [list(map(float, row)) for row in series.rows],
+            "rows": series.rows.tolist(),
         }
         json.dump(payload, fh)
         fh.write("\n")
@@ -172,12 +173,17 @@ def _emit(obj, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _square_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t1 and t2 columns of the rows of a ts x ts grid, t1 outer."""
+    return np.repeat(ts, ts.size), np.tile(ts, ts.size)
+
+
 def cmd_gfun(cfg: RunConfig) -> Series:
     ev = cfg.evaluator()
-    rows = []
-    for t in cfg.grid(_POINTS_1D):
-        s = ev.sample(float(t))
-        rows.append((s.t, s.g.real, s.g.imag, s.gdot.real, s.gdot.imag))
+    ts = cfg.grid(_POINTS_1D)
+    g = np.array([ev.g(float(t)) for t in ts])
+    gdot = np.array([ev.gdot(float(t)) for t in ts])
+    rows = np.column_stack((ts, g.real, g.imag, gdot.real, gdot.imag))
     return Series(["t", "re_g", "im_g", "re_gdot", "im_gdot"], rows)
 
 
@@ -192,7 +198,7 @@ def cmd_trdist(cfg: RunConfig) -> Series:
         d = math.exp(-(e - e0))
         rate = decay_exponent_rate(ev, scenario, float(t))
         rows.append((float(t), d, -rate * d))
-    return Series(["t2", "distance", "sigma"], rows)
+    return Series(["t2", "distance", "sigma"], np.array(rows))
 
 
 def cmd_measure(cfg: RunConfig) -> dict:
@@ -227,16 +233,10 @@ def cmd_measure(cfg: RunConfig) -> dict:
 
 
 def cmd_echo(cfg: RunConfig) -> Series:
-    ev = cfg.evaluator()
     ts = cfg.grid(_POINTS_2D)
-    g_axis = ev.g_array(ts)
-    rows = []
-    for i, t1 in enumerate(ts):
-        g_sum = ev.g_array(t1 + ts)
-        for j, t2 in enumerate(ts):
-            expo = 2.0 * g_axis[i] + 2.0 * g_axis[j] - g_sum[j]
-            r = complex(np.exp(-expo))
-            rows.append((float(t1), float(t2), abs(r), r.real, r.imag))
+    r = np.exp(-flip_exponent_grid(cfg.evaluator(), ts)).ravel()
+    # hypot matches abs() of a Python complex bit for bit; np.abs does not
+    rows = np.column_stack((*_square_grid(ts), np.hypot(r.real, r.imag), r.real, r.imag))
     return Series(["t1", "t2", "abs_r", "re_r", "im_r"], rows)
 
 
@@ -262,22 +262,14 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
                 curves.append(
                     [math.exp(-(decay_exponent(ev, scenario, float(t)) - e0)) for t in ts]
                 )
-        rows = [
-            (float(t),) + tuple(curve[i] for curve in curves) for i, t in enumerate(ts)
-        ]
-        return Series(columns, rows)
+        return Series(columns, np.column_stack([ts] + curves))
 
     if which == "trd2t":
-        ev = HighTemperatureBrownian(cfg.bath)
         ts = cfg.grid(_POINTS_2D)
-        g_re = np.array([ev.g(float(t)).real for t in ts])
-        rows = []
-        for i, t1 in enumerate(ts):
-            g_sum = np.array([ev.g(float(t1 + t)).real for t in ts])
-            for j, t2 in enumerate(ts):
-                e = 2.0 * g_re[i] + 2.0 * g_re[j] - g_sum[j]
-                rows.append((float(t1), float(t2), math.exp(-e)))
-        return Series(["t1", "t2", "distance"], rows)
+        e = flip_exponent_grid(HighTemperatureBrownian(cfg.bath), ts).real.ravel()
+        # math.exp per element: np.exp on floats is not bit-identical to it
+        d = np.fromiter((math.exp(-x) for x in e.tolist()), float, e.size)
+        return Series(["t1", "t2", "distance"], np.column_stack((*_square_grid(ts), d)))
 
     raise ValueError(f"unknown figure {which!r}")
 

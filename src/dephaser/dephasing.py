@@ -24,7 +24,6 @@ than 1e-6 relative (in practice 1e-10) over gamma t in (0, 10].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma
@@ -37,6 +36,7 @@ from .spectral import (
     BrownianCorrelation,
     OverdampedBrownian,
     TabulatedSpectralDensity,
+    _tabulated_grid,
     coth,
 )
 
@@ -47,13 +47,6 @@ _EXP_DEAD = 45.0
 _BLOCK_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class DephasingSample:
-    t: float
-    g: complex
-    gdot: complex
-
-
 def _check_time(t) -> float:
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
@@ -61,28 +54,14 @@ def _check_time(t) -> float:
     return t
 
 
-class DephasingEvaluator:
-    """Shared surface of the g(t) engines."""
+def flip_exponent(g1, g2, g12):
+    """Exponent 2 g(t1) + 2 g(t2) - g(t1+t2) of a coherence flipped between two intervals.
 
-    beta: float
-    bath: BathParams | None = None
-    engine_name = "base"
-
-    def g(self, t: float) -> complex:
-        raise NotImplementedError
-
-    def gdot(self, t: float) -> complex:
-        raise NotImplementedError
-
-    def sample(self, t: float) -> DephasingSample:
-        t = _check_time(t)
-        return DephasingSample(t, self.g(t), self.gdot(t))
-
-    def g_array(self, ts) -> np.ndarray:
-        return np.array([self.g(float(t)) for t in np.asarray(ts, dtype=float)])
-
-    def gdot_array(self, ts) -> np.ndarray:
-        return np.array([self.gdot(float(t)) for t in np.asarray(ts, dtype=float)])
+    The one object shared by the echo response and the flipped-coherence
+    propagation kernel.  Takes g at t1, t2 and t1+t2 as scalars or
+    broadcastable arrays.
+    """
+    return 2.0 * g1 + 2.0 * g2 - g12
 
 
 def _tail_sums(m: int, eta: float, gamma: float, beta: float) -> tuple[float, float]:
@@ -99,7 +78,7 @@ def _tail_sums(m: int, eta: float, gamma: float, beta: float) -> tuple[float, fl
     return s0, s1
 
 
-class BrownianMatsubara(DephasingEvaluator):
+class BrownianMatsubara:
     """Pole-plus-Matsubara series for the overdamped Brownian bath.
 
     g(t) = (eta/gamma) [cot(beta gamma / 2) - i] h(gamma t)
@@ -116,8 +95,6 @@ class BrownianMatsubara(DephasingEvaluator):
     diverging cot and series terms replaced by their combined finite
     limit, which requires m <= K.
     """
-
-    engine_name = "analytic"
 
     def __init__(self, params: BathParams, include_tail: bool = True):
         self.params = params
@@ -228,10 +205,8 @@ class BrownianMatsubara(DephasingEvaluator):
         return complex(self._tail_g(t), 0.0)
 
 
-class HighTemperatureBrownian(DephasingEvaluator):
+class HighTemperatureBrownian:
     """beta*gamma -> 0 closed form: g(t) = (2 eta/(beta gamma^2) - i eta/gamma) h(gamma t)."""
-
-    engine_name = "hight"
 
     def __init__(self, params: BathParams):
         self.params = params
@@ -251,7 +226,7 @@ class HighTemperatureBrownian(DephasingEvaluator):
         return complex(-2.0 * p.eta / (p.beta * p.gamma) * em, p.eta * em)
 
 
-class FrequencyQuadrature(DephasingEvaluator):
+class FrequencyQuadrature:
     """Adaptive integration of the spectral representation of g.
 
     Re g(t) = (1/pi) int (J/w^2) coth(beta w/2) (1 - cos w t) dw and the
@@ -261,8 +236,6 @@ class FrequencyQuadrature(DephasingEvaluator):
     Fourier integrator, which is what makes the conditionally convergent
     tails reliable.  Constant tail moments are cached at construction.
     """
-
-    engine_name = "freq-quad"
 
     def __init__(self, sd, beta: float):
         if beta <= 0.0:
@@ -281,9 +254,11 @@ class FrequencyQuadrature(DephasingEvaluator):
             self._j1_total = integrate_finite(
                 lambda w: self._j_over_w(w), 0.0, self.w_split, tag="J/w"
             ) + integrate_to_inf(lambda w: self._j_over_w(w), self.w_split, tag="J/w tail")
-        else:
+        elif isinstance(sd, TabulatedSpectralDensity):
             self.bath = None
             self._tabulated = True
+        else:
+            raise TypeError(f"unsupported spectral density type {type(sd).__name__}")
 
     def _j_over_w(self, w):
         p = self.sd.params
@@ -353,7 +328,7 @@ class FrequencyQuadrature(DephasingEvaluator):
         return complex(re / math.pi, -im / math.pi)
 
 
-class TimeDomainQuadrature(DephasingEvaluator):
+class TimeDomainQuadrature:
     """Nested quadrature g(t) = int_0^t (t - u) L(u) du.
 
     The inner correlation function is the closed-form Brownian expression
@@ -361,8 +336,6 @@ class TimeDomainQuadrature(DephasingEvaluator):
     machinery with the series or frequency-domain engines.  The adaptive
     rule resolves the integrable log singularity of Re L at u = 0.
     """
-
-    engine_name = "time-quad"
 
     def __init__(self, sd, beta: float):
         if beta <= 0.0:
@@ -375,15 +348,8 @@ class TimeDomainQuadrature(DephasingEvaluator):
             self._corr = BrownianCorrelation(p.eta, p.gamma, beta)
         elif isinstance(sd, TabulatedSpectralDensity):
             self.bath = None
-            w, jw = sd.omega, sd.values
-            therm = jw * coth(0.5 * beta * w)
-
-            def corr(u: float) -> complex:
-                re = np.trapezoid(therm * np.cos(w * u), w) / math.pi
-                im = np.trapezoid(jw * np.sin(w * u), w) / math.pi
-                return complex(re, -im)
-
-            self._corr = corr
+            therm = sd.values * coth(0.5 * beta * sd.omega)
+            self._corr = lambda u: _tabulated_grid(sd, therm, u)
         else:
             raise TypeError(f"unsupported spectral density type {type(sd).__name__}")
 
@@ -414,19 +380,17 @@ class TimeDomainQuadrature(DephasingEvaluator):
         return complex(re, im)
 
 
-def make_evaluator(engine: str, params: BathParams, *, include_tail: bool = True, sd=None):
-    """Construct a g(t) evaluator by engine name.
+def make_evaluator(engine: str, params: BathParams):
+    """Construct a g(t) evaluator for the Brownian bath by engine name.
 
-    engine is one of "analytic", "hight", "freq-quad", "time-quad".  sd
-    overrides the spectral density for the quadrature engines (tabulated
-    input); the series engines require the Brownian form.
+    engine is one of "analytic", "hight", "freq-quad", "time-quad".
     """
     if engine == "analytic":
-        return BrownianMatsubara(params, include_tail=include_tail)
+        return BrownianMatsubara(params)
     if engine == "hight":
         return HighTemperatureBrownian(params)
     if engine == "freq-quad":
-        return FrequencyQuadrature(sd if sd is not None else OverdampedBrownian(params), params.beta)
+        return FrequencyQuadrature(OverdampedBrownian(params), params.beta)
     if engine == "time-quad":
-        return TimeDomainQuadrature(sd if sd is not None else OverdampedBrownian(params), params.beta)
+        return TimeDomainQuadrature(OverdampedBrownian(params), params.beta)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")

@@ -11,7 +11,7 @@ the |2><1| coherence amplitude either keeps its sense through the
 junction, picking up exp(-i eps (t1+t2) - g(t1+t2)), or is flipped by
 U', picking up
 
-    exp(-i eps (t2 - t1)) * exp(-[2 g(t1) + 2 g(t2) - g(t1+t2)]),
+    exp(-i eps (t2 - t1)) * exp(-flip_exponent(g(t1), g(t2), g(t1+t2))),
 
 the partial rephasing (echo) kernel.  Populations propagate through U'
 unchanged by the bath.  trace_distance has a closed form in this basis;
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import _check_time
+from .dephasing import _check_time, flip_exponent
 from .errors import SuperoperatorError
 
 POSITIVITY_TOL = 1e-10
@@ -172,34 +172,15 @@ def coherence_flip() -> LiouvilleOp:
     )
 
 
-class TwoTimeKernelSet:
-    """Coherence kernels for one and two free intervals."""
-
-    def __init__(self, system: SystemParams, evaluator):
-        self.system = system
-        self.evaluator = evaluator
-
-    def k_single(self, t: float) -> complex:
-        """Amplitude factor of |2><1| over one interval: e^{-i eps t - g(t)}."""
-        t = _check_time(t)
-        return complex(np.exp(-1j * self.system.epsilon * t - self.evaluator.g(t)))
-
-    def k_keep(self, t1: float, t2: float) -> complex:
-        """Coherence kept through the junction: the two intervals fuse."""
-        return self.k_single(_check_time(t1) + _check_time(t2))
-
-    def k_flip(self, t1: float, t2: float) -> complex:
-        """Coherence flipped at the junction: partial rephasing kernel."""
-        t1 = _check_time(t1)
-        t2 = _check_time(t2)
-        ev = self.evaluator
-        expo = 2.0 * ev.g(t1) + 2.0 * ev.g(t2) - ev.g(t1 + t2)
-        return complex(np.exp(-1j * self.system.epsilon * (t2 - t1) - expo))
+def _kernel(epsilon: float, t: float, expo) -> complex:
+    """Coherence amplitude factor e^{-i eps t - expo}."""
+    return complex(np.exp(-1j * epsilon * t - expo))
 
 
 def propagate_single(state: DensityMatrix2, system: SystemParams, evaluator, t: float) -> DensityMatrix2:
     """Free evolution for time t; populations frozen, coherence dephased."""
-    k = TwoTimeKernelSet(system, evaluator).k_single(t)
+    t = _check_time(t)
+    k = _kernel(system.epsilon, t, evaluator.g(t))
     return DensityMatrix2(state.p11, state.c12 * np.conj(k))
 
 
@@ -208,15 +189,18 @@ def two_time_map(system: SystemParams, evaluator, uprime: LiouvilleOp, t1: float
 
     Because the bath is not reset at the junction, the result is not a
     composition of single-interval maps: the coherence routes through
-    uprime carry kernels depending jointly on t1 and t2.
+    uprime carry kernels depending jointly on t1 and t2.  The |2><1|
+    amplitude kept through the junction fuses the intervals; the flipped
+    one carries the flip exponent.
     """
     t1 = _check_time(t1)
     t2 = _check_time(t2)
-    kernels = TwoTimeKernelSet(system, evaluator)
-    k1 = kernels.k_single(t1)
-    k2 = kernels.k_single(t2)
-    kk = kernels.k_keep(t1, t2)
-    kf = kernels.k_flip(t1, t2)
+    eps = system.epsilon
+    g1, g2, g12 = evaluator.g(t1), evaluator.g(t2), evaluator.g(t1 + t2)
+    k1 = _kernel(eps, t1, g1)
+    k2 = _kernel(eps, t2, g2)
+    kk = _kernel(eps, t1 + t2, g12)
+    kf = _kernel(eps, t2 - t1, flip_exponent(g1, g2, g12))
     u = uprime.matrix
     m = np.array(
         [

@@ -10,7 +10,7 @@ the decay exponent of the channel:
 
   * one free interval:          E(t) = Re g(t)
   * flip at the junction after
-    a preparation interval t1:  E(t) = 2 Re g(t1) + 2 Re g(t) - Re g(t1+t)
+    a preparation interval t1:  E(t) = Re flip_exponent(g(t1), g(t), g(t1+t))
 
 The second form can decrease in t (the bath rephases the coherence it
 just dephased), so D can grow: that is the memory effect measured here.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import _check_time
+from .dephasing import _check_time, flip_exponent
 from .dynamics import DensityMatrix2, SystemParams
 
 __all__ = [
@@ -47,6 +47,10 @@ __all__ = [
     "pair_distance",
     "sigma",
 ]
+
+
+# rows of the pair table built at once by the grid search
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ def decay_exponent(evaluator, scenario, t: float) -> float:
         return evaluator.g(t).real
     if isinstance(scenario, Prepared):
         t1 = scenario.t1
-        return 2.0 * evaluator.g(t1).real + 2.0 * evaluator.g(t).real - evaluator.g(t1 + t).real
+        return flip_exponent(evaluator.g(t1), evaluator.g(t), evaluator.g(t1 + t)).real
     raise TypeError(f"unknown scenario {scenario!r}")
 
 
@@ -104,14 +108,12 @@ def pair_distance(pair: StatePair, evaluator, scenario, t: float) -> float:
     return math.sqrt(dp * dp + abs(dc) ** 2 * math.exp(-2.0 * e))
 
 
-def sigma(pair: StatePair, system: SystemParams, evaluator, scenario, t: float) -> float:
+def sigma(pair: StatePair, evaluator, scenario, t: float) -> float:
     """Time derivative of the pair trace distance.
 
     The level splitting only rotates the coherence phase, which drops out
-    of the distance; it is accepted so the signature matches the
-    propagation layer.
+    of the distance, so no system parameters enter.
     """
-    del system
     dp = pair.a.p11 - pair.b.p11
     dc2 = abs(pair.a.c12 - pair.b.c12) ** 2
     if dc2 == 0.0:
@@ -151,7 +153,6 @@ class GridSearch:
     n_population: int = 50
     n_coherence: int = 50
     n_phase: int = 8
-    chunk: int = 128
 
 
 @dataclass(frozen=True)
@@ -216,15 +217,40 @@ def _growth_runs(evaluator, scenario, t_max: float, n_scan: int, refine_tol: flo
     return runs, truncated
 
 
-def _pair_gain(dp: float, dc2: float, ends, starts) -> float:
-    total = 0.0
-    for a, b in zip(ends, starts):
-        total += math.sqrt(dp * dp + dc2 * a) - math.sqrt(dp * dp + dc2 * b)
+def _weights(evaluator, scenario, runs):
+    """e^{-2E} at the ends and at the starts of the growth runs."""
+    w_end = [math.exp(-2.0 * decay_exponent(evaluator, scenario, e)) for _, e in runs]
+    w_start = [math.exp(-2.0 * decay_exponent(evaluator, scenario, s)) for s, _ in runs]
+    return w_end, w_start
+
+
+def _gain(dp2, dc2, w_end, w_start):
+    """Distance gained over one interval, sqrt(dp^2 + dc^2 w_end) - sqrt(dp^2 + dc^2 w_start).
+
+    Elementwise on scalars and arrays (dp2, dc2 may be pair tables).
+    """
+    return np.sqrt(dp2 + dc2 * w_end) - np.sqrt(dp2 + dc2 * w_start)
+
+
+def _total_gain(dp2, dc2, w_end, w_start):
+    """Sum of _gain over one or more intervals, accumulated in place in interval order."""
+    total = _gain(dp2, dc2, w_end[0], w_start[0])
+    for a, b in zip(w_end[1:], w_start[1:]):
+        total += _gain(dp2, dc2, a, b)
     return total
 
 
+def _growth_records(runs, pair: StatePair, w_end, w_start) -> tuple:
+    """GrowthInterval records of the runs with the distance gained by pair."""
+    dp = pair.a.p11 - pair.b.p11
+    dc2 = abs(pair.a.c12 - pair.b.c12) ** 2
+    return tuple(
+        GrowthInterval(s, e, float(_gain(dp * dp, dc2, a, b)))
+        for (s, e), a, b in zip(runs, w_end, w_start)
+    )
+
+
 def growth_intervals(
-    system: SystemParams,
     evaluator,
     scenario,
     t_max: float,
@@ -237,18 +263,9 @@ def growth_intervals(
     Returns GrowthInterval records carrying the distance gained by the
     given pair (the analytic maximizer by default) over each interval.
     """
-    del system
-    if pair is None:
-        pair = analytic_pair()
     runs, _ = _growth_runs(evaluator, scenario, t_max, n_scan, refine_tol)
-    dp = pair.a.p11 - pair.b.p11
-    dc2 = abs(pair.a.c12 - pair.b.c12) ** 2
-    out = []
-    for start, end in runs:
-        d_end = math.sqrt(dp * dp + dc2 * math.exp(-2.0 * decay_exponent(evaluator, scenario, end)))
-        d_start = math.sqrt(dp * dp + dc2 * math.exp(-2.0 * decay_exponent(evaluator, scenario, start)))
-        out.append(GrowthInterval(start, end, d_end - d_start))
-    return out
+    records = _growth_records(runs, pair or analytic_pair(), *_weights(evaluator, scenario, runs))
+    return list(records)
 
 
 def _grid_states(search: GridSearch):
@@ -270,22 +287,20 @@ def _grid_search(search: GridSearch, weights_end, weights_start):
     Chunked so the pairwise difference tables stay modest in memory.
     """
     pf, cf = _grid_states(search)
-    a = np.asarray(weights_end)
-    b = np.asarray(weights_start)
     best = -np.inf
     best_ij = (0, 0)
     n = pf.size
-    for i0 in range(0, n, search.chunk):
-        sl = slice(i0, min(i0 + search.chunk, n))
+    for i0 in range(0, n, _CHUNK):
+        sl = slice(i0, min(i0 + _CHUNK, n))
         dp2 = (pf[sl, None] - pf[None, :]) ** 2
         dc2 = np.abs(cf[sl, None] - cf[None, :]) ** 2
-        gain = np.zeros_like(dp2)
-        for ak, bk in zip(a, b):
-            gain += np.sqrt(dp2 + dc2 * ak) - np.sqrt(dp2 + dc2 * bk)
+        gain = _total_gain(dp2, dc2, weights_end, weights_start)
         k = int(np.argmax(gain))
         if gain.flat[k] > best:
             best = float(gain.flat[k])
             best_ij = (i0 + k // n, k % n)
+        # free this chunk's tables before the next chunk builds its own
+        del dp2, dc2, gain
     ia, ib = best_ij
     pair = StatePair(
         DensityMatrix2(float(pf[ia]), complex(cf[ia])),
@@ -309,7 +324,8 @@ def non_markovianity(
     evaluator carries Brownian bath parameters.  search selects the pair:
     AnalyticPair (default) uses the closed-form maximizer, GridSearch
     scans a discrete family and returns its best pair, which can only
-    approach the analytic value from below.
+    approach the analytic value from below.  The level splitting in
+    system drops out of the distance.
     """
     if search is None:
         search = AnalyticPair()
@@ -325,23 +341,11 @@ def non_markovianity(
     if not runs:
         return NonMarkovResult(0.0, (), analytic_pair(), scenario, t_max, truncated, label)
 
-    w_end = [math.exp(-2.0 * decay_exponent(evaluator, scenario, e)) for _, e in runs]
-    w_start = [math.exp(-2.0 * decay_exponent(evaluator, scenario, s)) for s, _ in runs]
-
+    w_end, w_start = _weights(evaluator, scenario, runs)
     if isinstance(search, GridSearch):
         n_value, pair = _grid_search(search, w_end, w_start)
     else:
         pair = analytic_pair()
-        n_value = _pair_gain(0.0, 1.0, w_end, w_start)
-
-    dp = pair.a.p11 - pair.b.p11
-    dc2 = abs(pair.a.c12 - pair.b.c12) ** 2
-    intervals = tuple(
-        GrowthInterval(
-            s,
-            e,
-            math.sqrt(dp * dp + dc2 * ae) - math.sqrt(dp * dp + dc2 * bs),
-        )
-        for (s, e), ae, bs in zip(runs, w_end, w_start)
-    )
+        n_value = _total_gain(0.0, 1.0, w_end, w_start)
+    intervals = _growth_records(runs, pair, w_end, w_start)
     return NonMarkovResult(float(n_value), intervals, pair, scenario, t_max, truncated, label)

@@ -155,11 +155,6 @@ class TabulatedSpectralDensity:
         return float(out) if out.ndim == 0 else out
 
 
-def spectral_density(sd, omega):
-    """Evaluate a spectral density object at omega (> 0)."""
-    return sd.j(omega)
-
-
 class BrownianCorrelation:
     """Fast analytic L(t) for the overdamped Brownian bath.
 
@@ -244,12 +239,6 @@ class BrownianCorrelation:
         return complex(re, -self.eta * self.gamma * decay)
 
 
-@dataclass(frozen=True)
-class CorrelationSample:
-    t: float
-    value: complex
-
-
 def _brownian_quadrature(params: BathParams, t: float) -> complex:
     eta, gamma, beta = params.eta, params.gamma, params.beta
     ws = max(10.0 * gamma, 10.0 / beta)
@@ -278,10 +267,10 @@ def _brownian_quadrature(params: BathParams, t: float) -> complex:
     return complex(re, -im)
 
 
-def _tabulated_grid(sd: TabulatedSpectralDensity, beta: float, t: float) -> complex:
+def _tabulated_grid(sd: TabulatedSpectralDensity, therm, t: float) -> complex:
+    """L(t) by the trapezoid rule on the grid of sd; therm = J(w) coth(beta w / 2) there."""
     w = sd.omega
     jw = sd.values
-    therm = jw * coth(0.5 * beta * w)
     re = np.trapezoid(therm * np.cos(w * t), w) / math.pi
     im = 0.0 if t == 0.0 else np.trapezoid(jw * np.sin(w * t), w) / math.pi
     return complex(re, -im)
@@ -301,7 +290,7 @@ def correlation_function(sd, beta: float, t: float, route: str | None = None) ->
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if isinstance(sd, TabulatedSpectralDensity):
-        return _tabulated_grid(sd, beta, t)
+        return _tabulated_grid(sd, sd.values * coth(0.5 * beta * sd.omega), t)
     if not isinstance(sd, OverdampedBrownian):
         raise TypeError(f"unsupported spectral density type {type(sd).__name__}")
     p = sd.params
@@ -310,13 +299,3 @@ def correlation_function(sd, beta: float, t: float, route: str | None = None) ->
     if route == "quadrature":
         return _brownian_quadrature(BathParams(p.eta, p.gamma, beta), t)
     raise ValueError(f"unknown route {route!r}")
-
-
-def correlation_series(sd, beta: float, ts, route: str | None = None):
-    """L(t) on a grid of times, as a list of CorrelationSample."""
-    ts = np.asarray(ts, dtype=float)
-    if isinstance(sd, OverdampedBrownian) and route in (None, "analytic"):
-        p = sd.params
-        corr = BrownianCorrelation(p.eta, p.gamma, beta)
-        return [CorrelationSample(float(t), corr(float(t))) for t in ts]
-    return [CorrelationSample(float(t), correlation_function(sd, beta, float(t), route)) for t in ts]

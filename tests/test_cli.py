@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dephaser.cli import SCHEMA_VERSION, main
-from dephaser.dephasing import BrownianMatsubara
+from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
 from dephaser.measures import Prepared, decay_exponent_rate
 from dephaser.response import echo_response
 from dephaser.spectral import BathParams
@@ -201,6 +201,60 @@ def test_figures_trd2t_surface(capsys):
     d = np.array(rows)[:, 2]
     assert np.all(d > 0.0) and np.all(d <= 1.0)
     assert rows[0][2] == 1.0
+
+
+def _scalar_echo_rows(ev, ts):
+    """echo rows built point by point, as the CLI did before its grid path."""
+    g_axis = np.array([ev.g(float(t)) for t in ts])
+    rows = []
+    for i, t1 in enumerate(ts):
+        g_sum = np.array([ev.g(float(t)) for t in t1 + ts])
+        for j, t2 in enumerate(ts):
+            expo = 2.0 * g_axis[i] + 2.0 * g_axis[j] - g_sum[j]
+            r = complex(np.exp(-expo))
+            rows.append((float(t1), float(t2), abs(r), r.real, r.imag))
+    return ["t1", "t2", "abs_r", "re_r", "im_r"], rows
+
+
+def _scalar_trd2t_rows(ev, ts):
+    """figures trd2t rows built point by point, as the CLI did before its grid path."""
+    g_re = np.array([ev.g(float(t)).real for t in ts])
+    rows = []
+    for i, t1 in enumerate(ts):
+        g_sum = np.array([ev.g(float(t1 + t)).real for t in ts])
+        for j, t2 in enumerate(ts):
+            e = 2.0 * g_re[i] + 2.0 * g_re[j] - g_sum[j]
+            rows.append((float(t1), float(t2), math.exp(-e)))
+    return ["t1", "t2", "distance"], rows
+
+
+def _series_text(columns, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(format(v, ".17g") for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "columns": columns,
+        "rows": [list(map(float, row)) for row in rows],
+    }
+    return json.dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, reference",
+    [
+        (["echo"], lambda ts: _scalar_echo_rows(BrownianMatsubara(DEFAULT_BATH), ts)),
+        (["figures", "trd2t"], lambda ts: _scalar_trd2t_rows(HighTemperatureBrownian(DEFAULT_BATH), ts)),
+    ],
+    ids=["echo", "trd2t"],
+)
+def test_grid_path_matches_scalar_loop_exactly(capsys, argv, reference, fmt):
+    # an odd grid whose pairwise sums round unevenly
+    rc, out, _ = run_cli(capsys, argv + ["--points", "23", "--tmax", "7.123", "--format", fmt])
+    assert rc == 0
+    columns, rows = reference(np.linspace(0.0, 7.123, 23))
+    assert out == _series_text(columns, rows, fmt)
 
 
 def test_unknown_engine_is_a_usage_error(capsys):

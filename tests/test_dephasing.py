@@ -7,7 +7,6 @@ import pytest
 
 from dephaser.dephasing import (
     BrownianMatsubara,
-    DephasingSample,
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
@@ -184,18 +183,14 @@ def test_negative_time_rejected():
         with pytest.raises(ValueError):
             ev.gdot(-0.5)
         with pytest.raises(ValueError):
-            ev.sample(math.nan)
+            ev.g(math.nan)
 
 
-def test_sample_bundles_g_and_gdot():
-    ev = BrownianMatsubara(BATH)
-    s = ev.sample(1.0)
-    assert isinstance(s, DephasingSample)
-    assert s.t == 1.0
-    assert s.g == ev.g(1.0)
-    assert s.gdot == ev.gdot(1.0)
-    arr = ev.g_array([0.5, 1.0])
-    assert arr.shape == (2,) and arr[1] == ev.g(1.0)
+def test_quadrature_engines_reject_unknown_density():
+    # a density that is neither Brownian nor tabulated has no integrand
+    for engine in (FrequencyQuadrature, TimeDomainQuadrature):
+        with pytest.raises(TypeError):
+            engine(object(), BATH.beta)
 
 
 def test_make_evaluator_dispatch():

@@ -11,7 +11,6 @@ from dephaser.dynamics import (
     DensityMatrix2,
     LiouvilleOp,
     SystemParams,
-    TwoTimeKernelSet,
     coherence_flip,
     identity_op,
     propagate_single,
@@ -21,6 +20,7 @@ from dephaser.dynamics import (
     two_time_map,
 )
 from dephaser.errors import SuperoperatorError
+from dephaser.response import echo_response
 from dephaser.spectral import BathParams
 
 BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=100)
@@ -131,13 +131,20 @@ def test_coherence_flip_is_an_involution():
 
 
 def test_two_time_kernels_identities():
+    # |2><1| amplitudes of the two-interval map: kept through the junction
+    # (row 2, column 2 for the identity) and flipped (row 1, column 2)
     ev = BrownianMatsubara(BATH)
-    k = TwoTimeKernelSet(SYS, ev)
     t1, t2 = 0.7, 1.9
-    assert k.k_keep(t1, t2) == k.k_single(t1 + t2)
-    assert k.k_flip(0.0, t2) == pytest.approx(k.k_single(t2), rel=1e-14)
+    keep = two_time_map(SYS, ev, identity_op(), t1, t2).matrix
+    fused = two_time_map(SYS, ev, identity_op(), t1 + t2, 0.0).matrix
+    assert keep[2, 2] == fused[2, 2]
+    single = two_time_map(SYS, ev, identity_op(), 0.0, t2).matrix
+    flip_now = two_time_map(SYS, ev, coherence_flip(), 0.0, t2).matrix
+    assert flip_now[1, 2] == pytest.approx(single[2, 2], rel=1e-14)
+    flip = two_time_map(SYS, ev, coherence_flip(), t1, t2).matrix
     expo = 2.0 * ev.g(t1).real + 2.0 * ev.g(t2).real - ev.g(t1 + t2).real
-    assert abs(k.k_flip(t1, t2)) == pytest.approx(math.exp(-expo), rel=1e-14)
+    assert abs(flip[1, 2]) == pytest.approx(math.exp(-expo), rel=1e-14)
+    assert flip[2, 1] == np.conj(flip[1, 2])
 
 
 def test_identity_junction_composes_exactly():
@@ -157,8 +164,8 @@ def test_flip_junction_with_no_preparation():
     st = DensityMatrix2(0.4, 0.3 * np.exp(0.7j))
     t2 = 1.1
     out = propagate_two_time(st, SYS, ev, coherence_flip(), 0.0, t2)
-    k = TwoTimeKernelSet(SYS, ev)
-    assert out.c12 == pytest.approx(k.k_flip(0.0, t2) * np.conj(st.c12), rel=1e-13)
+    k_flip = np.exp(-1j * SYS.epsilon * t2) * echo_response(ev, 0.0, t2)
+    assert out.c12 == pytest.approx(k_flip * np.conj(st.c12), rel=1e-13)
     assert abs(out.c12) == pytest.approx(abs(st.c12) * math.exp(-ev.g(t2).real), rel=1e-13)
 
 

@@ -87,13 +87,13 @@ def test_pair_distance_matches_propagation():
 
 def test_sigma_zero_at_origin_for_single_interval():
     ev = BrownianMatsubara(BATH)
-    assert sigma(analytic_pair(), SYS, ev, SingleTime(), 0.0) == 0.0
+    assert sigma(analytic_pair(), ev, SingleTime(), 0.0) == 0.0
 
 
 def test_sigma_initial_rate_after_preparation():
     # the flip turns accumulated dephasing into immediate regrowth
     ev = BrownianMatsubara(BATH)
-    s0 = sigma(analytic_pair(), SYS, ev, Prepared(1.0), 0.0)
+    s0 = sigma(analytic_pair(), ev, Prepared(1.0), 0.0)
     ref = ev.gdot(1.0).real * math.exp(-ev.g(1.0).real)
     assert s0 == pytest.approx(ref, rel=1e-12)
     assert s0 > 0.0
@@ -111,16 +111,16 @@ def test_sigma_matches_distance_derivative():
         scen = Prepared(float(rng.uniform(0.0, 2.0)))
         t = float(rng.uniform(0.1, 3.0))
         fd = (pair_distance(pair, ev, scen, t + h) - pair_distance(pair, ev, scen, t - h)) / (2.0 * h)
-        assert sigma(pair, SYS, ev, scen, t) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        assert sigma(pair, ev, scen, t) == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 def test_sigma_degenerate_pairs():
     ev = HighTemperatureBrownian(BATH)
     same = DensityMatrix2(0.5, 0.2 + 0j)
-    assert sigma(StatePair(same, same), SYS, ev, Prepared(1.0), 0.5) == 0.0
+    assert sigma(StatePair(same, same), ev, Prepared(1.0), 0.5) == 0.0
     # population-only difference: distance is frozen, sigma vanishes
     pops = StatePair(DensityMatrix2(0.8, 0j), DensityMatrix2(0.2, 0j))
-    assert sigma(pops, SYS, ev, Prepared(1.0), 0.5) == 0.0
+    assert sigma(pops, ev, Prepared(1.0), 0.5) == 0.0
 
 
 def test_single_interval_is_markovian():
@@ -154,14 +154,14 @@ def test_k100_prepared_measure_frozen_values():
 
 def test_growth_intervals_standalone():
     ht = HighTemperatureBrownian(BATH)
-    ivs = growth_intervals(SYS, ht, Prepared(1.0), t_max=10.0)
+    ivs = growth_intervals(ht, Prepared(1.0), t_max=10.0)
     t2_star, n_exact = hot_closed_form()
     assert len(ivs) == 1
     assert ivs[0].t_end == pytest.approx(t2_star, abs=1e-8)
     assert ivs[0].delta_d == pytest.approx(n_exact, rel=1e-8)
     # a pair with half the coherence difference gains half the distance
     half = StatePair(DensityMatrix2(0.5, 0.25 + 0j), DensityMatrix2(0.5, -0.25 + 0j))
-    ivs_half = growth_intervals(SYS, ht, Prepared(1.0), t_max=10.0, pair=half)
+    ivs_half = growth_intervals(ht, Prepared(1.0), t_max=10.0, pair=half)
     assert ivs_half[0].delta_d == pytest.approx(0.5 * n_exact, rel=1e-8)
 
 

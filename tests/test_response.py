@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
-from dephaser.dynamics import SystemParams, TwoTimeKernelSet
-from dephaser.response import echo_response, linear_response
+from dephaser.dynamics import DensityMatrix2, SystemParams, coherence_flip, propagate_single, two_time_map
+from dephaser.response import echo_response, flip_exponent_grid
 from dephaser.spectral import BathParams
 
 BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=100)
+STATE = DensityMatrix2(0.4, 0.3 * np.exp(0.7j))
 
 # interior maximum of |R(1, .)|, shared root with the trace-distance
 # growth endpoint (same rate balance); see test_measures for provenance
@@ -18,15 +19,16 @@ RIDGE_T2 = 0.62233387513238
 
 
 def test_modulus_ties_response_to_flip_kernel():
-    # same exponent through two independently coded expressions
+    # the echo kernel against the coherence carried through a flip junction
     ev = BrownianMatsubara(BATH)
-    kernels = TwoTimeKernelSet(SystemParams(epsilon=1.3), ev)
+    system = SystemParams(epsilon=1.3)
     ts = np.linspace(0.25, 5.0, 20)
     worst = 0.0
     for t1 in ts:
         for t2 in ts:
             r = abs(echo_response(ev, float(t1), float(t2)))
-            k = abs(kernels.k_flip(float(t1), float(t2)))
+            out = two_time_map(system, ev, coherence_flip(), float(t1), float(t2))(STATE)
+            k = abs(out.c12) / abs(STATE.c12)
             worst = max(worst, abs(r - k) / k)
     assert worst < 1e-14
 
@@ -43,7 +45,8 @@ def test_zero_second_interval_reduces_to_free_decay():
     for t in (0.5, 1.0, 3.0):
         r = echo_response(ev, t, 0.0)
         assert r == pytest.approx(complex(np.exp(-ev.g(t))), rel=1e-13)
-        assert abs(r) == pytest.approx(abs(linear_response(ev, sys0, t)), rel=1e-13)
+        free = propagate_single(STATE, sys0, ev, t)
+        assert abs(r) == pytest.approx(abs(free.c12) / abs(STATE.c12), rel=1e-13)
 
 
 def test_echo_ridge_peaks_at_frozen_root():
@@ -90,12 +93,14 @@ def test_echo_kernel_does_not_factorize():
 
 
 def test_linear_response_phase_and_decay():
+    # the one-interval kernel e^{-i eps t - g(t)}, applied to c12 = <1|rho|2> as its conjugate
     ev = BrownianMatsubara(BATH)
     t = 1.3
-    bare = linear_response(ev, SystemParams(epsilon=0.0), t)
-    split = linear_response(ev, SystemParams(epsilon=2.0), t)
-    assert split == pytest.approx(bare * np.exp(-2j * t), rel=1e-13)
-    assert abs(bare) == pytest.approx(math.exp(-ev.g(t).real), rel=1e-13)
+    bare = propagate_single(STATE, SystemParams(epsilon=0.0), ev, t).c12
+    split = propagate_single(STATE, SystemParams(epsilon=2.0), ev, t).c12
+    assert split == pytest.approx(bare * np.exp(2j * t), rel=1e-13)
+    assert abs(bare) == pytest.approx(abs(STATE.c12) * math.exp(-ev.g(t).real), rel=1e-13)
+    assert bare == pytest.approx(STATE.c12 * np.exp(-np.conj(ev.g(t))), rel=1e-13)
 
 
 def test_negative_times_rejected():
@@ -105,4 +110,4 @@ def test_negative_times_rejected():
     with pytest.raises(ValueError):
         echo_response(ev, 1.0, -0.1)
     with pytest.raises(ValueError):
-        linear_response(ev, SystemParams(), -1.0)
+        flip_exponent_grid(ev, [0.0, -1.0])

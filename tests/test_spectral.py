@@ -10,13 +10,10 @@ from dephaser.errors import ExtrapolationError
 from dephaser.spectral import (
     BathParams,
     BrownianCorrelation,
-    CorrelationSample,
     OverdampedBrownian,
     TabulatedSpectralDensity,
     correlation_function,
-    correlation_series,
     coth,
-    spectral_density,
     trilog_exp,
 )
 
@@ -26,7 +23,7 @@ BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0)
 def test_brownian_value_at_cutoff():
     # J(gamma) = eta exactly: 2 eta gamma^2 / (2 gamma^2)
     sd = OverdampedBrownian(BATH)
-    assert spectral_density(sd, 0.5) == pytest.approx(1.0, rel=1e-15)
+    assert sd.j(0.5) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_brownian_peaks_at_cutoff():
@@ -117,14 +114,6 @@ def test_correlation_analytic_matches_quadrature():
         a = correlation_function(sd, BATH.beta, t, route="analytic")
         q = correlation_function(sd, BATH.beta, t, route="quadrature")
         assert abs(a - q) / abs(q) < 1e-9
-
-
-def test_correlation_series_matches_pointwise():
-    sd = OverdampedBrownian(BATH)
-    samples = correlation_series(sd, BATH.beta, [0.5, 1.0, 2.0])
-    assert all(isinstance(s, CorrelationSample) for s in samples)
-    for s in samples:
-        assert s.value == correlation_function(sd, BATH.beta, s.t)
 
 
 def test_correlation_zero_time_truncated_with_warning():
