@@ -43,6 +43,7 @@ from .measures import (
     SingleTime,
     StatePair,
     decay_exponent,
+    decay_exponent_grid,
     decay_exponent_rate,
     growth_intervals,
     non_markovianity,

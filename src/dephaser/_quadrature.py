@@ -5,11 +5,12 @@ the reported residual is too large to trust.  The oscillatory tail helper
 uses the dedicated Fourier transform integrator, which handles integrands
 decaying only algebraically (the conditionally convergent case) where a
 plain upper cutoff would not converge.
+
+scipy.integrate is imported on the first call, so the series and
+closed-form routes never load it.
 """
 
 from __future__ import annotations
-
-from scipy.integrate import quad
 
 from .errors import IntegrationError
 
@@ -17,7 +18,10 @@ _LIMIT = 400
 _LIMLST = 200
 
 
-def _check(value, abserr, tag):
+def _quad(f, a, b, tag, **options):
+    from scipy.integrate import quad
+
+    value, abserr = quad(f, a, b, limit=_LIMIT, full_output=1, **options)[:2]
     # quad error estimates are pessimistic; only bail out when the residual
     # is large on the scale of the result itself.
     if abserr > 1e-7 * (1.0 + abs(value)):
@@ -29,28 +33,15 @@ def _check(value, abserr, tag):
 
 
 def integrate_finite(f, a, b, *, epsabs=1e-12, epsrel=1e-12, tag="integral"):
-    res = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_LIMIT, full_output=1)
-    return _check(res[0], res[1], tag)
+    return _quad(f, a, b, tag, epsabs=epsabs, epsrel=epsrel)
 
 
 def integrate_to_inf(f, a, *, epsabs=1e-12, epsrel=1e-12, tag="integral"):
-    res = quad(
-        f, a, float("inf"), epsabs=epsabs, epsrel=epsrel, limit=_LIMIT, full_output=1
-    )
-    return _check(res[0], res[1], tag)
+    return _quad(f, a, float("inf"), tag, epsabs=epsabs, epsrel=epsrel)
 
 
 def integrate_fourier_tail(f, a, freq, kind, *, epsabs=1e-13, tag="integral"):
     """Integral of f(w) cos(freq w) or f(w) sin(freq w) over [a, inf)."""
-    res = quad(
-        f,
-        a,
-        float("inf"),
-        weight=kind,
-        wvar=freq,
-        epsabs=epsabs,
-        limit=_LIMIT,
-        limlst=_LIMLST,
-        full_output=1,
+    return _quad(
+        f, a, float("inf"), tag, weight=kind, wvar=freq, epsabs=epsabs, limlst=_LIMLST
     )
-    return _check(res[0], res[1], tag)

@@ -8,10 +8,13 @@ Subcommands
     figures  data behind the two reference plots (trd, trd2t)
 
 Numeric flags override --config entries, which override built-in
-defaults.  Series go to --out (or stdout) as CSV or JSON with floats at
-full precision; repeated runs with the same inputs are byte identical.
-Runtime failures print a one-line JSON error record to stderr and exit
-nonzero.
+defaults.  --points is capped at 1 000 000 for 1-d series and 2 000 per
+axis for 2-d grids (4 000 000 rows); larger values are rejected before
+anything is allocated.  Series go to --out (or stdout) as CSV or JSON
+with floats at full precision; repeated runs with the same inputs are
+byte identical.  A series is rendered to one string, each distinct value
+of a column formatted once, and written with one call.  Runtime failures
+print a one-line JSON error record to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .measures import (
     GridSearch,
     Prepared,
     SingleTime,
-    decay_exponent,
+    decay_exponent_grid,
     decay_exponent_rate,
     non_markovianity,
 )
@@ -56,8 +59,8 @@ _DEFAULTS = {
     "out": None,
 }
 
-_POINTS_1D = 1000
-_POINTS_2D = 200
+# (default, cap) of --points by grid dimension: 1-d series, 2-d square grids
+_POINTS = {1: (1000, 1_000_000), 2: (200, 2000)}
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,14 @@ class RunConfig:
     def evaluator(self):
         return make_evaluator(self.engine, self.bath)
 
-    def grid(self, n_default: int) -> np.ndarray:
+    def grid(self, ndim: int) -> np.ndarray:
+        """Time axis from 0 to tmax for a series of ndim time dimensions."""
+        n_default, cap = _POINTS[ndim]
         n = self.points if self.points is not None else n_default
         if n < 2:
             raise ValueError("points must be at least 2")
+        if n > cap:
+            raise ValueError(f"points must be at most {cap} for a {ndim}-d grid, got {n}")
         return np.linspace(0.0, self.tmax, n)
 
 
@@ -141,20 +148,41 @@ class Series:
     rows: np.ndarray  # 2-d float, one row per output line
 
 
+# json.dump's text for the floats whose repr differs from it
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _column_text(col: np.ndarray, fmt: str) -> list:
+    """The text of every float of col, formatted once per distinct bit pattern.
+
+    Bit patterns, not values, so that -0.0 and 0.0 keep their own text.
+    CSV writes %.17g; JSON writes what json.dump does (float.__repr__,
+    NaN, Infinity, -Infinity).
+    """
+    bits, where = np.unique(col.view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
+    text = np.array(
+        list(map("%.17g".__mod__ if fmt == "csv" else float.__repr__, values.tolist())), dtype=object
+    )
+    if fmt == "json":
+        for i in np.flatnonzero(~np.isfinite(values)):
+            text[i] = _JSON_NONFINITE[text[i]]
+    return text[where].tolist()
+
+
 def _write_series(series: Series, fmt: str, fh) -> None:
+    rows = np.asarray(series.rows, dtype=np.float64)
+    cells = zip(*(_column_text(rows[:, j], fmt) for j in range(rows.shape[1])))
     if fmt == "csv":
-        fh.write(",".join(series.columns) + "\n")
-        line = ",".join(["%.17g"] * len(series.columns)) + "\n"
-        for row in series.rows:
-            fh.write(line % tuple(row.tolist()))
+        text = ",".join(series.columns) + "\n" + "".join(",".join(r) + "\n" for r in cells)
     else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "columns": list(series.columns),
-            "rows": series.rows.tolist(),
-        }
-        json.dump(payload, fh)
-        fh.write("\n")
+        # the layout json.dump gives {"schema_version", "columns", "rows"}
+        text = '{"schema_version": %d, "columns": %s, "rows": [%s]}\n' % (
+            SCHEMA_VERSION,
+            json.dumps(list(series.columns)),
+            ", ".join("[" + ", ".join(r) + "]" for r in cells),
+        )
+    fh.write(text)
 
 
 def _emit(obj, cfg: RunConfig) -> None:
@@ -178,9 +206,14 @@ def _square_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(ts, ts.size), np.tile(ts, ts.size)
 
 
+def _exp_neg(x: np.ndarray) -> np.ndarray:
+    """exp(-x) element by element with math.exp: np.exp on floats is not bit-identical to it."""
+    return np.fromiter((math.exp(-v) for v in x.tolist()), float, x.size)
+
+
 def cmd_gfun(cfg: RunConfig) -> Series:
+    ts = cfg.grid(1)
     ev = cfg.evaluator()
-    ts = cfg.grid(_POINTS_1D)
     g = np.array([ev.g(float(t)) for t in ts])
     gdot = np.array([ev.gdot(float(t)) for t in ts])
     rows = np.column_stack((ts, g.real, g.imag, gdot.real, gdot.imag))
@@ -189,16 +222,13 @@ def cmd_gfun(cfg: RunConfig) -> Series:
 
 def cmd_trdist(cfg: RunConfig) -> Series:
     """Pair trace distance normalized to 1 at the start of the scanned interval."""
+    ts = cfg.grid(1)
     ev = cfg.evaluator()
     scenario = cfg.scenario()
-    e0 = decay_exponent(ev, scenario, 0.0)
-    rows = []
-    for t in cfg.grid(_POINTS_1D):
-        e = decay_exponent(ev, scenario, float(t))
-        d = math.exp(-(e - e0))
-        rate = decay_exponent_rate(ev, scenario, float(t))
-        rows.append((float(t), d, -rate * d))
-    return Series(["t2", "distance", "sigma"], np.array(rows))
+    e = decay_exponent_grid(ev, scenario, ts)
+    d = _exp_neg(e - e[0])  # the grid starts at t = 0
+    rate = np.array([decay_exponent_rate(ev, scenario, float(t)) for t in ts])
+    return Series(["t2", "distance", "sigma"], np.column_stack((ts, d, -rate * d)))
 
 
 def cmd_measure(cfg: RunConfig) -> dict:
@@ -233,7 +263,7 @@ def cmd_measure(cfg: RunConfig) -> dict:
 
 
 def cmd_echo(cfg: RunConfig) -> Series:
-    ts = cfg.grid(_POINTS_2D)
+    ts = cfg.grid(2)
     r = np.exp(-flip_exponent_grid(cfg.evaluator(), ts)).ravel()
     # hypot matches abs() of a Python complex bit for bit; np.abs does not
     rows = np.column_stack((*_square_grid(ts), np.hypot(r.real, r.imag), r.real, r.imag))
@@ -249,26 +279,22 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
     trd2t: the high-temperature distance surface over (t1, t2).
     """
     if which == "trd":
+        ts = cfg.grid(1)
         ev_ht = HighTemperatureBrownian(cfg.bath)
         ev_k = BrownianMatsubara(cfg.bath, include_tail=False)
-        ts = cfg.grid(_POINTS_1D)
         columns = ["t2"]
         curves = []
         for t1 in (0.0, 1.0):
             scenario = Prepared(t1) if t1 > 0.0 else SingleTime()
             for label, ev in (("terms_0", ev_ht), ("terms_100", ev_k)):
                 columns.append(f"d_t1_{t1:g}_{label}")
-                e0 = decay_exponent(ev, scenario, 0.0)
-                curves.append(
-                    [math.exp(-(decay_exponent(ev, scenario, float(t)) - e0)) for t in ts]
-                )
+                e = decay_exponent_grid(ev, scenario, ts)
+                curves.append(_exp_neg(e - e[0]))
         return Series(columns, np.column_stack([ts] + curves))
 
     if which == "trd2t":
-        ts = cfg.grid(_POINTS_2D)
-        e = flip_exponent_grid(HighTemperatureBrownian(cfg.bath), ts).real.ravel()
-        # math.exp per element: np.exp on floats is not bit-identical to it
-        d = np.fromiter((math.exp(-x) for x in e.tolist()), float, e.size)
+        ts = cfg.grid(2)
+        d = _exp_neg(flip_exponent_grid(HighTemperatureBrownian(cfg.bath), ts).real.ravel())
         return Series(["t1", "t2", "distance"], np.column_stack((*_square_grid(ts), d)))
 
     raise ValueError(f"unknown figure {which!r}")
@@ -283,7 +309,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--engine", choices=ENGINE_NAMES, help="g(t) evaluator")
     sp.add_argument("--t1", type=float, help="preparation interval before the flip")
     sp.add_argument("--tmax", type=float, help="end of the scanned interval")
-    sp.add_argument("--points", type=int, help="grid points per axis")
+    sp.add_argument(
+        "--points", type=int, help="grid points per axis (at most 1000000 in 1-d, 2000 in 2-d)"
+    )
     sp.add_argument("--search", choices=("analytic", "grid"), help="maximizing-pair strategy")
     sp.add_argument("--config", help="JSON file with the same keys as the flags")
     sp.add_argument("--out", help="output path (default stdout)")

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import digamma
 
 from ._quadrature import integrate_finite, integrate_fourier_tail, integrate_to_inf
 from .errors import ResonanceError
@@ -64,18 +63,10 @@ def flip_exponent(g1, g2, g12):
     return 2.0 * g1 + 2.0 * g2 - g12
 
 
-def _tail_sums(m: int, eta: float, gamma: float, beta: float) -> tuple[float, float]:
-    """(S0, S1) with S0 = sum_{n>m} c_n and S1 = sum_{n>m} c_n nu_n.
-
-    c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)).  Both sums telescope
-    to digamma differences; exact for any m >= the resonant index.
-    """
-    a = beta * gamma / (2.0 * math.pi)
-    s1 = (eta * gamma * beta / math.pi**2) * (digamma(m + 1 + a) - digamma(m + 1 - a)) / (2.0 * a)
-    s0 = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2 * (
-        digamma(m + 1.0) - 0.5 * (digamma(m + 1 - a) + digamma(m + 1 + a))
-    )
-    return s0, s1
+def _g_distinct(evaluator, times) -> np.ndarray:
+    """Complex g at every time of the 1-d array times, with one evaluator call per distinct value."""
+    distinct, where = np.unique(times, return_inverse=True)
+    return np.array([evaluator.g(float(t)) for t in distinct])[where]
 
 
 class BrownianMatsubara:
@@ -103,6 +94,10 @@ class BrownianMatsubara:
         self.include_tail = include_tail
         eta, gamma, beta = params.eta, params.gamma, params.beta
         k = params.matsubara_terms
+        # bound here, once, so that importing dephaser loads no scipy
+        from scipy.special import digamma
+
+        self._digamma = digamma
 
         self.a = beta * gamma / (2.0 * math.pi)
         m = round(self.a)
@@ -128,7 +123,21 @@ class BrownianMatsubara:
             self.cot_amp = 1.0 / math.tan(0.5 * beta * gamma)
         self.c = c
         self.cnu = c * self.nu
-        self._s0_k, self._s1_k = _tail_sums(k, eta, gamma, beta)
+        self._s0_k, self._s1_k = self._tail_sums(k)
+
+    def _tail_sums(self, m: int) -> tuple[float, float]:
+        """(S0, S1) with S0 = sum_{n>m} c_n and S1 = sum_{n>m} c_n nu_n.
+
+        c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)).  Both sums telescope
+        to digamma differences; exact for any m >= the resonant index.
+        """
+        p, a, digamma = self.params, self.a, self._digamma
+        eta, gamma, beta = p.eta, p.gamma, p.beta
+        s1 = (eta * gamma * beta / math.pi**2) * (digamma(m + 1 + a) - digamma(m + 1 - a)) / (2.0 * a)
+        s0 = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2 * (
+            digamma(m + 1.0) - 0.5 * (digamma(m + 1 - a) + digamma(m + 1 + a))
+        )
+        return s0, s1
 
     def _tail_g(self, t: float) -> float:
         p = self.params
@@ -142,7 +151,7 @@ class BrownianMatsubara:
         c = 4.0 * p.eta * p.gamma / (p.beta * nu * (nu**2 - p.gamma**2))
         x = nu * t
         explicit = float(np.sum(c * (np.expm1(-x) + x)))
-        s0, s1 = _tail_sums(n_stop, p.eta, p.gamma, p.beta)
+        s0, s1 = self._tail_sums(n_stop)
         return explicit + t * s1 - s0
 
     def _tail_gdot(self, t: float) -> float:
@@ -156,7 +165,7 @@ class BrownianMatsubara:
         nu = 2.0 * math.pi * n / p.beta
         cnu = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
         explicit = float(np.sum(-cnu * np.expm1(-nu * t)))
-        _, s1 = _tail_sums(n_stop, p.eta, p.gamma, p.beta)
+        _, s1 = self._tail_sums(n_stop)
         return explicit + s1
 
     def g(self, t: float) -> complex:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import _check_time, flip_exponent
+from .dephasing import _check_time, _g_distinct, flip_exponent
 from .dynamics import DensityMatrix2, SystemParams
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "SingleTime",
     "StatePair",
     "decay_exponent",
+    "decay_exponent_grid",
     "decay_exponent_rate",
     "growth_intervals",
     "non_markovianity",
@@ -87,6 +88,18 @@ def decay_exponent(evaluator, scenario, t: float) -> float:
     if isinstance(scenario, Prepared):
         t1 = scenario.t1
         return flip_exponent(evaluator.g(t1), evaluator.g(t), evaluator.g(t1 + t)).real
+    raise TypeError(f"unknown scenario {scenario!r}")
+
+
+def decay_exponent_grid(evaluator, scenario, ts) -> np.ndarray:
+    """decay_exponent at every time of the 1-d array ts, with g evaluated once per distinct time."""
+    ts = np.asarray(ts, dtype=float)
+    if isinstance(scenario, SingleTime):
+        return _g_distinct(evaluator, ts).real
+    if isinstance(scenario, Prepared):
+        t1 = scenario.t1
+        g = _g_distinct(evaluator, np.concatenate(([t1], ts, t1 + ts)))
+        return flip_exponent(g[0], g[1 : ts.size + 1], g[ts.size + 1 :]).real
     raise TypeError(f"unknown scenario {scenario!r}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dephasing import _check_time, flip_exponent
+from .dephasing import _check_time, _g_distinct, flip_exponent
 
 
 def echo_response(evaluator, t1: float, t2: float) -> complex:
@@ -35,7 +35,6 @@ def flip_exponent_grid(evaluator, ts) -> np.ndarray:
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
-    times, where = np.unique(np.concatenate((ts, (ts[:, None] + ts).ravel())), return_inverse=True)
-    g = np.array([evaluator.g(float(t)) for t in times])[where]
+    g = _g_distinct(evaluator, np.concatenate((ts, (ts[:, None] + ts).ravel())))
     g_axis = g[:n]
     return flip_exponent(g_axis[:, None], g_axis, g[n:].reshape(n, n))

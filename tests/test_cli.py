@@ -1,12 +1,17 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dephaser.cli import SCHEMA_VERSION, main
+import dephaser
+from dephaser.cli import SCHEMA_VERSION, Series, _write_series, main
 from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
 from dephaser.measures import Prepared, decay_exponent_rate
 from dephaser.response import echo_response
@@ -294,3 +299,130 @@ def test_out_file_uses_lf_newlines(tmp_path, capsys):
     rc, stdout_text, _ = run_cli(capsys, argv)
     assert rc == 0
     assert raw.decode("utf-8") == stdout_text
+
+
+def _g_call_times(monkeypatch, cls, argv, capsys):
+    """Times at which cls.g is called during one CLI run, per instance."""
+    calls = {}
+    g = cls.g
+
+    def counted(self, t):
+        calls.setdefault(id(self), []).append(float(t))
+        return g(self, t)
+
+    monkeypatch.setattr(cls, "g", counted)
+    rc, _, _ = run_cli(capsys, argv)
+    assert rc == 0
+    return list(calls.values())
+
+
+def test_trdist_evaluates_g_once_per_distinct_time(monkeypatch, capsys):
+    (calls,) = _g_call_times(monkeypatch, BrownianMatsubara, ["trdist", "--t1", "1"], capsys)
+    ts = np.linspace(0.0, 10.0, 1000)
+    assert sorted(calls) == np.unique(np.concatenate(([1.0], ts, 1.0 + ts))).tolist()
+
+
+def test_figures_trd_evaluates_g_once_per_distinct_time_and_curve(monkeypatch, capsys):
+    ts = np.linspace(0.0, 10.0, 1000)
+    per_curve = [ts, np.concatenate(([1.0], ts, 1.0 + ts))]  # t1 = 0, then t1 = 1
+    want = sorted(t for times in per_curve for t in np.unique(times).tolist())
+    for cls in (HighTemperatureBrownian, BrownianMatsubara):
+        (calls,) = _g_call_times(monkeypatch, cls, ["figures", "trd"], capsys)
+        assert sorted(calls) == want
+
+
+@pytest.mark.parametrize(
+    "argv", [["gfun", "--points", "1000001"], ["echo", "--points", "2001"], ["figures", "trd2t", "--points", "2001"]]
+)
+def test_points_above_cap_rejected_before_allocating(monkeypatch, capsys, argv):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "ValueError"
+    assert "points must be at most" in record["message"]
+
+
+_EDGE_ROWS = [
+    [0.0, -0.0, 1e308],
+    [-0.0, 0.0, 5e-324],
+    [0.1, 0.1, -5e-324],
+    [2.2250738585072014e-308 / 3, 1.0 / 3.0, -1e308],
+    [0.1, -0.0, 1.0],
+    [1.0, 1.0, 2.2250738585072014e-308],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [1, 2, len(_EDGE_ROWS)])
+def test_writer_matches_row_by_row_format(fmt, n_rows):
+    # signed zeros in one column, repeats, subnormals and the extreme finite values
+    rows = _EDGE_ROWS[:n_rows]
+    fh = io.StringIO()
+    _write_series(Series(["a", "b", "c"], np.array(rows)), fmt, fh)
+    assert fh.getvalue() == _series_text(["a", "b", "c"], rows, fmt)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 4])
+def test_json_writer_matches_json_dump_on_non_finite(n_rows):
+    nan, inf = float("nan"), float("inf")
+    rows = [[nan, inf, -inf], [-inf, nan, 0.5], [inf, -inf, nan], [nan, 1.0, -0.0]][:n_rows]
+    fh = io.StringIO()
+    _write_series(Series(["x", "y", "z"], np.array(rows)), "json", fh)
+    payload = {"schema_version": SCHEMA_VERSION, "columns": ["x", "y", "z"], "rows": rows}
+    assert fh.getvalue() == json.dumps(payload) + "\n"
+
+
+# runs the CLI as ``python -m dephaser.cli`` does, then reports the loaded modules
+_MODULES_AFTER_CLI = """
+import json, runpy, sys
+try:
+    runpy.run_module("dephaser.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+def _loaded_modules(tmp_path, code, argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dephaser.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out.txt"
+    args = argv + ["--out", str(out)] if argv else []
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    report = _loaded_modules(
+        tmp_path, "import json, sys, dephaser.cli; print(json.dumps({'modules': sorted(sys.modules)}))", []
+    )
+    assert "dephaser.cli" in report["modules"]
+    assert not [m for m in report["modules"] if m == "scipy" or m.startswith("scipy.")]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (["echo", "--points", "3"], ["scipy.special"], ["scipy.integrate"]),
+        (["figures", "trd2t", "--points", "3"], [], ["scipy", "scipy.special", "scipy.integrate"]),
+        (["gfun", "--engine", "hight", "--points", "3"], [], ["scipy"]),
+        (["gfun", "--engine", "time-quad", "--points", "3"], ["scipy.integrate"], []),
+    ],
+    ids=["echo", "trd2t", "hight", "time-quad"],
+)
+def test_cli_commands_load_only_the_scipy_they_call(tmp_path, argv, loaded, absent):
+    report = _loaded_modules(tmp_path, _MODULES_AFTER_CLI, argv)
+    assert report["rc"] == 0
+    assert (tmp_path / "out.txt").stat().st_size > 0
+    for name in loaded:
+        assert name in report["modules"]
+    for name in absent:
+        assert name not in report["modules"]

@@ -21,6 +21,7 @@ from dephaser.measures import (
     StatePair,
     analytic_pair,
     decay_exponent,
+    decay_exponent_grid,
     decay_exponent_rate,
     growth_intervals,
     non_markovianity,
@@ -62,6 +63,15 @@ def test_decay_exponent_forms():
     assert e == pytest.approx(ref, rel=1e-15)
     # t1 = 0 preparation collapses onto the single-interval form
     assert decay_exponent(ev, Prepared(0.0), t) == pytest.approx(ev.g(t).real, rel=1e-15)
+
+
+@pytest.mark.parametrize("scenario", [SingleTime(), Prepared(1.0), Prepared(0.37)], ids=repr)
+def test_decay_exponent_grid_matches_pointwise_exactly(scenario):
+    ev = BrownianMatsubara(BATH)
+    # an odd grid holding t1 itself, so t1 and t1 + 0 share one g call
+    ts = np.concatenate((np.linspace(0.0, 7.123, 41), [1.0, 0.37]))
+    want = [decay_exponent(ev, scenario, float(t)) for t in ts]
+    assert decay_exponent_grid(ev, scenario, ts).tolist() == want
 
 
 def test_rate_matches_exponent_derivative():
