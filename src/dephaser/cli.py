@@ -7,23 +7,28 @@ Subcommands
     echo     two-interval rephasing kernel R(t1, t2) on a square grid
     figures  data behind the two reference plots (trd, trd2t)
 
-Numeric flags override --config entries, which override built-in
-defaults.  --points is capped at 1 000 000 for 1-d series and 2 000 per
-axis for 2-d grids (4 000 000 rows); larger values are rejected before
-anything is allocated.  Series go to --out (or stdout) as CSV or JSON
-with floats at full precision; repeated runs with the same inputs are
-byte identical.  A series is rendered to one string, each distinct value
-of a column formatted once, and written with one call.  Runtime failures
-print a one-line JSON error record to stderr and exit nonzero.
+Every subcommand takes the options of one table, _OPTIONS, as flags and
+as --config JSON keys; flags override config entries, which override the
+defaults.  A config value must have its option's JSON type: a number (not
+a bool) for a float, an integer for an int, a string for a str, and null
+only where the default is None.  --points is capped at 1 000 000 for 1-d
+series and 2 000 per axis for 2-d grids, --terms at 1 000 000; larger
+values are rejected before anything is allocated.  Series go to --out (or
+stdout) as CSV or JSON with floats at full precision; repeated runs with
+the same inputs are byte identical.  A series is rendered to one string,
+each distinct value of a column formatted once, and written with one
+call.  Runtime failures print a one-line JSON error record to stderr and
+exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,29 +49,32 @@ from .spectral import BathParams
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS = {
-    "beta": 1.0,
-    "gamma": 0.5,
-    "eta": 1.0,
-    "epsilon": 0.0,
-    "terms": 100,
-    "engine": "analytic",
-    "t1": 0.0,
-    "tmax": 10.0,
-    "points": None,  # per-command: 1000 for 1-d series, 200 for 2-d grids
-    "search": "analytic",
-    "format": "csv",
-    "out": None,
-}
+# (name, type, default, choices, help) of every option
+_OPTIONS = (
+    ("beta", float, 1.0, None, "inverse temperature"),
+    ("gamma", float, 0.5, None, "bath cutoff frequency"),
+    ("eta", float, 1.0, None, "bath coupling strength"),
+    ("terms", int, 100, None, "explicit Matsubara terms K (at most 1000000)"),
+    ("engine", str, "analytic", ENGINE_NAMES, "g(t) evaluator"),
+    ("t1", float, 0.0, None, "preparation interval before the flip"),
+    ("tmax", float, 10.0, None, "end of the scanned interval"),
+    ("points", int, None, None, "grid points per axis (at most 1000000 in 1-d, 2000 in 2-d)"),
+    ("search", str, "analytic", ("analytic", "grid"), "maximizing-pair strategy"),
+    ("out", str, None, None, "output path (default stdout)"),
+    ("format", str, "csv", ("csv", "json"), "series format"),
+)
 
-# (default, cap) of --points by grid dimension: 1-d series, 2-d square grids
+# (default when points is None, cap) by grid dimension: 1-d series, 2-d square grids
 _POINTS = {1: (1000, 1_000_000), 2: (200, 2000)}
+# the analytic engine allocates arrays of this length, so it is checked first
+_TERMS_CAP = 1_000_000
+# the Python types a config value of each option type may have, and their JSON name
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     bath: BathParams
-    system: SystemParams
     engine: str
     t1: float
     tmax: float
@@ -92,54 +100,39 @@ class RunConfig:
         return np.linspace(0.0, self.tmax, n)
 
 
-def _load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - set(_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return data
-
-
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    """Flags over --config entries over _OPTIONS defaults; each config entry is checked against its row."""
+    data = {}
     if args.config is not None:
-        merged.update(_load_config(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key if key != "format" else "fmt", None)
-        if flag is not None:
-            merged[key] = flag
+        with open(args.config, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(data) - {row[0] for row in _OPTIONS}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
+    for name, kind, default, choices, _ in _OPTIONS:
+        v = data.get(name, default)
+        if v is not None or default is not None:
+            accepted, json_name = _JSON_TYPES[kind]
+            if isinstance(v, bool) or not isinstance(v, accepted):
+                raise ValueError(f"{name} must be {json_name}, got {v!r}")
+            if choices is not None and v not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {v!r}")
+            v = kind(v)
+        flag = getattr(args, name)  # argparse has applied the row's type and choices
+        values[name] = v if flag is None else flag
 
-    if merged["tmax"] <= 0.0 or not math.isfinite(merged["tmax"]):
+    if values["tmax"] <= 0.0 or not math.isfinite(values["tmax"]):
         raise ValueError("tmax must be positive and finite")
-    if merged["t1"] < 0.0 or not math.isfinite(merged["t1"]):
+    if values["t1"] < 0.0 or not math.isfinite(values["t1"]):
         raise ValueError("t1 must be nonnegative and finite")
-    if merged["engine"] not in ENGINE_NAMES:
-        raise ValueError(f"unknown engine {merged['engine']!r}; expected one of {ENGINE_NAMES}")
-    if merged["search"] not in ("analytic", "grid"):
-        raise ValueError("search must be 'analytic' or 'grid'")
-    if merged["format"] not in ("csv", "json"):
-        raise ValueError("format must be 'csv' or 'json'")
-
-    bath = BathParams(
-        eta=float(merged["eta"]),
-        gamma=float(merged["gamma"]),
-        beta=float(merged["beta"]),
-        matsubara_terms=int(merged["terms"]),
-    )
-    return RunConfig(
-        bath=bath,
-        system=SystemParams(epsilon=float(merged["epsilon"])),
-        engine=str(merged["engine"]),
-        t1=float(merged["t1"]),
-        tmax=float(merged["tmax"]),
-        points=None if merged["points"] is None else int(merged["points"]),
-        search=str(merged["search"]),
-        fmt=str(merged["format"]),
-        out=merged["out"],
-    )
+    bath = BathParams(values["eta"], values["gamma"], values["beta"], values["terms"])
+    if bath.matsubara_terms > _TERMS_CAP:
+        raise ValueError(f"terms must be at most {_TERMS_CAP}, got {bath.matsubara_terms}")
+    fields = ("engine", "t1", "tmax", "points", "search", "format", "out")  # RunConfig's, after bath
+    return RunConfig(bath, *(values[name] for name in fields))
 
 
 @dataclass
@@ -186,19 +179,13 @@ def _write_series(series: Series, fmt: str, fh) -> None:
 
 
 def _emit(obj, cfg: RunConfig) -> None:
-    if isinstance(obj, Series):
-        if cfg.out is not None:
-            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-                _write_series(obj, cfg.fmt, fh)
+    """Write a Series in cfg.fmt, or a report as indented JSON, to cfg.out or stdout."""
+    stdout = contextlib.nullcontext(sys.stdout)
+    with stdout if cfg.out is None else open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        if isinstance(obj, Series):
+            _write_series(obj, cfg.fmt, fh)
         else:
-            _write_series(obj, cfg.fmt, sys.stdout)
-        return
-    text = json.dumps(obj, indent=2) + "\n"
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _square_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +222,7 @@ def cmd_measure(cfg: RunConfig) -> dict:
     ev = cfg.evaluator()
     scenario = cfg.scenario()
     search = GridSearch() if cfg.search == "grid" else AnalyticPair()
-    res = non_markovianity(cfg.system, ev, scenario, t_max=cfg.tmax, search=search)
+    res = non_markovianity(SystemParams(), ev, scenario, t_max=cfg.tmax, search=search)
     scen = {"kind": "prepared", "t1": cfg.t1} if cfg.t1 > 0.0 else {"kind": "single"}
     return {
         "schema_version": SCHEMA_VERSION,
@@ -245,12 +232,7 @@ def cmd_measure(cfg: RunConfig) -> dict:
         "scenario": scen,
         "search": res.search,
         "engine": cfg.engine,
-        "bath": {
-            "eta": cfg.bath.eta,
-            "gamma": cfg.bath.gamma,
-            "beta": cfg.bath.beta,
-            "matsubara_terms": cfg.bath.matsubara_terms,
-        },
+        "bath": asdict(cfg.bath),
         "intervals": [
             {"t_start": iv.t_start, "t_end": iv.t_end, "delta_d": iv.delta_d}
             for iv in res.intervals
@@ -282,10 +264,8 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
         ts = cfg.grid(1)
         ev_ht = HighTemperatureBrownian(cfg.bath)
         ev_k = BrownianMatsubara(cfg.bath, include_tail=False)
-        columns = ["t2"]
-        curves = []
-        for t1 in (0.0, 1.0):
-            scenario = Prepared(t1) if t1 > 0.0 else SingleTime()
+        columns, curves = ["t2"], []
+        for t1, scenario in ((0.0, SingleTime()), (1.0, Prepared(1.0))):
             for label, ev in (("terms_0", ev_ht), ("terms_100", ev_k)):
                 columns.append(f"d_t1_{t1:g}_{label}")
                 e = decay_exponent_grid(ev, scenario, ts)
@@ -300,24 +280,6 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
     raise ValueError(f"unknown figure {which!r}")
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--beta", type=float, help="inverse temperature")
-    sp.add_argument("--gamma", type=float, help="bath cutoff frequency")
-    sp.add_argument("--eta", type=float, help="bath coupling strength")
-    sp.add_argument("--epsilon", type=float, help="two-level splitting")
-    sp.add_argument("--terms", type=int, help="explicit Matsubara terms K")
-    sp.add_argument("--engine", choices=ENGINE_NAMES, help="g(t) evaluator")
-    sp.add_argument("--t1", type=float, help="preparation interval before the flip")
-    sp.add_argument("--tmax", type=float, help="end of the scanned interval")
-    sp.add_argument(
-        "--points", type=int, help="grid points per axis (at most 1000000 in 1-d, 2000 in 2-d)"
-    )
-    sp.add_argument("--search", choices=("analytic", "grid"), help="maximizing-pair strategy")
-    sp.add_argument("--config", help="JSON file with the same keys as the flags")
-    sp.add_argument("--out", help="output path (default stdout)")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"), help="series format")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dephaser",
@@ -329,11 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("trdist", "normalized trace distance and its rate"),
         ("measure", "non-Markovianity measure and growth intervals (JSON)"),
         ("echo", "two-interval rephasing kernel on a square grid"),
+        ("figures", "data behind the reference plots"),
     ):
-        _add_common(sub.add_parser(name, help=doc))
-    fig = sub.add_parser("figures", help="data behind the reference plots")
-    fig.add_argument("which", choices=("trd", "trd2t"))
-    _add_common(fig)
+        sp = sub.add_parser(name, help=doc)
+        if name == "figures":
+            sp.add_argument("which", choices=("trd", "trd2t"))
+        for opt, kind, _, choices, help_text in _OPTIONS:
+            sp.add_argument("--" + opt, type=kind, choices=choices, help=help_text)
+        sp.add_argument("--config", help="JSON file with the same keys as the flags")
     return p
 
 
@@ -341,17 +306,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        if args.command == "gfun":
-            _emit(cmd_gfun(cfg), cfg)
-        elif args.command == "trdist":
-            _emit(cmd_trdist(cfg), cfg)
-        elif args.command == "measure":
-            _emit(cmd_measure(cfg), cfg)
-        elif args.command == "echo":
-            _emit(cmd_echo(cfg), cfg)
-        else:
-            _emit(cmd_figures(cfg, args.which), cfg)
-    except (DephaserError, ValueError, OSError) as exc:
+        # looked up at call time, so a cmd_* rebound on the module is the one that runs
+        run = globals()["cmd_" + args.command]
+        _emit(run(cfg, args.which) if args.command == "figures" else run(cfg), cfg)
+    except (DephaserError, ValueError, OSError, OverflowError) as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(record) + "\n")
         return 1

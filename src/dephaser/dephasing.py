@@ -35,6 +35,8 @@ from .spectral import (
     BrownianCorrelation,
     OverdampedBrownian,
     TabulatedSpectralDensity,
+    _check_beta,
+    _check_time,
     _tabulated_grid,
     coth,
 )
@@ -44,13 +46,6 @@ ENGINE_NAMES = ("analytic", "hight", "freq-quad", "time-quad")
 # Matsubara exponentials e^{-nu_n t} are dead below this weight.
 _EXP_DEAD = 45.0
 _BLOCK_CAP = 2_000_000
-
-
-def _check_time(t) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    return t
 
 
 def flip_exponent(g1, g2, g12):
@@ -247,8 +242,7 @@ class FrequencyQuadrature:
     """
 
     def __init__(self, sd, beta: float):
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
+        beta = _check_beta(beta)
         self.sd = sd
         self.beta = beta
         if isinstance(sd, OverdampedBrownian):
@@ -347,8 +341,7 @@ class TimeDomainQuadrature:
     """
 
     def __init__(self, sd, beta: float):
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
+        beta = _check_beta(beta)
         self.sd = sd
         self.beta = beta
         if isinstance(sd, OverdampedBrownian):

@@ -52,6 +52,9 @@ __all__ = [
 
 # rows of the pair table built at once by the grid search
 _CHUNK = 128
+# grid intervals of the growth scan on (0, t_max), and the width each sign change is bisected to
+_N_SCAN = 10000
+_REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float) -> flo
     return 0.5 * (lo + hi)
 
 
-def _growth_runs(evaluator, scenario, t_max: float, n_scan: int, refine_tol: float):
+def _growth_runs(evaluator, scenario, t_max: float):
     """Maximal (start, end) regions with dE/dt < 0, plus a truncation flag.
 
     Grid scan for sign changes followed by bisection of each crossing.
@@ -200,30 +203,28 @@ def _growth_runs(evaluator, scenario, t_max: float, n_scan: int, refine_tol: flo
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError("t_max must be positive and finite")
-    if n_scan < 10:
-        raise ValueError("n_scan must be at least 10")
-    ts = np.linspace(0.0, t_max, n_scan + 1)
+    ts = np.linspace(0.0, t_max, _N_SCAN + 1)
     rate = np.array([decay_exponent_rate(evaluator, scenario, float(t)) for t in ts])
     neg = rate < 0.0
 
     f = lambda t: decay_exponent_rate(evaluator, scenario, t)
     runs = []
     i = 0
-    while i <= n_scan:
+    while i <= _N_SCAN:
         if not neg[i]:
             i += 1
             continue
         j = i
-        while j + 1 <= n_scan and neg[j + 1]:
+        while j + 1 <= _N_SCAN and neg[j + 1]:
             j += 1
         if i == 0:
             start = 0.0
         else:
-            start = _bisect_sign_change(f, ts[i - 1], ts[i], rate[i - 1], refine_tol)
-        if j == n_scan:
+            start = _bisect_sign_change(f, ts[i - 1], ts[i], rate[i - 1], _REFINE_TOL)
+        if j == _N_SCAN:
             end = t_max
         else:
-            end = _bisect_sign_change(f, ts[j], ts[j + 1], rate[j], refine_tol)
+            end = _bisect_sign_change(f, ts[j], ts[j + 1], rate[j], _REFINE_TOL)
         runs.append((start, end))
         i = j + 1
     truncated = bool(neg[-1])
@@ -263,20 +264,13 @@ def _growth_records(runs, pair: StatePair, w_end, w_start) -> tuple:
     )
 
 
-def growth_intervals(
-    evaluator,
-    scenario,
-    t_max: float,
-    pair: StatePair | None = None,
-    n_scan: int = 10000,
-    refine_tol: float = 1e-10,
-):
+def growth_intervals(evaluator, scenario, t_max: float, pair: StatePair | None = None):
     """Growth intervals of the pair trace distance on (0, t_max).
 
     Returns GrowthInterval records carrying the distance gained by the
     given pair (the analytic maximizer by default) over each interval.
     """
-    runs, _ = _growth_runs(evaluator, scenario, t_max, n_scan, refine_tol)
+    runs, _ = _growth_runs(evaluator, scenario, t_max)
     records = _growth_records(runs, pair or analytic_pair(), *_weights(evaluator, scenario, runs))
     return list(records)
 
@@ -328,8 +322,6 @@ def non_markovianity(
     scenario,
     t_max: float | None = None,
     search=None,
-    n_scan: int = 10000,
-    refine_tol: float = 1e-10,
 ) -> NonMarkovResult:
     """Summed trace-distance gains over all growth intervals in (0, t_max).
 
@@ -348,7 +340,7 @@ def non_markovianity(
         if getattr(evaluator, "bath", None) is None:
             raise ValueError("t_max is required when the evaluator has no bath parameters")
         t_max = 10.0 / evaluator.bath.gamma
-    runs, truncated = _growth_runs(evaluator, scenario, t_max, n_scan, refine_tol)
+    runs, truncated = _growth_runs(evaluator, scenario, t_max)
     label = "grid" if isinstance(search, GridSearch) else "analytic"
 
     if not runs:

@@ -50,6 +50,21 @@ _ZETA_TAIL = {
 }
 
 
+def _check_time(t) -> float:
+    t = float(t)
+    if not math.isfinite(t) or t < 0.0:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    return t
+
+
+def _check_beta(beta) -> float:
+    """beta as a float; ValueError unless positive and finite."""
+    beta = float(beta)
+    if not math.isfinite(beta) or beta <= 0.0:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    return beta
+
+
 def coth(x):
     """Hyperbolic cotangent, switching to the Laurent form 1/x + x/3 below |x| = 1e-4."""
     x = np.asarray(x, dtype=float)
@@ -285,10 +300,8 @@ def correlation_function(sd, beta: float, t: float, route: str | None = None) ->
     and serve as independent checks of each other.  Tabulated densities
     always integrate on their own grid.
     """
-    if t < 0.0:
-        raise ValueError("correlation function is evaluated for t >= 0")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    t = _check_time(t)
+    beta = _check_beta(beta)
     if isinstance(sd, TabulatedSpectralDensity):
         return _tabulated_grid(sd, sd.values * coth(0.5 * beta * sd.omega), t)
     if not isinstance(sd, OverdampedBrownian):

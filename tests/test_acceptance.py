@@ -38,7 +38,6 @@ def _report(n: int, label: str, ok: bool) -> None:
 def _figure_config(points: int, tmax: float) -> RunConfig:
     return RunConfig(
         bath=BATH,
-        system=SYS,
         engine="analytic",
         t1=0.0,
         tmax=tmax,

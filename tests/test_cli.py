@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dephaser
-from dephaser.cli import SCHEMA_VERSION, Series, _write_series, main
+from dephaser.cli import _OPTIONS, SCHEMA_VERSION, Series, _build_parser, _resolve, _write_series, main
 from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
 from dephaser.measures import Prepared, decay_exponent_rate
 from dephaser.response import echo_response
@@ -106,6 +106,111 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     record = json.loads(err)
     assert record["error"]["type"] == "ValueError"
     assert "cutoff" in record["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"out": True},  # once reached open(True), which writes to stdout and closes it
+        {"beta": True},
+        {"beta": "1.0"},
+        {"beta": None},
+        {"terms": 100.0},
+        {"points": 2.7},
+        {"points": True},
+        {"engine": 3},
+        {"engine": "magic"},
+        {"search": "random"},
+        {"format": "xml"},
+    ],
+    ids=repr,
+)
+def test_config_values_checked_against_option_table(tmp_path, capsys, entry):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(entry))
+    rc, out, err = run_cli(capsys, ["gfun", "--points", "3", "--config", str(cfg)])
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "ValueError"
+    assert record["message"].startswith(next(iter(entry)) + " must be")
+
+
+def test_config_integer_too_large_for_a_float_reports_json_error(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"beta": 1' + "0" * 400 + "}")
+    rc, out, err = run_cli(capsys, ["gfun", "--config", str(cfg)])
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "OverflowError"
+
+
+def test_config_accepts_integer_floats_and_null_defaults(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tmax": 5, "t1": 1, "points": None, "out": None}))
+    rc, out, _ = run_cli(capsys, ["measure", "--config", str(cfg)])
+    assert rc == 0
+    res = json.loads(out)
+    assert res["t_max"] == 5.0 and res["scenario"] == {"kind": "prepared", "t1": 1.0}
+    assert '"t_max": 5.0,' in out  # ints for float options are converted, not echoed
+
+
+def test_every_subcommand_takes_exactly_the_option_table(tmp_path, capsys):
+    names = {row[0] for row in _OPTIONS}
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a.choices, dict)]
+    assert set(sub.choices) == {"gfun", "trdist", "measure", "echo", "figures"}
+    for parser in sub.choices.values():
+        flags = {s[2:] for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert flags - {"help", "config"} == names
+    # the table is also the set of config keys: all of them load, any other is refused
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps({name: default for name, _, default, _, _ in _OPTIONS}))
+    assert run_cli(capsys, ["gfun", "--points", "2", "--config", str(cfg)])[0] == 0
+
+
+def test_config_with_every_key_equals_the_same_flags(tmp_path):
+    values = {
+        "beta": 2.0,
+        "gamma": 0.7,
+        "eta": 1.5,
+        "terms": 50,
+        "engine": "hight",
+        "t1": 0.5,
+        "tmax": 4.0,
+        "points": 9,
+        "search": "grid",
+        "out": str(tmp_path / "x.csv"),
+        "format": "json",
+    }
+    assert set(values) == {row[0] for row in _OPTIONS}
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps(values))
+    parser = _build_parser()
+    from_config = _resolve(parser.parse_args(["echo", "--config", str(cfg)]))
+    flags = [x for name, v in values.items() for x in ("--" + name, str(v))]
+    from_flags = _resolve(parser.parse_args(["echo"] + flags))
+    assert from_config == from_flags
+    assert from_flags.bath == BathParams(eta=1.5, gamma=0.7, beta=2.0, matsubara_terms=50)
+    assert (from_flags.fmt, from_flags.points, from_flags.t1) == ("json", 9, 0.5)
+
+
+def test_epsilon_is_a_usage_error(capsys):
+    # the level splitting drops out of every output, so there is no such option
+    with pytest.raises(SystemExit) as exc:
+        main(["gfun", "--epsilon", "3.7"])
+    assert exc.value.code == 2
+
+
+def test_terms_above_cap_rejected_before_allocating(monkeypatch, capsys):
+    def no_array(*args, **kwargs):
+        raise AssertionError("Matsubara arrays allocated")
+
+    monkeypatch.setattr(np, "arange", no_array)
+    rc, out, err = run_cli(capsys, ["gfun", "--points", "3", "--terms", "1000000000"])
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "ValueError"
+    assert record["message"] == "terms must be at most 1000000, got 1000000000"
 
 
 def test_trdist_normalization_and_rate(capsys):

@@ -186,6 +186,16 @@ def test_negative_time_rejected():
             ev.g(math.nan)
 
 
+@pytest.mark.parametrize("engine", [FrequencyQuadrature, TimeDomainQuadrature])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_quadrature_engines_reject_bad_beta(engine, beta):
+    # a NaN beta used to give g = nan - 0.2099j on a tabulated density
+    w = np.geomspace(1e-3, 100.0, 50)
+    for sd in (OverdampedBrownian(BATH), TabulatedSpectralDensity(w, OverdampedBrownian(BATH).j(w))):
+        with pytest.raises(ValueError):
+            engine(sd, beta)
+
+
 def test_quadrature_engines_reject_unknown_density():
     # a density that is neither Brownian nor tabulated has no integrand
     for engine in (FrequencyQuadrature, TimeDomainQuadrature):

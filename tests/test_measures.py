@@ -222,8 +222,6 @@ def test_scan_validation():
     ht = HighTemperatureBrownian(BATH)
     with pytest.raises(ValueError):
         non_markovianity(SYS, ht, SingleTime(), t_max=-1.0)
-    with pytest.raises(ValueError):
-        non_markovianity(SYS, ht, SingleTime(), t_max=10.0, n_scan=3)
     with pytest.raises(TypeError):
         non_markovianity(SYS, ht, SingleTime(), t_max=10.0, search="grid")
     with pytest.raises(TypeError):

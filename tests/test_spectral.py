@@ -168,6 +168,22 @@ def test_correlation_negative_time_rejected():
         BrownianCorrelation(1.0, 0.5, 1.0)(-1.0)
 
 
+@pytest.mark.parametrize("route", ["analytic", "quadrature", "tabulated"])
+@pytest.mark.parametrize(
+    "beta, t",
+    [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0)],
+)
+def test_correlation_rejects_non_finite_time_and_beta(route, beta, t):
+    # ValueError, not NaN, an accidental integer conversion or OverflowError
+    if route == "tabulated":
+        w = np.geomspace(1e-3, 100.0, 50)
+        sd, route = TabulatedSpectralDensity(w, OverdampedBrownian(BATH).j(w)), None
+    else:
+        sd = OverdampedBrownian(BATH)
+    with pytest.raises(ValueError):
+        correlation_function(sd, beta, t, route=route)
+
+
 def test_correlation_unknown_route_rejected():
     sd = OverdampedBrownian(BATH)
     with pytest.raises(ValueError):
