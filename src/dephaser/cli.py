@@ -201,8 +201,8 @@ def _exp_neg(x: np.ndarray) -> np.ndarray:
 def cmd_gfun(cfg: RunConfig) -> Series:
     ts = cfg.grid(1)
     ev = cfg.evaluator()
-    g = np.array([ev.g(float(t)) for t in ts])
-    gdot = np.array([ev.gdot(float(t)) for t in ts])
+    g = ev.g(ts)
+    gdot = ev.gdot(ts)
     rows = np.column_stack((ts, g.real, g.imag, gdot.real, gdot.imag))
     return Series(["t", "re_g", "im_g", "re_gdot", "im_gdot"], rows)
 
@@ -214,7 +214,7 @@ def cmd_trdist(cfg: RunConfig) -> Series:
     scenario = cfg.scenario()
     e = decay_exponent_grid(ev, scenario, ts)
     d = _exp_neg(e - e[0])  # the grid starts at t = 0
-    rate = np.array([decay_exponent_rate(ev, scenario, float(t)) for t in ts])
+    rate = decay_exponent_rate(ev, scenario, ts)
     return Series(["t2", "distance", "sigma"], np.column_stack((ts, d, -rate * d)))
 
 

@@ -196,7 +196,7 @@ def two_time_map(system: SystemParams, evaluator, uprime: LiouvilleOp, t1: float
     t1 = _check_time(t1)
     t2 = _check_time(t2)
     eps = system.epsilon
-    g1, g2, g12 = evaluator.g(t1), evaluator.g(t2), evaluator.g(t1 + t2)
+    g1, g2, g12 = evaluator.g(np.array([t1, t2, t1 + t2])).tolist()
     k1 = _kernel(eps, t1, g1)
     k2 = _kernel(eps, t2, g2)
     kk = _kernel(eps, t1 + t2, g12)

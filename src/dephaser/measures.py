@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import _check_time, _g_distinct, flip_exponent
+from .dephasing import _check_time, _check_times, _g_distinct, flip_exponent
 from .dynamics import DensityMatrix2, SystemParams
 
 __all__ = [
@@ -84,13 +84,14 @@ def analytic_pair() -> StatePair:
 
 
 def decay_exponent(evaluator, scenario, t: float) -> float:
-    """E(t) such that the coherence difference shrinks by e^{-E(t)}."""
+    """E(t) such that the coherence difference shrinks by e^{-E(t)}, from one g call."""
     t = _check_time(t)
     if isinstance(scenario, SingleTime):
         return evaluator.g(t).real
     if isinstance(scenario, Prepared):
         t1 = scenario.t1
-        return flip_exponent(evaluator.g(t1), evaluator.g(t), evaluator.g(t1 + t)).real
+        g1, g2, g12 = evaluator.g(np.array([t1, t, t1 + t])).tolist()
+        return flip_exponent(g1, g2, g12).real
     raise TypeError(f"unknown scenario {scenario!r}")
 
 
@@ -106,14 +107,20 @@ def decay_exponent_grid(evaluator, scenario, ts) -> np.ndarray:
     raise TypeError(f"unknown scenario {scenario!r}")
 
 
-def decay_exponent_rate(evaluator, scenario, t: float) -> float:
-    """dE/dt of decay_exponent; negative values mark rephasing."""
-    t = _check_time(t)
+def decay_exponent_rate(evaluator, scenario, t):
+    """dE/dt of decay_exponent at a time (a float) or at every time of a 1-d array; negative values mark rephasing.
+
+    One gdot call either way: at the times, and for Prepared also at t1 plus each time.
+    """
+    ts, scalar = _check_times(t)
     if isinstance(scenario, SingleTime):
-        return evaluator.gdot(t).real
-    if isinstance(scenario, Prepared):
-        return 2.0 * evaluator.gdot(t).real - evaluator.gdot(scenario.t1 + t).real
-    raise TypeError(f"unknown scenario {scenario!r}")
+        rate = evaluator.gdot(ts).real
+    elif isinstance(scenario, Prepared):
+        gdot = evaluator.gdot(np.concatenate((ts, scenario.t1 + ts))).real
+        rate = 2.0 * gdot[: ts.size] - gdot[ts.size :]
+    else:
+        raise TypeError(f"unknown scenario {scenario!r}")
+    return float(rate[0]) if scalar else rate
 
 
 def pair_distance(pair: StatePair, evaluator, scenario, t: float) -> float:
@@ -197,14 +204,14 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float) -> flo
 def _growth_runs(evaluator, scenario, t_max: float):
     """Maximal (start, end) regions with dE/dt < 0, plus a truncation flag.
 
-    Grid scan for sign changes followed by bisection of each crossing.
-    Points where the rate is exactly zero count as non-growth, so grazing
-    contacts contribute nothing.
+    Grid scan for sign changes (one rate call on the whole grid) followed
+    by bisection of each crossing.  Points where the rate is exactly zero
+    count as non-growth, so grazing contacts contribute nothing.
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError("t_max must be positive and finite")
     ts = np.linspace(0.0, t_max, _N_SCAN + 1)
-    rate = np.array([decay_exponent_rate(evaluator, scenario, float(t)) for t in ts])
+    rate = decay_exponent_rate(evaluator, scenario, ts)
     neg = rate < 0.0
 
     f = lambda t: decay_exponent_rate(evaluator, scenario, t)

@@ -23,7 +23,8 @@ def echo_response(evaluator, t1: float, t2: float) -> complex:
     """Two-interval rephasing kernel R(t1, t2)."""
     t1 = _check_time(t1)
     t2 = _check_time(t2)
-    expo = flip_exponent(evaluator.g(t1), evaluator.g(t2), evaluator.g(t1 + t2))
+    g1, g2, g12 = evaluator.g(np.array([t1, t2, t1 + t2])).tolist()
+    expo = flip_exponent(g1, g2, g12)
     return complex(np.exp(-expo))
 
 

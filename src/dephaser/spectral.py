@@ -187,8 +187,10 @@ class BrownianCorrelation:
     _TAIL_TOL = 1e-14
 
     def __init__(self, eta: float, gamma: float, beta: float):
-        if min(eta, gamma, beta) <= 0.0:
-            raise ValueError("eta, gamma, beta must be positive")
+        for name, v in (("eta", eta), ("gamma", gamma)):
+            if not math.isfinite(v) or v <= 0.0:
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        beta = _check_beta(beta)
         self.eta = eta
         self.gamma = gamma
         self.beta = beta

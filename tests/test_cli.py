@@ -407,12 +407,12 @@ def test_out_file_uses_lf_newlines(tmp_path, capsys):
 
 
 def _g_call_times(monkeypatch, cls, argv, capsys):
-    """Times at which cls.g is called during one CLI run, per instance."""
+    """Times at which cls.g is evaluated during one CLI run, per instance (every time of an array call)."""
     calls = {}
     g = cls.g
 
     def counted(self, t):
-        calls.setdefault(id(self), []).append(float(t))
+        calls.setdefault(id(self), []).extend(np.atleast_1d(t).tolist())
         return g(self, t)
 
     monkeypatch.setattr(cls, "g", counted)
@@ -434,6 +434,44 @@ def test_figures_trd_evaluates_g_once_per_distinct_time_and_curve(monkeypatch, c
     for cls in (HighTemperatureBrownian, BrownianMatsubara):
         (calls,) = _g_call_times(monkeypatch, cls, ["figures", "trd"], capsys)
         assert sorted(calls) == want
+
+
+def test_measure_scans_with_one_array_gdot_call(monkeypatch, capsys):
+    sizes = []
+    gdot = BrownianMatsubara.gdot
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return gdot(self, t)
+
+    monkeypatch.setattr(BrownianMatsubara, "gdot", counted)
+    rc, out, _ = run_cli(capsys, ["measure", "--t1", "1"])
+    assert rc == 0
+    scan = [n for n in sizes if n > 2]
+    # the 10 001 grid points at t and at t1 + t, in at most two calls
+    assert len(scan) <= 2 and sum(scan) == 2 * 10001
+    # the rest are the bisection steps, one call at (t, t1 + t) each, about 27 per interval end
+    steps = len(sizes) - len(scan)
+    assert 0 < steps <= 40 * 2 * len(json.loads(out)["intervals"])
+
+
+@pytest.mark.parametrize("argv", [["--terms", "100000", "--points", "200"], ["--points", "5000"]])
+def test_gfun_table_stays_within_its_element_budget(monkeypatch, capsys, argv):
+    from dephaser.dephasing import _TABLE_BUDGET
+
+    terms = int(argv[1]) if argv[0] == "--terms" else 100
+    expm1 = np.expm1
+    largest = []
+
+    def checked(x, *args, **kwargs):
+        largest.append(np.size(x))
+        return expm1(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", checked)
+    rc, _, _ = run_cli(capsys, ["gfun"] + argv)
+    assert rc == 0
+    # one K-term row at least, as a single time needs; never the whole points x K table
+    assert max(largest) <= max(_TABLE_BUDGET, terms)
 
 
 @pytest.mark.parametrize(

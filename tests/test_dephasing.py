@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephaser.dephasing import (
     BrownianMatsubara,
@@ -13,6 +15,7 @@ from dephaser.dephasing import (
     make_evaluator,
 )
 from dephaser.errors import ResonanceError
+from dephaser.measures import Prepared, SingleTime, decay_exponent_rate
 from dephaser.spectral import BathParams, OverdampedBrownian, TabulatedSpectralDensity
 
 BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=100)
@@ -214,3 +217,93 @@ def test_make_evaluator_dispatch():
         ev = make_evaluator(name, BATH)
         assert ev.beta == BATH.beta
         assert ev.bath is not None and ev.bath.gamma == BATH.gamma
+
+
+def _bits(values):
+    """Bit patterns of a float or complex array, so that -0.0, 0.0 and every last bit compare exactly."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _assert_array_is_scalar_loop(fn, ts, scalar=None):
+    """fn on the array ts equals scalar (default fn) on each of its times as a float, bit for bit.
+
+    Or it raises as one of those scalar calls does.
+    """
+    try:
+        want = [(scalar or fn)(float(t)) for t in ts]
+    except OverflowError:
+        # a subnormal time overflows the tail's term count (math.ceil of inf) alone and in an array
+        with pytest.raises(OverflowError):
+            fn(ts)
+        return
+    got = fn(ts)
+    assert isinstance(got, np.ndarray) and got.shape == ts.shape
+    assert np.array_equal(_bits(got), _bits(np.array(want, dtype=got.dtype)))
+
+
+@st.composite
+def _bath_and_times(draw):
+    """A bath over the Matsubara regimes, and times at 0, 1e-9 and on both sides of 45 beta / (2 pi K).
+
+    Below that time some e^{-nu_n t} with n > K is still live and the tail sums
+    its own block; above it only the closed form is left.
+    """
+    k = draw(st.sampled_from([0, 25, 100, 400]))
+    beta = 10.0 ** draw(st.floats(-1.0, 3.0))
+    bath = BathParams(draw(st.floats(0.1, 10.0)), draw(st.floats(0.2, 2.0)), beta, k)
+    split = 45.0 * beta / (2.0 * math.pi * max(k, 1))
+    times = [0.0, 1e-9, split * (1.0 - 1e-12), split, split * (1.0 + 1e-12), 0.5 * split, 2.0 * split]
+    times += draw(st.lists(st.floats(1e-6, 20.0), min_size=1, max_size=4))
+    return bath, np.array(times), draw(st.floats(0.0, 3.0))
+
+
+# beta gamma / 2 pi = 1: the pole sits on nu_1 and the resonant limit formulas run
+_RESONANT = BathParams(eta=1.3, gamma=1.0, beta=2.0 * math.pi, matsubara_terms=25)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(_bath_and_times())
+@example((_RESONANT, np.array([0.0, 1e-9, 0.3, 45.0 / 25.0, 7.0]), 1.0))
+def test_array_times_match_scalar_times_bit_for_bit(case):
+    bath, ts, t1 = case
+    engines = [BrownianMatsubara(bath), BrownianMatsubara(bath, include_tail=False), HighTemperatureBrownian(bath)]
+    for ev in engines:
+        _assert_array_is_scalar_loop(ev.g, ts)
+        _assert_array_is_scalar_loop(ev.gdot, ts)
+    ana = engines[0]
+    for scenario in (SingleTime(), Prepared(t1)):
+        _assert_array_is_scalar_loop(lambda t: decay_exponent_rate(ana, scenario, t), ts)
+    # and the formula of its definition, one scalar gdot call per time
+    _assert_array_is_scalar_loop(
+        lambda t: decay_exponent_rate(ana, Prepared(t1), t),
+        ts,
+        scalar=lambda t: 2.0 * ana.gdot(t).real - ana.gdot(t1 + t).real,
+    )
+
+
+def test_quadrature_engines_take_arrays():
+    ts = np.array([0.0, 0.3, 1.7])
+    for ev in brownian_engines()[2:]:
+        _assert_array_is_scalar_loop(ev.g, ts)
+        _assert_array_is_scalar_loop(ev.gdot, ts)
+
+
+def test_scalar_and_array_return_types():
+    for ev in brownian_engines():
+        assert type(ev.g(1.0)) is complex and type(ev.gdot(np.float64(1.0))) is complex
+        assert ev.g(np.array([])).shape == (0,)
+    # t = 0 is exactly 0j inside an array too
+    g = BrownianMatsubara(BATH).g(np.array([0.0, 1.0, 0.0]))
+    assert np.array_equal(_bits(g[[0, 2]]), _bits(np.zeros(2, complex)))
+
+
+def test_bad_time_in_array_rejected_like_a_scalar():
+    for ev in (BrownianMatsubara(BATH), HighTemperatureBrownian(BATH)):
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError) as scalar_error:
+                ev.gdot(bad)
+            with pytest.raises(ValueError) as array_error:
+                ev.gdot(np.array([0.1, bad, 2.0]))
+            assert str(array_error.value) == str(scalar_error.value)
+        with pytest.raises(ValueError, match="1-d"):
+            ev.g(np.ones((2, 2)))

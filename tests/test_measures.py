@@ -14,11 +14,15 @@ from dephaser.dynamics import (
     trace_distance,
 )
 from dephaser.measures import (
+    _N_SCAN,
+    _REFINE_TOL,
     AnalyticPair,
     GridSearch,
     Prepared,
     SingleTime,
     StatePair,
+    _bisect_sign_change,
+    _growth_runs,
     analytic_pair,
     decay_exponent,
     decay_exponent_grid,
@@ -250,3 +254,73 @@ def test_preparation_dependence_saturates():
     gap_early = np.max(np.abs(profile(8.0) - profile(12.0)))
     assert gap_late < 1e-3
     assert gap_late < gap_early
+
+
+def _scalar_re_gdot(ev, t):
+    """Re gdot(t) of BrownianMatsubara as its scalar-only form computed it: K terms, pole, then tail."""
+    if t == 0.0:
+        return 0.0
+    p = ev.params
+    re = float(np.sum(-ev.cnu * np.expm1(-ev.nu * t)))
+    if ev.res_index:
+        nu = ev.nu_res
+        re += (2.0 * p.eta / p.beta) * (t * math.exp(-nu * t) + math.expm1(-nu * t) / (2.0 * nu))
+    else:
+        re += p.eta * ev.cot_amp * (-math.expm1(-p.gamma * t))
+    k = p.matsubara_terms
+    n_osc = math.ceil(45.0 * p.beta / (2.0 * math.pi * t))
+    if n_osc <= k:
+        return re + ev._tail_sums(k)[1]
+    n_stop = min(n_osc, k + 2_000_000)
+    nu = 2.0 * math.pi * np.arange(k + 1.0, n_stop + 1.0) / p.beta
+    cnu = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
+    return re + (float(np.sum(-cnu * np.expm1(-nu * t))) + ev._tail_sums(n_stop)[1])
+
+
+def _scalar_rate(ev, scenario, t):
+    if isinstance(scenario, SingleTime):
+        return _scalar_re_gdot(ev, t)
+    return 2.0 * _scalar_re_gdot(ev, t) - _scalar_re_gdot(ev, scenario.t1 + t)
+
+
+def _scalar_growth_runs(ev, scenario, t_max):
+    """The growth scan as one scalar rate evaluation per grid point, then bisection."""
+    ts = np.linspace(0.0, t_max, _N_SCAN + 1)
+    rate = np.array([_scalar_rate(ev, scenario, float(t)) for t in ts])
+    neg = rate < 0.0
+    f = lambda t: _scalar_rate(ev, scenario, t)  # noqa: E731
+    runs = []
+    i = 0
+    while i <= _N_SCAN:
+        if not neg[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 <= _N_SCAN and neg[j + 1]:
+            j += 1
+        start = 0.0 if i == 0 else _bisect_sign_change(f, ts[i - 1], ts[i], rate[i - 1], _REFINE_TOL)
+        end = t_max if j == _N_SCAN else _bisect_sign_change(f, ts[j], ts[j + 1], rate[j], _REFINE_TOL)
+        runs.append((start, end))
+        i = j + 1
+    return rate, runs, bool(neg[-1])
+
+
+@pytest.mark.parametrize(
+    "bath, scenario, t_max",
+    [
+        (BATH, Prepared(1.0), 10.0),
+        (BATH, Prepared(1.0), 0.5),  # ends inside the growth run: truncated
+        (BATH, SingleTime(), 10.0),
+        # cold: every scan point below t = 45 beta / (2 pi K) = 67 sums its own block of the tail
+        (BathParams(eta=1.3, gamma=1.8, beta=933.0, matsubara_terms=100), Prepared(0.097), 100.0),
+        # beta gamma / 2 pi = 1: the resonant pole terms
+        (BathParams(eta=1.0, gamma=1.0, beta=2.0 * math.pi, matsubara_terms=25), Prepared(1.0), 10.0),
+    ],
+    ids=["warm", "warm-truncated", "warm-single", "cold", "resonant"],
+)
+def test_growth_scan_matches_scalar_loop_bit_for_bit(bath, scenario, t_max):
+    ev = BrownianMatsubara(bath)
+    rate, runs, truncated = _scalar_growth_runs(ev, scenario, t_max)
+    ts = np.linspace(0.0, t_max, _N_SCAN + 1)
+    assert np.array_equal(decay_exponent_rate(ev, scenario, ts).view(np.uint64), rate.view(np.uint64))
+    assert _growth_runs(ev, scenario, t_max) == (runs, truncated)

@@ -184,6 +184,16 @@ def test_correlation_rejects_non_finite_time_and_beta(route, beta, t):
         correlation_function(sd, beta, t, route=route)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["eta", "gamma", "beta"])
+def test_brownian_correlation_rejects_bad_parameters(which, bad):
+    # ValueError naming the parameter, not "cannot convert float NaN to integer" or OverflowError
+    args = [1.0, 0.5, 1.0]
+    args[which] = bad
+    with pytest.raises(ValueError, match=("eta", "gamma", "beta")[which]):
+        BrownianCorrelation(*args)
+
+
 def test_correlation_unknown_route_rejected():
     sd = OverdampedBrownian(BATH)
     with pytest.raises(ValueError):
