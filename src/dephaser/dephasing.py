@@ -36,20 +36,18 @@ import math
 import numpy as np
 
 from ._quadrature import integrate_finite, integrate_fourier_tail, integrate_to_inf
-from .errors import ResonanceError
+from .errors import DephaserError, ResonanceError
 from .spectral import (
-    RESONANCE_RTOL,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
-    TabulatedSpectralDensity,
+    _brownian_bath,
     _check_beta,
     _check_time,
+    _split_frequency,
     _tabulated_grid,
     coth,
 )
-
-ENGINE_NAMES = ("analytic", "hight", "freq-quad", "time-quad")
 
 # Matsubara exponentials e^{-nu_n t} are dead below this weight.
 _EXP_DEAD = 45.0
@@ -118,7 +116,7 @@ class BrownianMatsubara:
 
     g(t) = (eta/gamma) [cot(beta gamma / 2) - i] h(gamma t)
            + sum_{n=1}^{K} c_n h(nu_n t) + tail,
-    h(x) = e^-x + x - 1,  nu_n = 2 pi n / beta.
+    h(x) = e^-x + x - 1,  nu_n = BathParams.matsubara_frequency(n).
 
     With include_tail=True (default) the n > K remainder is evaluated
     exactly: live exponentials are accumulated until they underflow and
@@ -126,7 +124,7 @@ class BrownianMatsubara:
     keeps exactly the K explicit terms; matsubara_remainder reports what
     that truncation drops.
 
-    A pole degenerate with nu_m (relative detuning below 1e-6) has its
+    A pole degenerate with nu_m (BathParams.res_index = m) has its
     diverging cot and series terms replaced by their combined finite
     limit, which requires m <= K.
 
@@ -136,37 +134,30 @@ class BrownianMatsubara:
     gets the same bits alone as in an array.
     """
 
-    def __init__(self, params: BathParams, include_tail: bool = True):
-        self.params = params
-        self.bath = params
-        self.beta = params.beta
+    def __init__(self, bath: BathParams, include_tail: bool = True):
+        self.bath = bath
+        self.beta = bath.beta
         self.include_tail = include_tail
-        eta, gamma, beta = params.eta, params.gamma, params.beta
-        k = params.matsubara_terms
+        eta, gamma, beta = bath.eta, bath.gamma, bath.beta
+        k = bath.matsubara_terms
         # bound here, once, so that importing dephaser loads no scipy
         from scipy.special import digamma
 
         self._digamma = digamma
 
-        self.a = beta * gamma / (2.0 * math.pi)
-        m = round(self.a)
-        self.res_index = m if (m >= 1 and abs(m - self.a) < RESONANCE_RTOL * self.a) else 0
-        if self.res_index and self.res_index > k:
+        m = self.res_index = bath.res_index
+        if m > k:
             raise ResonanceError(
                 f"bath pole gamma = {gamma:g} is degenerate with Matsubara frequency "
                 f"nu_{m}; increase matsubara_terms to at least {m} (got {k})"
             )
 
-        n = np.arange(1.0, k + 1.0)
-        self.nu = 2.0 * math.pi * n / beta
-        if k:
-            with np.errstate(divide="ignore"):
-                c = 4.0 * eta * gamma / (beta * self.nu * (self.nu**2 - gamma**2))
-        else:
-            c = np.zeros(0)
-        if self.res_index:
-            c[self.res_index - 1] = 0.0
-            self.nu_res = 2.0 * math.pi * self.res_index / beta
+        self.nu = bath.matsubara_frequency(np.arange(1.0, k + 1.0))
+        with np.errstate(divide="ignore"):
+            c = 4.0 * eta * gamma / (beta * self.nu * (self.nu**2 - gamma**2))
+        if m:
+            c[m - 1] = 0.0
+            self.nu_res = float(self.nu[m - 1])
             self.cot_amp = 0.0
         else:
             self.cot_amp = 1.0 / math.tan(0.5 * beta * gamma)
@@ -176,7 +167,7 @@ class BrownianMatsubara:
         self._neg_nu = -self.nu
         self._neg_cnu = -self.cnu
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        self._s0_k, self._s1_k = (float(s) for s in self._tail_sums(k))
+        self._s0_k, self._s1_k = self._tail_sums(k)
         # nu_n, c_n and -c_n nu_n for the first n > K, computed when a time first needs them
         self._tail_cache = {}
 
@@ -186,13 +177,12 @@ class BrownianMatsubara:
         c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)).  Both sums telescope
         to digamma differences; exact for any m >= the resonant index.
         """
-        p, a, digamma = self.params, self.a, self._digamma
-        eta, gamma, beta = p.eta, p.gamma, p.beta
-        s1 = (eta * gamma * beta / math.pi**2) * (digamma(m + 1 + a) - digamma(m + 1 - a)) / (2.0 * a)
-        s0 = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2 * (
-            digamma(m + 1.0) - 0.5 * (digamma(m + 1 - a) + digamma(m + 1 + a))
-        )
-        return s0, s1
+        p, digamma = self.bath, self._digamma
+        eta, gamma, beta, a = p.eta, p.gamma, p.beta, p.pole_ratio
+        above, below = digamma(m + 1 + a), digamma(m + 1 - a)
+        s1 = (eta * gamma * beta / math.pi**2) * (above - below) / (2.0 * a)
+        s0 = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2 * (digamma(m + 1.0) - 0.5 * (below + above))
+        return float(s0), float(s1)
 
     def _tail_terms(self, name: str, lo: int, hi: int) -> np.ndarray:
         """nu_n ("nu"), c_n ("c") or -c_n nu_n ("ncnu") for n = K+1+lo, ..., K+hi.
@@ -203,10 +193,10 @@ class BrownianMatsubara:
         cached = self._tail_cache.get(name)
         if cached is not None and hi <= cached.size:
             return cached[lo:hi]
-        p = self.params
+        p = self.bath
         if name == "nu":
             k = p.matsubara_terms
-            return 2.0 * math.pi * np.arange(k + 1.0 + lo, k + 1.0 + hi) / p.beta
+            return p.matsubara_frequency(np.arange(k + 1.0 + lo, k + 1.0 + hi))
         nu = self._tail_terms("nu", lo, hi)
         if name == "c":
             return 4.0 * p.eta * p.gamma / (p.beta * nu * (nu**2 - p.gamma**2))
@@ -226,9 +216,15 @@ class BrownianMatsubara:
         return float(_pairwise_sum(lambda lo, hi: term(*(self._tail_terms(n, lo, hi) for n in names)), 0, m))
 
     def _live_stop(self, t: float) -> int:
-        """Last n of the live block past K at time t, or 0 when every e^{-nu_n t} with n > K is dead."""
-        k = self.params.matsubara_terms
-        n_osc = math.ceil(_EXP_DEAD * self.params.beta / (2.0 * math.pi * t))
+        """Last n of the live block past K at time t, or 0 when every e^{-nu_n t} with n > K is dead.
+
+        DephaserError at a time so small (subnormal, for beta near 1) that the last live n overflows.
+        """
+        k = self.bath.matsubara_terms
+        try:
+            n_osc = math.ceil(_EXP_DEAD * self.bath.beta / (2.0 * math.pi * t))
+        except OverflowError:
+            raise DephaserError(f"time {t!r} is too small for the Matsubara tail: its live terms overflow") from None
         return 0 if n_osc <= k else min(n_osc, k + _BLOCK_CAP)
 
     def _tail_g(self, t: float) -> float:
@@ -243,7 +239,7 @@ class BrownianMatsubara:
             e *= c
             return e
 
-        explicit = self._tail_block_sum(n_stop - self.params.matsubara_terms, ("nu", "c"), term)
+        explicit = self._tail_block_sum(n_stop - self.bath.matsubara_terms, ("nu", "c"), term)
         s0, s1 = self._tail_sums(n_stop)
         return explicit + t * s1 - s0
 
@@ -257,7 +253,7 @@ class BrownianMatsubara:
             e *= ncnu
             return e
 
-        explicit = self._tail_block_sum(n_stop - self.params.matsubara_terms, ("nu", "ncnu"), term)
+        explicit = self._tail_block_sum(n_stop - self.bath.matsubara_terms, ("nu", "ncnu"), term)
         return explicit + self._tail_sums(n_stop)[1]
 
     def _explicit(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
@@ -283,7 +279,7 @@ class BrownianMatsubara:
     def _g_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
             return 0j
-        p = self.params
+        p = self.bath
         hg = math.expm1(-p.gamma * t) + p.gamma * t
         re = explicit
         if self.res_index:
@@ -301,7 +297,7 @@ class BrownianMatsubara:
     def _gdot_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
             return 0j
-        p = self.params
+        p = self.bath
         em = math.expm1(-p.gamma * t)
         re = explicit
         if self.res_index:
@@ -339,10 +335,9 @@ class HighTemperatureBrownian:
     g and gdot take a time or a 1-d array of times.
     """
 
-    def __init__(self, params: BathParams):
-        self.params = params
-        self.bath = params
-        self.beta = params.beta
+    def __init__(self, bath: BathParams):
+        self.bath = bath
+        self.beta = bath.beta
 
     def g(self, t):
         return _rows(self._g_row, *_check_times(t))
@@ -351,12 +346,12 @@ class HighTemperatureBrownian:
         return _rows(self._gdot_row, *_check_times(t))
 
     def _g_row(self, t: float) -> complex:
-        p = self.params
+        p = self.bath
         hg = math.expm1(-p.gamma * t) + p.gamma * t
         return complex(2.0 * p.eta / (p.beta * p.gamma**2) * hg, -(p.eta / p.gamma) * hg)
 
     def _gdot_row(self, t: float) -> complex:
-        p = self.params
+        p = self.bath
         em = math.expm1(-p.gamma * t)
         return complex(-2.0 * p.eta / (p.beta * p.gamma) * em, p.eta * em)
 
@@ -377,11 +372,9 @@ class FrequencyQuadrature:
         beta = _check_beta(beta)
         self.sd = sd
         self.beta = beta
-        if isinstance(sd, OverdampedBrownian):
-            p = sd.params
-            self.bath = BathParams(p.eta, p.gamma, beta, p.matsubara_terms)
-            self._tabulated = False
-            self.w_split = max(10.0 * p.gamma, 10.0 / beta)
+        self.bath = _brownian_bath(sd, beta)
+        if self.bath is not None:
+            self.w_split = _split_frequency(self.bath)
             # int_{w_split}^inf (J/w^2) coth dw and int_0^inf (J/w) dw
             self._tail_rc = integrate_to_inf(
                 lambda w: self._f_rc(w), self.w_split, tag="coth tail moment"
@@ -389,14 +382,9 @@ class FrequencyQuadrature:
             self._j1_total = integrate_finite(
                 lambda w: self._j_over_w(w), 0.0, self.w_split, tag="J/w"
             ) + integrate_to_inf(lambda w: self._j_over_w(w), self.w_split, tag="J/w tail")
-        elif isinstance(sd, TabulatedSpectralDensity):
-            self.bath = None
-            self._tabulated = True
-        else:
-            raise TypeError(f"unsupported spectral density type {type(sd).__name__}")
 
     def _j_over_w(self, w):
-        p = self.sd.params
+        p = self.bath
         return 2.0 * p.eta * p.gamma / (w * w + p.gamma * p.gamma)
 
     def _f_rc(self, w):
@@ -415,7 +403,7 @@ class FrequencyQuadrature:
     def _g(self, t: float) -> complex:
         if t == 0.0:
             return 0j
-        if self._tabulated:
+        if self.bath is None:
             return self._g_tabulated(t)
         ws = self.w_split
         re = integrate_finite(
@@ -437,7 +425,7 @@ class FrequencyQuadrature:
     def _gdot(self, t: float) -> complex:
         if t == 0.0:
             return 0j
-        if self._tabulated:
+        if self.bath is None:
             return self._gdot_tabulated(t)
         ws = self.w_split
         re = integrate_finite(
@@ -481,16 +469,12 @@ class TimeDomainQuadrature:
         beta = _check_beta(beta)
         self.sd = sd
         self.beta = beta
-        if isinstance(sd, OverdampedBrownian):
-            p = sd.params
-            self.bath = BathParams(p.eta, p.gamma, beta, p.matsubara_terms)
-            self._corr = BrownianCorrelation(p.eta, p.gamma, beta)
-        elif isinstance(sd, TabulatedSpectralDensity):
-            self.bath = None
+        self.bath = _brownian_bath(sd, beta)
+        if self.bath is not None:
+            self._corr = BrownianCorrelation(self.bath.eta, self.bath.gamma, beta)
+        else:
             therm = sd.values * coth(0.5 * beta * sd.omega)
             self._corr = lambda u: _tabulated_grid(sd, therm, u)
-        else:
-            raise TypeError(f"unsupported spectral density type {type(sd).__name__}")
 
     def g(self, t):
         return _rows(self._g, *_check_times(t))
@@ -523,17 +507,19 @@ class TimeDomainQuadrature:
         return complex(re, im)
 
 
-def make_evaluator(engine: str, params: BathParams):
-    """Construct a g(t) evaluator for the Brownian bath by engine name.
+# constructor of each engine from a Brownian bath, by name
+_ENGINES = {
+    "analytic": BrownianMatsubara,
+    "hight": HighTemperatureBrownian,
+    "freq-quad": lambda bath: FrequencyQuadrature(OverdampedBrownian(bath), bath.beta),
+    "time-quad": lambda bath: TimeDomainQuadrature(OverdampedBrownian(bath), bath.beta),
+}
+ENGINE_NAMES = tuple(_ENGINES)
 
-    engine is one of "analytic", "hight", "freq-quad", "time-quad".
-    """
-    if engine == "analytic":
-        return BrownianMatsubara(params)
-    if engine == "hight":
-        return HighTemperatureBrownian(params)
-    if engine == "freq-quad":
-        return FrequencyQuadrature(OverdampedBrownian(params), params.beta)
-    if engine == "time-quad":
-        return TimeDomainQuadrature(OverdampedBrownian(params), params.beta)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
+
+def make_evaluator(engine: str, bath: BathParams):
+    """Construct a g(t) evaluator for the Brownian bath by engine name, one of ENGINE_NAMES."""
+    make = _ENGINES.get(engine)
+    if make is None:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
+    return make(bath)

@@ -215,15 +215,11 @@ def _growth_runs(evaluator, scenario, t_max: float):
     neg = rate < 0.0
 
     f = lambda t: decay_exponent_rate(evaluator, scenario, t)
+    # where neg, padded with False at both ends, changes: each run's first index, then one past its last
+    edges = np.flatnonzero(np.diff(neg, prepend=False, append=False)).tolist()
     runs = []
-    i = 0
-    while i <= _N_SCAN:
-        if not neg[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 <= _N_SCAN and neg[j + 1]:
-            j += 1
+    for i, stop in zip(edges[::2], edges[1::2]):
+        j = stop - 1
         if i == 0:
             start = 0.0
         else:
@@ -233,7 +229,6 @@ def _growth_runs(evaluator, scenario, t_max: float):
         else:
             end = _bisect_sign_change(f, ts[j], ts[j + 1], rate[j], _REFINE_TOL)
         runs.append((start, end))
-        i = j + 1
     truncated = bool(neg[-1])
     return runs, truncated
 

@@ -17,25 +17,30 @@ point at machine accuracy.  Tabulated spectral densities are integrated
 on their own grid.
 
 Re L(t) diverges logarithmically as t -> 0 for the Brownian form (the
-integrand falls off only as 1/w); evaluation at t = 0 returns a finite
-truncated value and emits a RuntimeWarning.  Im L(0) is exactly zero by
-oddness of the integrand, while lim_{t->0+} Im L(t) = -eta*gamma.
+integrand falls off only as 1/w), so L(0) raises DephaserError there;
+lim_{t->0+} Im L(t) = -eta*gamma.  A tabulated density has a finite grid,
+so its L(0) is the finite trapezoid sum, with Im L(0) = 0 by oddness.
+
+BathParams makes every decision about the Brownian bath: the thermal
+frequencies nu_n and whether the pole gamma is degenerate with one of
+them.  The analytic L here and the g engines of dephasing read them.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quadrature import integrate_finite, integrate_fourier_tail
-from .errors import ExtrapolationError
+from .errors import DephaserError, ExtrapolationError
 
 # Relative detuning below which a bath pole is treated as degenerate with
 # a Matsubara frequency and the resonant term is replaced by its limit.
 RESONANCE_RTOL = 1e-6
+
+_L0_DIVERGES = "Re L(t) of the Brownian bath diverges logarithmically as t -> 0; L(0) is undefined"
 
 _ZETA3 = 1.2020569031595942854
 _ZETA2 = math.pi * math.pi / 6.0
@@ -100,7 +105,8 @@ class BathParams:
     """Overdamped Brownian bath: coupling eta, cutoff gamma, inverse temperature beta.
 
     matsubara_terms is the number K of thermal poles kept explicitly in
-    series evaluations downstream.
+    series evaluations downstream.  The thermal frequencies nu_n and the
+    resonance of the pole with one of them are derived here, once.
     """
 
     eta: float
@@ -117,8 +123,20 @@ class BathParams:
             raise ValueError("matsubara_terms must be nonnegative")
 
     def matsubara_frequency(self, n):
-        """n-th bosonic thermal frequency nu_n = 2 pi n / beta."""
+        """n-th bosonic thermal frequency nu_n = 2 pi n / beta, for an index or an array of them."""
         return 2.0 * math.pi * np.asarray(n, dtype=float) / self.beta
+
+    @property
+    def pole_ratio(self) -> float:
+        """a = beta gamma / (2 pi), the pole gamma in units of nu_1."""
+        return self.beta * self.gamma / (2.0 * math.pi)
+
+    @property
+    def res_index(self) -> int:
+        """m when gamma is degenerate with nu_m (m = round(a) >= 1, |m - a| < RESONANCE_RTOL a), else 0."""
+        a = self.pole_ratio
+        m = round(a)
+        return m if (m >= 1 and abs(m - a) < RESONANCE_RTOL * a) else 0
 
 
 class OverdampedBrownian:
@@ -173,7 +191,7 @@ class TabulatedSpectralDensity:
 class BrownianCorrelation:
     """Fast analytic L(t) for the overdamped Brownian bath.
 
-    The Matsubara sum over nu_n = 2 pi n / beta is split as
+    The Matsubara sum over the thermal frequencies nu_n is split as
 
         nu/(nu^2 - g^2) = 1/nu + g^2/nu^3 + g^4 / (nu^3 (nu^2 - g^2))
 
@@ -187,16 +205,10 @@ class BrownianCorrelation:
     _TAIL_TOL = 1e-14
 
     def __init__(self, eta: float, gamma: float, beta: float):
-        for name, v in (("eta", eta), ("gamma", gamma)):
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        beta = _check_beta(beta)
-        self.eta = eta
-        self.gamma = gamma
-        self.beta = beta
-        self.a = beta * gamma / (2.0 * math.pi)
-        m = round(self.a)
-        self.res_index = m if (m >= 1 and abs(m - self.a) < RESONANCE_RTOL * self.a) else 0
+        self.bath = p = BathParams(eta, gamma, float(beta))
+        beta = p.beta
+        a = p.pole_ratio
+        self.res_index = p.res_index
 
         two_pi = 2.0 * math.pi
         self.c_log = 2.0 * eta * gamma / math.pi
@@ -205,60 +217,51 @@ class BrownianCorrelation:
 
         n_corr = max(
             math.ceil((abs(coef5) / (4.0 * self._TAIL_TOL)) ** 0.25) + 10,
-            math.ceil(2.0 * self.a) + 10,
+            math.ceil(2.0 * a) + 10,
             30,
         )
         n_corr = min(n_corr, 50000)
         n = np.arange(1.0, n_corr + 1.0)
         with np.errstate(divide="ignore"):
-            w5 = coef5 / (n**3 * (n**2 - self.a**2))
+            w5 = coef5 / (n**3 * (n**2 - a**2))
         if self.res_index:
             w5[self.res_index - 1] = 0.0
+            self.nu_res = nu = float(p.matsubara_frequency(self.res_index))
+            # the n = m terms of the log and Li_3 resummations, which the resonant limit replaces
+            self._res_amp = 4.0 * eta * gamma / beta * (1.0 / nu + gamma**2 / nu**3)
+        else:
+            self._cot_amp = eta * gamma / math.tan(0.5 * beta * gamma)
+        self._im_amp = -eta * gamma
         self._n = n
         self._w5 = w5
-        if not self.res_index:
-            self._cot_amp = eta * gamma / math.tan(0.5 * beta * gamma)
-
-    def _real_at_zero(self) -> float:
-        # Truncated stand-in for the log-divergent t -> 0 limit.
-        warnings.warn(
-            "Re L(t) diverges as t -> 0; returning a truncated value at t = 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        n = np.arange(1.0, 100001.0)
-        nu = 2.0 * math.pi * n / self.beta
-        terms = 4.0 * self.eta * self.gamma / self.beta * nu / (nu**2 - self.gamma**2)
-        if self.res_index:
-            terms[self.res_index - 1] = 0.0
-            return float(terms.sum() + self.eta / self.beta)
-        return float(self._cot_amp + terms.sum())
 
     def __call__(self, t: float) -> complex:
         if t < 0.0:
             raise ValueError("correlation function is evaluated for t >= 0")
         if t == 0.0:
-            return complex(self._real_at_zero(), 0.0)
-        x = 2.0 * math.pi * t / self.beta
-        decay = math.exp(-self.gamma * t)
+            raise DephaserError(_L0_DIVERGES)
+        p = self.bath
+        x = 2.0 * math.pi * t / p.beta
+        decay = math.exp(-p.gamma * t)
         re = self.c_log * (-math.log(-math.expm1(-x))) + self.c_li3 * trilog_exp(x)
         re += float(np.sum(self._w5 * np.exp(-self._n * x)))
         if self.res_index:
-            nu = 2.0 * math.pi * self.res_index / self.beta
-            re += 2.0 * self.eta / self.beta * math.exp(-nu * t) * (0.5 - nu * t)
-            re -= (
-                4.0 * self.eta * self.gamma / self.beta
-                * (1.0 / nu + self.gamma**2 / nu**3)
-                * math.exp(-nu * t)
-            )
+            nu = self.nu_res
+            re += 2.0 * p.eta / p.beta * math.exp(-nu * t) * (0.5 - nu * t)
+            re -= self._res_amp * math.exp(-nu * t)
         else:
             re += self._cot_amp * decay
-        return complex(re, -self.eta * self.gamma * decay)
+        return complex(re, self._im_amp * decay)
 
 
-def _brownian_quadrature(params: BathParams, t: float) -> complex:
-    eta, gamma, beta = params.eta, params.gamma, params.beta
-    ws = max(10.0 * gamma, 10.0 / beta)
+def _split_frequency(bath: BathParams) -> float:
+    """Frequency above which the Brownian quadratures hand the oscillatory tail to the Fourier rule."""
+    return max(10.0 * bath.gamma, 10.0 / bath.beta)
+
+
+def _brownian_quadrature(bath: BathParams, t: float) -> complex:
+    eta, gamma, beta = bath.eta, bath.gamma, bath.beta
+    ws = _split_frequency(bath)
 
     def j_func(w):
         return 2.0 * eta * w * gamma / (w * w + gamma * gamma)
@@ -266,22 +269,21 @@ def _brownian_quadrature(params: BathParams, t: float) -> complex:
     def f_therm(w):
         return j_func(w) * coth(0.5 * beta * w) / math.pi
 
-    if t == 0.0:
-        warnings.warn(
-            "Re L(t) diverges as t -> 0; returning a truncated value at t = 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        w_cap = max(1e6 * gamma, 1e6 / beta)
-        re = integrate_finite(f_therm, 0.0, ws, tag="Re L(0)")
-        re += integrate_finite(f_therm, ws, w_cap, epsrel=1e-10, tag="Re L(0) tail")
-        return complex(re, 0.0)
-
     re = integrate_finite(lambda w: f_therm(w) * math.cos(w * t), 0.0, ws, tag="Re L")
     re += integrate_fourier_tail(f_therm, ws, t, "cos", tag="Re L tail")
     im = integrate_finite(lambda w: j_func(w) * math.sin(w * t) / math.pi, 0.0, ws, tag="Im L")
     im += integrate_fourier_tail(lambda w: j_func(w) / math.pi, ws, t, "sin", tag="Im L tail")
     return complex(re, -im)
+
+
+def _brownian_bath(sd, beta: float) -> BathParams | None:
+    """The Brownian bath of sd at inverse temperature beta; None when sd is tabulated, TypeError for any other sd."""
+    if isinstance(sd, TabulatedSpectralDensity):
+        return None
+    if not isinstance(sd, OverdampedBrownian):
+        raise TypeError(f"unsupported spectral density type {type(sd).__name__}")
+    p = sd.params
+    return BathParams(p.eta, p.gamma, beta, p.matsubara_terms)
 
 
 def _tabulated_grid(sd: TabulatedSpectralDensity, therm, t: float) -> complex:
@@ -299,18 +301,19 @@ def correlation_function(sd, beta: float, t: float, route: str | None = None) ->
     For the Brownian form, route "analytic" (default) uses the closed-form
     Matsubara resummation and "quadrature" integrates the spectral
     representation directly; the two agree to better than 1e-10 relative
-    and serve as independent checks of each other.  Tabulated densities
-    always integrate on their own grid.
+    and serve as independent checks of each other.  Re L diverges at
+    t = 0, so both routes raise DephaserError there.  Tabulated densities
+    always integrate on their own grid, where L(0) is finite.
     """
     t = _check_time(t)
     beta = _check_beta(beta)
-    if isinstance(sd, TabulatedSpectralDensity):
+    bath = _brownian_bath(sd, beta)
+    if bath is None:
         return _tabulated_grid(sd, sd.values * coth(0.5 * beta * sd.omega), t)
-    if not isinstance(sd, OverdampedBrownian):
-        raise TypeError(f"unsupported spectral density type {type(sd).__name__}")
-    p = sd.params
     if route in (None, "analytic"):
-        return BrownianCorrelation(p.eta, p.gamma, beta)(t)
+        return BrownianCorrelation(bath.eta, bath.gamma, beta)(t)
     if route == "quadrature":
-        return _brownian_quadrature(BathParams(p.eta, p.gamma, beta), t)
+        if t == 0.0:
+            raise DephaserError(_L0_DIVERGES)
+        return _brownian_quadrature(bath, t)
     raise ValueError(f"unknown route {route!r}")

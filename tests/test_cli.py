@@ -387,6 +387,15 @@ def test_invalid_physics_reports_json_error(capsys):
     assert record["error"]["type"] == "ValueError"
 
 
+def test_subnormal_t1_reports_dephaser_error(capsys):
+    rc, out, err = run_cli(capsys, ["measure", "--t1", "5e-324"])
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"]["type"] == "DephaserError"
+    assert "5e-324" in record["error"]["message"]
+
+
 def test_too_few_points_rejected(capsys):
     rc, _, err = run_cli(capsys, ["gfun", "--points", "1"])
     assert rc == 1

@@ -14,7 +14,7 @@ from dephaser.dephasing import (
     TimeDomainQuadrature,
     make_evaluator,
 )
-from dephaser.errors import ResonanceError
+from dephaser.errors import DephaserError, ResonanceError
 from dephaser.measures import Prepared, SingleTime, decay_exponent_rate
 from dephaser.spectral import BathParams, OverdampedBrownian, TabulatedSpectralDensity
 
@@ -231,9 +231,9 @@ def _assert_array_is_scalar_loop(fn, ts, scalar=None):
     """
     try:
         want = [(scalar or fn)(float(t)) for t in ts]
-    except OverflowError:
-        # a subnormal time overflows the tail's term count (math.ceil of inf) alone and in an array
-        with pytest.raises(OverflowError):
+    except DephaserError:
+        # a subnormal time overflows the tail's live term count, alone and in an array
+        with pytest.raises(DephaserError):
             fn(ts)
         return
     got = fn(ts)
@@ -307,3 +307,21 @@ def test_bad_time_in_array_rejected_like_a_scalar():
             assert str(array_error.value) == str(scalar_error.value)
         with pytest.raises(ValueError, match="1-d"):
             ev.g(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("t", [1e-308, 5e-324])
+def test_subnormal_time_raises_dephaser_error(t):
+    # 45 beta / (2 pi t), the tail's last live n, overflows: DephaserError naming the time, not OverflowError
+    ev = BrownianMatsubara(BATH)
+    for fn in (ev.g, ev.gdot):
+        for times in (t, np.array([0.0, 1.0, t])):
+            with pytest.raises(DephaserError, match=repr(t)):
+                fn(times)
+
+
+def test_time_quad_at_subnormal_time_raises_dephaser_error():
+    # on [0, 5e-324] the rule's nodes round onto u = 0, where Re L diverges: an error, not 0j behind warnings
+    tq = TimeDomainQuadrature(OverdampedBrownian(BATH), BATH.beta)
+    for fn in (tq.g, tq.gdot):
+        with pytest.raises(DephaserError, match="diverges"):
+            fn(5e-324)

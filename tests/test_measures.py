@@ -260,7 +260,7 @@ def _scalar_re_gdot(ev, t):
     """Re gdot(t) of BrownianMatsubara as its scalar-only form computed it: K terms, pole, then tail."""
     if t == 0.0:
         return 0.0
-    p = ev.params
+    p = ev.bath
     re = float(np.sum(-ev.cnu * np.expm1(-ev.nu * t)))
     if ev.res_index:
         nu = ev.nu_res

@@ -1,12 +1,12 @@
 """Spectral densities and the bath correlation function."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from dephaser.errors import ExtrapolationError
+from dephaser.dephasing import BrownianMatsubara
+from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
     BathParams,
     BrownianCorrelation,
@@ -116,15 +116,39 @@ def test_correlation_analytic_matches_quadrature():
         assert abs(a - q) / abs(q) < 1e-9
 
 
-def test_correlation_zero_time_truncated_with_warning():
-    sd = OverdampedBrownian(BATH)
-    with pytest.warns(RuntimeWarning):
-        v = correlation_function(sd, BATH.beta, 0.0)
-    assert v.imag == 0.0
-    assert v.real > 0.0
-    with pytest.warns(RuntimeWarning):
-        vq = correlation_function(sd, BATH.beta, 0.0, route="quadrature")
-    assert vq.imag == 0.0
+# beta = 4 pi puts nu_2 at gamma = 1: (gamma, bound on the analytic-quadrature gap, resonant index)
+_RESONANT_BATHS = [
+    (1.0, 1e-12, 2),  # exactly resonant: the limit formulas run
+    (1.0 + 1e-9, 1e-8, 2),  # detuned inside the degeneracy window: still the limit formulas
+    (1.0 + 1e-5, 3e-8, 0),  # outside the window: the direct series with its near-cancelling terms
+]
+
+
+@pytest.mark.parametrize(
+    "gamma, bound, res_index", _RESONANT_BATHS, ids=["resonant", "inside-window", "outside-window"]
+)
+def test_resonant_correlation_matches_quadrature(gamma, bound, res_index):
+    beta = 4.0 * math.pi
+    p = BathParams(eta=1.0, gamma=gamma, beta=beta)
+    assert BrownianCorrelation(p.eta, p.gamma, beta).res_index == res_index
+    assert BrownianMatsubara(p).res_index == res_index
+    sd = OverdampedBrownian(p)
+    for t in (0.05, 0.3, 1.0, 3.0):
+        a = correlation_function(sd, beta, t, route="analytic")
+        q = correlation_function(sd, beta, t, route="quadrature")
+        assert abs(a - q) / abs(q) < bound
+
+
+@pytest.mark.parametrize("route", ["analytic", "quadrature"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0], ids=["warm", "resonant"])
+def test_brownian_correlation_at_zero_raises(route, gamma):
+    # Re L diverges logarithmically at t = 0; no truncated sum stands in for it
+    beta = 4.0 * math.pi if gamma == 1.0 else BATH.beta
+    sd = OverdampedBrownian(BathParams(eta=1.0, gamma=gamma, beta=beta))
+    with pytest.raises(DephaserError, match="diverges"):
+        correlation_function(sd, beta, 0.0, route=route)
+    with pytest.raises(DephaserError, match="diverges"):
+        BrownianCorrelation(1.0, gamma, beta)(0.0)
 
 
 def test_correlation_imag_jump_at_origin():
@@ -134,12 +158,12 @@ def test_correlation_imag_jump_at_origin():
     assert v.imag == pytest.approx(-BATH.eta * BATH.gamma, rel=1e-8)
 
 
-def test_detailed_balance_ordering_at_origin():
+def test_detailed_balance_ordering_near_origin():
     sd = OverdampedBrownian(BATH)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hot = correlation_function(sd, 0.5, 0.0).real
-        cold = correlation_function(sd, 1.0, 0.0).real
+    hot = correlation_function(sd, 0.5, 1e-9).real
+    cold = correlation_function(sd, 1.0, 1e-9).real
+    assert hot == pytest.approx(9.7705, abs=1e-4)
+    assert cold == pytest.approx(7.9720, abs=1e-4)
     assert hot > cold
 
 
@@ -209,4 +233,7 @@ def test_tabulated_correlation_near_brownian():
         ref = correlation_function(sd_ref, BATH.beta, t)
         got = correlation_function(tab, BATH.beta, t)
         assert abs(got - ref) / abs(ref) < 5e-3
-    assert correlation_function(tab, BATH.beta, 0.0).imag == 0.0
+    # a finite grid has a finite trapezoid sum at t = 0, and Im L(0) = 0 by oddness
+    v = correlation_function(tab, BATH.beta, 0.0)
+    assert math.isfinite(v.real) and v.real > 0.0
+    assert v.imag == 0.0
