@@ -22,7 +22,9 @@ three routes agree to better than 1e-6 relative for t in [0.05, 20], the
 range acceptance criterion 1 tests.  They are not validated below it:
 from t of about 1e-5 down, each route is off by 1e-6 relative or more
 (the series by cancellation in its tail, the quadratures by their
-absolute tolerances and Fourier tails).
+absolute tolerances and Fourier tails).  FrequencyQuadrature raises
+DephaserError for a Brownian density at 0 < t < 3e-4 / w_split
+(3e-5 on the default bath), where its Fourier tails lose Re g.
 
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
@@ -38,6 +40,7 @@ import numpy as np
 from ._quadrature import integrate_finite, integrate_fourier_tail, integrate_to_inf
 from .errors import DephaserError, ResonanceError
 from .spectral import (
+    _EXP_DEAD,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
@@ -49,9 +52,10 @@ from .spectral import (
     coth,
 )
 
-# Matsubara exponentials e^{-nu_n t} are dead below this weight.
-_EXP_DEAD = 45.0
 _BLOCK_CAP = 2_000_000
+# t w_split below which FrequencyQuadrature raises for a Brownian density: its Re g is off a
+# 40-digit series by up to 4e-6 relative at 1e-4 and by 3e10-6e10 at 1e-6, and QAWF segfaults at subnormal t
+_FQ_MIN_TW = 3e-4
 # elements of the times x explicit-terms table, or of a tail block, that BrownianMatsubara builds at once
 _TABLE_BUDGET = 1 << 16
 # n > K coefficients (of each of nu_n, c_n, -c_n nu_n) that a BrownianMatsubara keeps between calls
@@ -103,6 +107,17 @@ def _pairwise_sum(terms, lo: int, hi: int):
         return np.add.reduce(terms(lo, hi))
     n2 = n // 2 - (n // 2) % 8
     return _pairwise_sum(terms, lo, lo + n2) + _pairwise_sum(terms, lo + n2, hi)
+
+
+def _series_terms(neg_x, coef, derivative: bool):
+    """Matsubara terms coef (expm1(-x) + x) of g, or coef expm1(-x) of gdot (over neg_x), from neg_x = -x."""
+    if derivative:
+        e = np.expm1(neg_x, out=neg_x)
+    else:
+        e = np.expm1(neg_x)
+        e -= neg_x
+    e *= coef
+    return e
 
 
 def _g_distinct(evaluator, times) -> np.ndarray:
@@ -202,19 +217,6 @@ class BrownianMatsubara:
             return 4.0 * p.eta * p.gamma / (p.beta * nu * (nu**2 - p.gamma**2))
         return -(4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2)))
 
-    def _tail_block_sum(self, m: int, names: tuple, term) -> float:
-        """Sum over the first m n > K terms of term(*coefficient slices named by names).
-
-        The coefficients are cached up to _TAIL_CACHE of them, grown to what a
-        block needs.  The block is built _TABLE_BUDGET terms at a time and
-        summed as one np.sum of all m terms is.
-        """
-        for name in names:
-            cached = self._tail_cache.get(name)
-            if cached is None or cached.size < min(m, _TAIL_CACHE):
-                self._tail_cache[name] = self._tail_terms(name, 0, min(m, _TAIL_CACHE))
-        return float(_pairwise_sum(lambda lo, hi: term(*(self._tail_terms(n, lo, hi) for n in names)), 0, m))
-
     def _live_stop(self, t: float) -> int:
         """Last n of the live block past K at time t, or 0 when every e^{-nu_n t} with n > K is dead.
 
@@ -227,34 +229,29 @@ class BrownianMatsubara:
             raise DephaserError(f"time {t!r} is too small for the Matsubara tail: its live terms overflow") from None
         return 0 if n_osc <= k else min(n_osc, k + _BLOCK_CAP)
 
-    def _tail_g(self, t: float) -> float:
+    def _tail(self, t: float, derivative: bool) -> float:
+        """The n > K part of g(t), or of gdot(t): the live terms summed pairwise, then the digamma rest.
+
+        The coefficients of the live terms are cached up to _TAIL_CACHE of
+        them, grown to what the block needs.  The block is built
+        _TABLE_BUDGET terms at a time and summed as one np.sum of it is.
+        """
         n_stop = self._live_stop(t)
         if not n_stop:
-            return t * self._s1_k - self._s0_k
+            return self._s1_k if derivative else t * self._s1_k - self._s0_k
+        m = n_stop - self.bath.matsubara_terms
+        coef_name = "ncnu" if derivative else "c"
+        for name in ("nu", coef_name):
+            cached = self._tail_cache.get(name)
+            if cached is None or cached.size < min(m, _TAIL_CACHE):
+                self._tail_cache[name] = self._tail_terms(name, 0, min(m, _TAIL_CACHE))
 
-        def term(nu, c):
-            x = nu * t
-            e = np.expm1(-x)
-            e += x
-            e *= c
-            return e
+        def terms(lo, hi):
+            return _series_terms(self._tail_terms("nu", lo, hi) * -t, self._tail_terms(coef_name, lo, hi), derivative)
 
-        explicit = self._tail_block_sum(n_stop - self.bath.matsubara_terms, ("nu", "c"), term)
+        block = float(_pairwise_sum(terms, 0, m))
         s0, s1 = self._tail_sums(n_stop)
-        return explicit + t * s1 - s0
-
-    def _tail_gdot(self, t: float) -> float:
-        n_stop = self._live_stop(t)
-        if not n_stop:
-            return self._s1_k
-
-        def term(nu, ncnu):
-            e = np.expm1(nu * -t)
-            e *= ncnu
-            return e
-
-        explicit = self._tail_block_sum(n_stop - self.bath.matsubara_terms, ("nu", "ncnu"), term)
-        return explicit + self._tail_sums(n_stop)[1]
+        return block + s1 if derivative else block + t * s1 - s0
 
     def _explicit(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
         """Sum of the K explicit terms at every time: c_n h(nu_n t), or -c_n nu_n expm1(-nu_n t) for gdot.
@@ -266,15 +263,8 @@ class BrownianMatsubara:
         rows = self._table_rows
         if ts.size > rows:
             return np.concatenate([self._explicit(ts[i : i + rows], derivative) for i in range(0, ts.size, rows)])
-        neg_x = np.multiply.outer(ts, self._neg_nu)
-        if derivative:
-            e = np.expm1(neg_x, out=neg_x)
-            e *= self._neg_cnu
-        else:
-            e = np.expm1(neg_x)
-            e -= neg_x
-            e *= self.c
-        return np.add.reduce(e, axis=1)
+        coef = self._neg_cnu if derivative else self.c
+        return np.add.reduce(_series_terms(np.multiply.outer(ts, self._neg_nu), coef, derivative), axis=1)
 
     def _g_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
@@ -291,7 +281,7 @@ class BrownianMatsubara:
         else:
             re += (p.eta / p.gamma) * self.cot_amp * hg
         if self.include_tail:
-            re += self._tail_g(t)
+            re += self._tail(t, False)
         return complex(re, -(p.eta / p.gamma) * hg)
 
     def _gdot_row(self, t: float, explicit: float) -> complex:
@@ -308,7 +298,7 @@ class BrownianMatsubara:
         else:
             re += p.eta * self.cot_amp * (-em)
         if self.include_tail:
-            re += self._tail_gdot(t)
+            re += self._tail(t, True)
         return complex(re, p.eta * em)
 
     def g(self, t):
@@ -326,7 +316,7 @@ class BrownianMatsubara:
         t = _check_time(t)
         if t == 0.0:
             return 0j
-        return complex(self._tail_g(t), 0.0)
+        return complex(self._tail(t, False), 0.0)
 
 
 class HighTemperatureBrownian:
@@ -365,7 +355,8 @@ class FrequencyQuadrature:
     factor decays like 1/w and the cos/sin moments are computed by the
     Fourier integrator, which is what makes the conditionally convergent
     tails reliable.  Constant tail moments are cached at construction.
-    g and gdot take a time or a 1-d array of times, integrated one by one.
+    g and gdot take a time or a 1-d array of times, integrated one by one;
+    a Brownian density raises DephaserError at 0 < t < 3e-4 / w_split.
     """
 
     def __init__(self, sd, beta: float):
@@ -375,6 +366,7 @@ class FrequencyQuadrature:
         self.bath = _brownian_bath(sd, beta)
         if self.bath is not None:
             self.w_split = _split_frequency(self.bath)
+            self._t_min = _FQ_MIN_TW / self.w_split
             # int_{w_split}^inf (J/w^2) coth dw and int_0^inf (J/w) dw
             self._tail_rc = integrate_to_inf(
                 lambda w: self._f_rc(w), self.w_split, tag="coth tail moment"
@@ -395,10 +387,22 @@ class FrequencyQuadrature:
         return self._j_over_w(w) * coth(0.5 * self.beta * w)
 
     def g(self, t):
-        return _rows(self._g, *_check_times(t))
+        return _rows(self._g, *self._times_in_domain(t))
 
     def gdot(self, t):
-        return _rows(self._gdot, *_check_times(t))
+        return _rows(self._gdot, *self._times_in_domain(t))
+
+    def _times_in_domain(self, t) -> tuple[np.ndarray, bool]:
+        """_check_times, then DephaserError at the first time 0 < t < t_min of a Brownian density."""
+        ts, scalar = _check_times(t)
+        if self.bath is not None:
+            low = ts[(ts > 0.0) & (ts < self._t_min)]
+            if low.size:
+                raise DephaserError(
+                    f"time {float(low[0])!r} is below the validated domain of freq-quad, "
+                    f"t >= {_FQ_MIN_TW:g} / w_split = {self._t_min!r}"
+                )
+        return ts, scalar
 
     def _g(self, t: float) -> complex:
         if t == 0.0:
@@ -471,39 +475,26 @@ class TimeDomainQuadrature:
         self.beta = beta
         self.bath = _brownian_bath(sd, beta)
         if self.bath is not None:
-            self._corr = BrownianCorrelation(self.bath.eta, self.bath.gamma, beta)
+            self._corr = BrownianCorrelation(self.bath)
         else:
             therm = sd.values * coth(0.5 * beta * sd.omega)
             self._corr = lambda u: _tabulated_grid(sd, therm, u)
 
     def g(self, t):
-        return _rows(self._g, *_check_times(t))
+        return _rows(lambda s: self._integral(s, False), *_check_times(t))
 
     def gdot(self, t):
-        return _rows(self._gdot, *_check_times(t))
+        return _rows(lambda s: self._integral(s, True), *_check_times(t))
 
-    def _g(self, t: float) -> complex:
+    def _integral(self, t: float, derivative: bool) -> complex:
+        """int_0^t w(u) L(u) du with w = t - u (g) or 1 (gdot); Re and Im integrated apart."""
         if t == 0.0:
             return 0j
         corr = self._corr
-        re = integrate_finite(
-            lambda u: (t - u) * corr(u).real, 0.0, t, epsabs=1e-11, epsrel=1e-11, tag="Re g"
-        )
-        im = integrate_finite(
-            lambda u: (t - u) * corr(u).imag, 0.0, t, epsabs=1e-11, epsrel=1e-11, tag="Im g"
-        )
-        return complex(re, im)
-
-    def _gdot(self, t: float) -> complex:
-        if t == 0.0:
-            return 0j
-        corr = self._corr
-        re = integrate_finite(
-            lambda u: corr(u).real, 0.0, t, epsabs=1e-11, epsrel=1e-11, tag="Re gdot"
-        )
-        im = integrate_finite(
-            lambda u: corr(u).imag, 0.0, t, epsabs=1e-11, epsrel=1e-11, tag="Im gdot"
-        )
+        w = (lambda u: 1.0) if derivative else (lambda u: t - u)
+        name = "gdot" if derivative else "g"
+        re = integrate_finite(lambda u: w(u) * corr(u).real, 0.0, t, epsabs=1e-11, epsrel=1e-11, tag=f"Re {name}")
+        im = integrate_finite(lambda u: w(u) * corr(u).imag, 0.0, t, epsabs=1e-11, epsrel=1e-11, tag=f"Im {name}")
         return complex(re, im)
 
 

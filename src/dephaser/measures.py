@@ -234,10 +234,10 @@ def _growth_runs(evaluator, scenario, t_max: float):
 
 
 def _weights(evaluator, scenario, runs):
-    """e^{-2E} at the ends and at the starts of the growth runs."""
-    w_end = [math.exp(-2.0 * decay_exponent(evaluator, scenario, e)) for _, e in runs]
-    w_start = [math.exp(-2.0 * decay_exponent(evaluator, scenario, s)) for s, _ in runs]
-    return w_end, w_start
+    """e^{-2E} at the ends and at the starts of the growth runs, from one decay_exponent_grid call."""
+    ends_starts = [e for _, e in runs] + [s for s, _ in runs]
+    w = [math.exp(-2.0 * e) for e in decay_exponent_grid(evaluator, scenario, ends_starts).tolist()]
+    return w[: len(runs)], w[len(runs) :]
 
 
 def _gain(dp2, dc2, w_end, w_start):

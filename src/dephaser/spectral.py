@@ -40,6 +40,9 @@ from .errors import DephaserError, ExtrapolationError
 # a Matsubara frequency and the resonant term is replaced by its limit.
 RESONANCE_RTOL = 1e-6
 
+# Exponentials e^-x are dead (below about 3e-20) past this x: the Li_3 series and the Matsubara tail stop there.
+_EXP_DEAD = 45.0
+
 _L0_DIVERGES = "Re L(t) of the Brownian bath diverges logarithmically as t -> 0; L(0) is undefined"
 
 _ZETA3 = 1.2020569031595942854
@@ -88,7 +91,7 @@ def trilog_exp(x: float) -> float:
     whose x^2 log x term carries the branch point.
     """
     if x >= 1.0:
-        n = np.arange(1.0, math.ceil(45.0 / x) + 1.0)
+        n = np.arange(1.0, math.ceil(_EXP_DEAD / x) + 1.0)
         return float(np.sum(np.exp(-n * x) / n**3))
     acc = 0.5 * x * x * (1.5 - math.log(x)) + _ZETA3 - _ZETA2 * x
     term = 0.5 * x * x  # (-x)^k / k! at k = 2
@@ -199,14 +202,14 @@ class BrownianCorrelation:
     x = 2 pi t / beta, leaving an n^-5 correction series that converges
     in a few hundred terms independently of t.  A pole degenerate with a
     thermal frequency is replaced by the finite limit of the combined
-    resonant pair.
+    resonant pair.  Takes the bath as a BathParams, which has checked it.
     """
 
     _TAIL_TOL = 1e-14
 
-    def __init__(self, eta: float, gamma: float, beta: float):
-        self.bath = p = BathParams(eta, gamma, float(beta))
-        beta = p.beta
+    def __init__(self, bath: BathParams):
+        self.bath = p = bath
+        eta, gamma, beta = p.eta, p.gamma, p.beta
         a = p.pole_ratio
         self.res_index = p.res_index
 
@@ -311,7 +314,7 @@ def correlation_function(sd, beta: float, t: float, route: str | None = None) ->
     if bath is None:
         return _tabulated_grid(sd, sd.values * coth(0.5 * beta * sd.omega), t)
     if route in (None, "analytic"):
-        return BrownianCorrelation(bath.eta, bath.gamma, beta)(t)
+        return BrownianCorrelation(bath)(t)
     if route == "quadrature":
         if t == 0.0:
             raise DephaserError(_L0_DIVERGES)

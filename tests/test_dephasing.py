@@ -1,12 +1,19 @@
 """Lineshape function engines: agreement, limits, truncation, resonance."""
 
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from _oracle import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dephaser
 from dephaser.dephasing import (
     BrownianMatsubara,
     FrequencyQuadrature,
@@ -325,3 +332,54 @@ def test_time_quad_at_subnormal_time_raises_dephaser_error():
     for fn in (tq.g, tq.gdot):
         with pytest.raises(DephaserError, match="diverges"):
             fn(5e-324)
+
+
+def test_freq_quad_raises_below_its_domain():
+    # below t w_split = 3e-4 (t = 3e-5 here) its Re g is off by 4e-6 and worse; the tabulated path has no bound
+    ev = FrequencyQuadrature(OverdampedBrownian(BATH), BATH.beta)
+    t_min = 3e-4 / ev.w_split
+    for fn in (ev.g, ev.gdot):
+        for bad in (math.nextafter(t_min, 0.0), 1e-10, 5e-324):
+            for times in (bad, np.array([1.0, bad, 0.0])):
+                with pytest.raises(DephaserError, match=re.escape(f"time {bad!r} is below the validated domain")):
+                    fn(times)
+        assert fn(0.0) == 0j
+        assert np.all(np.isfinite(fn(np.array([0.0, t_min]))))
+    w = np.geomspace(1e-3, 100.0, 50)
+    tab = FrequencyQuadrature(TabulatedSpectralDensity(w, OverdampedBrownian(BATH).j(w)), BATH.beta)
+    assert math.isfinite(tab.g(1e-10).real) and math.isfinite(tab.gdot(1e-10).real)
+
+
+@pytest.mark.parametrize("beta, gamma", [(1.0, 0.5), (100.0, 1.3), (0.2, 1.2), (30.0, 0.3)])
+def test_freq_quad_matches_the_series_at_its_domain_edge(beta, gamma):
+    # measured: Re g within 4.3e-8 at t w_split = 3e-4 and 6.6e-9 at 1e-3; Re gdot within 4e-13
+    ev = FrequencyQuadrature(OverdampedBrownian(BathParams(1.0, gamma, beta)), beta)
+    for tw, rtol in ((3e-4, 1e-7), (1e-3, 1e-8)):
+        t = tw / ev.w_split
+        re_g, re_gdot = reference(1.0, gamma, beta, t)
+        assert abs(ev.g(t).real - re_g) <= rtol * abs(re_g)
+        assert abs(ev.gdot(t).real - re_gdot) <= 1e-11 * abs(re_gdot)
+
+
+def _child(*args):
+    """python *args in a child process with dephaser importable, so that a crash is an exit code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dephaser.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_freq_quad_at_subnormal_time_raises_instead_of_crashing():
+    # QAWF segfaulted here (exit 139); now the domain check raises before any integral
+    proc = _child(
+        "-c",
+        "from dephaser import *\n"
+        "ev = FrequencyQuadrature(OverdampedBrownian(BathParams(1.0, 0.5, 1.0)), 1.0)\n"
+        "try:\n    ev.gdot(2.2250738585072014e-308)\nexcept DephaserError as exc:\n    print(exc)",
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert "2.2250738585072014e-308 is below the validated domain" in proc.stdout
+    proc = _child("-m", "dephaser.cli", "gfun", "--engine", "freq-quad", "--tmax", "1e-323", "--points", "3")
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    record = json.loads(proc.stderr)["error"]
+    assert record["type"] == "DephaserError"
+    assert "validated domain" in record["message"]

@@ -130,7 +130,7 @@ _RESONANT_BATHS = [
 def test_resonant_correlation_matches_quadrature(gamma, bound, res_index):
     beta = 4.0 * math.pi
     p = BathParams(eta=1.0, gamma=gamma, beta=beta)
-    assert BrownianCorrelation(p.eta, p.gamma, beta).res_index == res_index
+    assert BrownianCorrelation(p).res_index == res_index
     assert BrownianMatsubara(p).res_index == res_index
     sd = OverdampedBrownian(p)
     for t in (0.05, 0.3, 1.0, 3.0):
@@ -148,7 +148,7 @@ def test_brownian_correlation_at_zero_raises(route, gamma):
     with pytest.raises(DephaserError, match="diverges"):
         correlation_function(sd, beta, 0.0, route=route)
     with pytest.raises(DephaserError, match="diverges"):
-        BrownianCorrelation(1.0, gamma, beta)(0.0)
+        BrownianCorrelation(BathParams(1.0, gamma, beta))(0.0)
 
 
 def test_correlation_imag_jump_at_origin():
@@ -189,7 +189,7 @@ def test_correlation_negative_time_rejected():
     with pytest.raises(ValueError):
         correlation_function(sd, BATH.beta, -0.1)
     with pytest.raises(ValueError):
-        BrownianCorrelation(1.0, 0.5, 1.0)(-1.0)
+        BrownianCorrelation(BathParams(1.0, 0.5, 1.0))(-1.0)
 
 
 @pytest.mark.parametrize("route", ["analytic", "quadrature", "tabulated"])
@@ -215,7 +215,7 @@ def test_brownian_correlation_rejects_bad_parameters(which, bad):
     args = [1.0, 0.5, 1.0]
     args[which] = bad
     with pytest.raises(ValueError, match=("eta", "gamma", "beta")[which]):
-        BrownianCorrelation(*args)
+        BrownianCorrelation(BathParams(*args))
 
 
 def test_correlation_unknown_route_rejected():
