@@ -10,6 +10,9 @@ evaluators are provided:
   * BrownianMatsubara: the pole-plus-Matsubara series with the dropped
     n > K thermal remainder resummed exactly through digamma closed forms
     (include_tail=True, the default) or truncated strictly at K terms.
+    Its digamma is spectral._digamma, a pure-Python port of scipy's with
+    the same bits, so this engine and HighTemperatureBrownian load no
+    scipy; only the two quadrature engines do.
   * HighTemperatureBrownian: the beta*gamma -> 0 closed form.
   * FrequencyQuadrature: direct adaptive integration of the spectral
     representation, with the oscillatory tails handled by a dedicated
@@ -47,6 +50,7 @@ from .spectral import (
     _brownian_bath,
     _check_beta,
     _check_time,
+    _digamma,
     _split_frequency,
     _tabulated_grid,
     coth,
@@ -135,7 +139,8 @@ class BrownianMatsubara:
 
     With include_tail=True (default) the n > K remainder is evaluated
     exactly: live exponentials are accumulated until they underflow and
-    the linear-in-t rest has a digamma closed form.  include_tail=False
+    the linear-in-t rest has a digamma closed form (spectral._digamma,
+    which gives scipy.special.digamma's bits).  include_tail=False
     keeps exactly the K explicit terms; matsubara_remainder reports what
     that truncation drops.
 
@@ -155,11 +160,6 @@ class BrownianMatsubara:
         self.include_tail = include_tail
         eta, gamma, beta = bath.eta, bath.gamma, bath.beta
         k = bath.matsubara_terms
-        # bound here, once, so that importing dephaser loads no scipy
-        from scipy.special import digamma
-
-        self._digamma = digamma
-
         m = self.res_index = bath.res_index
         if m > k:
             raise ResonanceError(
@@ -182,6 +182,10 @@ class BrownianMatsubara:
         self._neg_nu = -self.nu
         self._neg_cnu = -self.cnu
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
+        # a = beta gamma / 2 pi and the prefactors of the digamma sums of _tail_sums
+        self._a = a = bath.pole_ratio
+        self._s1_amp = eta * gamma * beta / math.pi**2
+        self._s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2
         self._s0_k, self._s1_k = self._tail_sums(k)
         # nu_n, c_n and -c_n nu_n for the first n > K, computed when a time first needs them
         self._tail_cache = {}
@@ -192,12 +196,11 @@ class BrownianMatsubara:
         c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)).  Both sums telescope
         to digamma differences; exact for any m >= the resonant index.
         """
-        p, digamma = self.bath, self._digamma
-        eta, gamma, beta, a = p.eta, p.gamma, p.beta, p.pole_ratio
-        above, below = digamma(m + 1 + a), digamma(m + 1 - a)
-        s1 = (eta * gamma * beta / math.pi**2) * (above - below) / (2.0 * a)
-        s0 = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2 * (digamma(m + 1.0) - 0.5 * (below + above))
-        return float(s0), float(s1)
+        a, n = self._a, m + 1.0
+        above, below = _digamma(n + a), _digamma(n - a)
+        s1 = self._s1_amp * (above - below) / (2.0 * a)
+        s0 = self._s0_amp * (_digamma(n) - 0.5 * (below + above))
+        return s0, s1
 
     def _tail_terms(self, name: str, lo: int, hi: int) -> np.ndarray:
         """nu_n ("nu"), c_n ("c") or -c_n nu_n ("ncnu") for n = K+1+lo, ..., K+hi.

@@ -190,7 +190,7 @@ class NonMarkovResult:
 
 
 def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Root of f in [lo, hi] given a sign change, bisected to width tol."""
+    """Root of f in [lo, hi] given a sign change, bisected to width tol; a Python float."""
     neg_lo = f_lo < 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -198,7 +198,7 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float) -> flo
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
 
 
 def _growth_runs(evaluator, scenario, t_max: float):

@@ -579,20 +579,26 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, loaded, absent",
+    "argv, loaded",
     [
-        (["echo", "--points", "3"], ["scipy.special"], ["scipy.integrate"]),
-        (["figures", "trd2t", "--points", "3"], [], ["scipy", "scipy.special", "scipy.integrate"]),
-        (["gfun", "--engine", "hight", "--points", "3"], [], ["scipy"]),
-        (["gfun", "--engine", "time-quad", "--points", "3"], ["scipy.integrate"], []),
+        (["echo", "--points", "3"], []),
+        (["figures", "trd2t", "--points", "3"], []),
+        (["figures", "trd", "--points", "3"], []),
+        (["gfun", "--points", "3"], []),
+        (["gfun", "--engine", "hight", "--points", "3"], []),
+        (["measure", "--t1", "1"], []),
+        (["trdist", "--t1", "1", "--points", "3"], []),
+        (["gfun", "--engine", "time-quad", "--points", "3"], ["scipy.integrate"]),
     ],
-    ids=["echo", "trd2t", "hight", "time-quad"],
+    ids=["echo", "trd2t", "trd", "gfun", "hight", "measure", "trdist", "time-quad"],
 )
-def test_cli_commands_load_only_the_scipy_they_call(tmp_path, argv, loaded, absent):
+def test_cli_commands_load_only_the_scipy_they_call(tmp_path, argv, loaded):
+    # the analytic and hight engines load no scipy at all; a quadrature engine loads what it calls
     report = _loaded_modules(tmp_path, _MODULES_AFTER_CLI, argv)
     assert report["rc"] == 0
     assert (tmp_path / "out.txt").stat().st_size > 0
-    for name in loaded:
-        assert name in report["modules"]
-    for name in absent:
-        assert name not in report["modules"]
+    scipy = [m for m in report["modules"] if m == "scipy" or m.startswith("scipy.")]
+    if loaded:
+        assert set(loaded) <= set(scipy)
+    else:
+        assert scipy == []

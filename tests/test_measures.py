@@ -166,6 +166,17 @@ def test_k100_prepared_measure_frozen_values():
     assert not res.truncated
 
 
+@pytest.mark.parametrize("engine", [BrownianMatsubara, HighTemperatureBrownian])
+@pytest.mark.parametrize("t_max", [None, 0.3])
+def test_growth_intervals_hold_plain_floats(engine, t_max):
+    # a bisected run end is a Python float like the scan edges 0.0 and t_max, not np.float64
+    res = non_markovianity(SYS, engine(BATH), Prepared(1.0), t_max=t_max)
+    assert res.intervals
+    for iv in res.intervals:
+        assert [type(v) for v in (iv.t_start, iv.t_end, iv.delta_d)] == [float, float, float]
+    assert "np." not in repr(res.intervals)
+
+
 def test_growth_intervals_standalone():
     ht = HighTemperatureBrownian(BATH)
     ivs = growth_intervals(ht, Prepared(1.0), t_max=10.0)

@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
+# scipy stays a dependency of the quadrature engines, so its digamma can pin the port
+from scipy.special import digamma as scipy_digamma
+
 from dephaser.dephasing import BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
+    _PSI_NEGROOT,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
     TabulatedSpectralDensity,
+    _digamma,
     correlation_function,
     coth,
     trilog_exp,
@@ -106,6 +111,80 @@ def test_trilog_known_value_and_branch_continuity():
     # -Li_2(1/e), so a 1e-12 straddle moves the value by under 1e-12
     assert trilog_exp(1.0 - 1e-12) == pytest.approx(trilog_exp(1.0 + 1e-12), abs=2e-12)
     assert trilog_exp(1e-10) == pytest.approx(zeta3, rel=1e-9)
+
+
+_RNG = np.random.default_rng(20261018)
+_WINDOW_EDGES = [
+    float(x)
+    for edge in (_PSI_NEGROOT - 0.3, _PSI_NEGROOT + 0.3)
+    for x in (np.nextafter(np.nextafter(edge, -1.0), -1.0), np.nextafter(edge, -1.0), edge, np.nextafter(edge, 1.0))
+]
+# every branch of scipy's real digamma: asymptotic series, recurrence into [1, 2], harmonic sums,
+# reflection, and the Taylor series about the negative root
+_DIGAMMA_SETS = {
+    "log-uniform 1e-6..1e7": 10.0 ** _RNG.uniform(-6.0, 7.0, 20000),
+    "from 1e17": np.concatenate([[np.nextafter(1e17, 0.0), 1e17], 10.0 ** _RNG.uniform(17.0, 308.0, 2000)]),
+    "integers 1..12": np.arange(1.0, 13.0),
+    "[1, 2]": np.concatenate([[1.0, np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0), 2.0], _RNG.uniform(1.0, 2.0, 10000)]),
+    "negative to -3e4": -(10.0 ** _RNG.uniform(-6.0, math.log10(3e4), 20000)),
+    "near negative integers": -np.arange(1.0, 40.0)[:, None] + np.array([-1e-9, -1e-3, 1e-3, 1e-9, 0.5]),
+    "root window": np.linspace(-0.804, -0.204, 6001),
+    "root window edges": np.array(_WINDOW_EDGES),
+}
+
+
+@pytest.mark.parametrize("xs", _DIGAMMA_SETS.values(), ids=_DIGAMMA_SETS.keys())
+def test_digamma_port_matches_scipy_bit_for_bit(xs):
+    xs = np.ravel(xs)
+    got = np.array([_digamma(x) for x in xs.tolist()])
+    differ = xs[got.view(np.uint64) != scipy_digamma(xs).view(np.uint64)]
+    assert differ.size == 0, f"{differ.size} of {xs.size} differ, the first at x = {differ[0]!r}"
+
+
+def test_digamma_port_at_poles_and_non_finite_arguments():
+    # the poles give what scipy gives: -inf at +0, +inf at -0, nan at a negative integer
+    for x in (0.0, -0.0, -1.0, -2.0, -12.0, -3e4, -2.0**52, math.inf, math.nan):
+        got, want = _digamma(x), float(scipy_digamma(x))
+        if math.isnan(want):
+            assert math.isnan(got), x
+        else:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x
+    with pytest.raises(ValueError):
+        _digamma(-math.inf)
+
+
+def _scipy_tail_sums(bath, m):
+    """(S0, S1) of BrownianMatsubara._tail_sums, written with scipy's digamma."""
+    eta, gamma, beta, a = bath.eta, bath.gamma, bath.beta, bath.pole_ratio
+    above, below = scipy_digamma(m + 1 + a), scipy_digamma(m + 1 - a)
+    s1 = (eta * gamma * beta / math.pi**2) * (above - below) / (2.0 * a)
+    s0 = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2 * (scipy_digamma(m + 1.0) - 0.5 * (below + above))
+    return float(s0), float(s1)
+
+
+@pytest.mark.parametrize(
+    "bath, in_path, res_index",
+    [
+        (BathParams(1.0, 0.5, 1.0), lambda x: x > 10.0, 0),
+        # a = 267 > K + 1, so m + 1 - a < 0: the reflection
+        (BathParams(1.0, 1.8, 933.0), lambda x: x < 0.0, 0),
+        # a = 101.5, so K + 1 - a = -0.5 lies in the window about the negative root
+        (BathParams(1.0, 1.0, 2.0 * math.pi * 101.5), lambda x: abs(x - _PSI_NEGROOT) < 0.3, 0),
+        (BathParams(1.0, 1.0, 4.0 * math.pi), lambda x: x > 10.0, 2),
+    ],
+    ids=["warm", "cold a > K + 1", "root window", "resonant"],
+)
+def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
+    ev = BrownianMatsubara(bath)
+    k = bath.matsubara_terms
+    assert in_path(k + 1 - bath.pole_ratio)
+    assert ev.res_index == res_index
+    live_stops = sorted({ev._live_stop(f * bath.beta) for f in np.geomspace(1e-4, 0.1, 7)} - {0})
+    assert len(live_stops) >= 4
+    for m in [k] + live_stops:
+        got = ev._tail_sums(m)
+        assert got == _scipy_tail_sums(bath, m), m
+        assert [type(v) for v in got] == [float, float]
 
 
 def test_correlation_analytic_matches_quadrature():
