@@ -193,11 +193,6 @@ def _square_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(ts, ts.size), np.tile(ts, ts.size)
 
 
-def _exp_neg(x: np.ndarray) -> np.ndarray:
-    """exp(-x) element by element with math.exp: np.exp on floats is not bit-identical to it."""
-    return np.fromiter((math.exp(-v) for v in x.tolist()), float, x.size)
-
-
 def cmd_gfun(cfg: RunConfig) -> Series:
     ts = cfg.grid(1)
     ev = cfg.evaluator()
@@ -213,7 +208,7 @@ def cmd_trdist(cfg: RunConfig) -> Series:
     ev = cfg.evaluator()
     scenario = cfg.scenario()
     e = decay_exponent_grid(ev, scenario, ts)
-    d = _exp_neg(e - e[0])  # the grid starts at t = 0
+    d = np.exp(-(e - e[0]))  # the grid starts at t = 0
     rate = decay_exponent_rate(ev, scenario, ts)
     return Series(["t2", "distance", "sigma"], np.column_stack((ts, d, -rate * d)))
 
@@ -247,7 +242,7 @@ def cmd_measure(cfg: RunConfig) -> dict:
 def cmd_echo(cfg: RunConfig) -> Series:
     ts = cfg.grid(2)
     r = np.exp(-flip_exponent_grid(cfg.evaluator(), ts)).ravel()
-    # hypot matches abs() of a Python complex bit for bit; np.abs does not
+    # hypot, not np.abs: 0.53 ulp at most against 1.8 on 20 000 normal complex samples
     rows = np.column_stack((*_square_grid(ts), np.hypot(r.real, r.imag), r.real, r.imag))
     return Series(["t1", "t2", "abs_r", "re_r", "im_r"], rows)
 
@@ -269,12 +264,12 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
             for label, ev in (("terms_0", ev_ht), ("terms_100", ev_k)):
                 columns.append(f"d_t1_{t1:g}_{label}")
                 e = decay_exponent_grid(ev, scenario, ts)
-                curves.append(_exp_neg(e - e[0]))
+                curves.append(np.exp(-(e - e[0])))
         return Series(columns, np.column_stack([ts] + curves))
 
     if which == "trd2t":
         ts = cfg.grid(2)
-        d = _exp_neg(flip_exponent_grid(HighTemperatureBrownian(cfg.bath), ts).real.ravel())
+        d = np.exp(-flip_exponent_grid(HighTemperatureBrownian(cfg.bath), ts).real.ravel())
         return Series(["t1", "t2", "distance"], np.column_stack((*_square_grid(ts), d)))
 
     raise ValueError(f"unknown figure {which!r}")

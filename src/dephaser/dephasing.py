@@ -10,9 +10,8 @@ evaluators are provided:
   * BrownianMatsubara: the pole-plus-Matsubara series with the dropped
     n > K thermal remainder resummed exactly through digamma closed forms
     (include_tail=True, the default) or truncated strictly at K terms.
-    Its digamma is spectral._digamma, a pure-Python port of scipy's with
-    the same bits, so this engine and HighTemperatureBrownian load no
-    scipy; only the two quadrature engines do.
+    Its digamma is spectral._digamma, so it and HighTemperatureBrownian
+    load no scipy; only the two quadrature engines do.
   * HighTemperatureBrownian: the beta*gamma -> 0 closed form.
   * FrequencyQuadrature: direct adaptive integration of the spectral
     representation, with the oscillatory tails handled by a dedicated
@@ -98,19 +97,18 @@ def _rows(row, ts: np.ndarray, scalar: bool, *columns):
     return next(values) if scalar else np.fromiter(values, complex, ts.size)
 
 
-def _pairwise_sum(terms, lo: int, hi: int):
-    """np.add.reduce over the 1-d block terms(lo, hi), built at most _TABLE_BUDGET terms at a time.
+def _complex(re: np.ndarray, im: np.ndarray, scalar: bool):
+    """re + i im: a Python complex when the times were a scalar, a complex array otherwise."""
+    out = re.astype(complex)
+    out.imag = im
+    return complex(out[0]) if scalar else out
 
-    numpy sums a contiguous block pairwise: above 128 terms it adds the sums
-    of the first n2 and of the other terms, n2 being n // 2 rounded down to a
-    multiple of 8.  Splitting at the same points until a part fits the
-    budget gives the bits of one reduce over the whole block.
-    """
-    n = hi - lo
-    if n <= _TABLE_BUDGET:
-        return np.add.reduce(terms(lo, hi))
-    n2 = n // 2 - (n // 2) % 8
-    return _pairwise_sum(terms, lo, lo + n2) + _pairwise_sum(terms, lo + n2, hi)
+
+def _normal(value: float, what: str) -> float:
+    """value when it is a normal float; DephaserError when the arithmetic that gave it over- or underflowed."""
+    if not np.finfo(float).smallest_normal <= abs(value) < math.inf:
+        raise DephaserError(f"{what} = {value!r} leaves the normal floats: the bath is outside this engine's range")
+    return value
 
 
 def _series_terms(neg_x, coef, derivative: bool):
@@ -139,14 +137,17 @@ class BrownianMatsubara:
 
     With include_tail=True (default) the n > K remainder is evaluated
     exactly: live exponentials are accumulated until they underflow and
-    the linear-in-t rest has a digamma closed form (spectral._digamma,
-    which gives scipy.special.digamma's bits).  include_tail=False
-    keeps exactly the K explicit terms; matsubara_remainder reports what
-    that truncation drops.
+    the linear-in-t rest has a digamma closed form (spectral._digamma).
+    include_tail=False keeps exactly the K explicit terms;
+    matsubara_remainder reports what that truncation drops.
 
     A pole degenerate with nu_m (BathParams.res_index = m) has its
     diverging cot and series terms replaced by their combined finite
     limit, which requires m <= K.
+
+    The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi,
+    which S0 divides by) or nu_K^2 (in c_K) leaves the normal floats:
+    beta gamma < 9.4e-154 or 2 pi K / beta > 1.3e154.
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms
     of all times are one times x K table, summed row by row; the pole
@@ -167,7 +168,11 @@ class BrownianMatsubara:
                 f"nu_{m}; increase matsubara_terms to at least {m} (got {k})"
             )
 
+        self._a = a = bath.pole_ratio
+        a2 = _normal(a**2, "(beta gamma / 2 pi)^2")
         self.nu = bath.matsubara_frequency(np.arange(1.0, k + 1.0))
+        if k:
+            _normal(float(self.nu[-1]) * float(self.nu[-1]), "nu_K^2")
         with np.errstate(divide="ignore"):
             c = 4.0 * eta * gamma / (beta * self.nu * (self.nu**2 - gamma**2))
         if m:
@@ -182,24 +187,24 @@ class BrownianMatsubara:
         self._neg_nu = -self.nu
         self._neg_cnu = -self.cnu
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        # a = beta gamma / 2 pi and the prefactors of the digamma sums of _tail_sums
-        self._a = a = bath.pole_ratio
+        # the prefactors of the digamma sums of _tail_sums
         self._s1_amp = eta * gamma * beta / math.pi**2
-        self._s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2
+        self._s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a2
         self._s0_k, self._s1_k = self._tail_sums(k)
         # nu_n, c_n and -c_n nu_n for the first n > K, computed when a time first needs them
         self._tail_cache = {}
 
-    def _tail_sums(self, m: int) -> tuple[float, float]:
-        """(S0, S1) with S0 = sum_{n>m} c_n and S1 = sum_{n>m} c_n nu_n.
+    def _tail_sums(self, m: int, derivative: bool = False) -> tuple[float, float]:
+        """(S0, S1) with S0 = sum_{n>m} c_n and S1 = sum_{n>m} c_n nu_n; S0 is nan when derivative.
 
         c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)).  Both sums telescope
-        to digamma differences; exact for any m >= the resonant index.
+        to digamma differences; exact for any m >= the resonant index.  gdot
+        needs S1 only, so derivative skips the digamma of S0.
         """
         a, n = self._a, m + 1.0
         above, below = _digamma(n + a), _digamma(n - a)
         s1 = self._s1_amp * (above - below) / (2.0 * a)
-        s0 = self._s0_amp * (_digamma(n) - 0.5 * (below + above))
+        s0 = math.nan if derivative else self._s0_amp * (_digamma(n) - 0.5 * (below + above))
         return s0, s1
 
     def _tail_terms(self, name: str, lo: int, hi: int) -> np.ndarray:
@@ -233,11 +238,10 @@ class BrownianMatsubara:
         return 0 if n_osc <= k else min(n_osc, k + _BLOCK_CAP)
 
     def _tail(self, t: float, derivative: bool) -> float:
-        """The n > K part of g(t), or of gdot(t): the live terms summed pairwise, then the digamma rest.
+        """The n > K part of g(t), or of gdot(t): the live terms, then the digamma rest.
 
         The coefficients of the live terms are cached up to _TAIL_CACHE of
-        them, grown to what the block needs.  The block is built
-        _TABLE_BUDGET terms at a time and summed as one np.sum of it is.
+        them; the block is built and summed _TABLE_BUDGET terms at a time.
         """
         n_stop = self._live_stop(t)
         if not n_stop:
@@ -249,11 +253,12 @@ class BrownianMatsubara:
             if cached is None or cached.size < min(m, _TAIL_CACHE):
                 self._tail_cache[name] = self._tail_terms(name, 0, min(m, _TAIL_CACHE))
 
-        def terms(lo, hi):
-            return _series_terms(self._tail_terms("nu", lo, hi) * -t, self._tail_terms(coef_name, lo, hi), derivative)
-
-        block = float(_pairwise_sum(terms, 0, m))
-        s0, s1 = self._tail_sums(n_stop)
+        block = 0.0
+        for lo in range(0, m, _TABLE_BUDGET):
+            hi = min(lo + _TABLE_BUDGET, m)
+            terms = _series_terms(self._tail_terms("nu", lo, hi) * -t, self._tail_terms(coef_name, lo, hi), derivative)
+            block += float(np.add.reduce(terms))
+        s0, s1 = self._tail_sums(n_stop, derivative)
         return block + s1 if derivative else block + t * s1 - s0
 
     def _explicit(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
@@ -325,28 +330,28 @@ class BrownianMatsubara:
 class HighTemperatureBrownian:
     """beta*gamma -> 0 closed form: g(t) = (2 eta/(beta gamma^2) - i eta/gamma) h(gamma t).
 
-    g and gdot take a time or a 1-d array of times.
+    g and gdot take a time or a 1-d array of times, computed on the whole
+    array.  DephaserError where beta gamma^2, beta gamma or 2 eta over either
+    leaves the normal floats (magnitude below 2.2e-308, or infinite).
     """
 
     def __init__(self, bath: BathParams):
         self.bath = bath
         self.beta = bath.beta
+        eta, gamma, beta = bath.eta, bath.gamma, bath.beta
+        self._g_amp = _normal(2.0 * eta / _normal(beta * gamma**2, "beta gamma^2"), "2 eta / (beta gamma^2)")
+        self._gdot_amp = _normal(-2.0 * eta / _normal(beta * gamma, "beta gamma"), "2 eta / (beta gamma)")
 
     def g(self, t):
-        return _rows(self._g_row, *_check_times(t))
+        ts, scalar = _check_times(t)
+        p = self.bath
+        hg = np.expm1(-p.gamma * ts) + p.gamma * ts
+        return _complex(self._g_amp * hg, -(p.eta / p.gamma) * hg, scalar)
 
     def gdot(self, t):
-        return _rows(self._gdot_row, *_check_times(t))
-
-    def _g_row(self, t: float) -> complex:
-        p = self.bath
-        hg = math.expm1(-p.gamma * t) + p.gamma * t
-        return complex(2.0 * p.eta / (p.beta * p.gamma**2) * hg, -(p.eta / p.gamma) * hg)
-
-    def _gdot_row(self, t: float) -> complex:
-        p = self.bath
-        em = math.expm1(-p.gamma * t)
-        return complex(-2.0 * p.eta / (p.beta * p.gamma) * em, p.eta * em)
+        ts, scalar = _check_times(t)
+        em = np.expm1(-self.bath.gamma * ts)
+        return _complex(self._gdot_amp * em, self.bath.eta * em, scalar)
 
 
 class FrequencyQuadrature:

@@ -11,10 +11,11 @@ overdamped Brownian form
     J(w) = 2 eta w gamma / (w^2 + gamma^2)
 
 L(t) has a pole-plus-Matsubara expansion whose thermal sum this module
-evaluates in closed form (a log term, a trilogarithm term, and a fast
-n^-5 correction series), so the analytic route costs microseconds per
-point at machine accuracy.  Tabulated spectral densities are integrated
-on their own grid.
+evaluates as a log term, a trilogarithm term and an n^-5 correction
+series cut at 50 000 terms, too few at low temperature: against a
+40-digit Lerch-phi sum (eta 1, gamma 0.5, t 2) Re L is off by 2e-5 at
+beta = 2e5 (1e-4 of |L|) and by 0.27 at beta = 1e6.  Tabulated spectral
+densities are integrated on their own grid.
 
 Re L(t) diverges logarithmically as t -> 0 for the Brownian form (the
 integrand falls off only as 1/w), so L(0) raises DephaserError there;
@@ -28,7 +29,6 @@ them.  The analytic L here and the g engines of dephasing read them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -104,126 +104,24 @@ def trilog_exp(x: float) -> float:
     return acc
 
 
-# Constants of the real digamma that scipy runs (xsf digamma -> cephes psi), so that _digamma
-# has its bits.  Boost's rational form on [1, 2]: psi(x) = (x - root) (Y + P(x-1)/Q(x-1)), the
-# positive root split into three parts; P and Q hold the highest power first.
-_PSI_ROOT = (
-    1569415565.0 / 1073741824.0,
-    (381566830.0 / 1073741824.0) / 1073741824.0,
-    0.9016312093258695918615325266959189453125e-19,
-)
-_PSI_Y = 0.99558162689208984  # a float32 in Boost, exact here
-_PSI_P = (
-    -0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
-    -0.65031853770896507, -0.32555031186804491, 0.25479851061131551,
-)
-_PSI_Q = (
-    -0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
-    0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0,
-)
-# The negative root x0 of digamma and psi(x0); within 0.3 of it digamma is a Taylor series in x - x0.
-_PSI_NEGROOT = -0.504083008264455409
-_PSI_NEGROOT_VALUE = 7.2897639029768949e-17
-_EULER_GAMMA = 0.577215664901532860606512090082402431
-# (2k)! / B_2k, the Euler-Maclaurin coefficients of cephes' Hurwitz zeta
-_ZETA_EM = (
-    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9, 7.47242496e10,
-    -2.950130727918164224e12, 1.1646782814350067249e14, -4.5979787224074726105e15,
-    1.8152105401943546773e17, -7.1661652561756670113e18,
-)
-_MACHEP = 2.0**-53
-
-
-def _polevl(x: float, coef) -> float:
-    """Horner's rule over coef, highest power first, as cephes' polevl runs it."""
-    acc = coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
-@functools.cache
-def _negroot_zeta(n: int) -> float:
-    """Hurwitz zeta(n + 1, x0) at the negative root x0 of digamma, by cephes' Euler-Maclaurin sum."""
-    s, q = n + 1.0, _PSI_NEGROOT
-    acc, a, i, b = math.pow(q, -s), q, 0, 0.0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = math.pow(a, -s)
-        acc += b
-        if abs(b / acc) < _MACHEP:
-            return acc
-    w = a
-    acc += b * w / (s - 1.0)
-    acc -= 0.5 * b
-    a, k = 1.0, 0.0
-    for coef in _ZETA_EM:
-        a *= s + k
-        b /= w
-        term = a * b / coef
-        acc += term
-        if abs(term / acc) < _MACHEP:
-            return acc
-        k += 1.0
-        a *= s + k
-        b /= w
-        k += 1.0
-    return acc
-
-
 def _digamma(x: float) -> float:
-    """digamma(x), bit for bit the value scipy.special.digamma gives, in pure Python.
+    """digamma(x) in pure Python: within 8 ulp of max(|digamma|, 1) for x > 0.
 
-    A port of the real digamma of scipy 1.17 (xsf digamma, which wraps
-    cephes psi): reflection -pi / tan(pi frac(x)) below zero, harmonic sums
-    at the integers up to 10, the recurrence into [1, 2] and Boost's
-    rational form there, and above 10 the asymptotic series.  Within 0.3 of
-    the negative root the Taylor series about it, with Hurwitz zeta
-    coefficients.  0 and the negative integers give +-inf and nan, as scipy
-    does; -inf raises ValueError (scipy gives nan).  Serves
-    BrownianMatsubara's n > K tail, so that the analytic engines load no
-    scipy.
+    The asymptotic series above 10, the recurrence psi(x) = psi(x + 1) - 1/x
+    up to it, and below zero the reflection -pi / tan(pi frac(x)) + psi(1 - x),
+    as ill-conditioned near a pole as pi cot(pi x).  0 and the negative
+    integers give +-inf and nan; -inf raises ValueError.
     """
-    if x <= 10.0:
-        y = 0.0
-        if x <= 0.0:
-            dx = x - _PSI_NEGROOT
-            if -0.3 < dx < 0.3:
-                res, coeff = _PSI_NEGROOT_VALUE, -1.0
-                for n in range(1, 100):
-                    coeff *= -dx
-                    term = coeff * _negroot_zeta(n)
-                    res += term
-                    if abs(term) < 2.0 * _MACHEP * abs(res):
-                        break
-                return res
-            frac = math.fmod(x, 1.0)  # modf's fractional part, without its tuple
-            if frac == 0.0:  # a pole: cephes gives -inf at +0, +inf at -0 and nan at a negative integer
-                return math.copysign(math.inf, -x) if x == 0.0 else math.nan
-            y = -math.pi / math.tan(math.pi * frac)
-            x = 1.0 - x
-            if x > 10.0:
-                return y + _digamma(x)
-        if x == math.floor(x):
-            for i in range(1, int(x)):
-                y += 1.0 / i
-            return y - _EULER_GAMMA
-        if x < 1.0:
-            y -= 1.0 / x
-            x += 1.0
-        while x > 2.0:
-            x -= 1.0
-            y += 1.0 / x
-        g = x - _PSI_ROOT[0]
-        g -= _PSI_ROOT[1]
-        g -= _PSI_ROOT[2]
-        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
-        return y + (g * _PSI_Y + g * r)
-    # The asymptotic series.  Its Horner polynomial in 1/x^2 (cephes' seven coefficients, highest
-    # power first) is written out: this is the engine's hot path, and _polevl makes it 1.5x slower.
-    # cephes drops the polynomial from x = 1e17 on; there it is below 1e-34, under half an ulp of
-    # log(x) - 0.5 / x > 39, so keeping it gives the same bits.
+    if x <= 0.0:
+        frac = math.fmod(x, 1.0)
+        if frac == 0.0:  # -inf at +0, +inf at -0, nan at a negative integer
+            return math.copysign(math.inf, -x) if x == 0.0 else math.nan
+        return -math.pi / math.tan(math.pi * frac) + _digamma(1.0 - x)
+    acc = 0.0
+    while x <= 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    # The asymptotic series, its Horner polynomial in 1/x^2 written out: this is the engine's hot path.
     z = 1.0 / (x * x)
     s = 8.33333333333333333333e-2 * z - 2.10927960927960927961e-2
     s = s * z + 7.57575757575757575758e-3
@@ -231,7 +129,7 @@ def _digamma(x: float) -> float:
     s = s * z + 3.96825396825396825397e-3
     s = s * z - 8.33333333333333333333e-3
     s = z * (s * z + 8.33333333333333333333e-2)
-    return math.log(x) - 0.5 / x - s
+    return acc + (math.log(x) - 0.5 / x - s)
 
 
 @dataclass(frozen=True)
@@ -330,10 +228,12 @@ class BrownianCorrelation:
         nu/(nu^2 - g^2) = 1/nu + g^2/nu^3 + g^4 / (nu^3 (nu^2 - g^2))
 
     whose first two pieces resum to -log(1 - e^-x) and Li_3(e^-x) with
-    x = 2 pi t / beta, leaving an n^-5 correction series that converges
-    in a few hundred terms independently of t.  A pole degenerate with a
-    thermal frequency is replaced by the finite limit of the combined
-    resonant pair.  Takes the bath as a BathParams, which has checked it.
+    x = 2 pi t / beta, leaving an n^-5 correction series.  It runs to the
+    same n at every t: far enough for 1e-14 and past beta gamma / pi, but
+    at most 50 000 terms, which is too few at low temperature (see the
+    module docstring).  A pole degenerate with a thermal frequency is
+    replaced by the finite limit of the combined resonant pair.  Takes the
+    bath as a BathParams, which has checked it.
     """
 
     _TAIL_TOL = 1e-14

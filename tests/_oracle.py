@@ -1,4 +1,6 @@
-"""40-digit reference values of Re g(t) and Re gdot(t) for a non-resonant Brownian bath.
+"""40-digit reference values of the lineshape engines: Re g(t), Re gdot(t) and the digamma tail sums.
+
+reference gives Re g(t) and Re gdot(t) for a non-resonant Brownian bath.
 
 With nu_1 = 2 pi / beta, x = nu_1 t, r = (beta gamma / (2 pi))^2 and
 P = 4 eta gamma / (beta nu_1^3), the Matsubara part of Re g is
@@ -16,7 +18,9 @@ N^2 >= 4r the rest is at most P r^J x^2 / (3 J N^(2J)) in Re g and
 1 - e^-y <= y); reference raises ValueError when that bound exceeds
 1e-13 of the value.
 
-Independent of every engine: no quadrature, no digamma, no float64.
+reference is independent of every engine: no quadrature, no digamma, no
+float64.  tail_sums gives the digamma differences that
+BrownianMatsubara._tail_sums evaluates in floats.
 """
 
 from __future__ import annotations
@@ -61,3 +65,21 @@ def reference(eta: float, gamma: float, beta: float, t: float) -> tuple[float, f
             if bound > 1e-13 * abs(value):
                 raise ValueError(f"remainder bound {bound} exceeds 1e-13 of the value {value}")
         return float(re_g), float(re_gdot)
+
+
+def tail_sums(eta: float, gamma: float, beta: float, a: float, m: int) -> tuple[float, float]:
+    """(S0, S1) of BrownianMatsubara._tail_sums at m, to 40 digits, rounded to floats.
+
+    S0 = eta gamma beta^2 / (2 pi^3 a^2) (psi(n) - (psi(n - a) + psi(n + a)) / 2) and
+    S1 = eta gamma beta / pi^2 (psi(n + a) - psi(n - a)) / (2 a), n = m + 1, on the
+    engine's float inputs: a is its BathParams.pole_ratio and n +- a are rounded to
+    floats as it rounds them, so that only its digamma and its arithmetic on the
+    digamma values differ from these.
+    """
+    n = m + 1.0
+    with mpmath.workdps(40):
+        above, below = mpmath.digamma(n + a), mpmath.digamma(n - a)
+        eta, gamma, beta, a, n = (mpmath.mpf(v) for v in (eta, gamma, beta, a, n))
+        s1 = eta * gamma * beta / mpmath.pi**2 * (above - below) / (2 * a)
+        s0 = eta * gamma * beta**2 / (2 * mpmath.pi**3 * a**2) * (mpmath.digamma(n) - (below + above) / 2)
+        return float(s0), float(s1)

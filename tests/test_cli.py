@@ -352,7 +352,7 @@ def _scalar_trd2t_rows(ev, ts):
         g_sum = np.array([ev.g(float(t1 + t)).real for t in ts])
         for j, t2 in enumerate(ts):
             e = 2.0 * g_re[i] + 2.0 * g_re[j] - g_sum[j]
-            rows.append((float(t1), float(t2), math.exp(-e)))
+            rows.append((float(t1), float(t2), float(np.exp(-e))))
     return ["t1", "t2", "distance"], rows
 
 
@@ -412,6 +412,25 @@ def test_subnormal_t1_reports_dephaser_error(capsys):
     record = json.loads(err)
     assert record["error"]["type"] == "DephaserError"
     assert "5e-324" in record["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--beta", "1e-160", "--gamma", "1e-160", "--engine", "analytic"],
+        ["--beta", "1e-160", "--gamma", "1e-160", "--engine", "hight"],
+        ["--beta", "1", "--gamma", "1e-160", "--engine", "analytic"],
+    ],
+    ids=["tiny-analytic", "tiny-hight", "tiny-gamma-analytic"],
+)
+def test_coefficient_under_or_overflow_reports_dephaser_error(capsys, argv):
+    # beta = 1e-160 puts nu_K = 2 pi K / beta past 1.3e154, where the c_n table squares it, and beta gamma^2 of
+    # the hight engine underflows to 0; gamma = 1e-160 alone underflows (beta gamma / 2 pi)^2, which S0 divides by
+    rc, out, err = run_cli(capsys, ["gfun", "--points", "3", *argv])
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"]["type"] == "DephaserError"
 
 
 def test_too_few_points_rejected(capsys):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from _oracle import reference
@@ -92,6 +93,25 @@ def test_high_temperature_limit():
     h = math.expm1(-p.gamma * t) + p.gamma * t
     ref = complex(2.0 * p.eta / (p.beta * p.gamma**2) * h, -p.eta / p.gamma * h)
     assert ht.g(t) == pytest.approx(ref, rel=1e-15)
+
+
+@pytest.mark.parametrize("bath", [BATH, BathParams(eta=1.742, gamma=0.376, beta=1.735), BathParams(1.0, 1.8, 933.0)])
+def test_high_temperature_engine_within_a_few_ulps_of_mpmath(bath):
+    # 4 roundings of 2^-53 each on the terms before they cancel: the amplitude, expm1, the sum, the product
+    ht = HighTemperatureBrownian(bath)
+    ts = np.geomspace(1e-6, 100.0, 400)
+    g, gdot = ht.g(ts), ht.gdot(ts)
+    eta, gamma, beta = (mpmath.mpf(v) for v in (bath.eta, bath.gamma, bath.beta))
+    with mpmath.workdps(40):
+        for t, gt, gdt in zip(ts.tolist(), g.tolist(), gdot.tolist()):
+            em = mpmath.expm1(-gamma * t)
+            for value, amp, exact, size in (
+                (gt.real, 2 * eta / (beta * gamma**2), em + gamma * t, -em + gamma * t),
+                (gt.imag, -eta / gamma, em + gamma * t, -em + gamma * t),
+                (gdt.real, -2 * eta / (beta * gamma), em, -em),
+                (gdt.imag, eta, em, -em),
+            ):
+                assert abs(value - amp * exact) <= 4 * 2.0**-53 * abs(amp) * size, (t, value)
 
 
 def test_imag_g_is_temperature_independent():

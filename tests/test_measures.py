@@ -283,9 +283,12 @@ def _scalar_re_gdot(ev, t):
     if n_osc <= k:
         return re + ev._tail_sums(k)[1]
     n_stop = min(n_osc, k + 2_000_000)
-    nu = 2.0 * math.pi * np.arange(k + 1.0, n_stop + 1.0) / p.beta
-    cnu = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
-    return re + (float(np.sum(-cnu * np.expm1(-nu * t))) + ev._tail_sums(n_stop)[1])
+    block = 0.0
+    for lo in range(k + 1, n_stop + 1, 1 << 16):  # the live block, summed 2^16 terms at a time
+        nu = 2.0 * math.pi * np.arange(float(lo), min(lo + (1 << 16), n_stop + 1.0)) / p.beta
+        cnu = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
+        block += float(np.sum(-cnu * np.expm1(-nu * t)))
+    return re + (block + ev._tail_sums(n_stop)[1])
 
 
 def _scalar_rate(ev, scenario, t):

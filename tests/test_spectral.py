@@ -2,16 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from _oracle import tail_sums
 
-# scipy stays a dependency of the quadrature engines, so its digamma can pin the port
+# scipy stays a dependency of the quadrature engines, so its digamma can pin the operations _digamma shares with it
 from scipy.special import digamma as scipy_digamma
 
 from dephaser.dephasing import BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
-    _PSI_NEGROOT,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
@@ -114,13 +115,14 @@ def test_trilog_known_value_and_branch_continuity():
 
 
 _RNG = np.random.default_rng(20261018)
+# the negative root of digamma, where psi(x) is near 0 and its error is counted in ulp of 1
+_NEGATIVE_ROOT = -0.504083008264455409
 _WINDOW_EDGES = [
     float(x)
-    for edge in (_PSI_NEGROOT - 0.3, _PSI_NEGROOT + 0.3)
+    for edge in (_NEGATIVE_ROOT - 0.3, _NEGATIVE_ROOT + 0.3)
     for x in (np.nextafter(np.nextafter(edge, -1.0), -1.0), np.nextafter(edge, -1.0), edge, np.nextafter(edge, 1.0))
 ]
-# every branch of scipy's real digamma: asymptotic series, recurrence into [1, 2], harmonic sums,
-# reflection, and the Taylor series about the negative root
+# the asymptotic series, the recurrence up to 10, the integers, the reflection, and the negative root
 _DIGAMMA_SETS = {
     "log-uniform 1e-6..1e7": 10.0 ** _RNG.uniform(-6.0, 7.0, 20000),
     "from 1e17": np.concatenate([[np.nextafter(1e17, 0.0), 1e17], 10.0 ** _RNG.uniform(17.0, 308.0, 2000)]),
@@ -131,14 +133,45 @@ _DIGAMMA_SETS = {
     "root window": np.linspace(-0.804, -0.204, 6001),
     "root window edges": np.array(_WINDOW_EDGES),
 }
+_ULP = 2.0**-52
+
+
+def _digamma_reference(x: float) -> tuple[float, float]:
+    """(40-digit psi(x) rounded to a float, the error _digamma may make at x).
+
+    8 ulp of max(|psi(x)|, 1) for x > 0.  Below zero the reflection
+    psi(x) = psi(1 - x) - pi / tan(pi frac(x)) adds the error of psi(1 - x)
+    and that of its cot term: pi frac(x) is rounded by 2 ulp at most, which
+    pi cot moves by 2 pi^2 / sin^2(pi x) ulp, unbounded at the poles.
+    """
+    with mpmath.workdps(40):
+        psi = mpmath.digamma(x)
+        bound = 8.0 * max(abs(float(psi)), 1.0)
+        if x < 0.0:
+            s = mpmath.sin(mpmath.pi * x)
+            psi_reflected = psi + mpmath.pi * mpmath.cos(mpmath.pi * x) / s  # psi(1 - x)
+            bound += 8.0 * max(abs(float(psi_reflected)), 1.0) + float(2.0 * mpmath.pi**2 / s**2)
+        return float(psi), bound * _ULP
 
 
 @pytest.mark.parametrize("xs", _DIGAMMA_SETS.values(), ids=_DIGAMMA_SETS.keys())
 def test_digamma_port_matches_scipy_bit_for_bit(xs):
+    """scipy's bits where _digamma runs scipy's operations, 40-digit mpmath within _digamma_reference's bound elsewhere.
+
+    Above 10 both run the same asymptotic series, and below -9 the same
+    reflection onto it; in between _digamma recurs upward instead.
+    """
     xs = np.ravel(xs)
     got = np.array([_digamma(x) for x in xs.tolist()])
-    differ = xs[got.view(np.uint64) != scipy_digamma(xs).view(np.uint64)]
-    assert differ.size == 0, f"{differ.size} of {xs.size} differ, the first at x = {differ[0]!r}"
+    shared = (xs > 10.0) | (xs < -9.0)
+    differ = xs[shared & (got.view(np.uint64) != scipy_digamma(xs).view(np.uint64))]
+    assert differ.size == 0, f"{differ.size} of {xs.size} differ from scipy, the first at x = {differ[0]!r}"
+    off = []
+    for x, v in zip(xs[~shared].tolist(), got[~shared].tolist()):
+        want, bound = _digamma_reference(x)
+        if not abs(v - want) <= bound:
+            off.append(x)
+    assert not off, f"{len(off)} of {xs.size} are off mpmath, the first at x = {off[0]!r}"
 
 
 def test_digamma_port_at_poles_and_non_finite_arguments():
@@ -162,6 +195,24 @@ def _scipy_tail_sums(bath, m):
     return float(s0), float(s1)
 
 
+def _tail_sums_error_bound(bath, m):
+    """Absolute errors of (S0, S1) propagated from _digamma_reference's bound at each digamma they take.
+
+    Each float operation on the digamma values adds an ulp of what it
+    rounds.  S0 is a second difference that cancels, so its bound is
+    absolute: the digamma errors and roundings do not shrink with S0.
+    """
+    eta, gamma, beta, a = bath.eta, bath.gamma, bath.beta, bath.pole_ratio
+    n = m + 1.0
+    psi, err = zip(*(_digamma_reference(x) for x in (n, n - a, n + a)))
+    psi = [abs(v) for v in psi]
+    s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2
+    s1_amp = eta * gamma * beta / math.pi**2 / (2.0 * a)
+    s0 = s0_amp * (err[0] + 0.5 * (err[1] + err[2]) + 4.0 * _ULP * (psi[0] + psi[1] + psi[2]))
+    s1 = s1_amp * (err[1] + err[2] + 4.0 * _ULP * (psi[1] + psi[2]))
+    return s0, s1
+
+
 @pytest.mark.parametrize(
     "bath, in_path, res_index",
     [
@@ -169,12 +220,13 @@ def _scipy_tail_sums(bath, m):
         # a = 267 > K + 1, so m + 1 - a < 0: the reflection
         (BathParams(1.0, 1.8, 933.0), lambda x: x < 0.0, 0),
         # a = 101.5, so K + 1 - a = -0.5 lies in the window about the negative root
-        (BathParams(1.0, 1.0, 2.0 * math.pi * 101.5), lambda x: abs(x - _PSI_NEGROOT) < 0.3, 0),
+        (BathParams(1.0, 1.0, 2.0 * math.pi * 101.5), lambda x: abs(x - _NEGATIVE_ROOT) < 0.3, 0),
         (BathParams(1.0, 1.0, 4.0 * math.pi), lambda x: x > 10.0, 2),
     ],
     ids=["warm", "cold a > K + 1", "root window", "resonant"],
 )
 def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
+    """(S0, S1) against 40-digit mpmath on the same float inputs, and scipy's bits where every digamma runs scipy's operations."""
     ev = BrownianMatsubara(bath)
     k = bath.matsubara_terms
     assert in_path(k + 1 - bath.pole_ratio)
@@ -183,8 +235,15 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
     assert len(live_stops) >= 4
     for m in [k] + live_stops:
         got = ev._tail_sums(m)
-        assert got == _scipy_tail_sums(bath, m), m
         assert [type(v) for v in got] == [float, float]
+        want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, m)
+        bound = _tail_sums_error_bound(bath, m)
+        assert all(abs(g - w) <= b for g, w, b in zip(got, want, bound)), (m, got, want, bound)
+        if all(x > 10.0 or x < -9.0 for x in (m + 1.0, m + 1.0 - bath.pole_ratio, m + 1.0 + bath.pole_ratio)):
+            assert got == _scipy_tail_sums(bath, m), m
+        # gdot takes S1 alone, with the same bits
+        s0, s1 = ev._tail_sums(m, derivative=True)
+        assert math.isnan(s0) and s1 == got[1], m
 
 
 def test_correlation_analytic_matches_quadrature():
