@@ -159,6 +159,8 @@ class BrownianMatsubara:
         self.bath = bath
         self.beta = bath.beta
         self.include_tail = include_tail
+        # the bath of the exact g, whose growth rate has one zero at most (measures); not with a truncated sum
+        self.certified_bath = bath if include_tail else None
         eta, gamma, beta = bath.eta, bath.gamma, bath.beta
         k = bath.matsubara_terms
         m = self.res_index = bath.res_index
@@ -336,7 +338,7 @@ class HighTemperatureBrownian:
     """
 
     def __init__(self, bath: BathParams):
-        self.bath = bath
+        self.bath = self.certified_bath = bath
         self.beta = bath.beta
         eta, gamma, beta = bath.eta, bath.gamma, bath.beta
         self._g_amp = _normal(2.0 * eta / _normal(beta * gamma**2, "beta gamma^2"), "2 eta / (beta gamma^2)")
@@ -371,7 +373,7 @@ class FrequencyQuadrature:
         beta = _check_beta(beta)
         self.sd = sd
         self.beta = beta
-        self.bath = _brownian_bath(sd, beta)
+        self.bath = self.certified_bath = _brownian_bath(sd, beta)
         if self.bath is not None:
             self.w_split = _split_frequency(self.bath)
             self._t_min = _FQ_MIN_TW / self.w_split
@@ -481,7 +483,7 @@ class TimeDomainQuadrature:
         beta = _check_beta(beta)
         self.sd = sd
         self.beta = beta
-        self.bath = _brownian_bath(sd, beta)
+        self.bath = self.certified_bath = _brownian_bath(sd, beta)
         if self.bath is not None:
             self._corr = BrownianCorrelation(self.bath)
         else:

@@ -20,6 +20,18 @@ E decreases, independent of the pair as long as dc != 0.  The antipodal
 equatorial pair (p = 1/2, c = +-1/2) maximizes every interval's gain
 simultaneously (dp = 0 and |dc| = 1 are both extremal), so its value is
 the measure itself; a brute-force pair grid is provided as a check.
+
+For the Brownian bath Re gdot(t) = C - sum_k B_k e^{-lambda_k t}, and the
+coefficients (C, -B_k (2 - e^{-lambda_k t1})) of the Prepared(t1) rate
+change sign once in order of lambda_k, so by Descartes' rule for
+exponential sums (Polya and Szego, Problems and Theorems in Analysis II,
+Part V, ch. 1) the rate has at most one zero: E decreases on one interval
+[0, t*) after a preparation and nowhere without one.  The evaluators of
+the exact Brownian g carry a certified_bath and take the certified route
+(a binary search on the scan's grid, the scan's runs bit for bit):
+BrownianMatsubara with its tail, HighTemperatureBrownian, and
+FrequencyQuadrature and TimeDomainQuadrature on a Brownian density.
+Strict truncation, tabulated densities and any other evaluator scan.
 """
 
 from __future__ import annotations
@@ -201,15 +213,13 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float) -> flo
     return float(0.5 * (lo + hi))
 
 
-def _growth_runs(evaluator, scenario, t_max: float):
-    """Maximal (start, end) regions with dE/dt < 0, plus a truncation flag.
+def _scan_runs(evaluator, scenario, t_max: float):
+    """Maximal (start, end) regions with dE/dt < 0 on the grid of _N_SCAN cells, plus a truncation flag.
 
     Grid scan for sign changes (one rate call on the whole grid) followed
     by bisection of each crossing.  Points where the rate is exactly zero
     count as non-growth, so grazing contacts contribute nothing.
     """
-    if not math.isfinite(t_max) or t_max <= 0.0:
-        raise ValueError("t_max must be positive and finite")
     ts = np.linspace(0.0, t_max, _N_SCAN + 1)
     rate = decay_exponent_rate(evaluator, scenario, ts)
     neg = rate < 0.0
@@ -231,6 +241,46 @@ def _growth_runs(evaluator, scenario, t_max: float):
         runs.append((start, end))
     truncated = bool(neg[-1])
     return runs, truncated
+
+
+def _certified_runs(evaluator, scenario, t_max: float):
+    """_scan_runs of an evaluator whose rate is negative on one interval [0, t*) at most.
+
+    The rate at 0 and at t_max, then a binary search of the scan's grid
+    indices for the last negative point and the scan's bisection of the
+    cell after it: about 40 calls of one time each, and a time gets the
+    same bits alone as inside the scan's array, so the runs are the scan's.
+    """
+    if isinstance(scenario, SingleTime):
+        return [], False
+    ts = np.linspace(0.0, t_max, _N_SCAN + 1)
+    f = lambda t: decay_exponent_rate(evaluator, scenario, t)
+    rate_lo = f(ts[0])
+    if not rate_lo < 0.0:
+        return [], False
+    if f(ts[-1]) < 0.0:
+        return [(0.0, t_max)], True
+    lo, hi = 0, _N_SCAN
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        rate = f(ts[mid])
+        if rate < 0.0:
+            lo, rate_lo = mid, rate
+        else:
+            hi = mid
+    return [(0.0, _bisect_sign_change(f, ts[lo], ts[hi], rate_lo, _REFINE_TOL))], False
+
+
+def _growth_runs(evaluator, scenario, t_max: float):
+    """Maximal (start, end) regions with dE/dt < 0 on (0, t_max), plus a truncation flag.
+
+    _certified_runs for an evaluator with a certified_bath (one whose g is
+    the exact Brownian g), the grid scan _scan_runs for any other.
+    """
+    if not math.isfinite(t_max) or t_max <= 0.0:
+        raise ValueError("t_max must be positive and finite")
+    route = _scan_runs if getattr(evaluator, "certified_bath", None) is None else _certified_runs
+    return route(evaluator, scenario, t_max)
 
 
 def _weights(evaluator, scenario, runs):
@@ -333,6 +383,14 @@ def non_markovianity(
     scans a discrete family and returns its best pair, which can only
     approach the analytic value from below.  The level splitting in
     system drops out of the distance.
+
+    For the Brownian bath the rate of E is an exponential sum whose
+    coefficients change sign once, so it has one zero at most and the
+    growth is one interval [0, t*) after a preparation and none without.
+    An evaluator of the exact Brownian g (BrownianMatsubara with its
+    tail, HighTemperatureBrownian, the quadrature engines on a Brownian
+    density) finds t* by about 40 rate calls; strict truncation,
+    tabulated densities and wrapped evaluators scan 10 001 times.
     """
     if search is None:
         search = AnalyticPair()

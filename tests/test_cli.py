@@ -13,7 +13,8 @@ import pytest
 import dephaser
 from dephaser.cli import _OPTIONS, SCHEMA_VERSION, Series, _build_parser, _resolve, _write_series, main
 from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
-from dephaser.measures import Prepared, decay_exponent_rate
+from dephaser.dynamics import SystemParams
+from dephaser.measures import Prepared, decay_exponent_rate, non_markovianity
 from dephaser.response import echo_response
 from dephaser.spectral import BathParams
 
@@ -301,6 +302,22 @@ def test_echo_row_rises_by_the_measure(capsys, points):
     assert n_value - h * h <= rise <= n_value
 
 
+def test_echo_identity_is_exact_at_the_growth_end(capsys):
+    # one growth interval [0, t_end) (measures): N = |R(t1, t_end)| - |R(t1, 0)|, and |R(t1, .)| peaks at t_end
+    rc, out, _ = run_cli(capsys, ["measure", "--t1", "1", "--tmax", "10"])
+    assert rc == 0
+    res = json.loads(out)
+    (interval,) = res["intervals"]
+    ev = BrownianMatsubara(DEFAULT_BATH)
+    peak = abs(echo_response(ev, 1.0, interval["t_end"]))
+    assert abs(res["n_value"] - (peak - abs(echo_response(ev, 1.0, 0.0)))) <= 1e-15
+    rc, out, _ = run_cli(capsys, ["echo", "--tmax", "10", "--points", "401"])
+    assert rc == 0
+    data = np.array(parse_csv(out)[1])
+    row = data[data[:, 0] == 1.0, 2]
+    assert len(row) == 401 and row.max() <= peak + 1e-15
+
+
 def test_figures_trd_curves(capsys):
     rc, out, _ = run_cli(capsys, ["figures", "trd", "--points", "400"])
     assert rc == 0
@@ -482,23 +499,38 @@ def test_figures_trd_evaluates_g_once_per_distinct_time_and_curve(monkeypatch, c
         assert sorted(calls) == want
 
 
-def test_measure_scans_with_one_array_gdot_call(monkeypatch, capsys):
+def _gdot_call_sizes(monkeypatch, cls):
+    """The number of times in each gdot call of cls from now on."""
     sizes = []
-    gdot = BrownianMatsubara.gdot
+    gdot = cls.gdot
 
     def counted(self, t):
         sizes.append(np.size(t))
         return gdot(self, t)
 
-    monkeypatch.setattr(BrownianMatsubara, "gdot", counted)
-    rc, out, _ = run_cli(capsys, ["measure", "--t1", "1"])
+    monkeypatch.setattr(cls, "gdot", counted)
+    return sizes
+
+
+def test_measure_takes_the_certified_root_in_few_two_time_gdot_calls(monkeypatch, capsys):
+    sizes = _gdot_call_sizes(monkeypatch, BrownianMatsubara)
+    rc, _, _ = run_cli(capsys, ["measure", "--t1", "1"])
     assert rc == 0
+    # the rate at 0 and at t_max, 14 grid-index steps and about 24 bisection steps, each at (t, t1 + t)
+    assert max(sizes) <= 2 and len(sizes) <= 45
+
+
+def test_measure_scans_with_one_array_gdot_call(monkeypatch):
+    # the truncated series has no certificate (its C_K can be negative), so it keeps the grid scan
+    sizes = _gdot_call_sizes(monkeypatch, BrownianMatsubara)
+    ev = BrownianMatsubara(DEFAULT_BATH, include_tail=False)
+    res = non_markovianity(SystemParams(), ev, Prepared(1.0), t_max=10.0)
     scan = [n for n in sizes if n > 2]
     # the 10 001 grid points at t and at t1 + t, in at most two calls
     assert len(scan) <= 2 and sum(scan) == 2 * 10001
     # the rest are the bisection steps, one call at (t, t1 + t) each, about 27 per interval end
     steps = len(sizes) - len(scan)
-    assert 0 < steps <= 40 * 2 * len(json.loads(out)["intervals"])
+    assert 0 < steps <= 40 * 2 * len(res.intervals)
 
 
 @pytest.mark.parametrize("argv", [["--terms", "100000", "--points", "200"], ["--points", "5000"]])

@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dephaser.dephasing import BrownianMatsubara, FrequencyQuadrature, HighTemperatureBrownian
+from dephaser.dephasing import (
+    BrownianMatsubara,
+    FrequencyQuadrature,
+    HighTemperatureBrownian,
+    TimeDomainQuadrature,
+)
 from dephaser.dynamics import (
     DensityMatrix2,
     SystemParams,
@@ -22,7 +29,9 @@ from dephaser.measures import (
     SingleTime,
     StatePair,
     _bisect_sign_change,
+    _certified_runs,
     _growth_runs,
+    _scan_runs,
     analytic_pair,
     decay_exponent,
     decay_exponent_grid,
@@ -338,3 +347,126 @@ def test_growth_scan_matches_scalar_loop_bit_for_bit(bath, scenario, t_max):
     ts = np.linspace(0.0, t_max, _N_SCAN + 1)
     assert np.array_equal(decay_exponent_rate(ev, scenario, ts).view(np.uint64), rate.view(np.uint64))
     assert _growth_runs(ev, scenario, t_max) == (runs, truncated)
+
+
+ENGINES = {"analytic": BrownianMatsubara, "hight": HighTemperatureBrownian}
+BATHS = [BATH, BathParams(0.5, 1.2, 5.0), BathParams(2.0, 0.3, 0.3)]
+
+
+def _sign_changes(ev, t1):
+    """Sign changes of (C, -B_k (2 - e^{-lambda_k t1})) in order of lambda_k, from the engine's own coefficients.
+
+    Re gdot = C - sum_k B_k e^{-lambda_k t}, C = 2 eta / (beta gamma), over the
+    pole lambda = gamma (B = eta cot(beta gamma / 2)) and the nu_n (B_n = c_n nu_n);
+    the Prepared(t1) rate 2 Re gdot(t) - Re gdot(t1 + t) has these coefficients.
+    The n > K terms are listed up to the first nu_n above gamma: past it every c_n > 0.
+    Also checks that C is the late-time rate.
+    """
+    p = ev.bath
+    rate = 2.0 * p.eta / (p.beta * p.gamma)
+    if isinstance(ev, HighTemperatureBrownian):
+        lam, b = np.array([p.gamma]), np.array([rate])
+    else:
+        k = p.matsubara_terms
+        nu_rest = p.matsubara_frequency(np.arange(k + 1.0, max(k, math.ceil(p.pole_ratio)) + 2.0))
+        c_rest = 4.0 * p.eta * p.gamma / (p.beta * nu_rest * (nu_rest**2 - p.gamma**2))
+        lam = np.concatenate(([p.gamma], ev.nu, nu_rest))
+        b = np.concatenate(([p.eta * ev.cot_amp], ev.c * ev.nu, c_rest * nu_rest))
+    t_late = 60.0 / min(p.gamma, float(p.matsubara_frequency(1)))
+    assert ev.gdot(t_late).real == pytest.approx(rate, rel=1e-9)
+    seq = np.sign(np.concatenate(([rate], (-b * (2.0 - np.exp(-lam * t1)))[np.argsort(lam, kind="stable")])))
+    seq = seq[seq != 0.0]
+    return int(np.count_nonzero(seq[1:] != seq[:-1]))
+
+
+# one growth interval [0, t*): each example also checks the premise, one sign change of the rate's coefficients
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    engine=st.sampled_from(sorted(ENGINES)),
+    eta=st.floats(0.1, 10.0),
+    gamma=st.floats(0.1, 3.0),
+    beta=st.floats(0.1, 100.0),
+    terms=st.sampled_from([0, 1, 10, 100]),
+    t1=st.floats(0.01, 5.0),
+    window=st.floats(0.01, 1.0),
+)
+@example(engine="analytic", eta=1.0, gamma=1.0, beta=2.0 * math.pi, terms=1, t1=1.0, window=1.0)  # resonant, a = 1
+@example(engine="analytic", eta=1.0, gamma=0.5, beta=8.0 * math.pi, terms=2, t1=1.0, window=1.0)  # resonant, a = 2
+@example(engine="hight", eta=1.0, gamma=0.5, beta=1.0, terms=100, t1=1.0, window=1.0)
+@example(engine="analytic", eta=1.0, gamma=0.5, beta=1.0, terms=100, t1=1.0, window=0.02)  # t_max inside the run
+@example(engine="analytic", eta=1.0, gamma=0.5, beta=1.0, terms=100, t1=0.0, window=1.0)  # Prepared(0)
+@example(engine="analytic", eta=1.3, gamma=1.3, beta=100.0, terms=100, t1=0.5, window=1.0)  # cold, a = 20.7
+def test_certified_root_is_the_scan(engine, eta, gamma, beta, terms, t1, window):
+    ev = ENGINES[engine](BathParams(eta, gamma, beta, terms))
+    assert _sign_changes(ev, t1) == 1
+    scenario, t_max = Prepared(t1), window * 10.0 / gamma
+    assert ev.certified_bath is ev.bath
+    assert _certified_runs(ev, scenario, t_max) == _scan_runs(ev, scenario, t_max)
+
+
+@pytest.mark.parametrize("bath", BATHS, ids=["default", "cold", "hot"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_certified_single_interval_is_the_scan(engine, bath):
+    ev = ENGINES[engine](bath)
+    assert _certified_runs(ev, SingleTime(), 10.0) == _scan_runs(ev, SingleTime(), 10.0) == ([], False)
+
+
+def test_only_an_exact_brownian_g_is_certified():
+    w = np.geomspace(1e-3, 100.0, 400)
+    tab = TabulatedSpectralDensity(w, OverdampedBrownian(BATH).j(w))
+    assert BrownianMatsubara(BATH, include_tail=False).certified_bath is None
+    assert FrequencyQuadrature(tab, BATH.beta).certified_bath is None
+    assert TimeDomainQuadrature(tab, BATH.beta).certified_bath is None
+    for ev in (
+        BrownianMatsubara(BATH),
+        HighTemperatureBrownian(BATH),
+        FrequencyQuadrature(OverdampedBrownian(BATH), BATH.beta),
+        TimeDomainQuadrature(OverdampedBrownian(BATH), BATH.beta),
+    ):
+        assert ev.certified_bath == BATH
+
+
+_LOG_GRID = np.geomspace(1e-9, 1e3, 37)
+_BELOW_1E7 = _LOG_GRID < 1e-7
+
+
+@pytest.mark.parametrize("bath", BATHS, ids=["default", "cold", "hot"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_re_gdot_is_positive(engine, bath):
+    # the theorem's Re gdot > 0 on (0, inf), which makes N(SingleTime) = 0
+    assert np.all(ENGINES[engine](bath).gdot(_LOG_GRID).real > 0.0)
+
+
+_ITEM_3 = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: the analytic tail cancels at small t, so Re g < 0 below t of about 5e-8"
+)
+
+
+@pytest.mark.parametrize("bath", BATHS, ids=["default", "cold", "hot"])
+@pytest.mark.parametrize(
+    "engine, points",
+    [
+        ("hight", np.ones_like(_BELOW_1E7)),
+        ("analytic", ~_BELOW_1E7),
+        pytest.param("analytic", _BELOW_1E7, marks=_ITEM_3),
+    ],
+    ids=["hight", "analytic-from-1e-7", "analytic-below-1e-7"],
+)
+def test_re_g_is_positive(engine, points, bath):
+    assert np.all(ENGINES[engine](bath).g(_LOG_GRID[points]).real > 0.0)
+
+
+def test_time_quad_measure_takes_about_a_hundred_integrals(monkeypatch):
+    # the scan asked for 40 004 integrals, 112 s through `measure --engine time-quad --tmax 8`
+    calls = []
+    integral = TimeDomainQuadrature._integral
+
+    def counted(self, t, derivative):
+        calls.append(t)
+        return integral(self, t, derivative)
+
+    monkeypatch.setattr(TimeDomainQuadrature, "_integral", counted)
+    ev = TimeDomainQuadrature(OverdampedBrownian(BATH), BATH.beta)
+    res = non_markovianity(SYS, ev, Prepared(1.0), t_max=8.0)
+    assert len(calls) <= 100
+    assert res.n_value == pytest.approx(N_K100, rel=1e-8)
