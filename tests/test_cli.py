@@ -520,6 +520,89 @@ def test_measure_takes_the_certified_root_in_few_two_time_gdot_calls(monkeypatch
     assert max(sizes) <= 2 and len(sizes) <= 45
 
 
+# stdout of `dephaser measure --search grid` without and with a preparation, recorded from the brute-force search
+MEASURE_GRID_STDOUT = {
+    (): (
+        '{\n'
+        '  "schema_version": 1,\n'
+        '  "n_value": 0.0,\n'
+        '  "t_max": 10.0,\n'
+        '  "truncated": false,\n'
+        '  "scenario": {\n'
+        '    "kind": "single"\n'
+        '  },\n'
+        '  "search": "grid",\n'
+        '  "engine": "analytic",\n'
+        '  "bath": {\n'
+        '    "eta": 1.0,\n'
+        '    "gamma": 0.5,\n'
+        '    "beta": 1.0,\n'
+        '    "matsubara_terms": 100\n'
+        '  },\n'
+        '  "intervals": [],\n'
+        '  "pair": {\n'
+        '    "a": {\n'
+        '      "p11": 0.5,\n'
+        '      "re_c12": 0.5,\n'
+        '      "im_c12": 0.0\n'
+        '    },\n'
+        '    "b": {\n'
+        '      "p11": 0.5,\n'
+        '      "re_c12": -0.5,\n'
+        '      "im_c12": 0.0\n'
+        '    }\n'
+        '  }\n'
+        '}\n'
+    ),
+    ("--t1", "0.5"): (
+        '{\n'
+        '  "schema_version": 1,\n'
+        '  "n_value": 0.1278275550653004,\n'
+        '  "t_max": 10.0,\n'
+        '  "truncated": false,\n'
+        '  "scenario": {\n'
+        '    "kind": "prepared",\n'
+        '    "t1": 0.5\n'
+        '  },\n'
+        '  "search": "grid",\n'
+        '  "engine": "analytic",\n'
+        '  "bath": {\n'
+        '    "eta": 1.0,\n'
+        '    "gamma": 0.5,\n'
+        '    "beta": 1.0,\n'
+        '    "matsubara_terms": 100\n'
+        '  },\n'
+        '  "intervals": [\n'
+        '    {\n'
+        '      "t_start": 0.0,\n'
+        '      "t_end": 0.36263748899102216,\n'
+        '      "delta_d": 0.1278275550653004\n'
+        '    }\n'
+        '  ],\n'
+        '  "pair": {\n'
+        '    "a": {\n'
+        '      "p11": 0.4897959183673469,\n'
+        '      "re_c12": 0.4998958658736181,\n'
+        '      "im_c12": 0.0\n'
+        '    },\n'
+        '    "b": {\n'
+        '      "p11": 0.4897959183673469,\n'
+        '      "re_c12": -0.4998958658736181,\n'
+        '      "im_c12": 6.121958720491211e-17\n'
+        '    }\n'
+        '  }\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(MEASURE_GRID_STDOUT))
+def test_measure_grid_stdout_is_pinned(capsys, argv):
+    rc, out, _ = run_cli(capsys, ["measure", "--search", "grid", *argv])
+    assert rc == 0
+    assert out.encode() == MEASURE_GRID_STDOUT[argv].encode()
+
+
 def test_measure_scans_with_one_array_gdot_call(monkeypatch):
     # the truncated series has no certificate (its C_K can be negative), so it keeps the grid scan
     sizes = _gdot_call_sizes(monkeypatch, BrownianMatsubara)
