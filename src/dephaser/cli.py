@@ -252,7 +252,7 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
 
     trd: normalized trace distance against t2 for t1 in {0, 1} with the
     high-temperature kernel (terms = 0) and the strictly truncated
-    100-term kernel side by side.
+    K-term kernel (K = --terms, 100 by default) side by side.
     trd2t: the high-temperature distance surface over (t1, t2).
     """
     if which == "trd":
@@ -261,7 +261,7 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
         ev_k = BrownianMatsubara(cfg.bath, include_tail=False)
         columns, curves = ["t2"], []
         for t1, scenario in ((0.0, SingleTime()), (1.0, Prepared(1.0))):
-            for label, ev in (("terms_0", ev_ht), ("terms_100", ev_k)):
+            for label, ev in (("terms_0", ev_ht), (f"terms_{cfg.bath.matsubara_terms}", ev_k)):
                 columns.append(f"d_t1_{t1:g}_{label}")
                 e = decay_exponent_grid(ev, scenario, ts)
                 curves.append(np.exp(-(e - e[0])))

@@ -22,10 +22,9 @@ simultaneously (dp = 0 and |dc| = 1 are both extremal), so its value is
 the measure itself; an exhaustive pair grid, GridSearch, is the check.
 On equispaced phases a pair's |dc|^2 = m_a^2 + m_b^2 - 2 m_a m_b cos(dphi)
 takes one of n_phase // 2 + 1 values of cos(dphi), so the grid search
-computes the gains of magnitude-state pairs times those phase-difference
-classes, then re-evaluates the pairs of the classes within a stated
-roundoff margin of the best with the per-pair formula, and returns the
-brute force's best pair, its first in flat order, bit for bit.
+ranks the pairs by the gains of magnitude-state pairs times those
+phase-difference classes, and returns the first pair in flat order of
+the best class with the pair's own gain.
 
 For the Brownian bath Re gdot(t) = C - sum_k B_k e^{-lambda_k t}, and the
 coefficients (C, -B_k (2 - e^{-lambda_k t1})) of the Prepared(t1) rate
@@ -188,17 +187,14 @@ class GridSearch:
 
     Populations on a uniform grid, coherence magnitude as a fraction of
     the positivity bound, phases uniform on the circle: n = n_population
-    * n_coherence * n_phase states, and the best of the n^2 ordered pairs,
-    the first in flat order on ties.  A pair's gain depends on dp^2 and
-    |dc|^2, and |dc|^2 on the phases only through their difference class,
-    one of n_phase // 2 + 1; so the search computes the gains of the
-    (n_population * n_coherence)^2 magnitude-state pairs times those
-    classes, then evaluates with the per-pair formula the n_phase * n
-    pairs of each first magnitude state that has a class within a roundoff
-    margin of the best.  On the default bath that is 2 magnitude states for
-    every t1 from 5 down to 1e-5 (N about 2e-10), and 50x50x8 takes about
-    0.3-0.5 s instead of 11-15 s; as N nears roundoff every state comes
-    near, and the search costs what the brute force did.  Exists to verify
+    * n_coherence * n_phase states and n^2 ordered pairs.  A pair's gain
+    depends on dp^2 and |dc|^2, and |dc|^2 on the phases only through
+    their difference class, one of n_phase // 2 + 1; so the search ranks
+    the pairs by the gains of the (n_population * n_coherence)^2
+    magnitude-state pairs times those classes, and returns the best
+    class's first pair in flat order (of tied classes, the first such
+    pair) with the pair's own gain, which is the largest per-pair gain up
+    to roundoff.  50x50x8 takes about 0.3 s at every t1.  Exists to verify
     the analytic maximizer, not to beat it.
     """
 
@@ -381,103 +377,49 @@ def _class_tables(pm, mag, cos_k, rows):
 
     Phase indices ia, ib are in class k = min(d, n_h - d), d = (ib - ia) mod n_h,
     and every member pair of class (k, a, b) has |dc|^2 = m_a^2 + m_b^2 - 2 m_a m_b
-    cos_k[k] up to roundoff (_class_margins).
+    cos_k[k] up to roundoff.
     """
     ma = mag[rows, None]
     dc2 = (ma * ma + mag * mag) - (2.0 * ma * mag) * cos_k[:, None, None]
     return (pm[rows, None] - pm) ** 2, dc2
 
 
-# Roundoff of the class reduction, with eps = 2^-52.  Every |c| is below 1/2,
-# so dp2 and dc2 are at most 1.  A grid phase is 2 pi k/n_h to three roundings
-# relative (2 pi, the step, its multiple), under 10 eps absolute; exp adds an
-# ulp per component and the product with |c| one rounding, so a state's c is
-# within 13 eps |c| of |c| e^{2 pi i k/n_h}.  A pair's |dc| is then off by
-# 13 eps, plus 0.5 for the difference and 2 for abs; squaring doubles that and
-# adds 0.5: 31.5 eps.  A class's dc2 is off by 7 eps (its cos by 11, times
-# 2 m_a m_b <= 1/2, plus three roundings).  So a pair's and its class's dc2
-# differ by at most 40 eps, and their arguments dp2 + dc2 w (dp2 is shared bit
-# for bit) by delta(w) = eps (1 + 42 w), with the roundings of the product and
-# the sum on both sides.
-_EPS = float(np.finfo(float).eps)
-
-
-def _class_margins(dp2, dc2, w_end, w_start):
-    """Bound on |a member pair's computed gain - its class's computed gain|, for each class of dp2, dc2.
-
-    Two roots of arguments delta apart differ by at most min(sqrt(delta),
-    delta / sqrt(y)) for y either argument: delta / max(s, sqrt(delta)),
-    with s the class's computed root and a factor 1 + eps for its rounding.
-    The roundings of the roots, of each interval's difference, of the sum
-    over J intervals and of the margin's own arithmetic add (J + 3) eps R,
-    R the sum of sqrt(1 + w) over the weights, which bounds every root.
-    With dp2 = dc2 = 0 this is the largest margin of any class.
-    """
-    weights = [*w_end, *w_start]
-    margin = (len(w_end) + 3) * _EPS * sum(math.sqrt(1.0 + w) for w in weights)
-    for w in weights:
-        delta = _EPS * (1.0 + 42.0 * w)
-        margin = margin + delta * (1.0 + _EPS) / np.maximum(np.sqrt(dp2 + dc2 * w), math.sqrt(delta))
-    return margin
-
-
-def _class_bounds(pm, mag, cos_k, rows, w_end, w_start):
-    """Gain and margin of the classes (k, a, b), a in rows: a member pair's gain is within margin of the gain."""
-    dp2, dc2 = _class_tables(pm, mag, cos_k, rows)
-    margin = _class_margins(dp2, dc2, w_end, w_start)
-    # a class of equal states (equal p and |c|, phase class 0 or |c| = 0) gains exactly 0 either way
-    ma = mag[rows, None]
-    same_phase = (np.arange(cos_k.size) == 0)[:, None, None] | (ma == 0.0)
-    margin[(pm[rows, None] == pm) & (ma == mag) & same_phase] = 0.0
-    return _total_gain(dp2, dc2, w_end, w_start), margin
-
-
 def _grid_search(search: GridSearch, weights_end, weights_start):
-    """Maximize the summed interval gains over all grid state pairs; the first maximum in flat order a*n + b.
+    """The grid pair of the best phase-difference class, with the pair's own summed interval gain.
 
     weights_end/weights_start are e^{-2E} at the interval endpoints.  A
     pair's gain depends on dp^2 and |dc|^2 only, and on equispaced phases
-    |dc|^2 depends on the phase difference through its class k alone, so
-    the gains of the classes (k, a, b) of magnitude states a, b are computed
-    first, in blocks of magnitude states a that fit in cache.  A class
-    whose gain plus its margin reaches the best class's gain less its
-    margin, a lower bound of the best pair's gain, may hold the best pair,
-    and every pair tied with it is in such a class too.  Each pair (a', b)
-    whose first state a' has a magnitude state with such a class is then
-    evaluated with the per-pair formula, n_phase * n pairs per magnitude
-    state, in flat order, so the maximum is the one a flat argmax picks.
+    |dc|^2 depends on the phase difference through its class k alone: the
+    pairs of a class (k, a, b) are the same two magnitude states a, b with
+    their phases rotated or reflected.  The class gains are computed in
+    blocks of magnitude states a that fit in cache, and the class with the
+    largest gain wins; on ties the one whose first pair in flat order,
+    (a * n_phase, b * n_phase + k), comes first.  That pair is returned with
+    its gain from the per-pair formula, which differs from its class's gain
+    by roundoff only.
     """
     w = weights_end, weights_start
     n_h = search.n_phase
     pm, mag = _magnitude_states(search)
     cos_k = np.cos(_grid_axes(search)[2][: n_h // 2 + 1])
     step = max(1, _BLOCK // (cos_k.size * mag.size))
-    blocks = [slice(a, min(a + step, mag.size)) for a in range(0, mag.size, step)]
-    block_best = [_total_gain(*_class_tables(pm, mag, cos_k, rows), *w).max() for rows in blocks]
-    gain, margin = _class_bounds(pm, mag, cos_k, blocks[int(np.argmax(block_best))], *w)
-    floor = (gain - margin).max()
-    reach = floor - _class_margins(0.0, 0.0, *w)
+    best = -np.inf
+    for start in range(0, mag.size, step):
+        rows = slice(start, start + step)
+        gain = _total_gain(*_class_tables(pm, mag, cos_k, rows), *w)
+        if (top := gain.max()) > best:
+            best, best_start, best_gain = top, start, gain
+    k, a, b = np.nonzero(best_gain == best)
+    ia, ib = min(zip(((best_start + a) * n_h).tolist(), (b * n_h + k).tolist()))
 
     pf, cf = _grid_states(search)
-    best = -np.inf
-    best_ij = (0, 0)
-    for rows in (rows for rows, top in zip(blocks, block_best) if top >= reach):
-        gain, margin = _class_bounds(pm, mag, cos_k, rows, *w)
-        near = gain + margin >= floor
-        for m in (rows.start + np.flatnonzero(near.any(axis=(0, 2)))).tolist():
-            # every pair whose first state has magnitude state m, in flat order
-            sl = slice(m * n_h, (m + 1) * n_h)
-            pair_gain = _total_gain((pf[sl, None] - pf) ** 2, np.abs(cf[sl, None] - cf) ** 2, *w)
-            k = int(np.argmax(pair_gain))
-            if pair_gain.flat[k] > best:
-                best = float(pair_gain.flat[k])
-                best_ij = (sl.start + k // pf.size, k % pf.size)
-    ia, ib = best_ij
+    i, j = [ia], [ib]
+    n_value = _total_gain((pf[i] - pf[j]) ** 2, np.abs(cf[i] - cf[j]) ** 2, *w)[0]
     pair = StatePair(
         DensityMatrix2(float(pf[ia]), complex(cf[ia])),
         DensityMatrix2(float(pf[ib]), complex(cf[ib])),
     )
-    return best, pair
+    return float(n_value), pair
 
 
 def non_markovianity(

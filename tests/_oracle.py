@@ -12,11 +12,12 @@ is sum_n P nu_1 (1 - e^-nx) / (n^2 - r).  The exact splits (J = 4)
 
 give Li_3, Li_5, Li_7, Li_9 (and Li_2 ... Li_8) of e^-x in closed form
 plus remainders whose terms fall off as n^-11 and n^-10.  The
-remainders are summed over their first N_REMAINDER = N terms.  For
-N^2 >= 4r the rest is at most P r^J x^2 / (3 J N^(2J)) in Re g and
+remainders are summed over their first N terms.  For N^2 >= 4r the
+rest is at most P r^J x^2 / (3 J N^(2J)) in Re g and
 2 P nu_1 r^J x / (3 J N^(2J)) in Re gdot (from h(y) <= y^2/2 and
-1 - e^-y <= y); reference raises ValueError when that bound exceeds
-1e-13 of the value.
+1 - e^-y <= y).  N grows in steps of CHUNK terms until N^2 >= 4r and
+both bounds are within 1e-13 of the values: 1 000 terms serve the warm
+baths, about 20 000 the cold ones (beta gamma / (2 pi) near 270).
 
 reference is independent of every engine: no quadrature, no digamma, no
 float64.  tail_sums gives the digamma differences that
@@ -27,44 +28,49 @@ from __future__ import annotations
 
 import mpmath
 
-# terms of the remainders summed explicitly
-N_REMAINDER = 1000
+# terms of the remainders summed between two checks of the bound
+CHUNK = 1000
 # polylogarithm orders of the closed-form part of Re g; Re gdot takes one less each
 _ORDERS = (3, 5, 7, 9)
 
 
 def reference(eta: float, gamma: float, beta: float, t: float) -> tuple[float, float]:
     """(Re g(t), Re gdot(t)) of the bath (eta, gamma, beta) at t > 0, to 40 digits, rounded to floats."""
+    re_g, re_gdot, _ = reference_with_bounds(eta, gamma, beta, t)
+    return re_g, re_gdot
+
+
+def reference_with_bounds(eta: float, gamma: float, beta: float, t: float, min_terms: int = CHUNK):
+    """reference's values, then (bound on Re g, bound on Re gdot, N) of the remainders, with N >= min_terms."""
     with mpmath.workdps(40):
         eta, gamma, beta, t = (mpmath.mpf(v) for v in (eta, gamma, beta, t))
         nu1 = 2 * mpmath.pi / beta
         x, r = nu1 * t, (gamma / nu1) ** 2
-        n, nj = N_REMAINDER, len(_ORDERS)
-        if n * n < 4 * r:
-            raise ValueError(f"a remainder of {n} terms needs beta gamma / (2 pi) <= {n / 2}")
+        nj = len(_ORDERS)
         q = mpmath.exp(-x)
         series_g = series_gdot = mpmath.mpf(0)
         for j, s in enumerate(_ORDERS):
             series_g += r**j * (mpmath.polylog(s, q) + x * mpmath.zeta(s - 1) - mpmath.zeta(s))
             series_gdot += r**j * (mpmath.zeta(s - 1) - mpmath.polylog(s - 1, q))
-        rest_g = rest_gdot = mpmath.mpf(0)
-        qk = mpmath.mpf(1)
-        for k in range(1, n + 1):
-            qk *= q
-            w = 1 / (mpmath.mpf(k) ** (2 * nj) * (k * k - r))
-            rest_g += w * (qk + k * x - 1) / k
-            rest_gdot += w * (1 - qk)
         pref = 4 * eta * gamma / (beta * nu1**3)
         cot = mpmath.cot(beta * gamma / 2)
-        re_g = (eta / gamma) * cot * (mpmath.expm1(-gamma * t) + gamma * t) + pref * (series_g + r**nj * rest_g)
-        re_gdot = -eta * cot * mpmath.expm1(-gamma * t) + pref * nu1 * (series_gdot + r**nj * rest_gdot)
-        for value, bound in (
-            (re_g, pref * r**nj * x**2 / (3 * nj * n ** (2 * nj))),
-            (re_gdot, 2 * pref * nu1 * r**nj * x / (3 * nj * n ** (2 * nj))),
-        ):
-            if bound > 1e-13 * abs(value):
-                raise ValueError(f"remainder bound {bound} exceeds 1e-13 of the value {value}")
-        return float(re_g), float(re_gdot)
+        rest_g = rest_gdot = mpmath.mpf(0)
+        qk = mpmath.mpf(1)
+        n = 0
+        while True:
+            for k in range(n + 1, n + CHUNK + 1):
+                qk *= q
+                w = 1 / (mpmath.mpf(k) ** (2 * nj) * (k * k - r))
+                rest_g += w * (qk + k * x - 1) / k
+                rest_gdot += w * (1 - qk)
+            n += CHUNK
+            re_g = (eta / gamma) * cot * (mpmath.expm1(-gamma * t) + gamma * t) + pref * (series_g + r**nj * rest_g)
+            re_gdot = -eta * cot * mpmath.expm1(-gamma * t) + pref * nu1 * (series_gdot + r**nj * rest_gdot)
+            bound_g = pref * r**nj * x**2 / (3 * nj * n ** (2 * nj))
+            bound_gdot = 2 * pref * nu1 * r**nj * x / (3 * nj * n ** (2 * nj))
+            within = bound_g <= 1e-13 * abs(re_g) and bound_gdot <= 1e-13 * abs(re_gdot)
+            if n >= min_terms and n * n >= 4 * r and within:
+                return float(re_g), float(re_gdot), (float(bound_g), float(bound_gdot), n)
 
 
 def tail_sums(eta: float, gamma: float, beta: float, a: float, m: int) -> tuple[float, float]:

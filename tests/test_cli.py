@@ -14,7 +14,7 @@ import dephaser
 from dephaser.cli import _OPTIONS, SCHEMA_VERSION, Series, _build_parser, _resolve, _write_series, main
 from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
 from dephaser.dynamics import SystemParams
-from dephaser.measures import Prepared, decay_exponent_rate, non_markovianity
+from dephaser.measures import Prepared, SingleTime, decay_exponent_grid, decay_exponent_rate, non_markovianity
 from dephaser.response import echo_response
 from dephaser.spectral import BathParams
 
@@ -335,6 +335,18 @@ def test_figures_trd_curves(capsys):
     assert data[:, 3].max() > 1.0  # echo recovery beats the start value
     # truncation level visibly separates the prepared curves
     assert np.max(np.abs(data[:, 3] - data[:, 4])) > 1e-3
+
+
+def test_figures_trd_labels_the_truncated_curves_by_their_terms(capsys):
+    rc, out, _ = run_cli(capsys, ["figures", "trd", "--terms", "7", "--points", "50"])
+    assert rc == 0
+    cols, rows = parse_csv(out)
+    assert cols == ["t2", "d_t1_0_terms_0", "d_t1_0_terms_7", "d_t1_1_terms_0", "d_t1_1_terms_7"]
+    data = np.array(rows)
+    ev = BrownianMatsubara(BathParams(1.0, 0.5, 1.0, 7), include_tail=False)
+    for col, scenario in ((2, SingleTime()), (4, Prepared(1.0))):
+        e = decay_exponent_grid(ev, scenario, data[:, 0])
+        assert np.all(data[:, col] == np.exp(-(e - e[0])))
 
 
 def test_figures_trd2t_surface(capsys):

@@ -10,7 +10,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from _oracle import reference
+from _oracle import reference, reference_with_bounds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -379,6 +379,16 @@ def test_freq_quad_matches_the_series_at_its_domain_edge(beta, gamma):
         re_g, re_gdot = reference(1.0, gamma, beta, t)
         assert abs(ev.g(t).real - re_g) <= rtol * abs(re_g)
         assert abs(ev.gdot(t).real - re_gdot) <= 1e-11 * abs(re_gdot)
+
+
+def test_oracle_grows_its_remainder_on_a_cold_bath():
+    # beta gamma / (2 pi) = 267: a fixed 1 000-term remainder raised here at every t tried
+    re_g, re_gdot, (bound_g, bound_gdot, n) = reference_with_bounds(1.3, 1.8, 933.0, 0.04)
+    assert n > 1000
+    want_g, want_gdot, (far_g, far_gdot, _) = reference_with_bounds(1.3, 1.8, 933.0, 0.04, min_terms=40000)
+    # each side within its bound of the exact value, plus half an ulp for its rounding to a float
+    assert abs(re_g - want_g) <= bound_g + far_g + math.ulp(want_g)
+    assert abs(re_gdot - want_gdot) <= bound_gdot + far_gdot + math.ulp(want_gdot)
 
 
 def _child(*args):

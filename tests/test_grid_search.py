@@ -1,4 +1,4 @@
-"""GridSearch: the phase-difference class reduction against the brute force it replaced."""
+"""GridSearch: the phase-difference class search against a brute force over every pair."""
 
 import math
 
@@ -13,13 +13,8 @@ from dephaser.measures import (
     GridSearch,
     Prepared,
     StatePair,
-    _class_bounds,
-    _class_margins,
-    _grid_axes,
     _grid_search,
-    _grid_states,
     _growth_runs,
-    _magnitude_states,
     _total_gain,
     _weights,
     non_markovianity,
@@ -29,32 +24,86 @@ from dephaser.spectral import BathParams
 BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=100)
 
 
-def brute_force(search, weights_end, weights_start):
-    """The grid search before the class reduction: every pair, 128 rows of the pair table at a time."""
+def _grid(search):
+    """p, |c|, c and phase index of every grid state in flat order, and cos of the grid phases."""
     p = np.linspace(0.0, 1.0, search.n_population)
     frac = np.linspace(0.0, 1.0, search.n_coherence) * (1.0 - 1e-12)
     phase = np.linspace(0.0, 2.0 * math.pi, search.n_phase, endpoint=False)
     pp, ff, hh = np.meshgrid(p, frac, phase, indexing="ij")
     pf = pp.ravel()
-    cf = ff.ravel() * np.sqrt(pf * (1.0 - pf)) * np.exp(1j * hh.ravel())
+    mf = ff.ravel() * np.sqrt(pf * (1.0 - pf))
+    cf = mf * np.exp(1j * hh.ravel())
+    return pf, mf, cf, np.arange(pf.size) % search.n_phase, np.cos(phase)
+
+
+def _pair_gain(pf, cf, rows, weights_end, weights_start):
+    """Per-pair summed gains of the pairs whose first state is in rows."""
+    return _total_gain((pf[rows, None] - pf) ** 2, np.abs(cf[rows, None] - cf) ** 2, weights_end, weights_start)
+
+
+def brute_force(search, weights_end, weights_start):
+    """Every pair ranked by the gain of its phase-difference class, the first in flat order on ties, with its own gain.
+
+    A pair's class gain takes |dc|^2 = m_a^2 + m_b^2 - 2 m_a m_b cos(2 pi k / n_phase)
+    with k = min(d, n_phase - d) for the phase index difference d; the rows
+    of 16 magnitude states of the pair table at a time.
+    """
+    pf, mf, cf, h, cos = _grid(search)
+    n_h, n = search.n_phase, pf.size
+    # cos of the class of (first state of phase index ia, second state)
+    d = (h - h[:n_h, None]) % n_h
+    cos_d = cos[np.minimum(d, n_h - d)]
     best = -np.inf
     best_ij = (0, 0)
-    n = pf.size
-    for i0 in range(0, n, 128):
-        sl = slice(i0, min(i0 + 128, n))
-        dp2 = (pf[sl, None] - pf[None, :]) ** 2
-        dc2 = np.abs(cf[sl, None] - cf[None, :]) ** 2
-        gain = _total_gain(dp2, dc2, weights_end, weights_start)
+    for i0 in range(0, n, 16 * n_h):
+        sl = slice(i0, i0 + 16 * n_h)
+        ma, mb = mf[sl].reshape(-1, n_h, 1), mf
+        dc2 = ((ma * ma + mb * mb) - (2.0 * ma * mb) * cos_d).reshape(-1, n)
+        gain = _total_gain((pf[sl, None] - pf) ** 2, dc2, weights_end, weights_start)
         k = int(np.argmax(gain))
         if gain.flat[k] > best:
-            best = float(gain.flat[k])
+            best = gain.flat[k]
             best_ij = (i0 + k // n, k % n)
     ia, ib = best_ij
     pair = StatePair(
         DensityMatrix2(float(pf[ia]), complex(cf[ia])),
         DensityMatrix2(float(pf[ib]), complex(cf[ib])),
     )
-    return best, pair
+    return float(_pair_gain(pf, cf, [ia], weights_end, weights_start)[0, ib]), pair
+
+
+def largest_pair_gain(search, weights_end, weights_start):
+    """The largest per-pair summed gain over the grid: what the brute force before the class search returned."""
+    pf, _, cf, _, _ = _grid(search)
+    return float(_pair_gain(pf, cf, slice(None), weights_end, weights_start).max())
+
+
+def roundoff_bound(weights_end, weights_start):
+    """A bound on the largest per-pair gain less the reported pair's gain.
+
+    Twice the bound on |a pair's computed gain - its class's computed gain|
+    at dp^2 = dc^2 = 0, the largest over the classes: the reported pair
+    gains at least its class's gain less one such bound, and its class at
+    least the class gain of the best pair, which is that pair's gain less
+    another.
+    """
+    # With eps = 2^-52: every |c| is below 1/2, so dp2 and dc2 are at most 1.  A
+    # grid phase is 2 pi k/n_h to three roundings relative (2 pi, the step, its
+    # multiple), under 10 eps absolute; exp adds an ulp per component and the
+    # product with |c| one rounding, so a state's c is within 13 eps |c| of
+    # |c| e^{2 pi i k/n_h}.  A pair's |dc| is then off by 13 eps, plus 0.5 for
+    # the difference and 2 for abs; squaring doubles that and adds 0.5: 31.5 eps.
+    # A class's dc2 is off by 7 eps (its cos by 11, times 2 m_a m_b <= 1/2, plus
+    # three roundings).  So a pair's and its class's dc2 differ by at most 40 eps,
+    # and their arguments dp2 + dc2 w by delta(w) = eps (1 + 42 w), two roots of
+    # arguments delta apart by sqrt(delta) at most, and the roundings of the
+    # roots, of each interval's difference, of the sum over J intervals and of
+    # this arithmetic add (J + 3) eps sqrt(1 + w) per weight.
+    eps = float(np.finfo(float).eps)
+    ws = [*weights_end, *weights_start]
+    margin = (len(weights_end) + 3) * eps * sum(math.sqrt(1.0 + w) for w in ws)
+    margin += (1.0 + eps) * sum(math.sqrt(eps * (1.0 + 42.0 * w)) for w in ws)
+    return 2.0 * margin
 
 
 def bits(n_value, pair):
@@ -72,29 +121,6 @@ interval_weights = st.integers(1, 3).flatmap(
 )
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(
-    sizes=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 9)),
-    weights=interval_weights,
-)
-@example(sizes=(8, 8, 8), weights=([0.9], [0.3]))
-@example(sizes=(7, 5, 9), weights=([1.0, 0.2], [1e-3, 0.2]))  # an interval with no gain
-def test_pair_gains_lie_within_margin_of_class_gains(sizes, weights):
-    search = GridSearch(*sizes)
-    n_h = search.n_phase
-    pf, cf = _grid_states(search)
-    pair_gain = _total_gain((pf[:, None] - pf) ** 2, np.abs(cf[:, None] - cf) ** 2, *weights)
-    pm, mag = _magnitude_states(search)
-    cos_k = np.cos(_grid_axes(search)[2][: n_h // 2 + 1])
-    gain, margin = _class_bounds(pm, mag, cos_k, slice(None), *weights)
-    # the class of each pair: its magnitude states and phase-difference class
-    state = np.arange(pf.size)
-    d = (state % n_h - (state % n_h)[:, None]) % n_h
-    cls = (np.minimum(d, n_h - d), (state // n_h)[:, None], state // n_h)
-    assert np.all(np.abs(pair_gain - gain[cls]) <= margin[cls])
-    assert np.all(margin <= _class_margins(0.0, 0.0, *weights))
-
-
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     sizes=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 9)),
@@ -105,7 +131,10 @@ def test_pair_gains_lie_within_margin_of_class_gains(sizes, weights):
 @example(sizes=(1, 1, 1), weights=([0.5], [0.2]))
 def test_grid_search_is_the_brute_force_bit_for_bit(sizes, weights):
     search = GridSearch(*sizes)
-    assert bits(*_grid_search(search, *weights)) == bits(*brute_force(search, *weights))
+    n_value, pair = _grid_search(search, *weights)
+    assert bits(n_value, pair) == bits(*brute_force(search, *weights))
+    top = largest_pair_gain(search, *weights)
+    assert top - roundoff_bound(*weights) <= n_value <= top
 
 
 @pytest.mark.parametrize("t1", [1.0, 1e-4])
