@@ -252,10 +252,12 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
 
     trd: normalized trace distance against t2 for t1 in {0, 1} with the
     high-temperature kernel (terms = 0) and the strictly truncated
-    K-term kernel (K = --terms, 100 by default) side by side.
+    K-term kernel (K = --terms >= 1, 100 by default) side by side.
     trd2t: the high-temperature distance surface over (t1, t2).
     """
     if which == "trd":
+        if not cfg.bath.matsubara_terms:
+            raise ValueError("figures trd needs --terms of at least 1: terms_0 names the high-temperature curve")
         ts = cfg.grid(1)
         ev_ht = HighTemperatureBrownian(cfg.bath)
         ev_k = BrownianMatsubara(cfg.bath, include_tail=False)

@@ -12,9 +12,10 @@ overdamped Brownian form
 
 L(t) has a pole-plus-Matsubara expansion whose thermal sum this module
 evaluates as a log term, a trilogarithm term and an n^-5 correction
-series cut at 50 000 terms, too few at low temperature: against a
-40-digit Lerch-phi sum (eta 1, gamma 0.5, t 2) Re L is off by 2e-5 at
-beta = 2e5 (1e-4 of |L|) and by 0.27 at beta = 1e6.  Tabulated spectral
+series that stops at its live terms, capped at 50 000 terms.  The cap is
+too few at low temperature: against a 40-digit Lerch-phi sum (eta 1,
+gamma 0.5, t 2) Re L is off by 2e-5 at beta = 2e5 (1e-4 of |L|) and by
+0.27 at beta = 1e6.  Tabulated spectral
 densities are integrated on their own grid.
 
 Re L(t) diverges logarithmically as t -> 0 for the Brownian form (the
@@ -75,7 +76,16 @@ def _check_beta(beta) -> float:
 
 
 def coth(x):
-    """Hyperbolic cotangent, switching to the Laurent form 1/x + x/3 below |x| = 1e-4."""
+    """Hyperbolic cotangent, switching to the Laurent form 1/x + x/3 below |x| = 1e-4.
+
+    One Python float (what the quadrature integrands pass) runs the same
+    float operations without the array machinery, with the array path's
+    bits: np.tanh, whose bits differ from math.tanh's, and +-inf at +-0.
+    """
+    if type(x) is float:
+        if not abs(x) < 1e-4:
+            return float(1.0 / np.tanh(x))
+        return 1.0 / x + x / 3.0 if x else math.copysign(math.inf, x)
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
     big = np.where(small, 1.0, x)
@@ -228,10 +238,12 @@ class BrownianCorrelation:
         nu/(nu^2 - g^2) = 1/nu + g^2/nu^3 + g^4 / (nu^3 (nu^2 - g^2))
 
     whose first two pieces resum to -log(1 - e^-x) and Li_3(e^-x) with
-    x = 2 pi t / beta, leaving an n^-5 correction series.  It runs to the
-    same n at every t: far enough for 1e-14 and past beta gamma / pi, but
-    at most 50 000 terms, which is too few at low temperature (see the
-    module docstring).  A pole degenerate with a thermal frequency is
+    x = 2 pi t / beta, leaving an n^-5 correction series.  Its n_corr
+    terms are set once per bath: far enough for 1e-14 and past
+    beta gamma / pi, but at most 50 000, which is too few at low
+    temperature (see the module docstring).  At each t the series stops at
+    its live terms, n <= min(n_corr, ceil(_EXP_DEAD / x)), where the Li_3
+    series stops too.  A pole degenerate with a thermal frequency is
     replaced by the finite limit of the combined resonant pair.  Takes the
     bath as a BathParams, which has checked it.
     """
@@ -278,7 +290,8 @@ class BrownianCorrelation:
         x = 2.0 * math.pi * t / p.beta
         decay = math.exp(-p.gamma * t)
         re = self.c_log * (-math.log(-math.expm1(-x))) + self.c_li3 * trilog_exp(x)
-        re += float(np.sum(self._w5 * np.exp(-self._n * x)))
+        live = math.ceil(_EXP_DEAD / x) if x * self._n.size > _EXP_DEAD else self._n.size
+        re += float(np.sum(self._w5[:live] * np.exp(-self._n[:live] * x)))
         if self.res_index:
             nu = self.nu_res
             re += 2.0 * p.eta / p.beta * math.exp(-nu * t) * (0.5 - nu * t)

@@ -349,6 +349,16 @@ def test_figures_trd_labels_the_truncated_curves_by_their_terms(capsys):
         assert np.all(data[:, col] == np.exp(-(e - e[0])))
 
 
+def test_figures_trd_rejects_zero_terms(capsys):
+    # terms_0 names the high-temperature curve, so K = 0 would print two columns of that name
+    rc, out, err = run_cli(capsys, ["figures", "trd", "--terms", "0", "--points", "5"])
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "ValueError"
+    assert "terms_0 names the high-temperature curve" in record["message"]
+
+
 def test_figures_trd2t_surface(capsys):
     rc, out, _ = run_cli(capsys, ["figures", "trd2t", "--points", "30", "--tmax", "20"])
     assert rc == 0

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 from _oracle import tail_sums
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 # scipy stays a dependency of the quadrature engines, so its digamma can pin the operations _digamma shares with it
 from scipy.special import digamma as scipy_digamma
@@ -20,6 +22,7 @@ from dephaser.spectral import (
     _digamma,
     correlation_function,
     coth,
+    _EXP_DEAD,
     trilog_exp,
 )
 
@@ -101,6 +104,31 @@ def test_coth_branches_agree():
     assert coth(1.2e-4) == pytest.approx(1.0 / math.tanh(1.2e-4), rel=1e-12)
     arr = coth(np.array([1e-5, 0.1, 3.0]))
     assert arr.shape == (3,)
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.floats(-2e-4, 2e-4))
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308)
+@example(1e-300)
+@example(1e-4)  # the Laurent switch, and the float on either side of it
+@example(-1e-4)
+@example(9.999999999999999e-05)
+@example(0.00010000000000000002)
+@example(-9.999999999999999e-05)
+@example(-0.00010000000000000002)
+def test_coth_float_path_matches_the_array_path_bit_for_bit(x):
+    got = coth(x)
+    with np.errstate(over="ignore"):  # 1/x overflows below about 5.6e-309 in the array path
+        want = coth(np.array([x]))[0]
+    assert type(got) is float
+    assert np.float64(got).view(np.uint64) == want.view(np.uint64), (x, got, want)
 
 
 def test_trilog_known_value_and_branch_continuity():
@@ -244,6 +272,55 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
         # gdot takes S1 alone, with the same bits
         s0, s1 = ev._tail_sums(m, derivative=True)
         assert math.isnan(s0) and s1 == got[1], m
+
+
+# BrownianCorrelation's live-term cut is pinned on: the default bath, crosscheck's coldest route bath,
+# a cold param_sweep pool bath, two baths at the 50 000-term cap, and three near-resonant ones.
+_CUT_BATHS = {
+    "default": BATH,
+    "beta 104.7": BathParams(1.049504713002099, 1.3000536414833517, 104.74638659365587),
+    "beta 939.8": BathParams(7.69, 1.86, 939.84),
+    "beta 1e3": BathParams(1.0, 0.5, 1e3),
+    "beta 2e5": BathParams(1.0, 0.5, 2e5),
+    "gamma 1 + 1e-5, beta 4 pi": BathParams(1.0, 1.0 + 1e-5, 4.0 * math.pi),
+    "gamma 1 + 1e-9, beta 4 pi": BathParams(1.0, 1.0 + 1e-9, 4.0 * math.pi),  # the resonant limit
+    "a = 37 (1 + 1e-5), beta 232": BathParams(1.0, 2.0 * math.pi * 37.0 / 232.0 * (1.0 + 1e-5), 232.0),
+}
+
+
+def _correlation_pieces(ev, t):
+    """Every float that BrownianCorrelation sums into Re L(t), with all n_corr correction terms."""
+    p = ev.bath
+    x = 2.0 * math.pi * t / p.beta
+    pieces = [ev.c_log * -math.log(-math.expm1(-x)), ev.c_li3 * trilog_exp(x)]
+    pieces += (ev._w5 * np.exp(-ev._n * x)).tolist()
+    if ev.res_index:
+        decay = math.exp(-ev.nu_res * t)
+        pieces += [2.0 * p.eta / p.beta * decay * (0.5 - ev.nu_res * t), -ev._res_amp * decay]
+    else:
+        pieces.append(ev._cot_amp * math.exp(-p.gamma * t))
+    return pieces
+
+
+@pytest.mark.parametrize("bath", _CUT_BATHS.values(), ids=_CUT_BATHS.keys())
+def test_correlation_series_stops_at_its_live_terms(bath):
+    """Re L within 4 ulp of sum |pieces| of the exact sum over all n_corr terms, reading none past the live ones.
+
+    The terms past n = ceil(_EXP_DEAD / x) are set to nan, so a sum that reads them returns nan.
+    """
+    ev = BrownianCorrelation(bath)
+    w5 = ev._w5
+    n_corr = w5.size
+    cut = 0
+    for t in np.geomspace(1e-7, 60.0 / bath.gamma, 40).tolist():
+        pieces = _correlation_pieces(ev, t)
+        live = min(n_corr, math.ceil(_EXP_DEAD * bath.beta / (2.0 * math.pi * t)))
+        cut += live < n_corr
+        ev._w5 = np.where(ev._n <= live, w5, math.nan)
+        got = ev(t).real
+        ev._w5 = w5
+        assert abs(got - math.fsum(pieces)) <= 4.0 * _ULP * math.fsum(map(abs, pieces)), t
+    assert cut >= 3  # times where the cut drops terms
 
 
 def test_correlation_analytic_matches_quadrature():
