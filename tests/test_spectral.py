@@ -15,6 +15,7 @@ from scipy.special import digamma as scipy_digamma
 from dephaser.dephasing import BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
+    _EXP_DEAD,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
@@ -22,7 +23,6 @@ from dephaser.spectral import (
     _digamma,
     correlation_function,
     coth,
-    _EXP_DEAD,
     trilog_exp,
 )
 
@@ -274,8 +274,8 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
         assert math.isnan(s0) and s1 == got[1], m
 
 
-# BrownianCorrelation's live-term cut is pinned on: the default bath, crosscheck's coldest route bath,
-# a cold param_sweep pool bath, two baths at the 50 000-term cap, and three near-resonant ones.
+# BrownianCorrelation's live-term cut is pinned on the default bath, crosscheck's coldest route bath,
+# a cold param_sweep pool bath, beta 1e3 and LOW_T_PROBE's beta 2e5, and three near-resonant baths.
 _CUT_BATHS = {
     "default": BATH,
     "beta 104.7": BathParams(1.049504713002099, 1.3000536414833517, 104.74638659365587),
@@ -314,7 +314,7 @@ def test_correlation_series_stops_at_its_live_terms(bath):
     cut = 0
     for t in np.geomspace(1e-7, 60.0 / bath.gamma, 40).tolist():
         pieces = _correlation_pieces(ev, t)
-        live = min(n_corr, math.ceil(_EXP_DEAD * bath.beta / (2.0 * math.pi * t)))
+        live = min(n_corr, math.ceil(_EXP_DEAD / (2.0 * math.pi * t / bath.beta)))
         cut += live < n_corr
         ev._w5 = np.where(ev._n <= live, w5, math.nan)
         got = ev(t).real
