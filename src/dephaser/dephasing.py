@@ -63,6 +63,7 @@ _FQ_MIN_TW = 3e-4
 _TABLE_BUDGET = 1 << 16
 # n > K coefficients (of each of nu_n, c_n, -c_n nu_n) that a BrownianMatsubara keeps between calls
 _TAIL_CACHE = 1 << 18
+_TWO_PI = 2.0 * math.pi
 
 
 def flip_exponent(g1, g2, g12):
@@ -83,7 +84,7 @@ def _check_times(t) -> tuple[np.ndarray, bool]:
     if ts.ndim != 1:
         raise ValueError(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
     # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
-    if ts.size and not (ts.min() >= 0.0 and ts.max() < math.inf):
+    if ts.size and not (np.minimum.reduce(ts) >= 0.0 and np.maximum.reduce(ts) < math.inf):
         _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
     return ts, False
 
@@ -189,6 +190,13 @@ class BrownianMatsubara:
         self._neg_nu = -self.nu
         self._neg_cnu = -self.cnu
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
+        # the leading factors of the row and _live_stop formulas, each the product they start with
+        self._neg_gamma = -gamma
+        self._im_g_amp = -(eta / gamma)
+        self._re_g_amp = (eta / gamma) * self.cot_amp
+        self._re_gdot_amp = eta * self.cot_amp
+        self._res_row_amp = 2.0 * eta / beta
+        self._dead_beta = _EXP_DEAD * beta
         # the prefactors of the digamma sums of _tail_sums
         self._s1_amp = eta * gamma * beta / math.pi**2
         self._s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a2
@@ -209,11 +217,12 @@ class BrownianMatsubara:
         s0 = math.nan if derivative else self._s0_amp * (_digamma(n) - 0.5 * (below + above))
         return s0, s1
 
-    def _tail_terms(self, name: str, lo: int, hi: int) -> np.ndarray:
+    def _tail_terms(self, name: str, lo: int, hi: int, nu: np.ndarray | None = None) -> np.ndarray:
         """nu_n ("nu"), c_n ("c") or -c_n nu_n ("ncnu") for n = K+1+lo, ..., K+hi.
 
-        A slice of the cache when it holds them, computed otherwise.  Every
-        entry is computed on its own, so both give the same bits.
+        A slice of the cache when it holds them, computed otherwise, from nu
+        when it is given as those nu_n.  Every entry is computed on its own,
+        so both give the same bits.
         """
         cached = self._tail_cache.get(name)
         if cached is not None and hi <= cached.size:
@@ -222,7 +231,8 @@ class BrownianMatsubara:
         if name == "nu":
             k = p.matsubara_terms
             return p.matsubara_frequency(np.arange(k + 1.0 + lo, k + 1.0 + hi))
-        nu = self._tail_terms("nu", lo, hi)
+        if nu is None:
+            nu = self._tail_terms("nu", lo, hi)
         if name == "c":
             return 4.0 * p.eta * p.gamma / (p.beta * nu * (nu**2 - p.gamma**2))
         return -(4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2)))
@@ -234,7 +244,7 @@ class BrownianMatsubara:
         """
         k = self.bath.matsubara_terms
         try:
-            n_osc = math.ceil(_EXP_DEAD * self.bath.beta / (2.0 * math.pi * t))
+            n_osc = math.ceil(self._dead_beta / (_TWO_PI * t))
         except OverflowError:
             raise DephaserError(f"time {t!r} is too small for the Matsubara tail: its live terms overflow") from None
         return 0 if n_osc <= k else min(n_osc, k + _BLOCK_CAP)
@@ -258,7 +268,8 @@ class BrownianMatsubara:
         block = 0.0
         for lo in range(0, m, _TABLE_BUDGET):
             hi = min(lo + _TABLE_BUDGET, m)
-            terms = _series_terms(self._tail_terms("nu", lo, hi) * -t, self._tail_terms(coef_name, lo, hi), derivative)
+            nu = self._tail_terms("nu", lo, hi)
+            terms = _series_terms(nu * -t, self._tail_terms(coef_name, lo, hi, nu), derivative)
             block += float(np.add.reduce(terms))
         s0, s1 = self._tail_sums(n_stop, derivative)
         return block + s1 if derivative else block + t * s1 - s0
@@ -274,42 +285,40 @@ class BrownianMatsubara:
         if ts.size > rows:
             return np.concatenate([self._explicit(ts[i : i + rows], derivative) for i in range(0, ts.size, rows)])
         coef = self._neg_cnu if derivative else self.c
-        return np.add.reduce(_series_terms(np.multiply.outer(ts, self._neg_nu), coef, derivative), axis=1)
+        return np.add.reduce(_series_terms(ts[:, None] * self._neg_nu, coef, derivative), axis=1)
 
     def _g_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
             return 0j
-        p = self.bath
-        hg = math.expm1(-p.gamma * t) + p.gamma * t
+        hg = math.expm1(self._neg_gamma * t) + self.bath.gamma * t
         re = explicit
         if self.res_index:
             nu = self.nu_res
-            re += (2.0 * p.eta / p.beta) * (
+            re += self._res_row_amp * (
                 -t * math.expm1(-nu * t) / nu
                 - 1.5 * (math.expm1(-nu * t) + nu * t) / nu**2
             )
         else:
-            re += (p.eta / p.gamma) * self.cot_amp * hg
+            re += self._re_g_amp * hg
         if self.include_tail:
             re += self._tail(t, False)
-        return complex(re, -(p.eta / p.gamma) * hg)
+        return complex(re, self._im_g_amp * hg)
 
     def _gdot_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
             return 0j
-        p = self.bath
-        em = math.expm1(-p.gamma * t)
+        em = math.expm1(self._neg_gamma * t)
         re = explicit
         if self.res_index:
             nu = self.nu_res
-            re += (2.0 * p.eta / p.beta) * (
+            re += self._res_row_amp * (
                 t * math.exp(-nu * t) + math.expm1(-nu * t) / (2.0 * nu)
             )
         else:
-            re += p.eta * self.cot_amp * (-em)
+            re += self._re_gdot_amp * (-em)
         if self.include_tail:
             re += self._tail(t, True)
-        return complex(re, p.eta * em)
+        return complex(re, self.bath.eta * em)
 
     def g(self, t):
         """g at a time (a complex) or at every time of a 1-d array (a complex array)."""

@@ -20,6 +20,7 @@ an eigenvalue route is kept alongside as an independent check.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -84,20 +85,21 @@ class DensityMatrix2:
         return 1.0 - self.p11
 
     def to_vector(self) -> np.ndarray:
-        return np.array([self.p11, self.c12, np.conj(self.c12), self.p22], dtype=complex)
+        return np.array([self.p11, self.c12, self.c12.conjugate(), self.p22], dtype=complex)
 
     @classmethod
     def from_vector(cls, v) -> "DensityMatrix2":
         v = np.asarray(v, dtype=complex)
         if v.shape != (4,):
             raise ValueError("expected a length-4 Liouville vector")
-        if abs(v[0] + v[3] - 1.0) > _MAP_TOL:
-            raise ValueError(f"vector trace {v[0] + v[3]:.17g} is not 1")
-        if abs(v[2] - np.conj(v[1])) > _MAP_TOL * (1.0 + abs(v[1])):
+        v0, v1, v2, v3 = v.tolist()
+        if abs(v0 + v3 - 1.0) > _MAP_TOL:
+            raise ValueError(f"vector trace {v0 + v3:.17g} is not 1")
+        if abs(v2 - v1.conjugate()) > _MAP_TOL * (1.0 + abs(v1)):
             raise ValueError("vector is not hermitian: v[2] != conj(v[1])")
-        if abs(v[0].imag) > _MAP_TOL:
+        if abs(v0.imag) > _MAP_TOL:
             raise ValueError("population entry has an imaginary part")
-        return cls(v[0].real, complex(v[1]))
+        return cls(v0.real, v1)
 
     def as_matrix(self) -> np.ndarray:
         return np.array(
@@ -112,30 +114,35 @@ class LiouvilleOp:
     trace of the corresponding basis element.  Hermiticity propagation:
     the |2><1| row is the conjugate of the |1><2| row with the coherence
     columns swapped, and the population rows map hermitian inputs to real
-    outputs.  Violations beyond 1e-12 raise SuperoperatorError.
+    outputs.  Non-finite entries and violations beyond 1e-12 raise
+    SuperoperatorError.  The checks run on the Python scalars of one
+    tolist() of the matrix, which stays a read-only ndarray.
     """
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise SuperoperatorError("expected a 4x4 matrix")
-        trace_in = np.array([1.0, 0.0, 0.0, 1.0])
-        col_tr = m[0] + m[3]
-        if np.max(np.abs(col_tr - trace_in)) > _MAP_TOL:
-            raise SuperoperatorError(
-                f"map is not trace preserving (max defect {np.max(np.abs(col_tr - trace_in)):.3e})"
-            )
+        r0, r1, r2, r3 = m.tolist()
+        # a nan defect compares False below, so non-finite entries are rejected first
+        if not all(map(cmath.isfinite, r0 + r1 + r2 + r3)):
+            raise SuperoperatorError("map entries must be finite")
+        trace_defect = max(
+            abs(r0[0] + r3[0] - 1.0), abs(r0[1] + r3[1]), abs(r0[2] + r3[2]), abs(r0[3] + r3[3] - 1.0)
+        )
+        if trace_defect > _MAP_TOL:
+            raise SuperoperatorError(f"map is not trace preserving (max defect {trace_defect:.3e})")
         herm_defect = max(
-            abs(m[2, 0] - np.conj(m[1, 0])),
-            abs(m[2, 1] - np.conj(m[1, 2])),
-            abs(m[2, 2] - np.conj(m[1, 1])),
-            abs(m[2, 3] - np.conj(m[1, 3])),
-            abs(m[0, 0].imag),
-            abs(m[0, 3].imag),
-            abs(m[0, 2] - np.conj(m[0, 1])),
-            abs(m[3, 0].imag),
-            abs(m[3, 3].imag),
-            abs(m[3, 2] - np.conj(m[3, 1])),
+            abs(r2[0] - r1[0].conjugate()),
+            abs(r2[1] - r1[2].conjugate()),
+            abs(r2[2] - r1[1].conjugate()),
+            abs(r2[3] - r1[3].conjugate()),
+            abs(r0[0].imag),
+            abs(r0[3].imag),
+            abs(r0[2] - r0[1].conjugate()),
+            abs(r3[0].imag),
+            abs(r3[3].imag),
+            abs(r3[2] - r3[1].conjugate()),
         )
         if herm_defect > _MAP_TOL:
             raise SuperoperatorError(
@@ -201,15 +208,14 @@ def two_time_map(system: SystemParams, evaluator, uprime: LiouvilleOp, t1: float
     k2 = _kernel(eps, t2, g2)
     kk = _kernel(eps, t1 + t2, g12)
     kf = _kernel(eps, t2 - t1, flip_exponent(g1, g2, g12))
-    u = uprime.matrix
-    m = np.array(
-        [
-            [u[0, 0], np.conj(k1) * u[0, 1], k1 * u[0, 2], u[0, 3]],
-            [np.conj(k2) * u[1, 0], np.conj(kk) * u[1, 1], kf * u[1, 2], np.conj(k2) * u[1, 3]],
-            [k2 * u[2, 0], np.conj(kf) * u[2, 1], kk * u[2, 2], k2 * u[2, 3]],
-            [u[3, 0], np.conj(k1) * u[3, 1], k1 * u[3, 2], u[3, 3]],
-        ]
-    )
+    k1c, k2c, kkc, kfc = k1.conjugate(), k2.conjugate(), kk.conjugate(), kf.conjugate()
+    u0, u1, u2, u3 = uprime.matrix.tolist()
+    m = [
+        [u0[0], k1c * u0[1], k1 * u0[2], u0[3]],
+        [k2c * u1[0], kkc * u1[1], kf * u1[2], k2c * u1[3]],
+        [k2 * u2[0], kfc * u2[1], kk * u2[2], k2 * u2[3]],
+        [u3[0], k1c * u3[1], k1 * u3[2], u3[3]],
+    ]
     return LiouvilleOp(m)
 
 

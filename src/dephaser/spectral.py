@@ -288,6 +288,11 @@ class BrownianCorrelation:
             raise DephaserError(_L0_DIVERGES)
         p = self.bath
         x = 2.0 * math.pi * t / p.beta
+        if x == 0.0:
+            raise DephaserError(
+                f"time {t!r} is too small for the correlation function at beta = {p.beta!r}: "
+                "x = 2 pi t / beta underflows to 0"
+            )
         decay = math.exp(-p.gamma * t)
         re = self.c_log * (-math.log(-math.expm1(-x))) + self.c_li3 * trilog_exp(x)
         live = math.ceil(_EXP_DEAD / x) if x * self._n.size > _EXP_DEAD else self._n.size

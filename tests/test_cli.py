@@ -359,6 +359,17 @@ def test_figures_trd_rejects_zero_terms(capsys):
     assert "terms_0 names the high-temperature curve" in record["message"]
 
 
+def test_time_quad_reports_an_underflowing_correlation_argument(capsys):
+    # L is integrated down to times where 2 pi t / beta underflows to 0
+    argv = ["gfun", "--engine", "time-quad", "--tmax", "1e-318", "--points", "3", "--beta", "1e5"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "DephaserError"
+    assert "beta = 100000.0" in record["message"] and "underflows to 0" in record["message"]
+
+
 def test_figures_trd2t_surface(capsys):
     rc, out, _ = run_cli(capsys, ["figures", "trd2t", "--points", "30", "--tmax", "20"])
     assert rc == 0

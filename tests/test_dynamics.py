@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
+from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian, flip_exponent
 from dephaser.dynamics import (
     DensityMatrix2,
     LiouvilleOp,
     SystemParams,
+    _kernel,
     coherence_flip,
     identity_op,
     propagate_single,
@@ -115,6 +116,73 @@ def test_liouville_validation():
         LiouvilleOp(np.eye(3))
 
 
+def test_liouville_rejects_non_finite_entries():
+    # a nan defect compares False against the tolerance, so it must not reach those checks
+    with pytest.raises(SuperoperatorError, match="finite"):
+        LiouvilleOp(np.full((4, 4), np.nan))
+    for i in range(4):
+        for j in range(4):
+            for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, math.inf)):
+                m = np.eye(4, dtype=complex)
+                m[i, j] = bad
+                with pytest.raises(SuperoperatorError, match="finite"):
+                    LiouvilleOp(m)
+
+
+def _perturbed_identity(entries):
+    m = np.eye(4, dtype=complex)
+    for (i, j), d in entries:
+        m[i, j] += d
+    return m
+
+
+# each checked entry of a 4x4 map and perturbations of the identity that give it a defect of d.  A trace
+# column is checked first, so its message names it even where keeping m[0, 2] = conj(m[0, 1]) and the
+# other column's trace costs a hermiticity defect.  The population rows' hermiticity entries come in pairs
+# of equal defect, which the trace check ties together.
+_TRACE_DEFECTS = {
+    f"trace column {j}": (lambda d, j=j: [((0, j), d)] + ([((0, 3 - j), d), ((3, 3 - j), -d)] if j in (1, 2) else []))
+    for j in range(4)
+}
+_HERM_DEFECTS = {
+    **{f"m[2, {j}] vs conj(m[1, {k}])": (lambda d, j=j: [((2, j), d)]) for j, k in ((0, 0), (1, 2), (2, 1), (3, 3))},
+    "Im m[0, 0] and Im m[3, 0]": lambda d: [((0, 0), 1j * d), ((3, 0), -1j * d)],
+    "Im m[0, 3] and Im m[3, 3]": lambda d: [((0, 3), 1j * d), ((3, 3), -1j * d)],
+    "m[0, 2] vs conj(m[0, 1]) and m[3, 2] vs conj(m[3, 1])": lambda d: [((0, 2), d), ((3, 2), -d)],
+}
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [(f, "trace preserving") for f in _TRACE_DEFECTS.values()] + [(f, "hermiticity") for f in _HERM_DEFECTS.values()],
+    ids=[*_TRACE_DEFECTS, *_HERM_DEFECTS],
+)
+def test_liouville_tolerance_at_each_checked_entry(entries, message):
+    LiouvilleOp(_perturbed_identity(entries(0.5e-12)))
+    with pytest.raises(SuperoperatorError, match=message):
+        LiouvilleOp(_perturbed_identity(entries(2e-12)))
+
+
+def test_from_vector_tolerance_at_each_checked_entry():
+    base = np.array([0.5, 0.25j, -0.25j, 0.5])
+    scale = 1.0 + abs(base[1])  # the hermiticity bound is relative to 1 + |v[1]|
+    for entries, message in (
+        ([(0, 1.0)], "trace"),
+        ([(3, 1.0)], "trace"),
+        ([(2, scale)], "hermitian"),
+        ([(0, 1j), (3, -1j)], "imaginary"),
+    ):
+        for d, ok in ((0.5e-12, True), (2e-12, False)):
+            v = base.copy()
+            for k, unit in entries:
+                v[k] += d * unit
+            if ok:
+                DensityMatrix2.from_vector(v)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    DensityMatrix2.from_vector(v)
+
+
 def test_liouville_matrix_is_readonly():
     op = identity_op()
     with pytest.raises(ValueError):
@@ -145,6 +213,53 @@ def test_two_time_kernels_identities():
     expo = 2.0 * ev.g(t1).real + 2.0 * ev.g(t2).real - ev.g(t1 + t2).real
     assert abs(flip[1, 2]) == pytest.approx(math.exp(-expo), rel=1e-14)
     assert flip[2, 1] == np.conj(flip[1, 2])
+
+
+def _numpy_scalar_map(system, ev, uprime, t1, t2):
+    """The two-interval map built from numpy scalars (np.conj, u[i, j]), the reference for two_time_map's bits."""
+    g1, g2, g12 = ev.g(np.array([t1, t2, t1 + t2])).tolist()
+    eps = system.epsilon
+    k1 = _kernel(eps, t1, g1)
+    k2 = _kernel(eps, t2, g2)
+    kk = _kernel(eps, t1 + t2, g12)
+    kf = _kernel(eps, t2 - t1, flip_exponent(g1, g2, g12))
+    u = uprime.matrix
+    return np.array(
+        [
+            [u[0, 0], np.conj(k1) * u[0, 1], k1 * u[0, 2], u[0, 3]],
+            [np.conj(k2) * u[1, 0], np.conj(kk) * u[1, 1], kf * u[1, 2], np.conj(k2) * u[1, 3]],
+            [k2 * u[2, 0], np.conj(kf) * u[2, 1], kk * u[2, 2], k2 * u[2, 3]],
+            [u[3, 0], np.conj(k1) * u[3, 1], k1 * u[3, 2], u[3, 3]],
+        ]
+    )
+
+
+def random_junction(rng):
+    """A 4x4 map that is trace preserving and hermiticity preserving, with general complex entries."""
+    a, c = rng.uniform(0.0, 1.0, 2)
+    b, p, q, r, s = (complex(*rng.normal(size=2)) for _ in range(5))
+    return LiouvilleOp(
+        [
+            [a, b, b.conjugate(), c],
+            [p, q, r, s],
+            [p.conjugate(), r.conjugate(), q.conjugate(), s.conjugate()],
+            [1.0 - a, -b, -b.conjugate(), 1.0 - c],
+        ]
+    )
+
+
+def test_two_time_map_matches_the_numpy_scalar_build_bit_for_bit():
+    ev = BrownianMatsubara(BATH)
+    rng = np.random.default_rng(29)
+    junctions = [identity_op(), coherence_flip()] + [random_junction(rng) for _ in range(3)]
+    times = [(0.0, 0.0), (0.0, 1.1), (2.3, 0.0)] + [tuple(rng.uniform(0.0, 5.0, 2)) for _ in range(10)]
+    for eps in (0.0, 2.0, -0.7):
+        system = SystemParams(eps)
+        for uprime in junctions:
+            for t1, t2 in times:
+                got = two_time_map(system, ev, uprime, t1, t2).matrix
+                want = _numpy_scalar_map(system, ev, uprime, t1, t2)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_identity_junction_composes_exactly():

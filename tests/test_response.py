@@ -33,6 +33,15 @@ def test_modulus_ties_response_to_flip_kernel():
     assert worst < 1e-14
 
 
+def test_echo_response_equals_the_grid_kernel_bit_for_bit():
+    # one two-interval call and the grid route take g from different calls, but every bit agrees
+    ev = BrownianMatsubara(BathParams(1.3, 0.7, 2.0))
+    ts = np.linspace(0.0, 6.0, 61)
+    grid = np.exp(-flip_exponent_grid(ev, ts))
+    got = np.array([[echo_response(ev, t1, t2) for t2 in ts.tolist()] for t1 in ts.tolist()])
+    assert got.tobytes() == grid.tobytes()
+
+
 def test_echo_symmetric_in_intervals():
     ev = BrownianMatsubara(BATH)
     for t1, t2 in ((0.3, 1.7), (2.0, 0.1), (4.0, 4.0)):

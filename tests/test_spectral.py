@@ -366,6 +366,16 @@ def test_brownian_correlation_at_zero_raises(route, gamma):
         BrownianCorrelation(BathParams(1.0, gamma, beta))(0.0)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 2.0 * math.pi * 3 / 1e5], ids=["warm", "resonant"])
+def test_brownian_correlation_raises_where_its_argument_underflows(gamma):
+    # x = 2 pi t / beta is 0 at t = 1e-320, beta = 1e5: a DephaserError naming t and beta, not math.log's ValueError
+    bath = BathParams(1.0, gamma, 1e5)
+    with pytest.raises(DephaserError, match=r"time 1e-320 .* beta = 100000\.0"):
+        BrownianCorrelation(bath)(1e-320)
+    with pytest.raises(DephaserError, match="underflows"):
+        correlation_function(OverdampedBrownian(bath), bath.beta, 1e-320)
+
+
 def test_correlation_imag_jump_at_origin():
     # Im L(0) = 0 by oddness, but Im L(0+) = -eta gamma
     sd = OverdampedBrownian(BATH)
