@@ -190,7 +190,7 @@ class BrownianMatsubara:
         self._neg_nu = -self.nu
         self._neg_cnu = -self.cnu
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        # the leading factors of the row and _live_stop formulas, each the product they start with
+        # per-bath factors of the row and _live_stop formulas, each the product its formula starts with (same bits)
         self._neg_gamma = -gamma
         self._im_g_amp = -(eta / gamma)
         self._re_g_amp = (eta / gamma) * self.cot_amp
@@ -220,9 +220,9 @@ class BrownianMatsubara:
     def _tail_terms(self, name: str, lo: int, hi: int, nu: np.ndarray | None = None) -> np.ndarray:
         """nu_n ("nu"), c_n ("c") or -c_n nu_n ("ncnu") for n = K+1+lo, ..., K+hi.
 
-        A slice of the cache when it holds them, computed otherwise, from nu
-        when it is given as those nu_n.  Every entry is computed on its own,
-        so both give the same bits.
+        A slice of the cache when it holds them, computed otherwise; a
+        coefficient is computed from nu when given (those nu_n).  Every entry
+        is computed on its own, so both give the same bits.
         """
         cached = self._tail_cache.get(name)
         if cached is not None and hi <= cached.size:

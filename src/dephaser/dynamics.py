@@ -208,6 +208,7 @@ def two_time_map(system: SystemParams, evaluator, uprime: LiouvilleOp, t1: float
     k2 = _kernel(eps, t2, g2)
     kk = _kernel(eps, t1 + t2, g12)
     kf = _kernel(eps, t2 - t1, flip_exponent(g1, g2, g12))
+    # Python complex products use numpy's formula, so these entries have the bits of numpy scalar products
     k1c, k2c, kkc, kfc = k1.conjugate(), k2.conjugate(), kk.conjugate(), kf.conjugate()
     u0, u1, u2, u3 = uprime.matrix.tolist()
     m = [

@@ -245,7 +245,8 @@ class BrownianCorrelation:
     its live terms, n <= min(n_corr, ceil(_EXP_DEAD / x)), where the Li_3
     series stops too.  A pole degenerate with a thermal frequency is
     replaced by the finite limit of the combined resonant pair.  Takes the
-    bath as a BathParams, which has checked it.
+    bath as a BathParams, which has checked it.  Raises DephaserError at
+    t = 0 and where x underflows to 0 (t below about 4e-325 beta).
     """
 
     _TAIL_TOL = 1e-14
