@@ -43,6 +43,7 @@ from ._quadrature import integrate_finite, integrate_fourier_tail, integrate_to_
 from .errors import DephaserError, ResonanceError
 from .spectral import (
     _EXP_DEAD,
+    _FOURIER_MIN_TW,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
@@ -56,9 +57,6 @@ from .spectral import (
 )
 
 _BLOCK_CAP = 2_000_000
-# t w_split below which FrequencyQuadrature raises for a Brownian density: its Re g is off a
-# 40-digit series by up to 4e-6 relative at 1e-4 and by 3e10-6e10 at 1e-6, and QAWF segfaults at subnormal t
-_FQ_MIN_TW = 3e-4
 # elements of the times x explicit-terms table, or of a tail block, that BrownianMatsubara builds at once
 _TABLE_BUDGET = 1 << 16
 # n > K coefficients (of each of nu_n, c_n, -c_n nu_n) that a BrownianMatsubara keeps between calls
@@ -76,26 +74,53 @@ def flip_exponent(g1, g2, g12):
     return 2.0 * g1 + 2.0 * g2 - g12
 
 
-def _check_times(t) -> tuple[np.ndarray, bool]:
-    """(t as a 1-d float array, whether t is a scalar); ValueError as _check_time at the first bad time."""
+def _as_times(t) -> tuple[np.ndarray, bool]:
+    """(t as a 1-d float array, whether t is a scalar); a scalar is checked as _check_time does, an array is not."""
     ts = np.asarray(t, dtype=float)
     if ts.ndim == 0:
         return np.array([_check_time(t)]), True
     if ts.ndim != 1:
         raise ValueError(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
-    # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
-    if ts.size and not (np.minimum.reduce(ts) >= 0.0 and np.maximum.reduce(ts) < math.inf):
-        _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
     return ts, False
 
 
-def _rows(row, ts: np.ndarray, scalar: bool, *columns):
-    """row(t, *column values at t) -> complex at every time of ts.
+def _check_times(t) -> tuple[np.ndarray, bool]:
+    """(t as a 1-d float array, whether t is a scalar); ValueError as _check_time at the first bad time.
+
+    For an engine that computes on the whole array: the times are checked
+    by two numpy reductions.
+    """
+    ts, scalar = _as_times(t)
+    # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
+    if not scalar and ts.size and not (np.minimum.reduce(ts) >= 0.0 and np.maximum.reduce(ts) < math.inf):
+        _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
+    return ts, scalar
+
+
+def _time_list(t) -> tuple[np.ndarray, list, bool]:
+    """(t as a 1-d float array, the same times as a list of Python floats, whether t is a scalar).
+
+    For an engine that steps through the times in Python: the times are
+    checked on the list it needs anyway (ValueError as _check_time at the
+    first bad time), which costs a few-time call far less than numpy
+    reductions do.
+    """
+    ts, scalar = _as_times(t)
+    times = ts.tolist()
+    # a nan or infinite time makes the sum nan or inf, and with none of them min is the least time
+    if not scalar and times and not (sum(times) < math.inf and min(times) >= 0.0):
+        for s in times:
+            _check_time(s)  # raises at the first bad time; none is bad when only the sum overflowed
+    return ts, times, scalar
+
+
+def _rows(row, times: list, scalar: bool, *columns: list):
+    """row(t, *column values at t) -> complex at every time of the list times.
 
     A Python complex when the times were a scalar, a complex array otherwise.
     """
-    values = map(row, ts.tolist(), *(c.tolist() for c in columns))
-    return next(values) if scalar else np.fromiter(values, complex, ts.size)
+    values = list(map(row, times, *columns))
+    return values[0] if scalar else np.fromiter(values, complex, len(values))
 
 
 def _complex(re: np.ndarray, im: np.ndarray, scalar: bool):
@@ -109,6 +134,13 @@ def _normal(value: float, what: str) -> float:
     """value when it is a normal float; DephaserError when the arithmetic that gave it over- or underflowed."""
     if not np.finfo(float).smallest_normal <= abs(value) < math.inf:
         raise DephaserError(f"{what} = {value!r} leaves the normal floats: the bath is outside this engine's range")
+    return value
+
+
+def _finite(value: float, what: str) -> float:
+    """value when it is finite; DephaserError when the arithmetic that gave it overflowed."""
+    if not math.isfinite(value):
+        raise DephaserError(f"{what} = {value!r} overflows: the bath is outside this engine's range")
     return value
 
 
@@ -148,7 +180,12 @@ class BrownianMatsubara:
 
     The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi,
     which S0 divides by) or nu_K^2 (in c_K) leaves the normal floats:
-    beta gamma < 9.4e-154 or 2 pi K / beta > 1.3e154.
+    beta gamma < 9.4e-154 or 2 pi K / beta > 1.3e154.  It also raises where
+    an amplitude of the pole term overflows: eta / gamma, (eta / gamma)
+    cot(beta gamma / 2) (eta 1e300, gamma 1e-8, beta 1e-20), eta
+    cot(beta gamma / 2), or at resonance 2 eta / beta; and with its tail
+    where a prefactor of the digamma sums does (eta 1e307, gamma 1, beta
+    100).
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms
     of all times are one times x K table, summed row by row; the pole
@@ -190,16 +227,24 @@ class BrownianMatsubara:
         self._neg_nu = -self.nu
         self._neg_cnu = -self.cnu
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        # per-bath factors of the row and _live_stop formulas, each the product its formula starts with (same bits)
+        # per-bath factors of the row, _tail and _live_stop formulas, each the value or product its formula starts
+        # with (same bits)
+        self._k = k
+        self._gamma = gamma
         self._neg_gamma = -gamma
-        self._im_g_amp = -(eta / gamma)
-        self._re_g_amp = (eta / gamma) * self.cot_amp
-        self._re_gdot_amp = eta * self.cot_amp
+        self._im_g_amp = -_finite(eta / gamma, "eta / gamma")
+        self._re_g_amp = _finite((eta / gamma) * self.cot_amp, "(eta / gamma) cot(beta gamma / 2)")
+        self._re_gdot_amp = _finite(eta * self.cot_amp, "eta cot(beta gamma / 2)")
         self._res_row_amp = 2.0 * eta / beta
+        if m:
+            _finite(self._res_row_amp, "2 eta / beta")
         self._dead_beta = _EXP_DEAD * beta
         # the prefactors of the digamma sums of _tail_sums
         self._s1_amp = eta * gamma * beta / math.pi**2
         self._s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a2
+        if include_tail:
+            _finite(self._s1_amp, "eta gamma beta / pi^2")
+            _finite(self._s0_amp, "eta gamma beta^2 / (2 pi^3 a^2)")
         self._s0_k, self._s1_k = self._tail_sums(k)
         # nu_n, c_n and -c_n nu_n for the first n > K, computed when a time first needs them
         self._tail_cache = {}
@@ -242,7 +287,7 @@ class BrownianMatsubara:
 
         DephaserError at a time so small (subnormal, for beta near 1) that the last live n overflows.
         """
-        k = self.bath.matsubara_terms
+        k = self._k
         try:
             n_osc = math.ceil(self._dead_beta / (_TWO_PI * t))
         except OverflowError:
@@ -255,10 +300,11 @@ class BrownianMatsubara:
         The coefficients of the live terms are cached up to _TAIL_CACHE of
         them; the block is built and summed _TABLE_BUDGET terms at a time.
         """
-        n_stop = self._live_stop(t)
-        if not n_stop:
+        # ceil(x) <= K exactly when x <= K, so this is _live_stop(t) == 0 without its call
+        if self._dead_beta / (_TWO_PI * t) <= self._k:
             return self._s1_k if derivative else t * self._s1_k - self._s0_k
-        m = n_stop - self.bath.matsubara_terms
+        n_stop = self._live_stop(t)
+        m = n_stop - self._k
         coef_name = "ncnu" if derivative else "c"
         for name in ("nu", coef_name):
             cached = self._tail_cache.get(name)
@@ -290,7 +336,7 @@ class BrownianMatsubara:
     def _g_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
             return 0j
-        hg = math.expm1(self._neg_gamma * t) + self.bath.gamma * t
+        hg = math.expm1(self._neg_gamma * t) + self._gamma * t
         re = explicit
         if self.res_index:
             nu = self.nu_res
@@ -322,13 +368,13 @@ class BrownianMatsubara:
 
     def g(self, t):
         """g at a time (a complex) or at every time of a 1-d array (a complex array)."""
-        ts, scalar = _check_times(t)
-        return _rows(self._g_row, ts, scalar, self._explicit(ts, derivative=False))
+        ts, times, scalar = _time_list(t)
+        return _rows(self._g_row, times, scalar, self._explicit(ts, derivative=False).tolist())
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array)."""
-        ts, scalar = _check_times(t)
-        return _rows(self._gdot_row, ts, scalar, self._explicit(ts, derivative=True))
+        ts, times, scalar = _time_list(t)
+        return _rows(self._gdot_row, times, scalar, self._explicit(ts, derivative=True).tolist())
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops."""
@@ -385,7 +431,7 @@ class FrequencyQuadrature:
         self.bath = self.certified_bath = _brownian_bath(sd, beta)
         if self.bath is not None:
             self.w_split = _split_frequency(self.bath)
-            self._t_min = _FQ_MIN_TW / self.w_split
+            self._t_min = _FOURIER_MIN_TW / self.w_split
             # int_{w_split}^inf (J/w^2) coth dw and int_0^inf (J/w) dw
             self._tail_rc = integrate_to_inf(
                 lambda w: self._f_rc(w), self.w_split, tag="coth tail moment"
@@ -411,17 +457,17 @@ class FrequencyQuadrature:
     def gdot(self, t):
         return _rows(self._gdot, *self._times_in_domain(t))
 
-    def _times_in_domain(self, t) -> tuple[np.ndarray, bool]:
-        """_check_times, then DephaserError at the first time 0 < t < t_min of a Brownian density."""
-        ts, scalar = _check_times(t)
+    def _times_in_domain(self, t) -> tuple[list, bool]:
+        """_time_list's times and scalar flag; DephaserError at the first 0 < t < t_min of a Brownian density."""
+        _, times, scalar = _time_list(t)
         if self.bath is not None:
-            low = ts[(ts > 0.0) & (ts < self._t_min)]
-            if low.size:
-                raise DephaserError(
-                    f"time {float(low[0])!r} is below the validated domain of freq-quad, "
-                    f"t >= {_FQ_MIN_TW:g} / w_split = {self._t_min!r}"
-                )
-        return ts, scalar
+            for s in times:
+                if 0.0 < s < self._t_min:
+                    raise DephaserError(
+                        f"time {s!r} is below the validated domain of freq-quad, "
+                        f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}"
+                    )
+        return times, scalar
 
     def _g(self, t: float) -> complex:
         if t == 0.0:
@@ -500,10 +546,10 @@ class TimeDomainQuadrature:
             self._corr = lambda u: _tabulated_grid(sd, therm, u)
 
     def g(self, t):
-        return _rows(lambda s: self._integral(s, False), *_check_times(t))
+        return _rows(lambda s: self._integral(s, False), *_time_list(t)[1:])
 
     def gdot(self, t):
-        return _rows(lambda s: self._integral(s, True), *_check_times(t))
+        return _rows(lambda s: self._integral(s, True), *_time_list(t)[1:])
 
     def _integral(self, t: float, derivative: bool) -> complex:
         """int_0^t w(u) L(u) du with w = t - u (g) or 1 (gdot); Re and Im integrated apart."""

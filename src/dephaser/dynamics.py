@@ -180,8 +180,13 @@ def coherence_flip() -> LiouvilleOp:
 
 
 def _kernel(epsilon: float, t: float, expo) -> complex:
-    """Coherence amplitude factor e^{-i eps t - expo}."""
-    return complex(np.exp(-1j * epsilon * t - expo))
+    """Coherence amplitude factor e^{-i eps t - expo}.
+
+    cmath.exp has np.exp's bits over the engines' range; it raises
+    OverflowError where the factor overflows (Re expo below about -709.78),
+    where np.exp gave inf behind a RuntimeWarning.
+    """
+    return cmath.exp(-1j * epsilon * t - expo)
 
 
 def propagate_single(state: DensityMatrix2, system: SystemParams, evaluator, t: float) -> DensityMatrix2:

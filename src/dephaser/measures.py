@@ -127,17 +127,26 @@ def decay_exponent_grid(evaluator, scenario, ts) -> np.ndarray:
 def decay_exponent_rate(evaluator, scenario, t):
     """dE/dt of decay_exponent at a time (a float) or at every time of a 1-d array; negative values mark rephasing.
 
-    One gdot call either way: at the times, and for Prepared also at t1 plus each time.
+    One gdot call either way: at the times, and for Prepared also at t1 plus
+    each time.  A float time is computed on Python floats, whose IEEE
+    arithmetic gives the bits of the same time inside an array.
     """
-    ts, scalar = _check_times(t)
-    if isinstance(scenario, SingleTime):
-        rate = evaluator.gdot(ts).real
-    elif isinstance(scenario, Prepared):
-        gdot = evaluator.gdot(np.concatenate((ts, scenario.t1 + ts))).real
-        rate = 2.0 * gdot[: ts.size] - gdot[ts.size :]
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 0:
+        t = _check_time(t)
+        if isinstance(scenario, SingleTime):
+            return evaluator.gdot(t).real
+        if isinstance(scenario, Prepared):
+            a, b = evaluator.gdot(np.array([t, scenario.t1 + t])).real.tolist()
+            return 2.0 * a - b
     else:
-        raise TypeError(f"unknown scenario {scenario!r}")
-    return float(rate[0]) if scalar else rate
+        ts, _ = _check_times(ts)
+        if isinstance(scenario, SingleTime):
+            return evaluator.gdot(ts).real
+        if isinstance(scenario, Prepared):
+            gdot = evaluator.gdot(np.concatenate((ts, scenario.t1 + ts))).real
+            return 2.0 * gdot[: ts.size] - gdot[ts.size :]
+    raise TypeError(f"unknown scenario {scenario!r}")
 
 
 def pair_distance(pair: StatePair, evaluator, scenario, t: float) -> float:
@@ -221,10 +230,17 @@ class NonMarkovResult:
 
 
 def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Root of f in [lo, hi] given a sign change, bisected to width tol; a Python float."""
+    """Root of f in [lo, hi] given a sign change, bisected to width tol or to adjacent floats; a Python float.
+
+    Past t of about 5e5 the floats are more than tol apart, so the bracket
+    stops narrowing when its midpoint rounds onto one of its ends.  Before
+    that the midpoint lies strictly inside, so the stop changes no result.
+    """
     neg_lo = f_lo < 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if (f(mid) < 0.0) == neg_lo:
             lo = mid
         else:

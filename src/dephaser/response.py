@@ -14,18 +14,24 @@ factor as f(t1) h(t2).
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .dephasing import _check_time, _g_distinct, flip_exponent
 
 
 def echo_response(evaluator, t1: float, t2: float) -> complex:
-    """Two-interval rephasing kernel R(t1, t2)."""
+    """Two-interval rephasing kernel R(t1, t2).
+
+    exp is cmath.exp, which has np.exp's bits over the engines' range; where
+    |R| overflows (Re of the flip exponent below about -709.78) it raises
+    OverflowError, where np.exp gave inf behind a RuntimeWarning.
+    """
     t1 = _check_time(t1)
     t2 = _check_time(t2)
     g1, g2, g12 = evaluator.g(np.array([t1, t2, t1 + t2])).tolist()
-    expo = flip_exponent(g1, g2, g12)
-    return complex(np.exp(-expo))
+    return cmath.exp(-flip_exponent(g1, g2, g12))
 
 
 def flip_exponent_grid(evaluator, ts) -> np.ndarray:

@@ -483,6 +483,18 @@ def test_coefficient_under_or_overflow_reports_dephaser_error(capsys, argv):
     assert record["error"]["type"] == "DephaserError"
 
 
+def test_overflowing_pole_amplitude_reports_dephaser_error(capsys):
+    # (eta / gamma) cot(beta gamma / 2) = 1e308 * 2e28 overflows: the analytic engine wrote Re g = Re gdot = inf, exit 0
+    bath = ["--eta", "1e300", "--gamma", "1e-8", "--beta", "1e-20"]
+    argv = ["gfun", *bath, "--tmax", "1e8", "--terms", "5", "--points", "4"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "DephaserError"
+    assert "(eta / gamma) cot(beta gamma / 2) = inf" in record["message"]
+
+
 def test_too_few_points_rejected(capsys):
     rc, _, err = run_cli(capsys, ["gfun", "--points", "1"])
     assert rc == 1

@@ -20,6 +20,7 @@ from dephaser.dephasing import (
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
+    _time_list,
     make_evaluator,
 )
 from dephaser.errors import DephaserError, ResonanceError
@@ -297,9 +298,13 @@ def test_array_times_match_scalar_times_bit_for_bit(case):
     for ev in engines:
         _assert_array_is_scalar_loop(ev.g, ts)
         _assert_array_is_scalar_loop(ev.gdot, ts)
+    # the rate of a float time is Python float arithmetic on one gdot call, of an array numpy's on one call
+    for ev in engines:
+        for scenario in (SingleTime(), Prepared(t1)):
+            _assert_array_is_scalar_loop(lambda t: decay_exponent_rate(ev, scenario, t), ts)
+            rates = [decay_exponent_rate(ev, scenario, t) for t in (float(ts[-1]), ts[-1])]
+            assert [type(r) for r in rates] == [float, float] and rates[0] == rates[1]
     ana = engines[0]
-    for scenario in (SingleTime(), Prepared(t1)):
-        _assert_array_is_scalar_loop(lambda t: decay_exponent_rate(ana, scenario, t), ts)
     # and the formula of its definition, one scalar gdot call per time
     _assert_array_is_scalar_loop(
         lambda t: decay_exponent_rate(ana, Prepared(t1), t),
@@ -325,15 +330,41 @@ def test_scalar_and_array_return_types():
 
 
 def test_bad_time_in_array_rejected_like_a_scalar():
-    for ev in (BrownianMatsubara(BATH), HighTemperatureBrownian(BATH)):
-        for bad in (-0.5, math.nan, math.inf):
+    # hight checks an array by numpy reductions; the other engines check the list of times they step through
+    for ev in brownian_engines():
+        for bad in (-0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError) as scalar_error:
                 ev.gdot(bad)
-            with pytest.raises(ValueError) as array_error:
-                ev.gdot(np.array([0.1, bad, 2.0]))
-            assert str(array_error.value) == str(scalar_error.value)
+            # the bad time first, in the middle or last of three, and ahead of another bad time
+            for times in ([bad, 0.1, 2.0], [0.1, bad, 2.0], [0.1, 2.0, bad], [0.1, bad, -1.0], [0.1, bad, math.nan]):
+                with pytest.raises(ValueError) as array_error:
+                    ev.gdot(np.array(times))
+                assert str(array_error.value) == str(scalar_error.value)
         with pytest.raises(ValueError, match="1-d"):
             ev.g(np.ones((2, 2)))
+    # valid times whose sum overflows pass the list check
+    _, times, scalar = _time_list(np.array([1e308, 1e308, 0.0]))
+    assert times == [1e308, 1e308, 0.0] and not scalar
+
+
+@pytest.mark.parametrize(
+    "bath, what",
+    [
+        (BathParams(1e300, 1e-8, 1e-20, 5), "(eta / gamma) cot(beta gamma / 2)"),
+        (BathParams(1e300, 1e-9, 1.0), "eta / gamma"),
+        (BathParams(1e300, 1e10, 1e-22), "eta cot(beta gamma / 2)"),
+        (BathParams(1e300, 1e10, 2.0 * math.pi * 1e-10), "2 eta / beta"),  # the pole on nu_1
+        (BathParams(1e307, 1.0, 100.0), "eta gamma beta / pi^2"),  # the tail's S1: Re g was nan, Re gdot inf
+    ],
+    ids=["re-g", "im-g", "re-gdot", "resonant", "tail"],
+)
+def test_overflowing_amplitude_raises(bath, what):
+    # an amplitude of the pole term or of the tail overflows: g and gdot were inf or nan at every t > 0, with no warning
+    with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
+        BrownianMatsubara(bath)
+    if what.startswith("eta gamma beta"):
+        # strict truncation sums no tail
+        assert np.isfinite(BrownianMatsubara(bath, include_tail=False).g(1.0))
 
 
 @pytest.mark.parametrize("t", [1e-308, 5e-324])

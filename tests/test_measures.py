@@ -1,12 +1,17 @@
 """Trace-distance growth and the non-Markovianity measure."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dephaser
 from dephaser.dephasing import (
     BrownianMatsubara,
     FrequencyQuadrature,
@@ -409,6 +414,44 @@ def test_certified_root_is_the_scan(engine, eta, gamma, beta, terms, t1, window)
 def test_certified_single_interval_is_the_scan(engine, bath):
     ev = ENGINES[engine](bath)
     assert _certified_runs(ev, SingleTime(), 10.0) == _scan_runs(ev, SingleTime(), 10.0) == ([], False)
+
+
+# a growth end past 2^19, where adjacent floats lie more than _REFINE_TOL apart: the bisection looped forever there
+_FAR_GROWTH_END = """
+import json, sys
+from dephaser import BathParams, BrownianMatsubara, HighTemperatureBrownian, Prepared, SystemParams, non_markovianity
+bath = BathParams(1.0, 1e-7, 1.0)
+engines = {"hight": HighTemperatureBrownian(bath), "analytic": BrownianMatsubara(bath),
+           "strict": BrownianMatsubara(bath, include_tail=False)}
+res = non_markovianity(SystemParams(), engines[sys.argv[1]], Prepared(1e7), t_max=1e8)
+print(json.dumps([[i.t_start, i.t_end] for i in res.intervals]))
+"""
+
+
+@pytest.mark.parametrize("engine", ["hight", "analytic", "strict"], ids=["certified-hight", "certified", "scan"])
+def test_growth_end_past_2_19_terminates(engine):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dephaser.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAR_GROWTH_END, engine], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    (t_start, t_end), = json.loads(proc.stdout)
+    # hight's closed form t* = ln(2 - e^{-gamma t1}) / gamma = 4.9e6, where floats are 9.3e-10 apart
+    t_star = math.log(2.0 - math.exp(-1.0)) / 1e-7
+    assert t_start == 0.0 and t_end == pytest.approx(t_star, rel=1e-12)
+
+
+def _never_called(t):
+    raise AssertionError(f"evaluated at {t!r}")
+
+
+def test_bisection_stops_at_adjacent_floats():
+    # a sign change between adjacent floats more than tol apart: no midpoint lies inside, so nothing is evaluated
+    lo = 2.0**20
+    hi = math.nextafter(lo, math.inf)
+    assert hi - lo > _REFINE_TOL
+    assert _bisect_sign_change(_never_called, lo, hi, -1.0, _REFINE_TOL) in (lo, hi)
 
 
 def test_only_an_exact_brownian_g_is_certified():

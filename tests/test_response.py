@@ -1,5 +1,6 @@
 """Echo and linear response kernels against the propagation layer."""
 
+import cmath
 import math
 
 import numpy as np
@@ -120,3 +121,40 @@ def test_negative_times_rejected():
         echo_response(ev, 1.0, -0.1)
     with pytest.raises(ValueError):
         flip_exponent_grid(ev, [0.0, -1.0])
+
+
+def test_cmath_exp_has_numpy_exp_bits():
+    # echo_response and dynamics._kernel take cmath.exp of one Python complex, where they took complex(np.exp(z))
+    rng = np.random.default_rng(1606)
+    n = 100_000
+    zs = (rng.uniform(-50.0, 5.0, n) + 1j * rng.uniform(-100.0, 100.0, n)).tolist()
+    # signed zeros, subnormal and tiny phases, multiples of pi, and magnitudes down to underflow and up to e^708
+    zs += [
+        complex(re, im)
+        for re in (-760.0, -745.0, -708.0, -50.0, -0.0, 0.0, 5.0, 700.0, 708.0)
+        for im in (0.0, -0.0, 5e-324, -1e-300, 1.0, math.pi, -math.pi, 100.0, -100.0)
+    ]
+    got = np.array([cmath.exp(z) for z in zs])
+    want = np.array([complex(np.exp(z)) for z in zs])
+    assert got.tobytes() == want.tobytes()
+
+
+class _GrowingBath:
+    """g(t) = -400 t, so the flip exponent 2 g(t1) + 2 g(t2) - g(t1 + t2) is -400 (t1 + t2)."""
+
+    def g(self, t):
+        return -400.0 * np.asarray(t, dtype=complex)
+
+
+def test_exp_overflow_raises_where_numpy_returned_inf():
+    z = complex(710.0, 1.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cmath.isinf(complex(np.exp(z)))
+    with pytest.raises(OverflowError):
+        cmath.exp(z)
+    # |R| = e^800: an error, where np.exp gave inf behind a RuntimeWarning
+    with pytest.raises(OverflowError):
+        echo_response(_GrowingBath(), 1.0, 1.0)
+    with pytest.raises(OverflowError):
+        two_time_map(SystemParams(), _GrowingBath(), coherence_flip(), 1.0, 1.0)
+    assert abs(echo_response(_GrowingBath(), 0.5, 0.5)) == pytest.approx(math.exp(400.0), rel=1e-15)

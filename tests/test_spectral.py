@@ -1,6 +1,10 @@
 """Spectral densities and the bath correlation function."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 # scipy stays a dependency of the quadrature engines, so its digamma can pin the operations _digamma shares with it
 from scipy.special import digamma as scipy_digamma
 
+import dephaser
 from dephaser.dephasing import BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
@@ -329,6 +334,46 @@ def test_correlation_analytic_matches_quadrature():
         a = correlation_function(sd, BATH.beta, t, route="analytic")
         q = correlation_function(sd, BATH.beta, t, route="quadrature")
         assert abs(a - q) / abs(q) < 1e-9
+
+
+# in a child process, so that a crash of the Fourier-tail integrator is an exit code
+_QUADRATURE_L_DOMAIN = """
+import json, math
+from dephaser import BathParams, DephaserError, OverdampedBrownian, correlation_function
+from dephaser.spectral import _FOURIER_MIN_TW, _split_frequency
+rows = []
+for eta, gamma, beta in [(1.0, 0.5, 1.0), (0.5, 1.2, 5.0), (1.3, 1.8, 933.0)]:
+    bath = BathParams(eta, gamma, beta)
+    sd = OverdampedBrownian(bath)
+    t_min = _FOURIER_MIN_TW / _split_frequency(bath)
+    below = (5e-324, 1e-307, 1e-250, 1e-100, 1e-5 * t_min, math.nextafter(t_min, 0.0))
+    for t in below + (t_min, 3.0 * t_min, 10.0 * t_min):
+        try:
+            q = correlation_function(sd, beta, t, route="quadrature")
+        except DephaserError as exc:
+            rows.append([t, t_min, str(exc)])
+        else:
+            a = correlation_function(sd, beta, t)
+            rows.append([t, t_min, abs(q - a) / abs(a)])
+print(json.dumps(rows))
+"""
+
+
+def test_quadrature_l_raises_below_its_domain():
+    # below t w_split = 3e-4 the route fails to converge, returns Re L 90 % off (1e-152 .. 1e-305) or segfaults
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dephaser.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _QUADRATURE_L_DOMAIN], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    rows = json.loads(proc.stdout)
+    assert len(rows) == 27
+    for t, t_min, got in rows:
+        if t < t_min:
+            assert got.startswith(f"time {t!r} is below the validated domain of the quadrature route of L")
+        else:
+            assert got <= 1e-9, (t, t_min, got)
 
 
 # beta = 4 pi puts nu_2 at gamma = 1: (gamma, bound on the analytic-quadrature gap, resonant index)
