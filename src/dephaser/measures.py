@@ -232,9 +232,9 @@ class NonMarkovResult:
 def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     """Root of f in [lo, hi] given a sign change, bisected to width tol or to adjacent floats; a Python float.
 
-    Past t of about 5e5 the floats are more than tol apart, so the bracket
-    stops narrowing when its midpoint rounds onto one of its ends.  Before
-    that the midpoint lies strictly inside, so the stop changes no result.
+    Past t of about 5e5 adjacent floats lie more than tol apart, so the
+    loop also stops when the midpoint rounds onto an end; a bisection that
+    ended without that stop returns the same float with it.
     """
     neg_lo = f_lo < 0.0
     while hi - lo > tol:

@@ -364,8 +364,9 @@ def correlation_function(sd, beta: float, t: float, route: str | None = None) ->
     other.  Re L diverges at t = 0, so both routes raise DephaserError
     there.  The quadrature route also raises it at 0 < t < 3e-4 / w_split,
     w_split = max(10 gamma, 10 / beta); above that it agrees with the
-    analytic route to 1e-9 relative or raises IntegrationError, up to
-    t w_split of about 60, where |L| nears its absolute tolerance.
+    analytic route to 1e-9 relative or raises IntegrationError up to
+    t w_split of about 60; past that, where |L| is small against the
+    integrator's absolute tolerance, the gap can grow.
     Tabulated densities always integrate on their own grid, where L(0) is
     finite.
     """

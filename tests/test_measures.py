@@ -436,7 +436,7 @@ def test_growth_end_past_2_19_terminates(engine):
         [sys.executable, "-c", _FAR_GROWTH_END, engine], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    (t_start, t_end), = json.loads(proc.stdout)
+    [[t_start, t_end]] = json.loads(proc.stdout)
     # hight's closed form t* = ln(2 - e^{-gamma t1}) / gamma = 4.9e6, where floats are 9.3e-10 apart
     t_star = math.log(2.0 - math.exp(-1.0)) / 1e-7
     assert t_start == 0.0 and t_end == pytest.approx(t_star, rel=1e-12)
