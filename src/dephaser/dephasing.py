@@ -61,6 +61,10 @@ _BLOCK_CAP = 2_000_000
 _TABLE_BUDGET = 1 << 16
 # n > K coefficients (of each of nu_n, c_n, -c_n nu_n) that a BrownianMatsubara keeps between calls
 _TAIL_CACHE = 1 << 18
+# times each of BrownianMatsubara's g and gdot remember from its pointwise calls; a full memo is cleared
+_MEMO_TIMES = 1024
+# the most times of a call the memo serves: the t1, t2, t1 + t2 of a two-interval call
+_MEMO_CALL = 3
 _TWO_PI = 2.0 * math.pi
 
 
@@ -243,11 +247,18 @@ class BrownianMatsubara:
         self._s1_amp = eta * gamma * beta / math.pi**2
         self._s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a2
         if include_tail:
-            _finite(self._s1_amp, "eta gamma beta / pi^2")
-            _finite(self._s0_amp, "eta gamma beta^2 / (2 pi^3 a^2)")
+            self._check_tail_amps()
         self._s0_k, self._s1_k = self._tail_sums(k)
         # nu_n, c_n and -c_n nu_n for the first n > K, computed when a time first needs them
         self._tail_cache = {}
+        # time -> g(t) and time -> gdot(t) of the pointwise calls
+        self._g_memo = {}
+        self._gdot_memo = {}
+
+    def _check_tail_amps(self) -> None:
+        """DephaserError where a prefactor of the digamma sums of _tail_sums overflows."""
+        _finite(self._s1_amp, "eta gamma beta / pi^2")
+        _finite(self._s0_amp, "eta gamma beta^2 / (2 pi^3 a^2)")
 
     def _tail_sums(self, m: int, derivative: bool = False) -> tuple[float, float]:
         """(S0, S1) with S0 = sum_{n>m} c_n and S1 = sum_{n>m} c_n nu_n; S0 is nan when derivative.
@@ -366,19 +377,45 @@ class BrownianMatsubara:
             re += self._tail(t, True)
         return complex(re, self.bath.eta * em)
 
+    def _values(self, t, memo: dict, derivative: bool):
+        """g (or gdot, when derivative) at t, through memo when t has at most _MEMO_CALL times.
+
+        A pointwise call reads the times memo holds and computes only the
+        others, which it stores; a larger call computes every time and
+        leaves memo alone.  Either way a time is its own table row and row
+        step, so its bits do not depend on the path.
+        """
+        ts, times, scalar = _time_list(t)
+        row = self._gdot_row if derivative else self._g_row
+        if len(times) > _MEMO_CALL:
+            return _rows(row, times, scalar, self._explicit(ts, derivative).tolist())
+        values = [memo.get(s) for s in times]
+        if None in values:
+            missing = [i for i, v in enumerate(values) if v is None]
+            explicit = self._explicit(ts if len(missing) == len(times) else ts[missing], derivative).tolist()
+            if len(memo) + len(missing) > _MEMO_TIMES:
+                memo.clear()
+            for i, e in zip(missing, explicit):
+                s = times[i]
+                values[i] = memo[s] = row(s, e)
+        return values[0] if scalar else np.fromiter(values, complex, len(values))
+
     def g(self, t):
         """g at a time (a complex) or at every time of a 1-d array (a complex array)."""
-        ts, times, scalar = _time_list(t)
-        return _rows(self._g_row, times, scalar, self._explicit(ts, derivative=False).tolist())
+        return self._values(t, self._g_memo, derivative=False)
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array)."""
-        ts, times, scalar = _time_list(t)
-        return _rows(self._gdot_row, times, scalar, self._explicit(ts, derivative=True).tolist())
+        return self._values(t, self._gdot_memo, derivative=True)
 
     def matsubara_remainder(self, t: float) -> complex:
-        """Exact value of the n > K part of g(t) that strict truncation drops."""
+        """Exact value of the n > K part of g(t) that strict truncation drops.
+
+        DephaserError where a prefactor of the digamma sums overflows, which
+        only the constructor of the engine with its tail checks.
+        """
         t = _check_time(t)
+        self._check_tail_amps()
         if t == 0.0:
             return 0j
         return complex(self._tail(t, False), 0.0)

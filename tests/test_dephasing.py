@@ -20,6 +20,8 @@ from dephaser.dephasing import (
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
+    _MEMO_CALL,
+    _MEMO_TIMES,
     _time_list,
     make_evaluator,
 )
@@ -329,6 +331,63 @@ def test_scalar_and_array_return_types():
     assert np.array_equal(_bits(g[[0, 2]]), _bits(np.zeros(2, complex)))
 
 
+# a warm bath, the beta 933 bath whose tail is live at every t < 67, the resonant one, and strict truncation
+_MEMO_ENGINES = [
+    lambda: BrownianMatsubara(BATH),
+    lambda: BrownianMatsubara(BathParams(1.3, 1.8, 933.0)),
+    lambda: BrownianMatsubara(_RESONANT),
+    lambda: BrownianMatsubara(BATH, include_tail=False),
+]
+# repeats of these times, -0.0 against 0.0, two times 1e-9 apart, and either side of the warm tail's split 45 / 200 pi
+_MEMO_POOL = st.sampled_from([0.0, -0.0, 0.05, 45.0 / (200.0 * math.pi), 0.3, 1.0, 1.0 + 1e-9, 2.5])
+_POINTWISE_CALL = st.tuples(
+    st.booleans(),
+    st.lists(st.one_of(_MEMO_POOL, _MEMO_POOL, st.floats(0.05, 20.0)), min_size=1, max_size=_MEMO_CALL),
+    st.booleans(),
+)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.lists(_POINTWISE_CALL, min_size=1, max_size=20))
+# a time the memo holds ahead of, between and behind times it does not
+@example([(False, [1.0], True), (False, [1.0, 2.5, 1.0 + 1e-9], False), (False, [0.3, 1.0, 0.05], False)])
+@example([(True, [2.5], True), (True, [-0.0, 0.3, 2.5], False), (True, [0.0], True)])
+def test_memo_never_changes_a_bit(calls):
+    # each value read through one long-lived evaluator, against one array call of a fresh evaluator past the memo
+    for make in _MEMO_ENGINES:
+        ev = make()
+        for name in ("g", "gdot"):
+            times = [t for derivative, ts, _ in calls if derivative == (name == "gdot") for t in ts]
+            padded = np.array(times + [0.7] * (_MEMO_CALL + 1))
+            want = iter(getattr(make(), name)(padded)[: len(times)].tolist())
+            for derivative, ts, as_float in calls:
+                if derivative != (name == "gdot"):
+                    continue
+                if as_float and len(ts) == 1:
+                    got = [getattr(ev, name)(ts[0])]
+                else:
+                    got = getattr(ev, name)(np.array(ts)).tolist()
+                assert np.array(got).tobytes() == np.array([next(want) for _ in ts]).tobytes()
+        # and it is the evaluator's memo that served the repeats
+        assert len(ev._g_memo) + len(ev._gdot_memo) > 0
+
+
+def test_memo_is_bounded_and_skips_array_calls():
+    ev = BrownianMatsubara(BATH)
+    ts = np.linspace(0.1, 10.0, 2 * _MEMO_TIMES + 7)
+    for i in range(0, ts.size, _MEMO_CALL):
+        ev.g(ts[i : i + _MEMO_CALL])
+        ev.gdot(float(ts[i]))
+        assert 0 < len(ev._g_memo) <= _MEMO_TIMES and 0 < len(ev._gdot_memo) <= _MEMO_TIMES
+    # an array call larger than a pointwise one neither reads the memo nor fills it
+    fresh = BrownianMatsubara(BATH)
+    grid = np.linspace(0.0, 10.0, 1000)
+    fresh._g_memo[float(grid[1])] = fresh._gdot_memo[float(grid[1])] = 1234j
+    g, gdot = fresh.g(grid), fresh.gdot(grid)
+    assert 1234j not in g and 1234j not in gdot
+    assert list(fresh._g_memo) == list(fresh._gdot_memo) == [float(grid[1])]
+
+
 def test_bad_time_in_array_rejected_like_a_scalar():
     # hight checks an array by numpy reductions; the other engines check the list of times they step through
     for ev in brownian_engines():
@@ -363,8 +422,11 @@ def test_overflowing_amplitude_raises(bath, what):
     with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
         BrownianMatsubara(bath)
     if what.startswith("eta gamma beta"):
-        # strict truncation sums no tail
-        assert np.isfinite(BrownianMatsubara(bath, include_tail=False).g(1.0))
+        # strict truncation sums no tail, but the remainder it drops is that tail: it was nan
+        strict = BrownianMatsubara(bath, include_tail=False)
+        assert np.isfinite(strict.g(1.0))
+        with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
+            strict.matsubara_remainder(1.0)
 
 
 @pytest.mark.parametrize("t", [1e-308, 5e-324])
