@@ -31,6 +31,10 @@ DephaserError for a Brownian density at 0 < t < 3e-4 / w_split
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
 per call.  A time gets the same bits alone as inside an array.
+BrownianMatsubara also remembers the values of its pointwise calls (one
+to three times, as the two-interval kernels and the measure's curves
+make them), up to _MEMO_TIMES times per function, and returns the same
+bits from the memo as computed afresh.
 """
 
 from __future__ import annotations
@@ -195,6 +199,16 @@ class BrownianMatsubara:
     of all times are one times x K table, summed row by row; the pole
     term (math.expm1/exp) and the tail follow time by time, so a time
     gets the same bits alone as in an array.
+
+    A call of at most _MEMO_CALL (3) times is pointwise: g and gdot each
+    keep a memo, time -> value, of the times such calls computed, and
+    skip the pole term and tail of the times it holds (and the table
+    too when it holds them all).  An echo row repeats t1 and the rows
+    share their t2 axis, and a Prepared(t1) curve asks for g(t1) at
+    every point.  A memo holds at most _MEMO_TIMES (1024) times and is
+    cleared when the times of a call could overfill it.  Larger calls
+    (grids, the scan, distinct-time helpers, which do not repeat a time)
+    neither read nor fill it, so memory does not grow with the grid.
     """
 
     def __init__(self, bath: BathParams, include_tail: bool = True):
@@ -380,24 +394,26 @@ class BrownianMatsubara:
     def _values(self, t, memo: dict, derivative: bool):
         """g (or gdot, when derivative) at t, through memo when t has at most _MEMO_CALL times.
 
-        A pointwise call reads the times memo holds and computes only the
-        others, which it stores; a larger call computes every time and
-        leaves memo alone.  Either way a time is its own table row and row
-        step, so its bits do not depend on the path.
+        A pointwise call returns at once when memo holds all its times;
+        otherwise it builds the table of its times, as every call does,
+        and the row step of each time memo lacks, which it stores.  A
+        larger call leaves memo alone.  A time's value is its own table row
+        and row step either way, so its bits do not depend on the path.
         """
         ts, times, scalar = _time_list(t)
         row = self._gdot_row if derivative else self._g_row
         if len(times) > _MEMO_CALL:
             return _rows(row, times, scalar, self._explicit(ts, derivative).tolist())
-        values = [memo.get(s) for s in times]
+        values = list(map(memo.get, times))
         if None in values:
-            missing = [i for i, v in enumerate(values) if v is None]
-            explicit = self._explicit(ts if len(missing) == len(times) else ts[missing], derivative).tolist()
-            if len(memo) + len(missing) > _MEMO_TIMES:
+            # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
+            explicit = self._explicit(ts, derivative).tolist()
+            if len(memo) + len(times) > _MEMO_TIMES:
                 memo.clear()
-            for i, e in zip(missing, explicit):
-                s = times[i]
-                values[i] = memo[s] = row(s, e)
+            for i, v in enumerate(values):
+                if v is None:
+                    s = times[i]
+                    values[i] = memo[s] = row(s, explicit[i])
         return values[0] if scalar else np.fromiter(values, complex, len(values))
 
     def g(self, t):
