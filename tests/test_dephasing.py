@@ -368,7 +368,7 @@ def test_memo_never_changes_a_bit(calls):
                 else:
                     got = getattr(ev, name)(np.array(ts)).tolist()
                 assert np.array(got).tobytes() == np.array([next(want) for _ in ts]).tobytes()
-        # and it is the evaluator's memo that served the repeats
+        # and the memo was in use, so the repeats were read from it
         assert len(ev._g_memo) + len(ev._gdot_memo) > 0
 
 
