@@ -54,7 +54,6 @@ from .spectral import (
     _brownian_bath,
     _check_beta,
     _check_time,
-    _digamma,
     _split_frequency,
     _tabulated_grid,
     coth,
@@ -63,8 +62,6 @@ from .spectral import (
 _BLOCK_CAP = 2_000_000
 # elements of the times x explicit-terms table, or of a tail block, that BrownianMatsubara builds at once
 _TABLE_BUDGET = 1 << 16
-# n > K coefficients (of each of nu_n, c_n, -c_n nu_n) that a BrownianMatsubara keeps between calls
-_TAIL_CACHE = 1 << 18
 # times each of BrownianMatsubara's g and gdot remember from its pointwise calls; a full memo is cleared
 _MEMO_TIMES = 1024
 # the most times of a call the memo serves: the t1, t2, t1 + t2 of a two-interval call
@@ -170,45 +167,26 @@ def _g_distinct(evaluator, times) -> np.ndarray:
 
 
 class BrownianMatsubara:
-    """Pole-plus-Matsubara series for the overdamped Brownian bath.
+    """Pole-plus-Matsubara series for the overdamped Brownian bath, summed from BathParams.dirichlet().
 
-    g(t) = (eta/gamma) [cot(beta gamma / 2) - i] h(gamma t)
-           + sum_{n=1}^{K} c_n h(nu_n t) + tail,
-    h(x) = e^-x + x - 1,  nu_n = BathParams.matsubara_frequency(n).
+    g(t) = (pole_c - i pole_im) h(gamma t) + sum_{n=1}^{K} c_n h(nu_n t) + tail, h(x) = e^-x + x - 1, in
+    the names of DirichletTable.  With include_tail=True (default) the n > K remainder is exact: live
+    exponentials are summed until they underflow, and the linear-in-t rest is the table's digamma closed
+    form.  include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.  A
+    pole degenerate with nu_m takes the table's resonant pair, which needs m <= K.
 
-    With include_tail=True (default) the n > K remainder is evaluated
-    exactly: live exponentials are accumulated until they underflow and
-    the linear-in-t rest has a digamma closed form (spectral._digamma).
-    include_tail=False keeps exactly the K explicit terms;
-    matsubara_remainder reports what that truncation drops.
+    The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi) or nu_K^2 leaves the normal
+    floats (beta gamma < 9.4e-154 or 2 pi K / beta > 1.3e154), where an amplitude of the pole term overflows
+    (eta 1e300, gamma 1e-8, beta 1e-20) and, with the tail, where a digamma prefactor does (eta 1e307,
+    gamma 1, beta 100).
 
-    A pole degenerate with nu_m (BathParams.res_index = m) has its
-    diverging cot and series terms replaced by their combined finite
-    limit, which requires m <= K.
-
-    The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi,
-    which S0 divides by) or nu_K^2 (in c_K) leaves the normal floats:
-    beta gamma < 9.4e-154 or 2 pi K / beta > 1.3e154.  It also raises where
-    an amplitude of the pole term overflows: eta / gamma, (eta / gamma)
-    cot(beta gamma / 2) (eta 1e300, gamma 1e-8, beta 1e-20), eta
-    cot(beta gamma / 2), or at resonance 2 eta / beta; and with its tail
-    where a prefactor of the digamma sums does (eta 1e307, gamma 1, beta
-    100).
-
-    g and gdot take a time or a 1-d array of times.  The K explicit terms
-    of all times are one times x K table, summed row by row; the pole
-    term (math.expm1/exp) and the tail follow time by time, so a time
-    gets the same bits alone as in an array.
-
-    A call of at most _MEMO_CALL (3) times is pointwise: g and gdot each
-    keep a memo, time -> value, of the times such calls computed, and
-    skip the pole term and tail of the times it holds (and the table
-    too when it holds them all).  An echo row repeats t1 and the rows
-    share their t2 axis, and a Prepared(t1) curve asks for g(t1) at
-    every point.  A memo holds at most _MEMO_TIMES (1024) times and is
-    cleared when the times of a call could overfill it.  Larger calls
-    (grids, the scan, distinct-time helpers, which do not repeat a time)
-    neither read nor fill it, so memory does not grow with the grid.
+    g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
+    table, summed row by row; the pole term (math.expm1/exp) and the tail follow time by time, so a time
+    gets the same bits alone as in an array.  A call of at most _MEMO_CALL (3) times is pointwise: g and
+    gdot each keep a memo, time -> value, and compute only the times it lacks.  An echo row repeats t1,
+    the rows share their t2 axis, and a Prepared(t1) curve asks for g(t1) at every point.  A memo holds
+    at most _MEMO_TIMES (1024) times and is cleared when a call could overfill it; larger calls (grids,
+    the scan) neither read nor fill it, so memory does not grow with the grid.
     """
 
     def __init__(self, bath: BathParams, include_tail: bool = True):
@@ -217,7 +195,7 @@ class BrownianMatsubara:
         self.include_tail = include_tail
         # the bath of the exact g, whose growth rate has one zero at most (measures); not with a truncated sum
         self.certified_bath = bath if include_tail else None
-        eta, gamma, beta = bath.eta, bath.gamma, bath.beta
+        gamma = bath.gamma
         k = bath.matsubara_terms
         m = self.res_index = bath.res_index
         if m > k:
@@ -225,87 +203,35 @@ class BrownianMatsubara:
                 f"bath pole gamma = {gamma:g} is degenerate with Matsubara frequency "
                 f"nu_{m}; increase matsubara_terms to at least {m} (got {k})"
             )
-
-        self._a = a = bath.pole_ratio
-        a2 = _normal(a**2, "(beta gamma / 2 pi)^2")
-        self.nu = bath.matsubara_frequency(np.arange(1.0, k + 1.0))
+        _normal(bath.pole_ratio**2, "(beta gamma / 2 pi)^2")
         if k:
-            _normal(float(self.nu[-1]) * float(self.nu[-1]), "nu_K^2")
-        with np.errstate(divide="ignore"):
-            c = 4.0 * eta * gamma / (beta * self.nu * (self.nu**2 - gamma**2))
-        if m:
-            c[m - 1] = 0.0
-            self.nu_res = float(self.nu[m - 1])
-            self.cot_amp = 0.0
-        else:
-            self.cot_amp = 1.0 / math.tan(0.5 * beta * gamma)
-        self.c = c
-        self.cnu = c * self.nu
-        # -nu_n and -c_n nu_n, the factors of the table rows, and the rows of one table
-        self._neg_nu = -self.nu
-        self._neg_cnu = -self.cnu
+            _normal(float(bath.matsubara_frequency(k)) ** 2, "nu_K^2")
+        d = self._table = bath.dirichlet()
+        for value, what in ((d.pole_im, "eta / gamma"), (d.pole_c, "(eta / gamma) cot(beta gamma / 2)"),
+                            (d.pole_b, "eta cot(beta gamma / 2)"), (d.res_amp if m else 0.0, "2 eta / beta")):
+            _finite(value, what)
+        if include_tail:
+            self._check_tail_amps()
+        nu, _, b = d.explicit
+        # the table's nu_n and B_n with their signs flipped, the factors of the table rows, and the rows of one table
+        self._neg_nu = -nu
+        self._neg_b = -b
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
         # per-bath factors of the row, _tail and _live_stop formulas, each the value or product its formula starts
         # with (same bits)
         self._k = k
         self._gamma = gamma
         self._neg_gamma = -gamma
-        self._im_g_amp = -_finite(eta / gamma, "eta / gamma")
-        self._re_g_amp = _finite((eta / gamma) * self.cot_amp, "(eta / gamma) cot(beta gamma / 2)")
-        self._re_gdot_amp = _finite(eta * self.cot_amp, "eta cot(beta gamma / 2)")
-        self._res_row_amp = 2.0 * eta / beta
-        if m:
-            _finite(self._res_row_amp, "2 eta / beta")
-        self._dead_beta = _EXP_DEAD * beta
-        # the prefactors of the digamma sums of _tail_sums
-        self._s1_amp = eta * gamma * beta / math.pi**2
-        self._s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a2
-        if include_tail:
-            self._check_tail_amps()
-        self._s0_k, self._s1_k = self._tail_sums(k)
-        # nu_n, c_n and -c_n nu_n for the first n > K, computed when a time first needs them
-        self._tail_cache = {}
+        self._dead_beta = _EXP_DEAD * bath.beta
+        self._s0_k, self._s1_k = d.tail_sums(k)
         # time -> g(t) and time -> gdot(t) of the pointwise calls
         self._g_memo = {}
         self._gdot_memo = {}
 
     def _check_tail_amps(self) -> None:
-        """DephaserError where a prefactor of the digamma sums of _tail_sums overflows."""
-        _finite(self._s1_amp, "eta gamma beta / pi^2")
-        _finite(self._s0_amp, "eta gamma beta^2 / (2 pi^3 a^2)")
-
-    def _tail_sums(self, m: int, derivative: bool = False) -> tuple[float, float]:
-        """(S0, S1) with S0 = sum_{n>m} c_n and S1 = sum_{n>m} c_n nu_n; S0 is nan when derivative.
-
-        c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)).  Both sums telescope
-        to digamma differences; exact for any m >= the resonant index.  gdot
-        needs S1 only, so derivative skips the digamma of S0.
-        """
-        a, n = self._a, m + 1.0
-        above, below = _digamma(n + a), _digamma(n - a)
-        s1 = self._s1_amp * (above - below) / (2.0 * a)
-        s0 = math.nan if derivative else self._s0_amp * (_digamma(n) - 0.5 * (below + above))
-        return s0, s1
-
-    def _tail_terms(self, name: str, lo: int, hi: int, nu: np.ndarray | None = None) -> np.ndarray:
-        """nu_n ("nu"), c_n ("c") or -c_n nu_n ("ncnu") for n = K+1+lo, ..., K+hi.
-
-        A slice of the cache when it holds them, computed otherwise; a
-        coefficient is computed from nu when given (those nu_n).  Every entry
-        is computed on its own, so both give the same bits.
-        """
-        cached = self._tail_cache.get(name)
-        if cached is not None and hi <= cached.size:
-            return cached[lo:hi]
-        p = self.bath
-        if name == "nu":
-            k = p.matsubara_terms
-            return p.matsubara_frequency(np.arange(k + 1.0 + lo, k + 1.0 + hi))
-        if nu is None:
-            nu = self._tail_terms("nu", lo, hi)
-        if name == "c":
-            return 4.0 * p.eta * p.gamma / (p.beta * nu * (nu**2 - p.gamma**2))
-        return -(4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2)))
+        """DephaserError where a prefactor of the digamma sums of DirichletTable.tail_sums overflows."""
+        for value, what in zip(self._table.tail_amps, ("eta gamma beta / pi^2", "eta gamma beta^2 / (2 pi^3 a^2)")):
+            _finite(value, what)
 
     def _live_stop(self, t: float) -> int:
         """Last n of the live block past K at time t, or 0 when every e^{-nu_n t} with n > K is dead.
@@ -322,27 +248,25 @@ class BrownianMatsubara:
     def _tail(self, t: float, derivative: bool) -> float:
         """The n > K part of g(t), or of gdot(t): the live terms, then the digamma rest.
 
-        The coefficients of the live terms are cached up to _TAIL_CACHE of
-        them; the block is built and summed _TABLE_BUDGET terms at a time.
+        The table keeps the coefficients of the live terms up to _TAIL_KEPT
+        of them; the block is built and summed _TABLE_BUDGET terms at a time.
         """
         # ceil(x) <= K exactly when x <= K, so this is _live_stop(t) == 0 without its call
         if self._dead_beta / (_TWO_PI * t) <= self._k:
             return self._s1_k if derivative else t * self._s1_k - self._s0_k
         n_stop = self._live_stop(t)
         m = n_stop - self._k
-        coef_name = "ncnu" if derivative else "c"
-        for name in ("nu", coef_name):
-            cached = self._tail_cache.get(name)
-            if cached is None or cached.size < min(m, _TAIL_CACHE):
-                self._tail_cache[name] = self._tail_terms(name, 0, min(m, _TAIL_CACHE))
-
+        d = self._table
+        coef_name = "b" if derivative else "c"
+        d.keep(m, "nu", coef_name)
         block = 0.0
         for lo in range(0, m, _TABLE_BUDGET):
             hi = min(lo + _TABLE_BUDGET, m)
-            nu = self._tail_terms("nu", lo, hi)
-            terms = _series_terms(nu * -t, self._tail_terms(coef_name, lo, hi, nu), derivative)
-            block += float(np.add.reduce(terms))
-        s0, s1 = self._tail_sums(n_stop, derivative)
+            nu = d.tail("nu", lo, hi)
+            terms = float(np.add.reduce(_series_terms(nu * -t, d.tail(coef_name, lo, hi, nu), derivative)))
+            # gdot's terms with B_n are B_n expm1(-nu_n t), the negated terms of Re gdot
+            block = block - terms if derivative else block + terms
+        s0, s1 = d.tail_sums(n_stop, derivative)
         return block + s1 if derivative else block + t * s1 - s0
 
     def _explicit(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
@@ -355,7 +279,7 @@ class BrownianMatsubara:
         rows = self._table_rows
         if ts.size > rows:
             return np.concatenate([self._explicit(ts[i : i + rows], derivative) for i in range(0, ts.size, rows)])
-        coef = self._neg_cnu if derivative else self.c
+        coef = self._neg_b if derivative else self._table.explicit[1]
         return np.add.reduce(_series_terms(ts[:, None] * self._neg_nu, coef, derivative), axis=1)
 
     def _g_row(self, t: float, explicit: float) -> complex:
@@ -364,16 +288,16 @@ class BrownianMatsubara:
         hg = math.expm1(self._neg_gamma * t) + self._gamma * t
         re = explicit
         if self.res_index:
-            nu = self.nu_res
-            re += self._res_row_amp * (
+            nu = self._table.res_nu
+            re += self._table.res_amp * (
                 -t * math.expm1(-nu * t) / nu
                 - 1.5 * (math.expm1(-nu * t) + nu * t) / nu**2
             )
         else:
-            re += self._re_g_amp * hg
+            re += self._table.pole_c * hg
         if self.include_tail:
             re += self._tail(t, False)
-        return complex(re, self._im_g_amp * hg)
+        return complex(re, -self._table.pole_im * hg)
 
     def _gdot_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
@@ -381,12 +305,12 @@ class BrownianMatsubara:
         em = math.expm1(self._neg_gamma * t)
         re = explicit
         if self.res_index:
-            nu = self.nu_res
-            re += self._res_row_amp * (
+            nu = self._table.res_nu
+            re += self._table.res_amp * (
                 t * math.exp(-nu * t) + math.expm1(-nu * t) / (2.0 * nu)
             )
         else:
-            re += self._re_gdot_amp * (-em)
+            re += self._table.pole_b * (-em)
         if self.include_tail:
             re += self._tail(t, True)
         return complex(re, self.bath.eta * em)

@@ -10,28 +10,27 @@ overdamped Brownian form
 
     J(w) = 2 eta w gamma / (w^2 + gamma^2)
 
-L(t) has a pole-plus-Matsubara expansion whose thermal sum this module
-evaluates as a log term, a trilogarithm term and an n^-5 correction
-series that stops at its live terms, capped at 50 000 terms.  The cap is
-too few at low temperature: against a 40-digit Lerch-phi sum (eta 1,
-gamma 0.5, t 2) Re L is off by 2e-5 at beta = 2e5 (1e-4 of |L|) and by
-0.27 at beta = 1e6.  Tabulated spectral
-densities are integrated on their own grid.
+L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation), whose
+n^-5 correction series is capped at 50 000 terms: too few at low
+temperature, where against a 40-digit Lerch-phi sum (eta 1, gamma 0.5,
+t 2) Re L is off by 2e-5 at beta = 2e5 (1e-4 of |L|) and by 0.27 at
+beta = 1e6.  Tabulated spectral densities are integrated on their own grid.
 
 Re L(t) diverges logarithmically as t -> 0 for the Brownian form (the
 integrand falls off only as 1/w), so L(0) raises DephaserError there;
 lim_{t->0+} Im L(t) = -eta*gamma.  A tabulated density has a finite grid,
 so its L(0) is the finite trapezoid sum, with Im L(0) = 0 by oddness.
 
-BathParams makes every decision about the Brownian bath: the thermal
-frequencies nu_n and whether the pole gamma is degenerate with one of
-them.  The analytic L here and the g engines of dephasing read them.
+BathParams makes every decision about the Brownian bath: the thermal frequencies nu_n, the resonance
+of the pole gamma with one of them, and the one table of its Dirichlet coefficients (DirichletTable),
+which the analytic L here and the g engines of dephasing read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +47,9 @@ RESONANCE_RTOL = 1e-6
 # analytic route) agrees to 1e-9 or raises IntegrationError from 1e-4 to about 60; from 6e-5 down it also returns
 # values 1e-9 to 8e-9 off, from 1e-152 down values 90 % off or worse, and it segfaults from about 1e-305 down.
 _FOURIER_MIN_TW = 3e-4
+
+# n > K terms (of each of nu_n, c_n, B_n) that a DirichletTable keeps between calls
+_TAIL_KEPT = 1 << 18
 
 # Exponentials e^-x are dead (below about 3e-20) past this x: the Li_3 series and the Matsubara tail stop there.
 _EXP_DEAD = 45.0
@@ -153,9 +155,8 @@ def _digamma(x: float) -> float:
 class BathParams:
     """Overdamped Brownian bath: coupling eta, cutoff gamma, inverse temperature beta.
 
-    matsubara_terms is the number K of thermal poles kept explicitly in
-    series evaluations downstream.  The thermal frequencies nu_n and the
-    resonance of the pole with one of them are derived here, once.
+    matsubara_terms is the number K of thermal poles kept explicitly in series evaluations downstream.
+    The thermal frequencies nu_n, the pole's resonance and its Dirichlet table are derived here, once.
     """
 
     eta: float
@@ -186,6 +187,92 @@ class BathParams:
         a = self.pole_ratio
         m = round(a)
         return m if (m >= 1 and abs(m - a) < RESONANCE_RTOL * a) else 0
+
+    def dirichlet(self) -> DirichletTable:
+        """A new Dirichlet coefficient table of this bath, which its reader keeps."""
+        return DirichletTable(self)
+
+
+class DirichletTable:
+    """Every coefficient of the Brownian bath's Dirichlet form Re gdot(t) = rate - sum_k B_k e^{-lambda_k t}, once.
+
+    lambda_k runs over gamma and the nu_n: B_gamma = pole_b = eta cot(beta gamma / 2), B_n = c_n nu_n with
+    c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)), and rate = sum_k B_k = 2 eta / (beta gamma).  So
+    Re g(t) = rate t - sum_k (B_k / lambda_k)(1 - e^{-lambda_k t}) and Re L(t) = sum_k B_k lambda_k e^{-lambda_k t};
+    Im g(t) = -pole_im h(gamma t), h(y) = e^-y + y - 1.  At resonance (gamma = nu_m, m = res_index) B_gamma = B_m
+    = 0, and the pair (m, res_nu = nu_m, res_amp = 2 eta / beta) carries their limit, whose constant in Re gdot is
+    -res_amp / (2 nu_m).  Each entry is the float expression the engines sum: pole_c = (eta / gamma) cot is
+    B_gamma / gamma, and the tail's B_n is 4 eta gamma / (beta (nu_n^2 - gamma^2)) where the K explicit terms
+    take c_n nu_n, all to roundoff.  L reads only the scalars; the rest is built when first read.
+    """
+
+    def __init__(self, bath: BathParams):
+        self.bath = bath
+        eta, gamma, beta = bath.eta, bath.gamma, bath.beta
+        m = self.res_index = bath.res_index
+        # the numerator of every c_n and B_n
+        self.amp = 4.0 * eta * gamma
+        self.cot = 0.0 if m else 1.0 / math.tan(0.5 * beta * gamma)
+        self.rate = 2.0 * eta / (beta * gamma)
+        self.pole_b = eta * self.cot
+        self.pole_im = eta / gamma
+        self.pole_c = self.pole_im * self.cot
+        self.res_nu = float(bath.matsubara_frequency(m)) if m else math.nan
+        self.res_amp = 2.0 * eta / beta
+        # the first n > K terms of tail, by name, once computed
+        self._kept = {}
+
+    @cached_property
+    def explicit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nu_n, c_n, B_n) for n = 1, ..., K, with B_n = c_n nu_n and c_m = B_m = 0 at resonance."""
+        nu = self.bath.matsubara_frequency(np.arange(1.0, self.bath.matsubara_terms + 1.0))
+        with np.errstate(divide="ignore"):
+            c = self._coefficient("c", nu)
+        if self.res_index:
+            c[self.res_index - 1] = 0.0
+        return nu, c, c * nu
+
+    def _coefficient(self, name: str, nu: np.ndarray) -> np.ndarray:
+        """c_n ("c") or the tail's B_n ("b") at the frequencies nu."""
+        beta, gamma = self.bath.beta, self.bath.gamma
+        if name == "c":
+            return self.amp / (beta * nu * (nu**2 - gamma**2))
+        return self.amp / (beta * (nu**2 - gamma**2))
+
+    def tail(self, name: str, lo: int, hi: int, nu: np.ndarray | None = None) -> np.ndarray:
+        """nu_n ("nu"), c_n ("c") or B_n ("b") for n = K+1+lo, ..., K+hi, from nu when given, or the kept ones (keep).
+
+        Each entry is computed on its own, so a kept one has the bits of one computed afresh.
+        """
+        kept = self._kept.get(name)
+        if kept is not None and hi <= kept.size:
+            return kept[lo:hi]
+        if name == "nu":
+            k = self.bath.matsubara_terms
+            return self.bath.matsubara_frequency(np.arange(k + 1.0 + lo, k + 1.0 + hi))
+        return self._coefficient(name, self.tail("nu", lo, hi) if nu is None else nu)
+
+    def keep(self, stop: int, *names: str) -> None:
+        """Keep the first min(stop, _TAIL_KEPT) terms of tail(name, ...) of each name for later calls."""
+        size = min(stop, _TAIL_KEPT)
+        for name in names:
+            if name not in self._kept or self._kept[name].size < size:
+                self._kept[name] = self.tail(name, 0, size)
+
+    @cached_property
+    def tail_amps(self) -> tuple[float, float]:
+        """The prefactors of S1 and of S0 in tail_sums."""
+        eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
+        return eta * gamma * beta / math.pi**2, (eta * gamma * beta**2 / (2.0 * math.pi**3)) / self.bath.pole_ratio**2
+
+    def tail_sums(self, m: int, derivative: bool = False) -> tuple[float, float]:
+        """(S0, S1), S0 = sum_{n>m} c_n and S1 = sum_{n>m} B_n, as digamma differences; S0 is nan when derivative."""
+        s1_amp, s0_amp = self.tail_amps
+        a, n = self.bath.pole_ratio, m + 1.0
+        above, below = _digamma(n + a), _digamma(n - a)
+        s1 = s1_amp * (above - below) / (2.0 * a)
+        s0 = math.nan if derivative else s0_amp * (_digamma(n) - 0.5 * (below + above))
+        return s0, s1
 
 
 class OverdampedBrownian:
@@ -238,36 +325,28 @@ class TabulatedSpectralDensity:
 
 
 class BrownianCorrelation:
-    """Fast analytic L(t) for the overdamped Brownian bath.
+    """Fast analytic L(t) for the overdamped Brownian bath, from its Dirichlet table.
 
-    The Matsubara sum over the thermal frequencies nu_n is split as
-
-        nu/(nu^2 - g^2) = 1/nu + g^2/nu^3 + g^4 / (nu^3 (nu^2 - g^2))
-
-    whose first two pieces resum to -log(1 - e^-x) and Li_3(e^-x) with
-    x = 2 pi t / beta, leaving an n^-5 correction series.  Its n_corr
-    terms are set once per bath: far enough for 1e-14 and past
-    beta gamma / pi, but at most 50 000, which is too few at low
-    temperature (see the module docstring).  At each t the series stops at
-    its live terms, n <= min(n_corr, ceil(_EXP_DEAD / x)), where the Li_3
-    series stops too.  A pole degenerate with a thermal frequency is
-    replaced by the finite limit of the combined resonant pair.  Takes the
-    bath as a BathParams, which has checked it.  Raises DephaserError at
-    t = 0 and where x underflows to 0 (t below about 4e-325 beta).
+    The Matsubara sum is split as nu/(nu^2 - g^2) = 1/nu + g^2/nu^3 + g^4 / (nu^3 (nu^2 - g^2)), whose
+    first two pieces resum to -log(1 - e^-x) and Li_3(e^-x), x = 2 pi t / beta, leaving an n^-5 series of
+    n_corr terms: enough for 1e-14 and past beta gamma / pi, but at most 50 000, too few at low temperature
+    (see the module docstring).  At each t it stops at its live terms, n <= ceil(_EXP_DEAD / x), as the
+    Li_3 series does.  Every amplitude, and the resonant pair that replaces a pole degenerate with a
+    thermal frequency, is read from BathParams.dirichlet().  Raises DephaserError at t = 0 and where x
+    underflows to 0 (t below about 4e-325 beta).
     """
 
     _TAIL_TOL = 1e-14
 
     def __init__(self, bath: BathParams):
-        self.bath = p = bath
-        eta, gamma, beta = p.eta, p.gamma, p.beta
-        a = p.pole_ratio
-        self.res_index = p.res_index
+        self.bath = bath
+        d = self.table = bath.dirichlet()
+        gamma, beta, a = bath.gamma, bath.beta, bath.pole_ratio
 
         two_pi = 2.0 * math.pi
-        self.c_log = 2.0 * eta * gamma / math.pi
-        self.c_li3 = 4.0 * eta * gamma**3 / beta * (beta / two_pi) ** 3
-        coef5 = 4.0 * eta * gamma**5 / beta * (beta / two_pi) ** 5
+        self.c_log = d.amp / two_pi
+        self.c_li3 = d.amp * gamma**2 / beta * (beta / two_pi) ** 3
+        coef5 = d.amp * gamma**4 / beta * (beta / two_pi) ** 5
 
         n_corr = max(
             math.ceil((abs(coef5) / (4.0 * self._TAIL_TOL)) ** 0.25) + 10,
@@ -278,14 +357,8 @@ class BrownianCorrelation:
         n = np.arange(1.0, n_corr + 1.0)
         with np.errstate(divide="ignore"):
             w5 = coef5 / (n**3 * (n**2 - a**2))
-        if self.res_index:
-            w5[self.res_index - 1] = 0.0
-            self.nu_res = nu = float(p.matsubara_frequency(self.res_index))
-            # the n = m terms of the log and Li_3 resummations, which the resonant limit replaces
-            self._res_amp = 4.0 * eta * gamma / beta * (1.0 / nu + gamma**2 / nu**3)
-        else:
-            self._cot_amp = eta * gamma / math.tan(0.5 * beta * gamma)
-        self._im_amp = -eta * gamma
+        if d.res_index:
+            w5[d.res_index - 1] = 0.0
         self._n = n
         self._w5 = w5
 
@@ -294,7 +367,7 @@ class BrownianCorrelation:
             raise ValueError("correlation function is evaluated for t >= 0")
         if t == 0.0:
             raise DephaserError(_L0_DIVERGES)
-        p = self.bath
+        p, d = self.bath, self.table
         x = 2.0 * math.pi * t / p.beta
         if x == 0.0:
             raise DephaserError(
@@ -305,13 +378,15 @@ class BrownianCorrelation:
         re = self.c_log * (-math.log(-math.expm1(-x))) + self.c_li3 * trilog_exp(x)
         live = math.ceil(_EXP_DEAD / x) if x * self._n.size > _EXP_DEAD else self._n.size
         re += float(np.sum(self._w5[:live] * np.exp(-self._n[:live] * x)))
-        if self.res_index:
-            nu = self.nu_res
-            re += 2.0 * p.eta / p.beta * math.exp(-nu * t) * (0.5 - nu * t)
-            re -= self._res_amp * math.exp(-nu * t)
+        if d.res_index:
+            nu = d.res_nu
+            re += d.res_amp * math.exp(-nu * t) * (0.5 - nu * t)
+            # the n = m terms of the log and Li_3 resummations, which the resonant limit replaces
+            re -= d.amp / p.beta * (1.0 / nu + p.gamma**2 / nu**3) * math.exp(-nu * t)
         else:
-            re += self._cot_amp * decay
-        return complex(re, self._im_amp * decay)
+            re += 0.25 * d.amp * d.cot * decay
+        # amp / 4 is eta gamma exactly: L's pole term is eta gamma (cot - i) e^{-gamma t}, B_gamma gamma in Re
+        return complex(re, -0.25 * d.amp * decay)
 
 
 def _split_frequency(bath: BathParams) -> float:

@@ -21,7 +21,7 @@ baths, about 20 000 the cold ones (beta gamma / (2 pi) near 270).
 
 reference is independent of every engine: no quadrature, no digamma, no
 float64.  tail_sums gives the digamma differences that
-BrownianMatsubara._tail_sums evaluates in floats.
+DirichletTable.tail_sums evaluates in floats.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def reference_with_bounds(eta: float, gamma: float, beta: float, t: float, min_t
 
 
 def tail_sums(eta: float, gamma: float, beta: float, a: float, m: int) -> tuple[float, float]:
-    """(S0, S1) of BrownianMatsubara._tail_sums at m, to 40 digits, rounded to floats.
+    """(S0, S1) of DirichletTable.tail_sums at m, to 40 digits, rounded to floats.
 
     S0 = eta gamma beta^2 / (2 pi^3 a^2) (psi(n) - (psi(n - a) + psi(n + a)) / 2) and
     S1 = eta gamma beta / pi^2 (psi(n + a) - psi(n - a)) / (2 a), n = m + 1, on the

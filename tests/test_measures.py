@@ -286,23 +286,25 @@ def _scalar_re_gdot(ev, t):
     if t == 0.0:
         return 0.0
     p = ev.bath
-    re = float(np.sum(-ev.cnu * np.expm1(-ev.nu * t)))
-    if ev.res_index:
-        nu = ev.nu_res
+    d = ev._table
+    nu_k, _, b_k = d.explicit
+    re = float(np.sum(-b_k * np.expm1(-nu_k * t)))
+    if d.res_index:
+        nu = d.res_nu
         re += (2.0 * p.eta / p.beta) * (t * math.exp(-nu * t) + math.expm1(-nu * t) / (2.0 * nu))
     else:
-        re += p.eta * ev.cot_amp * (-math.expm1(-p.gamma * t))
+        re += d.pole_b * (-math.expm1(-p.gamma * t))
     k = p.matsubara_terms
     n_osc = math.ceil(45.0 * p.beta / (2.0 * math.pi * t))
     if n_osc <= k:
-        return re + ev._tail_sums(k)[1]
+        return re + d.tail_sums(k)[1]
     n_stop = min(n_osc, k + 2_000_000)
     block = 0.0
     for lo in range(k + 1, n_stop + 1, 1 << 16):  # the live block, summed 2^16 terms at a time
         nu = 2.0 * math.pi * np.arange(float(lo), min(lo + (1 << 16), n_stop + 1.0)) / p.beta
         cnu = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
         block += float(np.sum(-cnu * np.expm1(-nu * t)))
-    return re + (block + ev._tail_sums(n_stop)[1])
+    return re + (block + d.tail_sums(n_stop)[1])
 
 
 def _scalar_rate(ev, scenario, t):
@@ -359,7 +361,7 @@ BATHS = [BATH, BathParams(0.5, 1.2, 5.0), BathParams(2.0, 0.3, 0.3)]
 
 
 def _sign_changes(ev, t1):
-    """Sign changes of (C, -B_k (2 - e^{-lambda_k t1})) in order of lambda_k, from the engine's own coefficients.
+    """Sign changes of (C, -B_k (2 - e^{-lambda_k t1})) in order of lambda_k, from the bath's Dirichlet table.
 
     Re gdot = C - sum_k B_k e^{-lambda_k t}, C = 2 eta / (beta gamma), over the
     pole lambda = gamma (B = eta cot(beta gamma / 2)) and the nu_n (B_n = c_n nu_n);
@@ -368,15 +370,15 @@ def _sign_changes(ev, t1):
     Also checks that C is the late-time rate.
     """
     p = ev.bath
-    rate = 2.0 * p.eta / (p.beta * p.gamma)
+    d = p.dirichlet()
+    rate = d.rate
     if isinstance(ev, HighTemperatureBrownian):
         lam, b = np.array([p.gamma]), np.array([rate])
     else:
-        k = p.matsubara_terms
-        nu_rest = p.matsubara_frequency(np.arange(k + 1.0, max(k, math.ceil(p.pole_ratio)) + 2.0))
-        c_rest = 4.0 * p.eta * p.gamma / (p.beta * nu_rest * (nu_rest**2 - p.gamma**2))
-        lam = np.concatenate(([p.gamma], ev.nu, nu_rest))
-        b = np.concatenate(([p.eta * ev.cot_amp], ev.c * ev.nu, c_rest * nu_rest))
+        rest = max(0, math.ceil(p.pole_ratio) - p.matsubara_terms) + 1
+        nu_k, _, b_k = d.explicit
+        lam = np.concatenate(([p.gamma], nu_k, d.tail("nu", 0, rest)))
+        b = np.concatenate(([d.pole_b], b_k, d.tail("b", 0, rest)))
     t_late = 60.0 / min(p.gamma, float(p.matsubara_frequency(1)))
     assert ev.gdot(t_late).real == pytest.approx(rate, rel=1e-9)
     seq = np.sign(np.concatenate(([rate], (-b * (2.0 - np.exp(-lam * t1)))[np.argsort(lam, kind="stable")])))

@@ -220,7 +220,7 @@ def test_digamma_port_at_poles_and_non_finite_arguments():
 
 
 def _scipy_tail_sums(bath, m):
-    """(S0, S1) of BrownianMatsubara._tail_sums, written with scipy's digamma."""
+    """(S0, S1) of DirichletTable.tail_sums, written with scipy's digamma."""
     eta, gamma, beta, a = bath.eta, bath.gamma, bath.beta, bath.pole_ratio
     above, below = scipy_digamma(m + 1 + a), scipy_digamma(m + 1 - a)
     s1 = (eta * gamma * beta / math.pi**2) * (above - below) / (2.0 * a)
@@ -267,7 +267,7 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
     live_stops = sorted({ev._live_stop(f * bath.beta) for f in np.geomspace(1e-4, 0.1, 7)} - {0})
     assert len(live_stops) >= 4
     for m in [k] + live_stops:
-        got = ev._tail_sums(m)
+        got = bath.dirichlet().tail_sums(m)
         assert [type(v) for v in got] == [float, float]
         want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, m)
         bound = _tail_sums_error_bound(bath, m)
@@ -275,8 +275,62 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
         if all(x > 10.0 or x < -9.0 for x in (m + 1.0, m + 1.0 - bath.pole_ratio, m + 1.0 + bath.pole_ratio)):
             assert got == _scipy_tail_sums(bath, m), m
         # gdot takes S1 alone, with the same bits
-        s0, s1 = ev._tail_sums(m, derivative=True)
+        s0, s1 = bath.dirichlet().tail_sums(m, derivative=True)
         assert math.isnan(s0) and s1 == got[1], m
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    eta=st.floats(0.1, 10.0),
+    gamma=st.floats(0.2, 2.0),
+    beta=st.one_of(st.floats(0.1, 30.0), st.floats(900.0, 1000.0)),
+    k=st.sampled_from([0, 1, 25, 100]),
+)
+@example(eta=1.3, gamma=1.8, beta=933.0, k=100)
+@example(eta=1.0, gamma=1.0, beta=4.0 * math.pi, k=25)  # the pole on nu_2
+@example(eta=1.3, gamma=1.0, beta=2.0 * math.pi, k=1)  # the pole on nu_1
+def test_dirichlet_rate_is_the_sum_of_its_coefficients(eta, gamma, beta, k):
+    """C = B_gamma + sum_{n<=K} B_n + S1(K), to roundoff: S1's digamma bound, 8 ulp of sum |terms| and cot's argument.
+
+    B_gamma is eta cot of beta gamma / 2 rounded, which moves it by eta (1 + cot^2) ulp(beta gamma / 2): up to
+    1e-7 on the cold baths, where beta gamma / 2 is near 900.  At resonance B_gamma and B_m are 0, and the
+    resonant pair adds its constant -eta / (beta nu_m).
+    """
+    bath = BathParams(eta, gamma, beta, k)
+    if bath.res_index > k:
+        return
+    d = bath.dirichlet()
+    terms = [d.pole_b, *d.explicit[2].tolist(), d.tail_sums(k)[1]]
+    if d.res_index:
+        assert d.pole_b == d.explicit[2][d.res_index - 1] == 0.0
+        terms.append(-d.res_amp / (2.0 * d.res_nu))
+        assert terms[-1] == pytest.approx(-eta / (beta * d.res_nu), rel=4 * _ULP)
+    bound = _tail_sums_error_bound(bath, k)[1] + 8.0 * _ULP * math.fsum(map(abs, terms + [d.rate]))
+    bound += eta * (1.0 + d.cot**2) * math.ulp(0.5 * beta * gamma)
+    assert abs(math.fsum(terms) - d.rate) <= bound
+    assert d.rate == 2.0 * eta / (beta * gamma)
+
+
+@pytest.mark.parametrize("bath", [BATH, BathParams(1.0, 1.0, 4.0 * math.pi)], ids=["warm", "resonant"])
+def test_correlation_reads_its_amplitudes_from_the_table(bath):
+    # L's pole term is eta gamma (cot - i) e^{-gamma t} with eta gamma = amp / 4; at resonance its pair is the table's
+    ev = BrownianCorrelation(bath)
+    d = ev.table
+    names = ("amp", "cot", "pole_b", "res_index", "res_nu", "res_amp")
+    assert np.array_equal([getattr(BrownianMatsubara(bath)._table, n) for n in names], [getattr(d, n) for n in names], True)
+    assert (d.amp, d.res_index, d.res_amp) == (4.0 * bath.eta * bath.gamma, bath.res_index, 2.0 * bath.eta / bath.beta)
+    t = 0.7
+    got = ev(t)
+    assert got.imag == -0.25 * d.amp * math.exp(-bath.gamma * t)
+    pieces = _correlation_pieces(ev, t)
+    assert abs(got.real - math.fsum(pieces)) <= 4.0 * _ULP * math.fsum(map(abs, pieces))
+    # moving an amplitude of the table moves L
+    for name in ("amp", "res_amp", "res_nu") if d.res_index else ("cot", "amp"):
+        saved = getattr(d, name)
+        setattr(d, name, saved * (1.0 + 1e-6))
+        assert ev(t) != got, name
+        setattr(d, name, saved)
+    assert ev(t) == got
 
 
 # BrownianCorrelation's live-term cut is pinned on the default bath, crosscheck's coldest route bath,
@@ -295,15 +349,16 @@ _CUT_BATHS = {
 
 def _correlation_pieces(ev, t):
     """Every float that BrownianCorrelation sums into Re L(t), with all n_corr correction terms."""
-    p = ev.bath
+    p, d = ev.bath, ev.table
     x = 2.0 * math.pi * t / p.beta
     pieces = [ev.c_log * -math.log(-math.expm1(-x)), ev.c_li3 * trilog_exp(x)]
     pieces += (ev._w5 * np.exp(-ev._n * x)).tolist()
-    if ev.res_index:
-        decay = math.exp(-ev.nu_res * t)
-        pieces += [2.0 * p.eta / p.beta * decay * (0.5 - ev.nu_res * t), -ev._res_amp * decay]
+    if d.res_index:
+        nu = d.res_nu
+        decay = math.exp(-nu * t)
+        pieces += [d.res_amp * decay * (0.5 - nu * t), -d.amp / p.beta * (1.0 / nu + p.gamma**2 / nu**3) * decay]
     else:
-        pieces.append(ev._cot_amp * math.exp(-p.gamma * t))
+        pieces.append(0.25 * d.amp * d.cot * math.exp(-p.gamma * t))
     return pieces
 
 
@@ -390,7 +445,7 @@ _RESONANT_BATHS = [
 def test_resonant_correlation_matches_quadrature(gamma, bound, res_index):
     beta = 4.0 * math.pi
     p = BathParams(eta=1.0, gamma=gamma, beta=beta)
-    assert BrownianCorrelation(p).res_index == res_index
+    assert BrownianCorrelation(p).table.res_index == res_index
     assert BrownianMatsubara(p).res_index == res_index
     sd = OverdampedBrownian(p)
     for t in (0.05, 0.3, 1.0, 3.0):
