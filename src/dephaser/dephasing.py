@@ -17,7 +17,9 @@ evaluators are provided:
     representation, with the oscillatory tails handled by a dedicated
     Fourier integrator.  Independent of the series route.
   * TimeDomainQuadrature: nested quadrature of (t - tau) L(tau) against
-    the analytic correlation function.  Independent of both others.
+    the analytic correlation function.  That L reads the series' Dirichlet
+    table, so this route checks the sums and the quadrature; freq-quad
+    and the tests' oracle check the coefficients.
 
 The quadrature engines exist as cross-checks: on the default bath the
 three routes agree to better than 1e-6 relative for t in [0.05, 20], the
@@ -31,6 +33,10 @@ DephaserError for a Brownian density at 0 < t < 3e-4 / w_split
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
 per call.  A time gets the same bits alone as inside an array.
+BrownianMatsubara and HighTemperatureBrownian raise DephaserError past
+the largest time at which g, its intermediates and the flip exponent
+of times up to it stay finite (_largest_time; 1.43e305 for the series
+on the default bath, where nu_K t would overflow).
 BrownianMatsubara also remembers the values of its pointwise calls (one
 to three times, as the two-interval kernels and the measure's curves
 make them), up to _MEMO_TIMES times per function, and returns the same
@@ -40,6 +46,7 @@ bits from the memo as computed afresh.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -67,6 +74,7 @@ _MEMO_TIMES = 1024
 # the most times of a call the memo serves: the t1, t2, t1 + t2 of a two-interval call
 _MEMO_CALL = 3
 _TWO_PI = 2.0 * math.pi
+_FLOAT_MAX = sys.float_info.max
 
 
 def flip_exponent(g1, g2, g12):
@@ -89,33 +97,65 @@ def _as_times(t) -> tuple[np.ndarray, bool]:
     return ts, False
 
 
-def _check_times(t) -> tuple[np.ndarray, bool]:
+def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool]:
     """(t as a 1-d float array, whether t is a scalar); ValueError as _check_time at the first bad time.
 
     For an engine that computes on the whole array: the times are checked
-    by two numpy reductions.
+    by two numpy reductions, which also give the largest time for
+    _check_range against t_max.
     """
     ts, scalar = _as_times(t)
-    # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
-    if not scalar and ts.size and not (np.minimum.reduce(ts) >= 0.0 and np.maximum.reduce(ts) < math.inf):
-        _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
+    if scalar or not ts.size:
+        top = float(ts[0]) if scalar else 0.0
+    else:
+        top = float(np.maximum.reduce(ts))
+        # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
+        if not (np.minimum.reduce(ts) >= 0.0 and top < math.inf):
+            _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
+    _check_range(top, t_max)
     return ts, scalar
 
 
-def _time_list(t) -> tuple[np.ndarray, list, bool]:
+def _largest_time(arg_rate: float, growth: float, moduli: float) -> float:
+    """The largest float t with arg_rate t <= fmax / 2, growth t <= fmax / 4 and moduli t <= fmax (fmax = _FLOAT_MAX).
+
+    For an engine whose arguments are at most arg_rate t, whose g grows as
+    growth t in modulus (plus a constant) and whose terms of g are at most
+    moduli t in sum: its g, gdot and their intermediates stay finite up to
+    it, to roundoff, and so does the flip exponent 2 g(t1) + 2 g(t2) -
+    g(t1 + t2) of times t1 + t2 up to it.
+    """
+    return min(_FLOAT_MAX, _FLOAT_MAX / max(2.0 * arg_rate, 4.0 * growth, (1.0 + 1e-12) * moduli))
+
+
+def _check_range(top: float, t_max: float) -> None:
+    """DephaserError when the largest time of a call, top, is past the engine's t_max."""
+    if top > t_max:
+        raise DephaserError(
+            f"time {top!r} is past {t_max!r}, the largest time at which this engine's g, gdot and their "
+            "intermediates stay finite on this bath"
+        )
+
+
+def _time_list(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, list, bool]:
     """(t as a 1-d float array, the same times as a list of Python floats, whether t is a scalar).
 
     For an engine that steps through the times in Python: the times are
     checked on the list it needs anyway (ValueError as _check_time at the
-    first bad time), which costs a few-time call far less than numpy
-    reductions do.
+    first bad time, then _check_range against t_max), which costs a
+    few-time call far less than numpy reductions do.
     """
     ts, scalar = _as_times(t)
     times = ts.tolist()
-    # a nan or infinite time makes the sum nan or inf, and with none of them min is the least time
-    if not scalar and times and not (sum(times) < math.inf and min(times) >= 0.0):
+    if scalar:
+        if times[0] > t_max:
+            _check_range(times[0], t_max)
+    # a nan or infinite time makes the sum nan or inf, above the finite t_max; with none of them min is the least
+    # time and the sum bounds the largest
+    elif times and not (sum(times) <= t_max and min(times) >= 0.0):
         for s in times:
-            _check_time(s)  # raises at the first bad time; none is bad when only the sum overflowed
+            _check_time(s)  # raises at the first bad time; none is bad when only the sum is large
+        _check_range(max(times), t_max)
     return ts, times, scalar
 
 
@@ -178,7 +218,7 @@ class BrownianMatsubara:
     The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi) or nu_K^2 leaves the normal
     floats (beta gamma < 9.4e-154 or 2 pi K / beta > 1.3e154), where an amplitude of the pole term overflows
     (eta 1e300, gamma 1e-8, beta 1e-20) and, with the tail, where a digamma prefactor does (eta 1e307,
-    gamma 1, beta 100).
+    gamma 1, beta 100).  g and gdot raise it past the largest time the table's amplitudes allow (_largest_time).
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
     table, summed row by row; the pole term (math.expm1/exp) and the tail follow time by time, so a time
@@ -224,6 +264,16 @@ class BrownianMatsubara:
         self._neg_gamma = -gamma
         self._dead_beta = _EXP_DEAD * bath.beta
         self._s0_k, self._s1_k = d.tail_sums(k)
+        # the engine's Dirichlet coefficients: the pole, the K terms, the tail's sum and the resonant pair's constant,
+        # whose sum is the late-time rate of Re g and whose moduli bound its terms (the pair's reach 5 times its own)
+        res_b = d.res_amp / (2.0 * d.res_nu) if m else 0.0
+        tail_b = self._s1_k if include_tail else 0.0
+        # a sum that overflows leaves t_max 0: no positive time is then safe
+        with np.errstate(over="ignore"):
+            rate = d.pole_b + float(np.add.reduce(b)) + tail_b - res_b
+            moduli = abs(d.pole_b) + float(np.add.reduce(np.abs(b))) + abs(tail_b) + 5.0 * res_b
+        arg_rate = max(gamma, float(nu[-1]) if k else 0.0, 1.5 / d.res_nu if m else 0.0)
+        self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
         # time -> g(t) and time -> gdot(t) of the pointwise calls
         self._g_memo = {}
         self._gdot_memo = {}
@@ -324,7 +374,7 @@ class BrownianMatsubara:
         larger call leaves memo alone.  A time's value is its own table row
         and row step either way, so its bits do not depend on the path.
         """
-        ts, times, scalar = _time_list(t)
+        ts, times, scalar = _time_list(t, self._t_max)
         row = self._gdot_row if derivative else self._g_row
         if len(times) > _MEMO_CALL:
             return _rows(row, times, scalar, self._explicit(ts, derivative).tolist())
@@ -366,7 +416,8 @@ class HighTemperatureBrownian:
 
     g and gdot take a time or a 1-d array of times, computed on the whole
     array.  DephaserError where beta gamma^2, beta gamma or 2 eta over either
-    leaves the normal floats (magnitude below 2.2e-308, or infinite).
+    leaves the normal floats (magnitude below 2.2e-308, or infinite), and
+    at a time past _largest_time of its own amplitudes.
     """
 
     def __init__(self, bath: BathParams):
@@ -375,15 +426,17 @@ class HighTemperatureBrownian:
         eta, gamma, beta = bath.eta, bath.gamma, bath.beta
         self._g_amp = _normal(2.0 * eta / _normal(beta * gamma**2, "beta gamma^2"), "2 eta / (beta gamma^2)")
         self._gdot_amp = _normal(-2.0 * eta / _normal(beta * gamma, "beta gamma"), "2 eta / (beta gamma)")
+        # the argument gamma t; Re g grows as 2 eta t / (beta gamma), Im g as eta t
+        self._t_max = _largest_time(gamma, eta - self._gdot_amp, 0.0)
 
     def g(self, t):
-        ts, scalar = _check_times(t)
+        ts, scalar = _check_times(t, self._t_max)
         p = self.bath
         hg = np.expm1(-p.gamma * ts) + p.gamma * ts
         return _complex(self._g_amp * hg, -(p.eta / p.gamma) * hg, scalar)
 
     def gdot(self, t):
-        ts, scalar = _check_times(t)
+        ts, scalar = _check_times(t, self._t_max)
         em = np.expm1(-self.bath.gamma * ts)
         return _complex(self._gdot_amp * em, self.bath.eta * em, scalar)
 

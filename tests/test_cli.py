@@ -495,6 +495,25 @@ def test_overflowing_pole_amplitude_reports_dephaser_error(capsys):
     assert "(eta / gamma) cot(beta gamma / 2) = inf" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, time",
+    [
+        (["gfun", "--tmax", "1e306", "--points", "3"], "1e+306"),
+        (["trdist", "--engine", "hight", "--eta", "1e8", "--gamma", "0.001", "--beta", "1e8", "--t1", "1e300",
+          "--tmax", "1", "--points", "4"], "1e+300"),
+    ],
+    ids=["gfun", "trdist-hight"],
+)
+def test_huge_time_reports_dephaser_error(capsys, argv, time):
+    # gfun wrote Re g = inf where it is about 4e306, and trdist a distance of 1 on every row where 2 Im g(t1) overflows
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "DephaserError"
+    assert record["message"].startswith(f"time {time} is past ")
+
+
 def test_too_few_points_rejected(capsys):
     rc, _, err = run_cli(capsys, ["gfun", "--points", "1"])
     assert rc == 1

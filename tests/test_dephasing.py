@@ -1,5 +1,6 @@
 """Lineshape function engines: agreement, limits, truncation, resonance."""
 
+import hashlib
 import json
 import math
 import os
@@ -388,6 +389,61 @@ def test_memo_is_bounded_and_skips_array_calls():
     assert list(fresh._g_memo) == list(fresh._gdot_memo) == [float(grid[1])]
 
 
+# The baths, term counts and times of the pinned digest: the default bath, the cold beta 933 and 939.84 baths, and the
+# pole on nu_1 and on nu_2; every K the bath admits, with the tail and strictly truncated.
+_PINNED_BATHS = {
+    "default": (1.0, 0.5, 1.0),
+    "beta 933": (1.3, 1.8, 933.0),
+    "beta 939.84": (7.69, 1.86, 939.84),
+    "a = 1": (1.3, 1.0, 2.0 * math.pi),
+    "a = 2": (1.0, 1.0, 4.0 * math.pi),
+}
+_PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
+# a time whose tail has more live terms than this costs up to 18 ms a call; only these engines keep their tiniest time
+_PINNED_LIVE = 1 << 15
+_PINNED_DEEP = {("default", 100), ("beta 933", 0)}
+# recorded with numpy 2.4.6 on x86-64; a change that moves a bit of g or gdot on purpose records it again and says so
+_PINNED_DIGEST = "0ca7cf2877b951c4d2da3c4b3d057a4fb5bfe454e3fd6617a23f76470e1666bc"
+# numpy picks its expm1 kernel by CPU, and the digest holds only where expm1 and row sums give these bits
+_PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"
+
+
+def _pinned_cases():
+    """(bath, include_tail, times) of every engine the digest covers."""
+    for name, (eta, gamma, beta) in _PINNED_BATHS.items():
+        for k in (0, 1, 25, 100):
+            bath = BathParams(eta, gamma, beta, k)
+            if bath.res_index > k:
+                continue
+            for tail in (True, False):
+                ts = _PINNED_TIMES
+                if tail:
+                    keep = np.ceil(45.0 * beta / (2.0 * math.pi * ts)) - k <= _PINNED_LIVE
+                    keep[0] |= (name, k) in _PINNED_DEEP
+                    ts = ts[keep]
+                yield bath, tail, ts
+
+
+def test_analytic_bits_match_the_pinned_digest():
+    # SHA-256 of the raw bytes of g and gdot by one array call, a float call per time and 3-time calls through the memo
+    em = np.expm1(-np.geomspace(1e-12, 50.0, 4097))
+    if hashlib.sha256(em.tobytes() + np.add.reduce(em.reshape(17, 241), axis=1).tobytes()).hexdigest() != _PINNED_KERNEL:
+        pytest.skip("numpy's expm1 or row sums give other bits on this machine than where the digest was recorded")
+    digest = hashlib.sha256()
+    cases = 0
+    for bath, tail, ts in _pinned_cases():
+        whole, single, triple = (BrownianMatsubara(bath, tail) for _ in range(3))
+        for name in ("g", "gdot"):
+            digest.update(getattr(whole, name)(ts).tobytes())
+            for s in ts.tolist():
+                digest.update(np.complex128(getattr(single, name)(s)).tobytes())
+            for i in range(0, ts.size, 2):  # consecutive calls share a time, which the memo returns
+                digest.update(getattr(triple, name)(ts[i : i + 3]).tobytes())
+            cases += 3 * ts.size
+    assert cases >= 1000
+    assert digest.hexdigest() == _PINNED_DIGEST
+
+
 def test_bad_time_in_array_rejected_like_a_scalar():
     # hight checks an array by numpy reductions; the other engines check the list of times they step through
     for ev in brownian_engines():
@@ -427,6 +483,36 @@ def test_overflowing_amplitude_raises(bath, what):
         assert np.isfinite(strict.g(1.0))
         with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
             strict.matsubara_remainder(1.0)
+
+
+@pytest.mark.parametrize(
+    "make, t",
+    [
+        (lambda: BrownianMatsubara(BathParams(1e300, 0.5, 1.0)), 1e10),  # Re g and Im g overflow
+        (lambda: HighTemperatureBrownian(BathParams(1e300, 0.5, 1.0)), 1e10),
+        (lambda: BrownianMatsubara(BathParams(1e300, 0.5, 1.0), include_tail=False), 1e10),
+        (lambda: BrownianMatsubara(BATH), 1e306),  # nu_K t overflows, and Re g with it
+        (lambda: HighTemperatureBrownian(BATH), 1e308),  # Re g overflows
+        (lambda: HighTemperatureBrownian(BathParams(1e8, 0.001, 1e8)), 1e300),  # 2 Im g overflows
+    ],
+    ids=["analytic", "hight", "strict", "analytic-nu-K-t", "hight-default", "hight-flip"],
+)
+def test_huge_time_raises_dephaser_error(make, t):
+    # each returned inf (or a g whose flip exponent overflows) behind at most a RuntimeWarning
+    ev = make()
+    for fn in (ev.g, ev.gdot):
+        for times in (t, np.array([t]), np.array([0.0, 1.0, t]), np.array([t] + [1.0] * 5)):
+            with pytest.raises(DephaserError, match=re.escape(f"time {t!r} is past ")):
+                fn(times)
+
+
+def test_largest_times_keep_their_bits():
+    # g(1e305) on the default bath is below the largest time, with the bits it had before the bound
+    ev = BrownianMatsubara(BATH)
+    assert ev.g(np.array([0.0, 1e305])).tobytes().hex() == (
+        "00000000000000000000000000000000bad9826e513a627fbad9826e513a42ff"
+    )
+    assert ev.g(1e305) == 4e305 - 1e305j and ev.gdot(1e305) == 4.0 - 1.0j
 
 
 @pytest.mark.parametrize("t", [1e-308, 5e-324])
