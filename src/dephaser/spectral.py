@@ -23,7 +23,7 @@ so its L(0) is the finite trapezoid sum, with Im L(0) = 0 by oddness.
 
 BathParams makes every decision about the Brownian bath: the thermal frequencies nu_n, the resonance
 of the pole gamma with one of them, and the one table of its Dirichlet coefficients (DirichletTable),
-which the analytic L here and the g engines of dephasing read.
+which the analytic L here and the series engine of dephasing (BrownianMatsubara) read.
 """
 
 from __future__ import annotations
