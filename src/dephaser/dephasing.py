@@ -19,7 +19,8 @@ evaluators are provided:
   * TimeDomainQuadrature: nested quadrature of (t - tau) L(tau) against
     the analytic correlation function.  That L reads the series' Dirichlet
     table, so this route checks the sums and the quadrature; freq-quad
-    and the tests' oracle check the coefficients.
+    and the tests' oracle check the coefficients.  Its integrals share
+    their nodes, so it evaluates L once per node (up to _MEMO_NODES).
 
 The quadrature engines exist as cross-checks: on the default bath the
 three routes agree to better than 1e-6 relative for t in [0.05, 20], the
@@ -73,6 +74,8 @@ _TABLE_BUDGET = 1 << 16
 _MEMO_TIMES = 1024
 # the most times of a call the memo serves: the t1, t2, t1 + t2 of a two-interval call
 _MEMO_CALL = 3
+# quadrature nodes u -> L(u) that a TimeDomainQuadrature remembers across its integrals; a full memo is cleared
+_MEMO_NODES = 1 << 13
 _TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = sys.float_info.max
 
@@ -416,8 +419,9 @@ class HighTemperatureBrownian:
 
     g and gdot take a time or a 1-d array of times, computed on the whole
     array.  DephaserError where beta gamma^2, beta gamma or 2 eta over either
-    leaves the normal floats (magnitude below 2.2e-308, or infinite), and
-    at a time past _largest_time of its own amplitudes.
+    leaves the normal floats (magnitude below 2.2e-308, or infinite), where
+    eta / gamma overflows, and at a time past _largest_time of its own
+    amplitudes.
     """
 
     def __init__(self, bath: BathParams):
@@ -426,6 +430,7 @@ class HighTemperatureBrownian:
         eta, gamma, beta = bath.eta, bath.gamma, bath.beta
         self._g_amp = _normal(2.0 * eta / _normal(beta * gamma**2, "beta gamma^2"), "2 eta / (beta gamma^2)")
         self._gdot_amp = _normal(-2.0 * eta / _normal(beta * gamma, "beta gamma"), "2 eta / (beta gamma)")
+        self._im_g_amp = -_finite(eta / gamma, "eta / gamma")
         # the argument gamma t; Re g grows as 2 eta t / (beta gamma), Im g as eta t
         self._t_max = _largest_time(gamma, eta - self._gdot_amp, 0.0)
 
@@ -433,7 +438,7 @@ class HighTemperatureBrownian:
         ts, scalar = _check_times(t, self._t_max)
         p = self.bath
         hg = np.expm1(-p.gamma * ts) + p.gamma * ts
-        return _complex(self._g_amp * hg, -(p.eta / p.gamma) * hg, scalar)
+        return _complex(self._g_amp * hg, self._im_g_amp * hg, scalar)
 
     def gdot(self, t):
         ts, scalar = _check_times(t, self._t_max)
@@ -562,6 +567,14 @@ class TimeDomainQuadrature:
     machinery with the series or frequency-domain engines.  The adaptive
     rule resolves the integrable log singularity of Re L at u = 0.  g and
     gdot take a time or a 1-d array of times, integrated one by one.
+
+    Every integral on [0, t] starts with the same 21-point Gauss-Kronrod
+    rule and bisects toward u = 0, so Re and Im of g and gdot at one t
+    ask for L at the same nodes.  L is evaluated once per node: a memo,
+    node u -> L(u), serves every integral of the engine and returns the
+    same value object, so a value's bits do not depend on the order of
+    the calls.  It holds at most _MEMO_NODES (8192) nodes and is cleared
+    when full, so a grid of g followed by its gdot shares little.
     """
 
     def __init__(self, sd, beta: float):
@@ -574,6 +587,8 @@ class TimeDomainQuadrature:
         else:
             therm = sd.values * coth(0.5 * beta * sd.omega)
             self._corr = lambda u: _tabulated_grid(sd, therm, u)
+        # node u -> L(u) of every integral so far
+        self._nodes = {}
 
     def g(self, t):
         return _rows(lambda s: self._integral(s, False), *_time_list(t)[1:])
@@ -581,11 +596,20 @@ class TimeDomainQuadrature:
     def gdot(self, t):
         return _rows(lambda s: self._integral(s, True), *_time_list(t)[1:])
 
+    def _corr_at(self, u: float) -> complex:
+        """L(u) from the memo of nodes, or evaluated and stored there; a node where L raises stores nothing."""
+        value = self._nodes.get(u)
+        if value is None:
+            if len(self._nodes) >= _MEMO_NODES:
+                self._nodes.clear()
+            value = self._nodes[u] = self._corr(u)
+        return value
+
     def _integral(self, t: float, derivative: bool) -> complex:
         """int_0^t w(u) L(u) du with w = t - u (g) or 1 (gdot); Re and Im integrated apart."""
         if t == 0.0:
             return 0j
-        corr = self._corr
+        corr = self._corr_at
         w = (lambda u: 1.0) if derivative else (lambda u: t - u)
         name = "gdot" if derivative else "g"
         re = integrate_finite(lambda u: w(u) * corr(u).real, 0.0, t, epsabs=1e-11, epsrel=1e-11, tag=f"Re {name}")

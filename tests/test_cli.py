@@ -514,6 +514,17 @@ def test_huge_time_reports_dephaser_error(capsys, argv, time):
     assert record["message"].startswith(f"time {time} is past ")
 
 
+def test_hight_overflowing_eta_over_gamma_reports_dephaser_error(capsys):
+    # eta / gamma = 2e308 overflows: Im g was -inf at every t > 0 and nan at t = 0
+    argv = ["trdist", "--engine", "hight", "--eta", "2e298", "--gamma", "1e-10", "--beta", "3e10"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "DephaserError"
+    assert record["message"].startswith("eta / gamma = inf overflows")
+
+
 def test_too_few_points_rejected(capsys):
     rc, _, err = run_cli(capsys, ["gfun", "--points", "1"])
     assert rc == 1

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dephaser
+from dephaser import dephasing
 from dephaser.dephasing import (
     BrownianMatsubara,
     FrequencyQuadrature,
@@ -424,11 +425,15 @@ def _pinned_cases():
                 yield bath, tail, ts
 
 
-def test_analytic_bits_match_the_pinned_digest():
-    # SHA-256 of the raw bytes of g and gdot by one array call, a float call per time and 3-time calls through the memo
+def _skip_off_the_pinned_kernel():
     em = np.expm1(-np.geomspace(1e-12, 50.0, 4097))
     if hashlib.sha256(em.tobytes() + np.add.reduce(em.reshape(17, 241), axis=1).tobytes()).hexdigest() != _PINNED_KERNEL:
         pytest.skip("numpy's expm1 or row sums give other bits on this machine than where the digest was recorded")
+
+
+def test_analytic_bits_match_the_pinned_digest():
+    # SHA-256 of the raw bytes of g and gdot by one array call, a float call per time and 3-time calls through the memo
+    _skip_off_the_pinned_kernel()
     digest = hashlib.sha256()
     cases = 0
     for bath, tail, ts in _pinned_cases():
@@ -442,6 +447,88 @@ def test_analytic_bits_match_the_pinned_digest():
             cases += 3 * ts.size
     assert cases >= 1000
     assert digest.hexdigest() == _PINNED_DIGEST
+
+
+# time-quad's digest on the default bath, a cold one and a tabulated density, recorded with numpy 2.4.6 and scipy
+# 1.17.1 on x86-64 before time-quad remembered its nodes, whose memo must not move a bit whatever the order of calls
+_TQ_GRID = np.geomspace(1e-3, 100.0, 200)
+_TQ_PINNED_DIGEST = "c26dd9b6709d6796398e433392d7b8e90a81fb628982302815c86d37189c1144"
+
+
+def test_time_quad_bits_match_the_pinned_digest():
+    # g and gdot by 3-time array calls and by float calls, in either order on one engine: each first on a fresh one
+    _skip_off_the_pinned_kernel()
+    sds = (
+        (OverdampedBrownian(BATH), BATH.beta, (0.05, 0.9, 8.0)),
+        (OverdampedBrownian(BathParams(1.0, 1.3, 100.0)), 100.0, (0.4, 4.0, 8.0)),
+        (TabulatedSpectralDensity(_TQ_GRID, OverdampedBrownian(BATH).j(_TQ_GRID)), BATH.beta, (0.05, 0.3, 1.1)),
+    )
+    digest = hashlib.sha256()
+    for sd, beta, ts in sds:
+        array = np.array(ts)
+        for order in (("g", "gdot"), ("gdot", "g")):
+            on_array, on_floats = TimeDomainQuadrature(sd, beta), TimeDomainQuadrature(sd, beta)
+            for name in order:
+                digest.update(getattr(on_array, name)(array).tobytes())
+                for s in ts:
+                    digest.update(np.complex128(getattr(on_floats, name)(s)).tobytes())
+    assert digest.hexdigest() == _TQ_PINNED_DIGEST
+
+
+def _count_correlation_calls(ev) -> list:
+    """A one-element list that counts the L evaluations ev makes from now on."""
+    calls = [0]
+    corr = ev._corr
+
+    def counted(u):
+        calls[0] += 1
+        return corr(u)
+
+    ev._corr = counted
+    return calls
+
+
+def test_time_quad_evaluates_each_node_once(monkeypatch):
+    # QUADPACK starts Re and Im of g and gdot at one t with one 21-point rule and bisects Re toward u = 0
+    integrate = dephasing.integrate_finite
+    nodes = {}
+
+    def recorded(f, a, b, *, tag, **options):
+        asked = nodes.setdefault(tag, [])
+        return integrate(lambda u: asked.append(u) or f(u), a, b, tag=tag, **options)
+
+    monkeypatch.setattr(dephasing, "integrate_finite", recorded)
+    for bath, t in ((BATH, 2.0), (BATH, 8.0), (BathParams(1.0, 1.3, 100.0), 8.0)):
+        sd = OverdampedBrownian(bath)
+        nodes.clear()
+        ev = TimeDomainQuadrature(sd, bath.beta)
+        calls = _count_correlation_calls(ev)
+        ev.g(t)
+        # every node of the Im integral is one of the Re integral's, so g evaluates no more than Re g asks for
+        assert set(nodes["Im g"]) <= set(nodes["Re g"])
+        assert calls[0] <= len(nodes["Re g"])
+        ev.gdot(t)
+        fresh = []
+        for name in ("g", "gdot"):
+            alone = TimeDomainQuadrature(sd, bath.beta)
+            fresh.append(_count_correlation_calls(alone))
+            getattr(alone, name)(t)
+        # measured: 315 against 315 + 231 on the default bath at t = 2
+        assert calls[0] <= 0.6 * (fresh[0][0] + fresh[1][0])
+
+
+def test_time_quad_memo_stays_within_its_bound(monkeypatch):
+    # a memo that would overfill is cleared, and a cleared memo gives the same bits as one that never was
+    times = (0.3, 2.0, 0.3, 5.0)
+    whole = TimeDomainQuadrature(OverdampedBrownian(BATH), BATH.beta)
+    expected = [(whole.g(t), whole.gdot(t)) for t in times]
+    monkeypatch.setattr(dephasing, "_MEMO_NODES", 100)
+    small = TimeDomainQuadrature(OverdampedBrownian(BATH), BATH.beta)
+    calls = _count_correlation_calls(small)
+    for t, values in zip(times, expected):
+        assert (small.g(t), small.gdot(t)) == values
+        assert 0 < len(small._nodes) <= 100
+    assert calls[0] > 3 * 100
 
 
 def test_bad_time_in_array_rejected_like_a_scalar():
@@ -506,6 +593,14 @@ def test_huge_time_raises_dephaser_error(make, t):
                 fn(times)
 
 
+def test_hight_overflowing_eta_over_gamma_raises():
+    # every other amplitude passes; g(1.0) was 6.67e287 - inf j, and g at t = 0 nan behind a RuntimeWarning
+    bath = BathParams(2e298, 1e-10, 3e10)
+    for times in (1.0, np.array([0.0, 1.0])):
+        with pytest.raises(DephaserError, match=re.escape("eta / gamma = inf overflows")):
+            HighTemperatureBrownian(bath).g(times)
+
+
 def test_largest_times_keep_their_bits():
     # g(1e305) on the default bath is below the largest time, with the bits it had before the bound
     ev = BrownianMatsubara(BATH)
@@ -531,6 +626,13 @@ def test_time_quad_at_subnormal_time_raises_dephaser_error():
     for fn in (tq.g, tq.gdot):
         with pytest.raises(DephaserError, match="diverges"):
             fn(5e-324)
+    # the node where L raised is not remembered, before or after a call that fills the memo
+    assert not tq._nodes
+    tq.g(1.0)
+    kept = dict(tq._nodes)
+    with pytest.raises(DephaserError, match="diverges"):
+        tq.gdot(5e-324)
+    assert tq._nodes == kept
 
 
 def test_freq_quad_raises_below_its_domain():
