@@ -587,7 +587,7 @@ class TimeDomainQuadrature:
         else:
             therm = sd.values * coth(0.5 * beta * sd.omega)
             self._corr = lambda u: _tabulated_grid(sd, therm, u)
-        # node u -> L(u) of every integral so far
+        # node u -> L(u), shared by all the integrals of this engine (_corr_at)
         self._nodes = {}
 
     def g(self, t):

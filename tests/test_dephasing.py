@@ -450,7 +450,7 @@ def test_analytic_bits_match_the_pinned_digest():
 
 
 # time-quad's digest on the default bath, a cold one and a tabulated density, recorded with numpy 2.4.6 and scipy
-# 1.17.1 on x86-64 before time-quad remembered its nodes, whose memo must not move a bit whatever the order of calls
+# 1.17.1 on x86-64 from the engine without its node memo: the memo must not move a bit, whatever the order of calls
 _TQ_GRID = np.geomspace(1e-3, 100.0, 200)
 _TQ_PINNED_DIGEST = "c26dd9b6709d6796398e433392d7b8e90a81fb628982302815c86d37189c1144"
 
