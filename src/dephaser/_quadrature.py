@@ -36,12 +36,10 @@ def integrate_finite(f, a, b, *, epsabs=1e-12, epsrel=1e-12, tag="integral"):
     return _quad(f, a, b, tag, epsabs=epsabs, epsrel=epsrel)
 
 
-def integrate_to_inf(f, a, *, epsabs=1e-12, epsrel=1e-12, tag="integral"):
-    return _quad(f, a, float("inf"), tag, epsabs=epsabs, epsrel=epsrel)
+def integrate_to_inf(f, a, *, tag="integral"):
+    return _quad(f, a, float("inf"), tag, epsabs=1e-12, epsrel=1e-12)
 
 
-def integrate_fourier_tail(f, a, freq, kind, *, epsabs=1e-13, tag="integral"):
+def integrate_fourier_tail(f, a, freq, kind, *, tag="integral"):
     """Integral of f(w) cos(freq w) or f(w) sin(freq w) over [a, inf)."""
-    return _quad(
-        f, a, float("inf"), tag, weight=kind, wvar=freq, epsabs=epsabs, limlst=_LIMLST
-    )
+    return _quad(f, a, float("inf"), tag, weight=kind, wvar=freq, epsabs=1e-13, limlst=_LIMLST)

@@ -32,11 +32,11 @@ change sign once in order of lambda_k, so by Descartes' rule for
 exponential sums (Polya and Szego, Problems and Theorems in Analysis II,
 Part V, ch. 1) the rate has at most one zero: E decreases on one interval
 [0, t*) after a preparation and nowhere without one.  The evaluators of
-the exact Brownian g carry a certified_bath and take the certified route
-(a binary search on the scan's grid, the scan's runs bit for bit):
-BrownianMatsubara with its tail, HighTemperatureBrownian, and
-FrequencyQuadrature and TimeDomainQuadrature on a Brownian density.
-Strict truncation, tabulated densities and any other evaluator scan.
+the exact Brownian g carry a certified_bath and take the certified route,
+one bracketed root on [0, t_max]: BrownianMatsubara with its tail,
+HighTemperatureBrownian, and FrequencyQuadrature and TimeDomainQuadrature
+on a Brownian density.  Strict truncation, tabulated densities and any
+other evaluator scan a grid and refine each sign change by the same root.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 
-# grid intervals of the growth scan on (0, t_max), and the width each sign change is bisected to
+# grid intervals of the growth scan on (0, t_max), and the width each sign change is refined to
 _N_SCAN = 10000
 _REFINE_TOL = 1e-10
 # elements of the class-gain table the grid search builds at once, so it stays in cache
@@ -229,31 +229,44 @@ class NonMarkovResult:
     search: str
 
 
-def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Root of f in [lo, hi] given a sign change, bisected to width tol or to adjacent floats; a Python float.
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    """Zero of f in [lo, hi] between f_lo and f_hi, one negative and one not, to width tol; a Python float.
 
-    Past t of about 5e5 adjacent floats lie more than tol apart, so the
-    loop also stops when the midpoint rounds onto an end; a bisection that
-    ended without that stop returns the same float with it.
+    Regula falsi with the Illinois rule (Dowell and Jarratt, BIT 11 (1971)
+    168-174): an end kept twice in a row has its value halved, and a
+    secant point outside (lo, hi) is replaced by the midpoint.  Past t of
+    about 5e5 adjacent floats lie more than tol apart, so the loop also
+    stops when the midpoint rounds onto an end.
     """
     neg_lo = f_lo < 0.0
+    moved = 0  # +1 after a step that moved lo, -1 after one that moved hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if (f(mid) < 0.0) == neg_lo:
-            lo = mid
+        # equal values are two zeros, one a negative value halved to -0.0
+        t = mid if f_hi == f_lo else lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = mid
+        f_t = f(t)
+        if (f_t < 0.0) == neg_lo:
+            if moved > 0:
+                f_hi *= 0.5
+            lo, f_lo, moved = t, f_t, 1
         else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+            if moved < 0:
+                f_lo *= 0.5
+            hi, f_hi, moved = t, f_t, -1
+    return 0.5 * (lo + hi)
 
 
 def _scan_runs(evaluator, scenario, t_max: float):
     """Maximal (start, end) regions with dE/dt < 0 on the grid of _N_SCAN cells, plus a truncation flag.
 
-    Grid scan for sign changes (one rate call on the whole grid) followed
-    by bisection of each crossing.  Points where the rate is exactly zero
-    count as non-growth, so grazing contacts contribute nothing.
+    Grid scan for sign changes (one rate call on the whole grid), then
+    _root on each crossing's cell, on Python floats.  Points where the
+    rate is exactly zero count as non-growth, so grazing contacts
+    contribute nothing.
     """
     ts = np.linspace(0.0, t_max, _N_SCAN + 1)
     rate = decay_exponent_rate(evaluator, scenario, ts)
@@ -262,48 +275,31 @@ def _scan_runs(evaluator, scenario, t_max: float):
     f = lambda t: decay_exponent_rate(evaluator, scenario, t)
     # where neg, padded with False at both ends, changes: each run's first index, then one past its last
     edges = np.flatnonzero(np.diff(neg, prepend=False, append=False)).tolist()
+    ts, rate = ts.tolist(), rate.tolist()
     runs = []
     for i, stop in zip(edges[::2], edges[1::2]):
         j = stop - 1
-        if i == 0:
-            start = 0.0
-        else:
-            start = _bisect_sign_change(f, ts[i - 1], ts[i], rate[i - 1], _REFINE_TOL)
-        if j == _N_SCAN:
-            end = t_max
-        else:
-            end = _bisect_sign_change(f, ts[j], ts[j + 1], rate[j], _REFINE_TOL)
+        start = 0.0 if i == 0 else _root(f, ts[i - 1], ts[i], rate[i - 1], rate[i], _REFINE_TOL)
+        end = t_max if j == _N_SCAN else _root(f, ts[j], ts[j + 1], rate[j], rate[j + 1], _REFINE_TOL)
         runs.append((start, end))
-    truncated = bool(neg[-1])
-    return runs, truncated
+    return runs, bool(neg[-1])
 
 
 def _certified_runs(evaluator, scenario, t_max: float):
-    """_scan_runs of an evaluator whose rate is negative on one interval [0, t*) at most.
+    """Growth runs of an evaluator whose rate is negative on one interval [0, t*) at most, plus a truncation flag.
 
-    The rate at 0 and at t_max, then a binary search of the scan's grid
-    indices for the last negative point and the scan's bisection of the
-    cell after it: about 40 calls of one time each, and a time gets the
-    same bits alone as inside the scan's array, so the runs are the scan's.
+    The rate at 0 and at t_max bracket t*, and _root finds it in 10 to 30
+    calls of one time each, within _REFINE_TOL of _scan_runs' end.  gdot(0) = 0, so without a
+    preparation the rate at 0 is not negative and one call returns no run.
     """
-    if isinstance(scenario, SingleTime):
-        return [], False
-    ts = np.linspace(0.0, t_max, _N_SCAN + 1)
     f = lambda t: decay_exponent_rate(evaluator, scenario, t)
-    rate_lo = f(ts[0])
-    if not rate_lo < 0.0:
+    rate_0 = f(0.0)
+    if not rate_0 < 0.0:
         return [], False
-    if f(ts[-1]) < 0.0:
+    rate_max = f(t_max)
+    if rate_max < 0.0:
         return [(0.0, t_max)], True
-    lo, hi = 0, _N_SCAN
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        rate = f(ts[mid])
-        if rate < 0.0:
-            lo, rate_lo = mid, rate
-        else:
-            hi = mid
-    return [(0.0, _bisect_sign_change(f, ts[lo], ts[hi], rate_lo, _REFINE_TOL))], False
+    return [(0.0, _root(f, 0.0, t_max, rate_0, rate_max, _REFINE_TOL))], False
 
 
 def _growth_runs(evaluator, scenario, t_max: float):
@@ -315,7 +311,7 @@ def _growth_runs(evaluator, scenario, t_max: float):
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError("t_max must be positive and finite")
     route = _scan_runs if getattr(evaluator, "certified_bath", None) is None else _certified_runs
-    return route(evaluator, scenario, t_max)
+    return route(evaluator, scenario, float(t_max))
 
 
 def _weights(evaluator, scenario, runs):
@@ -459,7 +455,7 @@ def non_markovianity(
     growth is one interval [0, t*) after a preparation and none without.
     An evaluator of the exact Brownian g (BrownianMatsubara with its
     tail, HighTemperatureBrownian, the quadrature engines on a Brownian
-    density) finds t* by about 40 rate calls; strict truncation,
+    density) finds t* by 10 to 30 rate calls; strict truncation,
     tabulated densities and wrapped evaluators scan 10 001 times.
     """
     if search is None:

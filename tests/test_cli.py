@@ -591,8 +591,8 @@ def test_measure_takes_the_certified_root_in_few_two_time_gdot_calls(monkeypatch
     sizes = _gdot_call_sizes(monkeypatch, BrownianMatsubara)
     rc, _, _ = run_cli(capsys, ["measure", "--t1", "1"])
     assert rc == 0
-    # the rate at 0 and at t_max, 14 grid-index steps and about 24 bisection steps, each at (t, t1 + t)
-    assert max(sizes) <= 2 and len(sizes) <= 45
+    # the rate at 0 and at t_max, then about 10 steps of the root, each at (t, t1 + t)
+    assert max(sizes) <= 2 and len(sizes) <= 20
 
 
 # stdout of `dephaser measure --search grid` without and with a preparation, recorded from the brute-force search
@@ -632,7 +632,7 @@ MEASURE_GRID_STDOUT = {
     ("--t1", "0.5"): (
         '{\n'
         '  "schema_version": 1,\n'
-        '  "n_value": 0.1278275550653004,\n'
+        '  "n_value": 0.12782755506530008,\n'
         '  "t_max": 10.0,\n'
         '  "truncated": false,\n'
         '  "scenario": {\n'
@@ -650,8 +650,8 @@ MEASURE_GRID_STDOUT = {
         '  "intervals": [\n'
         '    {\n'
         '      "t_start": 0.0,\n'
-        '      "t_end": 0.36263748899102216,\n'
-        '      "delta_d": 0.1278275550653004\n'
+        '      "t_end": 0.3626374889765847,\n'
+        '      "delta_d": 0.12782755506530008\n'
         '    }\n'
         '  ],\n'
         '  "pair": {\n'

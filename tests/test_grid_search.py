@@ -155,7 +155,7 @@ def test_50x50x8_keeps_the_brute_force_result():
         DensityMatrix2(0.4897959183673469, 0.4998958658736181 + 0j),
         DensityMatrix2(0.4897959183673469, -0.4998958658736181 + 6.121958720491211e-17j),
     )
-    assert bits(res.n_value, res.pair) == bits(0.2281082866462431, want)
+    assert bits(res.n_value, res.pair) == bits(0.22810828664624333, want)
 
 
 @pytest.mark.parametrize(

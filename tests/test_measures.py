@@ -33,10 +33,11 @@ from dephaser.measures import (
     Prepared,
     SingleTime,
     StatePair,
-    _bisect_sign_change,
     _certified_runs,
-    _growth_runs,
+    _root,
     _scan_runs,
+    _total_gain,
+    _weights,
     analytic_pair,
     decay_exponent,
     decay_exponent_grid,
@@ -314,7 +315,7 @@ def _scalar_rate(ev, scenario, t):
 
 
 def _scalar_growth_runs(ev, scenario, t_max):
-    """The growth scan as one scalar rate evaluation per grid point, then bisection."""
+    """The growth scan as one scalar rate evaluation per grid point, then _root on each crossing."""
     ts = np.linspace(0.0, t_max, _N_SCAN + 1)
     rate = np.array([_scalar_rate(ev, scenario, float(t)) for t in ts])
     neg = rate < 0.0
@@ -328,8 +329,8 @@ def _scalar_growth_runs(ev, scenario, t_max):
         j = i
         while j + 1 <= _N_SCAN and neg[j + 1]:
             j += 1
-        start = 0.0 if i == 0 else _bisect_sign_change(f, ts[i - 1], ts[i], rate[i - 1], _REFINE_TOL)
-        end = t_max if j == _N_SCAN else _bisect_sign_change(f, ts[j], ts[j + 1], rate[j], _REFINE_TOL)
+        start = 0.0 if i == 0 else _root(f, ts[i - 1], ts[i], rate[i - 1], rate[i], _REFINE_TOL)
+        end = t_max if j == _N_SCAN else _root(f, ts[j], ts[j + 1], rate[j], rate[j + 1], _REFINE_TOL)
         runs.append((start, end))
         i = j + 1
     return rate, runs, bool(neg[-1])
@@ -353,7 +354,7 @@ def test_growth_scan_matches_scalar_loop_bit_for_bit(bath, scenario, t_max):
     rate, runs, truncated = _scalar_growth_runs(ev, scenario, t_max)
     ts = np.linspace(0.0, t_max, _N_SCAN + 1)
     assert np.array_equal(decay_exponent_rate(ev, scenario, ts).view(np.uint64), rate.view(np.uint64))
-    assert _growth_runs(ev, scenario, t_max) == (runs, truncated)
+    assert _scan_runs(ev, scenario, t_max) == (runs, truncated)
 
 
 ENGINES = {"analytic": BrownianMatsubara, "hight": HighTemperatureBrownian}
@@ -408,7 +409,43 @@ def test_certified_root_is_the_scan(engine, eta, gamma, beta, terms, t1, window)
     assert _sign_changes(ev, t1) == 1
     scenario, t_max = Prepared(t1), window * 10.0 / gamma
     assert ev.certified_bath is ev.bath
-    assert _certified_runs(ev, scenario, t_max) == _scan_runs(ev, scenario, t_max)
+    runs, truncated = _certified_runs(ev, scenario, t_max)
+    scan_runs, scan_truncated = _scan_runs(ev, scenario, t_max)
+    assert (len(runs), truncated) == (len(scan_runs), scan_truncated)
+    for (start, end), (scan_start, scan_end) in zip(runs, scan_runs):
+        assert start == scan_start == 0.0 and abs(end - scan_end) <= _REFINE_TOL
+
+
+_ROOT_CASES = dict(
+    eta=st.floats(0.1, 10.0), gamma=st.floats(0.1, 3.0), beta=st.floats(0.1, 100.0), t1=st.floats(0.01, 5.0)
+)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(**_ROOT_CASES)
+def test_hight_growth_end_is_the_closed_form(eta, gamma, beta, t1):
+    # hight's rate C (1 - e^{-gamma t} (2 - e^{-gamma t1})) is zero at t* = ln(2 - e^{-gamma t1}) / gamma < 10 / gamma
+    res = non_markovianity(SYS, HighTemperatureBrownian(BathParams(eta, gamma, beta)), Prepared(t1))
+    [interval] = res.intervals
+    assert interval.t_start == 0.0
+    assert abs(interval.t_end - math.log(2.0 - math.exp(-gamma * t1)) / gamma) <= _REFINE_TOL
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(**_ROOT_CASES)
+def test_certified_measure_is_the_scan_measure(eta, gamma, beta, t1):
+    ev = BrownianMatsubara(BathParams(eta, gamma, beta))
+    scenario = Prepared(t1)
+    res = non_markovianity(SYS, ev, scenario)
+    runs, truncated = _scan_runs(ev, scenario, 10.0 / gamma)
+    [interval] = res.intervals
+    [(_, scan_end)] = runs
+    assert (interval.t_start, res.truncated, truncated) == (0.0, False, False)
+    assert abs(interval.t_end - scan_end) <= _REFINE_TOL
+    # N = D(t_end) - D(0) is a difference of two distances, so its roundoff is on the scale of D(t_end):
+    # relative to N itself the routes differ by up to 3e-11 on damped baths, where D(t_end) is about 1000 N
+    scan_n = _total_gain(0.0, 1.0, *_weights(ev, scenario, runs))
+    assert abs(res.n_value - scan_n) <= 1e-12 * pair_distance(analytic_pair(), ev, scenario, scan_end)
 
 
 @pytest.mark.parametrize("bath", BATHS, ids=["default", "cold", "hot"])
@@ -453,7 +490,7 @@ def test_bisection_stops_at_adjacent_floats():
     lo = 2.0**20
     hi = math.nextafter(lo, math.inf)
     assert hi - lo > _REFINE_TOL
-    assert _bisect_sign_change(_never_called, lo, hi, -1.0, _REFINE_TOL) in (lo, hi)
+    assert _root(_never_called, lo, hi, -1.0, 1.0, _REFINE_TOL) in (lo, hi)
 
 
 def test_only_an_exact_brownian_g_is_certified():
