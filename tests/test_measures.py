@@ -493,6 +493,14 @@ def test_bisection_stops_at_adjacent_floats():
     assert _root(_never_called, lo, hi, -1.0, 1.0, _REFINE_TOL) in (lo, hi)
 
 
+def test_root_survives_a_subnormal_rate():
+    # eta = 1e-318 makes the rate subnormal: an end's negative value halves to -0.0 while the other end's is 0.0
+    ev = BrownianMatsubara(BathParams(1e-318, 0.5, 1.0))
+    [(start, end)], truncated = _certified_runs(ev, Prepared(1.0), 20.0)
+    [(_, scan_end)], _ = _scan_runs(ev, Prepared(1.0), 20.0)
+    assert (start, truncated) == (0.0, False) and abs(end - scan_end) <= _REFINE_TOL
+
+
 def test_only_an_exact_brownian_g_is_certified():
     w = np.geomspace(1e-3, 100.0, 400)
     tab = TabulatedSpectralDensity(w, OverdampedBrownian(BATH).j(w))
