@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_dephasing import _skip_off_the_pinned_kernel
 
 import dephaser
 from dephaser.cli import _OPTIONS, SCHEMA_VERSION, Series, _build_parser, _resolve, _write_series, main
@@ -676,6 +678,49 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
     rc, out, _ = run_cli(capsys, ["measure", "--search", "grid", *argv])
     assert rc == 0
     assert out.encode() == MEASURE_GRID_STDOUT[argv].encode()
+
+
+# SHA-256 of the stdout bytes of each command, recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64: every
+# subcommand and engine, both formats, the default bath, beta 933, a bath near the resonance a = 1 and one on it
+# (gamma 2 pi), t1 > 0; the 70-point grids write 4 900 rows.  A change that moves a bit on purpose records it again.
+CLI_STDOUT_DIGESTS = {
+    "gfun": "5ee73339337d2dcc5fc99ab86b8289ed166cb4a2ac32530508080a51dbe88a41",
+    "gfun --format json": "de6dbb4863d738563c3b16ffcf9754360586f247652d4ff134d1adb39cc139f4",
+    "gfun --engine hight": "7c786681e32cd5ecbf848ccf7b4d9aa46773a7259e7e70021617ec043a7dd537",
+    "gfun --beta 933": "b6eeefa01af8d4e70925437203a9295c4e18a7826dbbdff93d2225d2c58c7e4e",
+    "gfun --gamma 6.2894": "8d9ea3231deb04c512c501a0f677cfee1ffb4496e8ea282baf594eddf1d22263",
+    "gfun --gamma 6.283185307179586": "53ac3eb5acf841033fe7ee494beaf93e7c5aa7b854795e2fc6a3d4aaec463215",
+    "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
+    "gfun --engine time-quad --points 3": "bb8e206d896cba5abfeedd0dd7a44d88a3b10dd5c0c873af25b141827d09ac46",
+    "trdist --t1 1": "39c8e7f284e42a15e22224a1bfc2cce837e7b92916e97b78b08701a277f86cad",
+    "trdist --t1 1 --format json": "1975f93fc98b7f60d4f18880b2d883c29c997eedb80e3badb7c353924946f1cb",
+    "trdist": "8fe2561d9b9e6948ff826282ee32efb4e98d991f3e24310bd3b7599b3643d8ff",
+    "trdist --engine hight --t1 0.5": "f108e77a40cb1daa58d9191fd0c173e030b2996ba7d80d2624b93976d9b0ca39",
+    "trdist --beta 933 --t1 1": "bdda3ce003f65fefbb57aaa6d2c77f93d057cc033c8a6f11a14268164b3c381a",
+    "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
+    "measure --t1 1": "90ca44d6bdad9cfe90d8b4e360a5bce86502aaf4c85bf22f65aaba65c084557e",
+    "measure --engine hight --t1 1": "b1d21b63adcf0f67b9828126e7124c3b95fcba76557ef0b0d78dd27b7681cc5d",
+    "measure --beta 933 --t1 1": "18f508c897702e4203d09e4a50fc1b85f7f29d42680f9fefeac2de7dea673b1c",
+    "measure --gamma 6.2894 --t1 1": "6ad76795f2692fa0a4ff3bb40cd1151cc99202a3a747f06c431cee04b63827cd",
+    "echo --points 70": "aca6b7da347904c586d2dfae5c0c4ea33bb9109b091387f49d5e559a68d4f6cd",
+    "echo --points 70 --format json": "d70e64ac8a90b11fa5d1c0663cb76a5db0f1eb6c9064c8827a2dfe808af7fdf0",
+    "echo --engine hight --points 25": "951dc80b178091f008ff6f50219060941f51bffd7f734bed46257546677fbec0",
+    "echo --beta 933 --points 25": "507bc5b4e52521f07a67bfd56d1e27c41ecef56c10c901ad5dab381c0c0802ac",
+    "figures trd": "ce17e83cf9e3a37b7e760862b699fec9a55332b202c502dffa73f00858eef8af",
+    "figures trd --format json --points 200": "923708db67022191e63284577334416d96990d61e1743fd34d3cde4a5e1f47ac",
+    "figures trd2t --points 70": "c70f82b4b62eb752976b2e1c08a03b1047fb908ece0522e1435432e6780c1271",
+    "figures trd2t --points 70 --format json": "06a683d3b6e3be68cb9e0fff5ca4b0f0af3e9be84f56e13731696a240678acc9",
+}
+
+
+def test_cli_stdout_matches_the_pinned_digests(capsys):
+    _skip_off_the_pinned_kernel()
+    digests = {}
+    for command in CLI_STDOUT_DIGESTS:
+        rc, out, _ = run_cli(capsys, command.split())
+        assert rc == 0, command
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == CLI_STDOUT_DIGESTS
 
 
 def test_measure_scans_with_one_array_gdot_call(monkeypatch):
