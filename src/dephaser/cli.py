@@ -143,39 +143,50 @@ class Series:
 
 # json.dump's text for the floats whose repr differs from it
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# rows of a series joined into one text and written with one call; no more of the output is held at once
+_WRITE_ROWS = 4096
 
 
-def _column_text(col: np.ndarray, fmt: str) -> list:
-    """The text of every float of col, formatted once per distinct bit pattern.
+def _column_text(col: np.ndarray, fmt: str, before: str, after: str) -> tuple[np.ndarray, np.ndarray]:
+    """The text of every distinct float of col between before and after, and the index of each float's text.
 
-    Bit patterns, not values, so that -0.0 and 0.0 keep their own text.
-    CSV writes %.17g; JSON writes what json.dump does (float.__repr__,
-    NaN, Infinity, -Infinity).
+    Distinct bit patterns, not values, so that -0.0 and 0.0 keep their own
+    text, each formatted once.  CSV writes %.17g; JSON writes what
+    json.dump does (float.__repr__, NaN, Infinity, -Infinity).
     """
     bits, where = np.unique(col.view(np.uint64), return_inverse=True)
     values = bits.view(np.float64)
-    text = np.array(
-        list(map("%.17g".__mod__ if fmt == "csv" else float.__repr__, values.tolist())), dtype=object
-    )
-    if fmt == "json":
-        for i in np.flatnonzero(~np.isfinite(values)):
-            text[i] = _JSON_NONFINITE[text[i]]
-    return text[where].tolist()
+    if fmt == "csv":
+        text = list(map(f"{before}%.17g{after}".__mod__, values.tolist()))
+    else:
+        text = [f"{before}{v!r}{after}" for v in values.tolist()]
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            text[i] = before + _JSON_NONFINITE[repr(float(values[i]))] + after
+    return np.array(text, dtype=object), where
 
 
 def _write_series(series: Series, fmt: str, fh) -> None:
+    """Write the series to fh _WRITE_ROWS rows per call, each row the texts of its columns with their separators."""
     rows = np.asarray(series.rows, dtype=np.float64)
-    cells = zip(*(_column_text(rows[:, j], fmt) for j in range(rows.shape[1])))
+    n, m = rows.shape
     if fmt == "csv":
-        text = ",".join(series.columns) + "\n" + "".join(",".join(r) + "\n" for r in cells)
+        head, tail = ",".join(series.columns) + "\n", ""
+        marks = [("", ",")] * (m - 1) + [("", "\n")]
     else:
-        # the layout json.dump gives {"schema_version", "columns", "rows"}
-        text = '{"schema_version": %d, "columns": %s, "rows": [%s]}\n' % (
-            SCHEMA_VERSION,
-            json.dumps(list(series.columns)),
-            ", ".join("[" + ", ".join(r) + "]" for r in cells),
-        )
-    fh.write(text)
+        # the layout json.dump gives {"schema_version", "columns", "rows"}, each row followed by ", " until the last
+        head = '{"schema_version": %d, "columns": %s, "rows": [' % (SCHEMA_VERSION, json.dumps(list(series.columns)))
+        tail = "]}\n"
+        marks = [("[" if j == 0 else "", "], " if j == m - 1 else ", ") for j in range(m)]
+    columns = [_column_text(rows[:, j], fmt, *marks[j]) for j in range(m)]
+    fh.write(head)
+    block = np.empty((min(n, _WRITE_ROWS), m), dtype=object)
+    for lo in range(0, n, _WRITE_ROWS):
+        cells = block[: min(n - lo, _WRITE_ROWS)]
+        for j, (text, where) in enumerate(columns):
+            cells[:, j] = text[where[lo : lo + len(cells)]]
+        chunk = "".join(cells.ravel().tolist())
+        fh.write(chunk[:-2] if fmt == "json" and lo + len(cells) == n else chunk)
+    fh.write(tail)
 
 
 def _emit(obj, cfg: RunConfig) -> None:

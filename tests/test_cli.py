@@ -13,7 +13,16 @@ import pytest
 from test_dephasing import _skip_off_the_pinned_kernel
 
 import dephaser
-from dephaser.cli import _OPTIONS, SCHEMA_VERSION, Series, _build_parser, _resolve, _write_series, main
+from dephaser.cli import (
+    _OPTIONS,
+    _WRITE_ROWS,
+    SCHEMA_VERSION,
+    Series,
+    _build_parser,
+    _resolve,
+    _write_series,
+    main,
+)
 from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
 from dephaser.dynamics import SystemParams
 from dephaser.measures import Prepared, SingleTime, decay_exponent_grid, decay_exponent_rate, non_markovianity
@@ -516,6 +525,17 @@ def test_huge_time_reports_dephaser_error(capsys, argv, time):
     assert record["message"].startswith(f"time {time} is past ")
 
 
+def test_zero_terms_bound_the_time_by_the_live_nu_1(capsys):
+    # with K = 0 the tail's live block always holds nu_1, whose nu_1 t overflowed: Re g was nan, exit 0
+    argv = ["gfun", "--engine", "analytic", "--eta", "1.476862013732477e-284", "--gamma", "1.125254707027072e-68",
+            "--beta", "2.917868613480378e-51", "--tmax", "1.9527931364909633e+262", "--terms", "0", "--points", "4"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (1, "")
+    record = json.loads(err)["error"]
+    assert record["type"] == "DephaserError"
+    assert record["message"].startswith("time 1.9527931364909633e+262 is past ")
+
+
 def test_hight_overflowing_eta_over_gamma_reports_dephaser_error(capsys):
     # eta / gamma = 2e308 overflows: Im g was -inf at every t > 0 and nan at t = 0
     argv = ["trdist", "--engine", "hight", "--eta", "2e298", "--gamma", "1e-10", "--beta", "3e10"]
@@ -731,9 +751,10 @@ def test_measure_scans_with_one_array_gdot_call(monkeypatch):
     scan = [n for n in sizes if n > 2]
     # the 10 001 grid points at t and at t1 + t, in at most two calls
     assert len(scan) <= 2 and sum(scan) == 2 * 10001
-    # the rest are the bisection steps, one call at (t, t1 + t) each, about 27 per interval end
+    # the rest are the root's steps, one call at (t, t1 + t) each: 3 at this one crossing, 3-7 per crossing on
+    # other baths, so at most 7 per interval, the most measured
     steps = len(sizes) - len(scan)
-    assert 0 < steps <= 40 * 2 * len(res.intervals)
+    assert 0 < steps <= 7 * len(res.intervals)
 
 
 @pytest.mark.parametrize("argv", [["--terms", "100000", "--points", "200"], ["--points", "5000"]])
@@ -799,6 +820,50 @@ def test_json_writer_matches_json_dump_on_non_finite(n_rows):
     _write_series(Series(["x", "y", "z"], np.array(rows)), "json", fh)
     payload = {"schema_version": SCHEMA_VERSION, "columns": ["x", "y", "z"], "rows": rows}
     assert fh.getvalue() == json.dumps(payload) + "\n"
+
+
+_SPECIALS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324, 2.2250738585072014e-308 / 3]
+
+
+def _edge_series(n_rows, n_cols):
+    """Seeded rows with repeats, and every special value in the first and in the last block of rows."""
+    rng = np.random.default_rng(n_rows * 10 + n_cols)
+    rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
+    if n_rows:
+        rows[rng.integers(0, n_rows, n_rows // 3)] = rows[0]
+        last = (n_rows - 1) // _WRITE_ROWS * _WRITE_ROWS
+        for start, size in ((0, min(n_rows, _WRITE_ROWS)), (last, n_rows - last)):
+            # row by row, a value per column; a one-row block keeps the last n_cols of them
+            for k, value in enumerate(_SPECIALS):
+                rows[start + k // n_cols % size, k % n_cols] = value
+    return Series([f"c{j}" for j in range(n_cols)], rows)
+
+
+class _Writes(list):
+    write = list.append
+
+
+def _first_difference(got, want):
+    """None for equal texts, else the offset of their first difference and both texts around it (no slow diff)."""
+    if got == want:
+        return None
+    i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return i, got[max(i - 40, 0) : i + 40], want[max(i - 40, 0) : i + 40]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_cols", [1, 3, 5])
+@pytest.mark.parametrize("n_rows", [0, 1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 1])
+def test_writer_matches_the_reference_at_block_edges(fmt, n_cols, n_rows):
+    series = _edge_series(n_rows, n_cols)
+    writes = _Writes()
+    _write_series(series, fmt, writes)
+    assert _first_difference("".join(writes), _series_text(series.columns, series.rows.tolist(), fmt)) is None
+    # rows end in a newline (CSV) or start with a bracket (JSON) that no value and no header write holds
+    mark = "\n" if fmt == "csv" else "["
+    assert max(w.count(mark) for w in writes[1:-1] or [""]) <= _WRITE_ROWS
+    if n_rows == 2 * _WRITE_ROWS + 1:
+        assert len([w for w in writes if w.count(mark)]) >= 3
 
 
 # runs the CLI as ``python -m dephaser.cli`` does, then reports the loaded modules

@@ -565,5 +565,6 @@ def test_time_quad_measure_takes_about_a_hundred_integrals(monkeypatch):
     monkeypatch.setattr(TimeDomainQuadrature, "_integral", counted)
     ev = TimeDomainQuadrature(OverdampedBrownian(BATH), BATH.beta)
     res = non_markovianity(SYS, ev, Prepared(1.0), t_max=8.0)
-    assert len(calls) <= 100
+    # 26 are made: the rate at 0 and at t_max, the root's steps and N; the bound leaves about a quarter more
+    assert len(calls) <= 32
     assert res.n_value == pytest.approx(N_K100, rel=1e-8)
