@@ -15,10 +15,10 @@ only where the default is None.  --points is capped at 1 000 000 for 1-d
 series and 2 000 per axis for 2-d grids, --terms at 1 000 000; larger
 values are rejected before anything is allocated.  Series go to --out (or
 stdout) as CSV or JSON with floats at full precision; repeated runs with
-the same inputs are byte identical.  A series is rendered to one string,
-each distinct value of a column formatted once, and written with one
-call.  Runtime failures print a one-line JSON error record to stderr and
-exit nonzero.
+the same inputs are byte identical.  Each distinct value of a column is
+formatted once, with its separators, and a series is written _WRITE_ROWS
+rows per call, so only one block of its text is held at a time.  Runtime
+failures print a one-line JSON error record to stderr and exit nonzero.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ class BrownianMatsubara:
         with np.errstate(over="ignore"):
             rate = d.pole_b + float(np.add.reduce(b)) + tail_b - res_b
             moduli = abs(d.pole_b) + float(np.add.reduce(np.abs(b))) + abs(tail_b) + 5.0 * res_b
-        # the largest nu_n of the explicit terms; with the tail and K = 0 the live block always holds nu_1
+        # the largest nu_n of every call: nu_K of the explicit terms or, with the tail and K = 0, the live block's nu_1
         nu_top = float(nu[-1]) if k else float(bath.matsubara_frequency(1)) if include_tail else 0.0
         arg_rate = max(gamma, nu_top, 1.5 / d.res_nu if m else 0.0)
         self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
