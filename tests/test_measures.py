@@ -1,5 +1,6 @@
 """Trace-distance growth and the non-Markovianity measure."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_dephasing import _skip_off_the_pinned_kernel
 
 import dephaser
 from dephaser.dephasing import (
@@ -24,6 +26,7 @@ from dephaser.dynamics import (
     coherence_flip,
     propagate_two_time,
     trace_distance,
+    two_time_map,
 )
 from dephaser.measures import (
     _N_SCAN,
@@ -47,6 +50,7 @@ from dephaser.measures import (
     pair_distance,
     sigma,
 )
+from dephaser.response import echo_response, flip_exponent_grid
 from dephaser.spectral import BathParams, OverdampedBrownian, TabulatedSpectralDensity
 
 BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=100)
@@ -568,3 +572,47 @@ def test_time_quad_measure_takes_about_a_hundred_integrals(monkeypatch):
     # 26 are made: the rate at 0 and at t_max, the root's steps and N; the bound leaves about a quarter more
     assert len(calls) <= 32
     assert res.n_value == pytest.approx(N_K100, rel=1e-8)
+
+
+# The library's own outputs on a warm bath (a = 0.08), the cold beta 933 bath (a = 267, past K) and a = 1.001 (on nu_1,
+# inside K): the decay exponents, their rates, echo_response, flip_exponent_grid, two_time_map and non_markovianity.
+_LIBRARY_BATHS = {
+    "default": BATH,
+    "beta 933": BETA_933,
+    "a = 1.001": BathParams(1.0, 6.2894, 1.0),
+}
+# SHA-256 of _library_bytes of each bath, recorded with numpy 2.4.6 on x86-64; a change that moves a bit on purpose
+# records it again and says so
+_LIBRARY_DIGESTS = {
+    "default": "b5045978656ecff2be817b079e14dec87456f9efd8f8696360b8428067967209",
+    "beta 933": "890920f6dffcfc23645d84141b315f8fc1d46c202077ee8df5136aa09f20bcb6",
+    "a = 1.001": "18bd29a2613e07a2a048a1a7f5812c0cd41372d787d76a18b9797c306459abad",
+}
+
+
+def _library_bytes(bath):
+    """The raw bytes of every library output the digest covers, in a fixed order of calls on one engine."""
+    ev = BrownianMatsubara(bath)
+    ts = np.linspace(0.0, 6.0, 25)
+    out = []
+    for scenario in (SingleTime(), Prepared(0.5), Prepared(2.0)):
+        out.append(np.array([decay_exponent(ev, scenario, t) for t in (0.3, 1.0, 4.0)]))
+        out.append(decay_exponent_grid(ev, scenario, ts))
+        out.append(np.asarray(decay_exponent_rate(ev, scenario, ts)))
+        out.append(np.array([decay_exponent_rate(ev, scenario, 0.7)]))
+    out.append(np.array([echo_response(ev, t1, t2) for t1 in (0.2, 1.0, 3.0) for t2 in (0.0, 0.5, 2.5)]))
+    out.append(flip_exponent_grid(ev, ts[::4]))
+    for t1, t2 in ((0.4, 1.3), (2.0, 0.6)):
+        out.append(two_time_map(SystemParams(1.3), ev, coherence_flip(), t1, t2).matrix)
+    for scenario in (SingleTime(), Prepared(0.1), Prepared(1.0), Prepared(3.0)):
+        res = non_markovianity(SYS, ev, scenario)
+        fields = [res.n_value, res.t_max, float(res.truncated)]
+        fields += [v for iv in res.intervals for v in (iv.t_start, iv.t_end, iv.delta_d)]
+        out.append(np.array(fields))
+    return b"".join(a.tobytes() for a in out)
+
+
+@pytest.mark.parametrize("name", list(_LIBRARY_BATHS))
+def test_library_bits_match_the_pinned_digests(name):
+    _skip_off_the_pinned_kernel()
+    assert hashlib.sha256(_library_bytes(_LIBRARY_BATHS[name])).hexdigest() == _LIBRARY_DIGESTS[name]
