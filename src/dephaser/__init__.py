@@ -31,7 +31,6 @@ from .errors import (
     DephaserError,
     ExtrapolationError,
     IntegrationError,
-    ResonanceError,
     SuperoperatorError,
 )
 from .measures import (

@@ -33,15 +33,9 @@ DephaserError for a Brownian density at 0 < t < 3e-4 / w_split
 
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
-per call.  A time gets the same bits alone as inside an array.
-BrownianMatsubara and HighTemperatureBrownian raise DephaserError past
-the largest time at which g, its intermediates and the flip exponent
-of times up to it stay finite (_largest_time; 1.43e305 for the series
-on the default bath, where nu_K t would overflow).
-BrownianMatsubara also remembers the values of its pointwise calls (one
-to three times, as the two-interval kernels and the measure's curves
-make them), up to _MEMO_TIMES times per function, and returns the same
-bits from the memo as computed afresh.
+per call.  A time gets the same bits alone as inside an array.  The
+series and hight raise DephaserError past _largest_time (1.43e305 for
+the series on the default bath, where nu_K t would overflow).
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ import sys
 import numpy as np
 
 from ._quadrature import integrate_finite, integrate_fourier_tail, integrate_to_inf
-from .errors import DephaserError, ResonanceError
+from .errors import DephaserError
 from .spectral import (
     _EXP_DEAD,
     _FOURIER_MIN_TW,
@@ -62,6 +56,11 @@ from .spectral import (
     _brownian_bath,
     _check_beta,
     _check_time,
+    _exp_divided_difference,
+    _finite,
+    _h_divided_difference,
+    _normal,
+    _pow,
     _split_frequency,
     _tabulated_grid,
     coth,
@@ -178,20 +177,6 @@ def _complex(re: np.ndarray, im: np.ndarray, scalar: bool):
     return complex(out[0]) if scalar else out
 
 
-def _normal(value: float, what: str) -> float:
-    """value when it is a normal float; DephaserError when the arithmetic that gave it over- or underflowed."""
-    if not np.finfo(float).smallest_normal <= abs(value) < math.inf:
-        raise DephaserError(f"{what} = {value!r} leaves the normal floats: the bath is outside this engine's range")
-    return value
-
-
-def _finite(value: float, what: str) -> float:
-    """value when it is finite; DephaserError when the arithmetic that gave it overflowed."""
-    if not math.isfinite(value):
-        raise DephaserError(f"{what} = {value!r} overflows: the bath is outside this engine's range")
-    return value
-
-
 def _series_terms(neg_x, coef, derivative: bool):
     """Matsubara terms coef (expm1(-x) + x) of g, or coef expm1(-x) of gdot (over neg_x), from neg_x = -x."""
     if derivative:
@@ -215,13 +200,16 @@ class BrownianMatsubara:
     g(t) = (pole_c - i pole_im) h(gamma t) + sum_{n=1}^{K} c_n h(nu_n t) + tail, h(x) = e^-x + x - 1, in
     the names of DirichletTable.  With include_tail=True (default) the n > K remainder is exact: live
     exponentials are summed until they underflow, and the linear-in-t rest is the table's digamma closed
-    form.  include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.  A
-    pole degenerate with nu_m takes the table's resonant pair, which needs m <= K.
+    form.  include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.
+    Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term, wherever it lies, are the
+    table's pair: one formula at every detuning from gamma = nu_m.  Only strict truncation with K < m has
+    no m-th term to pair with; its truncated sum is singular at gamma = nu_m, and it keeps the bare pole.
 
-    The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi) or nu_K^2 leaves the normal
-    floats (beta gamma < 9.4e-154 or 2 pi K / beta > 1.3e154), where an amplitude of the pole term overflows
-    (eta 1e300, gamma 1e-8, beta 1e-20) and, with the tail, where a digamma prefactor does (eta 1e307,
-    gamma 1, beta 100).  g and gdot raise it past the largest time the table's amplitudes allow (_largest_time).
+    The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi), nu_K^2 or 2 eta / (beta gamma)
+    leaves the normal floats (beta gamma < 9.4e-154, 2 pi K / beta > 1.3e154, eta 1e-318 on beta gamma 0.5),
+    where an amplitude of the pole term or of the pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and, with
+    the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100).  g and gdot raise it past the
+    largest time the table's amplitudes allow (_largest_time).
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
     table, summed row by row; the pole term (math.expm1/exp) and the tail follow time by time, so a time
@@ -240,19 +228,23 @@ class BrownianMatsubara:
         self.certified_bath = bath if include_tail else None
         gamma = bath.gamma
         k = bath.matsubara_terms
-        m = self.res_index = bath.res_index
-        if m > k:
-            raise ResonanceError(
-                f"bath pole gamma = {gamma:g} is degenerate with Matsubara frequency "
-                f"nu_{m}; increase matsubara_terms to at least {m} (got {k})"
-            )
-        _normal(bath.pole_ratio**2, "(beta gamma / 2 pi)^2")
+        _normal(bath.pole_ratio * bath.pole_ratio, "(beta gamma / 2 pi)^2")
         if k:
-            _normal(float(bath.matsubara_frequency(k)) ** 2, "nu_K^2")
+            _normal(_pow(float(bath.matsubara_frequency(k)), 2), "nu_K^2")
         d = self._table = bath.dirichlet()
-        for value, what in ((d.pole_im, "eta / gamma"), (d.pole_c, "(eta / gamma) cot(beta gamma / 2)"),
-                            (d.pole_b, "eta cot(beta gamma / 2)"), (d.res_amp if m else 0.0, "2 eta / beta")):
+        # m of the pair, or 0 where there is none: a < 1/2, or strict truncation without the m-th term
+        m = self._m = d.m if include_tail or d.m <= k else 0
+        if m:
+            # the pole's rest in g and in gdot, and the pair's rates in order
+            self._pole_c, self._pole_b = d.pole_rest / gamma, d.pole_rest
+            self._pair_rates = tuple(sorted((gamma, d.nu_m)))
+            amps = ((d.pair_amp, "2 eta / beta"), (self._pole_c, "pole_rest / gamma"))
+        else:
+            self._pole_c, self._pole_b = d.pole_c, d.pole_b
+            amps = ((d.pole_c, "(eta / gamma) cot(beta gamma / 2)"), (d.pole_b, "eta cot(beta gamma / 2)"))
+        for value, what in ((d.pole_im, "eta / gamma"), *amps):
             _finite(value, what)
+        _normal(d.rate, "2 eta / (beta gamma)")
         if include_tail:
             self._check_tail_amps()
         nu, _, b = d.explicit
@@ -267,17 +259,17 @@ class BrownianMatsubara:
         self._neg_gamma = -gamma
         self._dead_beta = _EXP_DEAD * bath.beta
         self._s0_k, self._s1_k = d.tail_sums(k)
-        # the engine's Dirichlet coefficients: the pole, the K terms, the tail's sum and the resonant pair's constant,
-        # whose sum is the late-time rate of Re g and whose moduli bound its terms (the pair's reach 5 times its own)
-        res_b = d.res_amp / (2.0 * d.res_nu) if m else 0.0
+        # the engine's Dirichlet coefficients: the pole (its rest when paired), the K terms, the tail's sum and the m-th
+        # rest, whose sum is the late-time rate of Re g and whose moduli, with P / min(gamma, nu_m), bound its terms
+        pair_b, pair_bound = (d.m_rest, d.pair_amp / self._pair_rates[0]) if m else (0.0, 0.0)
         tail_b = self._s1_k if include_tail else 0.0
         # a sum that overflows leaves t_max 0: no positive time is then safe
         with np.errstate(over="ignore"):
-            rate = d.pole_b + float(np.add.reduce(b)) + tail_b - res_b
-            moduli = abs(d.pole_b) + float(np.add.reduce(np.abs(b))) + abs(tail_b) + 5.0 * res_b
+            rate = self._pole_b + float(np.add.reduce(b)) + tail_b + pair_b
+            moduli = abs(self._pole_b) + float(np.add.reduce(np.abs(b))) + abs(tail_b) + abs(pair_b) + pair_bound
         # the largest nu_n of every call: nu_K of the explicit terms or, with the tail and K = 0, the live block's nu_1
         nu_top = float(nu[-1]) if k else float(bath.matsubara_frequency(1)) if include_tail else 0.0
-        arg_rate = max(gamma, nu_top, 1.5 / d.res_nu if m else 0.0)
+        arg_rate = max(gamma, nu_top, d.nu_m if m else 0.0)
         self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
         # time -> g(t) and time -> gdot(t) of the pointwise calls
         self._g_memo = {}
@@ -341,15 +333,11 @@ class BrownianMatsubara:
         if t == 0.0:
             return 0j
         hg = math.expm1(self._neg_gamma * t) + self._gamma * t
-        re = explicit
-        if self.res_index:
-            nu = self._table.res_nu
-            re += self._table.res_amp * (
-                -t * math.expm1(-nu * t) / nu
-                - 1.5 * (math.expm1(-nu * t) + nu * t) / nu**2
-            )
-        else:
-            re += self._table.pole_c * hg
+        re = explicit + self._pole_c * hg
+        if self._m:  # the rest of the pair: m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
+            d, nu = self._table, self._table.nu_m
+            re += d.m_rest / nu * (math.expm1(-nu * t) + nu * t) + d.pair_amp * _h_divided_difference(
+                *self._pair_rates, t)
         if self.include_tail:
             re += self._tail(t, False)
         return complex(re, -self._table.pole_im * hg)
@@ -358,14 +346,10 @@ class BrownianMatsubara:
         if t == 0.0:
             return 0j
         em = math.expm1(self._neg_gamma * t)
-        re = explicit
-        if self.res_index:
-            nu = self._table.res_nu
-            re += self._table.res_amp * (
-                t * math.exp(-nu * t) + math.expm1(-nu * t) / (2.0 * nu)
-            )
-        else:
-            re += self._table.pole_b * (-em)
+        re = explicit + self._pole_b * (-em)
+        if self._m:  # the rest of the pair: m_rest (1 - e^{-nu_m t}) - P E, E over [gamma, nu_m]
+            d = self._table
+            re += d.m_rest * -math.expm1(-d.nu_m * t) - d.pair_amp * _exp_divided_difference(self._gamma, d.nu_m, t)
         if self.include_tail:
             re += self._tail(t, True)
         return complex(re, self.bath.eta * em)
@@ -404,16 +388,22 @@ class BrownianMatsubara:
         return self._values(t, self._gdot_memo, derivative=True)
 
     def matsubara_remainder(self, t: float) -> complex:
-        """Exact value of the n > K part of g(t) that strict truncation drops.
+        """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included.
 
         DephaserError where a prefactor of the digamma sums overflows, which
-        only the constructor of the engine with its tail checks.
+        only the constructor of the engine with its tail checks, and at K < m
+        with gamma = nu_m exactly, where the m-th term is infinite.
         """
         t = _check_time(t)
         self._check_tail_amps()
         if t == 0.0:
             return 0j
-        return complex(self._tail(t, False), 0.0)
+        rest, d = self._tail(t, False), self._table
+        if d.m > self._k:
+            # the m-th term, which the tail leaves to the pair: c_m h(nu_m t), infinite at gamma = nu_m exactly
+            gap, nu = _normal(d.nu_m * d.nu_m - self._gamma * self._gamma, f"nu_{d.m}^2 - gamma^2"), d.nu_m
+            rest += d.amp / (self.beta * nu * gap) * (math.expm1(-nu * t) + nu * t)
+        return complex(rest, 0.0)
 
 
 class HighTemperatureBrownian:
@@ -430,7 +420,7 @@ class HighTemperatureBrownian:
         self.bath = self.certified_bath = bath
         self.beta = bath.beta
         eta, gamma, beta = bath.eta, bath.gamma, bath.beta
-        self._g_amp = _normal(2.0 * eta / _normal(beta * gamma**2, "beta gamma^2"), "2 eta / (beta gamma^2)")
+        self._g_amp = _normal(2.0 * eta / _normal(beta * _pow(gamma, 2), "beta gamma^2"), "2 eta / (beta gamma^2)")
         self._gdot_amp = _normal(-2.0 * eta / _normal(beta * gamma, "beta gamma"), "2 eta / (beta gamma)")
         self._im_g_amp = -_finite(eta / gamma, "eta / gamma")
         # the argument gamma t; Re g grows as 2 eta t / (beta gamma), Im g as eta t
@@ -470,12 +460,9 @@ class FrequencyQuadrature:
             self.w_split = _split_frequency(self.bath)
             self._t_min = _FOURIER_MIN_TW / self.w_split
             # int_{w_split}^inf (J/w^2) coth dw and int_0^inf (J/w) dw
-            self._tail_rc = integrate_to_inf(
-                lambda w: self._f_rc(w), self.w_split, tag="coth tail moment"
-            )
-            self._j1_total = integrate_finite(
-                lambda w: self._j_over_w(w), 0.0, self.w_split, tag="J/w"
-            ) + integrate_to_inf(lambda w: self._j_over_w(w), self.w_split, tag="J/w tail")
+            self._tail_rc = integrate_to_inf(lambda w: self._f_rc(w), self.w_split, tag="coth tail moment")
+            self._j1_total = integrate_finite(lambda w: self._j_over_w(w), 0.0, self.w_split, tag="J/w")
+            self._j1_total += integrate_to_inf(lambda w: self._j_over_w(w), self.w_split, tag="J/w tail")
 
     def _j_over_w(self, w):
         p = self.bath
@@ -500,10 +487,8 @@ class FrequencyQuadrature:
         if self.bath is not None:
             for s in times:
                 if 0.0 < s < self._t_min:
-                    raise DephaserError(
-                        f"time {s!r} is below the validated domain of freq-quad, "
-                        f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}"
-                    )
+                    raise DephaserError(f"time {s!r} is below the validated domain of freq-quad, "
+                                        f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}")
         return times, scalar
 
     def _g(self, t: float) -> complex:
@@ -512,20 +497,11 @@ class FrequencyQuadrature:
         if self.bath is None:
             return self._g_tabulated(t)
         ws = self.w_split
-        re = integrate_finite(
-            lambda w: self._f_rc(w) * 2.0 * math.sin(0.5 * w * t) ** 2,
-            0.0,
-            ws,
-            tag="Re g",
-        )
+        re = integrate_finite(lambda w: self._f_rc(w) * 2.0 * math.sin(0.5 * w * t) ** 2, 0.0, ws, tag="Re g")
         re += self._tail_rc - integrate_fourier_tail(self._f_rc, ws, t, "cos", tag="Re g tail")
         im = t * self._j1_total
-        im -= integrate_finite(
-            lambda w: self._j_over_w(w) / w * math.sin(w * t), 0.0, ws, tag="Im g"
-        )
-        im -= integrate_fourier_tail(
-            lambda w: self._j_over_w(w) / w, ws, t, "sin", tag="Im g tail"
-        )
+        im -= integrate_finite(lambda w: self._j_over_w(w) / w * math.sin(w * t), 0.0, ws, tag="Im g")
+        im -= integrate_fourier_tail(lambda w: self._j_over_w(w) / w, ws, t, "sin", tag="Im g tail")
         return complex(re / math.pi, -im / math.pi)
 
     def _gdot(self, t: float) -> complex:
@@ -534,14 +510,10 @@ class FrequencyQuadrature:
         if self.bath is None:
             return self._gdot_tabulated(t)
         ws = self.w_split
-        re = integrate_finite(
-            lambda w: self._f_r1(w) * math.sin(w * t), 0.0, ws, tag="Re gdot"
-        )
+        re = integrate_finite(lambda w: self._f_r1(w) * math.sin(w * t), 0.0, ws, tag="Re gdot")
         re += integrate_fourier_tail(self._f_r1, ws, t, "sin", tag="Re gdot tail")
         im = self._j1_total
-        im -= integrate_finite(
-            lambda w: self._j_over_w(w) * math.cos(w * t), 0.0, ws, tag="Im gdot"
-        )
+        im -= integrate_finite(lambda w: self._j_over_w(w) * math.cos(w * t), 0.0, ws, tag="Im gdot")
         im -= integrate_fourier_tail(self._j_over_w, ws, t, "cos", tag="Im gdot tail")
         return complex(re / math.pi, -im / math.pi)
 

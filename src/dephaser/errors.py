@@ -24,11 +24,3 @@ class ExtrapolationError(DephaserError, ValueError):
 class SuperoperatorError(DephaserError, ValueError):
     """A map on density matrices violates trace preservation or hermiticity."""
 
-
-class ResonanceError(DephaserError, ValueError):
-    """A bath pole coincides with a thermal frequency outside the resolved range.
-
-    When gamma equals a Matsubara frequency nu_m = 2 pi m / beta the m-th
-    series coefficient is replaced by its finite limit, which requires the
-    resonant index to lie within the explicitly summed terms.
-    """

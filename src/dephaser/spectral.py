@@ -10,24 +10,24 @@ overdamped Brownian form
 
     J(w) = 2 eta w gamma / (w^2 + gamma^2)
 
-L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation), whose
-n^-5 correction series is capped at 50 000 terms: too few at low
-temperature, where against a 40-digit Lerch-phi sum (eta 1, gamma 0.5,
-t 2) Re L is off by 2e-5 at beta = 2e5 (1e-4 of |L|) and by 0.27 at
-beta = 1e6.  Tabulated spectral densities are integrated on their own grid.
+L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation), whose n^-5 correction series is capped at
+50 000 terms: too few at low temperature, where against a 40-digit Lerch-phi sum (eta 1, gamma 0.5, t 2)
+Re L is off by 2e-5 at beta = 2e5 (1e-4 of |L|) and by 0.27 at beta = 1e6.  Tabulated spectral
+densities are integrated on their own grid.
 
 Re L(t) diverges logarithmically as t -> 0 for the Brownian form (the
 integrand falls off only as 1/w), so L(0) raises DephaserError there;
 lim_{t->0+} Im L(t) = -eta*gamma.  A tabulated density has a finite grid,
 so its L(0) is the finite trapezoid sum, with Im L(0) = 0 by oddness.
 
-BathParams makes every decision about the Brownian bath: the thermal frequencies nu_n, the resonance
-of the pole gamma with one of them, and the one table of its Dirichlet coefficients (DirichletTable),
-which the analytic L here and the series engine of dephasing (BrownianMatsubara) read.
+BathParams makes every decision about the Brownian bath: the thermal frequencies nu_n, the pair of the
+pole gamma with the nearest one, and the one table of its Dirichlet coefficients (DirichletTable), which
+the analytic L here and the series engine of dephasing (BrownianMatsubara) read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,10 +36,6 @@ import numpy as np
 
 from ._quadrature import integrate_finite, integrate_fourier_tail
 from .errors import DephaserError, ExtrapolationError
-
-# Relative detuning below which a bath pole is treated as degenerate with
-# a Matsubara frequency and the resonant term is replaced by its limit.
-RESONANCE_RTOL = 1e-6
 
 # t w_split below which the Brownian routes that hand the integral above w_split to the Fourier rule raise
 # DephaserError.  Measured on log sweeps: freq-quad's Re g is off a 40-digit series by up to 4e-6 relative at 1e-4
@@ -55,6 +51,9 @@ _TAIL_KEPT = 1 << 18
 _EXP_DEAD = 45.0
 
 _L0_DIVERGES = "Re L(t) of the Brownian bath diverges logarithmically as t -> 0; L(0) is undefined"
+
+# cot(z) - 1/z = -sum_k c_k z^(2k-1), c_k = 2^(2k) |B_2k| / (2k)! (A&S §4.3), to 1e-16 of the sum below |z| = 1/4
+_COT_REST = (1.0 / 3.0, 1.0 / 45.0, 2.0 / 945.0, 1.0 / 4725.0, 2.0 / 93555.0, 1382.0 / 638512875.0, 4.0 / 18243225.0)
 
 _ZETA3 = 1.2020569031595942854
 _ZETA2 = math.pi * math.pi / 6.0
@@ -123,19 +122,38 @@ def trilog_exp(x: float) -> float:
     return acc
 
 
-def _digamma(x: float) -> float:
-    """digamma(x) in pure Python: within 8 ulp of max(|digamma|, 1) for x > 0.
+def _normal(value: float, what: str) -> float:
+    """value when it is a normal float; DephaserError when the arithmetic that gave it over- or underflowed."""
+    if not np.finfo(float).smallest_normal <= abs(value) < math.inf:
+        raise DephaserError(f"{what} = {value!r} leaves the normal floats: the bath is outside this engine's range")
+    return value
 
-    The asymptotic series above 10, the recurrence psi(x) = psi(x + 1) - 1/x
-    up to it, and below zero the reflection -pi / tan(pi frac(x)) + psi(1 - x),
-    as ill-conditioned near a pole as pi cot(pi x).  0 and the negative
-    integers give +-inf and nan; -inf raises ValueError.
-    """
-    if x <= 0.0:
-        frac = math.fmod(x, 1.0)
-        if frac == 0.0:  # -inf at +0, +inf at -0, nan at a negative integer
-            return math.copysign(math.inf, -x) if x == 0.0 else math.nan
-        return -math.pi / math.tan(math.pi * frac) + _digamma(1.0 - x)
+
+def _finite(value: float, what: str) -> float:
+    """value when it is finite; DephaserError when the arithmetic that gave it overflowed."""
+    if not math.isfinite(value):
+        raise DephaserError(f"{what} = {value!r} overflows: the bath is outside this engine's range")
+    return value
+
+
+def _pow(x: float, n: int) -> float:
+    """x ** n with the bits of Python's float power, and inf where that raises OverflowError (x >= 0)."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
+def _cot_rest(z: float) -> float:
+    """cot(z) - 1/z for |z| <= pi / 2: below |z| = 1/4, where cot(z) and 1/z would cancel, the series of _COT_REST."""
+    if abs(z) >= 0.25:
+        return 1.0 / math.tan(z) - 1.0 / z
+    return -z * functools.reduce(lambda acc, c: acc * z * z + c, reversed(_COT_REST), 0.0)
+
+
+def _digamma(x: float) -> float:
+    """digamma(x) for x >= 1/2, the tail sums' arguments, within 8 ulp of max(|digamma|, 1): the asymptotic
+    series above 10 and the recurrence psi(x) = psi(x + 1) - 1/x up to it."""
     acc = 0.0
     while x <= 10.0:
         acc -= 1.0 / x
@@ -156,7 +174,7 @@ class BathParams:
     """Overdamped Brownian bath: coupling eta, cutoff gamma, inverse temperature beta.
 
     matsubara_terms is the number K of thermal poles kept explicitly in series evaluations downstream.
-    The thermal frequencies nu_n, the pole's resonance and its Dirichlet table are derived here, once.
+    The thermal frequencies nu_n and the Dirichlet table are derived here, once.
     """
 
     eta: float
@@ -181,13 +199,6 @@ class BathParams:
         """a = beta gamma / (2 pi), the pole gamma in units of nu_1."""
         return self.beta * self.gamma / (2.0 * math.pi)
 
-    @property
-    def res_index(self) -> int:
-        """m when gamma is degenerate with nu_m (m = round(a) >= 1, |m - a| < RESONANCE_RTOL a), else 0."""
-        a = self.pole_ratio
-        m = round(a)
-        return m if (m >= 1 and abs(m - a) < RESONANCE_RTOL * a) else 0
-
     def dirichlet(self) -> DirichletTable:
         """A new Dirichlet coefficient table of this bath, which its reader keeps."""
         return DirichletTable(self)
@@ -199,45 +210,50 @@ class DirichletTable:
     lambda_k runs over gamma and the nu_n: B_gamma = pole_b = eta cot(beta gamma / 2), B_n = c_n nu_n with
     c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)), and rate = sum_k B_k = 2 eta / (beta gamma).  So
     Re g(t) = rate t - sum_k (B_k / lambda_k)(1 - e^{-lambda_k t}) and Re L(t) = sum_k B_k lambda_k e^{-lambda_k t};
-    Im g(t) = -pole_im h(gamma t), h(y) = e^-y + y - 1.  At resonance (gamma = nu_m, m = res_index) B_gamma = B_m
-    = 0, and the pair (m, res_nu = nu_m, res_amp = 2 eta / beta) carries their limit, whose constant in Re gdot is
-    -res_amp / (2 nu_m).  Each entry is the float expression the engines sum: pole_c = (eta / gamma) cot is
-    B_gamma / gamma, and the tail's B_n is 4 eta gamma / (beta (nu_n^2 - gamma^2)) where the K explicit terms
-    take c_n nu_n, all to roundoff.  L reads only the scalars; the rest is built when first read.
+    Im g(t) = -pole_im h(gamma t), h(y) = e^-y + y - 1.  The pair: with a = beta gamma / 2 pi and m = round(a) >= 1,
+    by the partial fractions of cot (A&S §4.3) B_gamma = P / (gamma - nu_m) + pole_rest and B_m = P / (nu_m - gamma)
+    + m_rest, P = pair_amp = 2 eta / beta, pole_rest = eta (cot(pi eps) - 1 / (pi eps)), eps = a - m, m_rest = -P /
+    (nu_m + gamma).  The engines sum both rests and P times a divided difference over [gamma, nu_m]: the parts of
+    order 1 / (a - m) cancel in the algebra.  So c_m = B_m = 0 in explicit, tail and tail_sums, and the bare pole_b
+    and pole_c serve only a < 1/2 (m = 0) and strict truncation without the m-th term.  The tail's B_n is 4 eta gamma
+    / (beta (nu_n^2 - gamma^2)) where the K explicit terms take c_n nu_n.  DephaserError where a overflows.
     """
 
     def __init__(self, bath: BathParams):
         self.bath = bath
         eta, gamma, beta = bath.eta, bath.gamma, bath.beta
-        m = self.res_index = bath.res_index
+        a = _finite(bath.pole_ratio, "beta gamma / 2 pi")
         # the numerator of every c_n and B_n
         self.amp = 4.0 * eta * gamma
-        self.cot = 0.0 if m else 1.0 / math.tan(0.5 * beta * gamma)
+        self.cot = 1.0 / math.tan(0.5 * beta * gamma)
         self.rate = 2.0 * eta / (beta * gamma)
         self.pole_b = eta * self.cot
         self.pole_im = eta / gamma
         self.pole_c = self.pole_im * self.cot
-        self.res_nu = float(bath.matsubara_frequency(m)) if m else math.nan
-        self.res_amp = 2.0 * eta / beta
+        # the pair: the thermal frequency nearest the pole and the smooth constants of the two terms
+        self.m = round(a)
+        self.nu_m = float(bath.matsubara_frequency(self.m))
+        self.pair_amp = 2.0 * eta / beta
+        self.pole_rest = eta * _cot_rest(math.pi * (a - self.m))
+        self.m_rest = -self.pair_amp / (self.nu_m + gamma)
         # the first n > K terms of tail, by name, once computed
         self._kept = {}
 
     @cached_property
     def explicit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(nu_n, c_n, B_n) for n = 1, ..., K, with B_n = c_n nu_n and c_m = B_m = 0 at resonance."""
+        """(nu_n, c_n, B_n) for n = 1, ..., K, with B_n = c_n nu_n and c_m = B_m = 0."""
         nu = self.bath.matsubara_frequency(np.arange(1.0, self.bath.matsubara_terms + 1.0))
-        with np.errstate(divide="ignore"):
-            c = self._coefficient("c", nu)
-        if self.res_index:
-            c[self.res_index - 1] = 0.0
+        c = self._coefficient("c", nu, 1)
         return nu, c, c * nu
 
-    def _coefficient(self, name: str, nu: np.ndarray) -> np.ndarray:
-        """c_n ("c") or the tail's B_n ("b") at the frequencies nu."""
+    def _coefficient(self, name: str, nu: np.ndarray, first: int) -> np.ndarray:
+        """c_n ("c") or the tail's B_n ("b") at the frequencies nu of n = first, first + 1, ..., with the m-th 0."""
         beta, gamma = self.bath.beta, self.bath.gamma
-        if name == "c":
-            return self.amp / (beta * nu * (nu**2 - gamma**2))
-        return self.amp / (beta * (nu**2 - gamma**2))
+        with np.errstate(divide="ignore"):  # nu_m = gamma exactly: the entry the pair replaces
+            coef = self.amp / (beta * nu * (nu**2 - gamma**2) if name == "c" else beta * (nu**2 - gamma**2))
+        if 0 <= self.m - first < coef.size:
+            coef[self.m - first] = 0.0
+        return coef
 
     def tail(self, name: str, lo: int, hi: int, nu: np.ndarray | None = None) -> np.ndarray:
         """nu_n ("nu"), c_n ("c") or B_n ("b") for n = K+1+lo, ..., K+hi, from nu when given, or the kept ones (keep).
@@ -247,10 +263,10 @@ class DirichletTable:
         kept = self._kept.get(name)
         if kept is not None and hi <= kept.size:
             return kept[lo:hi]
+        k = self.bath.matsubara_terms
         if name == "nu":
-            k = self.bath.matsubara_terms
             return self.bath.matsubara_frequency(np.arange(k + 1.0 + lo, k + 1.0 + hi))
-        return self._coefficient(name, self.tail("nu", lo, hi) if nu is None else nu)
+        return self._coefficient(name, self.tail("nu", lo, hi) if nu is None else nu, k + 1 + lo)
 
     def keep(self, stop: int, *names: str) -> None:
         """Keep the first min(stop, _TAIL_KEPT) terms of tail(name, ...) of each name for later calls."""
@@ -265,13 +281,22 @@ class DirichletTable:
         eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
         return eta * gamma * beta / math.pi**2, (eta * gamma * beta**2 / (2.0 * math.pi**3)) / self.bath.pole_ratio**2
 
-    def tail_sums(self, m: int, derivative: bool = False) -> tuple[float, float]:
-        """(S0, S1), S0 = sum_{n>m} c_n and S1 = sum_{n>m} B_n, as digamma differences; S0 is nan when derivative."""
+    def tail_sums(self, last: int, derivative: bool = False) -> tuple[float, float]:
+        """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > last but n = m, by digamma; S0 is nan when derivative.
+
+        Where m > last, psi(last + 1 - a) = psi(a - last) + pi cot(pi a) (A&S 6.3.7) puts -eta cot(pi a) into S1 and
+        -(eta / gamma) cot(pi a) into S0; with -B_m and -c_m they are the pair's constants, which replace them.
+        """
         s1_amp, s0_amp = self.tail_amps
-        a, n = self.bath.pole_ratio, m + 1.0
-        above, below = _digamma(n + a), _digamma(n - a)
+        a, n = self.bath.pole_ratio, last + 1.0
+        paired = self.m > last
+        above, below = _digamma(n + a), _digamma(a - last if paired else n - a)
         s1 = s1_amp * (above - below) / (2.0 * a)
         s0 = math.nan if derivative else s0_amp * (_digamma(n) - 0.5 * (below + above))
+        if paired:
+            gamma, nu = self.bath.gamma, self.nu_m
+            s1 -= self.pole_rest + self.m_rest
+            s0 -= self.pole_rest / gamma + self.m_rest / nu - self.pair_amp / gamma / nu
         return s0, s1
 
 
@@ -316,10 +341,7 @@ class TabulatedSpectralDensity:
         if np.any(w <= 0.0):
             raise ValueError("spectral density is defined for omega > 0")
         if np.any(w < self.omega[0]) or np.any(w > self.omega[-1]):
-            raise ExtrapolationError(
-                "frequency outside tabulated range "
-                f"[{self.omega[0]:g}, {self.omega[-1]:g}]"
-            )
+            raise ExtrapolationError(f"frequency outside tabulated range [{self.omega[0]:g}, {self.omega[-1]:g}]")
         out = np.interp(w, self.omega, self.values)
         return float(out) if out.ndim == 0 else out
 
@@ -331,9 +353,10 @@ class BrownianCorrelation:
     first two pieces resum to -log(1 - e^-x) and Li_3(e^-x), x = 2 pi t / beta, leaving an n^-5 series of
     n_corr terms: enough for 1e-14 and past beta gamma / pi, but at most 50 000, too few at low temperature
     (see the module docstring).  At each t it stops at its live terms, n <= ceil(_EXP_DEAD / x), as the
-    Li_3 series does.  Every amplitude, and the resonant pair that replaces a pole degenerate with a
-    thermal frequency, is read from BathParams.dirichlet().  Raises DephaserError at t = 0 and where x
-    underflows to 0 (t below about 4e-325 beta).
+    Li_3 series does.  Every amplitude is read from BathParams.dirichlet(): the pole and the m-th term are
+    its pair, gamma (pole_rest e^{-gamma t} - m_rest e^{-nu_m t} + P E[gamma, nu_m] of e^{-lambda t}), with
+    the m-th pieces of the three series taken out.  Raises DephaserError where a coefficient of the split
+    overflows, at t = 0 and where x underflows to 0 (t below about 4e-325 beta).
     """
 
     _TAIL_TOL = 1e-14
@@ -345,20 +368,18 @@ class BrownianCorrelation:
 
         two_pi = 2.0 * math.pi
         self.c_log = d.amp / two_pi
-        self.c_li3 = d.amp * gamma**2 / beta * (beta / two_pi) ** 3
-        coef5 = d.amp * gamma**4 / beta * (beta / two_pi) ** 5
+        self.c_li3 = _finite(d.amp * _pow(gamma, 2) / beta * _pow(beta / two_pi, 3), "the Li_3 coefficient")
+        coef5 = _finite(d.amp * _pow(gamma, 4) / beta * _pow(beta / two_pi, 5), "the n^-5 coefficient")
 
-        n_corr = max(
-            math.ceil((abs(coef5) / (4.0 * self._TAIL_TOL)) ** 0.25) + 10,
-            math.ceil(2.0 * a) + 10,
-            30,
-        )
+        n_corr = max(math.ceil((abs(coef5) / (4.0 * self._TAIL_TOL)) ** 0.25) + 10, math.ceil(2.0 * a) + 10, 30)
         n_corr = min(n_corr, 50000)
         n = np.arange(1.0, n_corr + 1.0)
         with np.errstate(divide="ignore"):
-            w5 = coef5 / (n**3 * (n**2 - a**2))
-        if d.res_index:
-            w5[d.res_index - 1] = 0.0
+            w5 = coef5 / (n**3 * (n**2 - _pow(a, 2)))
+        if 1 <= d.m <= n_corr:
+            w5[d.m - 1] = 0.0
+        # the m-th term's pieces of the log and Li_3 resummations, amp / (beta nu_m) (1 + (gamma / nu_m)^2)
+        self._m_split = d.amp / beta * (1.0 + (gamma / d.nu_m) ** 2) / d.nu_m if d.m else 0.0
         self._n = n
         self._w5 = w5
 
@@ -378,15 +399,30 @@ class BrownianCorrelation:
         re = self.c_log * (-math.log(-math.expm1(-x))) + self.c_li3 * trilog_exp(x)
         live = math.ceil(_EXP_DEAD / x) if x * self._n.size > _EXP_DEAD else self._n.size
         re += float(np.sum(self._w5[:live] * np.exp(-self._n[:live] * x)))
-        if d.res_index:
-            nu = d.res_nu
-            re += d.res_amp * math.exp(-nu * t) * (0.5 - nu * t)
-            # the n = m terms of the log and Li_3 resummations, which the resonant limit replaces
-            re -= d.amp / p.beta * (1.0 / nu + p.gamma**2 / nu**3) * math.exp(-nu * t)
+        if d.m:
+            decay_m = math.exp(-d.nu_m * t)
+            pair = d.pole_rest * decay - d.m_rest * decay_m + d.pair_amp * _exp_divided_difference(p.gamma, d.nu_m, t)
+            re += p.gamma * pair - self._m_split * decay_m
         else:
             re += 0.25 * d.amp * d.cot * decay
         # amp / 4 is eta gamma exactly: L's pole term is eta gamma (cot - i) e^{-gamma t}, B_gamma gamma in Re
         return complex(re, -0.25 * d.amp * decay)
+
+
+def _exp_divided_difference(lam1: float, lam2: float, t: float) -> float:
+    """E = (e^{-lam1 t} - e^{-lam2 t}) / (lam1 - lam2), -t e^{-lam t} at lam1 = lam2 (t, lam > 0), to a few ulp: as
+    e^{-lo t} t expm1(-x) / x, lo the lesser rate, x = |lam1 - lam2| t (McCurdy, Ng and Parlett, Math. Comp. 43 (1984)).
+    """
+    lo = min(lam1, lam2)
+    x = abs(lam1 - lam2) * t
+    return math.exp(-lo * t) * (t * math.expm1(-x) / x if x else -t)
+
+
+def _h_divided_difference(lo: float, hi: float, t: float) -> float:
+    """Divided difference of h(lambda t) / lambda over [lo, hi], h(y) = e^-y + y - 1: (lo E - expm1(-lo t)) / (lo hi).
+
+    Its terms cancel as those of h(lo t) do: to about 2 ulp / (lo t) relative."""
+    return (lo * _exp_divided_difference(lo, hi, t) - math.expm1(-lo * t)) / lo / hi
 
 
 def _split_frequency(bath: BathParams) -> float:

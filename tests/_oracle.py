@@ -1,6 +1,7 @@
-"""40-digit reference values of the lineshape engines: Re g(t), Re gdot(t) and the digamma tail sums.
+"""40-digit (or finer) reference values of the lineshape engines: Re g(t), Re gdot(t) and the digamma tail sums.
 
-reference gives Re g(t) and Re gdot(t) for a non-resonant Brownian bath.
+reference gives Re g(t) and Re gdot(t) for a Brownian bath at any detuning of the pole gamma from its nearest
+Matsubara frequency nu_m, m = round(beta gamma / 2 pi) >= 1, exact float resonance included.
 
 With nu_1 = 2 pi / beta, x = nu_1 t, r = (beta gamma / (2 pi))^2 and
 P = 4 eta gamma / (beta nu_1^3), the Matsubara part of Re g is
@@ -19,12 +20,20 @@ rest is at most P r^J x^2 / (3 J N^(2J)) in Re g and
 both bounds are within 1e-13 of the values: 1 000 terms serve the warm
 baths, about 20 000 the cold ones (beta gamma / (2 pi) near 270).
 
+Near resonance the pole term, with cot(beta gamma / 2), and the m-th remainder
+term each grow as 1 / (a - m), a = beta gamma / 2 pi, and cancel; the
+rounding of the reduced argument of cot, and of k^2 - r, moves each by a
+relative 10^-dps that the cancellation scales by 1 / (a - m)^2.  So the
+working precision is 40 digits plus 2 per decade of |a - m| below 1e-3.
+
 reference is independent of every engine: no quadrature, no digamma, no
 float64.  tail_sums gives the digamma differences that
 DirichletTable.tail_sums evaluates in floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 
@@ -42,7 +51,7 @@ def reference(eta: float, gamma: float, beta: float, t: float) -> tuple[float, f
 
 def reference_with_bounds(eta: float, gamma: float, beta: float, t: float, min_terms: int = CHUNK):
     """reference's values, then (bound on Re g, bound on Re gdot, N) of the remainders, with N >= min_terms."""
-    with mpmath.workdps(40):
+    with mpmath.workdps(_digits(beta * gamma / (2.0 * math.pi))):
         eta, gamma, beta, t = (mpmath.mpf(v) for v in (eta, gamma, beta, t))
         nu1 = 2 * mpmath.pi / beta
         x, r = nu1 * t, (gamma / nu1) ** 2
@@ -73,19 +82,40 @@ def reference_with_bounds(eta: float, gamma: float, beta: float, t: float, min_t
                 return float(re_g), float(re_gdot), (float(bound_g), float(bound_gdot), n)
 
 
-def tail_sums(eta: float, gamma: float, beta: float, a: float, m: int) -> tuple[float, float]:
-    """(S0, S1) of DirichletTable.tail_sums at m, to 40 digits, rounded to floats.
+def _digits(a: float) -> int:
+    """The working precision at a = beta gamma / 2 pi: 40 digits, and 2 more per digit of 1 / (a - m) below 1e-3.
 
-    S0 = eta gamma beta^2 / (2 pi^3 a^2) (psi(n) - (psi(n - a) + psi(n + a)) / 2) and
-    S1 = eta gamma beta / pi^2 (psi(n + a) - psi(n - a)) / (2 a), n = m + 1, on the
-    engine's float inputs: a is its BathParams.pole_ratio and n +- a are rounded to
-    floats as it rounds them, so that only its digamma and its arithmetic on the
-    digamma values differ from these.
+    a - m is the float one, floored at 1e-18 a: the detuning of the float inputs is not resolved below that.
     """
-    n = m + 1.0
-    with mpmath.workdps(40):
-        above, below = mpmath.digamma(n + a), mpmath.digamma(n - a)
+    detuning = max(abs(a - round(a)), 1e-18 * a)
+    return 40 + 2 * max(0, math.ceil(-math.log10(detuning)) - 3) if round(a) >= 1 else 40
+
+
+def tail_sums(eta: float, gamma: float, beta: float, a: float, last: int) -> tuple[float, float]:
+    """(S0, S1) of DirichletTable.tail_sums at last, to 40 digits or more, rounded to floats.
+
+    S0 = sum c_n and S1 = sum B_n over n > last but n = m = round(a), the pair's term, which the sums leave out:
+    the digamma differences S0 = eta gamma beta^2 / (2 pi^3 a^2) (psi(n) - (psi(n - a) + psi(n + a)) / 2) and
+    S1 = eta gamma beta / pi^2 (psi(n + a) - psi(n - a)) / (2 a), n = last + 1, less c_m and B_m where m > last.
+    a is the engine's BathParams.pole_ratio, and the digamma arguments are its floats: n + a, and n - a or, where
+    m > last, a - last, with psi(n - a) = psi(a - last) + pi cot(pi (a - last)) at that float.  So only its
+    digamma, its arithmetic on the digamma values and the pair's constants in place of cot, c_m and B_m differ.
+    """
+    n = last + 1.0
+    m = round(a)
+    reflected = m > last
+    with mpmath.workdps(_digits(a)):
+        above = mpmath.digamma(n + a)
+        if reflected:
+            x = mpmath.mpf(a - last)
+            below = mpmath.digamma(x) + mpmath.pi * mpmath.cot(mpmath.pi * x)
+        else:
+            below = mpmath.digamma(n - a)
         eta, gamma, beta, a, n = (mpmath.mpf(v) for v in (eta, gamma, beta, a, n))
         s1 = eta * gamma * beta / mpmath.pi**2 * (above - below) / (2 * a)
         s0 = eta * gamma * beta**2 / (2 * mpmath.pi**3 * a**2) * (mpmath.digamma(n) - (below + above) / 2)
+        if reflected:
+            nu = 2 * mpmath.pi * m / beta
+            b_m = 4 * eta * gamma / (beta * (nu**2 - gamma**2))
+            s0, s1 = s0 - b_m / nu, s1 - b_m
         return float(s0), float(s1)

@@ -536,6 +536,15 @@ def test_zero_terms_bound_the_time_by_the_live_nu_1(capsys):
     assert record["message"].startswith("time 1.9527931364909633e+262 is past ")
 
 
+def test_overflowing_gamma_squared_reports_dephaser_error(capsys):
+    # hight's beta gamma^2: Python's float ** raised, and the record was typed OverflowError
+    rc, out, err = run_cli(capsys, ["gfun", "--engine", "hight", "--gamma", "1e160", "--points", "3"])
+    assert (rc, out) == (1, "")
+    record = json.loads(err)["error"]
+    assert record["type"] == "DephaserError"
+    assert record["message"].startswith("beta gamma^2 = inf leaves the normal floats")
+
+
 def test_hight_overflowing_eta_over_gamma_reports_dephaser_error(capsys):
     # eta / gamma = 2e308 overflows: Im g was -inf at every t > 0 and nan at t = 0
     argv = ["trdist", "--engine", "hight", "--eta", "2e298", "--gamma", "1e-10", "--beta", "3e10"]
@@ -702,30 +711,31 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 
 # SHA-256 of the stdout bytes of each command, recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64: every
 # subcommand and engine, both formats, the default bath, beta 933, a bath near the resonance a = 1 and one on it
-# (gamma 2 pi), t1 > 0; the 70-point grids write 4 900 rows.  A change that moves a bit on purpose records it again.
+# (gamma 2 pi), t1 > 0; the 70-point grids write 4 900 rows.  A change that moves a bit on purpose records it again:
+# the seven commands with --beta 933 or --gamma were recorded again when the pole and nu_m became one pair.
 CLI_STDOUT_DIGESTS = {
     "gfun": "5ee73339337d2dcc5fc99ab86b8289ed166cb4a2ac32530508080a51dbe88a41",
     "gfun --format json": "de6dbb4863d738563c3b16ffcf9754360586f247652d4ff134d1adb39cc139f4",
     "gfun --engine hight": "7c786681e32cd5ecbf848ccf7b4d9aa46773a7259e7e70021617ec043a7dd537",
-    "gfun --beta 933": "b6eeefa01af8d4e70925437203a9295c4e18a7826dbbdff93d2225d2c58c7e4e",
-    "gfun --gamma 6.2894": "8d9ea3231deb04c512c501a0f677cfee1ffb4496e8ea282baf594eddf1d22263",
-    "gfun --gamma 6.283185307179586": "53ac3eb5acf841033fe7ee494beaf93e7c5aa7b854795e2fc6a3d4aaec463215",
+    "gfun --beta 933": "3d7b5fc782db3c9d058457c78ff4549de35df6e1116ee3fb44670890f5567dd4",
+    "gfun --gamma 6.2894": "5aa8a34a7cf1bec8f00a940acc9513dfa12f675ddffe2a8831ac2e24da3fe0fa",
+    "gfun --gamma 6.283185307179586": "664a4daf9933411c6c0872e9852bbf7d32fa7262913a8224194ce4c9199264ff",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "bb8e206d896cba5abfeedd0dd7a44d88a3b10dd5c0c873af25b141827d09ac46",
     "trdist --t1 1": "39c8e7f284e42a15e22224a1bfc2cce837e7b92916e97b78b08701a277f86cad",
     "trdist --t1 1 --format json": "1975f93fc98b7f60d4f18880b2d883c29c997eedb80e3badb7c353924946f1cb",
     "trdist": "8fe2561d9b9e6948ff826282ee32efb4e98d991f3e24310bd3b7599b3643d8ff",
     "trdist --engine hight --t1 0.5": "f108e77a40cb1daa58d9191fd0c173e030b2996ba7d80d2624b93976d9b0ca39",
-    "trdist --beta 933 --t1 1": "bdda3ce003f65fefbb57aaa6d2c77f93d057cc033c8a6f11a14268164b3c381a",
+    "trdist --beta 933 --t1 1": "5852e49171227d17f42053959e10047d59a5433a2ca501f1b67675895d239470",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
     "measure --t1 1": "90ca44d6bdad9cfe90d8b4e360a5bce86502aaf4c85bf22f65aaba65c084557e",
     "measure --engine hight --t1 1": "b1d21b63adcf0f67b9828126e7124c3b95fcba76557ef0b0d78dd27b7681cc5d",
-    "measure --beta 933 --t1 1": "18f508c897702e4203d09e4a50fc1b85f7f29d42680f9fefeac2de7dea673b1c",
-    "measure --gamma 6.2894 --t1 1": "6ad76795f2692fa0a4ff3bb40cd1151cc99202a3a747f06c431cee04b63827cd",
+    "measure --beta 933 --t1 1": "178ef1b5ed0703737146a7a57ce4a4b89dd5a34db013f58395ec422b6c4bde07",
+    "measure --gamma 6.2894 --t1 1": "f11cd350a8a0a4e433eed9f24384edd9b41b81fae6bf1a0bc2f07aa5a45445fa",
     "echo --points 70": "aca6b7da347904c586d2dfae5c0c4ea33bb9109b091387f49d5e559a68d4f6cd",
     "echo --points 70 --format json": "d70e64ac8a90b11fa5d1c0663cb76a5db0f1eb6c9064c8827a2dfe808af7fdf0",
     "echo --engine hight --points 25": "951dc80b178091f008ff6f50219060941f51bffd7f734bed46257546677fbec0",
-    "echo --beta 933 --points 25": "507bc5b4e52521f07a67bfd56d1e27c41ecef56c10c901ad5dab381c0c0802ac",
+    "echo --beta 933 --points 25": "42be5eadb02f5fcc6e57b312e47fe709513923a69126cf69bba0e2124e8c2b72",
     "figures trd": "ce17e83cf9e3a37b7e760862b699fec9a55332b202c502dffa73f00858eef8af",
     "figures trd --format json --points 200": "923708db67022191e63284577334416d96990d61e1743fd34d3cde4a5e1f47ac",
     "figures trd2t --points 70": "c70f82b4b62eb752976b2e1c08a03b1047fb908ece0522e1435432e6780c1271",

@@ -25,7 +25,10 @@ from dephaser.spectral import (
     BrownianCorrelation,
     OverdampedBrownian,
     TabulatedSpectralDensity,
+    _cot_rest,
     _digamma,
+    _exp_divided_difference,
+    _h_divided_difference,
     correlation_function,
     coth,
     trilog_exp,
@@ -147,56 +150,73 @@ def test_trilog_known_value_and_branch_continuity():
     assert trilog_exp(1e-10) == pytest.approx(zeta3, rel=1e-9)
 
 
+def test_cot_rest_matches_mpmath():
+    # cot(z) - 1/z on [-pi/2, pi/2]: the series below |z| = 1/4 within 4 ulp of the value, and the direct difference
+    # above it within 4 ulp of 1/|z|, what cot and 1/z cancel: 2e-15 absolute at the switch, where the value is -0.084
+    zs = np.concatenate([np.linspace(-math.pi / 2.0, math.pi / 2.0, 801), 10.0 ** np.linspace(-30.0, 0.19, 200)])
+    zs = np.concatenate([zs, [0.0, 0.25, np.nextafter(0.25, 0.0), -0.25, np.nextafter(-0.25, 0.0)]])
+    with mpmath.workdps(100):  # cot(z) and 1/z cancel down to z^2 / 3 in the reference too
+        for z in zs.tolist():
+            want = float(mpmath.cot(z) - 1 / mpmath.mpf(z)) if z else 0.0
+            assert abs(_cot_rest(z) - want) <= 4.0 * _ULP * (abs(want) + (1.0 / abs(z) if abs(z) >= 0.25 else 0.0)), z
+    assert _cot_rest(0.0) == 0.0 and _cot_rest(-1e-300) == 1e-300 / 3.0
+
+
+def _h_over_lambda(lam, t):
+    return (mpmath.exp(-lam * t) + lam * t - 1) / lam
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    lo=st.floats(1e-2, 10.0),
+    gap=st.one_of(st.just(0.0), st.floats(1e-16, 1e-1), st.floats(1e-1, 1.0)),
+    t_scale=st.one_of(st.floats(1e-3, 30.0), st.sampled_from([1e-3, 1.0])),
+)
+def test_divided_differences_match_mpmath(lo, gap, t_scale):
+    # the pair's divided differences over [lo, lo (1 + gap)] at t = t_scale / hi: no cancellation at any gap, E within
+    # 8 ulp and H within 8 ulp (1 + 1 / (lo t)), the cancellation of h(lo t) itself, and the limits at gap = 0
+    hi = lo * (1.0 + gap)
+    t = t_scale / hi
+    with mpmath.workdps(60):
+        lo_, hi_, t_ = (mpmath.mpf(v) for v in (lo, hi, t))
+        if lo == hi:
+            e = -t_ * mpmath.exp(-lo_ * t_)
+            h = mpmath.diff(lambda lam: _h_over_lambda(lam, t_), lo_)
+        else:
+            e = (mpmath.exp(-lo_ * t_) - mpmath.exp(-hi_ * t_)) / (lo_ - hi_)
+            h = (_h_over_lambda(hi_, t_) - _h_over_lambda(lo_, t_)) / (hi_ - lo_)
+    assert _exp_divided_difference(lo, hi, t) == pytest.approx(float(e), rel=8.0 * _ULP)
+    assert _exp_divided_difference(hi, lo, t) == _exp_divided_difference(lo, hi, t)
+    assert _h_divided_difference(lo, hi, t) == pytest.approx(float(h), rel=8.0 * _ULP * (1.0 + 1.0 / (lo * t)))
+
+
 _RNG = np.random.default_rng(20261018)
-# the negative root of digamma, where psi(x) is near 0 and its error is counted in ulp of 1
-_NEGATIVE_ROOT = -0.504083008264455409
-_WINDOW_EDGES = [
-    float(x)
-    for edge in (_NEGATIVE_ROOT - 0.3, _NEGATIVE_ROOT + 0.3)
-    for x in (np.nextafter(np.nextafter(edge, -1.0), -1.0), np.nextafter(edge, -1.0), edge, np.nextafter(edge, 1.0))
-]
-# the asymptotic series, the recurrence up to 10, the integers, the reflection, and the negative root
+# the asymptotic series, the recurrence up to 10 and the integers: the tail sums take digamma at x >= 1/2 only
 _DIGAMMA_SETS = {
     "log-uniform 1e-6..1e7": 10.0 ** _RNG.uniform(-6.0, 7.0, 20000),
     "from 1e17": np.concatenate([[np.nextafter(1e17, 0.0), 1e17], 10.0 ** _RNG.uniform(17.0, 308.0, 2000)]),
     "integers 1..12": np.arange(1.0, 13.0),
     "[1, 2]": np.concatenate([[1.0, np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0), 2.0], _RNG.uniform(1.0, 2.0, 10000)]),
-    "negative to -3e4": -(10.0 ** _RNG.uniform(-6.0, math.log10(3e4), 20000)),
-    "near negative integers": -np.arange(1.0, 40.0)[:, None] + np.array([-1e-9, -1e-3, 1e-3, 1e-9, 0.5]),
-    "root window": np.linspace(-0.804, -0.204, 6001),
-    "root window edges": np.array(_WINDOW_EDGES),
 }
 _ULP = 2.0**-52
 
 
 def _digamma_reference(x: float) -> tuple[float, float]:
-    """(40-digit psi(x) rounded to a float, the error _digamma may make at x).
-
-    8 ulp of max(|psi(x)|, 1) for x > 0.  Below zero the reflection
-    psi(x) = psi(1 - x) - pi / tan(pi frac(x)) adds the error of psi(1 - x)
-    and that of its cot term: pi frac(x) is rounded by 2 ulp at most, which
-    pi cot moves by 2 pi^2 / sin^2(pi x) ulp, unbounded at the poles.
-    """
+    """(40-digit psi(x) rounded to a float, the error _digamma may make at x > 0: 8 ulp of max(|psi(x)|, 1))."""
     with mpmath.workdps(40):
         psi = mpmath.digamma(x)
-        bound = 8.0 * max(abs(float(psi)), 1.0)
-        if x < 0.0:
-            s = mpmath.sin(mpmath.pi * x)
-            psi_reflected = psi + mpmath.pi * mpmath.cos(mpmath.pi * x) / s  # psi(1 - x)
-            bound += 8.0 * max(abs(float(psi_reflected)), 1.0) + float(2.0 * mpmath.pi**2 / s**2)
-        return float(psi), bound * _ULP
+        return float(psi), 8.0 * max(abs(float(psi)), 1.0) * _ULP
 
 
 @pytest.mark.parametrize("xs", _DIGAMMA_SETS.values(), ids=_DIGAMMA_SETS.keys())
 def test_digamma_port_matches_scipy_bit_for_bit(xs):
     """scipy's bits where _digamma runs scipy's operations, 40-digit mpmath within _digamma_reference's bound elsewhere.
 
-    Above 10 both run the same asymptotic series, and below -9 the same
-    reflection onto it; in between _digamma recurs upward instead.
+    Above 10 both run the same asymptotic series; below it _digamma recurs upward instead.
     """
     xs = np.ravel(xs)
     got = np.array([_digamma(x) for x in xs.tolist()])
-    shared = (xs > 10.0) | (xs < -9.0)
+    shared = xs > 10.0
     differ = xs[shared & (got.view(np.uint64) != scipy_digamma(xs).view(np.uint64))]
     assert differ.size == 0, f"{differ.size} of {xs.size} differ from scipy, the first at x = {differ[0]!r}"
     off = []
@@ -207,25 +227,28 @@ def test_digamma_port_matches_scipy_bit_for_bit(xs):
     assert not off, f"{len(off)} of {xs.size} are off mpmath, the first at x = {off[0]!r}"
 
 
-def test_digamma_port_at_poles_and_non_finite_arguments():
-    # the poles give what scipy gives: -inf at +0, +inf at -0, nan at a negative integer
-    for x in (0.0, -0.0, -1.0, -2.0, -12.0, -3e4, -2.0**52, math.inf, math.nan):
-        got, want = _digamma(x), float(scipy_digamma(x))
-        if math.isnan(want):
-            assert math.isnan(got), x
-        else:
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x
-    with pytest.raises(ValueError):
-        _digamma(-math.inf)
+def _below(bath, last):
+    """The argument of tail_sums' second digamma: a - last where it reflects (m past last), else last + 1 - a."""
+    a = bath.pole_ratio
+    return a - last if round(a) > last else last + 1.0 - a
+
+
+def _pair_constants(bath, last):
+    """What tail_sums subtracts from (S0, S1) where it reflects, in its float operations, else (0, 0)."""
+    d = bath.dirichlet()
+    if not d.m > last:
+        return 0.0, 0.0
+    return d.pole_rest / bath.gamma + d.m_rest / d.nu_m - d.pair_amp / bath.gamma / d.nu_m, d.pole_rest + d.m_rest
 
 
 def _scipy_tail_sums(bath, m):
     """(S0, S1) of DirichletTable.tail_sums, written with scipy's digamma."""
     eta, gamma, beta, a = bath.eta, bath.gamma, bath.beta, bath.pole_ratio
-    above, below = scipy_digamma(m + 1 + a), scipy_digamma(m + 1 - a)
+    above, below = scipy_digamma(m + 1 + a), scipy_digamma(_below(bath, m))
     s1 = (eta * gamma * beta / math.pi**2) * (above - below) / (2.0 * a)
     s0 = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2 * (scipy_digamma(m + 1.0) - 0.5 * (below + above))
-    return float(s0), float(s1)
+    c0, c1 = _pair_constants(bath, m)
+    return float(s0) - c0, float(s1) - c1
 
 
 def _tail_sums_error_bound(bath, m):
@@ -234,49 +257,57 @@ def _tail_sums_error_bound(bath, m):
     Each float operation on the digamma values adds an ulp of what it
     rounds.  S0 is a second difference that cancels, so its bound is
     absolute: the digamma errors and roundings do not shrink with S0.
+    Where tail_sums reflects, the pair's constants add 8 ulp of their
+    moduli, and pole_rest the error of a - m rounded, at most eta pi ulp(a).
     """
     eta, gamma, beta, a = bath.eta, bath.gamma, bath.beta, bath.pole_ratio
     n = m + 1.0
-    psi, err = zip(*(_digamma_reference(x) for x in (n, n - a, n + a)))
+    psi, err = zip(*(_digamma_reference(x) for x in (n, _below(bath, m), n + a)))
     psi = [abs(v) for v in psi]
     s0_amp = (eta * gamma * beta**2 / (2.0 * math.pi**3)) / a**2
     s1_amp = eta * gamma * beta / math.pi**2 / (2.0 * a)
     s0 = s0_amp * (err[0] + 0.5 * (err[1] + err[2]) + 4.0 * _ULP * (psi[0] + psi[1] + psi[2]))
     s1 = s1_amp * (err[1] + err[2] + 4.0 * _ULP * (psi[1] + psi[2]))
+    d = bath.dirichlet()
+    if d.m > m:
+        rest = eta * math.pi * math.ulp(a)
+        s0 += 8.0 * _ULP * (abs(d.pole_rest / gamma) + abs(d.m_rest / d.nu_m) + d.pair_amp / gamma / d.nu_m)
+        s0 += rest / gamma
+        s1 += 8.0 * _ULP * (abs(d.pole_rest) + abs(d.m_rest)) + rest
     return s0, s1
 
 
 @pytest.mark.parametrize(
-    "bath, in_path, res_index",
+    "bath, in_path, m",
     [
         (BathParams(1.0, 0.5, 1.0), lambda x: x > 10.0, 0),
-        # a = 267 > K + 1, so m + 1 - a < 0: the reflection
-        (BathParams(1.0, 1.8, 933.0), lambda x: x < 0.0, 0),
-        # a = 101.5, so K + 1 - a = -0.5 lies in the window about the negative root
-        (BathParams(1.0, 1.0, 2.0 * math.pi * 101.5), lambda x: abs(x - _NEGATIVE_ROOT) < 0.3, 0),
+        # a = 267 > K + 1: the pair's m is past K, and the reflection gives the argument a - K
+        (BathParams(1.0, 1.8, 933.0), lambda x: x > 10.0, 267),
+        # a = 101.5, so K + 1 - a = -0.5: the reflection gives a - K = 1.5, below 10
+        (BathParams(1.0, 1.0, 2.0 * math.pi * 101.5), lambda x: x == 1.5, 102),
         (BathParams(1.0, 1.0, 4.0 * math.pi), lambda x: x > 10.0, 2),
     ],
     ids=["warm", "cold a > K + 1", "root window", "resonant"],
 )
-def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
+def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, m):
     """(S0, S1) against 40-digit mpmath on the same float inputs, and scipy's bits where every digamma runs scipy's operations."""
     ev = BrownianMatsubara(bath)
     k = bath.matsubara_terms
-    assert in_path(k + 1 - bath.pole_ratio)
-    assert ev.res_index == res_index
+    assert in_path(_below(bath, k))
+    assert bath.dirichlet().m == m
     live_stops = sorted({ev._live_stop(f * bath.beta) for f in np.geomspace(1e-4, 0.1, 7)} - {0})
     assert len(live_stops) >= 4
-    for m in [k] + live_stops:
-        got = bath.dirichlet().tail_sums(m)
+    for last in [k] + live_stops:
+        got = bath.dirichlet().tail_sums(last)
         assert [type(v) for v in got] == [float, float]
-        want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, m)
-        bound = _tail_sums_error_bound(bath, m)
-        assert all(abs(g - w) <= b for g, w, b in zip(got, want, bound)), (m, got, want, bound)
-        if all(x > 10.0 or x < -9.0 for x in (m + 1.0, m + 1.0 - bath.pole_ratio, m + 1.0 + bath.pole_ratio)):
-            assert got == _scipy_tail_sums(bath, m), m
+        want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, last)
+        bound = _tail_sums_error_bound(bath, last)
+        assert all(abs(g - w) <= b for g, w, b in zip(got, want, bound)), (last, got, want, bound)
+        if all(x > 10.0 for x in (last + 1.0, _below(bath, last), last + 1.0 + bath.pole_ratio)):
+            assert got == _scipy_tail_sums(bath, last), last
         # gdot takes S1 alone, with the same bits
-        s0, s1 = bath.dirichlet().tail_sums(m, derivative=True)
-        assert math.isnan(s0) and s1 == got[1], m
+        s0, s1 = bath.dirichlet().tail_sums(last, derivative=True)
+        assert math.isnan(s0) and s1 == got[1], last
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -289,43 +320,46 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, res_index):
 @example(eta=1.3, gamma=1.8, beta=933.0, k=100)
 @example(eta=1.0, gamma=1.0, beta=4.0 * math.pi, k=25)  # the pole on nu_2
 @example(eta=1.3, gamma=1.0, beta=2.0 * math.pi, k=1)  # the pole on nu_1
+@example(eta=1.0, gamma=1.0, beta=4.0 * math.pi, k=1)  # the pole on nu_2, past K: S1 reflects
 def test_dirichlet_rate_is_the_sum_of_its_coefficients(eta, gamma, beta, k):
-    """C = B_gamma + sum_{n<=K} B_n + S1(K), to roundoff: S1's digamma bound, 8 ulp of sum |terms| and cot's argument.
+    """C = B_gamma + sum_{n<=K} B_n + S1(K) to roundoff: S1's digamma bound, 8 ulp of sum |terms|, the pole's argument.
 
-    B_gamma is eta cot of beta gamma / 2 rounded, which moves it by eta (1 + cot^2) ulp(beta gamma / 2): up to
-    1e-7 on the cold baths, where beta gamma / 2 is near 900.  At resonance B_gamma and B_m are 0, and the
-    resonant pair adds its constant -eta / (beta nu_m).
+    With m >= 1 the pole and the m-th term are the pair: B_gamma + B_m = pole_rest + m_rest, and B_m leaves the
+    explicit terms and S1.  pole_rest takes a - m rounded, which moves it by at most eta pi ulp(a).  With m = 0,
+    B_gamma is eta cot of beta gamma / 2 rounded, which moves it by eta (1 + cot^2) ulp(beta gamma / 2).
     """
     bath = BathParams(eta, gamma, beta, k)
-    if bath.res_index > k:
-        return
     d = bath.dirichlet()
-    terms = [d.pole_b, *d.explicit[2].tolist(), d.tail_sums(k)[1]]
-    if d.res_index:
-        assert d.pole_b == d.explicit[2][d.res_index - 1] == 0.0
-        terms.append(-d.res_amp / (2.0 * d.res_nu))
-        assert terms[-1] == pytest.approx(-eta / (beta * d.res_nu), rel=4 * _ULP)
+    terms = [d.pole_rest, d.m_rest] if d.m else [d.pole_b]
+    terms += [*d.explicit[2].tolist(), d.tail_sums(k)[1]]
+    if 1 <= d.m <= k:
+        assert d.explicit[2][d.m - 1] == 0.0
     bound = _tail_sums_error_bound(bath, k)[1] + 8.0 * _ULP * math.fsum(map(abs, terms + [d.rate]))
-    bound += eta * (1.0 + d.cot**2) * math.ulp(0.5 * beta * gamma)
+    if d.m:
+        bound += eta * math.pi * math.ulp(bath.pole_ratio)
+    else:
+        bound += eta * (1.0 + d.cot**2) * math.ulp(0.5 * beta * gamma)
     assert abs(math.fsum(terms) - d.rate) <= bound
     assert d.rate == 2.0 * eta / (beta * gamma)
 
 
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.0, 1.0, 4.0 * math.pi)], ids=["warm", "resonant"])
 def test_correlation_reads_its_amplitudes_from_the_table(bath):
-    # L's pole term is eta gamma (cot - i) e^{-gamma t} with eta gamma = amp / 4; at resonance its pair is the table's
+    # L's pole term is eta gamma (cot - i) e^{-gamma t} with eta gamma = amp / 4; with m >= 1 its pair is the table's
     ev = BrownianCorrelation(bath)
     d = ev.table
-    names = ("amp", "cot", "pole_b", "res_index", "res_nu", "res_amp")
+    names = ("amp", "cot", "pole_b", "m", "nu_m", "pair_amp", "pole_rest", "m_rest")
     assert np.array_equal([getattr(BrownianMatsubara(bath)._table, n) for n in names], [getattr(d, n) for n in names], True)
-    assert (d.amp, d.res_index, d.res_amp) == (4.0 * bath.eta * bath.gamma, bath.res_index, 2.0 * bath.eta / bath.beta)
+    assert (d.amp, d.m, d.pair_amp) == (4.0 * bath.eta * bath.gamma, round(bath.pole_ratio), 2.0 * bath.eta / bath.beta)
     t = 0.7
     got = ev(t)
     assert got.imag == -0.25 * d.amp * math.exp(-bath.gamma * t)
     pieces = _correlation_pieces(ev, t)
     assert abs(got.real - math.fsum(pieces)) <= 4.0 * _ULP * math.fsum(map(abs, pieces))
     # moving an amplitude of the table moves L
-    for name in ("amp", "res_amp", "res_nu") if d.res_index else ("cot", "amp"):
+    # pole_rest is 0 at exact resonance (a = m): it moves L at every other detuning
+    assert (d.pole_rest == 0.0) == (d.m == bath.pole_ratio)
+    for name in ("amp", "pair_amp", "nu_m", "m_rest") if d.m else ("cot", "amp"):
         saved = getattr(d, name)
         setattr(d, name, saved * (1.0 + 1e-6))
         assert ev(t) != got, name
@@ -342,7 +376,7 @@ _CUT_BATHS = {
     "beta 1e3": BathParams(1.0, 0.5, 1e3),
     "beta 2e5": BathParams(1.0, 0.5, 2e5),
     "gamma 1 + 1e-5, beta 4 pi": BathParams(1.0, 1.0 + 1e-5, 4.0 * math.pi),
-    "gamma 1 + 1e-9, beta 4 pi": BathParams(1.0, 1.0 + 1e-9, 4.0 * math.pi),  # the resonant limit
+    "gamma 1 + 1e-9, beta 4 pi": BathParams(1.0, 1.0 + 1e-9, 4.0 * math.pi),  # 1e-9 from nu_2
     "a = 37 (1 + 1e-5), beta 232": BathParams(1.0, 2.0 * math.pi * 37.0 / 232.0 * (1.0 + 1e-5), 232.0),
 }
 
@@ -353,10 +387,10 @@ def _correlation_pieces(ev, t):
     x = 2.0 * math.pi * t / p.beta
     pieces = [ev.c_log * -math.log(-math.expm1(-x)), ev.c_li3 * trilog_exp(x)]
     pieces += (ev._w5 * np.exp(-ev._n * x)).tolist()
-    if d.res_index:
-        nu = d.res_nu
-        decay = math.exp(-nu * t)
-        pieces += [d.res_amp * decay * (0.5 - nu * t), -d.amp / p.beta * (1.0 / nu + p.gamma**2 / nu**3) * decay]
+    if d.m:
+        decay, decay_m = math.exp(-p.gamma * t), math.exp(-d.nu_m * t)
+        pair = [d.pole_rest * decay, -d.m_rest * decay_m, d.pair_amp * _exp_divided_difference(p.gamma, d.nu_m, t)]
+        pieces += [p.gamma * v for v in pair] + [-ev._m_split * decay_m]
     else:
         pieces.append(0.25 * d.amp * d.cot * math.exp(-p.gamma * t))
     return pieces
@@ -431,27 +465,21 @@ def test_quadrature_l_raises_below_its_domain():
             assert got <= 1e-9, (t, t_min, got)
 
 
-# beta = 4 pi puts nu_2 at gamma = 1: (gamma, bound on the analytic-quadrature gap, resonant index)
-_RESONANT_BATHS = [
-    (1.0, 1e-12, 2),  # exactly resonant: the limit formulas run
-    (1.0 + 1e-9, 1e-8, 2),  # detuned inside the degeneracy window: still the limit formulas
-    (1.0 + 1e-5, 3e-8, 0),  # outside the window: the direct series with its near-cancelling terms
-]
+# beta = 4 pi puts nu_2 at gamma = 1: exactly, 1e-9 and 1e-5 from it, one bound on the analytic-quadrature gap
+_RESONANT_GAMMAS = {"resonant": 1.0, "inside-window": 1.0 + 1e-9, "outside-window": 1.0 + 1e-5}
 
 
-@pytest.mark.parametrize(
-    "gamma, bound, res_index", _RESONANT_BATHS, ids=["resonant", "inside-window", "outside-window"]
-)
-def test_resonant_correlation_matches_quadrature(gamma, bound, res_index):
+@pytest.mark.parametrize("gamma", _RESONANT_GAMMAS.values(), ids=_RESONANT_GAMMAS.keys())
+def test_resonant_correlation_matches_quadrature(gamma):
+    # the pair holds the pole and nu_2 at every detuning; the gap is at most 6e-15 on these
     beta = 4.0 * math.pi
     p = BathParams(eta=1.0, gamma=gamma, beta=beta)
-    assert BrownianCorrelation(p).table.res_index == res_index
-    assert BrownianMatsubara(p).res_index == res_index
+    assert BrownianCorrelation(p).table.m == BrownianMatsubara(p)._table.m == 2
     sd = OverdampedBrownian(p)
     for t in (0.05, 0.3, 1.0, 3.0):
         a = correlation_function(sd, beta, t, route="analytic")
         q = correlation_function(sd, beta, t, route="quadrature")
-        assert abs(a - q) / abs(q) < bound
+        assert abs(a - q) / abs(q) < 1e-12
 
 
 @pytest.mark.parametrize("route", ["analytic", "quadrature"])
