@@ -33,9 +33,15 @@ DephaserError for a Brownian density at 0 < t < 3e-4 / w_split
 
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
-per call.  A time gets the same bits alone as inside an array.  The
-series and hight raise DephaserError past _largest_time (1.43e305 for
-the series on the default bath, where nu_K t would overflow).
+per call.  A time gets the same bits alone as inside an array.
+BrownianMatsubara and HighTemperatureBrownian raise DephaserError past
+the largest time at which g, its intermediates and the flip exponent
+of times up to it stay finite (_largest_time; 1.43e305 for the series
+on the default bath, where nu_K t would overflow).
+BrownianMatsubara also remembers the values of its pointwise calls (one
+to three times, as the two-interval kernels and the measure's curves
+make them), up to _MEMO_TIMES times per function, and returns the same
+bits from the memo as computed afresh.
 """
 
 from __future__ import annotations
@@ -235,10 +241,10 @@ class BrownianMatsubara:
         # m of the pair, or 0 where there is none: a < 1/2, or strict truncation without the m-th term
         m = self._m = d.m if include_tail or d.m <= k else 0
         if m:
-            # the pole's rest in g and in gdot, and the pair's rates in order
+            # the pole's rest in g and in gdot (|pole_rest| / gamma < eta / gamma, which is checked), and the pair
             self._pole_c, self._pole_b = d.pole_rest / gamma, d.pole_rest
-            self._pair_rates = tuple(sorted((gamma, d.nu_m)))
-            amps = ((d.pair_amp, "2 eta / beta"), (self._pole_c, "pole_rest / gamma"))
+            self._pair = (d.nu_m, d.m_rest, d.pair_amp, min(gamma, d.nu_m), max(gamma, d.nu_m))
+            amps = ((d.pair_amp, "2 eta / beta"),)
         else:
             self._pole_c, self._pole_b = d.pole_c, d.pole_b
             amps = ((d.pole_c, "(eta / gamma) cot(beta gamma / 2)"), (d.pole_b, "eta cot(beta gamma / 2)"))
@@ -261,7 +267,7 @@ class BrownianMatsubara:
         self._s0_k, self._s1_k = d.tail_sums(k)
         # the engine's Dirichlet coefficients: the pole (its rest when paired), the K terms, the tail's sum and the m-th
         # rest, whose sum is the late-time rate of Re g and whose moduli, with P / min(gamma, nu_m), bound its terms
-        pair_b, pair_bound = (d.m_rest, d.pair_amp / self._pair_rates[0]) if m else (0.0, 0.0)
+        pair_b, pair_bound = (d.m_rest, d.pair_amp / self._pair[3]) if m else (0.0, 0.0)
         tail_b = self._s1_k if include_tail else 0.0
         # a sum that overflows leaves t_max 0: no positive time is then safe
         with np.errstate(over="ignore"):
@@ -335,9 +341,8 @@ class BrownianMatsubara:
         hg = math.expm1(self._neg_gamma * t) + self._gamma * t
         re = explicit + self._pole_c * hg
         if self._m:  # the rest of the pair: m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
-            d, nu = self._table, self._table.nu_m
-            re += d.m_rest / nu * (math.expm1(-nu * t) + nu * t) + d.pair_amp * _h_divided_difference(
-                *self._pair_rates, t)
+            nu, m_rest, amp, lo, hi = self._pair
+            re += m_rest / nu * (math.expm1(-nu * t) + nu * t) + amp * _h_divided_difference(lo, hi, t)
         if self.include_tail:
             re += self._tail(t, False)
         return complex(re, -self._table.pole_im * hg)
@@ -348,8 +353,8 @@ class BrownianMatsubara:
         em = math.expm1(self._neg_gamma * t)
         re = explicit + self._pole_b * (-em)
         if self._m:  # the rest of the pair: m_rest (1 - e^{-nu_m t}) - P E, E over [gamma, nu_m]
-            d = self._table
-            re += d.m_rest * -math.expm1(-d.nu_m * t) - d.pair_amp * _exp_divided_difference(self._gamma, d.nu_m, t)
+            nu, m_rest, amp, lo, hi = self._pair
+            re += m_rest * -math.expm1(-nu * t) - amp * _exp_divided_difference(lo, hi, t)
         if self.include_tail:
             re += self._tail(t, True)
         return complex(re, self.bath.eta * em)
@@ -460,9 +465,12 @@ class FrequencyQuadrature:
             self.w_split = _split_frequency(self.bath)
             self._t_min = _FOURIER_MIN_TW / self.w_split
             # int_{w_split}^inf (J/w^2) coth dw and int_0^inf (J/w) dw
-            self._tail_rc = integrate_to_inf(lambda w: self._f_rc(w), self.w_split, tag="coth tail moment")
-            self._j1_total = integrate_finite(lambda w: self._j_over_w(w), 0.0, self.w_split, tag="J/w")
-            self._j1_total += integrate_to_inf(lambda w: self._j_over_w(w), self.w_split, tag="J/w tail")
+            self._tail_rc = integrate_to_inf(
+                lambda w: self._f_rc(w), self.w_split, tag="coth tail moment"
+            )
+            self._j1_total = integrate_finite(
+                lambda w: self._j_over_w(w), 0.0, self.w_split, tag="J/w"
+            ) + integrate_to_inf(lambda w: self._j_over_w(w), self.w_split, tag="J/w tail")
 
     def _j_over_w(self, w):
         p = self.bath
@@ -487,8 +495,10 @@ class FrequencyQuadrature:
         if self.bath is not None:
             for s in times:
                 if 0.0 < s < self._t_min:
-                    raise DephaserError(f"time {s!r} is below the validated domain of freq-quad, "
-                                        f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}")
+                    raise DephaserError(
+                        f"time {s!r} is below the validated domain of freq-quad, "
+                        f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}"
+                    )
         return times, scalar
 
     def _g(self, t: float) -> complex:
@@ -497,11 +507,20 @@ class FrequencyQuadrature:
         if self.bath is None:
             return self._g_tabulated(t)
         ws = self.w_split
-        re = integrate_finite(lambda w: self._f_rc(w) * 2.0 * math.sin(0.5 * w * t) ** 2, 0.0, ws, tag="Re g")
+        re = integrate_finite(
+            lambda w: self._f_rc(w) * 2.0 * math.sin(0.5 * w * t) ** 2,
+            0.0,
+            ws,
+            tag="Re g",
+        )
         re += self._tail_rc - integrate_fourier_tail(self._f_rc, ws, t, "cos", tag="Re g tail")
         im = t * self._j1_total
-        im -= integrate_finite(lambda w: self._j_over_w(w) / w * math.sin(w * t), 0.0, ws, tag="Im g")
-        im -= integrate_fourier_tail(lambda w: self._j_over_w(w) / w, ws, t, "sin", tag="Im g tail")
+        im -= integrate_finite(
+            lambda w: self._j_over_w(w) / w * math.sin(w * t), 0.0, ws, tag="Im g"
+        )
+        im -= integrate_fourier_tail(
+            lambda w: self._j_over_w(w) / w, ws, t, "sin", tag="Im g tail"
+        )
         return complex(re / math.pi, -im / math.pi)
 
     def _gdot(self, t: float) -> complex:
@@ -510,10 +529,14 @@ class FrequencyQuadrature:
         if self.bath is None:
             return self._gdot_tabulated(t)
         ws = self.w_split
-        re = integrate_finite(lambda w: self._f_r1(w) * math.sin(w * t), 0.0, ws, tag="Re gdot")
+        re = integrate_finite(
+            lambda w: self._f_r1(w) * math.sin(w * t), 0.0, ws, tag="Re gdot"
+        )
         re += integrate_fourier_tail(self._f_r1, ws, t, "sin", tag="Re gdot tail")
         im = self._j1_total
-        im -= integrate_finite(lambda w: self._j_over_w(w) * math.cos(w * t), 0.0, ws, tag="Im gdot")
+        im -= integrate_finite(
+            lambda w: self._j_over_w(w) * math.cos(w * t), 0.0, ws, tag="Im gdot"
+        )
         im -= integrate_fourier_tail(self._j_over_w, ws, t, "cos", tag="Im gdot tail")
         return complex(re / math.pi, -im / math.pi)
 

@@ -10,10 +10,11 @@ overdamped Brownian form
 
     J(w) = 2 eta w gamma / (w^2 + gamma^2)
 
-L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation), whose n^-5 correction series is capped at
-50 000 terms: too few at low temperature, where against a 40-digit Lerch-phi sum (eta 1, gamma 0.5, t 2)
-Re L is off by 2e-5 at beta = 2e5 (1e-4 of |L|) and by 0.27 at beta = 1e6.  Tabulated spectral
-densities are integrated on their own grid.
+L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation), whose
+n^-5 correction series is capped at 50 000 terms: too few at low
+temperature, where against a 40-digit Lerch-phi sum (eta 1, gamma 0.5,
+t 2) Re L is off by 2e-5 at beta = 2e5 (1e-4 of |L|) and by 0.27 at
+beta = 1e6.  Tabulated spectral densities are integrated on their own grid.
 
 Re L(t) diverges logarithmically as t -> 0 for the Brownian form (the
 integrand falls off only as 1/w), so L(0) raises DephaserError there;
@@ -341,7 +342,10 @@ class TabulatedSpectralDensity:
         if np.any(w <= 0.0):
             raise ValueError("spectral density is defined for omega > 0")
         if np.any(w < self.omega[0]) or np.any(w > self.omega[-1]):
-            raise ExtrapolationError(f"frequency outside tabulated range [{self.omega[0]:g}, {self.omega[-1]:g}]")
+            raise ExtrapolationError(
+                "frequency outside tabulated range "
+                f"[{self.omega[0]:g}, {self.omega[-1]:g}]"
+            )
         out = np.interp(w, self.omega, self.values)
         return float(out) if out.ndim == 0 else out
 
@@ -371,7 +375,11 @@ class BrownianCorrelation:
         self.c_li3 = _finite(d.amp * _pow(gamma, 2) / beta * _pow(beta / two_pi, 3), "the Li_3 coefficient")
         coef5 = _finite(d.amp * _pow(gamma, 4) / beta * _pow(beta / two_pi, 5), "the n^-5 coefficient")
 
-        n_corr = max(math.ceil((abs(coef5) / (4.0 * self._TAIL_TOL)) ** 0.25) + 10, math.ceil(2.0 * a) + 10, 30)
+        n_corr = max(
+            math.ceil((abs(coef5) / (4.0 * self._TAIL_TOL)) ** 0.25) + 10,
+            math.ceil(2.0 * a) + 10,
+            30,
+        )
         n_corr = min(n_corr, 50000)
         n = np.arange(1.0, n_corr + 1.0)
         with np.errstate(divide="ignore"):
@@ -380,6 +388,7 @@ class BrownianCorrelation:
             w5[d.m - 1] = 0.0
         # the m-th term's pieces of the log and Li_3 resummations, amp / (beta nu_m) (1 + (gamma / nu_m)^2)
         self._m_split = d.amp / beta * (1.0 + (gamma / d.nu_m) ** 2) / d.nu_m if d.m else 0.0
+        self._pair_rates = (min(gamma, d.nu_m), max(gamma, d.nu_m))
         self._n = n
         self._w5 = w5
 
@@ -401,7 +410,7 @@ class BrownianCorrelation:
         re += float(np.sum(self._w5[:live] * np.exp(-self._n[:live] * x)))
         if d.m:
             decay_m = math.exp(-d.nu_m * t)
-            pair = d.pole_rest * decay - d.m_rest * decay_m + d.pair_amp * _exp_divided_difference(p.gamma, d.nu_m, t)
+            pair = d.pole_rest * decay - d.m_rest * decay_m + d.pair_amp * _exp_divided_difference(*self._pair_rates, t)
             re += p.gamma * pair - self._m_split * decay_m
         else:
             re += 0.25 * d.amp * d.cot * decay
@@ -409,19 +418,17 @@ class BrownianCorrelation:
         return complex(re, -0.25 * d.amp * decay)
 
 
-def _exp_divided_difference(lam1: float, lam2: float, t: float) -> float:
-    """E = (e^{-lam1 t} - e^{-lam2 t}) / (lam1 - lam2), -t e^{-lam t} at lam1 = lam2 (t, lam > 0), to a few ulp: as
-    e^{-lo t} t expm1(-x) / x, lo the lesser rate, x = |lam1 - lam2| t (McCurdy, Ng and Parlett, Math. Comp. 43 (1984)).
+def _exp_divided_difference(lo: float, hi: float, t: float) -> float:
+    """E = (e^{-lo t} - e^{-hi t}) / (lo - hi), -t e^{-lo t} at lo = hi (0 < lo <= hi, t > 0), to a few ulp: as
+    e^{-lo t} t expm1(-x) / x, x = (hi - lo) t (McCurdy, Ng and Parlett, Math. Comp. 43 (1984) 501-528).
     """
-    lo = min(lam1, lam2)
-    x = abs(lam1 - lam2) * t
+    x = (hi - lo) * t
     return math.exp(-lo * t) * (t * math.expm1(-x) / x if x else -t)
 
 
 def _h_divided_difference(lo: float, hi: float, t: float) -> float:
-    """Divided difference of h(lambda t) / lambda over [lo, hi], h(y) = e^-y + y - 1: (lo E - expm1(-lo t)) / (lo hi).
-
-    Its terms cancel as those of h(lo t) do: to about 2 ulp / (lo t) relative."""
+    """Divided difference of h(lambda t) / lambda over [lo, hi] (lo <= hi), h(y) = e^-y + y - 1, as (lo E -
+    expm1(-lo t)) / (lo hi); its terms cancel as those of h(lo t) do, to about 2 ulp / (lo t) relative."""
     return (lo * _exp_divided_difference(lo, hi, t) - math.expm1(-lo * t)) / lo / hi
 
 

@@ -297,7 +297,8 @@ def _scalar_re_gdot(ev, t):
     if d.m:
         # the pole's rest, then the pair: the m-th term's rest and P times the divided difference of e^{-lambda t}
         re += d.pole_rest * (-math.expm1(-p.gamma * t))
-        re += d.m_rest * -math.expm1(-d.nu_m * t) - d.pair_amp * _exp_divided_difference(p.gamma, d.nu_m, t)
+        rates = min(p.gamma, d.nu_m), max(p.gamma, d.nu_m)
+        re += d.m_rest * -math.expm1(-d.nu_m * t) - d.pair_amp * _exp_divided_difference(*rates, t)
     else:
         re += d.pole_b * (-math.expm1(-p.gamma * t))
     k = p.matsubara_terms
