@@ -213,7 +213,7 @@ class BrownianMatsubara:
 
     The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi), nu_K^2 or 2 eta / (beta gamma)
     leaves the normal floats (beta gamma < 9.4e-154, 2 pi K / beta > 1.3e154, eta 1e-318 on beta gamma 0.5),
-    where an amplitude of the pole term or of the pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and, with
+    where gamma^2 or an amplitude of the pole term or the pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and, with
     the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100).  g and gdot raise it past the
     largest time the table's amplitudes allow (_largest_time).
 
@@ -235,6 +235,7 @@ class BrownianMatsubara:
         gamma = bath.gamma
         k = bath.matsubara_terms
         _normal(bath.pole_ratio * bath.pole_ratio, "(beta gamma / 2 pi)^2")
+        _finite(_pow(gamma, 2), "gamma^2")  # in every c_n and B_n
         if k:
             _normal(_pow(float(bath.matsubara_frequency(k)), 2), "nu_K^2")
         d = self._table = bath.dirichlet()

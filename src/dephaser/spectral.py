@@ -280,7 +280,8 @@ class DirichletTable:
     def tail_amps(self) -> tuple[float, float]:
         """The prefactors of S1 and of S0 in tail_sums."""
         eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
-        return eta * gamma * beta / math.pi**2, (eta * gamma * beta**2 / (2.0 * math.pi**3)) / self.bath.pole_ratio**2
+        s0_amp = (eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3)) / self.bath.pole_ratio**2
+        return eta * gamma * beta / math.pi**2, s0_amp
 
     def tail_sums(self, last: int, derivative: bool = False) -> tuple[float, float]:
         """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > last but n = m, by digamma; S0 is nan when derivative.

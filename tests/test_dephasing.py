@@ -634,8 +634,10 @@ def test_hight_overflowing_eta_over_gamma_raises():
         (lambda: BrownianMatsubara(BathParams(1.0, 1e200, 1e200)), "(beta gamma / 2 pi)^2 = inf leaves"),
         (lambda: BrownianCorrelation(BathParams(1.0, 1e200, 1e200)), "beta gamma / 2 pi = inf overflows"),
         (lambda: BrownianMatsubara(BathParams(1.0, 1e80, 1e81, 0)), "(beta gamma / 2 pi)^2 = inf leaves"),
+        (lambda: BrownianMatsubara(BathParams(1.0, 7e263, 1e-217, 0)), "gamma^2 = inf overflows"),
+        (lambda: BrownianMatsubara(BathParams(0.18, 1.6e-153, 1.8e156)), "eta gamma beta^2 / (2 pi^3 a^2) = inf"),
     ],
-    ids=["hight-gamma^2", "L-gamma^2", "analytic-a", "L-a", "analytic-a^2"],
+    ids=["hight-gamma^2", "L-gamma^2", "analytic-a", "L-a", "analytic-a^2", "analytic-gamma^2", "analytic-beta^2"],
 )
 def test_overflowing_bath_powers_raise_dephaser_error(make, what):
     # Python's float ** raises OverflowError where * gives inf, and round(a) raised it at a = inf: untyped errors
