@@ -28,7 +28,6 @@ the analytic L here and the series engine of dephasing (BrownianMatsubara) read.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,8 +52,6 @@ _EXP_DEAD = 45.0
 
 _L0_DIVERGES = "Re L(t) of the Brownian bath diverges logarithmically as t -> 0; L(0) is undefined"
 
-# cot(z) - 1/z = -sum_k c_k z^(2k-1), c_k = 2^(2k) |B_2k| / (2k)! (A&S §4.3), to 1e-16 of the sum below |z| = 1/4
-_COT_REST = (1.0 / 3.0, 1.0 / 45.0, 2.0 / 945.0, 1.0 / 4725.0, 2.0 / 93555.0, 1382.0 / 638512875.0, 4.0 / 18243225.0)
 
 _ZETA3 = 1.2020569031595942854
 _ZETA2 = math.pi * math.pi / 6.0
@@ -146,10 +143,13 @@ def _pow(x: float, n: int) -> float:
 
 
 def _cot_rest(z: float) -> float:
-    """cot(z) - 1/z for |z| <= pi / 2: below |z| = 1/4, where cot(z) and 1/z would cancel, the series of _COT_REST."""
+    """cot(z) - 1/z for |z| <= pi / 2.  Below |z| = 1/4, where cot(z) and 1/z would cancel, the first seven terms of
+    -sum_k c_k z^(2k-1), c_k = 2^(2k) |B_2k| / (2k)! (A&S §4.3), which leave out less than 1e-16 of it."""
     if abs(z) >= 0.25:
         return 1.0 / math.tan(z) - 1.0 / z
-    return -z * functools.reduce(lambda acc, c: acc * z * z + c, reversed(_COT_REST), 0.0)
+    w = z * z
+    high = 2 / 93555 + w * (1382 / 638512875 + w * (4 / 18243225))
+    return -z * (1 / 3 + w * (1 / 45 + w * (2 / 945 + w * (1 / 4725 + w * high))))
 
 
 def _digamma(x: float) -> float:
