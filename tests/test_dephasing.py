@@ -431,8 +431,10 @@ _PINNED_DEEP = {("default", 100), ("beta 933", 0)}
 # recorded with numpy 2.4.6 on x86-64; a change that moves a bit of g or gdot on purpose records it again and says so
 # (last: the pole and nu_m summed as one pair, which also added the K < m cases of a = 1 and a = 2)
 _PINNED_DIGEST = "86ab62e0ef41adeda1edc6847e8898ed81346ad01475ada317183ce9c328f55d"
-# numpy picks its expm1 kernel by CPU, and the digest holds only where expm1 and row sums give these bits
+# numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
+# L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"
+_PINNED_EXP = "3540e25f77aa1f4a993f2938cdb4dc45def29cc4db2b45a714edd46316d26de8"
 
 
 def _pinned_cases():
@@ -453,6 +455,8 @@ def _skip_off_the_pinned_kernel():
     em = np.expm1(-np.geomspace(1e-12, 50.0, 4097))
     if hashlib.sha256(em.tobytes() + np.add.reduce(em.reshape(17, 241), axis=1).tobytes()).hexdigest() != _PINNED_KERNEL:
         pytest.skip("numpy's expm1 or row sums give other bits on this machine than where the digest was recorded")
+    if hashlib.sha256(np.exp(-np.geomspace(1e-12, 700.0, 4097)).tobytes()).hexdigest() != _PINNED_EXP:
+        pytest.skip("numpy's exp gives other bits on this machine than where the digest was recorded")
 
 
 def test_analytic_bits_match_the_pinned_digest():

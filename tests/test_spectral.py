@@ -1,5 +1,6 @@
 """Spectral densities and the bath correlation function."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from _oracle import tail_sums
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_dephasing import _skip_off_the_pinned_kernel
 
 # scipy stays a dependency of the quadrature engines, so its digamma can pin the operations _digamma shares with it
 from scipy.special import digamma as scipy_digamma
@@ -415,6 +417,22 @@ def test_correlation_series_stops_at_its_live_terms(bath):
         ev._w5 = w5
         assert abs(got - math.fsum(pieces)) <= 4.0 * _ULP * math.fsum(map(abs, pieces)), t
     assert cut >= 3  # times where the cut drops terms
+
+
+# SHA-256 of the raw bytes of L on every _CUT_BATHS bath at the 40 times of the live-term test, recorded with numpy
+# 2.4.6 on x86-64 before the n^-5 series was summed in one in-place temporary; a change that moves a bit of L on
+# purpose records it again and says so
+_L_PINNED_DIGEST = "bc8589e5d7f11e4ef364647db1226f9104a9eb691eef191d1879846cb4ee0a8c"
+
+
+def test_correlation_bits_match_the_pinned_digest():
+    _skip_off_the_pinned_kernel()
+    digest = hashlib.sha256()
+    for bath in _CUT_BATHS.values():
+        ev = BrownianCorrelation(bath)
+        for t in np.geomspace(1e-7, 60.0 / bath.gamma, 40).tolist():
+            digest.update(np.complex128(ev(t)).tobytes())
+    assert digest.hexdigest() == _L_PINNED_DIGEST
 
 
 def test_correlation_analytic_matches_quadrature():
