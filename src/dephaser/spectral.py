@@ -408,7 +408,11 @@ class BrownianCorrelation:
         decay = math.exp(-p.gamma * t)
         re = self.c_log * (-math.log(-math.expm1(-x))) + self.c_li3 * trilog_exp(x)
         live = math.ceil(_EXP_DEAD / x) if x * self._n.size > _EXP_DEAD else self._n.size
-        re += float(np.sum(self._w5[:live] * np.exp(-self._n[:live] * x)))
+        # the n^-5 series in one temporary: -x is exact, so these are the bits of sum(w5 exp(-n x))
+        e = self._n[:live] * -x
+        np.exp(e, out=e)
+        e *= self._w5[:live]
+        re += float(np.add.reduce(e))
         if d.m:
             decay_m = math.exp(-d.nu_m * t)
             pair = d.pole_rest * decay - d.m_rest * decay_m + d.pair_amp * _exp_divided_difference(*self._pair_rates, t)
