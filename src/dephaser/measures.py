@@ -48,6 +48,7 @@ import numpy as np
 
 from .dephasing import _check_time, _check_times, _g_distinct, flip_exponent
 from .dynamics import DensityMatrix2, SystemParams
+from .errors import DephaserError
 
 __all__ = [
     "AnalyticPair",
@@ -149,12 +150,22 @@ def decay_exponent_rate(evaluator, scenario, t):
     raise TypeError(f"unknown scenario {scenario!r}")
 
 
+def _weight(e: float) -> float:
+    """e^{-2E} of the decay exponent E; DephaserError where it overflows, at E below about -354.9."""
+    try:
+        return math.exp(-2.0 * e)
+    except OverflowError:
+        raise DephaserError(
+            f"the decay exponent E = {float(e)!r} is so negative that e^(-2E) overflows: a true E is not negative, so g "
+            "has lost its accuracy here (the series' Re g goes negative by cancellation at small times)"
+        ) from None
+
+
 def pair_distance(pair: StatePair, evaluator, scenario, t: float) -> float:
     """Trace distance of the propagated pair at time t into the scanned interval."""
     dp = pair.a.p11 - pair.b.p11
     dc = pair.a.c12 - pair.b.c12
-    e = decay_exponent(evaluator, scenario, t)
-    return math.sqrt(dp * dp + abs(dc) ** 2 * math.exp(-2.0 * e))
+    return math.sqrt(dp * dp + abs(dc) ** 2 * _weight(decay_exponent(evaluator, scenario, t)))
 
 
 def sigma(pair: StatePair, evaluator, scenario, t: float) -> float:
@@ -169,7 +180,7 @@ def sigma(pair: StatePair, evaluator, scenario, t: float) -> float:
         return 0.0
     e = decay_exponent(evaluator, scenario, t)
     rate = decay_exponent_rate(evaluator, scenario, t)
-    weight = dc2 * math.exp(-2.0 * e)
+    weight = dc2 * _weight(e)
     d = math.sqrt(dp * dp + weight)
     if d == 0.0:
         return 0.0
@@ -317,7 +328,7 @@ def _growth_runs(evaluator, scenario, t_max: float):
 def _weights(evaluator, scenario, runs):
     """e^{-2E} at the ends and at the starts of the growth runs, from one decay_exponent_grid call."""
     ends_starts = [e for _, e in runs] + [s for s, _ in runs]
-    w = [math.exp(-2.0 * e) for e in decay_exponent_grid(evaluator, scenario, ends_starts).tolist()]
+    w = [_weight(e) for e in decay_exponent_grid(evaluator, scenario, ends_starts).tolist()]
     return w[: len(runs)], w[len(runs) :]
 
 

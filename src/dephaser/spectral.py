@@ -248,10 +248,19 @@ class DirichletTable:
         return nu, c, c * nu
 
     def _coefficient(self, name: str, nu: np.ndarray, first: int) -> np.ndarray:
-        """c_n ("c") or the tail's B_n ("b") at the frequencies nu of n = first, first + 1, ..., with the m-th 0."""
+        """c_n ("c") or the tail's B_n ("b") at the frequencies nu of n = first, first + 1, ..., with the m-th 0.
+
+        DephaserError where nu_n^2, a product of the denominator or the coefficient overflows.
+        """
         beta, gamma = self.bath.beta, self.bath.gamma
-        with np.errstate(divide="ignore"):  # nu_m = gamma exactly: the entry the pair replaces
-            coef = self.amp / (beta * nu * (nu**2 - gamma**2) if name == "c" else beta * (nu**2 - gamma**2))
+        try:
+            with np.errstate(divide="ignore", over="raise"):  # nu_m = gamma exactly: the entry the pair replaces
+                coef = self.amp / (beta * nu * (nu**2 - gamma**2) if name == "c" else beta * (nu**2 - gamma**2))
+        except FloatingPointError:
+            raise DephaserError(
+                f"a coefficient {name}_n of n = {first} to {first + nu.size - 1} overflows: the bath is outside this "
+                "engine's range, or the time too small for its live Matsubara terms"
+            ) from None
         if 0 <= self.m - first < coef.size:
             coef[self.m - first] = 0.0
         return coef

@@ -556,6 +556,29 @@ def test_hight_overflowing_eta_over_gamma_reports_dephaser_error(capsys):
     assert record["message"].startswith("eta / gamma = inf overflows")
 
 
+def test_overflowing_tail_coefficient_reports_dephaser_error(capsys):
+    # nu_n^2 of the tail's live block overflowed in DirichletTable._coefficient: exit 0 behind a RuntimeWarning
+    argv = ["measure", "--engine", "analytic", "--eta", "6.468125137975613e-38", "--gamma", "1.819240580212178e+25",
+            "--beta", "6.200923544702667e-150", "--tmax", "3.410423092055236e-184", "--t1", "1.1785561275341496e+129"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (1, "")
+    record = json.loads(err)["error"]
+    assert record["type"] == "DephaserError"
+    assert record["message"].startswith("a coefficient b_n of n = 101 to ")
+
+
+def test_overflowing_distance_weight_reports_dephaser_error(capsys):
+    # e^{-2E} of a decay exponent E below -354.9 at a run end: the record was typed OverflowError
+    argv = ["measure", "--engine", "analytic", "--eta", "9.2592522089851906e+114", "--gamma", "3.3501912746885668e+123",
+            "--beta", "2.5266068615700065e-40", "--terms", "0", "--tmax", "1.2783252917795422e+25",
+            "--t1", "1.460056321775686e-299"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (1, "")
+    record = json.loads(err)["error"]
+    assert record["type"] == "DephaserError"
+    assert record["message"].startswith("the decay exponent E = -")
+
+
 def test_too_few_points_rejected(capsys):
     rc, _, err = run_cli(capsys, ["gfun", "--points", "1"])
     assert rc == 1

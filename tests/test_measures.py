@@ -28,6 +28,7 @@ from dephaser.dynamics import (
     trace_distance,
     two_time_map,
 )
+from dephaser.errors import DephaserError
 from dephaser.measures import (
     _N_SCAN,
     _REFINE_TOL,
@@ -634,3 +635,26 @@ def _library_bytes(bath):
 def test_library_bits_match_the_pinned_digests(name):
     _skip_off_the_pinned_kernel()
     assert hashlib.sha256(_library_bytes(_LIBRARY_BATHS[name])).hexdigest() == _LIBRARY_DIGESTS[name]
+
+
+class _Negative:
+    """An evaluator with g = -400 t, whose E(1) = -400 is below the -354.9 where e^{-2E} overflows."""
+
+    def g(self, t):
+        return -400.0 * np.asarray(t, dtype=float) + 0j
+
+    def gdot(self, t):
+        return -400.0 + 0.0 * np.asarray(t, dtype=float) + 0j
+
+
+def test_overflowing_weight_raises_dephaser_error_at_every_site():
+    # pair_distance, sigma and the measure's run weights share one e^{-2E}; math.exp raised an untyped OverflowError
+    pair = analytic_pair()
+    for call in (
+        lambda: pair_distance(pair, _Negative(), SingleTime(), 1.0),
+        lambda: sigma(pair, _Negative(), SingleTime(), 1.0),
+        lambda: _weights(_Negative(), SingleTime(), [(0.5, 1.0)]),
+    ):
+        with pytest.raises(DephaserError, match=r"the decay exponent E = -400\.0 is so negative"):
+            call()
+    assert math.isclose(pair_distance(pair, _Negative(), SingleTime(), 0.8), math.exp(320.0), rel_tol=1e-15)
