@@ -155,16 +155,18 @@ def _time_list(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, list, bool]:
     """
     ts, scalar = _as_times(t)
     times = ts.tolist()
-    if scalar:
-        if times[0] > t_max:
-            _check_range(times[0], t_max)
+    _check_list(times, t_max)
+    return ts, times, scalar
+
+
+def _check_list(times: list, t_max: float) -> None:
+    """ValueError as _check_time at the first bad time of the list of Python floats times, then _check_range."""
     # a nan or infinite time makes the sum nan or inf, above the finite t_max; with none of them min is the least
     # time and the sum bounds the largest
-    elif times and not (sum(times) <= t_max and min(times) >= 0.0):
+    if times and not (sum(times) <= t_max and min(times) >= 0.0):
         for s in times:
             _check_time(s)  # raises at the first bad time; none is bad when only the sum is large
         _check_range(max(times), t_max)
-    return ts, times, scalar
 
 
 def _rows(row, times: list, scalar: bool, *columns: list):
@@ -363,17 +365,29 @@ class BrownianMatsubara:
     def _values(self, t, memo: dict, derivative: bool):
         """g (or gdot, when derivative) at t, through memo when t has at most _MEMO_CALL times.
 
-        A pointwise call returns at once when memo holds all its times;
-        otherwise it builds the table of its times, as every call does,
-        and the row step of each time memo lacks, which it stores.  A
+        A pointwise call in the form the library makes, a float or a 1-d
+        float64 array, looks in memo first and returns at once when memo
+        holds all its times: a held time was checked when it was stored.
+        Any other call, and one with a time memo lacks, checks its times;
+        a pointwise one then builds the table of its times, as every call
+        does, and the row step of each time memo lacks, which it stores.  A
         larger call leaves memo alone.  A time's value is its own table row
         and row step either way, so its bits do not depend on the path.
         """
-        ts, times, scalar = _time_list(t, self._t_max)
         row = self._gdot_row if derivative else self._g_row
-        if len(times) > _MEMO_CALL:
-            return _rows(row, times, scalar, self._explicit(ts, derivative).tolist())
-        values = list(map(memo.get, times))
+        scalar = type(t) is float
+        if scalar or type(t) is np.ndarray and t.ndim == 1 and t.dtype == np.float64 and t.size <= _MEMO_CALL:
+            times = [t] if scalar else t.tolist()
+            values = list(map(memo.get, times))
+            if None not in values:
+                return values[0] if scalar else np.fromiter(values, complex, len(values))
+            _check_list(times, self._t_max)
+            ts = np.array(times) if scalar else t
+        else:
+            ts, times, scalar = _time_list(t, self._t_max)
+            if len(times) > _MEMO_CALL:
+                return _rows(row, times, scalar, self._explicit(ts, derivative).tolist())
+            values = list(map(memo.get, times))
         if None in values:
             # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
             explicit = self._explicit(ts, derivative).tolist()

@@ -415,6 +415,90 @@ def test_memo_is_bounded_and_skips_array_calls():
     assert list(fresh._g_memo) == list(fresh._gdot_memo) == [float(grid[1])]
 
 
+_HELD = [0.3, 1.0, 2.5]
+
+
+def test_memo_hits_give_a_fresh_engines_bits():
+    # a held float and held arrays of 1, 2 and 3 times, each against a fresh engine's call of the same form
+    for make in _MEMO_ENGINES:
+        ev = make()
+        ev.g(np.array(_HELD))
+        ev.gdot(np.array(_HELD))
+        for name in ("g", "gdot"):
+            held = getattr(ev, name)
+            for s in _HELD:
+                assert np.array_equal(_bits(np.complex128(held(s))), _bits(np.complex128(getattr(make(), name)(s))))
+            for size in (1, 2, 3):
+                ts = np.array(_HELD[-size:])
+                assert np.array_equal(_bits(held(ts)), _bits(getattr(make(), name)(ts)))
+
+
+def test_memo_hits_skip_the_time_check(monkeypatch):
+    # a held time was checked when it was stored, so a call of held times reaches no check
+    ev = BrownianMatsubara(BATH)
+    ev.g(np.array(_HELD))
+    ev.gdot(np.array(_HELD))
+
+    def refuse(*args):
+        raise AssertionError("a call of held times checked them")
+
+    for name in ("_time_list", "_check_list", "_as_times"):
+        monkeypatch.setattr(dephasing, name, refuse)
+    for f in (ev.g, ev.gdot):
+        for s in _HELD:
+            f(s)
+        for size in (1, 2, 3):
+            f(np.array(_HELD[:size]))
+        with pytest.raises(AssertionError):  # a time memo lacks is checked
+            f(np.array([1.0, 0.7]))
+
+
+def test_mixed_memo_call_computes_and_stores_only_its_new_times():
+    ev = BrownianMatsubara(BATH)
+    ev.g(1.0)
+    held = ev._g_memo[1.0]
+    rows = []
+    g_row = ev._g_row
+    ev._g_row = lambda t, explicit: rows.append(t) or g_row(t, explicit)
+    g = ev.g(np.array([0.3, 1.0, 2.5]))
+    assert rows == [0.3, 2.5]
+    assert list(ev._g_memo) == [1.0, 0.3, 2.5] and ev._g_memo[1.0] is held
+    assert np.array_equal(_bits(g), _bits(BrownianMatsubara(BATH).g(np.array([0.3, 1.0, 2.5]))))
+
+
+def test_memo_first_calls_convert_and_raise_as_the_time_check_does():
+    ev = BrownianMatsubara(BATH)
+    ev.g(np.array(_HELD))
+    ev.gdot(np.array(_HELD))
+    past = 2.0 * ev._t_max
+    for name in ("g", "gdot"):
+        f, fresh = getattr(ev, name), getattr(BrownianMatsubara(BATH), name)
+        # other forms of held and new times convert to float64 first: float32 and int arrays, lists, numpy and
+        # Python scalars
+        for ts in (np.array([1, 2], dtype=int), np.array([0.3, 1.0, 0.7], dtype=np.float32), [2.5, 0.7]):
+            assert np.array_equal(_bits(f(ts)), _bits(fresh(np.asarray(ts, dtype=float))))
+        for s in (np.float64(1.0), 1, np.float32(0.3)):
+            assert np.array_equal(_bits(np.complex128(f(s))), _bits(np.complex128(fresh(float(s)))))
+        # a bad time raises as a float, alone in an array, beside held times and in a float32 array, and is not stored
+        for bad, error, message in (
+            (math.nan, ValueError, "finite and nonnegative"),
+            (-1.0, ValueError, "finite and nonnegative"),
+            (-math.inf, ValueError, "finite and nonnegative"),
+            (math.inf, ValueError, "finite and nonnegative"),
+            (past, DephaserError, f"time {past!r} is past "),
+        ):
+            calls = [bad, np.array([bad]), np.array([1.0, bad]), np.array([bad, 1.0, 2.5])]
+            if bad != past:  # a float32 overflows there
+                calls.append(np.float32([1.0, bad]))
+            for call in calls:
+                size = len(getattr(ev, f"_{name}_memo"))
+                with pytest.raises(error, match=re.escape(message)):
+                    f(call)
+                assert len(getattr(ev, f"_{name}_memo")) == size
+        with pytest.raises(ValueError, match="1-d array"):
+            f(np.array([[1.0]]))
+
+
 # The baths, term counts and times of the pinned digest: the default bath, the cold beta 933 and 939.84 baths, and the
 # pole on nu_1 and on nu_2; every K, with the tail and strictly truncated.
 _PINNED_BATHS = {
