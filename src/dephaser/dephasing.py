@@ -216,13 +216,17 @@ class BrownianMatsubara:
     The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi), nu_K^2 or 2 eta / (beta gamma)
     leaves the normal floats (beta gamma < 9.4e-154, 2 pi K / beta > 1.3e154, eta 1e-318 on beta gamma 0.5),
     where gamma^2 or an amplitude of the pole term or the pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and, with
-    the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100).  g and gdot raise it past the
-    largest time the table's amplitudes allow (_largest_time).
+    the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100), and where a c_n of the K terms
+    does (gamma 1e153, beta 1e-150).  g and gdot raise it past the largest time the table's amplitudes allow
+    (_largest_time), and where a coefficient of the tail's live terms overflows (nu_n^2 at beta 6.2e-150,
+    t 1e-160).
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
     table, summed row by row; the pole term (math.expm1/exp) and the tail follow time by time, so a time
     gets the same bits alone as in an array.  A call of at most _MEMO_CALL (3) times is pointwise: g and
-    gdot each keep a memo, time -> value, and compute only the times it lacks.  An echo row repeats t1,
+    gdot each keep a memo, time -> value, and compute only the times it lacks.  A float or a 1-d float64
+    array, the forms the library passes, is looked up before any check or array is built, so a call of
+    held times makes neither.  An echo row repeats t1,
     the rows share their t2 axis, and a Prepared(t1) curve asks for g(t1) at every point.  A memo holds
     at most _MEMO_TIMES (1024) times and is cleared when a call could overfill it; larger calls (grids,
     the scan) neither read nor fill it, so memory does not grow with the grid.
@@ -374,7 +378,6 @@ class BrownianMatsubara:
         larger call leaves memo alone.  A time's value is its own table row
         and row step either way, so its bits do not depend on the path.
         """
-        row = self._gdot_row if derivative else self._g_row
         scalar = type(t) is float
         if scalar or type(t) is np.ndarray and t.ndim == 1 and t.dtype == np.float64 and t.size <= _MEMO_CALL:
             times = [t] if scalar else t.tolist()
@@ -386,11 +389,13 @@ class BrownianMatsubara:
         else:
             ts, times, scalar = _time_list(t, self._t_max)
             if len(times) > _MEMO_CALL:
+                row = self._gdot_row if derivative else self._g_row
                 return _rows(row, times, scalar, self._explicit(ts, derivative).tolist())
             values = list(map(memo.get, times))
         if None in values:
             # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
             explicit = self._explicit(ts, derivative).tolist()
+            row = self._gdot_row if derivative else self._g_row
             if len(memo) + len(times) > _MEMO_TIMES:
                 memo.clear()
             for i, v in enumerate(values):
