@@ -156,8 +156,8 @@ def _weight(e: float) -> float:
         return math.exp(-2.0 * e)
     except OverflowError:
         raise DephaserError(
-            f"the decay exponent E = {float(e)!r} is so negative that e^(-2E) overflows: a true E is not negative, so g "
-            "has lost its accuracy here (the series' Re g goes negative by cancellation at small times)"
+            f"the decay exponent E = {float(e)!r} is so negative that e^(-2E) overflows: a true E is not "
+            "negative, so g has lost its accuracy here (the series' Re g goes negative by cancellation at small times)"
         ) from None
 
 

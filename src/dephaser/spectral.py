@@ -367,11 +367,11 @@ class BrownianCorrelation:
     first two pieces resum to -log(1 - e^-x) and Li_3(e^-x), x = 2 pi t / beta, leaving an n^-5 series of
     n_corr terms: enough for 1e-14 and past beta gamma / pi, but at most 50 000, too few at low temperature
     (see the module docstring).  At each t it stops at its live terms, n <= ceil(_EXP_DEAD / x), as the
-    Li_3 series does, and sums them in one temporary, exp and product in place: with the four fresh arrays
-    of up to 50 000 floats it made before, the allocator gave its heap back after each call and faulted it
-    in again on the next, about 160 page faults a call.  Every amplitude is read from BathParams.dirichlet(): the pole and the m-th term are
-    its pair, gamma (pole_rest e^{-gamma t} - m_rest e^{-nu_m t} + P E[gamma, nu_m] of e^{-lambda t}), with
-    the m-th pieces of the three series taken out.  Raises DephaserError where a coefficient of the split
+    Li_3 series does, and sums them in one temporary, exp and product in place, so that a call of 50 000
+    live terms allocates one array, whose pages the allocator keeps from call to call.  Every amplitude is
+    read from BathParams.dirichlet(): the pole and the m-th term are its pair, gamma (pole_rest e^{-gamma t}
+    - m_rest e^{-nu_m t} + P E[gamma, nu_m] of e^{-lambda t}), with the m-th pieces of the three series
+    taken out.  Raises DephaserError where a coefficient of the split
     overflows, at t = 0 and where x underflows to 0 (t below about 4e-325 beta).
     """
 
