@@ -38,10 +38,10 @@ BrownianMatsubara and HighTemperatureBrownian raise DephaserError past
 the largest time at which g, its intermediates and the flip exponent
 of times up to it stay finite (_largest_time; 1.43e305 for the series
 on the default bath, where nu_K t would overflow).
-BrownianMatsubara also remembers the values of its pointwise calls (one
-to three times, as the two-interval kernels and the measure's curves
-make them), up to _MEMO_TIMES times per function, and returns the same
-bits from the memo as computed afresh.
+BrownianMatsubara also remembers g at its pointwise calls (one to three
+times, as the two-interval kernels and the measure's curves make them),
+up to _MEMO_TIMES times, and returns the same bits from the memo as
+computed afresh.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .spectral import (
 _BLOCK_CAP = 2_000_000
 # elements of the times x explicit-terms table, or of a tail block, that BrownianMatsubara builds at once
 _TABLE_BUDGET = 1 << 16
-# times each of BrownianMatsubara's g and gdot remember from its pointwise calls; a full memo is cleared
+# times BrownianMatsubara's g remembers from its pointwise calls; a full memo is cleared
 _MEMO_TIMES = 1024
 # the most times of a call the memo serves: the t1, t2, t1 + t2 of a two-interval call
 _MEMO_CALL = 3
@@ -95,14 +95,19 @@ def flip_exponent(g1, g2, g12):
     return 2.0 * g1 + 2.0 * g2 - g12
 
 
-def _as_times(t) -> tuple[np.ndarray, bool]:
-    """(t as a 1-d float array, whether t is a scalar); a scalar is checked as _check_time does, an array is not."""
+def _as_times(t):
+    """t as a float when it is a float or 0-d, else as a 1-d float array; ValueError for more dimensions.
+
+    Only converts: the times are not checked.
+    """
+    if type(t) is float:
+        return t
     ts = np.asarray(t, dtype=float)
-    if ts.ndim == 0:
-        return np.array([_check_time(t)]), True
-    if ts.ndim != 1:
+    if ts.ndim == 1:
+        return ts
+    if ts.ndim:
         raise ValueError(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
-    return ts, False
+    return float(ts)
 
 
 def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool]:
@@ -112,16 +117,17 @@ def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool]:
     by two numpy reductions, which also give the largest time for
     _check_range against t_max.
     """
-    ts, scalar = _as_times(t)
+    ts = _as_times(t)
+    scalar = type(ts) is float
     if scalar or not ts.size:
-        top = float(ts[0]) if scalar else 0.0
+        top = _check_time(ts) if scalar else 0.0
     else:
         top = float(np.maximum.reduce(ts))
         # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
         if not (np.minimum.reduce(ts) >= 0.0 and top < math.inf):
             _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
     _check_range(top, t_max)
-    return ts, scalar
+    return (np.array([ts]) if scalar else ts), scalar
 
 
 def _largest_time(arg_rate: float, growth: float, moduli: float) -> float:
@@ -153,10 +159,11 @@ def _time_list(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, list, bool]:
     first bad time, then _check_range against t_max), which costs a
     few-time call far less than numpy reductions do.
     """
-    ts, scalar = _as_times(t)
-    times = ts.tolist()
+    ts = _as_times(t)
+    scalar = type(ts) is float
+    times = [ts] if scalar else ts.tolist()
     _check_list(times, t_max)
-    return ts, times, scalar
+    return (np.array(times) if scalar else ts), times, scalar
 
 
 def _check_list(times: list, t_max: float) -> None:
@@ -223,13 +230,12 @@ class BrownianMatsubara:
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
     table, summed row by row; the pole term (math.expm1/exp) and the tail follow time by time, so a time
-    gets the same bits alone as in an array.  A call of at most _MEMO_CALL (3) times is pointwise: g and
-    gdot each keep a memo, time -> value, and compute only the times it lacks.  A float or a 1-d float64
-    array, the forms the library passes, is looked up before any check or array is built, so a call of
-    held times makes neither.  An echo row repeats t1,
-    the rows share their t2 axis, and a Prepared(t1) curve asks for g(t1) at every point.  A memo holds
-    at most _MEMO_TIMES (1024) times and is cleared when a call could overfill it; larger calls (grids,
-    the scan) neither read nor fill it, so memory does not grow with the grid.
+    gets the same bits alone as in an array.  A g call of at most _MEMO_CALL (3) times is pointwise: g
+    keeps a memo, time -> value, and computes only the times it lacks; a call of held times is converted
+    but not checked.  An echo row repeats t1, the rows share their t2 axis, and a Prepared(t1) curve asks
+    for g(t1) at every point.  gdot keeps none: its pointwise calls (the growth rate's) seldom repeat a
+    time.  The memo holds at most _MEMO_TIMES (1024) times and is cleared when a call could overfill it;
+    larger calls (grids, the scan) neither read nor fill it, so memory does not grow with the grid.
     """
 
     def __init__(self, bath: BathParams, include_tail: bool = True):
@@ -284,9 +290,8 @@ class BrownianMatsubara:
         nu_top = float(nu[-1]) if k else float(bath.matsubara_frequency(1)) if include_tail else 0.0
         arg_rate = max(gamma, nu_top, d.nu_m if m else 0.0)
         self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
-        # time -> g(t) and time -> gdot(t) of the pointwise calls
+        # time -> g(t) of the pointwise calls
         self._g_memo = {}
-        self._gdot_memo = {}
 
     def _check_tail_amps(self) -> None:
         """DephaserError where a prefactor of the digamma sums of DirichletTable.tail_sums overflows."""
@@ -366,51 +371,41 @@ class BrownianMatsubara:
             re += self._tail(t, True)
         return complex(re, self.bath.eta * em)
 
-    def _values(self, t, memo: dict, derivative: bool):
-        """g (or gdot, when derivative) at t, through memo when t has at most _MEMO_CALL times.
+    def g(self, t):
+        """g at a time (a complex) or at every time of a 1-d array (a complex array).
 
-        A pointwise call in the form the library makes, a float or a 1-d
-        float64 array, looks in memo first and returns at once when memo
-        holds all its times: a held time was checked when it was stored.
-        Any other call, and one with a time memo lacks, checks its times;
-        a pointwise one then builds the table of its times, as every call
-        does, and the row step of each time memo lacks, which it stores.  A
-        larger call leaves memo alone.  A time's value is its own table row
+        A call of at most _MEMO_CALL times looks its times up in the memo and
+        returns at once when the memo holds them all: a held time was checked
+        when it was stored.  Otherwise it checks its times, builds the table of
+        all of them and stores the row step of each time the memo lacks.  A
+        larger call leaves the memo alone.  A time's value is its own table row
         and row step either way, so its bits do not depend on the path.
         """
+        # _as_times leaves a float as it is; a held float, the commonest call, skips calling it
+        t = t if type(t) is float else _as_times(t)
         scalar = type(t) is float
-        if scalar or type(t) is np.ndarray and t.ndim == 1 and t.dtype == np.float64 and t.size <= _MEMO_CALL:
-            times = [t] if scalar else t.tolist()
-            values = list(map(memo.get, times))
-            if None not in values:
-                return values[0] if scalar else np.fromiter(values, complex, len(values))
+        times = [t] if scalar else t.tolist()
+        if len(times) > _MEMO_CALL:
             _check_list(times, self._t_max)
-            ts = np.array(times) if scalar else t
-        else:
-            ts, times, scalar = _time_list(t, self._t_max)
-            if len(times) > _MEMO_CALL:
-                row = self._gdot_row if derivative else self._g_row
-                return _rows(row, times, scalar, self._explicit(ts, derivative).tolist())
-            values = list(map(memo.get, times))
+            return _rows(self._g_row, times, False, self._explicit(t, False).tolist())
+        memo = self._g_memo
+        values = list(map(memo.get, times))
         if None in values:
+            _check_list(times, self._t_max)
             # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-            explicit = self._explicit(ts, derivative).tolist()
-            row = self._gdot_row if derivative else self._g_row
+            explicit = self._explicit(np.array(times) if scalar else t, False).tolist()
             if len(memo) + len(times) > _MEMO_TIMES:
                 memo.clear()
             for i, v in enumerate(values):
                 if v is None:
                     s = times[i]
-                    values[i] = memo[s] = row(s, explicit[i])
+                    values[i] = memo[s] = self._g_row(s, explicit[i])
         return values[0] if scalar else np.fromiter(values, complex, len(values))
-
-    def g(self, t):
-        """g at a time (a complex) or at every time of a 1-d array (a complex array)."""
-        return self._values(t, self._g_memo, derivative=False)
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array)."""
-        return self._values(t, self._gdot_memo, derivative=True)
+        ts, times, scalar = _time_list(t, self._t_max)
+        return _rows(self._gdot_row, times, scalar, self._explicit(ts, True).tolist())
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included.

@@ -379,17 +379,12 @@ def _grid_axes(search: GridSearch):
     return p, frac, phase
 
 
-def _grid_states(search: GridSearch):
-    """Population and coherence of every grid state, state (i, j, k) at flat index (i*n_c + j)*n_h + k."""
-    p, frac, phase = _grid_axes(search)
-    pp, ff, hh = np.meshgrid(p, frac, phase, indexing="ij")
-    pf = pp.ravel()
-    cf = ff.ravel() * np.sqrt(pf * (1.0 - pf)) * np.exp(1j * hh.ravel())
-    return pf, cf
-
-
 def _magnitude_states(search: GridSearch):
-    """Population and |c| of every magnitude state m = i*n_c + j, |c| with the bits of _grid_states' |c| factor."""
+    """Population and |c| of every magnitude state m = i*n_c + j.
+
+    Grid state s = (i*n_c + j)*n_h + k is magnitude state s // n_h at phase
+    k = s % n_h: its coherence is |c| e^{i phase[k]}.
+    """
     p, frac, _ = _grid_axes(search)
     pm, fm = (x.ravel() for x in np.meshgrid(p, frac, indexing="ij"))
     return pm, fm * np.sqrt(pm * (1.0 - pm))
@@ -424,7 +419,8 @@ def _grid_search(search: GridSearch, weights_end, weights_start):
     w = weights_end, weights_start
     n_h = search.n_phase
     pm, mag = _magnitude_states(search)
-    cos_k = np.cos(_grid_axes(search)[2][: n_h // 2 + 1])
+    phase = _grid_axes(search)[2]
+    cos_k = np.cos(phase[: n_h // 2 + 1])
     step = max(1, _BLOCK // (cos_k.size * mag.size))
     best = -np.inf
     for start in range(0, mag.size, step):
@@ -435,12 +431,12 @@ def _grid_search(search: GridSearch, weights_end, weights_start):
     k, a, b = np.nonzero(best_gain == best)
     ia, ib = min(zip(((best_start + a) * n_h).tolist(), (b * n_h + k).tolist()))
 
-    pf, cf = _grid_states(search)
-    i, j = [ia], [ib]
-    n_value = _total_gain((pf[i] - pf[j]) ** 2, np.abs(cf[i] - cf[j]) ** 2, *w)[0]
+    m, h = np.divmod([ia, ib], n_h)
+    p, c = pm[m], mag[m] * np.exp(1j * phase[h])
+    n_value = _total_gain((p[:1] - p[1:]) ** 2, np.abs(c[:1] - c[1:]) ** 2, *w)[0]
     pair = StatePair(
-        DensityMatrix2(float(pf[ia]), complex(cf[ia])),
-        DensityMatrix2(float(pf[ib]), complex(cf[ib])),
+        DensityMatrix2(float(p[0]), complex(c[0])),
+        DensityMatrix2(float(p[1]), complex(c[1])),
     )
     return float(n_value), pair
 

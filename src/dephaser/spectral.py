@@ -372,7 +372,8 @@ class BrownianCorrelation:
     read from BathParams.dirichlet(): the pole and the m-th term are its pair, gamma (pole_rest e^{-gamma t}
     - m_rest e^{-nu_m t} + P E[gamma, nu_m] of e^{-lambda t}), with the m-th pieces of the three series
     taken out.  Raises DephaserError where a coefficient of the split
-    overflows, at t = 0 and where x underflows to 0 (t below about 4e-325 beta).
+    overflows, at t = 0 and where x underflows to 0 (t below about 4e-325 beta), and ValueError at a
+    negative, infinite or nan t.
     """
 
     _TAIL_TOL = 1e-14
@@ -405,8 +406,9 @@ class BrownianCorrelation:
         self._w5 = w5
 
     def __call__(self, t: float) -> complex:
-        if t < 0.0:
-            raise ValueError("correlation function is evaluated for t >= 0")
+        # fails for nan as well as for negative and infinite times
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"correlation function is evaluated for finite t >= 0, got {t!r}")
         if t == 0.0:
             raise DephaserError(_L0_DIVERGES)
         p, d = self.bath, self.table

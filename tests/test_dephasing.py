@@ -395,8 +395,8 @@ def test_memo_never_changes_a_bit(calls):
                 else:
                     got = getattr(ev, name)(np.array(ts)).tolist()
                 assert np.array(got).tobytes() == np.array([next(want) for _ in ts]).tobytes()
-        # and the memo was in use, so the repeats were read from it
-        assert len(ev._g_memo) + len(ev._gdot_memo) > 0
+        # and g's memo was in use whenever g was called, so its repeats were read from it
+        assert len(ev._g_memo) > 0 or all(derivative for derivative, _, _ in calls)
 
 
 def test_memo_is_bounded_and_skips_array_calls():
@@ -405,14 +405,16 @@ def test_memo_is_bounded_and_skips_array_calls():
     for i in range(0, ts.size, _MEMO_CALL):
         ev.g(ts[i : i + _MEMO_CALL])
         ev.gdot(float(ts[i]))
-        assert 0 < len(ev._g_memo) <= _MEMO_TIMES and 0 < len(ev._gdot_memo) <= _MEMO_TIMES
+        assert 0 < len(ev._g_memo) <= _MEMO_TIMES
+    # g's memo is the engine's one memo
+    assert [name for name, value in vars(ev).items() if isinstance(value, dict)] == ["_g_memo"]
     # an array call larger than a pointwise one neither reads the memo nor fills it
     fresh = BrownianMatsubara(BATH)
     grid = np.linspace(0.0, 10.0, 1000)
-    fresh._g_memo[float(grid[1])] = fresh._gdot_memo[float(grid[1])] = 1234j
-    g, gdot = fresh.g(grid), fresh.gdot(grid)
-    assert 1234j not in g and 1234j not in gdot
-    assert list(fresh._g_memo) == list(fresh._gdot_memo) == [float(grid[1])]
+    fresh._g_memo[float(grid[1])] = 1234j
+    g = fresh.g(grid)
+    assert 1234j not in g
+    assert list(fresh._g_memo) == [float(grid[1])]
 
 
 _HELD = [0.3, 1.0, 2.5]
@@ -434,23 +436,22 @@ def test_memo_hits_give_a_fresh_engines_bits():
 
 
 def test_memo_hits_skip_the_time_check(monkeypatch):
-    # a held time was checked when it was stored, so a call of held times reaches no check
+    # a held time was checked when it was stored, so a g call of held times is converted but reaches no check
     ev = BrownianMatsubara(BATH)
     ev.g(np.array(_HELD))
-    ev.gdot(np.array(_HELD))
 
     def refuse(*args):
         raise AssertionError("a call of held times checked them")
 
-    for name in ("_time_list", "_check_list", "_as_times"):
+    for name in ("_time_list", "_check_list"):
         monkeypatch.setattr(dephasing, name, refuse)
-    for f in (ev.g, ev.gdot):
-        for s in _HELD:
-            f(s)
-        for size in (1, 2, 3):
-            f(np.array(_HELD[:size]))
-        with pytest.raises(AssertionError):  # a time memo lacks is checked
-            f(np.array([1.0, 0.7]))
+    for s in _HELD:
+        ev.g(s)
+    for size in (1, 2, 3):
+        ev.g(np.array(_HELD[:size]))
+    ev.g([1.0, 0.3])
+    with pytest.raises(AssertionError):  # a time the memo lacks is checked
+        ev.g(np.array([1.0, 0.7]))
 
 
 def test_mixed_memo_call_computes_and_stores_only_its_new_times():
@@ -491,10 +492,10 @@ def test_memo_first_calls_convert_and_raise_as_the_time_check_does():
             if bad != past:  # a float32 overflows there
                 calls.append(np.float32([1.0, bad]))
             for call in calls:
-                size = len(getattr(ev, f"_{name}_memo"))
+                size = len(ev._g_memo)
                 with pytest.raises(error, match=re.escape(message)):
                     f(call)
-                assert len(getattr(ev, f"_{name}_memo")) == size
+                assert len(ev._g_memo) == size
         with pytest.raises(ValueError, match="1-d array"):
             f(np.array([[1.0]]))
 

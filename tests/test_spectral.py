@@ -563,6 +563,17 @@ def test_correlation_negative_time_rejected():
         BrownianCorrelation(BathParams(1.0, 0.5, 1.0))(-1.0)
 
 
+@pytest.mark.parametrize(
+    "bath", [BATH, BathParams(1.3, 1.8, 933.0), BathParams(1.3, 1.0, 2.0 * math.pi)], ids=["default", "beta 933", "a = 1"]
+)
+def test_brownian_correlation_rejects_non_finite_times(bath):
+    # nan gave nan + nan j, and inf gave nan - 0j on the beta 933 bath, where its divided difference took inf * 0
+    ev = BrownianCorrelation(bath)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            ev(t)
+
+
 @pytest.mark.parametrize("route", ["analytic", "quadrature", "tabulated"])
 @pytest.mark.parametrize(
     "beta, t",
