@@ -567,7 +567,7 @@ def test_correlation_negative_time_rejected():
     "bath", [BATH, BathParams(1.3, 1.8, 933.0), BathParams(1.3, 1.0, 2.0 * math.pi)], ids=["default", "beta 933", "a = 1"]
 )
 def test_brownian_correlation_rejects_non_finite_times(bath):
-    # nan gave nan + nan j, and inf gave nan - 0j on the beta 933 bath, where its divided difference took inf * 0
+    # unchecked, nan gives nan + nan j, and inf gives nan - 0j on the beta 933 bath (inf * 0 in its divided difference)
     ev = BrownianCorrelation(bath)
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite t >= 0"):
