@@ -10,11 +10,13 @@ overdamped Brownian form
 
     J(w) = 2 eta w gamma / (w^2 + gamma^2)
 
-L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation), whose
-n^-5 correction series is capped at 50 000 terms: too few at low
-temperature, where against a 40-digit Lerch-phi sum (eta 1, gamma 0.5,
-t 2) Re L is off by 2e-5 at beta = 2e5 (1e-4 of |L|) and by 0.27 at
-beta = 1e6.  Tabulated spectral densities are integrated on their own grid.
+L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation): the
+Matsubara terms next to the pole are summed exactly and the rest by
+Euler-Maclaurin, at a bounded cost per call at any temperature.  Against a
+40-digit Lerch-phi sum (tests/_oracle.py) Re L is within 1e-13 relative,
+or 8 ulp of the sum of its terms' magnitudes where it is tiny against
+them, from beta 0.1 to 1e6.  Tabulated spectral densities are integrated
+on their own grid.
 
 Re L(t) diverges logarithmically as t -> 0 for the Brownian form (the
 integrand falls off only as 1/w), so L(0) raises DephaserError there;
@@ -47,23 +49,23 @@ _FOURIER_MIN_TW = 3e-4
 # n > K terms (of each of nu_n, c_n, B_n) that a DirichletTable keeps between calls
 _TAIL_KEPT = 1 << 18
 
-# Exponentials e^-x are dead (below about 3e-20) past this x: the Li_3 series and the Matsubara tail stop there.
+# Exponentials e^-x are dead (below about 3e-20) past this x: L's direct sum and the Matsubara tail stop there.
 _EXP_DEAD = 45.0
 
 _L0_DIVERGES = "Re L(t) of the Brownian bath diverges logarithmically as t -> 0; L(0) is undefined"
 
 
-_ZETA3 = 1.2020569031595942854
-_ZETA2 = math.pi * math.pi / 6.0
-# zeta(3 - k) for k = 3..13; even negative arguments vanish.
-_ZETA_TAIL = {
-    3: -0.5,
-    4: -1.0 / 12.0,
-    6: 1.0 / 120.0,
-    8: -1.0 / 252.0,
-    10: 1.0 / 240.0,
-    12: -1.0 / 132.0,
-}
+# The Matsubara terms that BrownianCorrelation sums exactly on either side of the one nearest the pole below
+# x = _DIRECT_X, so that its Euler-Maclaurin tails start 32.5 or more from the pole; from _DIRECT_X it sums the at
+# most 225 live terms.  From _A_MAX on, the window's n - a are no longer exact.
+_WINDOW = 32
+_DIRECT_X = 0.2
+_A_MAX = 2.0**52
+# B_2k / (2k)! at j = 2k - 1 = 1, ..., 9: the Euler-Maclaurin corrections of the tails, with the even j at 0
+_BERNOULLI = (1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600, 0.0, 1 / 47900160)
+_EULER_GAMMA = 0.57721566490153286061
+# z from which e^-z Ei(z) and e^z E1(z) are their asymptotic series
+_ASYMPTOTIC = 50.0
 
 
 def _check_time(t) -> float:
@@ -101,23 +103,47 @@ def coth(x):
     return float(out) if out.ndim == 0 else out
 
 
-def trilog_exp(x: float) -> float:
-    """Li_3(e^-x) for x > 0, accurate to machine precision.
+def _e1_scaled(z: float) -> float:
+    """e^z E1(z) for z > 0, to a few ulp: its power series below 1, where it cancels by at most a factor 4, and
+    above it the continued fraction of A&S 5.1.22, evaluated from a depth that leaves out less than 1 ulp."""
+    if z < 1.0:
+        return math.exp(z) * (-_EULER_GAMMA - math.log(z) - _exp_integral_series(-z))
+    t = 0.0
+    for i in range(int(6.0 + 105.0 / z), 0, -1):
+        t = i * i / (z + 2 * i + 1 - t)
+    return 1.0 / (z + 1.0 - t)
 
-    Direct series for x >= 1; for smaller x the series in x around zero,
-    whose x^2 log x term carries the branch point.
-    """
-    if x >= 1.0:
-        n = np.arange(1.0, math.ceil(_EXP_DEAD / x) + 1.0)
-        return float(np.sum(np.exp(-n * x) / n**3))
-    acc = 0.5 * x * x * (1.5 - math.log(x)) + _ZETA3 - _ZETA2 * x
-    term = 0.5 * x * x  # (-x)^k / k! at k = 2
-    for k in range(3, 14):
-        term *= -x / k
-        z = _ZETA_TAIL.get(k)
-        if z is not None:
-            acc += z * term
-    return acc
+
+def _ei_scaled(z: float) -> float:
+    """e^-z Ei(z) for z > 0, to a few ulp of max(|e^-z Ei(z)|, e^-z |log z|): its power series, of positive terms,
+    below _ASYMPTOTIC, and above it 1 / z + _asymptotic_rest(z, 1)."""
+    if z < _ASYMPTOTIC:
+        return math.exp(-z) * (_EULER_GAMMA + math.log(z) + _exp_integral_series(z))
+    return 1.0 / z + _asymptotic_rest(z, 1.0)
+
+
+def _exp_integral_series(w: float) -> float:
+    """sum_{k >= 1} w^k / (k k!), which is Ei(w) - gamma - log w for w > 0 and gamma + log |w| - E1(|w|) for w < 0
+    (A&S 5.1.10-11), to its first term below 1e-17 of the sum."""
+    term, s, k = 1.0, 0.0, 0
+    while True:
+        k += 1
+        term *= w / k
+        s += term / k
+        if not abs(term) > 1e-17 * abs(s):
+            return s
+
+
+def _asymptotic_rest(z: float, sign: float) -> float:
+    """sum_{k >= 1} sign^k k! / z^(k+1), z >= _ASYMPTOTIC: the asymptotic series of e^-z Ei(z) (sign 1) or of
+    e^z E1(z) (sign -1) less its first term 1 / z, to its first term below 1e-17 of the sum, which comes before the
+    terms grow again at k = z (the smallest is 2e-19 of the sum at z = 50)."""
+    term, s, k = sign / (z * z), 0.0, 1
+    while abs(term) > 1e-17 * abs(s) and k < z:
+        s += term
+        k += 1
+        term *= sign * k / z
+    return s
 
 
 def _normal(value: float, what: str) -> float:
@@ -363,47 +389,65 @@ class TabulatedSpectralDensity:
 class BrownianCorrelation:
     """Fast analytic L(t) for the overdamped Brownian bath, from its Dirichlet table.
 
-    The Matsubara sum is split as nu/(nu^2 - g^2) = 1/nu + g^2/nu^3 + g^4 / (nu^3 (nu^2 - g^2)), whose
-    first two pieces resum to -log(1 - e^-x) and Li_3(e^-x), x = 2 pi t / beta, leaving an n^-5 series of
-    n_corr terms: enough for 1e-14 and past beta gamma / pi, but at most 50 000, too few at low temperature
-    (see the module docstring).  At each t it stops at its live terms, n <= ceil(_EXP_DEAD / x), as the
-    Li_3 series does, and sums them in one temporary, exp and product in place, so that a call of 50 000
-    live terms allocates one array, whose pages the allocator keeps from call to call.  Every amplitude is
-    read from BathParams.dirichlet(): the pole and the m-th term are its pair, gamma (pole_rest e^{-gamma t}
-    - m_rest e^{-nu_m t} + P E[gamma, nu_m] of e^{-lambda t}), with the m-th pieces of the three series
-    taken out.  Raises DephaserError where a coefficient of the split
-    overflows, at t = 0 and where x underflows to 0 (t below about 4e-325 beta), and ValueError at a
+    Re L is c_log S(x) plus the pole's term, with x = 2 pi t / beta, a = beta gamma / 2 pi, c_log = 2 eta gamma / pi
+    and S(x) = sum_{n >= 1, n != m} w_n e^{-n x}, w_n = n / ((n - a)(n + a)); the m-th term and the pole are read
+    from BathParams.dirichlet() as its pair, gamma (pole_rest e^{-gamma t} - m_rest e^{-nu_m t} + P E[gamma, nu_m]
+    of e^{-lambda t}), or as eta gamma cot(beta gamma / 2) e^{-gamma t} where m = 0.  From x = _DIRECT_X, S is its
+    live terms, n <= ceil(_EXP_DEAD / x) <= 225.  Below it, S is the 2 _WINDOW + 1 terms around c = max(m, 1),
+    exactly, and the Euler-Maclaurin sums of its tails n > c + _WINDOW and 1 <= n < c - _WINDOW (_tails), each a
+    bounded amount of work at any temperature.  Raises DephaserError where a reaches _A_MAX or c_log overflows,
+    where Re L overflows, at t = 0 and where x underflows to 0 (t below about 4e-325 beta), and ValueError at a
     negative, infinite or nan t.
     """
-
-    _TAIL_TOL = 1e-14
 
     def __init__(self, bath: BathParams):
         self.bath = bath
         d = self.table = bath.dirichlet()
-        gamma, beta, a = bath.gamma, bath.beta, bath.pole_ratio
+        a = self._a = bath.pole_ratio
+        if not a < _A_MAX:
+            raise DephaserError(f"beta gamma / 2 pi = {a!r} is past 2^52, where the Matsubara terms' n - a are not exact")
+        self.c_log = _finite(d.amp / (2.0 * math.pi), "2 eta gamma / pi")
+        self._c = c = max(d.m, 1)
+        self._window = self._weights(max(1, c - _WINDOW), c + _WINDOW)
+        self._direct = self._weights(1, math.ceil(_EXP_DEAD / _DIRECT_X))
+        self._pair_rates = (min(bath.gamma, d.nu_m), max(bath.gamma, d.nu_m))
 
-        two_pi = 2.0 * math.pi
-        self.c_log = d.amp / two_pi
-        self.c_li3 = _finite(d.amp * _pow(gamma, 2) / beta * _pow(beta / two_pi, 3), "the Li_3 coefficient")
-        coef5 = _finite(d.amp * _pow(gamma, 4) / beta * _pow(beta / two_pi, 5), "the n^-5 coefficient")
+    def _weights(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(n, w_n) for n = lo, ..., hi, with w_m = 0 (the pair's term)."""
+        n = np.arange(float(lo), hi + 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a = m exactly
+            w = n / ((n - self._a) * (n + self._a))
+        if lo <= self.table.m <= hi:
+            w[self.table.m - lo] = 0.0
+        return n, w
 
-        n_corr = max(
-            math.ceil((abs(coef5) / (4.0 * self._TAIL_TOL)) ** 0.25) + 10,
-            math.ceil(2.0 * a) + 10,
-            30,
-        )
-        n_corr = min(n_corr, 50000)
-        n = np.arange(1.0, n_corr + 1.0)
-        with np.errstate(divide="ignore"):
-            w5 = coef5 / (n**3 * (n**2 - _pow(a, 2)))
-        if 1 <= d.m <= n_corr:
-            w5[d.m - 1] = 0.0
-        # the m-th term's pieces of the log and Li_3 resummations, amp / (beta nu_m) (1 + (gamma / nu_m)^2)
-        self._m_split = d.amp / beta * (1.0 + (gamma / d.nu_m) ** 2) / d.nu_m if d.m else 0.0
-        self._pair_rates = (min(gamma, d.nu_m), max(gamma, d.nu_m))
-        self._n = n
-        self._w5 = w5
+    def _tails(self, x: float) -> float:
+        """sum w_n e^{-n x} over n > c + _WINDOW and 1 <= n < c - _WINDOW, by Euler-Maclaurin (A&S 23.1.30)."""
+        s = -self._end(self._c + _WINDOW + 1.0, x, -0.5)
+        last = self._c - _WINDOW - 1.0
+        if last >= 1.0:
+            s += self._end(last, x, 0.5) - self._end(1.0, x, -0.5)
+        return s
+
+    def _end(self, u: float, x: float, half: float) -> float:
+        """F(u) + half f(u) + sum_k B_2k / (2k)! f^(2k-1)(u), k <= 5, for f(u) = w_u e^{-u x} = (g_a + g_-a) / 2, g_b =
+        e^{-u x} / (u - b), and F its antiderivative, which is 0 at infinity: -e^{-u x} e^{z} E1(z), z = (u - b) x,
+        for u > b, and e^{-u x} e^{-z} Ei(z), z = (b - u) x, for u < b.  The derivatives of g_b are e^{-u x} h_j,
+        h_0 = 1 / (u - b) and h_j = ((-x)^j - j h_{j-1}) / (u - b), from (u - b) g_b = e^{-u x}."""
+        a = self._a
+        ra, rb = 1.0 / (u - a), 1.0 / (u + a)
+        below, above = (a - u) * x, (u + a) * x
+        if below >= _ASYMPTOTIC:  # the 1 / z terms of e^-z Ei(z) and e^z E1(z) cancel to 2u / ((a - u)(a + u) x)
+            big = 2.0 * u / ((a - u) * (a + u) * x) + _asymptotic_rest(below, 1.0) - _asymptotic_rest(above, -1.0)
+        else:
+            big = (_ei_scaled(below) if u < a else -_e1_scaled(-below)) - _e1_scaled(above)
+        ha, hb, power = ra, rb, 1.0
+        for j, bernoulli in enumerate(_BERNOULLI, 1):
+            power *= -x
+            ha = (power - j * ha) * ra
+            hb = (power - j * hb) * rb
+            big += bernoulli * (ha + hb)
+        return math.exp(-u * x) * (0.5 * big + half * u / ((u - a) * (u + a)))
 
     def __call__(self, t: float) -> complex:
         # fails for nan as well as for negative and infinite times
@@ -418,22 +462,28 @@ class BrownianCorrelation:
                 f"time {t!r} is too small for the correlation function at beta = {p.beta!r}: "
                 "x = 2 pi t / beta underflows to 0"
             )
-        decay = math.exp(-p.gamma * t)
-        re = self.c_log * (-math.log(-math.expm1(-x))) + self.c_li3 * trilog_exp(x)
-        live = math.ceil(_EXP_DEAD / x) if x * self._n.size > _EXP_DEAD else self._n.size
-        # the n^-5 series in one temporary: -x is exact, so these are the bits of sum(w5 exp(-n x))
-        e = self._n[:live] * -x
+        if x >= _DIRECT_X:
+            n, w = self._direct
+            live = math.ceil(_EXP_DEAD / x)
+            n, w = n[:live], w[:live]
+        else:
+            n, w = self._window
+        # -x is exact, so these are the bits of sum(w exp(-n x)), in one temporary
+        e = n * -x
         np.exp(e, out=e)
-        e *= self._w5[:live]
-        re += float(np.add.reduce(e))
+        e *= w
+        s = float(np.add.reduce(e))
+        if x < _DIRECT_X:
+            s += self._tails(x)
+        re = self.c_log * s
+        decay = math.exp(-p.gamma * t)
         if d.m:
             decay_m = math.exp(-d.nu_m * t)
-            pair = d.pole_rest * decay - d.m_rest * decay_m + d.pair_amp * _exp_divided_difference(*self._pair_rates, t)
-            re += p.gamma * pair - self._m_split * decay_m
+            re += p.gamma * (d.pole_rest * decay - d.m_rest * decay_m + d.pair_amp * _exp_divided_difference(*self._pair_rates, t))
         else:
             re += 0.25 * d.amp * d.cot * decay
         # amp / 4 is eta gamma exactly: L's pole term is eta gamma (cot - i) e^{-gamma t}, B_gamma gamma in Re
-        return complex(re, -0.25 * d.amp * decay)
+        return complex(_finite(re, "Re L(t)"), -0.25 * d.amp * decay)
 
 
 def _exp_divided_difference(lo: float, hi: float, t: float) -> float:

@@ -735,7 +735,8 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # SHA-256 of the stdout bytes of each command, recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64: every
 # subcommand and engine, both formats, the default bath, beta 933, a bath near the resonance a = 1 and one on it
 # (gamma 2 pi), t1 > 0; the 70-point grids write 4 900 rows.  A change that moves a bit on purpose records it again:
-# the seven commands with --beta 933 or --gamma were recorded again when the pole and nu_m became one pair.
+# the seven commands with --beta 933 or --gamma were recorded again when the pole and nu_m became one pair, and
+# time-quad's when L's Matsubara sum became a window and Euler-Maclaurin tails (Re g(5) moved by 5.6e-16 relative).
 CLI_STDOUT_DIGESTS = {
     "gfun": "5ee73339337d2dcc5fc99ab86b8289ed166cb4a2ac32530508080a51dbe88a41",
     "gfun --format json": "de6dbb4863d738563c3b16ffcf9754360586f247652d4ff134d1adb39cc139f4",
@@ -744,7 +745,7 @@ CLI_STDOUT_DIGESTS = {
     "gfun --gamma 6.2894": "5aa8a34a7cf1bec8f00a940acc9513dfa12f675ddffe2a8831ac2e24da3fe0fa",
     "gfun --gamma 6.283185307179586": "664a4daf9933411c6c0872e9852bbf7d32fa7262913a8224194ce4c9199264ff",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
-    "gfun --engine time-quad --points 3": "bb8e206d896cba5abfeedd0dd7a44d88a3b10dd5c0c873af25b141827d09ac46",
+    "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
     "trdist --t1 1": "39c8e7f284e42a15e22224a1bfc2cce837e7b92916e97b78b08701a277f86cad",
     "trdist --t1 1 --format json": "1975f93fc98b7f60d4f18880b2d883c29c997eedb80e3badb7c353924946f1cb",
     "trdist": "8fe2561d9b9e6948ff826282ee32efb4e98d991f3e24310bd3b7599b3643d8ff",

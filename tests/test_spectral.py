@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import mpmath
 import numpy as np
 import pytest
-from _oracle import tail_sums
+from _oracle import correlation, tail_sums
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_dephasing import _skip_off_the_pinned_kernel
@@ -22,18 +23,23 @@ import dephaser
 from dephaser.dephasing import BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
+    _A_MAX,
+    _ASYMPTOTIC,
+    _DIRECT_X,
     _EXP_DEAD,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
     TabulatedSpectralDensity,
+    _asymptotic_rest,
     _cot_rest,
     _digamma,
+    _e1_scaled,
+    _ei_scaled,
     _exp_divided_difference,
     _h_divided_difference,
     correlation_function,
     coth,
-    trilog_exp,
 )
 
 BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0)
@@ -141,15 +147,19 @@ def test_coth_float_path_matches_the_array_path_bit_for_bit(x):
     assert np.float64(got).view(np.uint64) == want.view(np.uint64), (x, got, want)
 
 
-def test_trilog_known_value_and_branch_continuity():
-    # Li_3(1/2) = 7 zeta(3)/8 - pi^2 ln 2 / 12 + ln^3 2 / 6
-    zeta3 = 1.2020569031595942854
-    ref = 7.0 * zeta3 / 8.0 - math.pi**2 * math.log(2.0) / 12.0 + math.log(2.0) ** 3 / 6.0
-    assert trilog_exp(math.log(2.0)) == pytest.approx(ref, rel=1e-14)
-    # the two evaluation branches meet at x = 1; the true slope there is
-    # -Li_2(1/e), so a 1e-12 straddle moves the value by under 1e-12
-    assert trilog_exp(1.0 - 1e-12) == pytest.approx(trilog_exp(1.0 + 1e-12), abs=2e-12)
-    assert trilog_exp(1e-10) == pytest.approx(zeta3, rel=1e-9)
+def test_scaled_exponential_integrals_match_mpmath():
+    # e^z E1(z) within 8 ulp (its series cancels by up to a factor 4 just below 1) and e^-z Ei(z) within 12 ulp of
+    # max(|e^-z Ei(z)|, e^-z |log z|) (Ei crosses 0 at z = 0.3725), from 1e-300 to 1e6 and either side of each switch;
+    # e^z E1(z) by its asymptotic series, which BrownianCorrelation sums only from _ASYMPTOTIC, within 4 ulp there
+    zs = np.concatenate([np.geomspace(1e-300, 1e6, 300), np.linspace(0.05, 60.0, 150), [5e-324]])
+    zs = np.concatenate([zs, [s for z in (1.0, _ASYMPTOTIC) for s in (z, np.nextafter(z, 0.0))]])
+    with mpmath.workdps(40):
+        for z in zs.tolist():
+            e1, ei = mpmath.exp(z) * mpmath.e1(z), mpmath.exp(-z) * mpmath.ei(z)
+            assert abs(_e1_scaled(z) - e1) <= 8.0 * _ULP * e1, z
+            assert abs(_ei_scaled(z) - ei) <= 12.0 * _ULP * max(abs(ei), mpmath.exp(-z) * abs(mpmath.log(z))), z
+            if z >= _ASYMPTOTIC:
+                assert abs(1.0 / z + _asymptotic_rest(z, -1.0) - e1) <= 4.0 * _ULP * e1, z
 
 
 def test_cot_rest_matches_mpmath():
@@ -368,7 +378,7 @@ def test_correlation_reads_its_amplitudes_from_the_table(bath):
     assert ev(t) == got
 
 
-# BrownianCorrelation's live-term cut is pinned on the default bath, crosscheck's coldest route bath,
+# BrownianCorrelation's two branches are pinned on the default bath, crosscheck's coldest route bath,
 # a cold param_sweep pool bath, beta 1e3 and LOW_T_PROBE's beta 2e5, and three near-resonant baths.
 _CUT_BATHS = {
     "default": BATH,
@@ -382,17 +392,24 @@ _CUT_BATHS = {
 }
 
 
+def _cut_times(bath):
+    """40 times from 1e-7 to past 60 / gamma and to x = 2 pi t / beta = 2, so that both branches run on every bath."""
+    return np.geomspace(1e-7, max(60.0 / bath.gamma, bath.beta / math.pi), 40).tolist()
+
+
 def _correlation_pieces(ev, t):
-    """Every float that BrownianCorrelation sums into Re L(t), with all n_corr correction terms."""
+    """Every float that BrownianCorrelation sums into Re L(t), with all 225 terms of the direct branch."""
     p, d = ev.bath, ev.table
     x = 2.0 * math.pi * t / p.beta
-    pieces = [ev.c_log * -math.log(-math.expm1(-x)), ev.c_li3 * trilog_exp(x)]
-    pieces += (ev._w5 * np.exp(-ev._n * x)).tolist()
+    n, w = ev._direct if x >= _DIRECT_X else ev._window
+    pieces = (ev.c_log * w * np.exp(-n * x)).tolist()
+    if x < _DIRECT_X:
+        pieces.append(ev.c_log * ev._tails(x))
     if d.m:
         decay, decay_m = math.exp(-p.gamma * t), math.exp(-d.nu_m * t)
         rates = min(p.gamma, d.nu_m), max(p.gamma, d.nu_m)
         pair = [d.pole_rest * decay, -d.m_rest * decay_m, d.pair_amp * _exp_divided_difference(*rates, t)]
-        pieces += [p.gamma * v for v in pair] + [-ev._m_split * decay_m]
+        pieces += [p.gamma * v for v in pair]
     else:
         pieces.append(0.25 * d.amp * d.cot * math.exp(-p.gamma * t))
     return pieces
@@ -400,29 +417,100 @@ def _correlation_pieces(ev, t):
 
 @pytest.mark.parametrize("bath", _CUT_BATHS.values(), ids=_CUT_BATHS.keys())
 def test_correlation_series_stops_at_its_live_terms(bath):
-    """Re L within 4 ulp of sum |pieces| of the exact sum over all n_corr terms, reading none past the live ones.
+    """Re L within 4 ulp of sum |pieces| of its window and tails, or of all 225 direct terms, reading no dead one.
 
-    The terms past n = ceil(_EXP_DEAD / x) are set to nan, so a sum that reads them returns nan.
+    From x = _DIRECT_X the terms past n = ceil(_EXP_DEAD / x) are set to nan, so a sum that reads them returns nan.
     """
     ev = BrownianCorrelation(bath)
-    w5 = ev._w5
-    n_corr = w5.size
-    cut = 0
-    for t in np.geomspace(1e-7, 60.0 / bath.gamma, 40).tolist():
+    n, w = ev._direct
+    cut = window = 0
+    for t in _cut_times(bath):
         pieces = _correlation_pieces(ev, t)
-        live = min(n_corr, math.ceil(_EXP_DEAD / (2.0 * math.pi * t / bath.beta)))
-        cut += live < n_corr
-        ev._w5 = np.where(ev._n <= live, w5, math.nan)
+        x = 2.0 * math.pi * t / bath.beta
+        live = math.ceil(_EXP_DEAD / x)
+        cut += x >= _DIRECT_X and live < n.size
+        window += x < _DIRECT_X
+        ev._direct = n, np.where(n <= live, w, math.nan)
         got = ev(t).real
-        ev._w5 = w5
+        ev._direct = n, w
         assert abs(got - math.fsum(pieces)) <= 4.0 * _ULP * math.fsum(map(abs, pieces)), t
-    assert cut >= 3  # times where the cut drops terms
+    assert cut >= 3 and window >= 3  # times where the cut drops terms, and times of the window and tails
 
 
-# SHA-256 of the raw bytes of L on every _CUT_BATHS bath at the 40 times of the live-term test, recorded with numpy
-# 2.4.6 on x86-64 before the n^-5 series was summed in one in-place temporary; a change that moves a bit of L on
-# purpose records it again and says so
-_L_PINNED_DIGEST = "bc8589e5d7f11e4ef364647db1226f9104a9eb691eef191d1879846cb4ee0a8c"
+@pytest.mark.parametrize("name", ["beta 104.7", "beta 939.8", "gamma 1 + 1e-5, beta 4 pi"])
+def test_correlation_branches_agree_at_the_switch(name):
+    # the window and Euler-Maclaurin tails, which serve x < _DIRECT_X, against all live terms at x = 0.2 and the float
+    # below it, where the tails start nearest their dead terms; and both branches against the oracle either side of 0.2
+    bath = _CUT_BATHS[name]
+    ev = BrownianCorrelation(bath)
+    for x in (_DIRECT_X, np.nextafter(_DIRECT_X, 0.0)):
+        n, w = ev._window
+        tails = float(np.sum(w * np.exp(-n * x))) + ev._tails(x)
+        n, w = ev._weights(1, math.ceil(_EXP_DEAD / x))
+        direct = w * np.exp(-n * x)
+        assert abs(tails - math.fsum(direct)) <= 8.0 * _ULP * math.fsum(np.abs(direct)), x
+    sides = set()
+    for x in (0.19, 0.2 * (1.0 - 1e-15), 0.2 * (1.0 + 1e-15), 0.21):
+        t = x * bath.beta / (2.0 * math.pi)
+        sides.add(2.0 * math.pi * t / bath.beta >= _DIRECT_X)
+        _assert_matches_the_oracle(bath.eta, bath.gamma, bath.beta, t)
+    assert sides == {False, True}
+
+
+def _assert_matches_the_oracle(eta, gamma, beta, t):
+    """Re L within 1e-13 of the oracle, or, where it is tiny against its terms, within 8 ulp of the sum of their |.|."""
+    got = BrownianCorrelation(BathParams(eta, gamma, beta))(t).real
+    want, scale = correlation(eta, gamma, beta, t)
+    assert abs(got - want) <= max(1e-13 * abs(want), 8.0 * _ULP * scale), (eta, gamma, beta, t, got, want)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    log_eta=st.floats(-1.0, 1.0),
+    gamma=st.floats(0.1, 3.0),
+    log_beta=st.floats(-1.0, 4.0),
+    log_t=st.floats(-9.0, math.log10(20.0)),
+)
+def test_correlation_matches_the_oracle(log_eta, gamma, log_beta, log_t):
+    # up to gamma t = 60: from there the rounding of x = 2 pi t / beta and of gamma t, which moves e^-x and
+    # e^{-gamma t} by x ulp and gamma t ulp, comes near 1e-13
+    _assert_matches_the_oracle(10.0**log_eta, gamma, 10.0**log_beta, 10.0**log_t)
+
+
+# the cold baths where the old n^-5 series was off (beta 933 by up to 9e-10, 2e5 by 1.3e-3 and 1e6 by 8.8 relative),
+# the pole on nu_1 and 1e-3 from it, and t = 26 on (0.5, 1.2, 5), where the quadrature route of L is 1.4e-3 off
+_ORACLE_POINTS = {
+    "beta 933, t 1e-3": (1.3, 1.8, 933.0, 1e-3),
+    "beta 933, t 3.5": (1.3, 1.8, 933.0, 3.5),
+    "beta 2e5": (1.0, 0.5, 2e5, 2.0),
+    "beta 1e6": (1.0, 0.5, 1e6, 2.0),
+    "a = 1": (1.0, 1.0, 2.0 * math.pi, 0.5),
+    "a = 1.001": (1.0, 1.001, 2.0 * math.pi, 0.5),
+    "t = 26": (0.5, 1.2, 5.0, 26.0),
+}
+
+
+@pytest.mark.parametrize("point", _ORACLE_POINTS.values(), ids=_ORACLE_POINTS.keys())
+def test_correlation_matches_the_oracle_at_pinned_points(point):
+    _assert_matches_the_oracle(*point)
+
+
+def test_correlation_raises_past_its_domain():
+    # past _A_MAX the window's n - a are no longer exact; 2 eta gamma / pi and Re L raise where they overflow
+    below = BathParams(1.0, 1.0, 2.0 * math.pi * (_A_MAX - 64.0))
+    assert BrownianCorrelation(below).table.m == _A_MAX - 64.0 and math.isfinite(BrownianCorrelation(below)(1e-9).real)
+    with pytest.raises(DephaserError, match=r"beta gamma / 2 pi = 4503599627370496\.0 is past 2\^52"):
+        BrownianCorrelation(BathParams(1.0, 1.0, 2.0 * math.pi * _A_MAX))
+    with pytest.raises(DephaserError, match=re.escape("2 eta gamma / pi = inf overflows")):
+        BrownianCorrelation(BathParams(1e308, 10.0, 1.0))
+    with pytest.raises(DephaserError, match=re.escape("Re L(t) = inf overflows")):
+        BrownianCorrelation(BathParams(2e307, 1.0, 1.0))(1e-10)
+
+
+# SHA-256 of the raw bytes of L on every _CUT_BATHS bath at its _cut_times, recorded with numpy 2.4.6 on x86-64 when
+# the Matsubara sum became the window and Euler-Maclaurin tails; a change that moves a bit of L on purpose records it
+# again and says so
+_L_PINNED_DIGEST = "839daac83d657c7f7f2947c91ded5fbdb93cb236d3d6b725f2c173a18a88e276"
 
 
 def test_correlation_bits_match_the_pinned_digest():
@@ -430,7 +518,7 @@ def test_correlation_bits_match_the_pinned_digest():
     digest = hashlib.sha256()
     for bath in _CUT_BATHS.values():
         ev = BrownianCorrelation(bath)
-        for t in np.geomspace(1e-7, 60.0 / bath.gamma, 40).tolist():
+        for t in _cut_times(bath):
             digest.update(np.complex128(ev(t)).tobytes())
     assert digest.hexdigest() == _L_PINNED_DIGEST
 
