@@ -415,7 +415,7 @@ class BrownianCorrelation:
     def _weights(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """(n, w_n) for n = lo, ..., hi, with w_m = 0 (the pair's term)."""
         n = np.arange(float(lo), hi + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a = m exactly
+        with np.errstate(divide="ignore"):  # n = a = m exactly
             w = n / ((n - self._a) * (n + self._a))
         if lo <= self.table.m <= hi:
             w[self.table.m - lo] = 0.0
@@ -551,8 +551,11 @@ def correlation_function(sd, beta: float, t: float, route: str | None = None) ->
     there.  The quadrature route also raises it at 0 < t < 3e-4 / w_split,
     w_split = max(10 gamma, 10 / beta); above that it agrees with the
     analytic route to 1e-9 relative or raises IntegrationError up to
-    t w_split of about 60; past that, where |L| is small against the
-    integrator's absolute tolerance, the gap can grow.
+    t w_split of about 60.  Past that, where |L| is small against the
+    integrator's absolute tolerance, the quadrature route's own error
+    grows: against a 40-digit Lerch-phi sum it is 1.4e-3 relative at
+    t = 26 on (eta 0.5, gamma 1.2, beta 5), where the analytic route is
+    1.4e-16 off.
     Tabulated densities always integrate on their own grid, where L(0) is
     finite.
     """

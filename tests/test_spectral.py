@@ -495,10 +495,19 @@ def test_correlation_matches_the_oracle_at_pinned_points(point):
     _assert_matches_the_oracle(*point)
 
 
+def test_correlation_takes_the_cancelling_ends_of_its_lower_tail_together():
+    # from (a - 1) x = _ASYMPTOTIC the 1 / z terms of e^-z Ei(z) and e^z E1(z) at n = 1 cancel to 2 / ((a^2 - 1) x);
+    # taken apart they leave about gamma t ulp of Re L (2.2e-14 and 1.2e-14 at these points, gamma t = 500)
+    for eta, gamma, beta, t in ((1.0, 0.5, 2e5, 1000.0), (1.0, 2.0, 1e4, 250.0)):
+        got = BrownianCorrelation(BathParams(eta, gamma, beta))(t).real
+        want = correlation(eta, gamma, beta, t)[0]
+        assert abs(got - want) <= 8.0 * _ULP * abs(want), (beta, t, got, want)
+
+
 def test_correlation_raises_past_its_domain():
     # past _A_MAX the window's n - a are no longer exact; 2 eta gamma / pi and Re L raise where they overflow
-    below = BathParams(1.0, 1.0, 2.0 * math.pi * (_A_MAX - 64.0))
-    assert BrownianCorrelation(below).table.m == _A_MAX - 64.0 and math.isfinite(BrownianCorrelation(below)(1e-9).real)
+    below = BrownianCorrelation(BathParams(1.0, 1.0, 2.0 * math.pi * (_A_MAX - 64.0)))
+    assert below.table.m == _A_MAX - 64.0 and math.isfinite(below(1e-9).real)
     with pytest.raises(DephaserError, match=r"beta gamma / 2 pi = 4503599627370496\.0 is past 2\^52"):
         BrownianCorrelation(BathParams(1.0, 1.0, 2.0 * math.pi * _A_MAX))
     with pytest.raises(DephaserError, match=re.escape("2 eta gamma / pi = inf overflows")):
