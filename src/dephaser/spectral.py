@@ -115,15 +115,13 @@ def _e1_scaled(z: float) -> float:
 
 
 def _ei_scaled(z: float) -> float:
-    """e^-z Ei(z) for z > 0, to a few ulp of max(|e^-z Ei(z)|, e^-z |log z|): its power series, of positive terms,
-    below _ASYMPTOTIC, and above it 1 / z + _asymptotic_rest(z, 1)."""
-    if z < _ASYMPTOTIC:
-        return math.exp(-z) * (_EULER_GAMMA + math.log(z) + _exp_integral_series(z))
-    return 1.0 / z + _asymptotic_rest(z, 1.0)
+    """e^-z Ei(z) for 0 < z < _ASYMPTOTIC, to a few ulp of max(|e^-z Ei(z)|, e^-z |log z|): its power series, of
+    positive terms.  From _ASYMPTOTIC on, BrownianCorrelation._end sums the asymptotic series in its place."""
+    return math.exp(-z) * (_EULER_GAMMA + math.log(z) + _exp_integral_series(z))
 
 
 def _exp_integral_series(w: float) -> float:
-    """sum_{k >= 1} w^k / (k k!), which is Ei(w) - gamma - log w for w > 0 and gamma + log |w| - E1(|w|) for w < 0
+    """sum_{k >= 1} w^k / (k k!), which is Ei(w) - gamma - log w for w > 0 and -gamma - log |w| - E1(|w|) for w < 0
     (A&S 5.1.10-11), to its first term below 1e-17 of the sum."""
     term, s, k = 1.0, 0.0, 0
     while True:

@@ -133,7 +133,7 @@ def tail_sums(eta: float, gamma: float, beta: float, a: float, last: int) -> tup
         return float(s0), float(s1)
 
 
-def correlation(eta: float, gamma: float, beta: float, t: float, lerch_x: float = LERCH_X) -> tuple[float, float]:
+def correlation(eta: float, gamma: float, beta: float, t: float) -> tuple[float, float]:
     """(Re L(t), the sum of the absolute values of its terms) of the bath (eta, gamma, beta) at t > 0, each to 40
     digits or more and rounded to a float (module docstring)."""
     with mpmath.workdps(_digits(beta * gamma / (2.0 * math.pi))):
@@ -141,7 +141,7 @@ def correlation(eta: float, gamma: float, beta: float, t: float, lerch_x: float 
         a = beta * gamma / (2 * mpmath.pi)
         x = 2 * mpmath.pi * t / beta
         q = mpmath.exp(-x)
-        if x < lerch_x:
+        if x < LERCH_X:
             n0 = int(mpmath.ceil(a)) + 2
             s, below = _fixed_point_sum(a, q, n0)
             s += q ** (n0 + 1) * (mpmath.lerchphi(q, 1, n0 + 1 - a) + mpmath.lerchphi(q, 1, n0 + 1 + a)) / 2

@@ -148,18 +148,21 @@ def test_coth_float_path_matches_the_array_path_bit_for_bit(x):
 
 
 def test_scaled_exponential_integrals_match_mpmath():
-    # e^z E1(z) within 8 ulp (its series cancels by up to a factor 4 just below 1) and e^-z Ei(z) within 12 ulp of
-    # max(|e^-z Ei(z)|, e^-z |log z|) (Ei crosses 0 at z = 0.3725), from 1e-300 to 1e6 and either side of each switch;
-    # e^z E1(z) by its asymptotic series, which BrownianCorrelation sums only from _ASYMPTOTIC, within 4 ulp there
+    # e^z E1(z) within 8 ulp (its series cancels by up to a factor 4 just below 1) from 1e-300 to 1e6, and e^-z Ei(z)
+    # within 12 ulp of max(|e^-z Ei(z)|, e^-z |log z|) (Ei crosses 0 at z = 0.3725) below _ASYMPTOTIC, its domain,
+    # either side of each switch; from _ASYMPTOTIC on, the asymptotic series of both, which BrownianCorrelation._end
+    # sums there, within 4 ulp
     zs = np.concatenate([np.geomspace(1e-300, 1e6, 300), np.linspace(0.05, 60.0, 150), [5e-324]])
     zs = np.concatenate([zs, [s for z in (1.0, _ASYMPTOTIC) for s in (z, np.nextafter(z, 0.0))]])
     with mpmath.workdps(40):
         for z in zs.tolist():
             e1, ei = mpmath.exp(z) * mpmath.e1(z), mpmath.exp(-z) * mpmath.ei(z)
             assert abs(_e1_scaled(z) - e1) <= 8.0 * _ULP * e1, z
-            assert abs(_ei_scaled(z) - ei) <= 12.0 * _ULP * max(abs(ei), mpmath.exp(-z) * abs(mpmath.log(z))), z
-            if z >= _ASYMPTOTIC:
+            if z < _ASYMPTOTIC:
+                assert abs(_ei_scaled(z) - ei) <= 12.0 * _ULP * max(abs(ei), mpmath.exp(-z) * abs(mpmath.log(z))), z
+            else:
                 assert abs(1.0 / z + _asymptotic_rest(z, -1.0) - e1) <= 4.0 * _ULP * e1, z
+                assert abs(1.0 / z + _asymptotic_rest(z, 1.0) - ei) <= 4.0 * _ULP * ei, z
 
 
 def test_cot_rest_matches_mpmath():
