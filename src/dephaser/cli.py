@@ -17,8 +17,11 @@ values are rejected before anything is allocated.  Series go to --out (or
 stdout) as CSV or JSON with floats at full precision; repeated runs with
 the same inputs are byte identical.  Each distinct value of a column is
 formatted once, with its separators, and a series is written _WRITE_ROWS
-rows per call, so only one block of its text is held at a time.  Runtime
-failures print a one-line JSON error record to stderr and exit nonzero.
+rows per call, so only one block of its text is held at a time.  Every
+value written is finite: where a distance or kernel exp(-x) or trdist's
+sigma overflows, and wherever else a value is not finite, the command
+raises DephaserError before --out is opened.  Runtime failures print a
+one-line JSON error record to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -141,8 +144,6 @@ class Series:
     rows: np.ndarray  # 2-d float, one row per output line
 
 
-# json.dump's text for the floats whose repr differs from it
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # rows of a series joined into one text and written with one call; no more of the output is held at once
 _WRITE_ROWS = 4096
 
@@ -152,17 +153,12 @@ def _column_text(col: np.ndarray, fmt: str, before: str, after: str) -> tuple[np
 
     Distinct bit patterns, not values, so that -0.0 and 0.0 keep their own
     text, each formatted once.  CSV writes %.17g; JSON writes what
-    json.dump does (float.__repr__, NaN, Infinity, -Infinity).
+    json.dump does for a finite float, float.__repr__.  No value is nan or
+    infinite: _emit refuses them.
     """
     bits, where = np.unique(col.view(np.uint64), return_inverse=True)
-    values = bits.view(np.float64)
-    if fmt == "csv":
-        text = list(map(f"{before}%.17g{after}".__mod__, values.tolist()))
-    else:
-        text = [f"{before}{v!r}{after}" for v in values.tolist()]
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            text[i] = before + _JSON_NONFINITE[repr(float(values[i]))] + after
-    return np.array(text, dtype=object), where
+    pattern = f"{before}%.17g{after}" if fmt == "csv" else f"{before}%r{after}"
+    return np.array(list(map(pattern.__mod__, bits.view(np.float64).tolist())), dtype=object), where
 
 
 def _write_series(series: Series, fmt: str, fh) -> None:
@@ -190,13 +186,39 @@ def _write_series(series: Series, fmt: str, fh) -> None:
 
 
 def _emit(obj, cfg: RunConfig) -> None:
-    """Write a Series in cfg.fmt, or a report as indented JSON, to cfg.out or stdout."""
+    """Write a Series in cfg.fmt, or a report as indented JSON, to cfg.out or stdout.
+
+    DephaserError, before --out is opened, where a value is nan or infinite.
+    """
+    series = isinstance(obj, Series)
+    try:
+        text = None if series else json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        finite = not series or bool(np.isfinite(obj.rows).all())
+    except ValueError:  # json.dumps' for a nan or infinite float
+        finite = False
+    if not finite:
+        raise DephaserError("the output holds a nan or infinite value, which no command writes")
     stdout = contextlib.nullcontext(sys.stdout)
     with stdout if cfg.out is None else open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-        if isinstance(obj, Series):
+        if series:
             _write_series(obj, cfg.fmt, fh)
         else:
-            fh.write(json.dumps(obj, indent=2) + "\n")
+            fh.write(text)
+
+
+def _overflow_checked(what: str, ufunc, *args) -> np.ndarray:
+    """ufunc(*args) with numpy's overflow warning off; DephaserError where a value is not finite, as measures._weight
+    raises where e^-2E overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = ufunc(*args)
+    if not np.isfinite(values).all():
+        raise DephaserError(f"{what} overflows the floats on this grid")
+    return values
+
+
+def _normalized_distance(e: np.ndarray) -> np.ndarray:
+    """The distance exp(-(E - E(0))) of the decay exponents E on a grid that starts at t = 0."""
+    return _overflow_checked("the normalized distance exp(-(E - E(0)))", np.exp, -(e - e[0]))
 
 
 def _square_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +240,10 @@ def cmd_trdist(cfg: RunConfig) -> Series:
     ts = cfg.grid(1)
     ev = cfg.evaluator()
     scenario = cfg.scenario()
-    e = decay_exponent_grid(ev, scenario, ts)
-    d = np.exp(-(e - e[0]))  # the grid starts at t = 0
+    d = _normalized_distance(decay_exponent_grid(ev, scenario, ts))
     rate = decay_exponent_rate(ev, scenario, ts)
-    return Series(["t2", "distance", "sigma"], np.column_stack((ts, d, -rate * d)))
+    sigma = _overflow_checked("sigma = -(dE/dt) exp(-(E - E(0)))", np.multiply, -rate, d)
+    return Series(["t2", "distance", "sigma"], np.column_stack((ts, d, sigma)))
 
 
 def cmd_measure(cfg: RunConfig) -> dict:
@@ -252,7 +274,8 @@ def cmd_measure(cfg: RunConfig) -> dict:
 
 def cmd_echo(cfg: RunConfig) -> Series:
     ts = cfg.grid(2)
-    r = np.exp(-flip_exponent_grid(cfg.evaluator(), ts)).ravel()
+    flip = flip_exponent_grid(cfg.evaluator(), ts)
+    r = _overflow_checked("the echo kernel exp(-flip exponent)", np.exp, -flip).ravel()
     # hypot, not np.abs: 0.53 ulp at most against 1.8 on 20 000 normal complex samples
     rows = np.column_stack((*_square_grid(ts), np.hypot(r.real, r.imag), r.real, r.imag))
     return Series(["t1", "t2", "abs_r", "re_r", "im_r"], rows)
@@ -276,13 +299,13 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
         for t1, scenario in ((0.0, SingleTime()), (1.0, Prepared(1.0))):
             for label, ev in (("terms_0", ev_ht), (f"terms_{cfg.bath.matsubara_terms}", ev_k)):
                 columns.append(f"d_t1_{t1:g}_{label}")
-                e = decay_exponent_grid(ev, scenario, ts)
-                curves.append(np.exp(-(e - e[0])))
+                curves.append(_normalized_distance(decay_exponent_grid(ev, scenario, ts)))
         return Series(columns, np.column_stack([ts] + curves))
 
     if which == "trd2t":
         ts = cfg.grid(2)
-        d = np.exp(-flip_exponent_grid(HighTemperatureBrownian(cfg.bath), ts).real.ravel())
+        flip = flip_exponent_grid(HighTemperatureBrownian(cfg.bath), ts).real.ravel()
+        d = _overflow_checked("the distance exp(-Re flip exponent)", np.exp, -flip)
         return Series(["t1", "t2", "distance"], np.column_stack((*_square_grid(ts), d)))
 
     raise ValueError(f"unknown figure {which!r}")

@@ -33,7 +33,10 @@ DephaserError for a Brownian density at 0 < t < 3e-4 / w_split
 
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
-per call.  A time gets the same bits alone as inside an array.
+per call, by one function, _check_times, whose method follows the size
+of the call: a float and up to three times on Python floats, more by
+numpy reductions.  The first bad time of the call raises, in call order.
+A time gets the same bits alone as inside an array.
 BrownianMatsubara and HighTemperatureBrownian raise DephaserError past
 the largest time at which g, its intermediates and the flip exponent
 of times up to it stay finite (_largest_time; 1.43e305 for the series
@@ -111,23 +114,28 @@ def _as_times(t):
 
 
 def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool]:
-    """(t as a 1-d float array, whether t is a scalar); ValueError as _check_time at the first bad time.
+    """(t as a 1-d float array, whether t is a scalar); ValueError at the first bad time, then _check_range.
 
-    For an engine that computes on the whole array: the times are checked
-    by two numpy reductions, which also give the largest time for
-    _check_range against t_max.
+    The one time check of every engine, whose method follows the size of
+    the call: a float and up to _MEMO_CALL times are checked on Python
+    floats (_check_time, _check_list), which costs a pointwise call far
+    less than numpy reductions do; more are checked by two numpy
+    reductions, which cost a grid far less than a list of its times does.
+    The two cross at about 70 times.
     """
     ts = _as_times(t)
-    scalar = type(ts) is float
-    if scalar or not ts.size:
-        top = _check_time(ts) if scalar else 0.0
-    else:
-        top = float(np.maximum.reduce(ts))
-        # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
-        if not (np.minimum.reduce(ts) >= 0.0 and top < math.inf):
-            _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
+    if type(ts) is float:
+        _check_range(_check_time(ts), t_max)
+        return np.array([ts]), True
+    if ts.size <= _MEMO_CALL:
+        _check_list(ts.tolist(), t_max)
+        return ts, False
+    top = float(np.maximum.reduce(ts))
+    # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
+    if not (np.minimum.reduce(ts) >= 0.0 and top < math.inf):
+        _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
     _check_range(top, t_max)
-    return (np.array([ts]) if scalar else ts), scalar
+    return ts, False
 
 
 def _largest_time(arg_rate: float, growth: float, moduli: float) -> float:
@@ -151,21 +159,6 @@ def _check_range(top: float, t_max: float) -> None:
         )
 
 
-def _time_list(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, list, bool]:
-    """(t as a 1-d float array, the same times as a list of Python floats, whether t is a scalar).
-
-    For an engine that steps through the times in Python: the times are
-    checked on the list it needs anyway (ValueError as _check_time at the
-    first bad time, then _check_range against t_max), which costs a
-    few-time call far less than numpy reductions do.
-    """
-    ts = _as_times(t)
-    scalar = type(ts) is float
-    times = [ts] if scalar else ts.tolist()
-    _check_list(times, t_max)
-    return (np.array(times) if scalar else ts), times, scalar
-
-
 def _check_list(times: list, t_max: float) -> None:
     """ValueError as _check_time at the first bad time of the list of Python floats times, then _check_range."""
     # a nan or infinite time makes the sum nan or inf, above the finite t_max; with none of them min is the least
@@ -176,12 +169,12 @@ def _check_list(times: list, t_max: float) -> None:
         _check_range(max(times), t_max)
 
 
-def _rows(row, times: list, scalar: bool, *columns: list):
-    """row(t, *column values at t) -> complex at every time of the list times.
+def _rows(row, ts: np.ndarray, scalar: bool, *columns: list):
+    """row(t, *column values at t) -> complex at every time of the checked 1-d array ts, as a Python float.
 
     A Python complex when the times were a scalar, a complex array otherwise.
     """
-    values = list(map(row, times, *columns))
+    values = list(map(row, ts.tolist(), *columns))
     return values[0] if scalar else np.fromiter(values, complex, len(values))
 
 
@@ -384,10 +377,10 @@ class BrownianMatsubara:
         # _as_times leaves a float as it is; a held float, the commonest call, skips calling it
         t = t if type(t) is float else _as_times(t)
         scalar = type(t) is float
+        if not scalar and t.size > _MEMO_CALL:
+            _check_times(t, self._t_max)
+            return _rows(self._g_row, t, False, self._explicit(t, False).tolist())
         times = [t] if scalar else t.tolist()
-        if len(times) > _MEMO_CALL:
-            _check_list(times, self._t_max)
-            return _rows(self._g_row, times, False, self._explicit(t, False).tolist())
         memo = self._g_memo
         values = list(map(memo.get, times))
         if None in values:
@@ -404,8 +397,8 @@ class BrownianMatsubara:
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array)."""
-        ts, times, scalar = _time_list(t, self._t_max)
-        return _rows(self._gdot_row, times, scalar, self._explicit(ts, True).tolist())
+        ts, scalar = _check_times(t, self._t_max)
+        return _rows(self._gdot_row, ts, scalar, self._explicit(ts, True).tolist())
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included.
@@ -499,22 +492,22 @@ class FrequencyQuadrature:
         return self._j_over_w(w) * coth(0.5 * self.beta * w)
 
     def g(self, t):
-        return _rows(self._g, *self._times_in_domain(t))
+        return self._map(self._g, t)
 
     def gdot(self, t):
-        return _rows(self._gdot, *self._times_in_domain(t))
+        return self._map(self._gdot, t)
 
-    def _times_in_domain(self, t) -> tuple[list, bool]:
-        """_time_list's times and scalar flag; DephaserError at the first 0 < t < t_min of a Brownian density."""
-        _, times, scalar = _time_list(t)
+    def _map(self, row, t):
+        """row at every time of t after _check_times; DephaserError at the first 0 < t < t_min of a Brownian density."""
+        ts, scalar = _check_times(t)
         if self.bath is not None:
-            for s in times:
-                if 0.0 < s < self._t_min:
-                    raise DephaserError(
-                        f"time {s!r} is below the validated domain of freq-quad, "
-                        f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}"
-                    )
-        return times, scalar
+            low = (0.0 < ts) & (ts < self._t_min)
+            if low.any():
+                raise DephaserError(
+                    f"time {float(ts[low.argmax()])!r} is below the validated domain of freq-quad, "
+                    f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}"
+                )
+        return _rows(row, ts, scalar)
 
     def _g(self, t: float) -> complex:
         if t == 0.0:
@@ -603,10 +596,10 @@ class TimeDomainQuadrature:
         self._nodes = {}
 
     def g(self, t):
-        return _rows(lambda s: self._integral(s, False), *_time_list(t)[1:])
+        return _rows(lambda s: self._integral(s, False), *_check_times(t))
 
     def gdot(self, t):
-        return _rows(lambda s: self._integral(s, True), *_time_list(t)[1:])
+        return _rows(lambda s: self._integral(s, True), *_check_times(t))
 
     def _corr_at(self, u: float) -> complex:
         """L(u) from the memo of nodes, or evaluated and stored there; a node where L raises stores nothing."""

@@ -115,7 +115,7 @@ def decay_exponent(evaluator, scenario, t: float) -> float:
 
 def decay_exponent_grid(evaluator, scenario, ts) -> np.ndarray:
     """decay_exponent at every time of the 1-d array ts, with g evaluated once per distinct time."""
-    ts = np.asarray(ts, dtype=float)
+    ts, _ = _check_times(ts)
     if isinstance(scenario, SingleTime):
         return _g_distinct(evaluator, ts).real
     if isinstance(scenario, Prepared):
@@ -132,21 +132,19 @@ def decay_exponent_rate(evaluator, scenario, t):
     each time.  A float time is computed on Python floats, whose IEEE
     arithmetic gives the bits of the same time inside an array.
     """
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim == 0:
-        t = _check_time(t)
+    ts, scalar = _check_times(t)
+    if scalar:
+        t = ts.item()
         if isinstance(scenario, SingleTime):
             return evaluator.gdot(t).real
         if isinstance(scenario, Prepared):
             a, b = evaluator.gdot(np.array([t, scenario.t1 + t])).real.tolist()
             return 2.0 * a - b
-    else:
-        ts, _ = _check_times(ts)
-        if isinstance(scenario, SingleTime):
-            return evaluator.gdot(ts).real
-        if isinstance(scenario, Prepared):
-            gdot = evaluator.gdot(np.concatenate((ts, scenario.t1 + ts))).real
-            return 2.0 * gdot[: ts.size] - gdot[ts.size :]
+    elif isinstance(scenario, SingleTime):
+        return evaluator.gdot(ts).real
+    elif isinstance(scenario, Prepared):
+        gdot = evaluator.gdot(np.concatenate((ts, scenario.t1 + ts))).real
+        return 2.0 * gdot[: ts.size] - gdot[ts.size :]
     raise TypeError(f"unknown scenario {scenario!r}")
 
 

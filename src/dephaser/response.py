@@ -18,7 +18,7 @@ import cmath
 
 import numpy as np
 
-from .dephasing import _check_time, _g_distinct, flip_exponent
+from .dephasing import _check_time, _check_times, _g_distinct, flip_exponent
 
 
 def echo_response(evaluator, t1: float, t2: float) -> complex:
@@ -40,7 +40,7 @@ def flip_exponent_grid(evaluator, ts) -> np.ndarray:
     g is evaluated once per distinct time among ts and the sums
     ts[i] + ts[j] as rounded, and the values are indexed back onto the grid.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts, _ = _check_times(ts)
     n = ts.size
     g = _g_distinct(evaluator, np.concatenate((ts, (ts[:, None] + ts).ravel())))
     g_axis = g[:n]

@@ -1,4 +1,4 @@
-"""40-digit (or finer) reference values of the lineshape engines: Re g(t), Re gdot(t), the digamma tail sums and Re L(t).
+"""Reference values of the lineshape engines to 40 digits or more: Re g(t), Re gdot(t), the digamma tail sums, Re L(t).
 
 reference gives Re g(t) and Re gdot(t) for a Brownian bath at any detuning of the pole gamma from its nearest
 Matsubara frequency nu_m, m = round(beta gamma / 2 pi) >= 1, exact float resonance included.
@@ -13,18 +13,24 @@ is sum_n P nu_1 (1 - e^-nx) / (n^2 - r).  The exact splits (J = 4)
 
 give Li_3, Li_5, Li_7, Li_9 (and Li_2 ... Li_8) of e^-x in closed form
 plus remainders whose terms fall off as n^-11 and n^-10.  The
-remainders are summed over their first N terms.  For N^2 >= 4r the
+remainders are summed over their first N terms, in fixed point as
+correlation's sum is (_remainders).  For N^2 >= 4r the
 rest is at most P r^J x^2 / (3 J N^(2J)) in Re g and
 2 P nu_1 r^J x / (3 J N^(2J)) in Re gdot (from h(y) <= y^2/2 and
 1 - e^-y <= y).  N grows in steps of CHUNK terms until N^2 >= 4r and
 both bounds are within 1e-13 of the values: 1 000 terms serve the warm
 baths, about 20 000 the cold ones (beta gamma / (2 pi) near 270).
 
-Near resonance the pole term, with cot(beta gamma / 2), and the m-th remainder
-term each grow as 1 / (a - m), a = beta gamma / 2 pi, and cancel; the
-rounding of the reduced argument of cot, and of k^2 - r, moves each by a
-relative 10^-dps that the cancellation scales by 1 / (a - m)^2.  So the
-working precision is 40 digits plus 2 per decade of |a - m| below 1e-3.
+The working precision follows what cancels (_digits).  Each bracket of
+the closed form, Li_s(e^-x) + x zeta(s - 1) - zeta(s), is O(x^2) out of
+O(1), and r^3 = a^6 scales the last ones, so the split loses about
+2 log10(1/x) + 6 log10(a) digits: 40 digits, plus 2 per decade of x below
+1 and 6 per decade of a above 1.  Near resonance the pole term, with
+cot(beta gamma / 2), and the m-th remainder term each grow as 1 / (a - m),
+a = beta gamma / 2 pi, and cancel; the rounding of the reduced argument of
+cot, and of k^2 - r, moves each by a relative 10^-dps that the cancellation
+scales by 1 / (a - m)^2.  So 2 digits more per decade of |a - m| below
+1e-3.  A test pins the rule: 20 digits more move no value by 1e-15.
 
 reference is independent of every engine: no quadrature, no digamma, no
 float64.  tail_sums gives the digamma differences that
@@ -37,7 +43,8 @@ exact, not the engine's float.  Below x = LERCH_X the sum runs in fixed point
 q^(n0+1) (Phi(q, 1, n0 + 1 - a) + Phi(q, 1, n0 + 1 + a)) / 2 by mpmath.lerchphi;
 from LERCH_X on, the fixed-point sum runs until q^n is 0 in it.  Near resonance
 it takes _digits' precision, as reference does.  It shares nothing with the
-engine's Euler-Maclaurin tails and exponential integrals.
+engine's Euler-Maclaurin tails and exponential integrals.  No loss like the
+split's is known there, so it takes only the detuning's digits.
 """
 
 from __future__ import annotations
@@ -56,14 +63,15 @@ LERCH_X = 0.01
 
 
 def reference(eta: float, gamma: float, beta: float, t: float) -> tuple[float, float]:
-    """(Re g(t), Re gdot(t)) of the bath (eta, gamma, beta) at t > 0, to 40 digits, rounded to floats."""
+    """(Re g(t), Re gdot(t)) of the bath (eta, gamma, beta) at t > 0, to 40 digits or more, rounded to floats."""
     re_g, re_gdot, _ = reference_with_bounds(eta, gamma, beta, t)
     return re_g, re_gdot
 
 
 def reference_with_bounds(eta: float, gamma: float, beta: float, t: float, min_terms: int = CHUNK):
     """reference's values, then (bound on Re g, bound on Re gdot, N) of the remainders, with N >= min_terms."""
-    with mpmath.workdps(_digits(beta * gamma / (2.0 * math.pi))):
+    a = beta * gamma / (2.0 * math.pi)
+    with mpmath.workdps(_digits(a) + _split_digits(a, 2.0 * math.pi * t / beta)):
         eta, gamma, beta, t = (mpmath.mpf(v) for v in (eta, gamma, beta, t))
         nu1 = 2 * mpmath.pi / beta
         x, r = nu1 * t, (gamma / nu1) ** 2
@@ -75,15 +83,10 @@ def reference_with_bounds(eta: float, gamma: float, beta: float, t: float, min_t
             series_gdot += r**j * (mpmath.zeta(s - 1) - mpmath.polylog(s - 1, q))
         pref = 4 * eta * gamma / (beta * nu1**3)
         cot = mpmath.cot(beta * gamma / 2)
-        rest_g = rest_gdot = mpmath.mpf(0)
-        qk = mpmath.mpf(1)
+        remainders = _remainders(x, r, q, 2 * nj)
         n = 0
         while True:
-            for k in range(n + 1, n + CHUNK + 1):
-                qk *= q
-                w = 1 / (mpmath.mpf(k) ** (2 * nj) * (k * k - r))
-                rest_g += w * (qk + k * x - 1) / k
-                rest_gdot += w * (1 - qk)
+            rest_g, rest_gdot = next(remainders)
             n += CHUNK
             re_g = (eta / gamma) * cot * (mpmath.expm1(-gamma * t) + gamma * t) + pref * (series_g + r**nj * rest_g)
             re_gdot = -eta * cot * mpmath.expm1(-gamma * t) + pref * nu1 * (series_gdot + r**nj * rest_gdot)
@@ -101,6 +104,34 @@ def _digits(a: float) -> int:
     """
     detuning = max(abs(a - round(a)), 1e-18 * a)
     return 40 + 2 * max(0, math.ceil(-math.log10(detuning)) - 3) if round(a) >= 1 else 40
+
+
+def _split_digits(a: float, x: float) -> int:
+    """The digits reference's exact split loses at a = beta gamma / 2 pi and x = 2 pi t / beta, which it works with
+    on top of _digits: 2 per decade of x below 1 and 6 per decade of a above 1 (module docstring)."""
+    return math.ceil(2.0 * max(0.0, -math.log10(x)) + 6.0 * max(0.0, math.log10(a)))
+
+
+def _remainders(x, r, q, p: int):
+    """(sum of h(kx) / (k^(p+1) (k^2 - r)), sum of (1 - q^k) / (k^p (k^2 - r))) over k = 1, ..., n, yielded at
+    n = CHUNK, 2 CHUNK, ...; h(y) = e^-y + y - 1 and q = e^-x.
+
+    Kept, as _fixed_point_sum's sums are, in integers scaled by 2^bits, bits 64 more than the working precision: q^k
+    is off by at most k 2^-bits and h(kx), about (kx)^2 / 2, by at most 2k 2^-bits, which _split_digits' 2 digits per
+    decade of x below 1 keep 64 bits below the precision of h; each term adds at most 2^-bits for its division.
+    """
+    bits = mpmath.mp.prec + 64
+    one = 1 << bits
+    q_fixed, x_fixed, r_fixed = int(mpmath.floor(q * one)), int(mpmath.nint(x * one)), int(mpmath.nint(r * one))
+    rest_g = rest_gdot = 0
+    q_k, k = one, 0
+    while True:
+        for k in range(k + 1, k + CHUNK + 1):
+            q_k = q_k * q_fixed >> bits
+            den = k**p * (k * k * one - r_fixed)
+            rest_g += ((q_k + k * x_fixed - one) << bits) // (k * den)
+            rest_gdot += ((one - q_k) << bits) // den
+        yield mpmath.mpf(rest_g) / one, mpmath.mpf(rest_gdot) / one
 
 
 def tail_sums(eta: float, gamma: float, beta: float, a: float, last: int) -> tuple[float, float]:

@@ -847,16 +847,27 @@ def test_writer_matches_row_by_row_format(fmt, n_rows):
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 4])
-def test_json_writer_matches_json_dump_on_non_finite(n_rows):
+def test_emit_refuses_non_finite_values(capsys, monkeypatch, tmp_path, n_rows):
+    # no command writes nan or inf: a series or a report holding one is a DephaserError before --out is opened
     nan, inf = float("nan"), float("inf")
     rows = [[nan, inf, -inf], [-inf, nan, 0.5], [inf, -inf, nan], [nan, 1.0, -0.0]][:n_rows]
-    fh = io.StringIO()
-    _write_series(Series(["x", "y", "z"], np.array(rows)), "json", fh)
-    payload = {"schema_version": SCHEMA_VERSION, "columns": ["x", "y", "z"], "rows": rows}
-    assert fh.getvalue() == json.dumps(payload) + "\n"
+    monkeypatch.setattr(dephaser.cli, "cmd_gfun", lambda cfg: Series(["x", "y", "z"], np.array(rows)))
+    monkeypatch.setattr(dephaser.cli, "cmd_measure", lambda cfg: {"n_value": 0.5, "pair": {"p11": rows[-1][0]}})
+    for command in ("gfun", "measure"):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{command}.{fmt}"
+            for argv in ([command, "--format", fmt, "--out", str(out)], [command, "--format", fmt]):
+                rc, stdout, err = run_cli(capsys, argv)
+                assert (rc, stdout) == (1, "") and not out.exists()
+                assert json.loads(err)["error"] == {
+                    "type": "DephaserError",
+                    "message": "the output holds a nan or infinite value, which no command writes",
+                }
 
 
-_SPECIALS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324, 2.2250738585072014e-308 / 3]
+# the extreme values a finite column can hold; _emit refuses nan and inf before the writer sees them
+_FMAX, _FMIN = sys.float_info.max, sys.float_info.min
+_SPECIALS = [0.0, -0.0, _FMAX, -_FMAX, _FMIN, 5e-324, -5e-324, _FMIN / 3]
 
 
 def _edge_series(n_rows, n_cols):

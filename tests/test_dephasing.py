@@ -24,7 +24,7 @@ from dephaser.dephasing import (
     TimeDomainQuadrature,
     _MEMO_CALL,
     _MEMO_TIMES,
-    _time_list,
+    _check_times,
     make_evaluator,
 )
 from dephaser.errors import DephaserError
@@ -443,7 +443,7 @@ def test_memo_hits_skip_the_time_check(monkeypatch):
     def refuse(*args):
         raise AssertionError("a call of held times checked them")
 
-    for name in ("_time_list", "_check_list"):
+    for name in ("_check_times", "_check_list"):
         monkeypatch.setattr(dephasing, name, refuse)
     for s in _HELD:
         ev.g(s)
@@ -647,21 +647,23 @@ def test_time_quad_memo_stays_within_its_bound(monkeypatch):
 
 
 def test_bad_time_in_array_rejected_like_a_scalar():
-    # hight checks an array by numpy reductions; the other engines check the list of times they step through
+    # every engine checks a call of up to three times on Python floats, and a larger one by numpy reductions
     for ev in brownian_engines():
         for bad in (-0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError) as scalar_error:
                 ev.gdot(bad)
-            # the bad time first, in the middle or last of three, and ahead of another bad time
-            for times in ([bad, 0.1, 2.0], [0.1, bad, 2.0], [0.1, 2.0, bad], [0.1, bad, -1.0], [0.1, bad, math.nan]):
+            # the bad time first, in the middle or last of three or of five, and ahead of another bad time
+            three = ([bad, 0.1, 2.0], [0.1, bad, 2.0], [0.1, 2.0, bad], [0.1, bad, -1.0], [0.1, bad, math.nan])
+            five = ([bad, 0.1, 2.0, 0.3, 0.4], [0.1, 2.0, 0.3, 0.4, bad], [0.1, bad, 2.0, -1.0, math.nan])
+            for times in three + five:
                 with pytest.raises(ValueError) as array_error:
                     ev.gdot(np.array(times))
                 assert str(array_error.value) == str(scalar_error.value)
         with pytest.raises(ValueError, match="1-d"):
             ev.g(np.ones((2, 2)))
     # valid times whose sum overflows pass the list check
-    _, times, scalar = _time_list(np.array([1e308, 1e308, 0.0]))
-    assert times == [1e308, 1e308, 0.0] and not scalar
+    ts, scalar = _check_times(np.array([1e308, 1e308, 0.0]))
+    assert ts.tolist() == [1e308, 1e308, 0.0] and not scalar
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,23 @@ def test_decay_exponent_grid_matches_pointwise_exactly(scenario):
     assert decay_exponent_grid(ev, scenario, ts).tolist() == want
 
 
+def test_grid_entries_check_their_times_in_call_order():
+    # g sees the distinct times sorted, and the sums t1 + t2: the first bad time passed must raise, as the rate's does
+    ev = BrownianMatsubara(BATH)
+    times = [math.nan, -1.0]
+    with pytest.raises(ValueError) as rate_error:
+        decay_exponent_rate(ev, SingleTime(), times)
+    for grid in (lambda: decay_exponent_grid(ev, SingleTime(), times), lambda: flip_exponent_grid(ev, times)):
+        with pytest.raises(ValueError) as grid_error:
+            grid()
+        assert str(grid_error.value) == str(rate_error.value) == "time must be finite and nonnegative, got nan"
+    with pytest.raises(ValueError, match="-1.0"):  # not the sum -2.0, which the caller never passed
+        flip_exponent_grid(ev, [0.5, -1.0])
+    for scenario in (SingleTime(), Prepared(1.0)):
+        with pytest.raises(ValueError, match=r"a scalar or a 1-d array, got shape \(2, 2\)"):
+            decay_exponent_grid(ev, scenario, np.ones((2, 2)))
+
+
 def test_rate_matches_exponent_derivative():
     ev = BrownianMatsubara(BATH)
     h = 1e-5
