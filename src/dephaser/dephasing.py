@@ -123,9 +123,10 @@ def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool]:
     reductions, which cost a grid far less than a list of its times does.
     The two cross at about 70 times.
     """
-    ts = _as_times(t)
+    ts = t if type(t) is float else _as_times(t)
     if type(ts) is float:
-        _check_range(_check_time(ts), t_max)
+        if not 0.0 <= ts <= t_max:  # a nan fails it too
+            _check_range(_check_time(ts), t_max)
         return np.array([ts]), True
     if ts.size <= _MEMO_CALL:
         _check_list(ts.tolist(), t_max)

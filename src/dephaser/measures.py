@@ -129,22 +129,24 @@ def decay_exponent_rate(evaluator, scenario, t):
     """dE/dt of decay_exponent at a time (a float) or at every time of a 1-d array; negative values mark rephasing.
 
     One gdot call either way: at the times, and for Prepared also at t1 plus
-    each time.  A float time is computed on Python floats, whose IEEE
-    arithmetic gives the bits of the same time inside an array.
+    each time.  Other times than a float are checked first (_check_times); a
+    float is checked once, by the engine's own _check_times in that call,
+    which names it before t1 plus it.  A float time is computed on Python
+    floats, whose IEEE arithmetic gives the bits of the same time inside an
+    array.
     """
-    ts, scalar = _check_times(t)
-    if scalar:
-        t = ts.item()
-        if isinstance(scenario, SingleTime):
-            return evaluator.gdot(t).real
-        if isinstance(scenario, Prepared):
+    scalar = type(t) is float
+    if not scalar:
+        ts, scalar = _check_times(t)
+        t = ts.item() if scalar else ts
+    if isinstance(scenario, SingleTime):
+        return evaluator.gdot(t).real
+    if isinstance(scenario, Prepared):
+        if scalar:
             a, b = evaluator.gdot(np.array([t, scenario.t1 + t])).real.tolist()
             return 2.0 * a - b
-    elif isinstance(scenario, SingleTime):
-        return evaluator.gdot(ts).real
-    elif isinstance(scenario, Prepared):
-        gdot = evaluator.gdot(np.concatenate((ts, scenario.t1 + ts))).real
-        return 2.0 * gdot[: ts.size] - gdot[ts.size :]
+        gdot = evaluator.gdot(np.concatenate((t, scenario.t1 + t))).real
+        return 2.0 * gdot[: t.size] - gdot[t.size :]
     raise TypeError(f"unknown scenario {scenario!r}")
 
 
