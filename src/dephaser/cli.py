@@ -157,8 +157,12 @@ def _column_text(col: np.ndarray, fmt: str, before: str, after: str) -> tuple[np
     infinite: _emit refuses them.
     """
     bits, where = np.unique(col.view(np.uint64), return_inverse=True)
-    pattern = f"{before}%.17g{after}" if fmt == "csv" else f"{before}%r{after}"
-    return np.array(list(map(pattern.__mod__, bits.view(np.float64).tolist())), dtype=object), where
+    values = bits.view(np.float64).tolist()
+    if fmt == "csv":
+        text = list(map(f"{before}%.17g{after}".__mod__, values))
+    else:
+        text = [f"{before}{v!r}{after}" for v in values]
+    return np.array(text, dtype=object), where
 
 
 def _write_series(series: Series, fmt: str, fh) -> None:

@@ -501,11 +501,10 @@ class FrequencyQuadrature:
     def _map(self, row, t):
         """row at every time of t after _check_times; DephaserError at the first 0 < t < t_min of a Brownian density."""
         ts, scalar = _check_times(t)
-        if self.bath is not None:
-            low = (0.0 < ts) & (ts < self._t_min)
-            if low.any():
+        for s in ts.tolist() if self.bath is not None else ():
+            if 0.0 < s < self._t_min:
                 raise DephaserError(
-                    f"time {float(ts[low.argmax()])!r} is below the validated domain of freq-quad, "
+                    f"time {s!r} is below the validated domain of freq-quad, "
                     f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}"
                 )
         return _rows(row, ts, scalar)
