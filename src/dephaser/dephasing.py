@@ -121,7 +121,7 @@ def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool]:
     floats (_check_time, _check_list), which costs a pointwise call far
     less than numpy reductions do; more are checked by two numpy
     reductions, which cost a grid far less than a list of its times does.
-    The two cross at about 70 times.
+    The two cross at about 80 times.
     """
     ts = t if type(t) is float else _as_times(t)
     if type(ts) is float:
