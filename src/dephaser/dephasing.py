@@ -397,9 +397,17 @@ class BrownianMatsubara:
         return values[0] if scalar else np.fromiter(values, complex, len(values))
 
     def gdot(self, t):
-        """gdot at a time (a complex) or at every time of a 1-d array (a complex array)."""
-        ts, scalar = _check_times(t, self._t_max)
-        return _rows(self._gdot_row, ts, scalar, self._explicit(ts, True).tolist())
+        """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
+
+        As in g, a call of 2 to _MEMO_CALL times checks the one list of its times that its rows then read.
+        """
+        t = t if type(t) is float else _as_times(t)
+        if type(t) is float or t.size > _MEMO_CALL:
+            ts, scalar = _check_times(t, self._t_max)
+            return _rows(self._gdot_row, ts, scalar, self._explicit(ts, True).tolist())
+        times = t.tolist()
+        _check_list(times, self._t_max)
+        return np.fromiter(map(self._gdot_row, times, self._explicit(t, True).tolist()), complex, len(times))
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included.

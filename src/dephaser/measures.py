@@ -42,6 +42,7 @@ other evaluator scan a grid and refine each sign change by the same root.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -326,10 +327,20 @@ def _growth_runs(evaluator, scenario, t_max: float):
 
 
 def _weights(evaluator, scenario, runs):
-    """e^{-2E} at the ends and at the starts of the growth runs, from one decay_exponent_grid call."""
+    """(w_end, w_start, unit): e^{-2E} / unit^2 at the ends and at the starts of the growth runs, from one
+    decay_exponent_grid call, and the unit of distance that the gains of these weights are in when dp is in it too.
+
+    unit is 1 unless even the largest e^{-2E} is below the normal floats (E above about 354), where it would lose
+    the distance |dc| e^{-E} of a pair with dp = 0 while that is still a normal float; there unit is 2^-511, and the
+    weights are e^{-2 (E - 511 ln 2)}.
+    """
     ends_starts = [e for _, e in runs] + [s for s, _ in runs]
-    w = [_weight(e) for e in decay_exponent_grid(evaluator, scenario, ends_starts).tolist()]
-    return w[: len(runs)], w[len(runs) :]
+    es = decay_exponent_grid(evaluator, scenario, ends_starts).tolist()
+    w, unit = [_weight(e) for e in es], 1.0
+    if max(w) < sys.float_info.min:
+        shift, unit = 511.0 * math.log(2.0), 2.0**-511
+        w = [_weight(e - shift) for e in es]
+    return w[: len(runs)], w[len(runs) :], unit
 
 
 def _gain(dp2, dc2, w_end, w_start):
@@ -348,12 +359,12 @@ def _total_gain(dp2, dc2, w_end, w_start):
     return total
 
 
-def _growth_records(runs, pair: StatePair, w_end, w_start) -> tuple:
-    """GrowthInterval records of the runs with the distance gained by pair."""
-    dp = pair.a.p11 - pair.b.p11
+def _growth_records(runs, pair: StatePair, w_end, w_start, unit) -> tuple:
+    """GrowthInterval records of the runs with the distance gained by pair, from weights in unit (_weights)."""
+    dp = (pair.a.p11 - pair.b.p11) / unit
     dc2 = abs(pair.a.c12 - pair.b.c12) ** 2
     return tuple(
-        GrowthInterval(s, e, float(_gain(dp * dp, dc2, a, b)))
+        GrowthInterval(s, e, unit * float(_gain(dp * dp, dc2, a, b)))
         for (s, e), a, b in zip(runs, w_end, w_start)
     )
 
@@ -402,10 +413,10 @@ def _class_tables(pm, mag, cos_k, rows):
     return (pm[rows, None] - pm) ** 2, dc2
 
 
-def _grid_search(search: GridSearch, weights_end, weights_start):
+def _grid_search(search: GridSearch, weights_end, weights_start, unit=1.0):
     """The grid pair of the best phase-difference class, with the pair's own summed interval gain.
 
-    weights_end/weights_start are e^{-2E} at the interval endpoints.  A
+    weights_end/weights_start are e^{-2E} at the interval endpoints, in unit (_weights).  A
     pair's gain depends on dp^2 and |dc|^2 only, and on equispaced phases
     |dc|^2 depends on the phase difference through its class k alone: the
     pairs of a class (k, a, b) are the same two magnitude states a, b with
@@ -419,13 +430,14 @@ def _grid_search(search: GridSearch, weights_end, weights_start):
     w = weights_end, weights_start
     n_h = search.n_phase
     pm, mag = _magnitude_states(search)
+    pm_in_unit = pm / unit
     phase = _grid_axes(search)[2]
     cos_k = np.cos(phase[: n_h // 2 + 1])
     step = max(1, _BLOCK // (cos_k.size * mag.size))
     best = -np.inf
     for start in range(0, mag.size, step):
         rows = slice(start, start + step)
-        gain = _total_gain(*_class_tables(pm, mag, cos_k, rows), *w)
+        gain = _total_gain(*_class_tables(pm_in_unit, mag, cos_k, rows), *w)
         if (top := gain.max()) > best:
             best, best_start, best_gain = top, start, gain
     k, a, b = np.nonzero(best_gain == best)
@@ -433,7 +445,7 @@ def _grid_search(search: GridSearch, weights_end, weights_start):
 
     m, h = np.divmod([ia, ib], n_h)
     p, c = pm[m], mag[m] * np.exp(1j * phase[h])
-    n_value = _total_gain((p[:1] - p[1:]) ** 2, np.abs(c[:1] - c[1:]) ** 2, *w)[0]
+    n_value = unit * _total_gain(((p[:1] - p[1:]) / unit) ** 2, np.abs(c[:1] - c[1:]) ** 2, *w)[0]
     pair = StatePair(
         DensityMatrix2(float(p[0]), complex(c[0])),
         DensityMatrix2(float(p[1]), complex(c[1])),
@@ -479,11 +491,11 @@ def non_markovianity(
     if not runs:
         return NonMarkovResult(0.0, (), analytic_pair(), scenario, t_max, truncated, label)
 
-    w_end, w_start = _weights(evaluator, scenario, runs)
+    w_end, w_start, unit = _weights(evaluator, scenario, runs)
     if isinstance(search, GridSearch):
-        n_value, pair = _grid_search(search, w_end, w_start)
+        n_value, pair = _grid_search(search, w_end, w_start, unit)
     else:
         pair = analytic_pair()
-        n_value = _total_gain(0.0, 1.0, w_end, w_start)
-    intervals = _growth_records(runs, pair, w_end, w_start)
+        n_value = unit * _total_gain(0.0, 1.0, w_end, w_start)
+    intervals = _growth_records(runs, pair, w_end, w_start, unit)
     return NonMarkovResult(float(n_value), intervals, pair, scenario, t_max, truncated, label)

@@ -36,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._expint_fits import _E1_FIT, _EI_FIT
 from ._quadrature import integrate_finite, integrate_fourier_tail
 from .errors import DephaserError, ExtrapolationError
 
@@ -61,11 +62,14 @@ _L0_DIVERGES = "Re L(t) of the Brownian bath diverges logarithmically as t -> 0;
 _WINDOW = 32
 _DIRECT_X = 0.2
 _A_MAX = 2.0**52
-# B_2k / (2k)! at j = 2k - 1 = 1, ..., 9: the Euler-Maclaurin corrections of the tails, with the even j at 0
-_BERNOULLI = (1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600, 0.0, 1 / 47900160)
+# B_2k / (2k)! at j = 2k - 1 = 1, 3, ..., 9: the Euler-Maclaurin corrections of the tails, by the j-th derivative
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 _EULER_GAMMA = 0.57721566490153286061
 # z from which e^-z Ei(z) and e^z E1(z) are their asymptotic series
 _ASYMPTOTIC = 50.0
+# 1 / (k k!) for k = 18, ..., 1: the terms of _exp_integral_series, of which the 19th and later leave out less than
+# 0.01 ulp of e^z E1(z) and e^-z Ei(z) below z = 1
+_SERIES = tuple(1 / (k * math.factorial(k)) for k in range(18, 0, -1))
 
 
 def _check_time(t) -> float:
@@ -104,32 +108,44 @@ def coth(x):
 
 
 def _e1_scaled(z: float) -> float:
-    """e^z E1(z) for z > 0, to a few ulp: its power series below 1, where it cancels by at most a factor 4, and
-    above it the continued fraction of A&S 5.1.22, evaluated from a depth that leaves out less than 1 ulp."""
+    """e^z E1(z) for z > 0, to a few ulp, at a fixed cost: its power series below 1, where it cancels by at most a
+    factor 4, the piecewise polynomials of _E1_FIT (within about 1 ulp) on [1, _ASYMPTOTIC), and its asymptotic series
+    from there."""
     if z < 1.0:
         return math.exp(z) * (-_EULER_GAMMA - math.log(z) - _exp_integral_series(-z))
-    t = 0.0
-    for i in range(int(6.0 + 105.0 / z), 0, -1):
-        t = i * i / (z + 2 * i + 1 - t)
-    return 1.0 / (z + 1.0 - t)
+    if z < _ASYMPTOTIC:
+        return _fit(z, _E1_FIT)
+    return 1.0 / z + _asymptotic_rest(z, -1.0)
 
 
 def _ei_scaled(z: float) -> float:
-    """e^-z Ei(z) for 0 < z < _ASYMPTOTIC, to a few ulp of max(|e^-z Ei(z)|, e^-z |log z|): its power series, of
-    positive terms.  From _ASYMPTOTIC on, BrownianCorrelation._end sums the asymptotic series in its place."""
-    return math.exp(-z) * (_EULER_GAMMA + math.log(z) + _exp_integral_series(z))
+    """e^-z Ei(z) for 0 < z < _ASYMPTOTIC, to a few ulp of max(|e^-z Ei(z)|, e^-z |log z|), at a fixed cost: its power
+    series, of positive terms, below 1 and the piecewise polynomials of _EI_FIT above.  From _ASYMPTOTIC on,
+    BrownianCorrelation._end sums the asymptotic series in its place."""
+    if z < 1.0:
+        return math.exp(-z) * (_EULER_GAMMA + math.log(z) + _exp_integral_series(z))
+    return _fit(z, _EI_FIT)
 
 
 def _exp_integral_series(w: float) -> float:
-    """sum_{k >= 1} w^k / (k k!), which is Ei(w) - gamma - log w for w > 0 and -gamma - log |w| - E1(|w|) for w < 0
-    (A&S 5.1.10-11), to its first term below 1e-17 of the sum."""
-    term, s, k = 1.0, 0.0, 0
-    while True:
-        k += 1
-        term *= w / k
-        s += term / k
-        if not abs(term) > 1e-17 * abs(s):
-            return s
+    """sum_{k >= 1} w^k / (k k!) for |w| < 1, which is Ei(w) - gamma - log w for w > 0 and -gamma - log |w| - E1(|w|)
+    for w < 0 (A&S 5.1.10-11), by Horner's rule in its first 18 terms."""
+    p = 0.0
+    for c in _SERIES:
+        p = p * w + c
+    return p * w
+
+
+def _fit(z: float, table: tuple) -> float:
+    """The polynomial of the piece of z, 1 <= z < 56, in a table of _expint_fits: at s, z = 2^(e-3) (k + 1/2 + s)."""
+    m, e = math.frexp(z)
+    m *= 8.0
+    k = int(m)
+    s = m - k - 0.5  # exact
+    p = 0.0
+    for c in table[4 * e + k - 8]:
+        p = p * s + c
+    return p
 
 
 def _asymptotic_rest(z: float, sign: float) -> float:
@@ -439,12 +455,32 @@ class BrownianCorrelation:
             big = 2.0 * u / ((a - u) * (a + u) * x) + _asymptotic_rest(below, 1.0) - _asymptotic_rest(above, -1.0)
         else:
             big = (_ei_scaled(below) if u < a else -_e1_scaled(-below)) - _e1_scaled(above)
-        ha, hb, power = ra, rb, 1.0
-        for j, bernoulli in enumerate(_BERNOULLI, 1):
-            power *= -x
-            ha = (power - j * ha) * ra
-            hb = (power - j * hb) * rb
-            big += bernoulli * (ha + hb)
+        # h_1, ..., h_9 of g_a and g_-a: the corrections take the odd j, whose recurrences the even j feed
+        b1, b3, b5, b7, b9 = _BERNOULLI
+        w = -x
+        p = w
+        ha, hb = (p - ra) * ra, (p - rb) * rb
+        big += b1 * (ha + hb)
+        p *= w
+        ha, hb = (p - 2.0 * ha) * ra, (p - 2.0 * hb) * rb
+        p *= w
+        ha, hb = (p - 3.0 * ha) * ra, (p - 3.0 * hb) * rb
+        big += b3 * (ha + hb)
+        p *= w
+        ha, hb = (p - 4.0 * ha) * ra, (p - 4.0 * hb) * rb
+        p *= w
+        ha, hb = (p - 5.0 * ha) * ra, (p - 5.0 * hb) * rb
+        big += b5 * (ha + hb)
+        p *= w
+        ha, hb = (p - 6.0 * ha) * ra, (p - 6.0 * hb) * rb
+        p *= w
+        ha, hb = (p - 7.0 * ha) * ra, (p - 7.0 * hb) * rb
+        big += b7 * (ha + hb)
+        p *= w
+        ha, hb = (p - 8.0 * ha) * ra, (p - 8.0 * hb) * rb
+        p *= w
+        ha, hb = (p - 9.0 * ha) * ra, (p - 9.0 * hb) * rb
+        big += b9 * (ha + hb)
         return math.exp(-u * x) * (0.5 * big + half * u / ((u - a) * (u + a)))
 
     def __call__(self, t: float) -> complex:

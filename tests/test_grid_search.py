@@ -141,9 +141,10 @@ def test_grid_search_is_the_brute_force_bit_for_bit(sizes, weights):
 def test_default_bath_30x30x8_is_the_brute_force(t1):
     ev = BrownianMatsubara(BATH)
     runs, _ = _growth_runs(ev, Prepared(t1), 20.0)
-    w = _weights(ev, Prepared(t1), runs)
+    w_end, w_start, unit = _weights(ev, Prepared(t1), runs)
+    assert unit == 1.0
     search = GridSearch(30, 30, 8)
-    assert bits(*_grid_search(search, *w)) == bits(*brute_force(search, *w))
+    assert bits(*_grid_search(search, w_end, w_start)) == bits(*brute_force(search, w_end, w_start))
 
 
 def test_50x50x8_keeps_the_brute_force_result():

@@ -470,7 +470,8 @@ def test_certified_measure_is_the_scan_measure(eta, gamma, beta, t1):
     assert abs(interval.t_end - scan_end) <= _REFINE_TOL
     # N = D(t_end) - D(0) is a difference of two distances, so its roundoff is on the scale of D(t_end):
     # relative to N itself the routes differ by up to 3e-11 on damped baths, where D(t_end) is about 1000 N
-    scan_n = _total_gain(0.0, 1.0, *_weights(ev, scenario, runs))
+    w_end, w_start, unit = _weights(ev, scenario, runs)
+    scan_n = unit * _total_gain(0.0, 1.0, w_end, w_start)
     assert abs(res.n_value - scan_n) <= 1e-12 * pair_distance(analytic_pair(), ev, scenario, scan_end)
 
 
@@ -652,6 +653,20 @@ def _library_bytes(bath):
 def test_library_bits_match_the_pinned_digests(name):
     _skip_off_the_pinned_kernel()
     assert hashlib.sha256(_library_bytes(_LIBRARY_BATHS[name])).hexdigest() == _LIBRARY_DIGESTS[name]
+
+
+def test_measure_keeps_a_coherence_whose_square_underflows():
+    # E(t_end) = 406.5 on this hot bath: e^{-2E} is below the floats, e^{-E} = 2.8e-177 is a normal float, and N of the
+    # analytic pair is e^{-E(t_end)} - e^{-E(0)}; the grid's best pair has |dc| = 1 - 1e-12 and dp = 0
+    ev = BrownianMatsubara(BathParams(6.0, 1.0, 0.109375))
+    scenario = Prepared(5.0)
+    res = non_markovianity(SYS, ev, scenario)
+    (interval,) = res.intervals
+    want = math.exp(-decay_exponent(ev, scenario, interval.t_end)) - math.exp(-decay_exponent(ev, scenario, 0.0))
+    assert want > 1e-177 and res.n_value == interval.delta_d
+    assert math.isclose(res.n_value, want, rel_tol=1e-12)
+    grid = non_markovianity(SYS, ev, scenario, search=GridSearch(5, 5, 4))
+    assert math.isclose(grid.n_value, want, rel_tol=1e-11)
 
 
 class _Negative:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import _expint_fit
 import mpmath
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from test_dephasing import _skip_off_the_pinned_kernel
 from scipy.special import digamma as scipy_digamma
 
 import dephaser
+from dephaser import _expint_fits
 from dephaser.dephasing import BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
@@ -151,9 +153,12 @@ def test_scaled_exponential_integrals_match_mpmath():
     # e^z E1(z) within 8 ulp (its series cancels by up to a factor 4 just below 1) from 1e-300 to 1e6, and e^-z Ei(z)
     # within 12 ulp of max(|e^-z Ei(z)|, e^-z |log z|) (Ei crosses 0 at z = 0.3725) below _ASYMPTOTIC, its domain,
     # either side of each switch; from _ASYMPTOTIC on, the asymptotic series of both, which BrownianCorrelation._end
-    # sums there, within 4 ulp
+    # sums there, within 4 ulp; at every edge of the fits on [1, _ASYMPTOTIC) and the float below it, and densely on
+    # [1, 2], where the fits replaced a continued fraction of up to 110 levels
+    edges = [math.ldexp(k, e - 3) for e in range(1, 7) for k in range(4, 8) if math.ldexp(k, e - 3) < _ASYMPTOTIC]
     zs = np.concatenate([np.geomspace(1e-300, 1e6, 300), np.linspace(0.05, 60.0, 150), [5e-324]])
-    zs = np.concatenate([zs, [s for z in (1.0, _ASYMPTOTIC) for s in (z, np.nextafter(z, 0.0))]])
+    zs = np.concatenate([zs, np.linspace(1.0, 2.0, 401)])
+    zs = np.concatenate([zs, [s for z in (*edges, _ASYMPTOTIC) for s in (z, np.nextafter(z, 0.0))]])
     with mpmath.workdps(40):
         for z in zs.tolist():
             e1, ei = mpmath.exp(z) * mpmath.e1(z), mpmath.exp(-z) * mpmath.ei(z)
@@ -163,6 +168,18 @@ def test_scaled_exponential_integrals_match_mpmath():
             else:
                 assert abs(1.0 / z + _asymptotic_rest(z, -1.0) - e1) <= 4.0 * _ULP * e1, z
                 assert abs(1.0 / z + _asymptotic_rest(z, 1.0) - ei) <= 4.0 * _ULP * ei, z
+
+
+@pytest.mark.parametrize("name", ["_E1_FIT", "_EI_FIT"])
+def test_fit_tables_are_the_mpmath_fits(name):
+    # one piece of [1, 56) per row, in the order _fit indexes them, and three rows are the floats of tests/_expint_fit.py
+    # (mpmath's chebyfit at 50 digits) at their degree: refitting all 46 takes about 2 s
+    table = getattr(_expint_fits, name)
+    pieces = _expint_fit.pieces()
+    assert len(table) == len(pieces) == 23
+    for i in (0, 11, 22):
+        e, k = pieces[i]
+        assert _expint_fit.fit(_expint_fit.SCALED[name], e, k, len(table[i]) - 1) == table[i], (e, k)
 
 
 def test_cot_rest_matches_mpmath():
@@ -481,10 +498,14 @@ def test_correlation_matches_the_oracle(log_eta, gamma, log_beta, log_t):
 
 
 # the cold baths where the old n^-5 series was off (beta 933 by up to 9e-10, 2e5 by 1.3e-3 and 1e6 by 8.8 relative),
-# the pole on nu_1 and 1e-3 from it, and t = 26 on (0.5, 1.2, 5), where the quadrature route of L is 1.4e-3 off
+# the pole on nu_1 and 1e-3 from it, t = 26 on (0.5, 1.2, 5), where the quadrature route of L is 1.4e-3 off, and two
+# points whose tail ends take e^z E1(z) or e^-z Ei(z) at z in [1, 2]: the upper end at z = 1.52 (a = 31.8, one end),
+# and the lower tail's end at n = 1 at z = 1.79 and 1.81 (a = 267, three ends)
 _ORACLE_POINTS = {
     "beta 933, t 1e-3": (1.3, 1.8, 933.0, 1e-3),
+    "beta 933, t 1": (1.3, 1.8, 933.0, 1.0),
     "beta 933, t 3.5": (1.3, 1.8, 933.0, 3.5),
+    "beta 200, t 0.5": (2.0, 1.0, 200.0, 0.5),
     "beta 2e5": (1.0, 0.5, 2e5, 2.0),
     "beta 1e6": (1.0, 0.5, 1e6, 2.0),
     "a = 1": (1.0, 1.0, 2.0 * math.pi, 0.5),
@@ -520,9 +541,10 @@ def test_correlation_raises_past_its_domain():
 
 
 # SHA-256 of the raw bytes of L on every _CUT_BATHS bath at its _cut_times, recorded with numpy 2.4.6 on x86-64 when
-# the Matsubara sum became the window and Euler-Maclaurin tails; a change that moves a bit of L on purpose records it
-# again and says so
-_L_PINNED_DIGEST = "839daac83d657c7f7f2947c91ded5fbdb93cb236d3d6b725f2c173a18a88e276"
+# the Matsubara sum became the window and Euler-Maclaurin tails, and again when the tails' exponential integrals became
+# fixed-degree fits (24 of 320 values moved, Re L by at most 9.3e-15 relative); a change that moves a bit of L on
+# purpose records it again and says so
+_L_PINNED_DIGEST = "08878c4b117ab8d6d75e699fe7ec149b40d49ab01556ab65d014f8db06a1dac3"
 
 
 def test_correlation_bits_match_the_pinned_digest():
