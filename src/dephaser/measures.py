@@ -328,7 +328,7 @@ def _growth_runs(evaluator, scenario, t_max: float):
 
 def _weights(evaluator, scenario, runs):
     """(w_end, w_start, unit): e^{-2E} / unit^2 at the ends and at the starts of the growth runs, from one
-    decay_exponent_grid call, and the unit of distance that the gains of these weights are in when dp is in it too.
+    decay_exponent_grid call.  A gain computed from these weights and dp / unit is the distance gained over unit.
 
     unit is 1 unless even the largest e^{-2E} is below the normal floats (E above about 354), where it would lose
     the distance |dc| e^{-E} of a pair with dp = 0 while that is still a normal float; there unit is 2^-511, and the
