@@ -113,30 +113,33 @@ def _as_times(t):
     return float(ts)
 
 
-def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool]:
-    """(t as a 1-d float array, whether t is a scalar); ValueError at the first bad time, then _check_range.
+def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool, list | None]:
+    """(t as a 1-d float array, whether t is a scalar, the list of its times or None); ValueError at the first bad
+    time, then _check_range.
 
     The one time check of every engine, whose method follows the size of
     the call: a float and up to _MEMO_CALL times are checked on Python
     floats (_check_time, _check_list), which costs a pointwise call far
-    less than numpy reductions do; more are checked by two numpy
-    reductions, which cost a grid far less than a list of its times does.
-    The two cross at about 80 times.
+    less than numpy reductions do, and their list is returned for _rows;
+    more are checked by two numpy reductions, which cost a grid far less
+    than a list of its times does, and the list is None.  The two cross at
+    about 80 times.
     """
     ts = t if type(t) is float else _as_times(t)
     if type(ts) is float:
         if not 0.0 <= ts <= t_max:  # a nan fails it too
             _check_range(_check_time(ts), t_max)
-        return np.array([ts]), True
+        return np.array([ts]), True, [ts]
     if ts.size <= _MEMO_CALL:
-        _check_list(ts.tolist(), t_max)
-        return ts, False
+        times = ts.tolist()
+        _check_list(times, t_max)
+        return ts, False, times
     top = float(np.maximum.reduce(ts))
     # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
     if not (np.minimum.reduce(ts) >= 0.0 and top < math.inf):
         _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
     _check_range(top, t_max)
-    return ts, False
+    return ts, False, None
 
 
 def _largest_time(arg_rate: float, growth: float, moduli: float) -> float:
@@ -170,12 +173,13 @@ def _check_list(times: list, t_max: float) -> None:
         _check_range(max(times), t_max)
 
 
-def _rows(row, ts: np.ndarray, scalar: bool, *columns: list):
-    """row(t, *column values at t) -> complex at every time of the checked 1-d array ts, as a Python float.
+def _rows(row, ts: np.ndarray, scalar: bool, times: list | None, *columns: list):
+    """row(t, *column values at t) -> complex at every time of a call that _check_times returned as ts, scalar and
+    times, as a Python float: the list times when it has one, else ts as a list.
 
     A Python complex when the times were a scalar, a complex array otherwise.
     """
-    values = list(map(row, ts.tolist(), *columns))
+    values = list(map(row, ts.tolist() if times is None else times, *columns))
     return values[0] if scalar else np.fromiter(values, complex, len(values))
 
 
@@ -380,7 +384,7 @@ class BrownianMatsubara:
         scalar = type(t) is float
         if not scalar and t.size > _MEMO_CALL:
             _check_times(t, self._t_max)
-            return _rows(self._g_row, t, False, self._explicit(t, False).tolist())
+            return _rows(self._g_row, t, False, None, self._explicit(t, False).tolist())
         times = [t] if scalar else t.tolist()
         memo = self._g_memo
         values = list(map(memo.get, times))
@@ -397,17 +401,9 @@ class BrownianMatsubara:
         return values[0] if scalar else np.fromiter(values, complex, len(values))
 
     def gdot(self, t):
-        """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
-
-        As in g, a call of 2 to _MEMO_CALL times checks the one list of its times that its rows then read.
-        """
-        t = t if type(t) is float else _as_times(t)
-        if type(t) is float or t.size > _MEMO_CALL:
-            ts, scalar = _check_times(t, self._t_max)
-            return _rows(self._gdot_row, ts, scalar, self._explicit(ts, True).tolist())
-        times = t.tolist()
-        _check_list(times, self._t_max)
-        return np.fromiter(map(self._gdot_row, times, self._explicit(t, True).tolist()), complex, len(times))
+        """gdot at a time (a complex) or at every time of a 1-d array (a complex array)."""
+        ts, scalar, times = _check_times(t, self._t_max)
+        return _rows(self._gdot_row, ts, scalar, times, self._explicit(ts, True).tolist())
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included.
@@ -449,13 +445,13 @@ class HighTemperatureBrownian:
         self._t_max = _largest_time(gamma, eta - self._gdot_amp, 0.0)
 
     def g(self, t):
-        ts, scalar = _check_times(t, self._t_max)
+        ts, scalar, _ = _check_times(t, self._t_max)
         p = self.bath
         hg = np.expm1(-p.gamma * ts) + p.gamma * ts
         return _complex(self._g_amp * hg, self._im_g_amp * hg, scalar)
 
     def gdot(self, t):
-        ts, scalar = _check_times(t, self._t_max)
+        ts, scalar, _ = _check_times(t, self._t_max)
         em = np.expm1(-self.bath.gamma * ts)
         return _complex(self._gdot_amp * em, self.bath.eta * em, scalar)
 
@@ -508,14 +504,14 @@ class FrequencyQuadrature:
 
     def _map(self, row, t):
         """row at every time of t after _check_times; DephaserError at the first 0 < t < t_min of a Brownian density."""
-        ts, scalar = _check_times(t)
+        ts, scalar, times = _check_times(t)
         for s in ts.tolist() if self.bath is not None else ():
             if 0.0 < s < self._t_min:
                 raise DephaserError(
                     f"time {s!r} is below the validated domain of freq-quad, "
                     f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}"
                 )
-        return _rows(row, ts, scalar)
+        return _rows(row, ts, scalar, times)
 
     def _g(self, t: float) -> complex:
         if t == 0.0:

@@ -116,7 +116,7 @@ def decay_exponent(evaluator, scenario, t: float) -> float:
 
 def decay_exponent_grid(evaluator, scenario, ts) -> np.ndarray:
     """decay_exponent at every time of the 1-d array ts, with g evaluated once per distinct time."""
-    ts, _ = _check_times(ts)
+    ts, _, _ = _check_times(ts)
     if isinstance(scenario, SingleTime):
         return _g_distinct(evaluator, ts).real
     if isinstance(scenario, Prepared):
@@ -138,7 +138,7 @@ def decay_exponent_rate(evaluator, scenario, t):
     """
     scalar = type(t) is float
     if not scalar:
-        ts, scalar = _check_times(t)
+        ts, scalar, _ = _check_times(t)
         t = ts.item() if scalar else ts
     if isinstance(scenario, SingleTime):
         return evaluator.gdot(t).real
@@ -162,11 +162,27 @@ def _weight(e: float) -> float:
         ) from None
 
 
+def _scaled_weights(es: list):
+    """(weights, unit): e^{-2E} / unit^2 at every decay exponent E of the list es, and the unit of distance that a
+    distance computed from them and dp / unit is in.
+
+    unit is 1, and every weight e^{-2E}, unless even the largest e^{-2E} is below the normal floats (E above about
+    354), where it would lose the distance |dc| e^{-E} while that is still a normal float; there unit is 2^-511 and
+    the weights are e^{-2 (E - 511 ln 2)}.
+    """
+    w = [_weight(e) for e in es]
+    if not w or max(w) >= sys.float_info.min:
+        return w, 1.0
+    return [_weight(e - 511.0 * math.log(2.0)) for e in es], 2.0**-511
+
+
 def pair_distance(pair: StatePair, evaluator, scenario, t: float) -> float:
     """Trace distance of the propagated pair at time t into the scanned interval."""
     dp = pair.a.p11 - pair.b.p11
     dc = pair.a.c12 - pair.b.c12
-    return math.sqrt(dp * dp + abs(dc) ** 2 * _weight(decay_exponent(evaluator, scenario, t)))
+    (w,), unit = _scaled_weights([decay_exponent(evaluator, scenario, t)])
+    dp /= unit
+    return unit * math.sqrt(dp * dp + abs(dc) ** 2 * w)
 
 
 def sigma(pair: StatePair, evaluator, scenario, t: float) -> float:
@@ -181,11 +197,13 @@ def sigma(pair: StatePair, evaluator, scenario, t: float) -> float:
         return 0.0
     e = decay_exponent(evaluator, scenario, t)
     rate = decay_exponent_rate(evaluator, scenario, t)
-    weight = dc2 * _weight(e)
+    (w,), unit = _scaled_weights([e])
+    dp /= unit
+    weight = dc2 * w
     d = math.sqrt(dp * dp + weight)
     if d == 0.0:
         return 0.0
-    return -rate * weight / d
+    return -rate * weight / d * unit
 
 
 @dataclass(frozen=True)
@@ -327,19 +345,10 @@ def _growth_runs(evaluator, scenario, t_max: float):
 
 
 def _weights(evaluator, scenario, runs):
-    """(w_end, w_start, unit): e^{-2E} / unit^2 at the ends and at the starts of the growth runs, from one
-    decay_exponent_grid call.  A gain computed from these weights and dp / unit is the distance gained over unit.
-
-    unit is 1 unless even the largest e^{-2E} is below the normal floats (E above about 354), where it would lose
-    the distance |dc| e^{-E} of a pair with dp = 0 while that is still a normal float; there unit is 2^-511, and the
-    weights are e^{-2 (E - 511 ln 2)}.
-    """
+    """(w_end, w_start, unit): the _scaled_weights at the ends and at the starts of the growth runs, and their unit,
+    from one decay_exponent_grid call."""
     ends_starts = [e for _, e in runs] + [s for s, _ in runs]
-    es = decay_exponent_grid(evaluator, scenario, ends_starts).tolist()
-    w, unit = [_weight(e) for e in es], 1.0
-    if max(w) < sys.float_info.min:
-        shift, unit = 511.0 * math.log(2.0), 2.0**-511
-        w = [_weight(e - shift) for e in es]
+    w, unit = _scaled_weights(decay_exponent_grid(evaluator, scenario, ends_starts).tolist())
     return w[: len(runs)], w[len(runs) :], unit
 
 
@@ -413,7 +422,7 @@ def _class_tables(pm, mag, cos_k, rows):
     return (pm[rows, None] - pm) ** 2, dc2
 
 
-def _grid_search(search: GridSearch, weights_end, weights_start, unit=1.0):
+def _grid_search(search: GridSearch, weights_end, weights_start, unit):
     """The grid pair of the best phase-difference class, with the pair's own summed interval gain.
 
     weights_end/weights_start are e^{-2E} at the interval endpoints, in unit (_weights).  A

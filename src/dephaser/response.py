@@ -40,7 +40,7 @@ def flip_exponent_grid(evaluator, ts) -> np.ndarray:
     g is evaluated once per distinct time among ts and the sums
     ts[i] + ts[j] as rounded, and the values are indexed back onto the grid.
     """
-    ts, _ = _check_times(ts)
+    ts, _, _ = _check_times(ts)
     n = ts.size
     g = _g_distinct(evaluator, np.concatenate((ts, (ts[:, None] + ts).ravel())))
     g_axis = g[:n]

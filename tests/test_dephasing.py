@@ -663,8 +663,8 @@ def test_bad_time_in_array_rejected_like_a_scalar():
         with pytest.raises(ValueError, match="1-d"):
             ev.g(np.ones((2, 2)))
     # valid times whose sum overflows pass the list check
-    ts, scalar = _check_times(np.array([1e308, 1e308, 0.0]))
-    assert ts.tolist() == [1e308, 1e308, 0.0] and not scalar
+    ts, scalar, times = _check_times(np.array([1e308, 1e308, 0.0]))
+    assert ts.tolist() == times == [1e308, 1e308, 0.0] and not scalar
 
 
 @pytest.mark.parametrize(

@@ -131,7 +131,7 @@ interval_weights = st.integers(1, 3).flatmap(
 @example(sizes=(1, 1, 1), weights=([0.5], [0.2]))
 def test_grid_search_is_the_brute_force_bit_for_bit(sizes, weights):
     search = GridSearch(*sizes)
-    n_value, pair = _grid_search(search, *weights)
+    n_value, pair = _grid_search(search, *weights, 1.0)
     assert bits(n_value, pair) == bits(*brute_force(search, *weights))
     top = largest_pair_gain(search, *weights)
     assert top - roundoff_bound(*weights) <= n_value <= top
@@ -144,7 +144,7 @@ def test_default_bath_30x30x8_is_the_brute_force(t1):
     w_end, w_start, unit = _weights(ev, Prepared(t1), runs)
     assert unit == 1.0
     search = GridSearch(30, 30, 8)
-    assert bits(*_grid_search(search, w_end, w_start)) == bits(*brute_force(search, w_end, w_start))
+    assert bits(*_grid_search(search, w_end, w_start, unit)) == bits(*brute_force(search, w_end, w_start))
 
 
 def test_50x50x8_keeps_the_brute_force_result():

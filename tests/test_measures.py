@@ -227,6 +227,12 @@ def test_growth_intervals_standalone():
     assert ivs_half[0].delta_d == pytest.approx(0.5 * n_exact, rel=1e-8)
 
 
+@pytest.mark.parametrize("engine", [BrownianMatsubara, HighTemperatureBrownian])
+def test_growth_intervals_without_a_run_are_empty(engine):
+    # gdot(0) = 0, so one free interval has no growth run on the certified route
+    assert growth_intervals(engine(BATH), SingleTime(), t_max=10.0) == []
+
+
 def test_truncated_window_flagged():
     # window ends inside the growth region
     ht = HighTemperatureBrownian(BATH)
@@ -655,9 +661,10 @@ def test_library_bits_match_the_pinned_digests(name):
     assert hashlib.sha256(_library_bytes(_LIBRARY_BATHS[name])).hexdigest() == _LIBRARY_DIGESTS[name]
 
 
-def test_measure_keeps_a_coherence_whose_square_underflows():
+def test_distances_keep_a_coherence_whose_square_underflows():
     # E(t_end) = 406.5 on this hot bath: e^{-2E} is below the floats, e^{-E} = 2.8e-177 is a normal float, and N of the
-    # analytic pair is e^{-E(t_end)} - e^{-E(0)}; the grid's best pair has |dc| = 1 - 1e-12 and dp = 0
+    # analytic pair is e^{-E(t_end)} - e^{-E(0)}; the grid's best pair has |dc| = 1 - 1e-12 and dp = 0.  The analytic
+    # pair's distance is e^{-E} and its sigma -dE/dt e^{-E}
     ev = BrownianMatsubara(BathParams(6.0, 1.0, 0.109375))
     scenario = Prepared(5.0)
     res = non_markovianity(SYS, ev, scenario)
@@ -667,6 +674,16 @@ def test_measure_keeps_a_coherence_whose_square_underflows():
     assert math.isclose(res.n_value, want, rel_tol=1e-12)
     grid = non_markovianity(SYS, ev, scenario, search=GridSearch(5, 5, 4))
     assert math.isclose(grid.n_value, want, rel_tol=1e-11)
+    pair = analytic_pair()
+    for t in (0.3, interval.t_end):
+        coherence = math.exp(-decay_exponent(ev, scenario, t))
+        assert coherence * coherence < sys.float_info.min < coherence
+        assert math.isclose(pair_distance(pair, ev, scenario, t), coherence, rel_tol=1e-12)
+        rate = decay_exponent_rate(ev, scenario, t)
+        assert math.isclose(sigma(pair, ev, scenario, t), -rate * coherence, rel_tol=1e-12)
+    # the populations in that unit do not overflow: the pair of the two basis states is at distance 1
+    basis = StatePair(DensityMatrix2(1.0, 0j), DensityMatrix2(0.0, 0j))
+    assert pair_distance(basis, ev, scenario, 0.3) == 1.0
 
 
 class _Negative:
