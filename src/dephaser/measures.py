@@ -31,12 +31,14 @@ coefficients (C, -B_k (2 - e^{-lambda_k t1})) of the Prepared(t1) rate
 change sign once in order of lambda_k, so by Descartes' rule for
 exponential sums (Polya and Szego, Problems and Theorems in Analysis II,
 Part V, ch. 1) the rate has at most one zero: E decreases on one interval
-[0, t*) after a preparation and nowhere without one.  The evaluators of
-the exact Brownian g carry a certified_bath and take the certified route,
-one bracketed root on [0, t_max]: BrownianMatsubara with its tail,
-HighTemperatureBrownian, and FrequencyQuadrature and TimeDomainQuadrature
-on a Brownian density.  Strict truncation, tabulated densities and any
-other evaluator scan a grid and refine each sign change by the same root.
+[0, t*) after a preparation and nowhere without one.  Every evaluator's
+growth runs come from one scan: the rate on a grid over [0, t_max], then
+a bracketed root on each cell where its sign changes.  The evaluators of
+the exact Brownian g carry a certified_bath, so the rates at 0 and t_max
+bracket the one zero and their grid is one cell: BrownianMatsubara with
+its tail, HighTemperatureBrownian, and FrequencyQuadrature and
+TimeDomainQuadrature on a Brownian density.  Strict truncation,
+tabulated densities and any other evaluator are scanned on _N_SCAN cells.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ __all__ = [
 ]
 
 
-# grid intervals of the growth scan on (0, t_max), and the width each sign change is refined to
+# grid cells of the growth scan on (0, t_max) without a certified_bath, and the width each sign change is refined to
 _N_SCAN = 10000
 _REFINE_TOL = 1e-10
 # elements of the class-gain table the grid search builds at once, so it stays in cache
@@ -94,7 +96,7 @@ class Prepared:
     t1: float
 
     def __post_init__(self):
-        _check_time(self.t1)
+        object.__setattr__(self, "t1", _check_time(self.t1))
 
 
 def analytic_pair() -> StatePair:
@@ -129,12 +131,13 @@ def decay_exponent_grid(evaluator, scenario, ts) -> np.ndarray:
 def decay_exponent_rate(evaluator, scenario, t):
     """dE/dt of decay_exponent at a time (a float) or at every time of a 1-d array; negative values mark rephasing.
 
-    One gdot call either way: at the times, and for Prepared also at t1 plus
-    each time.  Other times than a float are checked first (_check_times); a
-    float is checked once, by the engine's own _check_times in that call,
-    which names it before t1 plus it.  A float time is computed on Python
-    floats, whose IEEE arithmetic gives the bits of the same time inside an
-    array.
+    gdot at the times, and for Prepared also at t1 plus each time: a float
+    in one gdot call on the two times, an array in one call on its times and
+    one on t1 plus them.  Other times than a float are checked first
+    (_check_times); a float is checked once, by the engine's own
+    _check_times in its call, which names it before t1 plus it.  A float
+    time is computed on Python floats, whose IEEE arithmetic gives the bits
+    of the same time inside an array.
     """
     scalar = type(t) is float
     if not scalar:
@@ -146,8 +149,7 @@ def decay_exponent_rate(evaluator, scenario, t):
         if scalar:
             a, b = evaluator.gdot(np.array([t, scenario.t1 + t])).real.tolist()
             return 2.0 * a - b
-        gdot = evaluator.gdot(np.concatenate((t, scenario.t1 + t))).real
-        return 2.0 * gdot[: t.size] - gdot[t.size :]
+        return 2.0 * evaluator.gdot(t).real - evaluator.gdot(scenario.t1 + t).real
     raise TypeError(f"unknown scenario {scenario!r}")
 
 
@@ -290,15 +292,16 @@ def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> floa
     return 0.5 * (lo + hi)
 
 
-def _scan_runs(evaluator, scenario, t_max: float):
-    """Maximal (start, end) regions with dE/dt < 0 on the grid of _N_SCAN cells, plus a truncation flag.
+def _scan_runs(evaluator, scenario, t_max: float, cells: int):
+    """Maximal (start, end) regions with dE/dt < 0 on a grid of `cells` equal cells of [0, t_max], plus a truncation
+    flag.
 
     Grid scan for sign changes (one rate call on the whole grid), then
     _root on each crossing's cell, on Python floats.  Points where the
     rate is exactly zero count as non-growth, so grazing contacts
     contribute nothing.
     """
-    ts = np.linspace(0.0, t_max, _N_SCAN + 1)
+    ts = np.linspace(0.0, t_max, cells + 1)
     rate = decay_exponent_rate(evaluator, scenario, ts)
     neg = rate < 0.0
 
@@ -310,38 +313,24 @@ def _scan_runs(evaluator, scenario, t_max: float):
     for i, stop in zip(edges[::2], edges[1::2]):
         j = stop - 1
         start = 0.0 if i == 0 else _root(f, ts[i - 1], ts[i], rate[i - 1], rate[i], _REFINE_TOL)
-        end = t_max if j == _N_SCAN else _root(f, ts[j], ts[j + 1], rate[j], rate[j + 1], _REFINE_TOL)
+        end = t_max if j == cells else _root(f, ts[j], ts[j + 1], rate[j], rate[j + 1], _REFINE_TOL)
         runs.append((start, end))
     return runs, bool(neg[-1])
 
 
-def _certified_runs(evaluator, scenario, t_max: float):
-    """Growth runs of an evaluator whose rate is negative on one interval [0, t*) at most, plus a truncation flag.
-
-    The rate at 0 and at t_max bracket t*, and _root finds it in 10 to 30
-    calls of one time each, within _REFINE_TOL of _scan_runs' end.  gdot(0) = 0, so without a
-    preparation the rate at 0 is not negative and one call returns no run.
-    """
-    f = lambda t: decay_exponent_rate(evaluator, scenario, t)
-    rate_0 = f(0.0)
-    if not rate_0 < 0.0:
-        return [], False
-    rate_max = f(t_max)
-    if rate_max < 0.0:
-        return [(0.0, t_max)], True
-    return [(0.0, _root(f, 0.0, t_max, rate_0, rate_max, _REFINE_TOL))], False
-
-
 def _growth_runs(evaluator, scenario, t_max: float):
-    """Maximal (start, end) regions with dE/dt < 0 on (0, t_max), plus a truncation flag.
+    """Maximal (start, end) regions with dE/dt < 0 on (0, t_max), plus a truncation flag, from _scan_runs.
 
-    _certified_runs for an evaluator with a certified_bath (one whose g is
-    the exact Brownian g), the grid scan _scan_runs for any other.
+    An evaluator with a certified_bath (one whose g is the exact Brownian
+    g) has a rate with one zero at most, so the rates at 0 and t_max
+    bracket it and the scan takes one cell: the rate at both ends, then
+    _root in 10 to 30 calls of one time each.  Any other evaluator is
+    scanned on _N_SCAN cells.
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError("t_max must be positive and finite")
-    route = _scan_runs if getattr(evaluator, "certified_bath", None) is None else _certified_runs
-    return route(evaluator, scenario, float(t_max))
+    cells = _N_SCAN if getattr(evaluator, "certified_bath", None) is None else 1
+    return _scan_runs(evaluator, scenario, float(t_max), cells)
 
 
 def _weights(evaluator, scenario, runs):
@@ -483,8 +472,9 @@ def non_markovianity(
     growth is one interval [0, t*) after a preparation and none without.
     An evaluator of the exact Brownian g (BrownianMatsubara with its
     tail, HighTemperatureBrownian, the quadrature engines on a Brownian
-    density) finds t* by 10 to 30 rate calls; strict truncation,
-    tabulated densities and wrapped evaluators scan 10 001 times.
+    density) scans one cell, the rate at 0 and t_max, and finds t* by 10
+    to 30 more rate calls; strict truncation, tabulated densities and
+    wrapped evaluators scan 10 001 times.
     """
     if search is None:
         search = AnalyticPair()

@@ -228,8 +228,9 @@ class BathParams:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        if self.matsubara_terms < 0:
-            raise ValueError("matsubara_terms must be nonnegative")
+        k = self.matsubara_terms
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise ValueError(f"matsubara_terms must be a nonnegative integer, got {k!r}")
 
     def matsubara_frequency(self, n):
         """n-th bosonic thermal frequency nu_n = 2 pi n / beta, for an index or an array of them."""

@@ -1,8 +1,9 @@
 """The CLI's accepted domain as one property: finite output or a DephaserError record, nothing else (ROADMAP item 9).
 
 Every subcommand runs in process over a grid of baths from the edges of the floats: each call either exits 0 with
-every value it prints finite, or exits 1 with a DephaserError record on stderr and nothing on stdout.  A
-RuntimeWarning, a traceback or another record type is a failure.
+every value it prints finite, or exits 1 with a DephaserError record (or its IntegrationError subclass, from the
+quadrature engines) on stderr and nothing on stdout.  A RuntimeWarning, a traceback or another record type is a
+failure.
 """
 
 import itertools
@@ -12,8 +13,14 @@ import warnings
 
 from dephaser.cli import main
 
-# the commands that take --engine run on both closed-form engines; figures picks its own
-_COMMANDS = [[c, "--engine", e] for c in ("gfun", "trdist", "measure", "echo") for e in ("analytic", "hight")] + [
+# the commands that take --engine run on every engine, except time-quad's measure, which alone would take about as
+# long as the rest of the module; figures picks its own engine
+_COMMANDS = [
+    [c, "--engine", e]
+    for c in ("gfun", "trdist", "measure", "echo")
+    for e in ("analytic", "hight", "freq-quad", "time-quad")
+    if (c, e) != ("measure", "time-quad")
+] + [
     ["figures", "trd"],
     ["figures", "trd2t"],
 ]
@@ -51,7 +58,7 @@ def _outcome(capsys, argv):
     if rc == 0:
         return None if _finite_output(out) else f"exit 0 with a non-finite value: {out[:200]!r}"
     record = json.loads(err)["error"]
-    if rc != 1 or out or record["type"] != "DephaserError":
+    if rc != 1 or out or record["type"] not in ("DephaserError", "IntegrationError"):
         return f"exit {rc}, {len(out)} bytes on stdout, {record}"
     return None
 

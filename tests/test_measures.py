@@ -37,7 +37,6 @@ from dephaser.measures import (
     Prepared,
     SingleTime,
     StatePair,
-    _certified_runs,
     _root,
     _scan_runs,
     _total_gain,
@@ -87,6 +86,16 @@ def test_decay_exponent_forms():
     assert e == pytest.approx(ref, rel=1e-15)
     # t1 = 0 preparation collapses onto the single-interval form
     assert decay_exponent(ev, Prepared(0.0), t) == pytest.approx(ev.g(t).real, rel=1e-15)
+
+
+def test_prepared_stores_its_checked_time_as_a_float():
+    # a str or int t1 is stored as the float it checks as, so the exponent's t1 + t is a float sum
+    ev = HighTemperatureBrownian(BATH)
+    for t1 in ("1", 1, np.float32(1.0)):
+        assert type(Prepared(t1).t1) is float and Prepared(t1) == Prepared(1.0)
+        assert decay_exponent(ev, Prepared(t1), 0.5) == decay_exponent(ev, Prepared(1.0), 0.5)
+    with pytest.raises(ValueError):
+        Prepared(-1.0)
 
 
 @pytest.mark.parametrize("scenario", [SingleTime(), Prepared(1.0), Prepared(0.37)], ids=repr)
@@ -386,7 +395,7 @@ def test_growth_scan_matches_scalar_loop_bit_for_bit(bath, scenario, t_max):
     rate, runs, truncated = _scalar_growth_runs(ev, scenario, t_max)
     ts = np.linspace(0.0, t_max, _N_SCAN + 1)
     assert np.array_equal(decay_exponent_rate(ev, scenario, ts).view(np.uint64), rate.view(np.uint64))
-    assert _scan_runs(ev, scenario, t_max) == (runs, truncated)
+    assert _scan_runs(ev, scenario, t_max, _N_SCAN) == (runs, truncated)
 
 
 ENGINES = {"analytic": BrownianMatsubara, "hight": HighTemperatureBrownian}
@@ -441,8 +450,8 @@ def test_certified_root_is_the_scan(engine, eta, gamma, beta, terms, t1, window)
     assert _sign_changes(ev, t1) == 1
     scenario, t_max = Prepared(t1), window * 10.0 / gamma
     assert ev.certified_bath is ev.bath
-    runs, truncated = _certified_runs(ev, scenario, t_max)
-    scan_runs, scan_truncated = _scan_runs(ev, scenario, t_max)
+    runs, truncated = _scan_runs(ev, scenario, t_max, 1)
+    scan_runs, scan_truncated = _scan_runs(ev, scenario, t_max, _N_SCAN)
     assert (len(runs), truncated) == (len(scan_runs), scan_truncated)
     for (start, end), (scan_start, scan_end) in zip(runs, scan_runs):
         assert start == scan_start == 0.0 and abs(end - scan_end) <= _REFINE_TOL
@@ -469,7 +478,7 @@ def test_certified_measure_is_the_scan_measure(eta, gamma, beta, t1):
     ev = BrownianMatsubara(BathParams(eta, gamma, beta))
     scenario = Prepared(t1)
     res = non_markovianity(SYS, ev, scenario)
-    runs, truncated = _scan_runs(ev, scenario, 10.0 / gamma)
+    runs, truncated = _scan_runs(ev, scenario, 10.0 / gamma, _N_SCAN)
     [interval] = res.intervals
     [(_, scan_end)] = runs
     assert (interval.t_start, res.truncated, truncated) == (0.0, False, False)
@@ -485,7 +494,7 @@ def test_certified_measure_is_the_scan_measure(eta, gamma, beta, t1):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_certified_single_interval_is_the_scan(engine, bath):
     ev = ENGINES[engine](bath)
-    assert _certified_runs(ev, SingleTime(), 10.0) == _scan_runs(ev, SingleTime(), 10.0) == ([], False)
+    assert _scan_runs(ev, SingleTime(), 10.0, 1) == _scan_runs(ev, SingleTime(), 10.0, _N_SCAN) == ([], False)
 
 
 # a growth end past 2^19, where adjacent floats lie more than _REFINE_TOL apart: the bisection looped forever there
@@ -543,8 +552,8 @@ class _Subnormal:
 def test_root_survives_a_subnormal_rate():
     # rates of 1e-320: an end's negative value halves to -0.0 while the other end's is 0.0
     ev = _Subnormal()
-    [(start, end)], truncated = _certified_runs(ev, Prepared(1.0), 20.0)
-    [(_, scan_end)], _ = _scan_runs(ev, Prepared(1.0), 20.0)
+    [(start, end)], truncated = _scan_runs(ev, Prepared(1.0), 20.0, 1)
+    [(_, scan_end)], _ = _scan_runs(ev, Prepared(1.0), 20.0, _N_SCAN)
     assert (start, truncated) == (0.0, False) and abs(end - scan_end) <= _REFINE_TOL
 
 

@@ -86,6 +86,18 @@ def test_bath_params_validation():
         BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=-1)
 
 
+@pytest.mark.parametrize("terms", [2.5, 3.0, True, "3"], ids=repr)
+def test_bath_params_rejects_a_term_count_that_is_not_an_integer(terms):
+    # a float K used to be accepted and then broke the Dirichlet table's slices in the first g call
+    with pytest.raises(ValueError, match="matsubara_terms"):
+        BathParams(1.0, 0.5, 1.0, terms)
+
+
+def test_bath_params_accepts_numpy_integer_term_counts():
+    bath = BathParams(1.0, 0.5, 1.0, np.int64(3))
+    assert BrownianMatsubara(bath).g(1.0) == BrownianMatsubara(BathParams(1.0, 0.5, 1.0, 3)).g(1.0)
+
+
 def test_matsubara_frequencies():
     p = BathParams(eta=1.0, gamma=0.5, beta=2.0)
     assert p.matsubara_frequency(1) == pytest.approx(math.pi, rel=1e-15)
