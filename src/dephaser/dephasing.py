@@ -7,11 +7,14 @@ g is the double time integral of the bath correlation function,
 and its derivative gdot(t) = int_0^t dtau L(tau).  Four interchangeable
 evaluators are provided:
 
-  * BrownianMatsubara: the pole-plus-Matsubara series with the dropped
-    n > K thermal remainder resummed exactly through digamma closed forms
+  * BrownianMatsubara: the pole-plus-Matsubara series, exact
     (include_tail=True, the default) or truncated strictly at K terms.
-    Its digamma is spectral._digamma, so it and HighTemperatureBrownian
-    load no scipy; only the two quadrature engines do.
+    Below x = 2 pi t / beta = 0.2 its exact Re g sums the Matsubara terms
+    as the analytic L does, a window around the pole and Euler-Maclaurin
+    tails (_MatsubaraG); from there, and for gdot at every t, the n > K
+    remainder is its live terms and digamma closed forms.  Its digamma is
+    spectral._digamma, so it and HighTemperatureBrownian load no scipy;
+    only the two quadrature engines do.
   * HighTemperatureBrownian: the beta*gamma -> 0 closed form.
   * FrequencyQuadrature: direct adaptive integration of the spectral
     representation, with the oscillatory tails handled by a dedicated
@@ -25,9 +28,12 @@ evaluators are provided:
 The quadrature engines exist as cross-checks: on the default bath the
 three routes agree to better than 1e-6 relative for t in [0.05, 20], the
 range acceptance criterion 1 tests.  They are not validated below it:
-from t of about 1e-5 down, each route is off by 1e-6 relative or more
-(the series by cancellation in its tail, the quadratures by their
-absolute tolerances and Fourier tails).  FrequencyQuadrature raises
+from t of about 1e-5 down, the quadratures are off by 1e-6 relative or
+more (their absolute tolerances and Fourier tails), and so is the
+series' Re gdot (by cancellation in its tail).  The series' Re g is
+within 1e-12 relative of a 40-digit oracle (tests/_oracle.py) and
+positive from t = 1e-9 on, and raises DephaserError below x = 0.2 where
+x^2 leaves the normal floats.  FrequencyQuadrature raises
 DephaserError for a Brownian density at 0 < t < 3e-4 / w_split
 (3e-5 on the default bath), where its Fourier tails lose Re g.
 
@@ -51,22 +57,32 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
+from functools import cache, cached_property
 
 import numpy as np
 
 from ._quadrature import integrate_finite, integrate_fourier_tail, integrate_to_inf
 from .errors import DephaserError
 from .spectral import (
+    _A_MAX,
+    _BERNOULLI,
+    _DIRECT_X,
     _EXP_DEAD,
     _FOURIER_MIN_TW,
+    _WINDOW,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
     _brownian_bath,
     _check_beta,
     _check_time,
+    _e1_scaled,
     _exp_divided_difference,
     _finite,
+    _H_SERIES_TOP,
+    _H_TAYLOR,
+    _h,
     _h_divided_difference,
     _normal,
     _pow,
@@ -86,6 +102,33 @@ _MEMO_CALL = 3
 _MEMO_NODES = 1 << 13
 _TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = sys.float_info.max
+# the last n of g's live block from x = _DIRECT_X on, ceil(_EXP_DEAD / _DIRECT_X) = 225, and one for the rounding of x
+_G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
+# The 16-point Gauss-Legendre rule on [-1, 1], which is symmetric: its positive nodes and their weights; then the rule
+# on [0, 1], nodes in increasing order
+_GAUSS_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GAUSS_WEIGHTS = (
+    0.1894506104550685, 0.18260341504492358, 0.16915651939500254, 0.14959598881657674,
+    0.12462897125553388, 0.09515851168249279, 0.062253523938647894, 0.027152459411754096,
+)
+_UNIT_NODES = 0.5 + 0.5 * np.array([-v for v in reversed(_GAUSS_NODES)] + list(_GAUSS_NODES))
+_UNIT_WEIGHTS = 0.5 * np.array(_GAUSS_WEIGHTS[::-1] + _GAUSS_WEIGHTS)
+# (i, j, coefficient) of the Euler-Maclaurin corrections sum_k B_2k / (2k)! f^(2k-1), k <= 4: the term of b_i in
+# q^(j) of _end_coefficients, by Leibniz; (-1)^i for i >= 2 is that of h^(i) = (-1)^i e^-y.  At 32.5 or more from the
+# pole, the fifth, B_10 / 10! f^(9), is below 2e-16 of f.
+_EM_TERMS = tuple(
+    (i, j - i, bk * math.comb(j, i) * ((-1) ** i if i >= 2 else 1))
+    for j, bk in zip(range(1, 8, 2), _BERNOULLI)
+    for i in range(j + 1)
+)
+# The width of each panel of the rule in the logarithmic variables of _MatsubaraG's integrals, and how far past the
+# pole's scale the upper one runs, where its integrand has fallen by e^-40.  On 80 baths from t = 1e-9 to x = 0.2,
+# panels of 3 left Re g within 7e-14 of the oracle, as did 2 and 4; 12 nodes to a panel of 3 left 3e-12.
+_PANEL = 3.0
+_REACH = 20.0
 
 
 def flip_exponent(g1, g2, g12):
@@ -201,6 +244,158 @@ def _series_terms(neg_x, coef, derivative: bool):
     return e
 
 
+def _panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the 16-point Gauss-Legendre rule on each of the equal panels of [lo, hi], at most _PANEL
+    wide, in increasing order."""
+    nodes, weights = _unit_panels(max(1, math.ceil((hi - lo) / _PANEL)))
+    return lo + (hi - lo) * nodes, (hi - lo) * weights
+
+
+@cache
+def _unit_panels(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the 16-point Gauss-Legendre rule on each of k equal panels of [0, 1]."""
+    nodes = (np.arange(k)[:, None] + _UNIT_NODES).ravel() / k
+    return nodes, np.tile(_UNIT_WEIGHTS / k, k)
+
+
+def _end_coefficients(u: float, a: float, sign: float) -> tuple:
+    """(u, b0, b1, b) of an end u of an Euler-Maclaurin sum of f(v) = h(v x) q(v), q(v) = 1 / (v (v - a)(v + a)).
+
+    Its term f(u) / 2 + sign sum_k B_2k / (2k)! f^(2k-1)(u), k <= 4, at any x, is h(y) b0 + x h'(y) b1 + x^2 e^-y
+    sum_i b[i] x^i, y = u x: by Leibniz, f^(j) = sum_i C(j, i) x^i h^(i)(y) q^(j-i)(u), with h' = 1 - e^-y and
+    h^(i) = (-1)^i e^-y for i >= 2 (_EM_TERMS).  The derivatives of q follow from p q = 1, p = v^3 - a^2 v.
+    """
+    p = u * (u - a) * (u + a)
+    # sum_i C(j, i) p^(i) q^(j-i) = 0 for j >= 1, with p' = 3 v^2 - a^2, p'' = 6 v and p''' = 6
+    p1, p2 = 3.0 * u * u - a * a, 3.0 * u
+    q = [1.0 / p]
+    for j in range(1, 8):
+        s = j * p1 * q[j - 1]
+        if j >= 2:
+            s += j * (j - 1) * p2 * q[j - 2]
+        if j >= 3:
+            s += j * (j - 1) * (j - 2) * q[j - 3]
+        q.append(-s / p)
+    b = [0.0] * 8
+    for i, j, coef in _EM_TERMS:
+        b[i] += coef * q[j]
+    return u, sign * b[0] + 0.5 * q[0], sign * b[1], tuple(sign * v for v in b[2:])
+
+
+def _zero_end_coefficients(a: float) -> tuple:
+    """(d_1, ..., d_4) of the Euler-Maclaurin corrections -sum_k B_2k / (2k)! f^(2k-1)(0), k <= 4, of f(u) = h(u x)
+    q(u), q(u) = 1 / (u (u - a)(u + a)), at its lower end u = 0: sum_p d_p x^(2p).
+
+    f(u) = -(1 / a^2) sum_{j >= 2} x^j u^(j-1) / j! sum_i (u / a)^(2i) near 0, so f^(2k-1)(0) = -((2k-1)! / a^2)
+    sum_{p <= k} x^(2p) / ((2p)! a^(2k-2p)): terms of one sign.
+    """
+    return tuple(
+        sum(bk * math.factorial(2 * k - 1) / a ** (2 * k - 2 * p) for k, bk in enumerate(_BERNOULLI[:4], 1) if k >= p)
+        / (math.factorial(2 * p) * a * a)
+        for p in range(1, 5)
+    )
+
+
+class _MatsubaraG:
+    """S(x) = sum_{n >= 1, n != m} h(n x) q(n), q(u) = 1 / (u (u - a)(u + a)), h(y) = e^-y + y - 1, for 0 < x <
+    _DIRECT_X: Re g's Matsubara part over s0 = eta gamma beta^2 / (2 pi^3), with x = 2 pi t / beta.
+
+    It is summed as BrownianCorrelation sums L's.  The 2 _WINDOW + 1 terms around c = max(m, 1) are exact.  The tails
+    n >= top = c + _WINDOW + 1 and 1 <= n <= last = c - _WINDOW - 1 are their Euler-Maclaurin sums (A&S 23.1.30): the
+    integral of f(u) = h(u x) q(u), half of f at each end and the corrections of _end_coefficients.  f has no pole at
+    u = 0, where h(u x) q(u) ~ -u x^2 / (2 a^2), so the lower tail is summed from n = 0, f(0) = 0, with the
+    corrections there of _zero_end_coefficients.  The upper integral is x^2 M(top x), M(z) = int_z^inf h(v) v^-3 dv =
+    h(z) / (2 z^2) + (1 - e^-z) / (2 z) + E1(z) / 2 (by parts; every term positive), plus that of h(u x)(q(u) - u^-3),
+    which falls as u^-3 or faster past top and is a Gauss-Legendre sum (_panels) in tau = log((u - a) / (top - a)) up
+    to log(a / (top - a)) + _REACH.  The lower integral is one in log(a - u) over [0, last].  Their nodes join the
+    window's n as points u_i, in increasing order, with weights w_i, so the sum is one weighted sum of h(u_i x).
+
+    h cancels at small y, so that sum is taken by groups, the points between consecutive powers of 4: a group whose
+    largest y is below _H_SERIES_TOP is h's Taylor series (spectral._H_TAYLOR) of its moments sum_i w_i u_i^k, scaled
+    by the group's largest u, kept from the start; from the first other group on, each term is w_i (expm1(-y_i) +
+    y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within 7e-14 of
+    tests/_oracle.reference on 80 baths, with no K or live term read.  DephaserError where a reaches _A_MAX, past
+    which the window's n - a are not exact.
+    """
+
+    def __init__(self, a: float, m: int):
+        if not a < _A_MAX:
+            raise DephaserError(
+                f"beta gamma / 2 pi = {a!r} is past 2^52, where the Matsubara terms' n - a are not exact"
+            )
+        c = max(m, 1)
+        n = np.arange(float(max(1, c - _WINDOW)), c + _WINDOW + 1.0)
+        below = n - a
+        if m:
+            below[m - int(n[0])] = math.inf  # the pair's term is 0, also at n = a = m exactly
+        q = 1.0 / (n * below * (n + a))
+        top = self._top = c + _WINDOW + 1.0
+        gap = top - a
+        tau, w = _panels(0.0, max(0.0, math.log(a / gap)) + _REACH)
+        upper = a + gap * np.exp(tau)
+        # dtau = du / (u - a), so the integrand of h(u x) is (q(u) - u^-3)(u - a) = a^2 / (u^3 (u + a))
+        nodes, weights = [n, upper], [q, w * (a * a / (upper**3 * (upper + a)))]
+        # the top end, with the terms of x^2 M(top x) in h(y) and in h'(y)
+        u, b0, b1, b = _end_coefficients(top, a, -1.0)
+        self._ends = [(u, b0 + 0.5 / (top * top), b1 + 0.5 / top, b)]
+        last = c - _WINDOW - 1.0
+        # the lower tail's sum from n = 0, where f(0) = 0, and its corrections there: x^2 sum_p d[p] x^(2p)
+        self._zero_end = ()
+        if last >= 1.0:
+            sigma, w = _panels(math.log(a - last), math.log(a))
+            lower = a - np.exp(sigma[::-1])
+            nodes.insert(0, lower)
+            weights.insert(0, w[::-1] / (lower * (-a - lower)))  # dsigma = -du / (a - u): q(u)(a - u)
+            self._ends.append(_end_coefficients(last, a, 1.0))
+            self._zero_end = _zero_end_coefficients(a)
+        self._nodes = u = np.concatenate(nodes)
+        self._weights = w = np.concatenate(weights)
+        # the groups: the points of each power of 4, at most a factor 4 apart
+        ids = np.floor(np.log2(u) * 0.5)
+        starts = np.flatnonzero(np.diff(ids)) + 1
+        self._tops = u[np.append(starts, u.size) - 1]
+        self._top_list = self._tops.tolist()
+        self._starts = [0, *starts.tolist(), u.size]
+        # w r^k, k = 2, 3, ..., of each point's r = u / (its group's largest u), summed by group, times h's Taylor terms
+        r = u / np.repeat(self._tops, np.diff(self._starts))
+        powers = np.empty((len(_H_TAYLOR), u.size))
+        powers[:] = r
+        powers[0] *= r * w
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        self._moments = np.array(_H_TAYLOR)[:, None] * np.add.reduceat(powers, self._starts[:-1], axis=1)
+
+    def __call__(self, x: float) -> float:
+        # the groups whose largest y is below _H_SERIES_TOP, by their Taylor series; the points of the rest one by one
+        g = bisect_left(self._top_list, _H_SERIES_TOP / x)
+        s = 0.0
+        if g:
+            z = self._tops[:g] * x
+            powers = np.empty((len(_H_TAYLOR), g))
+            powers[:] = z
+            powers[0] *= z
+            np.multiply.accumulate(powers, axis=0, out=powers)
+            s = float(np.vdot(powers, self._moments[:, :g]))
+        first = self._starts[g]
+        if first < self._nodes.size:
+            y = self._nodes[first:] * x
+            terms = np.expm1(-y)
+            terms += y
+            s += float(np.dot(self._weights[first:], terms))
+        for u, b0, b1, b in self._ends:
+            y = u * x
+            p = 0.0
+            for bi in reversed(b):
+                p = p * x + bi
+            s += _h(y) * b0 - x * math.expm1(-y) * b1 + x * x * math.exp(-y) * p
+        p = 0.0
+        for d in reversed(self._zero_end):
+            p = (p + d) * x * x
+        s += p
+        # the rest of x^2 M(top x): E1(z) = e^-z (e^z E1(z))
+        y = self._top * x
+        return s + 0.5 * x * x * math.exp(-y) * _e1_scaled(y)
+
+
 def _g_distinct(evaluator, times) -> np.ndarray:
     """Complex g at every time of the 1-d array times, from one evaluator call on the distinct values."""
     distinct, where = np.unique(times, return_inverse=True)
@@ -210,10 +405,13 @@ def _g_distinct(evaluator, times) -> np.ndarray:
 class BrownianMatsubara:
     """Pole-plus-Matsubara series for the overdamped Brownian bath, summed from BathParams.dirichlet().
 
-    g(t) = (pole_c - i pole_im) h(gamma t) + sum_{n=1}^{K} c_n h(nu_n t) + tail, h(x) = e^-x + x - 1, in
-    the names of DirichletTable.  With include_tail=True (default) the n > K remainder is exact: live
-    exponentials are summed until they underflow, and the linear-in-t rest is the table's digamma closed
-    form.  include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.
+    g(t) = (pole_c - i pole_im) h(gamma t) + sum_{n >= 1} c_n h(nu_n t), h(y) = e^-y + y - 1, in the names of
+    DirichletTable; every h is spectral._h, which keeps its digits at small y.  With include_tail=True (default) the
+    sum is exact.  Below x = 2 pi t / beta = _DIRECT_X it is _MatsubaraG's: the window around the pole and the
+    Euler-Maclaurin tails, as the analytic L sums its own, and it reads no K.  From _DIRECT_X on it is the K explicit
+    terms, the at most 226 live terms past K (exponentials summed until they underflow) and the linear-in-t rest, the
+    table's digamma closed form.  gdot sums the K terms, a live block of up to _BLOCK_CAP terms and its digamma rest
+    at every t.  include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.
     Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term, wherever it lies, are the
     table's pair: one formula at every detuning from gamma = nu_m.  Only strict truncation with K < m has
     no m-th term to pair with; its truncated sum is singular at gamma = nu_m, and it keeps the bare pole.
@@ -224,11 +422,13 @@ class BrownianMatsubara:
     the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100), and where a c_n of the K terms
     does (gamma 1e153, beta 1e-150).  g and gdot raise it past the largest time the table's amplitudes allow
     (_largest_time), and where a coefficient of the tail's live terms overflows (nu_n^2 at beta 6.2e-150,
-    t 1e-160).
+    t 1e-160).  The exact g raises it below x = _DIRECT_X where a reaches 2^52 and where x^2 leaves the normal floats
+    (t below about 2.4e-155 beta); gdot where the count of its live terms overflows.
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
-    table, summed row by row; the pole term (math.expm1/exp) and the tail follow time by time, so a time
-    gets the same bits alone as in an array.  A g call of at most _MEMO_CALL (3) times is pointwise: g
+    table, summed row by row (the exact g builds it only when a time of the call has x >= _DIRECT_X); the pole term
+    and the rest follow time by time, so a time gets the same bits alone as in an array.  A g call of at most
+    _MEMO_CALL (3) times is pointwise: g
     keeps a memo, time -> value, and computes only the times it lacks; a call of held times is converted
     but not checked.  An echo row repeats t1, the rows share their t2 axis, and a Prepared(t1) curve asks
     for g(t1) at every point.  gdot keeps none: its pointwise calls (the growth rate's) seldom repeat a
@@ -269,13 +469,16 @@ class BrownianMatsubara:
         self._neg_nu = -nu
         self._neg_b = -b
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        # per-bath factors of the row, _tail and _live_stop formulas, each the value or product its formula starts
-        # with (same bits)
+        # per-bath factors of the row, _g_tail, _gdot_tail and _live_stop formulas, each the value or product its
+        # formula starts with (same bits)
         self._k = k
         self._gamma = gamma
         self._neg_gamma = -gamma
         self._dead_beta = _EXP_DEAD * bath.beta
         self._s0_k, self._s1_k = d.tail_sums(k)
+        # x = 2 pi t / beta is t times this; s0 turns _MatsubaraG's sum into Re g's Matsubara part
+        self._x_rate = _TWO_PI / bath.beta
+        self._s0 = bath.eta * gamma * _pow(bath.beta, 2) / (2.0 * math.pi**3)
         # the engine's Dirichlet coefficients: the pole (its rest when paired), the K terms, the tail's sum and the m-th
         # rest, whose sum is the late-time rate of Re g and whose moduli, with P / min(gamma, nu_m), bound its terms
         pair_b, pair_bound = (d.m_rest, d.pair_amp / self._pair[3]) if m else (0.0, 0.0)
@@ -308,32 +511,55 @@ class BrownianMatsubara:
             raise DephaserError(f"time {t!r} is too small for the Matsubara tail: its live terms overflow") from None
         return 0 if n_osc <= k else min(n_osc, k + _BLOCK_CAP)
 
-    def _tail(self, t: float, derivative: bool) -> float:
-        """The n > K part of g(t), or of gdot(t): the live terms, then the digamma rest.
+    @cached_property
+    def _matsubara_g(self) -> _MatsubaraG:
+        """The exact Matsubara part of Re g below x = _DIRECT_X, built at the first g call there."""
+        return _MatsubaraG(self.bath.pole_ratio, self._m)
+
+    @cached_property
+    def _g_live(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nu_n, c_n) of n = K + 1, ..., _G_LIVE_STOP, with c_m = 0: every live term past K from x = _DIRECT_X on."""
+        nu = self.bath.matsubara_frequency(np.arange(self._k + 1.0, _G_LIVE_STOP + 1.0))
+        return nu, self._table._coefficient("c", nu, self._k + 1)
+
+    def _g_tail(self, t: float) -> float:
+        """The n > K part of g(t) at x >= _DIRECT_X: its at most _G_LIVE_STOP - K live terms, then the digamma rest.
+
+        x >= 1/5 puts the last live n, ceil(_EXP_DEAD beta / (2 pi t)), at 225 or, by the rounding of x, 226.
+        """
+        # ceil(x) <= K exactly when x <= K, so this is _live_stop(t) == 0 without its call
+        if self._dead_beta / (_TWO_PI * t) <= self._k:
+            return t * self._s1_k - self._s0_k
+        n_stop = self._live_stop(t)
+        live = n_stop - self._k
+        nu, c = self._g_live
+        terms = float(np.add.reduce(_series_terms(nu[:live] * -t, c[:live], False)))
+        s0, s1 = self._table.tail_sums(n_stop)
+        return terms + t * s1 - s0
+
+    def _gdot_tail(self, t: float) -> float:
+        """The n > K part of gdot(t): the live terms, then the digamma rest.
 
         The table keeps the coefficients of the live terms up to _TAIL_KEPT
         of them; the block is built and summed _TABLE_BUDGET terms at a time.
         """
-        # ceil(x) <= K exactly when x <= K, so this is _live_stop(t) == 0 without its call
         if self._dead_beta / (_TWO_PI * t) <= self._k:
-            return self._s1_k if derivative else t * self._s1_k - self._s0_k
+            return self._s1_k
         n_stop = self._live_stop(t)
         m = n_stop - self._k
         d = self._table
-        coef_name = "b" if derivative else "c"
-        d.keep(m, "nu", coef_name)
+        d.keep(m, "nu", "b")
         block = 0.0
         for lo in range(0, m, _TABLE_BUDGET):
             hi = min(lo + _TABLE_BUDGET, m)
             nu = d.tail("nu", lo, hi)
-            terms = float(np.add.reduce(_series_terms(nu * -t, d.tail(coef_name, lo, hi, nu), derivative)))
-            # gdot's terms with B_n are B_n expm1(-nu_n t), the negated terms of Re gdot
-            block = block - terms if derivative else block + terms
-        s0, s1 = d.tail_sums(n_stop, derivative)
-        return block + s1 if derivative else block + t * s1 - s0
+            # the terms with B_n are B_n expm1(-nu_n t), the negated terms of Re gdot
+            block -= float(np.add.reduce(_series_terms(nu * -t, d.tail("b", lo, hi, nu), True)))
+        return block + d.tail_sums(n_stop, True)[1]
 
     def _explicit(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
-        """Sum of the K explicit terms at every time: c_n h(nu_n t), or -c_n nu_n expm1(-nu_n t) for gdot.
+        """Sum of the K explicit terms at every time: c_n h(nu_n t), or -c_n nu_n expm1(-nu_n t) for gdot; strict
+        truncation takes h by _h, which keeps its digits at small nu_n t.
 
         The times x K table is built at most _TABLE_BUDGET elements at a
         time (one row when K alone exceeds it), and each row is summed as
@@ -342,19 +568,40 @@ class BrownianMatsubara:
         rows = self._table_rows
         if ts.size > rows:
             return np.concatenate([self._explicit(ts[i : i + rows], derivative) for i in range(0, ts.size, rows)])
-        coef = self._neg_b if derivative else self._table.explicit[1]
-        return np.add.reduce(_series_terms(ts[:, None] * self._neg_nu, coef, derivative), axis=1)
+        if derivative:
+            return np.add.reduce(_series_terms(ts[:, None] * self._neg_nu, self._neg_b, True), axis=1)
+        if self.include_tail:  # the exact g sums them only at x >= _DIRECT_X, where nu_n t >= 1/5 cancels to 10 ulp
+            return np.add.reduce(_series_terms(ts[:, None] * self._neg_nu, self._table.explicit[1], False), axis=1)
+        terms = _h(ts[:, None] * -self._neg_nu)
+        terms *= self._table.explicit[1]
+        return np.add.reduce(terms, axis=1)
+
+    def _g_explicit(self, ts: np.ndarray, top: float) -> list:
+        """The K explicit terms' sums of g at the times ts, whose largest is top; zeros where the sum is exact and
+        x < _DIRECT_X at top, so that no time of the call reads them."""
+        if self.include_tail and top * self._x_rate < _DIRECT_X:
+            return [0.0] * ts.size
+        return self._explicit(ts, False).tolist()
 
     def _g_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
             return 0j
-        hg = math.expm1(self._neg_gamma * t) + self._gamma * t
-        re = explicit + self._pole_c * hg
+        hg = _h(self._gamma * t)
+        x = t * self._x_rate
+        exact_x = self.include_tail and x < _DIRECT_X
+        re = self._pole_c * hg if exact_x else explicit + self._pole_c * hg
         if self._m:  # the rest of the pair: m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
             nu, m_rest, amp, lo, hi = self._pair
-            re += m_rest / nu * (math.expm1(-nu * t) + nu * t) + amp * _h_divided_difference(lo, hi, t)
-        if self.include_tail:
-            re += self._tail(t, False)
+            re += m_rest / nu * _h(nu * t) + amp * _h_divided_difference(lo, hi, t)
+        if exact_x:
+            if not x * x >= sys.float_info.min:
+                raise DephaserError(
+                    f"time {t!r} is too small for the Matsubara sum of g: (2 pi t / beta)^2 = {x * x!r} leaves the "
+                    "normal floats"
+                )
+            re += self._s0 * self._matsubara_g(x)
+        elif self.include_tail:
+            re += self._g_tail(t)
         return complex(re, -self._table.pole_im * hg)
 
     def _gdot_row(self, t: float, explicit: float) -> complex:
@@ -366,7 +613,7 @@ class BrownianMatsubara:
             nu, m_rest, amp, lo, hi = self._pair
             re += m_rest * -math.expm1(-nu * t) - amp * _exp_divided_difference(lo, hi, t)
         if self.include_tail:
-            re += self._tail(t, True)
+            re += self._gdot_tail(t)
         return complex(re, self.bath.eta * em)
 
     def g(self, t):
@@ -384,14 +631,14 @@ class BrownianMatsubara:
         scalar = type(t) is float
         if not scalar and t.size > _MEMO_CALL:
             _check_times(t, self._t_max)
-            return _rows(self._g_row, t, False, None, self._explicit(t, False).tolist())
+            return _rows(self._g_row, t, False, None, self._g_explicit(t, float(np.maximum.reduce(t))))
         times = [t] if scalar else t.tolist()
         memo = self._g_memo
         values = list(map(memo.get, times))
         if None in values:
             _check_list(times, self._t_max)
             # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-            explicit = self._explicit(np.array(times) if scalar else t, False).tolist()
+            explicit = self._g_explicit(np.array(times) if scalar else t, max(times))
             if len(memo) + len(times) > _MEMO_TIMES:
                 memo.clear()
             for i, v in enumerate(values):
@@ -406,22 +653,18 @@ class BrownianMatsubara:
         return _rows(self._gdot_row, ts, scalar, times, self._explicit(ts, True).tolist())
 
     def matsubara_remainder(self, t: float) -> complex:
-        """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included.
+        """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included: Re g of the
+        exact engine less Re g of strict truncation.
 
-        DephaserError where a prefactor of the digamma sums overflows, which
-        only the constructor of the engine with its tail checks, and at K < m
-        with gamma = nu_m exactly, where the m-th term is infinite.
+        DephaserError where either engine's constructor raises, such as where a prefactor of the digamma sums
+        overflows, and at K < m with gamma = nu_m exactly, where the m-th term is infinite.
         """
         t = _check_time(t)
-        self._check_tail_amps()
-        if t == 0.0:
-            return 0j
-        rest, d = self._tail(t, False), self._table
+        d = self._table
         if d.m > self._k:
-            # the m-th term, which the tail leaves to the pair: c_m h(nu_m t), infinite at gamma = nu_m exactly
-            gap, nu = _normal(d.nu_m * d.nu_m - self._gamma * self._gamma, f"nu_{d.m}^2 - gamma^2"), d.nu_m
-            rest += d.amp / (self.beta * nu * gap) * (math.expm1(-nu * t) + nu * t)
-        return complex(rest, 0.0)
+            _normal(d.nu_m * d.nu_m - self._gamma * self._gamma, f"nu_{d.m}^2 - gamma^2")
+        exact, strict = (BrownianMatsubara(self.bath, tail) for tail in (True, False))
+        return complex(exact.g(t).real - strict.g(t).real, 0.0)
 
 
 class HighTemperatureBrownian:
@@ -447,7 +690,7 @@ class HighTemperatureBrownian:
     def g(self, t):
         ts, scalar, _ = _check_times(t, self._t_max)
         p = self.bath
-        hg = np.expm1(-p.gamma * ts) + p.gamma * ts
+        hg = _h(p.gamma * ts)
         return _complex(self._g_amp * hg, self._im_g_amp * hg, scalar)
 
     def gdot(self, t):

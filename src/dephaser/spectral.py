@@ -70,6 +70,10 @@ _ASYMPTOTIC = 50.0
 # 1 / (k k!) for k = 18, ..., 1: the terms of _exp_integral_series, of which the 19th and later leave out less than
 # 0.01 ulp of e^z E1(z) and e^-z Ei(z) below z = 1
 _SERIES = tuple(1 / (k * math.factorial(k)) for k in range(18, 0, -1))
+# y below which h(y) = e^-y + y - 1 is its Taylor series: expm1(-y) + y cancels to 2 ulp / y, 4 ulp at 1/2
+_H_SERIES_TOP = 0.5
+# (-1)^k / k! for k = 2, ..., 15: h's Taylor terms, of which the 16th and later leave out less than 6e-18 of h below 1/2
+_H_TAYLOR = tuple((-1) ** k / math.factorial(k) for k in range(2, 16))
 
 
 def _check_time(t) -> float:
@@ -521,6 +525,30 @@ class BrownianCorrelation:
         return complex(_finite(re, "Re L(t)"), -0.25 * d.amp * decay)
 
 
+def _h(y):
+    """h(y) = e^-y + y - 1 at y >= 0, a float or an array of any shape, within 2 ulp: its Taylor series below
+    _H_SERIES_TOP, where expm1(-y) + y would cancel, and expm1(-y) + y from there."""
+    if isinstance(y, float):
+        if y < _H_SERIES_TOP:
+            p = 0.0
+            for c in reversed(_H_TAYLOR):
+                p = p * y + c
+            return p * y * y
+        return math.expm1(-y) + y
+    out = np.expm1(-y)
+    out += y
+    small = y < _H_SERIES_TOP
+    if small.any():
+        # Horner's rule elementwise, so that a time gets the same bits alone as in an array
+        s = y[small]
+        p = np.zeros_like(s)
+        for c in reversed(_H_TAYLOR):
+            p *= s
+            p += c
+        out[small] = p * s * s
+    return out
+
+
 def _exp_divided_difference(lo: float, hi: float, t: float) -> float:
     """E = (e^{-lo t} - e^{-hi t}) / (lo - hi), -t e^{-lo t} at lo = hi (0 < lo <= hi, t > 0), to a few ulp: as
     e^{-lo t} t expm1(-x) / x, x = (hi - lo) t (McCurdy, Ng and Parlett, Math. Comp. 43 (1984) 501-528).
@@ -530,8 +558,22 @@ def _exp_divided_difference(lo: float, hi: float, t: float) -> float:
 
 
 def _h_divided_difference(lo: float, hi: float, t: float) -> float:
-    """Divided difference of h(lambda t) / lambda over [lo, hi] (lo <= hi), h(y) = e^-y + y - 1, as (lo E -
-    expm1(-lo t)) / (lo hi); its terms cancel as those of h(lo t) do, to about 2 ulp / (lo t) relative."""
+    """Divided difference of h(lambda t) / lambda over [lo, hi] (lo <= hi), h(y) = e^-y + y - 1, to a few ulp.
+
+    Below hi t = _H_SERIES_TOP it is its series t^2 sum_{j >= 0} (-1)^j e_j / (j + 2)!, with e_j = sum_{i <= j} (lo t)^i
+    (hi t)^(j - i) the complete homogeneous polynomial, the divided difference of lambda^(j + 1) (McCurdy, Ng and
+    Parlett); from there (lo E - expm1(-lo t)) / (lo hi), whose terms cancel by at most a factor 5.
+    """
+    b = hi * t
+    if b < _H_SERIES_TOP:
+        a = lo * t
+        e = power = 1.0
+        s = _H_TAYLOR[0]
+        for c in _H_TAYLOR[1:]:
+            power *= a
+            e = b * e + power
+            s += c * e
+        return t * t * s
     return (lo * _exp_divided_difference(lo, hi, t) - math.expm1(-lo * t)) / lo / hi
 
 

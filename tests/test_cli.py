@@ -568,7 +568,9 @@ def test_overflowing_tail_coefficient_reports_dephaser_error(capsys):
 
 
 def test_overflowing_distance_weight_reports_dephaser_error(capsys):
-    # e^{-2E} of a decay exponent E below -354.9 at a run end: the record was typed OverflowError
+    # e^{-2E} of a decay exponent E below -354.9 at a run end: the record was typed OverflowError.  The E came from
+    # Re g(t1) = 3.1e-7 where it underflows (the n > K tail's cancellation, ROADMAP item 3); the exact Re g now refuses
+    # that t1, where (2 pi t1 / beta)^2 leaves the floats, and test_measures covers the weight's own DephaserError
     argv = ["measure", "--engine", "analytic", "--eta", "9.2592522089851906e+114", "--gamma", "3.3501912746885668e+123",
             "--beta", "2.5266068615700065e-40", "--terms", "0", "--tmax", "1.2783252917795422e+25",
             "--t1", "1.460056321775686e-299"]
@@ -576,7 +578,7 @@ def test_overflowing_distance_weight_reports_dephaser_error(capsys):
     assert (rc, out) == (1, "")
     record = json.loads(err)["error"]
     assert record["type"] == "DephaserError"
-    assert record["message"].startswith("the decay exponent E = -")
+    assert record["message"].startswith("time 1.460056321775686e-299 is too small for the Matsubara sum of g")
 
 
 def test_too_few_points_rejected(capsys):
@@ -686,7 +688,7 @@ MEASURE_GRID_STDOUT = {
     ("--t1", "0.5"): (
         '{\n'
         '  "schema_version": 1,\n'
-        '  "n_value": 0.12782755506530008,\n'
+        '  "n_value": 0.1278275550653002,\n'
         '  "t_max": 10.0,\n'
         '  "truncated": false,\n'
         '  "scenario": {\n'
@@ -705,7 +707,7 @@ MEASURE_GRID_STDOUT = {
         '    {\n'
         '      "t_start": 0.0,\n'
         '      "t_end": 0.3626374889765847,\n'
-        '      "delta_d": 0.12782755506530008\n'
+        '      "delta_d": 0.1278275550653002\n'
         '    }\n'
         '  ],\n'
         '  "pair": {\n'
@@ -735,35 +737,37 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # SHA-256 of the stdout bytes of each command, recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64: every
 # subcommand and engine, both formats, the default bath, beta 933, a bath near the resonance a = 1 and one on it
 # (gamma 2 pi), t1 > 0; the 70-point grids write 4 900 rows.  A change that moves a bit on purpose records it again:
-# the seven commands with --beta 933 or --gamma were recorded again when the pole and nu_m became one pair, and
-# time-quad's when L's Matsubara sum became a window and Euler-Maclaurin tails (Re g(5) moved by 5.6e-16 relative).
+# the seven commands with --beta 933 or --gamma were recorded again when the pole and nu_m became one pair,
+# time-quad's when L's Matsubara sum became a window and Euler-Maclaurin tails (Re g(5) moved by 5.6e-16 relative),
+# and 22 of them when Re g below x = 0.2 took that window and tails and h its Taylor series at small arguments (the
+# largest move, 7.5e-12 relative, is gfun's Re g at t = 0.02, where the old value was 7.5e-12 off the oracle).
 CLI_STDOUT_DIGESTS = {
-    "gfun": "5ee73339337d2dcc5fc99ab86b8289ed166cb4a2ac32530508080a51dbe88a41",
-    "gfun --format json": "de6dbb4863d738563c3b16ffcf9754360586f247652d4ff134d1adb39cc139f4",
-    "gfun --engine hight": "7c786681e32cd5ecbf848ccf7b4d9aa46773a7259e7e70021617ec043a7dd537",
-    "gfun --beta 933": "3d7b5fc782db3c9d058457c78ff4549de35df6e1116ee3fb44670890f5567dd4",
-    "gfun --gamma 6.2894": "5aa8a34a7cf1bec8f00a940acc9513dfa12f675ddffe2a8831ac2e24da3fe0fa",
-    "gfun --gamma 6.283185307179586": "664a4daf9933411c6c0872e9852bbf7d32fa7262913a8224194ce4c9199264ff",
+    "gfun": "9e8f72408ae334941bba95add67586a9ae5db74a8f66219c712de25ada6b7576",
+    "gfun --format json": "d1f6b93705e246dd6e28197cc30c2b50458355e476c0a459276a04c2170540c8",
+    "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
+    "gfun --beta 933": "661c5a301b7c78d07a8bf31ee2bcd7dac5fd2ef6f81a5aeefeb8735fdb3036fb",
+    "gfun --gamma 6.2894": "b01377acc51bfe995cbf95533e8b448383f30a2871f9488cd073e9aa8562b930",
+    "gfun --gamma 6.283185307179586": "31f5a1646b890acb77ba41e69d855e997f17ff40dc55effbf9623659bbc8a1d4",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
-    "trdist --t1 1": "39c8e7f284e42a15e22224a1bfc2cce837e7b92916e97b78b08701a277f86cad",
-    "trdist --t1 1 --format json": "1975f93fc98b7f60d4f18880b2d883c29c997eedb80e3badb7c353924946f1cb",
-    "trdist": "8fe2561d9b9e6948ff826282ee32efb4e98d991f3e24310bd3b7599b3643d8ff",
-    "trdist --engine hight --t1 0.5": "f108e77a40cb1daa58d9191fd0c173e030b2996ba7d80d2624b93976d9b0ca39",
-    "trdist --beta 933 --t1 1": "5852e49171227d17f42053959e10047d59a5433a2ca501f1b67675895d239470",
+    "trdist --t1 1": "65e5ab56d4d67b058063f61f2164e5a8ee8e72054a3252da546c7692162b30f2",
+    "trdist --t1 1 --format json": "ddb21073cf0e0d38ee93301c9c8cf5ca1a20a1676c08fe8010d22e018d29fb8c",
+    "trdist": "a98b50f9bcf971713782d0fdfdfc6e8ca97d762db82afcae636b7cd4ea01464e",
+    "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
+    "trdist --beta 933 --t1 1": "f82a529e4da4c817a10cc38582535a2bcc37bea651a188f7484f90ffa6f03eed",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
-    "measure --t1 1": "90ca44d6bdad9cfe90d8b4e360a5bce86502aaf4c85bf22f65aaba65c084557e",
-    "measure --engine hight --t1 1": "b1d21b63adcf0f67b9828126e7124c3b95fcba76557ef0b0d78dd27b7681cc5d",
-    "measure --beta 933 --t1 1": "178ef1b5ed0703737146a7a57ce4a4b89dd5a34db013f58395ec422b6c4bde07",
+    "measure --t1 1": "c0de2a391fac5092d0c83f94c321b7a89491d1cdf9e5ca504a4d22b639a82654",
+    "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",
+    "measure --beta 933 --t1 1": "391cabfae7b878b9d513fe1d0cdfeec44d9e9e17db7a770614823e484a219d71",
     "measure --gamma 6.2894 --t1 1": "f11cd350a8a0a4e433eed9f24384edd9b41b81fae6bf1a0bc2f07aa5a45445fa",
-    "echo --points 70": "aca6b7da347904c586d2dfae5c0c4ea33bb9109b091387f49d5e559a68d4f6cd",
-    "echo --points 70 --format json": "d70e64ac8a90b11fa5d1c0663cb76a5db0f1eb6c9064c8827a2dfe808af7fdf0",
-    "echo --engine hight --points 25": "951dc80b178091f008ff6f50219060941f51bffd7f734bed46257546677fbec0",
-    "echo --beta 933 --points 25": "42be5eadb02f5fcc6e57b312e47fe709513923a69126cf69bba0e2124e8c2b72",
-    "figures trd": "ce17e83cf9e3a37b7e760862b699fec9a55332b202c502dffa73f00858eef8af",
-    "figures trd --format json --points 200": "923708db67022191e63284577334416d96990d61e1743fd34d3cde4a5e1f47ac",
-    "figures trd2t --points 70": "c70f82b4b62eb752976b2e1c08a03b1047fb908ece0522e1435432e6780c1271",
-    "figures trd2t --points 70 --format json": "06a683d3b6e3be68cb9e0fff5ca4b0f0af3e9be84f56e13731696a240678acc9",
+    "echo --points 70": "d6d0acade7a45d4408b44d3508287a1b9a448841ee63f33f99220d4a4b294e35",
+    "echo --points 70 --format json": "b4e0ad83bdd48eb9c0d25bc6ed59f053c058954420ab8afecd4d1ac885a9be36",
+    "echo --engine hight --points 25": "5804e4e75e06ab7a4055c6233c2820f6874e2219dd027e554e0182c1d8e3587d",
+    "echo --beta 933 --points 25": "f010d3b004b05571c37b81b91205d71ad966fab5d53b13e87f4501f04b5377e6",
+    "figures trd": "767adc3b0c252a50a36c63bd449934a61b343b735ebf8f0bca2a0e9da46c6660",
+    "figures trd --format json --points 200": "600644c8de85d7bc2ddbc69e68e836907dc52a49a4b4d81e67f7c2cbdf7f774a",
+    "figures trd2t --points 70": "b4135d89f963aeaa7ab9b4b8d690d97698017fe6eeba5905adcfa469575a2a76",
+    "figures trd2t --points 70 --format json": "54465b87b14f82d9ed751c795dd6e676f8667a5a3c4b49ed9b795e202c23595e",
 }
 
 

@@ -29,7 +29,14 @@ from dephaser.dephasing import (
 )
 from dephaser.errors import DephaserError
 from dephaser.measures import Prepared, SingleTime, decay_exponent_rate
-from dephaser.spectral import BathParams, BrownianCorrelation, OverdampedBrownian, TabulatedSpectralDensity
+from dephaser.spectral import (
+    BathParams,
+    BrownianCorrelation,
+    DirichletTable,
+    OverdampedBrownian,
+    TabulatedSpectralDensity,
+    _h,
+)
 
 BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=100)
 
@@ -119,6 +126,24 @@ def test_high_temperature_engine_within_a_few_ulps_of_mpmath(bath):
                 assert abs(value - amp * exact) <= 4 * 2.0**-53 * abs(amp) * size, (t, value)
 
 
+def test_h_is_within_two_ulp_of_mpmath():
+    # h(y) = e^-y + y - 1: its Taylor series below 1/2, where expm1(-y) + y cancels to 2 ulp / y, for floats and arrays
+    ys = np.geomspace(1e-12, 60.0, 2001)
+    with mpmath.workdps(40):
+        exact = [float(mpmath.expm1(-mpmath.mpf(y)) + y) for y in ys.tolist()]
+    for got in (_h(ys).tolist(), [_h(y) for y in ys.tolist()], _h(ys.reshape(3, -1)).ravel().tolist()):
+        assert all(abs(v - want) <= 2.0 * math.ulp(want) for v, want in zip(got, exact))
+
+
+def test_hight_re_g_keeps_its_digits_at_small_gamma_t():
+    # the cli_session bath at t = 0.01, gamma t = 3.1e-3: expm1(-gamma t) + gamma t left Re g 205 ulp off
+    eta, gamma, beta, t = 0.635, 0.308, 0.983, 0.01
+    with mpmath.workdps(40):
+        e, g, b = (mpmath.mpf(v) for v in (eta, gamma, beta))
+        exact = float(2 * e / (b * g * g) * (mpmath.expm1(-g * t) + g * t))
+    assert abs(HighTemperatureBrownian(BathParams(eta, gamma, beta)).g(t).real - exact) <= 2.0 * math.ulp(exact)
+
+
 def test_imag_g_is_temperature_independent():
     p2 = BathParams(eta=1.0, gamma=0.5, beta=2.0, matsubara_terms=100)
     a1, a2 = BrownianMatsubara(BATH), BrownianMatsubara(p2)
@@ -162,6 +187,77 @@ def test_matsubara_remainder_consistency():
     # remainder shrinks as more terms are kept explicitly
     p400 = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=400)
     assert BrownianMatsubara(p400).matsubara_remainder(1.0).real < strict.matsubara_remainder(1.0).real
+
+
+def test_matsubara_remainder_on_a_cold_bath():
+    # K = 100 < m = 267 at t = 1e-5: the remainder holds the m-th term and every term past K; strict truncation's own
+    # sum is the bare pole and the K explicit terms, here in mpmath
+    eta, gamma, beta, t = 1.3, 1.8, 933.0, 1e-5
+    with mpmath.workdps(40):
+        e, g, b, tt = (mpmath.mpf(v) for v in (eta, gamma, beta, t))
+        strict = (e / g) * mpmath.cot(b * g / 2) * (mpmath.expm1(-g * tt) + g * tt)
+        for n in range(1, 101):
+            nu = 2 * mpmath.pi * n / b
+            strict += 4 * e * g / (b * nu * (nu**2 - g**2)) * (mpmath.expm1(-nu * tt) + nu * tt)
+        want = float(mpmath.mpf(reference(eta, gamma, beta, t)[0]) - strict)
+    rem = BrownianMatsubara(BathParams(eta, gamma, beta), include_tail=False).matsubara_remainder(t)
+    # measured: 5.9e-14
+    assert rem.imag == 0.0 and rem.real == pytest.approx(want, rel=SMALL_T_RTOL)
+
+
+# Re g of the exact engine below x = 2 pi t / beta = 0.2, where it is _MatsubaraG's window and Euler-Maclaurin tails,
+# against the oracle: 6.6e-14 is the largest error on item 3's six baths from t = 1e-9 and on 80 random baths
+SMALL_T_RTOL = 1e-12
+# item 3's six baths: default, (0.5, 1.2, 5) with a = 0.95, a = 1.001, and three of param_sweep's pool, a = 5.37 at
+# K = 25 and the cold beta 933 and 939.84; t = 1e-9 on each
+_ITEM_3_BATHS = [
+    (1.0, 0.5, 1.0, 100),
+    (0.5, 1.2, 5.0, 100),
+    (1.0, 6.2894, 1.0, 100),
+    (2.8963995638897915, 1.4583538735456871, 23.11696065800115, 25),
+    (1.3, 1.8, 933.0, 100),
+    (7.691864553127739, 1.859754142020128, 939.8364007894908, 100),
+]
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    eta=st.floats(-1.0, 1.0).map(lambda v: 10.0**v),
+    gamma=st.floats(0.2, 2.0),
+    beta=st.floats(-1.0, 3.0).map(lambda v: 10.0**v),
+    k=st.sampled_from([0, 25, 100]),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(*_ITEM_3_BATHS[0], 0.0)
+@example(*_ITEM_3_BATHS[1], 0.0)
+@example(*_ITEM_3_BATHS[2], 0.0)
+@example(*_ITEM_3_BATHS[3], 0.0)
+@example(*_ITEM_3_BATHS[4], 0.0)
+@example(*_ITEM_3_BATHS[5], 0.0)
+def test_exact_re_g_below_x_0_2_matches_the_oracle(eta, gamma, beta, k, frac):
+    # t log-uniform from 1e-9 up to x = 0.2; the exact sum reads no K there, so every K gives the same bits
+    t = 1e-9 * (0.2 * beta / (2.0 * math.pi) / 1e-9) ** frac
+    g = BrownianMatsubara(BathParams(eta, gamma, beta, k)).g(t)
+    assert 2.0 * math.pi * t / beta < 0.2 and g.real > 0.0
+    assert g.real == pytest.approx(reference(eta, gamma, beta, t)[0], rel=SMALL_T_RTOL)
+    assert g == BrownianMatsubara(BathParams(eta, gamma, beta, 0 if k else 100)).g(t)
+
+
+@pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
+def test_exact_g_below_x_0_2_reads_no_tail_column(monkeypatch, bath):
+    # the live block of g is gone below x = 0.2, and with it the Dirichlet table's kept tail columns; gdot keeps them
+    def refuse(*args):
+        raise AssertionError("g read a tail column of the Dirichlet table")
+
+    monkeypatch.setattr(DirichletTable, "tail", refuse)
+    monkeypatch.setattr(DirichletTable, "keep", refuse)
+    times = (1e-9, 1e-5, 1e-3)
+    ev = BrownianMatsubara(bath)
+    for t in times:
+        assert ev.g(t).real > 0.0
+    assert np.all(BrownianMatsubara(bath).g(np.array(times + (2e-3, 4e-3))).real > 0.0)
+    with pytest.raises(AssertionError, match="tail column"):
+        ev.gdot(1e-5)
 
 
 def test_resonant_pole_matches_quadrature():
@@ -510,12 +606,14 @@ _PINNED_BATHS = {
     "a = 2": (1.0, 1.0, 4.0 * math.pi),
 }
 _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
-# a time whose tail has more live terms than this costs up to 18 ms a call; only these engines keep their tiniest time
+# a time whose gdot tail has more live terms than this costs up to 18 ms a call; only these engines keep their tiniest
+# time for gdot.  g sums no live term below x = 0.2 and takes every time.
 _PINNED_LIVE = 1 << 15
 _PINNED_DEEP = {("default", 100), ("beta 933", 0)}
 # recorded with numpy 2.4.6 on x86-64; a change that moves a bit of g or gdot on purpose records it again and says so
-# (last: the pole and nu_m summed as one pair, which also added the K < m cases of a = 1 and a = 2)
-_PINNED_DIGEST = "86ab62e0ef41adeda1edc6847e8898ed81346ad01475ada317183ce9c328f55d"
+# (last: Re g below x = 0.2 by the window and Euler-Maclaurin tails of L, h by its Taylor series at small arguments,
+# and g at every pinned time)
+_PINNED_DIGEST = "1565417f67d73f53338bca7334d253b305bbdf3340350af22d11d705b04b8b06"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"
@@ -523,7 +621,7 @@ _PINNED_EXP = "3540e25f77aa1f4a993f2938cdb4dc45def29cc4db2b45a714edd46316d26de8"
 
 
 def _pinned_cases():
-    """(bath, include_tail, times) of every engine the digest covers."""
+    """(bath, include_tail, {"g": times, "gdot": times}) of every engine the digest covers."""
     for name, (eta, gamma, beta) in _PINNED_BATHS.items():
         for k in (0, 1, 25, 100):
             bath = BathParams(eta, gamma, beta, k)
@@ -533,7 +631,7 @@ def _pinned_cases():
                     keep = np.ceil(45.0 * beta / (2.0 * math.pi * ts)) - k <= _PINNED_LIVE
                     keep[0] |= (name, k) in _PINNED_DEEP
                     ts = ts[keep]
-                yield bath, tail, ts
+                yield bath, tail, {"g": _PINNED_TIMES, "gdot": ts}
 
 
 def _skip_off_the_pinned_kernel():
@@ -549,9 +647,9 @@ def test_analytic_bits_match_the_pinned_digest():
     _skip_off_the_pinned_kernel()
     digest = hashlib.sha256()
     cases = 0
-    for bath, tail, ts in _pinned_cases():
+    for bath, tail, times in _pinned_cases():
         whole, single, triple = (BrownianMatsubara(bath, tail) for _ in range(3))
-        for name in ("g", "gdot"):
+        for name, ts in times.items():
             digest.update(getattr(whole, name)(ts).tobytes())
             for s in ts.tolist():
                 digest.update(np.complex128(getattr(single, name)(s)).tobytes())

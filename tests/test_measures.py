@@ -584,24 +584,20 @@ def test_re_gdot_is_positive(engine, bath):
     assert np.all(ENGINES[engine](bath).gdot(_LOG_GRID).real > 0.0)
 
 
-_ITEM_3 = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 3: the analytic tail cancels at small t, so Re g <= 0 there"
-)
-
-
 def _re_g_cases():
-    """(engine, grid points, bath) cases; analytic Re g is <= 0 today below edge, a strict xfail."""
+    """(engine, grid points, bath) cases; analytic Re g was <= 0 below edge until its exact sum took L's window and
+    Euler-Maclaurin tails below x = 2 pi t / beta = 0.2 (ROADMAP item 3), so the grid is split there."""
     for name, bath, edge, tag in (
         ("default", BATH, 1e-7, "1e-7"),
         ("cold", BATHS[1], 1e-7, "1e-7"),
         ("hot", BATHS[2], 1e-7, "1e-7"),
-        # every grid point up to t = 1e-5; the next, 2.15e-5, is positive
+        # every grid point up to t = 1e-5; the next, 2.15e-5, was positive
         ("beta-933", BETA_933, 2e-5, "2e-5"),
     ):
         below = _LOG_GRID < edge
         yield pytest.param("hight", np.ones_like(below), bath, id=f"hight-{name}")
         yield pytest.param("analytic", ~below, bath, id=f"analytic-from-{tag}-{name}")
-        yield pytest.param("analytic", below, bath, marks=_ITEM_3, id=f"analytic-below-{tag}-{name}")
+        yield pytest.param("analytic", below, bath, id=f"analytic-below-{tag}-{name}")
 
 
 @pytest.mark.parametrize("engine, points, bath", _re_g_cases())
@@ -634,11 +630,12 @@ _LIBRARY_BATHS = {
     "a = 1.001": BathParams(1.0, 6.2894, 1.0),
 }
 # SHA-256 of _library_bytes of each bath, recorded with numpy 2.4.6 on x86-64; a change that moves a bit on purpose
-# records it again and says so (last: beta 933 and a = 1.001, when the pole and nu_m became one pair)
+# records it again and says so (last: all three, when Re g below x = 0.2 took L's window and Euler-Maclaurin tails and
+# h its Taylor series at small arguments)
 _LIBRARY_DIGESTS = {
-    "default": "b5045978656ecff2be817b079e14dec87456f9efd8f8696360b8428067967209",
-    "beta 933": "a9240908fb8bcb98bfdb06211a9281ae80a244622b0f6ffa0c5f9ca8314c2a39",
-    "a = 1.001": "3d06ee099e22058b3c0e0a50885efbb81a9fadbc82e60f24a4015651a70b5c5c",
+    "default": "85276f8ff71f5c2aad1bfe3f47c655fda9b81db3d89e44a1ba234603193c8c25",
+    "beta 933": "2e09f893bbe0bcc0905ddd0ea84ffddb4ebbc7617b4b89bf65f2fc88e019f734",
+    "a = 1.001": "72aa02696419b608075ed161311b1c2bf6ec4481adf03c32b213b13c86a15ccb",
 }
 
 
