@@ -307,7 +307,8 @@ class _MatsubaraG:
     corrections there of _zero_end_coefficients.  The upper integral is x^2 M(top x), M(z) = int_z^inf h(v) v^-3 dv =
     h(z) / (2 z^2) + (1 - e^-z) / (2 z) + E1(z) / 2 (by parts; every term positive), plus that of h(u x)(q(u) - u^-3),
     which falls as u^-3 or faster past top and is a Gauss-Legendre sum (_panels) in tau = log((u - a) / (top - a)) up
-    to log(a / (top - a)) + _REACH.  The lower integral is one in log(a - u) over [0, last].  Their nodes join the
+    to log(a / (top - a)) + _REACH.  The lower one is a sum in log(1 + u) up to min(last, a / 2) and in log(a - u)
+    from there.  Their nodes join the
     window's n as points u_i, in increasing order, with weights w_i, so the sum is one weighted sum of h(u_i x).
 
     h cancels at small y, so that sum is taken by groups, the points between consecutive powers of 4: a group whose
@@ -342,10 +343,18 @@ class _MatsubaraG:
         # the lower tail's sum from n = 0, where f(0) = 0, and its corrections there: x^2 sum_p d[p] x^(2p)
         self._zero_end = ()
         if last >= 1.0:
-            sigma, w = _panels(math.log(a - last), math.log(a))
-            lower = a - np.exp(sigma[::-1])
-            nodes.insert(0, lower)
-            weights.insert(0, w[::-1] / (lower * (-a - lower)))  # dsigma = -du / (a - u): q(u)(a - u)
+            # [0, mid] in s = log(1 + u), which resolves h's bend at u x = 1 wherever it falls, and (mid, last] in
+            # sigma = log(a - u), which resolves the pole's scale a - u
+            mid = min(last, 0.5 * a)
+            s, w = _panels(0.0, math.log1p(mid))
+            near = np.expm1(s)
+            nodes.insert(0, near)
+            weights.insert(0, w * (near + 1.0) / (near * (near - a) * (near + a)))  # ds = du / (1 + u)
+            if mid < last:
+                sigma, w = _panels(math.log(a - last), math.log(a - mid))
+                far = a - np.exp(sigma[::-1])
+                nodes.insert(1, far)
+                weights.insert(1, w[::-1] / (far * (-a - far)))  # dsigma = -du / (a - u): q(u)(a - u)
             self._ends.append(_end_coefficients(last, a, 1.0))
             self._zero_end = _zero_end_coefficients(a)
         self._nodes = u = np.concatenate(nodes)

@@ -634,7 +634,7 @@ _LIBRARY_BATHS = {
 # h its Taylor series at small arguments)
 _LIBRARY_DIGESTS = {
     "default": "85276f8ff71f5c2aad1bfe3f47c655fda9b81db3d89e44a1ba234603193c8c25",
-    "beta 933": "2e09f893bbe0bcc0905ddd0ea84ffddb4ebbc7617b4b89bf65f2fc88e019f734",
+    "beta 933": "c9c1ff83f43df2a9941b1f872eb385e211eeeb895cbd377d9bb38f1c9a5526bc",
     "a = 1.001": "72aa02696419b608075ed161311b1c2bf6ec4481adf03c32b213b13c86a15ccb",
 }
 
