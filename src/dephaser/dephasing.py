@@ -116,6 +116,8 @@ _GAUSS_WEIGHTS = (
 )
 _UNIT_NODES = 0.5 + 0.5 * np.array([-v for v in reversed(_GAUSS_NODES)] + list(_GAUSS_NODES))
 _UNIT_WEIGHTS = 0.5 * np.array(_GAUSS_WEIGHTS[::-1] + _GAUSS_WEIGHTS)
+# h's Taylor terms (-1)^k / k!, k = 2, 3, ..., as a column
+_H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
 # (i, j, coefficient) of the Euler-Maclaurin corrections sum_k B_2k / (2k)! f^(2k-1), k <= 4: the term of b_i in
 # q^(j) of _end_coefficients, by Leibniz; (-1)^i for i >= 2 is that of h^(i) = (-1)^i e^-y.  At 32.5 or more from the
 # pole, the fifth, B_10 / 10! f^(9), is below 2e-16 of f.
@@ -125,8 +127,8 @@ _EM_TERMS = tuple(
     for i in range(j + 1)
 )
 # The width of each panel of the rule in the logarithmic variables of _MatsubaraG's integrals, and how far past the
-# pole's scale the upper one runs, where its integrand has fallen by e^-40.  On 80 baths from t = 1e-9 to x = 0.2,
-# panels of 3 left Re g within 7e-14 of the oracle, as did 2 and 4; 12 nodes to a panel of 3 left 3e-12.
+# pole's scale the upper one runs, where its integrand has fallen by e^-40.  At 312 times from t = 1e-9 to x = 0.2 on
+# 74 baths, panels of 2, 3 and 4 left Re g within 7.1e-14 of the oracle; panels of 6 left 3.9e-11.
 _PANEL = 3.0
 _REACH = 20.0
 
@@ -307,16 +309,17 @@ class _MatsubaraG:
     corrections there of _zero_end_coefficients.  The upper integral is x^2 M(top x), M(z) = int_z^inf h(v) v^-3 dv =
     h(z) / (2 z^2) + (1 - e^-z) / (2 z) + E1(z) / 2 (by parts; every term positive), plus that of h(u x)(q(u) - u^-3),
     which falls as u^-3 or faster past top and is a Gauss-Legendre sum (_panels) in tau = log((u - a) / (top - a)) up
-    to log(a / (top - a)) + _REACH.  The lower one is a sum in log(1 + u) up to min(last, a / 2) and in log(a - u)
-    from there.  Their nodes join the
-    window's n as points u_i, in increasing order, with weights w_i, so the sum is one weighted sum of h(u_i x).
+    to log(a / (top - a)) + _REACH.  The lower one is a sum in s = log((1 + u) / (a - u)), which resolves h's bend at
+    u x = 1 and the pole's scale a - u alike (in log(a - u) alone h's bend near u = 0 was missed by 1e-9 of Re g at
+    t = 10 on beta 933).  Their nodes join the window's n as points u_i, in increasing order, with weights w_i, so the
+    sum is one weighted sum of h(u_i x).
 
     h cancels at small y, so that sum is taken by groups, the points between consecutive powers of 4: a group whose
     largest y is below _H_SERIES_TOP is h's Taylor series (spectral._H_TAYLOR) of its moments sum_i w_i u_i^k, scaled
     by the group's largest u, kept from the start; from the first other group on, each term is w_i (expm1(-y_i) +
-    y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within 7e-14 of
-    tests/_oracle.reference on 80 baths, with no K or live term read.  DephaserError where a reaches _A_MAX, past
-    which the window's n - a are not exact.
+    y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within 7.1e-14 of
+    tests/_oracle.reference on 14 baths (a from 1.6e-4 to 3000) from t = 1e-9 to x = 0.2, with no K or live term
+    read.  DephaserError where a reaches _A_MAX, past which the window's n - a are not exact.
     """
 
     def __init__(self, a: float, m: int):
@@ -343,35 +346,30 @@ class _MatsubaraG:
         # the lower tail's sum from n = 0, where f(0) = 0, and its corrections there: x^2 sum_p d[p] x^(2p)
         self._zero_end = ()
         if last >= 1.0:
-            # [0, mid] in s = log(1 + u), which resolves h's bend at u x = 1 wherever it falls, and (mid, last] in
-            # sigma = log(a - u), which resolves the pole's scale a - u
-            mid = min(last, 0.5 * a)
-            s, w = _panels(0.0, math.log1p(mid))
-            near = np.expm1(s)
-            nodes.insert(0, near)
-            weights.insert(0, w * (near + 1.0) / (near * (near - a) * (near + a)))  # ds = du / (1 + u)
-            if mid < last:
-                sigma, w = _panels(math.log(a - last), math.log(a - mid))
-                far = a - np.exp(sigma[::-1])
-                nodes.insert(1, far)
-                weights.insert(1, w[::-1] / (far * (-a - far)))  # dsigma = -du / (a - u): q(u)(a - u)
+            # in s = log((1 + u) / (a - u)), which resolves both h's bend at u x = 1 and the pole's scale a - u
+            s, w = _panels(-math.log(a), math.log((1.0 + last) / (a - last)))
+            e = np.exp(s)
+            lower = (a * e - 1.0) / (1.0 + e)
+            nodes.insert(0, lower)
+            # du / ds = (1 + u)(a - u) / (a + 1), so the integrand of h(u x) is -(1 + u) / ((a + 1) u (u + a))
+            weights.insert(0, w * (1.0 + lower) / ((-1.0 - a) * lower * (lower + a)))
             self._ends.append(_end_coefficients(last, a, 1.0))
             self._zero_end = _zero_end_coefficients(a)
         self._nodes = u = np.concatenate(nodes)
         self._weights = w = np.concatenate(weights)
         # the groups: the points of each power of 4, at most a factor 4 apart
         ids = np.floor(np.log2(u) * 0.5)
-        starts = np.flatnonzero(np.diff(ids)) + 1
-        self._tops = u[np.append(starts, u.size) - 1]
+        lasts = np.flatnonzero(ids[1:] != ids[:-1])
+        self._tops = np.concatenate((u[lasts], u[-1:]))
         self._top_list = self._tops.tolist()
-        self._starts = [0, *starts.tolist(), u.size]
+        starts = self._starts = [0, *(lasts + 1).tolist(), u.size]
         # w r^k, k = 2, 3, ..., of each point's r = u / (its group's largest u), summed by group, times h's Taylor terms
-        r = u / np.repeat(self._tops, np.diff(self._starts))
+        r = u / np.repeat(self._tops, [b - a for a, b in zip(starts, starts[1:])])
         powers = np.empty((len(_H_TAYLOR), u.size))
         powers[:] = r
         powers[0] *= r * w
         np.multiply.accumulate(powers, axis=0, out=powers)
-        self._moments = np.array(_H_TAYLOR)[:, None] * np.add.reduceat(powers, self._starts[:-1], axis=1)
+        self._moments = _H_TAYLOR_COLUMN * np.add.reduceat(powers, self._starts[:-1], axis=1)
 
     def __call__(self, x: float) -> float:
         # the groups whose largest y is below _H_SERIES_TOP, by their Taylor series; the points of the rest one by one
@@ -585,23 +583,24 @@ class BrownianMatsubara:
         terms *= self._table.explicit[1]
         return np.add.reduce(terms, axis=1)
 
-    def _g_explicit(self, ts: np.ndarray, top: float) -> list:
-        """The K explicit terms' sums of g at the times ts, whose largest is top; zeros where the sum is exact and
-        x < _DIRECT_X at top, so that no time of the call reads them."""
-        if self.include_tail and top * self._x_rate < _DIRECT_X:
-            return [0.0] * ts.size
-        return self._explicit(ts, False).tolist()
+    def _reads_k(self, t: float) -> bool:
+        """Whether g(t) sums the K explicit terms: with strict truncation, and from x = _DIRECT_X on."""
+        return not self.include_tail or t * self._x_rate >= _DIRECT_X
 
     def _g_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
             return 0j
-        hg = _h(self._gamma * t)
+        # _h, whose expm1 branch is written out here: this is the hot path of pointwise calls
+        y = self._gamma * t
+        hg = math.expm1(-y) + y if y >= _H_SERIES_TOP else _h(y)
         x = t * self._x_rate
         exact_x = self.include_tail and x < _DIRECT_X
         re = self._pole_c * hg if exact_x else explicit + self._pole_c * hg
         if self._m:  # the rest of the pair: m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
             nu, m_rest, amp, lo, hi = self._pair
-            re += m_rest / nu * _h(nu * t) + amp * _h_divided_difference(lo, hi, t)
+            y = nu * t
+            h_m = math.expm1(-y) + y if y >= _H_SERIES_TOP else _h(y)
+            re += m_rest / nu * h_m + amp * _h_divided_difference(lo, hi, t)
         if exact_x:
             if not x * x >= sys.float_info.min:
                 raise DephaserError(
@@ -639,15 +638,20 @@ class BrownianMatsubara:
         t = t if type(t) is float else _as_times(t)
         scalar = type(t) is float
         if not scalar and t.size > _MEMO_CALL:
-            _check_times(t, self._t_max)
-            return _rows(self._g_row, t, False, None, self._g_explicit(t, float(np.maximum.reduce(t))))
+            top = _check_times(t, self._t_max)[0].max(initial=0.0)
+            # the exact g reads the K terms only from x = _DIRECT_X on; a call that has no such time builds no table
+            explicit = self._explicit(t, False).tolist() if self._reads_k(top) else [0.0] * t.size
+            return _rows(self._g_row, t, False, None, explicit)
         times = [t] if scalar else t.tolist()
         memo = self._g_memo
         values = list(map(memo.get, times))
         if None in values:
             _check_list(times, self._t_max)
             # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-            explicit = self._g_explicit(np.array(times) if scalar else t, max(times))
+            if self._reads_k(t if scalar else max(times)):
+                explicit = self._explicit(np.array(times) if scalar else t, False).tolist()
+            else:
+                explicit = [0.0] * len(times)
             if len(memo) + len(times) > _MEMO_TIMES:
                 memo.clear()
             for i, v in enumerate(values):

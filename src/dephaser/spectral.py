@@ -526,9 +526,9 @@ class BrownianCorrelation:
 
 
 def _h(y):
-    """h(y) = e^-y + y - 1 at y >= 0, a float or an array of any shape, within 2 ulp: its Taylor series below
+    """h(y) = e^-y + y - 1 at y >= 0, a Python float or an array of any shape, within 2 ulp: its Taylor series below
     _H_SERIES_TOP, where expm1(-y) + y would cancel, and expm1(-y) + y from there."""
-    if isinstance(y, float):
+    if type(y) is float:
         if y < _H_SERIES_TOP:
             p = 0.0
             for c in reversed(_H_TAYLOR):

@@ -745,7 +745,7 @@ CLI_STDOUT_DIGESTS = {
     "gfun": "9e8f72408ae334941bba95add67586a9ae5db74a8f66219c712de25ada6b7576",
     "gfun --format json": "d1f6b93705e246dd6e28197cc30c2b50458355e476c0a459276a04c2170540c8",
     "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
-    "gfun --beta 933": "28c68bb49a35796cd6f48344c8373300f20d780aac998e583e50eb9de4a48a10",
+    "gfun --beta 933": "bbb8e0c793aa5e1ff22ba079b9bc26aa2ebcb4cbd5f67b8b4e911f34758ab68b",
     "gfun --gamma 6.2894": "b01377acc51bfe995cbf95533e8b448383f30a2871f9488cd073e9aa8562b930",
     "gfun --gamma 6.283185307179586": "31f5a1646b890acb77ba41e69d855e997f17ff40dc55effbf9623659bbc8a1d4",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
@@ -754,7 +754,7 @@ CLI_STDOUT_DIGESTS = {
     "trdist --t1 1 --format json": "ddb21073cf0e0d38ee93301c9c8cf5ca1a20a1676c08fe8010d22e018d29fb8c",
     "trdist": "a98b50f9bcf971713782d0fdfdfc6e8ca97d762db82afcae636b7cd4ea01464e",
     "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
-    "trdist --beta 933 --t1 1": "27d347fe3497cf6d0cddec7fbecae11d0c9470c5a3363b028eefac8f944a138b",
+    "trdist --beta 933 --t1 1": "ee5d94f74c0f06ee0942790c465061ce1ddf1087c268b3bf4ae53a1df48f683c",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
     "measure --t1 1": "c0de2a391fac5092d0c83f94c321b7a89491d1cdf9e5ca504a4d22b639a82654",
     "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",
@@ -763,7 +763,7 @@ CLI_STDOUT_DIGESTS = {
     "echo --points 70": "d6d0acade7a45d4408b44d3508287a1b9a448841ee63f33f99220d4a4b294e35",
     "echo --points 70 --format json": "b4e0ad83bdd48eb9c0d25bc6ed59f053c058954420ab8afecd4d1ac885a9be36",
     "echo --engine hight --points 25": "5804e4e75e06ab7a4055c6233c2820f6874e2219dd027e554e0182c1d8e3587d",
-    "echo --beta 933 --points 25": "44a0efd193bcc7f7e0e218d14a06aa6a66bcdd0cc3a4d35bb7aafbee6a32d100",
+    "echo --beta 933 --points 25": "0d2903d99350654a89bac16d6cbe792a56c04e4ceff7f41656176571783beb7d",
     "figures trd": "767adc3b0c252a50a36c63bd449934a61b343b735ebf8f0bca2a0e9da46c6660",
     "figures trd --format json --points 200": "600644c8de85d7bc2ddbc69e68e836907dc52a49a4b4d81e67f7c2cbdf7f774a",
     "figures trd2t --points 70": "b4135d89f963aeaa7ab9b4b8d690d97698017fe6eeba5905adcfa469575a2a76",

@@ -634,7 +634,7 @@ _LIBRARY_BATHS = {
 # h its Taylor series at small arguments)
 _LIBRARY_DIGESTS = {
     "default": "85276f8ff71f5c2aad1bfe3f47c655fda9b81db3d89e44a1ba234603193c8c25",
-    "beta 933": "c9c1ff83f43df2a9941b1f872eb385e211eeeb895cbd377d9bb38f1c9a5526bc",
+    "beta 933": "8990a5b641b32cabc7a0fcc2f305950b5a919a3c20a279adc508da8400c8e008",
     "a = 1.001": "72aa02696419b608075ed161311b1c2bf6ec4481adf03c32b213b13c86a15ccb",
 }
 
