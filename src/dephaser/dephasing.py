@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -483,8 +483,10 @@ class BrownianMatsubara:
         self._neg_gamma = -gamma
         self._dead_beta = _EXP_DEAD * bath.beta
         self._s0_k, self._s1_k = d.tail_sums(k)
-        # x = 2 pi t / beta is t times this; s0 turns _MatsubaraG's sum into Re g's Matsubara part
+        # x = 2 pi t / beta is t times this, and the exact g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X
+        # (0 with strict truncation, which reads the K terms at every t); s0 turns that sum into Re g's Matsubara part
         self._x_rate = _TWO_PI / bath.beta
+        self._t_direct = _DIRECT_X * bath.beta / _TWO_PI if include_tail else 0.0
         self._s0 = bath.eta * gamma * _pow(bath.beta, 2) / (2.0 * math.pi**3)
         # the engine's Dirichlet coefficients: the pole (its rest when paired), the K terms, the tail's sum and the m-th
         # rest, whose sum is the late-time rate of Re g and whose moduli, with P / min(gamma, nu_m), bound its terms
@@ -500,6 +502,9 @@ class BrownianMatsubara:
         self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
         # time -> g(t) of the pointwise calls
         self._g_memo = {}
+        # built at their first use: _matsubara_g's sum and _g_tail's live terms.  Set here, and not as cached
+        # properties, whose writes to the instance's __dict__ would slow every attribute read of the engine's rows
+        self._small_x_sum = self._g_live = None
 
     def _check_tail_amps(self) -> None:
         """DephaserError where a prefactor of the digamma sums of DirichletTable.tail_sums overflows."""
@@ -518,27 +523,35 @@ class BrownianMatsubara:
             raise DephaserError(f"time {t!r} is too small for the Matsubara tail: its live terms overflow") from None
         return 0 if n_osc <= k else min(n_osc, k + _BLOCK_CAP)
 
-    @cached_property
-    def _matsubara_g(self) -> _MatsubaraG:
-        """The exact Matsubara part of Re g below x = _DIRECT_X, built at the first g call there."""
-        return _MatsubaraG(self.bath.pole_ratio, self._m)
+    def _matsubara_g(self, t: float) -> float:
+        """The exact Matsubara part of Re g(t) below t_direct, by the _MatsubaraG built at its first call.
 
-    @cached_property
-    def _g_live(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nu_n, c_n) of n = K + 1, ..., _G_LIVE_STOP, with c_m = 0: every live term past K from x = _DIRECT_X on."""
-        nu = self.bath.matsubara_frequency(np.arange(self._k + 1.0, _G_LIVE_STOP + 1.0))
-        return nu, self._table._coefficient("c", nu, self._k + 1)
+        DephaserError where x^2 leaves the normal floats.
+        """
+        x = t * self._x_rate
+        if not x * x >= sys.float_info.min:
+            raise DephaserError(
+                f"time {t!r} is too small for the Matsubara sum of g: (2 pi t / beta)^2 = {x * x!r} leaves the normal "
+                "floats"
+            )
+        if self._small_x_sum is None:
+            self._small_x_sum = _MatsubaraG(self.bath.pole_ratio, self._m)
+        return self._s0 * self._small_x_sum(x)
 
     def _g_tail(self, t: float) -> float:
-        """The n > K part of g(t) at x >= _DIRECT_X: its at most _G_LIVE_STOP - K live terms, then the digamma rest.
+        """The n > K part of g(t) from t_direct on: its at most _G_LIVE_STOP - K live terms, then the digamma rest.
 
-        x >= 1/5 puts the last live n, ceil(_EXP_DEAD beta / (2 pi t)), at 225 or, by the rounding of x, 226.
+        t >= t_direct = _DIRECT_X beta / (2 pi) puts the last live n, ceil(_EXP_DEAD beta / (2 pi t)), at 225 or, by
+        roundoff, 226.
         """
         # ceil(x) <= K exactly when x <= K, so this is _live_stop(t) == 0 without its call
         if self._dead_beta / (_TWO_PI * t) <= self._k:
             return t * self._s1_k - self._s0_k
         n_stop = self._live_stop(t)
         live = n_stop - self._k
+        if self._g_live is None:  # (nu_n, c_n) of n = K + 1, ..., _G_LIVE_STOP, with c_m = 0
+            nu = self.bath.matsubara_frequency(np.arange(self._k + 1.0, _G_LIVE_STOP + 1.0))
+            self._g_live = nu, self._table._coefficient("c", nu, self._k + 1)
         nu, c = self._g_live
         terms = float(np.add.reduce(_series_terms(nu[:live] * -t, c[:live], False)))
         s0, s1 = self._table.tail_sums(n_stop)
@@ -583,31 +596,21 @@ class BrownianMatsubara:
         terms *= self._table.explicit[1]
         return np.add.reduce(terms, axis=1)
 
-    def _reads_k(self, t: float) -> bool:
-        """Whether g(t) sums the K explicit terms: with strict truncation, and from x = _DIRECT_X on."""
-        return not self.include_tail or t * self._x_rate >= _DIRECT_X
-
     def _g_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
             return 0j
         # _h, whose expm1 branch is written out here: this is the hot path of pointwise calls
         y = self._gamma * t
         hg = math.expm1(-y) + y if y >= _H_SERIES_TOP else _h(y)
-        x = t * self._x_rate
-        exact_x = self.include_tail and x < _DIRECT_X
-        re = self._pole_c * hg if exact_x else explicit + self._pole_c * hg
+        exact = t < self._t_direct
+        re = self._pole_c * hg if exact else explicit + self._pole_c * hg
         if self._m:  # the rest of the pair: m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
             nu, m_rest, amp, lo, hi = self._pair
             y = nu * t
             h_m = math.expm1(-y) + y if y >= _H_SERIES_TOP else _h(y)
             re += m_rest / nu * h_m + amp * _h_divided_difference(lo, hi, t)
-        if exact_x:
-            if not x * x >= sys.float_info.min:
-                raise DephaserError(
-                    f"time {t!r} is too small for the Matsubara sum of g: (2 pi t / beta)^2 = {x * x!r} leaves the "
-                    "normal floats"
-                )
-            re += self._s0 * self._matsubara_g(x)
+        if exact:
+            re += self._matsubara_g(t)
         elif self.include_tail:
             re += self._g_tail(t)
         return complex(re, -self._table.pole_im * hg)
@@ -640,15 +643,15 @@ class BrownianMatsubara:
         if not scalar and t.size > _MEMO_CALL:
             top = _check_times(t, self._t_max)[0].max(initial=0.0)
             # the exact g reads the K terms only from x = _DIRECT_X on; a call that has no such time builds no table
-            explicit = self._explicit(t, False).tolist() if self._reads_k(top) else [0.0] * t.size
-            return _rows(self._g_row, t, False, None, explicit)
+            reads_k = top >= self._t_direct
+            return _rows(self._g_row, t, False, None, self._explicit(t, False).tolist() if reads_k else [0.0] * t.size)
         times = [t] if scalar else t.tolist()
         memo = self._g_memo
         values = list(map(memo.get, times))
         if None in values:
             _check_list(times, self._t_max)
             # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-            if self._reads_k(t if scalar else max(times)):
+            if (t if scalar else max(times)) >= self._t_direct:
                 explicit = self._explicit(np.array(times) if scalar else t, False).tolist()
             else:
                 explicit = [0.0] * len(times)
