@@ -218,7 +218,8 @@ def _h_over_lambda(lam, t):
 )
 def test_divided_differences_match_mpmath(lo, gap, t_scale):
     # the pair's divided differences over [lo, lo (1 + gap)] at t = t_scale / hi: no cancellation at any gap, E within
-    # 8 ulp and H within 8 ulp (1 + 1 / (lo t)), the cancellation of h(lo t) itself, and the limits at gap = 0
+    # 8 ulp, H within 8 ulp where it is its series (hi t < 1/2) and 8 ulp (1 + 1 / (lo t)) above, the cancellation of
+    # h(lo t) itself there, and the limits at gap = 0
     hi = lo * (1.0 + gap)
     t = t_scale / hi
     with mpmath.workdps(60):
@@ -230,7 +231,8 @@ def test_divided_differences_match_mpmath(lo, gap, t_scale):
             e = (mpmath.exp(-lo_ * t_) - mpmath.exp(-hi_ * t_)) / (lo_ - hi_)
             h = (_h_over_lambda(hi_, t_) - _h_over_lambda(lo_, t_)) / (hi_ - lo_)
     assert _exp_divided_difference(lo, hi, t) == pytest.approx(float(e), rel=8.0 * _ULP)
-    assert _h_divided_difference(lo, hi, t) == pytest.approx(float(h), rel=8.0 * _ULP * (1.0 + 1.0 / (lo * t)))
+    h_rel = 8.0 * _ULP * (1.0 + 1.0 / (lo * t) if hi * t >= 0.5 else 1.0)
+    assert _h_divided_difference(lo, hi, t) == pytest.approx(float(h), rel=h_rel)
 
 
 _RNG = np.random.default_rng(20261018)
