@@ -58,19 +58,16 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from functools import cache
 
 import numpy as np
 
 from ._quadrature import integrate_finite, integrate_fourier_tail, integrate_to_inf
 from .errors import DephaserError
 from .spectral import (
-    _A_MAX,
-    _BERNOULLI,
     _DIRECT_X,
     _EXP_DEAD,
     _FOURIER_MIN_TW,
-    _WINDOW,
+    _G_RULE,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
@@ -84,6 +81,7 @@ from .spectral import (
     _H_TAYLOR,
     _h,
     _h_divided_difference,
+    _matsubara_nodes,
     _normal,
     _pow,
     _split_frequency,
@@ -104,33 +102,8 @@ _TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = sys.float_info.max
 # the last n of g's live block from x = _DIRECT_X on, ceil(_EXP_DEAD / _DIRECT_X) = 225, and one for the rounding of x
 _G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
-# The 16-point Gauss-Legendre rule on [-1, 1], which is symmetric: its positive nodes and their weights; then the rule
-# on [0, 1], nodes in increasing order
-_GAUSS_NODES = (
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
-)
-_GAUSS_WEIGHTS = (
-    0.1894506104550685, 0.18260341504492358, 0.16915651939500254, 0.14959598881657674,
-    0.12462897125553388, 0.09515851168249279, 0.062253523938647894, 0.027152459411754096,
-)
-_UNIT_NODES = 0.5 + 0.5 * np.array([-v for v in reversed(_GAUSS_NODES)] + list(_GAUSS_NODES))
-_UNIT_WEIGHTS = 0.5 * np.array(_GAUSS_WEIGHTS[::-1] + _GAUSS_WEIGHTS)
 # h's Taylor terms (-1)^k / k!, k = 2, 3, ..., as a column
 _H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
-# (i, j, coefficient) of the Euler-Maclaurin corrections sum_k B_2k / (2k)! f^(2k-1), k <= 4: the term of b_i in
-# q^(j) of _end_coefficients, by Leibniz; (-1)^i for i >= 2 is that of h^(i) = (-1)^i e^-y.  At 32.5 or more from the
-# pole, the fifth, B_10 / 10! f^(9), is below 2e-16 of f.
-_EM_TERMS = tuple(
-    (i, j - i, bk * math.comb(j, i) * ((-1) ** i if i >= 2 else 1))
-    for j, bk in zip(range(1, 8, 2), _BERNOULLI)
-    for i in range(j + 1)
-)
-# The width of each panel of the rule in the logarithmic variables of _MatsubaraG's integrals, and how far past the
-# pole's scale the upper one runs, where its integrand has fallen by e^-40.  At 312 times from t = 1e-9 to x = 0.2 on
-# 74 baths, panels of 2, 3 and 4 left Re g within 7.1e-14 of the oracle; panels of 6 left 3.9e-11.
-_PANEL = 3.0
-_REACH = 20.0
 
 
 def flip_exponent(g1, g2, g12):
@@ -246,117 +219,30 @@ def _series_terms(neg_x, coef, derivative: bool):
     return e
 
 
-def _panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of the 16-point Gauss-Legendre rule on each of the equal panels of [lo, hi], at most _PANEL
-    wide, in increasing order."""
-    nodes, weights = _unit_panels(max(1, math.ceil((hi - lo) / _PANEL)))
-    return lo + (hi - lo) * nodes, (hi - lo) * weights
-
-
-@cache
-def _unit_panels(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of the 16-point Gauss-Legendre rule on each of k equal panels of [0, 1]."""
-    nodes = (np.arange(k)[:, None] + _UNIT_NODES).ravel() / k
-    return nodes, np.tile(_UNIT_WEIGHTS / k, k)
-
-
-def _end_coefficients(u: float, a: float, sign: float) -> tuple:
-    """(u, b0, b1, b) of an end u of an Euler-Maclaurin sum of f(v) = h(v x) q(v), q(v) = 1 / (v (v - a)(v + a)).
-
-    Its term f(u) / 2 + sign sum_k B_2k / (2k)! f^(2k-1)(u), k <= 4, at any x, is h(y) b0 + x h'(y) b1 + x^2 e^-y
-    sum_i b[i] x^i, y = u x: by Leibniz, f^(j) = sum_i C(j, i) x^i h^(i)(y) q^(j-i)(u), with h' = 1 - e^-y and
-    h^(i) = (-1)^i e^-y for i >= 2 (_EM_TERMS).  The derivatives of q follow from p q = 1, p = v^3 - a^2 v.
-    """
-    p = u * (u - a) * (u + a)
-    # sum_i C(j, i) p^(i) q^(j-i) = 0 for j >= 1, with p' = 3 v^2 - a^2, p'' = 6 v and p''' = 6
-    p1, p2 = 3.0 * u * u - a * a, 3.0 * u
-    q = [1.0 / p]
-    for j in range(1, 8):
-        s = j * p1 * q[j - 1]
-        if j >= 2:
-            s += j * (j - 1) * p2 * q[j - 2]
-        if j >= 3:
-            s += j * (j - 1) * (j - 2) * q[j - 3]
-        q.append(-s / p)
-    b = [0.0] * 8
-    for i, j, coef in _EM_TERMS:
-        b[i] += coef * q[j]
-    return u, sign * b[0] + 0.5 * q[0], sign * b[1], tuple(sign * v for v in b[2:])
-
-
-def _zero_end_coefficients(a: float) -> tuple:
-    """(d_1, ..., d_4) of the Euler-Maclaurin corrections -sum_k B_2k / (2k)! f^(2k-1)(0), k <= 4, of f(u) = h(u x)
-    q(u), q(u) = 1 / (u (u - a)(u + a)), at its lower end u = 0: sum_p d_p x^(2p).
-
-    f(u) = -(1 / a^2) sum_{j >= 2} x^j u^(j-1) / j! sum_i (u / a)^(2i) near 0, so f^(2k-1)(0) = -((2k-1)! / a^2)
-    sum_{p <= k} x^(2p) / ((2p)! a^(2k-2p)): terms of one sign.
-    """
-    return tuple(
-        sum(bk * math.factorial(2 * k - 1) / a ** (2 * k - 2 * p) for k, bk in enumerate(_BERNOULLI[:4], 1) if k >= p)
-        / (math.factorial(2 * p) * a * a)
-        for p in range(1, 5)
-    )
-
-
 class _MatsubaraG:
     """S(x) = sum_{n >= 1, n != m} h(n x) q(n), q(u) = 1 / (u (u - a)(u + a)), h(y) = e^-y + y - 1, for 0 < x <
     _DIRECT_X: Re g's Matsubara part over s0 = eta gamma beta^2 / (2 pi^3), with x = 2 pi t / beta.
 
-    It is summed as BrownianCorrelation sums L's.  The 2 _WINDOW + 1 terms around c = max(m, 1) are exact.  The tails
-    n >= top = c + _WINDOW + 1 and 1 <= n <= last = c - _WINDOW - 1 are their Euler-Maclaurin sums (A&S 23.1.30): the
-    integral of f(u) = h(u x) q(u), half of f at each end and the corrections of _end_coefficients.  f has no pole at
-    u = 0, where h(u x) q(u) ~ -u x^2 / (2 a^2), so the lower tail is summed from n = 0, f(0) = 0, with the
-    corrections there of _zero_end_coefficients.  The upper integral is x^2 M(top x), M(z) = int_z^inf h(v) v^-3 dv =
-    h(z) / (2 z^2) + (1 - e^-z) / (2 z) + E1(z) / 2 (by parts; every term positive), plus that of h(u x)(q(u) - u^-3),
-    which falls as u^-3 or faster past top and is a Gauss-Legendre sum (_panels) in tau = log((u - a) / (top - a)) up
-    to log(a / (top - a)) + _REACH.  The lower one is a sum in s = log((1 + u) / (a - u)), which resolves h's bend at
-    u x = 1 and the pole's scale a - u alike (in log(a - u) alone h's bend near u = 0 was missed by 1e-9 of Re g at
-    t = 10 on beta 933).  Their nodes join the window's n as points u_i, in increasing order, with weights w_i, so the
-    sum is one weighted sum of h(u_i x).
+    It is the weighted sum of h(u_i x) on the points and weights of spectral._matsubara_nodes (power 0), which the
+    analytic L shares, with their Euler-Maclaurin end terms.  The upper tail's integral of h(u x) u^-3 is x^2 M(top x),
+    M(z) = int_z^inf h(v) v^-3 dv = h(z) / (2 z^2) + (1 - e^-z) / (2 z) + E1(z) / 2 (by parts; every term positive).
 
-    h cancels at small y, so that sum is taken by groups, the points between consecutive powers of 4: a group whose
-    largest y is below _H_SERIES_TOP is h's Taylor series (spectral._H_TAYLOR) of its moments sum_i w_i u_i^k, scaled
-    by the group's largest u, kept from the start; from the first other group on, each term is w_i (expm1(-y_i) +
-    y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within 7.1e-14 of
+    h cancels at small y, so the weighted sum is taken by groups, the points between consecutive powers of 4: a group
+    whose largest y is below _H_SERIES_TOP is h's Taylor series (spectral._H_TAYLOR) of its moments sum_i w_i u_i^k,
+    scaled by the group's largest u, kept from the start; from the first other group on, each term is w_i (expm1(-y_i)
+    + y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within 7.1e-14 of
     tests/_oracle.reference on 14 baths (a from 1.6e-4 to 3000) from t = 1e-9 to x = 0.2, with no K or live term
     read.  DephaserError where a reaches _A_MAX, past which the window's n - a are not exact.
     """
 
     def __init__(self, a: float, m: int):
-        if not a < _A_MAX:
-            raise DephaserError(
-                f"beta gamma / 2 pi = {a!r} is past 2^52, where the Matsubara terms' n - a are not exact"
-            )
-        c = max(m, 1)
-        n = np.arange(float(max(1, c - _WINDOW)), c + _WINDOW + 1.0)
-        below = n - a
-        if m:
-            below[m - int(n[0])] = math.inf  # the pair's term is 0, also at n = a = m exactly
-        q = 1.0 / (n * below * (n + a))
-        top = self._top = c + _WINDOW + 1.0
-        gap = top - a
-        tau, w = _panels(0.0, max(0.0, math.log(a / gap)) + _REACH)
-        upper = a + gap * np.exp(tau)
-        # dtau = du / (u - a), so the integrand of h(u x) is (q(u) - u^-3)(u - a) = a^2 / (u^3 (u + a))
-        nodes, weights = [n, upper], [q, w * (a * a / (upper**3 * (upper + a)))]
+        u, w, ends, self._zero_end, top = _matsubara_nodes(a, m, *_G_RULE)
+        self._top = top
         # the top end, with the terms of x^2 M(top x) in h(y) and in h'(y)
-        u, b0, b1, b = _end_coefficients(top, a, -1.0)
-        self._ends = [(u, b0 + 0.5 / (top * top), b1 + 0.5 / top, b)]
-        last = c - _WINDOW - 1.0
-        # the lower tail's sum from n = 0, where f(0) = 0, and its corrections there: x^2 sum_p d[p] x^(2p)
-        self._zero_end = ()
-        if last >= 1.0:
-            # in s = log((1 + u) / (a - u)), which resolves both h's bend at u x = 1 and the pole's scale a - u
-            s, w = _panels(-math.log(a), math.log((1.0 + last) / (a - last)))
-            e = np.exp(s)
-            lower = (a * e - 1.0) / (1.0 + e)
-            nodes.insert(0, lower)
-            # du / ds = (1 + u)(a - u) / (a + 1), so the integrand of h(u x) is -(1 + u) / ((a + 1) u (u + a))
-            weights.insert(0, w * (1.0 + lower) / ((-1.0 - a) * lower * (lower + a)))
-            self._ends.append(_end_coefficients(last, a, 1.0))
-            self._zero_end = _zero_end_coefficients(a)
-        self._nodes = u = np.concatenate(nodes)
-        self._weights = w = np.concatenate(weights)
+        _, b0, b1, b = ends[0]
+        ends[0] = (top, b0 + 0.5 / (top * top), b1 + 0.5 / top, b)
+        self._ends = ends
+        self._nodes, self._weights = u, w
         # the groups: the points of each power of 4, at most a factor 4 apart
         ids = np.floor(np.log2(u) * 0.5)
         lasts = np.flatnonzero(ids[1:] != ids[:-1])

@@ -1,6 +1,6 @@
-"""Fit the coefficient tables of src/dephaser/_expint_fits.py with mpmath and print them as Python source.
+"""Fit the coefficient table _E1_FIT of src/dephaser/_expint_fits.py with mpmath and print it as Python source.
 
-usage: python tests/_expint_fit.py > tables.py   (about 15 s)
+usage: python tests/_expint_fit.py > table.py   (about 10 s)
 
 Each piece of [1, 56) is z = 2^(e-3) (k + 1/2 + s), s in [-1/2, 1/2), e = 1, ..., 6 and k = 4, ..., 7 up to z = 50.
 Its polynomial in s is mpmath's chebyfit at 50 digits, of the least degree whose value at 101 points of the piece
@@ -13,10 +13,11 @@ import math
 import mpmath
 
 ULP = 2.0**-52
-SCALED = {
-    "_E1_FIT": lambda z: mpmath.exp(z) * mpmath.e1(z),
-    "_EI_FIT": lambda z: mpmath.exp(-z) * mpmath.ei(z),
-}
+
+
+def e1_scaled(z):
+    """e^z E1(z) in mpmath."""
+    return mpmath.exp(z) * mpmath.e1(z)
 
 
 def pieces():
@@ -62,21 +63,20 @@ def worst_ulp(f, e, k, coefs, samples=2000):
 
 
 def main():
-    for name, f in SCALED.items():
-        print(f"{name} = (")
-        for e, k in pieces():
-            coefs = fit(f, e, k)
-            lo, hi = math.ldexp(k, e - 3), math.ldexp(k + 1, e - 3)
-            print(f"    # [{lo:g}, {hi:g}): degree {len(coefs) - 1}, {worst_ulp(f, e, k, coefs):.2f} ulp")
-            line = "    ("
-            for c in coefs:
-                item = f"{c!r}, "
-                if len(line) + len(item) > 120:
-                    print(line.rstrip())
-                    line = "        "
-                line += item
-            print(line.rstrip().rstrip(",") + "),")
-        print(")")
+    print("_E1_FIT = (")
+    for e, k in pieces():
+        coefs = fit(e1_scaled, e, k)
+        lo, hi = math.ldexp(k, e - 3), math.ldexp(k + 1, e - 3)
+        print(f"    # [{lo:g}, {hi:g}): degree {len(coefs) - 1}, {worst_ulp(e1_scaled, e, k, coefs):.2f} ulp")
+        line = "    ("
+        for c in coefs:
+            item = f"{c!r}, "
+            if len(line) + len(item) > 120:
+                print(line.rstrip())
+                line = "        "
+            line += item
+        print(line.rstrip().rstrip(",") + "),")
+    print(")")
 
 
 if __name__ == "__main__":

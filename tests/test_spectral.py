@@ -37,7 +37,6 @@ from dephaser.spectral import (
     _cot_rest,
     _digamma,
     _e1_scaled,
-    _ei_scaled,
     _exp_divided_difference,
     _h_divided_difference,
     correlation_function,
@@ -162,36 +161,32 @@ def test_coth_float_path_matches_the_array_path_bit_for_bit(x):
 
 
 def test_scaled_exponential_integrals_match_mpmath():
-    # e^z E1(z) within 8 ulp (its series cancels by up to a factor 4 just below 1) from 1e-300 to 1e6, and e^-z Ei(z)
-    # within 12 ulp of max(|e^-z Ei(z)|, e^-z |log z|) (Ei crosses 0 at z = 0.3725) below _ASYMPTOTIC, its domain,
-    # either side of each switch; from _ASYMPTOTIC on, the asymptotic series of both, which BrownianCorrelation._end
-    # sums there, within 4 ulp; at every edge of the fits on [1, _ASYMPTOTIC) and the float below it, and densely on
-    # [1, 2], where the fits replaced a continued fraction of up to 110 levels
+    # e^z E1(z) within 8 ulp (its series cancels by up to a factor 4 just below 1) from 1e-300 to 1e6, either side of
+    # each switch; from _ASYMPTOTIC on, its asymptotic series within 4 ulp; at every edge of the fits on [1,
+    # _ASYMPTOTIC) and the float below it, and densely on [1, 2], where the fits replaced a continued fraction of up to
+    # 110 levels
     edges = [math.ldexp(k, e - 3) for e in range(1, 7) for k in range(4, 8) if math.ldexp(k, e - 3) < _ASYMPTOTIC]
     zs = np.concatenate([np.geomspace(1e-300, 1e6, 300), np.linspace(0.05, 60.0, 150), [5e-324]])
     zs = np.concatenate([zs, np.linspace(1.0, 2.0, 401)])
     zs = np.concatenate([zs, [s for z in (*edges, _ASYMPTOTIC) for s in (z, np.nextafter(z, 0.0))]])
     with mpmath.workdps(40):
         for z in zs.tolist():
-            e1, ei = mpmath.exp(z) * mpmath.e1(z), mpmath.exp(-z) * mpmath.ei(z)
+            e1 = mpmath.exp(z) * mpmath.e1(z)
             assert abs(_e1_scaled(z) - e1) <= 8.0 * _ULP * e1, z
-            if z < _ASYMPTOTIC:
-                assert abs(_ei_scaled(z) - ei) <= 12.0 * _ULP * max(abs(ei), mpmath.exp(-z) * abs(mpmath.log(z))), z
-            else:
-                assert abs(1.0 / z + _asymptotic_rest(z, -1.0) - e1) <= 4.0 * _ULP * e1, z
-                assert abs(1.0 / z + _asymptotic_rest(z, 1.0) - ei) <= 4.0 * _ULP * ei, z
+            if z >= _ASYMPTOTIC:
+                assert abs(1.0 / z + _asymptotic_rest(z) - e1) <= 4.0 * _ULP * e1, z
 
 
-@pytest.mark.parametrize("name", ["_E1_FIT", "_EI_FIT"])
+@pytest.mark.parametrize("name", ["_E1_FIT"])
 def test_fit_tables_are_the_mpmath_fits(name):
-    # one piece of [1, 56) per row, in the order _fit indexes them, and three rows are the floats of tests/_expint_fit.py
-    # (mpmath's chebyfit at 50 digits) at their degree: refitting all 46 takes about 2 s
+    # one piece of [1, 56) per row, in the order _e1_scaled indexes them, and three rows are the floats of
+    # tests/_expint_fit.py (mpmath's chebyfit at 50 digits) at their degree: refitting all 23 takes about 1 s
     table = getattr(_expint_fits, name)
     pieces = _expint_fit.pieces()
     assert len(table) == len(pieces) == 23
     for i in (0, 11, 22):
         e, k = pieces[i]
-        assert _expint_fit.fit(_expint_fit.SCALED[name], e, k, len(table[i]) - 1) == table[i], (e, k)
+        assert _expint_fit.fit(_expint_fit.e1_scaled, e, k, len(table[i]) - 1) == table[i], (e, k)
 
 
 def test_cot_rest_matches_mpmath():
@@ -431,14 +426,36 @@ def _cut_times(bath):
     return np.geomspace(1e-7, max(60.0 / bath.gamma, bath.beta / math.pi), 40).tolist()
 
 
+def _small_x_pieces(ev, x):
+    """Every float that BrownianCorrelation sums into S(x) below x = _DIRECT_X: the terms of its points, each end
+    term, each term of the polynomial at u = 0 and E1(top x)."""
+    ev._small_x_sum(x)  # builds the tables
+    u, w, ends, zero_end, top = ev._small_x
+    pieces = (w * np.exp(-u * x)).tolist()
+    for v, b0, b1, b in ends:
+        pieces.append(math.exp(-v * x) * (b0 - x * b1 + x * x * sum(bi * x**i for i, bi in enumerate(b))))
+    pieces += [d * x ** (2 * p) for p, d in enumerate(zero_end)]
+    return pieces + [math.exp(-top * x) * _e1_scaled(top * x)]
+
+
+def _direct_terms(ev, x):
+    """The terms w_n e^{-n x} of S(x), n <= ceil(_EXP_DEAD / x), with the pair's m-th left out."""
+    a, m = ev.bath.pole_ratio, ev.table.m
+    n = np.arange(1.0, math.ceil(_EXP_DEAD / x) + 1.0)
+    with np.errstate(divide="ignore"):  # n = a = m exactly
+        w = np.where(n == m, 0.0, n / ((n - a) * (n + a)))
+    return w * np.exp(-n * x)
+
+
 def _correlation_pieces(ev, t):
     """Every float that BrownianCorrelation sums into Re L(t), with all 225 terms of the direct branch."""
     p, d = ev.bath, ev.table
     x = 2.0 * math.pi * t / p.beta
-    n, w = ev._direct if x >= _DIRECT_X else ev._window
-    pieces = (ev.c_log * w * np.exp(-n * x)).tolist()
-    if x < _DIRECT_X:
-        pieces.append(ev.c_log * ev._tails(x))
+    if x >= _DIRECT_X:
+        n, w = ev._direct
+        pieces = (ev.c_log * w * np.exp(-n * x)).tolist()
+    else:
+        pieces = [ev.c_log * v for v in _small_x_pieces(ev, x)]
     if d.m:
         decay, decay_m = math.exp(-p.gamma * t), math.exp(-d.nu_m * t)
         rates = min(p.gamma, d.nu_m), max(p.gamma, d.nu_m)
@@ -451,7 +468,7 @@ def _correlation_pieces(ev, t):
 
 @pytest.mark.parametrize("bath", _CUT_BATHS.values(), ids=_CUT_BATHS.keys())
 def test_correlation_series_stops_at_its_live_terms(bath):
-    """Re L within 4 ulp of sum |pieces| of its window and tails, or of all 225 direct terms, reading no dead one.
+    """Re L within 4 ulp of sum |pieces| of its small-x sum, or of all 225 direct terms, reading no dead one.
 
     From x = _DIRECT_X the terms past n = ceil(_EXP_DEAD / x) are set to nan, so a sum that reads them returns nan.
     """
@@ -468,21 +485,18 @@ def test_correlation_series_stops_at_its_live_terms(bath):
         got = ev(t).real
         ev._direct = n, w
         assert abs(got - math.fsum(pieces)) <= 4.0 * _ULP * math.fsum(map(abs, pieces)), t
-    assert cut >= 3 and window >= 3  # times where the cut drops terms, and times of the window and tails
+    assert cut >= 3 and window >= 3  # times where the cut drops terms, and times of the small-x sum
 
 
 @pytest.mark.parametrize("name", ["beta 104.7", "beta 939.8", "gamma 1 + 1e-5, beta 4 pi"])
 def test_correlation_branches_agree_at_the_switch(name):
-    # the window and Euler-Maclaurin tails, which serve x < _DIRECT_X, against all live terms at x = 0.2 and the float
-    # below it, where the tails start nearest their dead terms; and both branches against the oracle either side of 0.2
+    # the small-x sum, which serves x < _DIRECT_X, against all live terms at x = 0.2 and the float below it, where its
+    # Euler-Maclaurin tails start nearest their dead terms; and both branches against the oracle either side of 0.2
     bath = _CUT_BATHS[name]
     ev = BrownianCorrelation(bath)
     for x in (_DIRECT_X, np.nextafter(_DIRECT_X, 0.0)):
-        n, w = ev._window
-        tails = float(np.sum(w * np.exp(-n * x))) + ev._tails(x)
-        n, w = ev._weights(1, math.ceil(_EXP_DEAD / x))
-        direct = w * np.exp(-n * x)
-        assert abs(tails - math.fsum(direct)) <= 8.0 * _ULP * math.fsum(np.abs(direct)), x
+        direct = _direct_terms(ev, x)
+        assert abs(ev._small_x_sum(x) - math.fsum(direct)) <= 8.0 * _ULP * math.fsum(np.abs(direct)), x
     sides = set()
     for x in (0.19, 0.2 * (1.0 - 1e-15), 0.2 * (1.0 + 1e-15), 0.21):
         t = x * bath.beta / (2.0 * math.pi)
@@ -513,8 +527,8 @@ def test_correlation_matches_the_oracle(log_eta, gamma, log_beta, log_t):
 
 # the cold baths where the old n^-5 series was off (beta 933 by up to 9e-10, 2e5 by 1.3e-3 and 1e6 by 8.8 relative),
 # the pole on nu_1 and 1e-3 from it, t = 26 on (0.5, 1.2, 5), where the quadrature route of L is 1.4e-3 off, and two
-# points whose tail ends take e^z E1(z) or e^-z Ei(z) at z in [1, 2]: the upper end at z = 1.52 (a = 31.8, one end),
-# and the lower tail's end at n = 1 at z = 1.79 and 1.81 (a = 267, three ends)
+# points whose tail ends once took e^z E1(z) or e^-z Ei(z) at z in [1, 2] (a = 31.8 and 267; the first takes E1(top x)
+# at top x = 1.02)
 _ORACLE_POINTS = {
     "beta 933, t 1e-3": (1.3, 1.8, 933.0, 1e-3),
     "beta 933, t 1": (1.3, 1.8, 933.0, 1.0),
@@ -533,9 +547,10 @@ def test_correlation_matches_the_oracle_at_pinned_points(point):
     _assert_matches_the_oracle(*point)
 
 
-def test_correlation_takes_the_cancelling_ends_of_its_lower_tail_together():
-    # from (a - 1) x = _ASYMPTOTIC the 1 / z terms of e^-z Ei(z) and e^z E1(z) at n = 1 cancel to 2 / ((a^2 - 1) x);
-    # taken apart they leave about gamma t ulp of Re L (2.2e-14 and 1.2e-14 at these points, gamma t = 500)
+def test_correlation_is_its_lower_tail_to_8_ulp_where_the_window_is_dead():
+    # at gamma t = 500 the window and the tails' ends are dead, so Re L is the lower tail's Gauss-Legendre sum and its
+    # corrections at u = 0: with panels of 3 it was 1619 and 136 ulp off here, and 6.8 ulp at the second point without
+    # the fifth correction
     for eta, gamma, beta, t in ((1.0, 0.5, 2e5, 1000.0), (1.0, 2.0, 1e4, 250.0)):
         got = BrownianCorrelation(BathParams(eta, gamma, beta))(t).real
         want = correlation(eta, gamma, beta, t)[0]
@@ -556,9 +571,10 @@ def test_correlation_raises_past_its_domain():
 
 # SHA-256 of the raw bytes of L on every _CUT_BATHS bath at its _cut_times, recorded with numpy 2.4.6 on x86-64 when
 # the Matsubara sum became the window and Euler-Maclaurin tails, and again when the tails' exponential integrals became
-# fixed-degree fits (24 of 320 values moved, Re L by at most 9.3e-15 relative); a change that moves a bit of L on
-# purpose records it again and says so
-_L_PINNED_DIGEST = "08878c4b117ab8d6d75e699fe7ec149b40d49ab01556ab65d014f8db06a1dac3"
+# fixed-degree fits (24 of 320 values moved, Re L by at most 9.3e-15 relative), and when the sum below x = 0.2 moved
+# onto Re g's points and weights (Re L of 175 of 320 values moved, by at most 7.2e-15 relative); a change that moves
+# a bit of L on purpose records it again and says so
+_L_PINNED_DIGEST = "430b73ab7fc4ba6b9ae81014778fa53035dd0a592df7382a1673763438e98661"
 
 
 def test_correlation_bits_match_the_pinned_digest():
