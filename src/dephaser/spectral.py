@@ -70,6 +70,9 @@ _ASYMPTOTIC = 50.0
 # 1 / (k k!) for k = 18, ..., 1: the terms of _exp_integral_series, of which the 19th and later leave out less than
 # 0.01 ulp of e^z E1(z) below z = 1
 _SERIES = tuple(1 / (k * math.factorial(k)) for k in range(18, 0, -1))
+# n from which _cubic_tail's Euler-Maclaurin series serves, whose sixth correction, about 1.6 / n^12, is below 3e-18
+# of it; DirichletTable keeps the sums from n < _CUBIC_X
+_CUBIC_X = 30
 # y below which h(y) = e^-y + y - 1 is its Taylor series: expm1(-y) + y cancels to 2 ulp / y, 4 ulp at 1/2
 _H_SERIES_TOP = 0.5
 # (-1)^k / k! for k = 2, ..., 15: h's Taylor terms, of which the 16th and later leave out less than 6e-18 of h below 1/2
@@ -229,6 +232,31 @@ def _digamma(x: float) -> float:
     return acc + (math.log(x) - 0.5 / x - s)
 
 
+def _cubic_tail_coefficients(a2: float) -> tuple:
+    """(C_5, ..., C_0) of _cubic_tail at a^2 = a2: C_l = a^(2l) / (2l + 2) + sum_{k=1}^{l} B_2k / (2k)! (2j + 3)(2j
+    + 4) ... (2j + 2k + 1) a^(2j), j = l - k."""
+    return tuple(
+        a2**l / (2 * l + 2)
+        + sum(bk * math.prod(range(2 * j + 3, 2 * l + 2)) * a2**j for bk, j in zip(_BERNOULLI, range(l - 1, -1, -1)))
+        for l in range(5, -1, -1)
+    )
+
+
+def _cubic_tail(n: float, a2: float, coefficients: tuple) -> float:
+    """sum_{k >= n} 1 / (k (k^2 - a^2)) for n >= _CUBIC_X and a^2 = a2 <= 1/4, within 4 ulp, with no 1 / a^2: its
+    Euler-Maclaurin sum (A&S 23.1.30) in w = 1 / n^2.
+
+    That sum is sum_j a^(2j) zeta(2j + 3, n) (ratio a^2 / n^2 <= 1 / 3600) with each Hurwitz zeta's asymptotic series,
+    gathered by powers of w: w (sum_l C_l w^l + 1 / (2 n (1 - a^2 w))), the last term half the first term's sum over
+    j, with the C_l of _cubic_tail_coefficients.
+    """
+    w = 1.0 / (n * n)
+    p = 0.0
+    for c in coefficients:
+        p = p * w + c
+    return w * (p + 0.5 / (n * (1.0 - a2 * w)))
+
+
 @dataclass(frozen=True)
 class BathParams:
     """Overdamped Brownian bath: coupling eta, cutoff gamma, inverse temperature beta.
@@ -352,18 +380,38 @@ class DirichletTable:
         s0_amp = (eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3)) / self.bath.pole_ratio**2
         return eta * gamma * beta / math.pi**2, s0_amp
 
+    @cached_property
+    def _unpaired_s0(self) -> tuple[float, float, tuple, list]:
+        """Where m = 0: the prefactor eta gamma beta^2 / (2 pi^3) of S0, a^2, the coefficients of its _cubic_tail, and
+        _cubic_tail at n = 1, ..., _CUBIC_X from that at _CUBIC_X and the terms below it, added from the smallest."""
+        eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
+        a2 = self.bath.pole_ratio**2
+        coefficients = _cubic_tail_coefficients(a2)
+        head = [_cubic_tail(_CUBIC_X, a2, coefficients)]
+        for n in range(_CUBIC_X - 1, 0, -1):
+            head.append(head[-1] + 1.0 / (n * (n * n - a2)))
+        return eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3), a2, coefficients, head[::-1]
+
     def tail_sums(self, last: int, derivative: bool = False) -> tuple[float, float]:
         """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > last but n = m, by digamma; S0 is nan when derivative.
 
         Where m > last, psi(last + 1 - a) = psi(a - last) + pi cot(pi a) (A&S 6.3.7) puts -eta cot(pi a) into S1 and
-        -(eta / gamma) cot(pi a) into S0; with -B_m and -c_m they are the pair's constants, which replace them.
+        -(eta / gamma) cot(pi a) into S0; with -B_m and -c_m they are the pair's constants, which replace them.  Where
+        m = 0 (a < 1/2), S0 is its prefactor times _cubic_tail, sum_{k >= n} 1 / (k (k^2 - a^2)), as its digamma
+        difference psi(n) - (psi(n - a) + psi(n + a)) / 2 over a^2 cancels as a -> 0.
         """
         s1_amp, s0_amp = self.tail_amps
         a, n = self.bath.pole_ratio, last + 1.0
         paired = self.m > last
         above, below = _digamma(n + a), _digamma(a - last if paired else n - a)
         s1 = s1_amp * (above - below) / (2.0 * a)
-        s0 = math.nan if derivative else s0_amp * (_digamma(n) - 0.5 * (below + above))
+        if derivative:
+            s0 = math.nan
+        elif self.m:
+            s0 = s0_amp * (_digamma(n) - 0.5 * (below + above))
+        else:
+            amp, a2, coefficients, head = self._unpaired_s0
+            s0 = amp * (head[last] if last < _CUBIC_X else _cubic_tail(n, a2, coefficients))
         if paired:
             gamma, nu = self.bath.gamma, self.nu_m
             s1 -= self.pole_rest + self.m_rest
@@ -461,9 +509,8 @@ def _end_coefficients(u: float, a: float, sign: float, power: int, corrections: 
             s += j * (j - 1) * (j - 2) * r[j - 3]
         r.append(-s / p)
     if power:  # (v^2 q)^(j) = v^2 q^(j) + 2 j v q^(j-1) + j (j - 1) q^(j-2)
-        r = [u * u * r[0], u * u * r[1] + 2.0 * u * r[0]] + [
-            u * u * r[j] + 2.0 * j * u * r[j - 1] + j * (j - 1) * r[j - 2] for j in range(2, 2 * corrections)
-        ]
+        shifted = zip(r, [0.0, *r], [0.0, 0.0, *r])
+        r = [u * u * q + 2.0 * j * u * q1 + j * (j - 1) * q2 for j, (q, q1, q2) in enumerate(shifted)]
     b = [0.0] * (2 * corrections)
     for i, j, coef in _EM_TERMS[: corrections * (corrections + 1)]:
         b[i] += coef * r[j]
@@ -478,12 +525,9 @@ def _zero_end_coefficients(a: float, corrections: int) -> tuple:
     sum_{p <= k} x^(2p) / ((2p)! a^(2k-2p)): terms of one sign.  L's f, e^-ux u^2 q(u), is the second derivative of
     this f in x, so its corrections are sum_p 2p (2p - 1) d_p x^(2p-2).
     """
+    bernoulli = _BERNOULLI[:corrections]
     return tuple(
-        sum(
-            bk * math.factorial(2 * k - 1) / a ** (2 * k - 2 * p)
-            for k, bk in enumerate(_BERNOULLI[:corrections], 1)
-            if k >= p
-        )
+        sum(bk * math.factorial(2 * k - 1) / a ** (2 * k - 2 * p) for k, bk in enumerate(bernoulli, 1) if k >= p)
         / (math.factorial(2 * p) * a * a)
         for p in range(1, corrections + 1)
     )

@@ -143,6 +143,8 @@ def tail_sums(eta: float, gamma: float, beta: float, a: float, last: int) -> tup
     a is the engine's BathParams.pole_ratio, and the digamma arguments are its floats: n + a, and n - a or, where
     m > last, a - last, with psi(n - a) = psi(a - last) + pi cot(pi (a - last)) at that float.  So only its
     digamma, its arithmetic on the digamma values and the pair's constants in place of cot, c_m and B_m differ.
+    Where m = 0 the engine's S0 takes no digamma, and S0 here is the exact sum of c_n at the float a, (eta gamma
+    beta^2 / (2 pi^3)) sum_j a^(2j) zeta(2j + 3, n), whose ratio a^2 / n^2 is at most 1/4.
     """
     n = last + 1.0
     m = round(a)
@@ -161,6 +163,9 @@ def tail_sums(eta: float, gamma: float, beta: float, a: float, last: int) -> tup
             nu = 2 * mpmath.pi * m / beta
             b_m = 4 * eta * gamma / (beta * (nu**2 - gamma**2))
             s0, s1 = s0 - b_m / nu, s1 - b_m
+        if not m:
+            series = mpmath.nsum(lambda j: a ** (2 * j) * mpmath.zeta(2 * j + 3, n), [0, mpmath.inf])
+            s0 = eta * gamma * beta**2 / (2 * mpmath.pi**3) * series
         return float(s0), float(s1)
 
 

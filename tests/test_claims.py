@@ -81,13 +81,16 @@ _COUPLINGS = dict(
     eta=st.floats(0.1, 10.0), gamma=st.floats(0.2, 2.0), t1=st.floats(0.05, 5.0)
 )
 # the derandomized draws follow the float literals of the imported modules, so the bath whose e^{-2E} underflows
-# at the growth end (N about 3e-177, kept by the measure's scaled weights) is pinned as an example
+# at the growth end (N about 3e-177, kept by the measure's scaled weights) is pinned as an example, and so are the
+# draws that the literals of the e^-z Ei(z) fits gave before those fits were deleted
 _UNDERFLOW = dict(eta=6.0, gamma=1.0, beta=0.109375, t1=5.0)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(beta=st.floats(0.1, 100.0), **_COUPLINGS)
 @example(**_UNDERFLOW)
+@example(eta=1.8336042998845123, gamma=0.4418565644526784, beta=78.10445587369426, t1=0.2816035507792589)
+@example(eta=0.2, gamma=0.2, beta=0.2, t1=0.2816035507792589)
 def test_initial_correlations_are_essential_hight(eta, gamma, beta, t1):
     _assert_correlations_essential(HighTemperatureBrownian(BathParams(eta, gamma, beta)), t1)
 
@@ -95,5 +98,8 @@ def test_initial_correlations_are_essential_hight(eta, gamma, beta, t1):
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(beta=st.floats(0.1, 10.0), **_COUPLINGS)
 @example(**_UNDERFLOW)
+@example(eta=0.1, gamma=0.2, beta=0.11902504720841113, t1=0.05)
+@example(eta=8.401617597559378, gamma=0.7807820323488897, beta=0.11902504720841113, t1=3.8846844241913043)
+@example(eta=6.179290385681805, gamma=1.8006569638017738, beta=4.6912746353968, t1=0.21788236976281172)
 def test_initial_correlations_are_essential_analytic(eta, gamma, beta, t1):
     _assert_correlations_essential(BrownianMatsubara(BathParams(eta, gamma, beta)), t1)

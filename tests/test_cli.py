@@ -651,7 +651,8 @@ def test_measure_takes_the_certified_root_in_few_two_time_gdot_calls(monkeypatch
     assert max(sizes) <= 2 and len(sizes) <= 20
 
 
-# stdout of `dephaser measure --search grid` without and with a preparation, recorded from the brute-force search
+# stdout of `dephaser measure --search grid` without and with a preparation, recorded from the brute-force search;
+# N of the second recorded again (1.7e-14) when S0 of the tail sums lost its 1 / a^2 cancellation
 MEASURE_GRID_STDOUT = {
     (): (
         '{\n'
@@ -688,7 +689,7 @@ MEASURE_GRID_STDOUT = {
     ("--t1", "0.5"): (
         '{\n'
         '  "schema_version": 1,\n'
-        '  "n_value": 0.1278275550653002,\n'
+        '  "n_value": 0.12782755506529808,\n'
         '  "t_max": 10.0,\n'
         '  "truncated": false,\n'
         '  "scenario": {\n'
@@ -707,7 +708,7 @@ MEASURE_GRID_STDOUT = {
         '    {\n'
         '      "t_start": 0.0,\n'
         '      "t_end": 0.3626374889765847,\n'
-        '      "delta_d": 0.1278275550653002\n'
+        '      "delta_d": 0.12782755506529808\n'
         '    }\n'
         '  ],\n'
         '  "pair": {\n'
@@ -739,29 +740,32 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # (gamma 2 pi), t1 > 0; the 70-point grids write 4 900 rows.  A change that moves a bit on purpose records it again:
 # the seven commands with --beta 933 or --gamma were recorded again when the pole and nu_m became one pair,
 # time-quad's when L's Matsubara sum became a window and Euler-Maclaurin tails (Re g(5) moved by 5.6e-16 relative),
-# and 22 of them when Re g below x = 0.2 took that window and tails and h its Taylor series at small arguments (the
-# largest move, 7.5e-12 relative, is gfun's Re g at t = 0.02, where the old value was 7.5e-12 off the oracle).
+# 22 of them when Re g below x = 0.2 took that window and tails and h its Taylor series at small arguments (the
+# largest move, 7.5e-12 relative, is gfun's Re g at t = 0.02, where the old value was 7.5e-12 off the oracle), and the
+# eight of the default bath's gfun, trdist, measure --t1 1 and echo --points 70 when S0 of the tail sums lost its 1 /
+# a^2 cancellation (Re g from x = 0.2 moved by up to 1.3e-13 relative, and gfun's worst Re g went 1.3e-13 -> 5.6e-15
+# off the oracle).
 CLI_STDOUT_DIGESTS = {
-    "gfun": "9e8f72408ae334941bba95add67586a9ae5db74a8f66219c712de25ada6b7576",
-    "gfun --format json": "d1f6b93705e246dd6e28197cc30c2b50458355e476c0a459276a04c2170540c8",
+    "gfun": "d7bdc8c47ffe127cbc563b099701f6ba730008eb69f79765ac41c44f6c7652d7",
+    "gfun --format json": "366738b5b6b1081148a0cc5a3f96e9d0bef82f840ebbceb9f34c49a9848acc43",
     "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
     "gfun --beta 933": "bbb8e0c793aa5e1ff22ba079b9bc26aa2ebcb4cbd5f67b8b4e911f34758ab68b",
     "gfun --gamma 6.2894": "b01377acc51bfe995cbf95533e8b448383f30a2871f9488cd073e9aa8562b930",
     "gfun --gamma 6.283185307179586": "31f5a1646b890acb77ba41e69d855e997f17ff40dc55effbf9623659bbc8a1d4",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
-    "trdist --t1 1": "65e5ab56d4d67b058063f61f2164e5a8ee8e72054a3252da546c7692162b30f2",
-    "trdist --t1 1 --format json": "ddb21073cf0e0d38ee93301c9c8cf5ca1a20a1676c08fe8010d22e018d29fb8c",
-    "trdist": "a98b50f9bcf971713782d0fdfdfc6e8ca97d762db82afcae636b7cd4ea01464e",
+    "trdist --t1 1": "4d5ba258aa3035ada90d2dabdf5f154b046ac784dbadf3cadaf4e73d39f60d91",
+    "trdist --t1 1 --format json": "5c5c63e897c5e3293743157882744a4e27a4e7a385ae549db5731ffc40e961fa",
+    "trdist": "3c57f18022da7ef5fd1250f52710c04b6a6f76b67f4ce32e3e77361018e61283",
     "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
     "trdist --beta 933 --t1 1": "ee5d94f74c0f06ee0942790c465061ce1ddf1087c268b3bf4ae53a1df48f683c",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
-    "measure --t1 1": "c0de2a391fac5092d0c83f94c321b7a89491d1cdf9e5ca504a4d22b639a82654",
+    "measure --t1 1": "f278b9f885d65cc9a72fb71a7b2872034a0e0feddba567228071cf368749721c",
     "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",
     "measure --beta 933 --t1 1": "391cabfae7b878b9d513fe1d0cdfeec44d9e9e17db7a770614823e484a219d71",
     "measure --gamma 6.2894 --t1 1": "f11cd350a8a0a4e433eed9f24384edd9b41b81fae6bf1a0bc2f07aa5a45445fa",
-    "echo --points 70": "d6d0acade7a45d4408b44d3508287a1b9a448841ee63f33f99220d4a4b294e35",
-    "echo --points 70 --format json": "b4e0ad83bdd48eb9c0d25bc6ed59f053c058954420ab8afecd4d1ac885a9be36",
+    "echo --points 70": "23293102af2d0f39f12691e54ec0d4402d195536fa2677aca27d2396a831c988",
+    "echo --points 70 --format json": "3566dbb80a02846b966c703cbec502011ec4bb1a63b1edf2b5dbf3757885d334",
     "echo --engine hight --points 25": "5804e4e75e06ab7a4055c6233c2820f6874e2219dd027e554e0182c1d8e3587d",
     "echo --beta 933 --points 25": "0d2903d99350654a89bac16d6cbe792a56c04e4ceff7f41656176571783beb7d",
     "figures trd": "767adc3b0c252a50a36c63bd449934a61b343b735ebf8f0bca2a0e9da46c6660",

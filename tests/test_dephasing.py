@@ -243,6 +243,27 @@ def test_exact_re_g_below_x_0_2_matches_the_oracle(eta, gamma, beta, k, frac):
     assert g == BrownianMatsubara(BathParams(eta, gamma, beta, 0 if k else 100)).g(t)
 
 
+# Baths with no pair (a = beta gamma / 2 pi < 1/2), where S0 of DirichletTable.tail_sums was a digamma difference that
+# cancels as a -> 0: Re g was off by 5.7e-13 (default), 1.1e-11, 5.3e-10, 7.9e-9 and 2.0e-10 (hot, a = 5e-4) at x = 0.2
+_UNPAIRED_BATHS = {
+    "default": (1.0, 0.5, 1.0),
+    "a 0.01": (1.0, 2.0 * math.pi * 0.01, 1.0),
+    "a 1e-4": (1.0, 2.0 * math.pi * 1e-4, 1.0),
+    "a 1e-5": (1.0, 2.0 * math.pi * 1e-5, 1.0),
+    "hot": (1.0, 0.01, 0.314),
+}
+
+
+@pytest.mark.parametrize("bath", _UNPAIRED_BATHS.values(), ids=_UNPAIRED_BATHS.keys())
+def test_re_g_from_x_0_2_without_a_pair_matches_the_oracle(bath):
+    # the digamma rest of g from x = 0.2 on, whose S0 is the tail's sum with no 1 / a^2; measured: 7.1e-15
+    eta, gamma, beta = bath
+    ev = BrownianMatsubara(BathParams(eta, gamma, beta))
+    for x in np.geomspace(0.2, 50.0, 5).tolist():
+        t = x * beta / (2.0 * math.pi)
+        assert ev.g(t).real == pytest.approx(reference(eta, gamma, beta, t)[0], rel=SMALL_T_RTOL), x
+
+
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_exact_g_below_x_0_2_reads_no_tail_column(monkeypatch, bath):
     # the live block of g is gone below x = 0.2, and with it the Dirichlet table's kept tail columns; gdot keeps them
@@ -611,9 +632,10 @@ _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
 _PINNED_LIVE = 1 << 15
 _PINNED_DEEP = {("default", 100), ("beta 933", 0)}
 # recorded with numpy 2.4.6 on x86-64; a change that moves a bit of g or gdot on purpose records it again and says so
-# (last: Re g below x = 0.2 by the window and Euler-Maclaurin tails of L, h by its Taylor series at small arguments,
-# and g at every pinned time)
-_PINNED_DIGEST = "779f77e3bf5b79fa00e2bd619791aa60acef11b5a0ba96161af22c0745f55eee"
+# (Re g below x = 0.2 by the window and Euler-Maclaurin tails of L, h by its Taylor series at small arguments, and g at
+# every pinned time; last: Re g from x = 0.2 on the default bath, when S0 of the tail sums lost its 1 / a^2
+# cancellation)
+_PINNED_DIGEST = "17a4d8108b4e9f6dcd0e85ec304d488079a0b98dd9e8da196e3fe04ec80ae2ba"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"

@@ -630,10 +630,10 @@ _LIBRARY_BATHS = {
     "a = 1.001": BathParams(1.0, 6.2894, 1.0),
 }
 # SHA-256 of _library_bytes of each bath, recorded with numpy 2.4.6 on x86-64; a change that moves a bit on purpose
-# records it again and says so (last: all three, when Re g below x = 0.2 took L's window and Euler-Maclaurin tails and
-# h its Taylor series at small arguments)
+# records it again and says so (all three when Re g below x = 0.2 took L's window and Euler-Maclaurin tails and h its
+# Taylor series at small arguments; last: the default bath, when S0 of the tail sums lost its 1 / a^2 cancellation)
 _LIBRARY_DIGESTS = {
-    "default": "85276f8ff71f5c2aad1bfe3f47c655fda9b81db3d89e44a1ba234603193c8c25",
+    "default": "99a8c4c6d5d6aaba71617f64a862779c83da513906cb34dd36944e5218b4d1d8",
     "beta 933": "8990a5b641b32cabc7a0fcc2f305950b5a919a3c20a279adc508da8400c8e008",
     "a = 1.001": "72aa02696419b608075ed161311b1c2bf6ec4481adf03c32b213b13c86a15ccb",
 }

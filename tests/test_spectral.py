@@ -21,7 +21,7 @@ from test_dephasing import _skip_off_the_pinned_kernel
 from scipy.special import digamma as scipy_digamma
 
 import dephaser
-from dephaser import _expint_fits
+from dephaser import _expint_fits, spectral
 from dephaser.dephasing import BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
@@ -330,7 +330,10 @@ def _tail_sums_error_bound(bath, m):
     ids=["warm", "cold a > K + 1", "root window", "resonant"],
 )
 def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, m):
-    """(S0, S1) against 40-digit mpmath on the same float inputs, and scipy's bits where every digamma runs scipy's operations."""
+    """(S0, S1) against 40-digit mpmath on the same float inputs, and scipy's bits where every digamma runs scipy's operations.
+
+    Where m = 0, S0 is no digamma difference (DirichletTable.tail_sums): it is within 4 ulp of the oracle instead.
+    """
     ev = BrownianMatsubara(bath)
     k = bath.matsubara_terms
     assert in_path(_below(bath, k))
@@ -344,7 +347,10 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, m):
         bound = _tail_sums_error_bound(bath, last)
         assert all(abs(g - w) <= b for g, w, b in zip(got, want, bound)), (last, got, want, bound)
         if all(x > 10.0 for x in (last + 1.0, _below(bath, last), last + 1.0 + bath.pole_ratio)):
-            assert got == _scipy_tail_sums(bath, last), last
+            scipy_sums = _scipy_tail_sums(bath, last)
+            assert got[1] == scipy_sums[1] and (got[0] == scipy_sums[0] or not m), last
+        if not m:
+            assert abs(got[0] - want[0]) <= 4.0 * _ULP * abs(want[0]), (last, got, want)
         # gdot takes S1 alone, with the same bits
         s0, s1 = bath.dirichlet().tail_sums(last, derivative=True)
         assert math.isnan(s0) and s1 == got[1], last
@@ -519,6 +525,11 @@ def _assert_matches_the_oracle(eta, gamma, beta, t):
     log_beta=st.floats(-1.0, 4.0),
     log_t=st.floats(-9.0, math.log10(20.0)),
 )
+# hot baths below the drawn domain (a from 1.6e-3 up): a = 1e-3 and 1e-5 on beta 1, at t = 1e-9 and at x = 0.19
+@example(log_eta=0.0, gamma=2.0 * math.pi * 1e-3, log_beta=0.0, log_t=-9.0)
+@example(log_eta=0.0, gamma=2.0 * math.pi * 1e-3, log_beta=0.0, log_t=math.log10(0.19 / (2.0 * math.pi)))
+@example(log_eta=0.0, gamma=2.0 * math.pi * 1e-5, log_beta=0.0, log_t=-9.0)
+@example(log_eta=0.0, gamma=2.0 * math.pi * 1e-5, log_beta=0.0, log_t=math.log10(0.19 / (2.0 * math.pi)))
 def test_correlation_matches_the_oracle(log_eta, gamma, log_beta, log_t):
     # up to gamma t = 60: from there the rounding of x = 2 pi t / beta and of gamma t, which moves e^-x and
     # e^{-gamma t} by x ulp and gamma t ulp, comes near 1e-13
@@ -555,6 +566,28 @@ def test_correlation_is_its_lower_tail_to_8_ulp_where_the_window_is_dead():
         got = BrownianCorrelation(BathParams(eta, gamma, beta))(t).real
         want = correlation(eta, gamma, beta, t)[0]
         assert abs(got - want) <= 8.0 * _ULP * abs(want), (beta, t, got, want)
+
+
+def test_correlation_builds_its_small_x_tables_once(monkeypatch):
+    # the points and weights of the sum below x = 0.2 are built at the first call there and kept: not by the
+    # constructor, not at x >= 0.2, and once for any number of calls below it
+    calls = []
+    build = spectral._matsubara_nodes
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(spectral, "_matsubara_nodes", counted)
+    for bath in (BATH, BathParams(1.3, 1.8, 933.0), BathParams(1.0, 0.5, 2e5)):
+        ev = BrownianCorrelation(bath)
+        for x in (0.21, 1.0, 30.0):
+            ev(x * bath.beta / (2.0 * math.pi))
+        assert calls == []
+        for x in np.geomspace(1e-9, 0.19, 25).tolist():
+            ev(x * bath.beta / (2.0 * math.pi))
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_correlation_raises_past_its_domain():
