@@ -10,11 +10,11 @@ evaluators are provided:
   * BrownianMatsubara: the pole-plus-Matsubara series, exact
     (include_tail=True, the default) or truncated strictly at K terms.
     Below x = 2 pi t / beta = 0.2 its exact Re g sums the Matsubara terms
-    as the analytic L does, a window around the pole and Euler-Maclaurin
-    tails (_MatsubaraG); from there, and for gdot at every t, the n > K
-    remainder is its live terms and digamma closed forms.  Its digamma is
-    spectral._digamma, so it and HighTemperatureBrownian load no scipy;
-    only the two quadrature engines do.
+    on the nodes of the analytic L's sum (_MatsubaraG); from there, and for
+    gdot at every t, the n > K remainder is its live terms and digamma
+    closed forms.  Its digamma is spectral._digamma, so it and
+    HighTemperatureBrownian load no scipy; only the two quadrature engines
+    do.
   * HighTemperatureBrownian: the beta*gamma -> 0 closed form.
   * FrequencyQuadrature: direct adaptive integration of the spectral
     representation, with the oscillatory tails handled by a dedicated

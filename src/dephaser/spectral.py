@@ -12,7 +12,8 @@ overdamped Brownian form
 
 L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation): the
 Matsubara terms next to the pole are summed exactly and the rest by
-Euler-Maclaurin, at a bounded cost per call at any temperature.  Against a
+Euler-Maclaurin, on the nodes that Re g's sum shares (_matsubara_nodes), at
+a bounded cost per call at any temperature.  Against a
 40-digit Lerch-phi sum (tests/_oracle.py) Re L is within 1e-13 relative,
 or 8 ulp of the sum of its terms' magnitudes where it is tiny against
 them, from beta 0.1 to 1e6.  Tabulated spectral densities are integrated
@@ -67,7 +68,7 @@ _BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 _EULER_GAMMA = 0.57721566490153286061
 # z from which e^z E1(z) is its asymptotic series
 _ASYMPTOTIC = 50.0
-# 1 / (k k!) for k = 18, ..., 1: the terms of _exp_integral_series, of which the 19th and later leave out less than
+# 1 / (k k!) for k = 18, ..., 1: the terms of E1's series, of which the 19th and later leave out less than
 # 0.01 ulp of e^z E1(z) below z = 1
 _SERIES = tuple(1 / (k * math.factorial(k)) for k in range(18, 0, -1))
 # n from which _cubic_tail's Euler-Maclaurin series serves, whose sixth correction, about 1.6 / n^12, is below 3e-18
@@ -147,7 +148,11 @@ def _e1_scaled(z: float) -> float:
     factor 4, the piecewise polynomials of _E1_FIT (within about 1 ulp) on [1, _ASYMPTOTIC), and its asymptotic series
     from there."""
     if z < 1.0:
-        return math.exp(z) * (-_EULER_GAMMA - math.log(z) - _exp_integral_series(-z))
+        # sum_{k >= 1} (-z)^k / (k k!) = -gamma - log z - E1(z) (A&S 5.1.11), by Horner's rule in its first 18 terms
+        p = 0.0
+        for c in _SERIES:
+            p = p * -z + c
+        return math.exp(z) * (-_EULER_GAMMA - math.log(z) + z * p)
     if z >= _ASYMPTOTIC:
         return 1.0 / z + _asymptotic_rest(z)
     # the polynomial of z's piece of _E1_FIT, at s: z = 2^(e-3) (k + 1/2 + s)
@@ -159,15 +164,6 @@ def _e1_scaled(z: float) -> float:
     for c in _E1_FIT[4 * e + k - 8]:
         p = p * s + c
     return p
-
-
-def _exp_integral_series(w: float) -> float:
-    """sum_{k >= 1} w^k / (k k!) for -1 < w < 0, which is -gamma - log |w| - E1(|w|) (A&S 5.1.11), by Horner's rule in
-    its first 18 terms."""
-    p = 0.0
-    for c in _SERIES:
-        p = p * w + c
-    return p * w
 
 
 def _asymptotic_rest(z: float) -> float:
