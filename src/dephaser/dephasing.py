@@ -50,7 +50,10 @@ on the default bath, where nu_K t would overflow).
 BrownianMatsubara also remembers g at its pointwise calls (one to three
 times, as the two-interval kernels and the measure's curves make them),
 up to _MEMO_TIMES times, and returns the same bits from the memo as
-computed afresh.
+computed afresh.  The two-interval kernels take g at t1, t2 and t1 + t2
+by one route, _g_two_interval: from that memo as Python numbers, or
+from one g call on the three times as an array for an evaluator
+without one.
 """
 
 from __future__ import annotations
@@ -289,6 +292,18 @@ class _MatsubaraG:
         return s + 0.5 * x * x * math.exp(-y) * _e1_scaled(y)
 
 
+def _g_two_interval(evaluator, t1: float, t2: float) -> list:
+    """[g(t1), g(t2), g(t1 + t2)] as Python complex numbers at checked float times: the one pointwise route of the
+    two-interval kernels and maps.
+
+    An engine that keeps a memo answers from it (its _g_points), with no array made where it holds the three times;
+    any other evaluator gets one g call on the three times as an array.
+    """
+    times = [t1, t2, t1 + t2]
+    points = getattr(evaluator, "_g_points", None)
+    return evaluator.g(np.array(times)).tolist() if points is None else points(times)
+
+
 def _g_distinct(evaluator, times) -> np.ndarray:
     """Complex g at every time of the 1-d array times, from one evaluator call on the distinct values."""
     distinct, where = np.unique(times, return_inverse=True)
@@ -324,7 +339,8 @@ class BrownianMatsubara:
     _MEMO_CALL (3) times is pointwise: g
     keeps a memo, time -> value, and computes only the times it lacks; a call of held times is converted
     but not checked.  An echo row repeats t1, the rows share their t2 axis, and a Prepared(t1) curve asks
-    for g(t1) at every point.  gdot keeps none: its pointwise calls (the growth rate's) seldom repeat a
+    for g(t1) at every point.  Those two-interval kernels read the memo through _g_points on Python floats
+    (_g_two_interval), not through g.  gdot keeps none: its pointwise calls (the growth rate's) seldom repeat a
     time.  The memo holds at most _MEMO_TIMES (1024) times and is cleared when a call could overfill it;
     larger calls (grids, the scan) neither read nor fill it, so memory does not grow with the grid.
     """
@@ -523,31 +539,47 @@ class BrownianMatsubara:
         larger call leaves the memo alone.  A time's value is its own table row
         and row step either way, so its bits do not depend on the path.
         """
-        # _as_times leaves a float as it is; a held float, the commonest call, skips calling it
+        # _as_times leaves a float as it is; a held float, the commonest call, skips calling it and is one lookup
         t = t if type(t) is float else _as_times(t)
-        scalar = type(t) is float
-        if not scalar and t.size > _MEMO_CALL:
+        if type(t) is float:
+            value = self._g_memo.get(t)
+            return self._g_fill([t], [None])[0] if value is None else value
+        if t.size > _MEMO_CALL:
             top = _check_times(t, self._t_max)[0].max(initial=0.0)
             # the exact g reads the K terms only from x = _DIRECT_X on; a call that has no such time builds no table
             reads_k = top >= self._t_direct
             return _rows(self._g_row, t, False, None, self._explicit(t, False).tolist() if reads_k else [0.0] * t.size)
-        times = [t] if scalar else t.tolist()
+        return np.fromiter(self._g_points(t.tolist(), t), complex, t.size)
+
+    def _g_points(self, times: list, ts: np.ndarray | None = None) -> list:
+        """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers;
+        ts is the times' array where the caller has one.
+
+        The memo is looked up once; a call of held times returns at once, with no array made.
+        """
+        values = list(map(self._g_memo.get, times))
+        return self._g_fill(times, values, ts) if None in values else values
+
+    def _g_fill(self, times: list, values: list, ts: np.ndarray | None = None) -> list:
+        """values, the memo's values at times, with each None replaced by g at its time, which the memo then holds.
+
+        The times are checked and the table of all of them is built, from ts or, without it, from an array made of
+        times; the row step runs for each time the memo lacks.
+        """
         memo = self._g_memo
-        values = list(map(memo.get, times))
-        if None in values:
-            _check_list(times, self._t_max)
-            # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-            if (t if scalar else max(times)) >= self._t_direct:
-                explicit = self._explicit(np.array(times) if scalar else t, False).tolist()
-            else:
-                explicit = [0.0] * len(times)
-            if len(memo) + len(times) > _MEMO_TIMES:
-                memo.clear()
-            for i, v in enumerate(values):
-                if v is None:
-                    s = times[i]
-                    values[i] = memo[s] = self._g_row(s, explicit[i])
-        return values[0] if scalar else np.fromiter(values, complex, len(values))
+        _check_list(times, self._t_max)
+        # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
+        if max(times) >= self._t_direct:
+            explicit = self._explicit(np.array(times) if ts is None else ts, False).tolist()
+        else:
+            explicit = [0.0] * len(times)
+        if len(memo) + len(times) > _MEMO_TIMES:
+            memo.clear()
+        for i, v in enumerate(values):
+            if v is None:
+                s = times[i]
+                values[i] = memo[s] = self._g_row(s, explicit[i])
+        return values
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array)."""

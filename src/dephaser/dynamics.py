@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import _check_time, flip_exponent
+from .dephasing import _check_time, _g_two_interval, flip_exponent
 from .errors import SuperoperatorError
 
 POSITIVITY_TOL = 1e-10
@@ -92,7 +92,11 @@ class DensityMatrix2:
         v = np.asarray(v, dtype=complex)
         if v.shape != (4,):
             raise ValueError("expected a length-4 Liouville vector")
-        v0, v1, v2, v3 = v.tolist()
+        return cls._from_entries(*v.tolist())
+
+    @classmethod
+    def _from_entries(cls, v0: complex, v1: complex, v2: complex, v3: complex) -> "DensityMatrix2":
+        """The state of the Liouville vector (v0, v1, v2, v3) of Python complex numbers, after from_vector's checks."""
         if abs(v0 + v3 - 1.0) > _MAP_TOL:
             raise ValueError(f"vector trace {v0 + v3:.17g} is not 1")
         if abs(v2 - v1.conjugate()) > _MAP_TOL * (1.0 + abs(v1)):
@@ -107,6 +111,27 @@ class DensityMatrix2:
         )
 
 
+def _complex_rows(matrix) -> list:
+    """The rows of a 4x4 matrix as lists of Python complex numbers; SuperoperatorError for another shape.
+
+    A list of four lists of four numbers, as two_time_map gives, is converted
+    entry by entry; anything else, and rows or entries that do not unpack or
+    convert so, go through numpy, which raises its own error for what it
+    cannot convert.
+    """
+    if type(matrix) is list and len(matrix) == 4:
+        r0, r1, r2, r3 = matrix
+        if type(r0) is type(r1) is type(r2) is type(r3) is list:
+            try:
+                return [[complex(a), complex(b), complex(c), complex(d)] for a, b, c, d in matrix]
+            except (TypeError, ValueError, OverflowError):
+                pass
+    m = np.array(matrix, dtype=complex)
+    if m.shape != (4, 4):
+        raise SuperoperatorError("expected a 4x4 matrix")
+    return m.tolist()
+
+
 class LiouvilleOp:
     """A 4x4 map on Liouville vectors, validated at construction.
 
@@ -115,15 +140,13 @@ class LiouvilleOp:
     the |2><1| row is the conjugate of the |1><2| row with the coherence
     columns swapped, and the population rows map hermitian inputs to real
     outputs.  Non-finite entries and violations beyond 1e-12 raise
-    SuperoperatorError.  The checks run on the Python scalars of one
-    tolist() of the matrix, which stays a read-only ndarray.
+    SuperoperatorError.  The map is kept as its rows of Python complex
+    numbers, on which the checks run and which a call applies to a state;
+    the read-only ndarray .matrix is built from them where it is read.
     """
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise SuperoperatorError("expected a 4x4 matrix")
-        r0, r1, r2, r3 = m.tolist()
+        r0, r1, r2, r3 = rows = _complex_rows(matrix)
         # a nan defect compares False below, so non-finite entries are rejected first
         if not all(map(cmath.isfinite, r0 + r1 + r2 + r3)):
             raise SuperoperatorError("map entries must be finite")
@@ -148,15 +171,26 @@ class LiouvilleOp:
             raise SuperoperatorError(
                 f"map does not preserve hermiticity (max defect {herm_defect:.3e})"
             )
-        m.setflags(write=False)
-        self._matrix = m
+        self._rows = rows
+        self._matrix = None
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = np.array(self._rows, dtype=complex)
+            m.setflags(write=False)
+            self._matrix = m
         return self._matrix
 
     def __call__(self, state: DensityMatrix2) -> DensityMatrix2:
-        return DensityMatrix2.from_vector(self._matrix @ state.to_vector())
+        """The map applied to the state's Liouville vector (p11, c12, conj c12, p22), then from_vector's checks.
+
+        The products and sums run on Python complex numbers, in one order on every machine; numpy's matrix product
+        (BLAS) may sum a row in another, and differ by roundoff where a row has more than one nonzero product.
+        """
+        c12 = state.c12
+        v0, v1, v2, v3 = complex(state.p11), c12, c12.conjugate(), complex(state.p22)
+        return DensityMatrix2._from_entries(*[a * v0 + b * v1 + c * v2 + d * v3 for a, b, c, d in self._rows])
 
 
 def identity_op() -> LiouvilleOp:
@@ -208,14 +242,14 @@ def two_time_map(system: SystemParams, evaluator, uprime: LiouvilleOp, t1: float
     t1 = _check_time(t1)
     t2 = _check_time(t2)
     eps = system.epsilon
-    g1, g2, g12 = evaluator.g(np.array([t1, t2, t1 + t2])).tolist()
+    g1, g2, g12 = _g_two_interval(evaluator, t1, t2)
     k1 = _kernel(eps, t1, g1)
     k2 = _kernel(eps, t2, g2)
     kk = _kernel(eps, t1 + t2, g12)
     kf = _kernel(eps, t2 - t1, flip_exponent(g1, g2, g12))
     # Python complex products use numpy's formula, so these entries have the bits of numpy scalar products
     k1c, k2c, kkc, kfc = k1.conjugate(), k2.conjugate(), kk.conjugate(), kf.conjugate()
-    u0, u1, u2, u3 = uprime.matrix.tolist()
+    u0, u1, u2, u3 = uprime._rows
     m = [
         [u0[0], k1c * u0[1], k1 * u0[2], u0[3]],
         [k2c * u1[0], kkc * u1[1], kf * u1[2], k2c * u1[3]],

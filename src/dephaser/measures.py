@@ -49,7 +49,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dephasing import _check_time, _check_times, _g_distinct, flip_exponent
+from .dephasing import _check_time, _check_times, _g_distinct, _g_two_interval, flip_exponent
 from .dynamics import DensityMatrix2, SystemParams
 from .errors import DephaserError
 
@@ -105,13 +105,13 @@ def analytic_pair() -> StatePair:
 
 
 def decay_exponent(evaluator, scenario, t: float) -> float:
-    """E(t) such that the coherence difference shrinks by e^{-E(t)}, from one g call."""
+    """E(t) such that the coherence difference shrinks by e^{-E(t)}: from g(t), or from g at t1, t and t1 + t by the
+    pointwise route of the two-interval kernels (dephasing._g_two_interval)."""
     t = _check_time(t)
     if isinstance(scenario, SingleTime):
         return evaluator.g(t).real
     if isinstance(scenario, Prepared):
-        t1 = scenario.t1
-        g1, g2, g12 = evaluator.g(np.array([t1, t, t1 + t])).tolist()
+        g1, g2, g12 = _g_two_interval(evaluator, scenario.t1, t)
         return flip_exponent(g1, g2, g12).real
     raise TypeError(f"unknown scenario {scenario!r}")
 

@@ -18,19 +18,19 @@ import cmath
 
 import numpy as np
 
-from .dephasing import _check_time, _check_times, _g_distinct, flip_exponent
+from .dephasing import _check_time, _check_times, _g_distinct, _g_two_interval, flip_exponent
 
 
 def echo_response(evaluator, t1: float, t2: float) -> complex:
     """Two-interval rephasing kernel R(t1, t2).
 
-    exp is cmath.exp, which has np.exp's bits over the engines' range; where
-    |R| overflows (Re of the flip exponent below about -709.78) it raises
-    OverflowError, where np.exp gave inf behind a RuntimeWarning.
+    g at t1, t2 and t1 + t2 comes by the pointwise route of the two-interval
+    kernels (dephasing._g_two_interval), from the engine's memo where it
+    holds them.  exp is cmath.exp, which has np.exp's bits over the engines'
+    range; where |R| overflows (Re of the flip exponent below about -709.78)
+    it raises OverflowError, where np.exp gave inf behind a RuntimeWarning.
     """
-    t1 = _check_time(t1)
-    t2 = _check_time(t2)
-    g1, g2, g12 = evaluator.g(np.array([t1, t2, t1 + t2])).tolist()
+    g1, g2, g12 = _g_two_interval(evaluator, _check_time(t1), _check_time(t2))
     return cmath.exp(-flip_exponent(g1, g2, g12))
 
 

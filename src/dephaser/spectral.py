@@ -32,6 +32,7 @@ the analytic L here and the series engine of dephasing (BrownianMatsubara) read.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -180,7 +181,7 @@ def _asymptotic_rest(z: float) -> float:
 
 def _normal(value: float, what: str) -> float:
     """value when it is a normal float; DephaserError when the arithmetic that gave it over- or underflowed."""
-    if not np.finfo(float).smallest_normal <= abs(value) < math.inf:
+    if not sys.float_info.min <= abs(value) < math.inf:
         raise DephaserError(f"{what} = {value!r} leaves the normal floats: the bath is outside this engine's range")
     return value
 
@@ -228,14 +229,25 @@ def _digamma(x: float) -> float:
     return acc + (math.log(x) - 0.5 / x - s)
 
 
+# (l, the (B_2k / (2k)! (2j + 3)(2j + 4) ... (2j + 2k + 1), j) of k = 1, ..., l, j = l - k) of C_l, l = 5, ..., 0, of
+# _cubic_tail_coefficients, at import: each constant is the float its term of the sum rounds to before a^(2j)
+_CUBIC_TERMS = tuple(
+    (l, tuple((bk * math.prod(range(2 * j + 3, 2 * l + 2)), j) for bk, j in zip(_BERNOULLI, range(l - 1, -1, -1))))
+    for l in range(5, -1, -1)
+)
+
+
 def _cubic_tail_coefficients(a2: float) -> tuple:
     """(C_5, ..., C_0) of _cubic_tail at a^2 = a2: C_l = a^(2l) / (2l + 2) + sum_{k=1}^{l} B_2k / (2k)! (2j + 3)(2j
     + 4) ... (2j + 2k + 1) a^(2j), j = l - k."""
-    return tuple(
-        a2**l / (2 * l + 2)
-        + sum(bk * math.prod(range(2 * j + 3, 2 * l + 2)) * a2**j for bk, j in zip(_BERNOULLI, range(l - 1, -1, -1)))
-        for l in range(5, -1, -1)
-    )
+    powers = [a2**j for j in range(6)]
+    coefficients = []
+    for l, terms in _CUBIC_TERMS:
+        s = 0.0
+        for b, j in terms:
+            s += b * powers[j]
+        coefficients.append(powers[l] / (2 * l + 2) + s)
+    return tuple(coefficients)
 
 
 def _cubic_tail(n: float, a2: float, coefficients: tuple) -> float:
@@ -377,16 +389,21 @@ class DirichletTable:
         return eta * gamma * beta / math.pi**2, s0_amp
 
     @cached_property
-    def _unpaired_s0(self) -> tuple[float, float, tuple, list]:
-        """Where m = 0: the prefactor eta gamma beta^2 / (2 pi^3) of S0, a^2, the coefficients of its _cubic_tail, and
-        _cubic_tail at n = 1, ..., _CUBIC_X from that at _CUBIC_X and the terms below it, added from the smallest."""
+    def _unpaired_s0(self) -> tuple[float, float, tuple]:
+        """Where m = 0: the prefactor eta gamma beta^2 / (2 pi^3) of S0, a^2 and the coefficients of its _cubic_tail."""
         eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
         a2 = self.a**2
-        coefficients = _cubic_tail_coefficients(a2)
+        return eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3), a2, _cubic_tail_coefficients(a2)
+
+    @cached_property
+    def _unpaired_head(self) -> list:
+        """Where m = 0: _cubic_tail at n = 1, ..., _CUBIC_X from that at _CUBIC_X and the terms below it, added from the
+        smallest; built at the first tail_sums call that reads it, one with last < _CUBIC_X."""
+        _, a2, coefficients = self._unpaired_s0
         head = [_cubic_tail(_CUBIC_X, a2, coefficients)]
         for n in range(_CUBIC_X - 1, 0, -1):
             head.append(head[-1] + 1.0 / (n * (n * n - a2)))
-        return eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3), a2, coefficients, head[::-1]
+        return head[::-1]
 
     def tail_sums(self, last: int, derivative: bool = False) -> tuple[float, float]:
         """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > last but n = m, by digamma; S0 is nan when derivative.
@@ -406,8 +423,8 @@ class DirichletTable:
         elif self.m:
             s0 = s0_amp * (_digamma(n) - 0.5 * (below + above))
         else:
-            amp, a2, coefficients, head = self._unpaired_s0
-            s0 = amp * (head[last] if last < _CUBIC_X else _cubic_tail(n, a2, coefficients))
+            amp, a2, coefficients = self._unpaired_s0
+            s0 = amp * (self._unpaired_head[last] if last < _CUBIC_X else _cubic_tail(n, a2, coefficients))
         if paired:
             gamma, nu = self.bath.gamma, self.nu_m
             s1 -= self.pole_rest + self.m_rest
@@ -668,7 +685,12 @@ class BrownianCorrelation:
 
 def _h(y):
     """h(y) = e^-y + y - 1 at y >= 0, a Python float or an array of any shape, within 2 ulp: its Taylor series below
-    _H_SERIES_TOP, where expm1(-y) + y would cancel, and expm1(-y) + y from there."""
+    _H_SERIES_TOP, where expm1(-y) + y would cancel, and expm1(-y) + y from there.
+
+    An entry gets the same bits alone as in an array of any size: Horner's rule runs on Python floats or elementwise
+    on the array with the same roundings, and an array's expm1 is numpy's.  The array's Horner's rule costs two ufunc
+    calls a term, and a Python float's one multiply-add a term, so up to as many entries as terms (the pointwise
+    calls) every entry runs on Python floats."""
     if type(y) is float:
         if y < _H_SERIES_TOP:
             p = 0.0
@@ -676,11 +698,13 @@ def _h(y):
                 p = p * y + c
             return p * y * y
         return math.expm1(-y) + y
+    if y.size <= len(_H_TAYLOR):
+        values = zip(y.ravel().tolist(), np.expm1(-y).ravel().tolist())
+        return np.array([_h(s) if s < _H_SERIES_TOP else em + s for s, em in values]).reshape(y.shape)
     out = np.expm1(-y)
     out += y
     small = y < _H_SERIES_TOP
     if small.any():
-        # Horner's rule elementwise, so that a time gets the same bits alone as in an array
         s = y[small]
         p = np.zeros_like(s)
         for c in reversed(_H_TAYLOR):

@@ -208,3 +208,31 @@ def _fixed_point_sum(a, q, stop: int | None):
         if n << bits < a_fixed:
             below = total
     return q * mpmath.mpf(total) / one, q * mpmath.mpf(below) / one
+
+
+def measure(eta: float, gamma: float, beta: float, t1: float) -> tuple[float, float]:
+    """(N, t*) of the Prepared(t1) scenario on the bath (eta, gamma, beta) from reference alone: the non-Markovianity
+    of Laine, Piilo and Breuer (PRA 81, 062115, 2010) for the antipodal equatorial pair, N = e^{-E(t*)} - e^{-E(0)}.
+
+    E(t) = 2 Re g(t1) + 2 Re g(t) - Re g(t1 + t) is the flip exponent, E(0) = Re g(t1), and t* is the one zero of its
+    rate 2 Re gdot(t) - Re gdot(t1 + t), negative below it.  t* is bracketed by doubling from t1 and bisected on the
+    sign of that rate to a relative width of 1e-9.  The rate vanishes at t*, so the error of t* moves N only at second
+    order, and floats suffice for the bisection.
+    """
+
+    def rate(t: float) -> float:
+        return 2.0 * reference(eta, gamma, beta, t)[1] - reference(eta, gamma, beta, t1 + t)[1]
+
+    lo, hi = 0.0, t1
+    while rate(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t_star = 0.5 * (lo + hi)
+    g1 = reference(eta, gamma, beta, t1)[0]
+    e_star = 2.0 * g1 + 2.0 * reference(eta, gamma, beta, t_star)[0] - reference(eta, gamma, beta, t1 + t_star)[0]
+    return math.exp(-e_star) - math.exp(-g1), t_star

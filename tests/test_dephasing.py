@@ -35,6 +35,8 @@ from dephaser.spectral import (
     DirichletTable,
     OverdampedBrownian,
     TabulatedSpectralDensity,
+    _H_SERIES_TOP,
+    _H_TAYLOR,
     _h,
 )
 
@@ -133,6 +135,20 @@ def test_h_is_within_two_ulp_of_mpmath():
         exact = [float(mpmath.expm1(-mpmath.mpf(y)) + y) for y in ys.tolist()]
     for got in (_h(ys).tolist(), [_h(y) for y in ys.tolist()], _h(ys.reshape(3, -1)).ravel().tolist()):
         assert all(abs(v - want) <= 2.0 * math.ulp(want) for v, want in zip(got, exact))
+
+
+def test_hight_pointwise_g_has_the_bits_of_a_large_array():
+    # up to len(_H_TAYLOR) times h runs on Python floats, past it on the array: a time gets the same bits either way,
+    # on either side of _H_SERIES_TOP, and the exponential is numpy's expm1 for both
+    ev = HighTemperatureBrownian(BATH)
+    top = _H_SERIES_TOP / BATH.gamma
+    grid = np.concatenate((np.geomspace(1e-9, 60.0, 997), [0.0, top, np.nextafter(top, 0.0)]))
+    whole = ev.g(grid)
+    for size in (1, 2, 3, len(_H_TAYLOR)):
+        for i in range(0, grid.size - size + 1, size):
+            assert _bits(ev.g(grid[i : i + size])).tobytes() == _bits(whole[i : i + size]).tobytes()
+    for i in range(0, grid.size, 7):
+        assert _bits(np.complex128(ev.g(float(grid[i])))).tobytes() == _bits(whole[i : i + 1]).tobytes()
 
 
 def test_hight_re_g_keeps_its_digits_at_small_gamma_t():

@@ -215,9 +215,10 @@ def test_two_time_kernels_identities():
     assert flip[2, 1] == np.conj(flip[1, 2])
 
 
-def _numpy_scalar_map(system, ev, uprime, t1, t2):
-    """The two-interval map built from numpy scalars (np.conj, u[i, j]), the reference for two_time_map's bits."""
-    g1, g2, g12 = ev.g(np.array([t1, t2, t1 + t2])).tolist()
+def _numpy_scalar_map(system, g, uprime, t1, t2):
+    """The two-interval map built from numpy scalars (np.conj, u[i, j]) and g = (g(t1), g(t2), g(t1 + t2)), the
+    reference for two_time_map's bits."""
+    g1, g2, g12 = g
     eps = system.epsilon
     k1 = _kernel(eps, t1, g1)
     k2 = _kernel(eps, t2, g2)
@@ -258,7 +259,7 @@ def test_two_time_map_matches_the_numpy_scalar_build_bit_for_bit():
         for uprime in junctions:
             for t1, t2 in times:
                 got = two_time_map(system, ev, uprime, t1, t2).matrix
-                want = _numpy_scalar_map(system, ev, uprime, t1, t2)
+                want = _numpy_scalar_map(system, ev.g(np.array([t1, t2, t1 + t2])).tolist(), uprime, t1, t2)
                 assert got.tobytes() == want.tobytes()
 
 

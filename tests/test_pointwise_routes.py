@@ -1,0 +1,96 @@
+"""The pointwise two-interval route gives the bits of the grid routes.
+
+echo_response, two_time_map and decay_exponent take g at t1, t2 and t1 + t2 by one route (dephasing._g_two_interval):
+from the memo of an engine that keeps one, else from one array call.  Held and fresh times, engines with and without
+a memo, and a plain wrapper of an engine must all give the bits of flip_exponent_grid, decay_exponent_grid and an
+array call past the memo.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_dynamics import _numpy_scalar_map
+
+from dephaser import (
+    BathParams,
+    BrownianMatsubara,
+    DensityMatrix2,
+    HighTemperatureBrownian,
+    SystemParams,
+    coherence_flip,
+    echo_response,
+    flip_exponent_grid,
+    identity_op,
+    propagate_two_time,
+    two_time_map,
+)
+from dephaser.dephasing import _MEMO_CALL, flip_exponent
+from dephaser.measures import Prepared, decay_exponent, decay_exponent_grid
+
+# a warm bath, a = 0.95 past 1/2, the cold beta 933 bath below and above x = 0.2, and the pole on nu_1
+_BATHS = [
+    BathParams(1.0, 0.5, 1.0),
+    BathParams(0.5, 1.2, 5.0),
+    BathParams(1.3, 1.8, 933.0),
+    BathParams(1.3, 1.0, 2.0 * math.pi),
+]
+_ENGINES = [
+    lambda bath: BrownianMatsubara(bath),
+    lambda bath: BrownianMatsubara(bath, include_tail=False),
+    lambda bath: HighTemperatureBrownian(bath),
+]
+
+
+class _Plain:
+    """An evaluator that forwards g and keeps no memo of its own."""
+
+    def __init__(self, ev):
+        self.bath = ev.bath
+        self.g = ev.g
+
+
+def _bits(z) -> bytes:
+    """The bits of a float or complex, so that -0.0 and 0.0 differ."""
+    return np.complex128(z).tobytes()
+
+
+# repeats of a few times, so that later calls are held, among fresh ones; t = 0 and a time 1e-9 from a pooled one
+_POOL = st.sampled_from([0.0, 0.05, 0.3, 1.0, 1.0 + 1e-9, 2.5])
+_TIMES = st.one_of(_POOL, _POOL, st.floats(1e-3, 6.0))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_TIMES, _TIMES), min_size=1, max_size=8),
+    eps=st.sampled_from([0.0, 1.3, -0.7]),
+    p=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_pointwise_two_interval_calls_have_the_grid_bits(pairs, eps, p, phase):
+    system = SystemParams(eps)
+    state = DensityMatrix2(p, 0.99 * math.sqrt(p * (1.0 - p)) * cmath.exp(1j * phase))
+    for bath in _BATHS:
+        for make in _ENGINES:
+            held, plain = make(bath), _Plain(make(bath))
+            for t1, t2 in pairs:
+                # the grid routes and an array call past the memo, each on a fresh engine
+                g = make(bath).g(np.array([t1, t2, t1 + t2] + [0.7] * _MEMO_CALL))[:3].tolist()
+                flip = flip_exponent(*g)
+                assert _bits(flip_exponent_grid(make(bath), np.array([t1, t2]))[0, 1]) == _bits(flip)
+                grid_e = decay_exponent_grid(make(bath), Prepared(t1), np.array([t2]))[0]
+                assert _bits(grid_e) == _bits(flip.real)
+                for ev in (held, plain):
+                    assert _bits(echo_response(ev, t1, t2)) == _bits(cmath.exp(-flip))
+                    assert _bits(decay_exponent(ev, Prepared(t1), t2)) == _bits(flip.real)
+                    for uprime in (identity_op(), coherence_flip()):
+                        op = two_time_map(system, ev, uprime, t1, t2)
+                        assert op.matrix.tobytes() == _numpy_scalar_map(system, g, uprime, t1, t2).tobytes()
+                        out = propagate_two_time(state, system, ev, uprime, t1, t2)
+                        via = op(state)
+                        assert (_bits(out.p11), _bits(out.c12)) == (_bits(via.p11), _bits(via.c12))
+                        # the matrix product of the vector, as numpy takes it, to roundoff
+                        product = DensityMatrix2.from_vector(op.matrix @ state.to_vector())
+                        assert abs(out.p11 - product.p11) <= 1e-15 and abs(out.c12 - product.c12) <= 1e-15

@@ -27,6 +27,7 @@ from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
     _A_MAX,
     _ASYMPTOTIC,
+    _CUBIC_X,
     _DIRECT_X,
     _EXP_DEAD,
     BathParams,
@@ -354,6 +355,22 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, m):
         # gdot takes S1 alone, with the same bits
         s0, s1 = bath.dirichlet().tail_sums(last, derivative=True)
         assert math.isnan(s0) and s1 == got[1], last
+
+
+def test_unpaired_tail_sums_build_their_head_only_below_the_cubic_series():
+    # the sums of n = 1, ..., _CUBIC_X serve tail_sums(last) only at last < _CUBIC_X; an unpaired engine's constructor
+    # reads tail_sums(K), so at K >= _CUBIC_X it builds none
+    bath = BathParams(1.0, 0.5, 1.0, matsubara_terms=_CUBIC_X)
+    table = BrownianMatsubara(bath)._table
+    assert table.m == 0 and "_unpaired_head" not in vars(table)
+    for last in (_CUBIC_X, _CUBIC_X + 1, 100, 10**6):
+        table.tail_sums(last)
+    assert "_unpaired_head" not in vars(table)
+    # the first sum below it builds the head, once, and gives a fresh table's bits
+    assert table.tail_sums(_CUBIC_X - 1) == bath.dirichlet().tail_sums(_CUBIC_X - 1)
+    head = table._unpaired_head
+    table.tail_sums(0)
+    assert table._unpaired_head is head
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
