@@ -9,12 +9,12 @@ evaluators are provided:
 
   * BrownianMatsubara: the pole-plus-Matsubara series, exact
     (include_tail=True, the default) or truncated strictly at K terms.
-    Below x = 2 pi t / beta = 0.2 its exact Re g sums the Matsubara terms
-    on the nodes of the analytic L's sum (_MatsubaraG); from there, and for
-    gdot at every t, the n > K remainder is its live terms and digamma
-    closed forms.  Its digamma is spectral._digamma, so it and
-    HighTemperatureBrownian load no scipy; only the two quadrature engines
-    do.
+    Below x = 2 pi t / beta = 0.2 its exact Re g and Re gdot sum the
+    Matsubara terms on the nodes of the analytic L's sum (_MatsubaraG, one
+    table for both); from there the n > K remainder is at most 226 - K live
+    terms and digamma closed forms.  Its digamma is spectral._digamma, so
+    it and HighTemperatureBrownian load no scipy; only the two quadrature
+    engines do.
   * HighTemperatureBrownian: the beta*gamma -> 0 closed form.
   * FrequencyQuadrature: direct adaptive integration of the spectral
     representation, with the oscillatory tails handled by a dedicated
@@ -29,13 +29,16 @@ The quadrature engines exist as cross-checks: on the default bath the
 three routes agree to better than 1e-6 relative for t in [0.05, 20], the
 range acceptance criterion 1 tests.  They are not validated below it:
 from t of about 1e-5 down, the quadratures are off by 1e-6 relative or
-more (their absolute tolerances and Fourier tails), and so is the
-series' Re gdot (by cancellation in its tail).  The series' Re g is
+more (their absolute tolerances and Fourier tails).  The series' Re g is
 within 1e-12 relative of a 40-digit oracle (tests/_oracle.py) and
-positive from t = 1e-9 on, and raises DephaserError below x = 0.2 where
-x^2 leaves the normal floats.  FrequencyQuadrature raises
-DephaserError for a Brownian density at 0 < t < 3e-4 / w_split
-(3e-5 on the default bath), where its Fourier tails lose Re g.
+positive from t = 1e-9 on, and so is its Re gdot less _dead_weight's C,
+which it adds where more than _BLOCK_CAP terms past K are live: the
+value of the live block it summed there until now, which counted them
+as dead and which perfbench's references record.  Both raise
+DephaserError below x = 0.2 where x^2 leaves the normal floats.
+FrequencyQuadrature raises DephaserError for a Brownian density at
+0 < t < 3e-4 / w_split (3e-5 on the default bath), where its Fourier
+tails lose Re g.
 
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
@@ -92,8 +95,10 @@ from .spectral import (
     coth,
 )
 
+# live Matsubara terms past K that gdot below x = _DIRECT_X sums: past them it adds their dead weight (_dead_weight),
+# so that its value is the one of the live block summed to K + _BLOCK_CAP
 _BLOCK_CAP = 2_000_000
-# elements of the times x explicit-terms table, or of a tail block, that BrownianMatsubara builds at once
+# elements of the times x explicit-terms table that BrownianMatsubara builds at once
 _TABLE_BUDGET = 1 << 16
 # times BrownianMatsubara's g remembers from its pointwise calls; a full memo is cleared
 _MEMO_TIMES = 1024
@@ -222,6 +227,33 @@ def _series_terms(neg_x, coef, derivative: bool):
     return e
 
 
+def _dead_weight(n: float, a2: float, x: float) -> float:
+    """sum_{k > n} e^{-kx} / (k^2 - a^2) for x > 0 and n >= 2a, a^2 = a2: the weight that the sum counts as dead where
+    it stops at n while e^{-kx} is still live.
+
+    Its Euler-Maclaurin sum from n (A&S 23.1.30): the integral less f(n) / 2 and the first correction, f(n) (x + 2w) /
+    12, f(u) = e^{-ux} / (u^2 - a^2), w = n / (n^2 - a^2); the next is below 1e-20 of the sum at the engine's n >= 2e6
+    and n x < 45.  The integral is (1 / n) sum_j r^j E_{2j+2}(z), r = a^2 / n^2 <= 1/4, z = n x, from 1 / (u^2 - a^2)
+    = sum_j a^(2j) u^(-2j-2); its first term is e^-z / n - x E1(z).  E_{k+1}(z) = (e^-z - z E_k(z)) / k (A&S 5.1.14)
+    from E1, scaled by e^z.
+    """
+    z = n * x
+    r = a2 / (n * n)
+    e = _e1_scaled(z)
+    k, power, s = 1, 1.0, 0.0
+    while True:
+        e = (1.0 - z * e) / k  # e^z E_{k+1}(z), k + 1 even
+        term = power * e
+        s += term
+        if term <= 1e-17 * s:
+            break
+        e = (1.0 - z * e) / (k + 1)
+        k += 2
+        power *= r
+    w = 1.0 / (n * (1.0 - r))
+    return math.exp(-z) / n * (s - 0.5 * w + (x + 2.0 * w) * w / 12.0)
+
+
 class _MatsubaraG:
     """S(x) = sum_{n >= 1, n != m} h(n x) q(n), q(u) = 1 / (u (u - a)(u + a)), h(y) = e^-y + y - 1, for 0 < x <
     _DIRECT_X: Re g's Matsubara part over s0 = eta gamma beta^2 / (2 pi^3), with x = 2 pi t / beta.
@@ -236,11 +268,19 @@ class _MatsubaraG:
     + y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within 7.1e-14 of
     tests/_oracle.reference on 14 baths (a from 1.6e-4 to 3000) from t = 1e-9 to x = 0.2, with no K or live term
     read.  DephaserError where a reaches _A_MAX, past which the window's n - a are not exact.
+
+    derivative(x) is S'(x) on the same points, Re gdot's Matsubara part over s1 = eta gamma beta / pi^2: one table
+    serves g and gdot.
     """
 
     def __init__(self, a: float, m: int):
-        u, w, ends, self._zero_end, top = _matsubara_nodes(a, m, *_G_RULE)
+        u, w, ends, zero_end, top = _matsubara_nodes(a, m, *_G_RULE)
         self._top = top
+        self._zero_end = zero_end
+        # S': the weights u_i w_i, the end terms without x^2 M(top x) and the zero end's x-derivative over x
+        self._slopes = u * w
+        self._slope_ends = tuple(ends)
+        self._zero_slope = tuple(2 * p * d for p, d in enumerate(zero_end, 1))
         # the top end, with the terms of x^2 M(top x) in h(y) and in h'(y)
         _, b0, b1, b = ends[0]
         ends[0] = (top, b0 + 0.5 / (top * top), b1 + 0.5 / top, b)
@@ -291,6 +331,31 @@ class _MatsubaraG:
         y = self._top * x
         return s + 0.5 * x * x * math.exp(-y) * _e1_scaled(y)
 
+    def derivative(self, x: float) -> float:
+        """S'(x) = sum_{n >= 1, n != m} (1 - e^-nx) n q(n): Re gdot's Matsubara part over s1 = eta gamma beta / pi^2.
+
+        The x-derivative of S's sum, term by term: w_i u_i (1 - e^-u_i x), whose factor 1 - e^-y = -expm1(-y) keeps its
+        digits at every y, the end terms' and the zero end's derivatives, and the upper tail's int_top^inf (1 - e^-ux)
+        u^-2 du = (1 - e^-z) / top + x E1(z), z = top x (by parts).
+        """
+        e = self._nodes * -x
+        np.expm1(e, out=e)
+        s = -float(np.dot(self._slopes, e))
+        for u, b0, b1, b in self._slope_ends:
+            # d/dx of h(y) b0 + x h'(y) b1 + x^2 e^-y P(x), P(x) = sum_i b_i x^i: h'(y)(u b0 + b1) + x e^-y (u b1 +
+            # sum_i (2 + i - y) b_i x^i)
+            y = u * x
+            p = 0.0
+            for i in range(len(b) - 1, -1, -1):
+                p = p * x + (2 + i - y) * b[i]
+            s += -math.expm1(-y) * (u * b0 + b1) + x * math.exp(-y) * (u * b1 + p)
+        p = 0.0
+        for d in reversed(self._zero_slope):
+            p = p * x * x + d
+        s += p * x
+        z = self._top * x
+        return s - math.expm1(-z) / self._top + x * math.exp(-z) * _e1_scaled(z)
+
 
 def _g_two_interval(evaluator, t1: float, t2: float) -> list:
     """[g(t1), g(t2), g(t1 + t2)] as Python complex numbers at checked float times: the one pointwise route of the
@@ -316,10 +381,12 @@ class BrownianMatsubara:
     g(t) = (pole_c - i pole_im) h(gamma t) + sum_{n >= 1} c_n h(nu_n t), h(y) = e^-y + y - 1, in the names of
     DirichletTable; every h is spectral._h, which keeps its digits at small y.  With include_tail=True (default) the
     sum is exact.  Below x = 2 pi t / beta = _DIRECT_X it is _MatsubaraG's: the window around the pole and the
-    Euler-Maclaurin tails, as the analytic L sums its own, and it reads no K.  From _DIRECT_X on it is the K explicit
-    terms, the at most 226 live terms past K (exponentials summed until they underflow) and the linear-in-t rest, the
-    table's digamma closed form.  gdot sums the K terms, a live block of up to _BLOCK_CAP terms and its digamma rest
-    at every t.  include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.
+    Euler-Maclaurin tails, as the analytic L sums its own, and it reads no K; gdot's is that sum's x-derivative on the
+    same table, built once at the first such call of either, plus _dead_weight where more than _BLOCK_CAP terms past K
+    are live (the value of the block it summed there until now).  From _DIRECT_X on each is the K explicit terms, the
+    at most 226 - K live terms past K (exponentials summed until they underflow, from one column of nu_n and c_n or
+    B_n per engine) and the table's digamma closed form of the rest.  include_tail=False keeps the K explicit terms;
+    matsubara_remainder reports what that drops.
     Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term, wherever it lies, are the
     table's pair: one formula at every detuning from gamma = nu_m.  Only strict truncation with K < m has
     no m-th term to pair with; its truncated sum is singular at gamma = nu_m, and it keeps the bare pole.
@@ -329,13 +396,14 @@ class BrownianMatsubara:
     where gamma^2 or an amplitude of the pole term or the pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and, with
     the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100), and where a c_n of the K terms
     does (gamma 1e153, beta 1e-150).  g and gdot raise it past the largest time the table's amplitudes allow
-    (_largest_time), and where a coefficient of the tail's live terms overflows (nu_n^2 at beta 6.2e-150,
-    t 1e-160).  The exact g raises it below x = _DIRECT_X where a reaches 2^52 and where x^2 leaves the normal floats
-    (t below about 2.4e-155 beta); gdot where the count of its live terms overflows.
+    (_largest_time), and where a coefficient of the live terms past K overflows (nu_226^2 at beta 6e-152, K = 0,
+    x >= _DIRECT_X).  The exact g and gdot raise it below x = _DIRECT_X where a reaches 2^52 and where x^2 leaves the
+    normal floats (t below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms past K where
+    K + _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta gamma above about 6.3e6 at K = 100).
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
-    table, summed row by row (the exact g builds it only when a time of the call has x >= _DIRECT_X); the pole term
-    and the rest follow time by time, so a time gets the same bits alone as in an array.  A g call of at most
+    table, summed row by row (the exact g and gdot build it only when a time of the call has x >= _DIRECT_X); the
+    pole term and the rest follow time by time, so a time gets the same bits alone as in an array.  A g call of at most
     _MEMO_CALL (3) times is pointwise: g
     keeps a memo, time -> value, and computes only the times it lacks; a call of held times is converted
     but not checked.  An echo row repeats t1, the rows share their t2 axis, and a Prepared(t1) curve asks
@@ -384,16 +452,21 @@ class BrownianMatsubara:
         self._gamma = gamma
         self._neg_gamma = -gamma
         self._dead_beta = _EXP_DEAD * bath.beta
-        self._s0_k, self._s1_k = d.tail_sums(k)
+        # S1(K), which gdot reads from x = _DIRECT_X on; S0(K) at the first g that reads it (_g_tail)
+        self._s1_k = d.tail_sums(k, True)[1] if include_tail else 0.0
+        self._s0_k = None
         # x = 2 pi t / beta is t times this, and the exact g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X
         # (0 with strict truncation, which reads the K terms at every t); s0 turns that sum into Re g's Matsubara part
         self._x_rate = _TWO_PI / bath.beta
         self._t_direct = _DIRECT_X * bath.beta / _TWO_PI if include_tail else 0.0
         self._s0 = bath.eta * gamma * _pow(bath.beta, 2) / (2.0 * math.pi**3)
+        # and s1 turns the sum's derivative into Re gdot's; where more than _BLOCK_CAP terms past K are live, that is
+        # the exact sum plus _dead_weight(N), N = K + _BLOCK_CAP, which _table.tail_sums(N) counted as dead
+        self._s1 = d.tail_amps[0]
         # the engine's Dirichlet coefficients: the pole (its rest when paired), the K terms, the tail's sum and the m-th
         # rest, whose sum is the late-time rate of Re g and whose moduli, with P / min(gamma, nu_m), bound its terms
         pair_b, pair_bound = (d.m_rest, d.pair_amp / self._pair[3]) if m else (0.0, 0.0)
-        tail_b = self._s1_k if include_tail else 0.0
+        tail_b = self._s1_k
         # a sum that overflows leaves t_max 0: no positive time is then safe
         with np.errstate(over="ignore"):
             rate = self._pole_b + float(np.add.reduce(b)) + tail_b + pair_b
@@ -404,9 +477,10 @@ class BrownianMatsubara:
         self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
         # time -> g(t) of the pointwise calls
         self._g_memo = {}
-        # built at their first use: _matsubara_g's sum and _g_tail's live terms.  Set here, and not as cached
-        # properties, whose writes to the instance's __dict__ would slow every attribute read of the engine's rows
-        self._small_x_sum = self._g_live = None
+        # built at their first use: the small-x sums of g and gdot (_small_x), and the live terms past K of g and of
+        # gdot from x = _DIRECT_X on (_live).  Set here, and not as cached properties, whose writes to the instance's
+        # __dict__ would slow every attribute read of the engine's rows
+        self._small_x_sum = self._g_live = self._gdot_live = None
 
     def _check_tail_amps(self) -> None:
         """DephaserError where a prefactor of the digamma sums of DirichletTable.tail_sums overflows."""
@@ -414,70 +488,87 @@ class BrownianMatsubara:
             _finite(value, what)
 
     def _live_stop(self, t: float) -> int:
-        """Last n of the live block past K at time t, or 0 when every e^{-nu_n t} with n > K is dead.
+        """Last n of the live terms past K at time t, or 0 when every e^{-nu_n t} with n > K is dead.
 
-        DephaserError at a time so small (subnormal, for beta near 1) that the last live n overflows.
+        At t >= t_direct that is at most ceil(_EXP_DEAD / _DIRECT_X) = 225 or, by the rounding of x, 226.
         """
-        k = self._k
-        try:
-            n_osc = math.ceil(self._dead_beta / (_TWO_PI * t))
-        except OverflowError:
-            raise DephaserError(f"time {t!r} is too small for the Matsubara tail: its live terms overflow") from None
-        return 0 if n_osc <= k else min(n_osc, k + _BLOCK_CAP)
+        n_osc = math.ceil(self._dead_beta / (_TWO_PI * t))
+        return 0 if n_osc <= self._k else n_osc
 
-    def _matsubara_g(self, t: float) -> float:
-        """The exact Matsubara part of Re g(t) below t_direct, by the _MatsubaraG built at its first call.
+    def _live(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(nu_n, c_n ("c") or B_n ("b")) of n = K + 1, ..., _G_LIVE_STOP, with the m-th 0."""
+        nu = self.bath.matsubara_frequency(np.arange(self._k + 1.0, _G_LIVE_STOP + 1.0))
+        return nu, self._table._coefficient(name, nu, self._k + 1)
+
+    def _small_x(self, t: float) -> float:
+        """x = 2 pi t / beta below t_direct, with the _MatsubaraG of g and gdot built at the first call of either.
 
         DephaserError where x^2 leaves the normal floats.
         """
         x = t * self._x_rate
         if not x * x >= sys.float_info.min:
             raise DephaserError(
-                f"time {t!r} is too small for the Matsubara sum of g: (2 pi t / beta)^2 = {x * x!r} leaves the normal "
-                "floats"
+                f"time {t!r} is too small for the Matsubara sum of g and gdot: (2 pi t / beta)^2 = {x * x!r} leaves "
+                "the normal floats"
             )
         if self._small_x_sum is None:
             self._small_x_sum = _MatsubaraG(self.bath.pole_ratio, self._m)
+        return x
+
+    def _matsubara_g(self, t: float) -> float:
+        """The exact Matsubara part of Re g(t) below t_direct."""
+        x = self._small_x(t)
         return self._s0 * self._small_x_sum(x)
 
-    def _g_tail(self, t: float) -> float:
-        """The n > K part of g(t) from t_direct on: its at most _G_LIVE_STOP - K live terms, then the digamma rest.
+    def _matsubara_gdot(self, t: float) -> float:
+        """The Matsubara part of Re gdot(t) below t_direct: exact, plus _dead_weight where more than _BLOCK_CAP terms
+        past K are live.
 
-        t >= t_direct = _DIRECT_X beta / (2 pi) puts the last live n, ceil(_EXP_DEAD beta / (2 pi t)), at 225 or, by
-        roundoff, 226.
+        DephaserError where x^2 leaves the normal floats, and at such a time where N = K + _BLOCK_CAP < 2a.
         """
+        x = self._small_x(t)
+        re = self._s1 * self._small_x_sum.derivative(x)
+        n = self._k + _BLOCK_CAP
+        # ceil(v) > N exactly when v > N
+        if self._dead_beta / (_TWO_PI * t) > n:
+            a = self._table.a
+            if n < 2.0 * a:
+                raise DephaserError(
+                    f"time {t!r} has more than {_BLOCK_CAP} live Matsubara terms past K, and beta gamma / 2 pi = "
+                    f"{a!r} is past half of K + {_BLOCK_CAP}, where their dead weight is not summed"
+                )
+            re += self._s1 * _dead_weight(float(n), a * a, x)
+        return re
+
+    def _g_tail(self, t: float) -> float:
+        """The n > K part of g(t) from t_direct on: its at most _G_LIVE_STOP - K live terms, then the digamma rest."""
         # ceil(x) <= K exactly when x <= K, so this is _live_stop(t) == 0 without its call
         if self._dead_beta / (_TWO_PI * t) <= self._k:
-            return t * self._s1_k - self._s0_k
+            s0 = self._s0_k
+            if s0 is None:
+                s0 = self._s0_k = self._table.tail_sums(self._k)[0]
+            return t * self._s1_k - s0
         n_stop = self._live_stop(t)
         live = n_stop - self._k
-        if self._g_live is None:  # (nu_n, c_n) of n = K + 1, ..., _G_LIVE_STOP, with c_m = 0
-            nu = self.bath.matsubara_frequency(np.arange(self._k + 1.0, _G_LIVE_STOP + 1.0))
-            self._g_live = nu, self._table._coefficient("c", nu, self._k + 1)
+        if self._g_live is None:
+            self._g_live = self._live("c")
         nu, c = self._g_live
         terms = float(np.add.reduce(_series_terms(nu[:live] * -t, c[:live], False)))
         s0, s1 = self._table.tail_sums(n_stop)
         return terms + t * s1 - s0
 
     def _gdot_tail(self, t: float) -> float:
-        """The n > K part of gdot(t): the live terms, then the digamma rest.
-
-        The table keeps the coefficients of the live terms up to _TAIL_KEPT
-        of them; the block is built and summed _TABLE_BUDGET terms at a time.
-        """
+        """The n > K part of gdot(t) from t_direct on: its at most _G_LIVE_STOP - K live terms, then the digamma rest."""
         if self._dead_beta / (_TWO_PI * t) <= self._k:
             return self._s1_k
         n_stop = self._live_stop(t)
-        m = n_stop - self._k
-        d = self._table
-        d.keep(m, "nu", "b")
-        block = 0.0
-        for lo in range(0, m, _TABLE_BUDGET):
-            hi = min(lo + _TABLE_BUDGET, m)
-            nu = d.tail("nu", lo, hi)
-            # the terms with B_n are B_n expm1(-nu_n t), the negated terms of Re gdot
-            block -= float(np.add.reduce(_series_terms(nu * -t, d.tail("b", lo, hi, nu), True)))
-        return block + d.tail_sums(n_stop, True)[1]
+        live = n_stop - self._k
+        if self._gdot_live is None:
+            self._gdot_live = self._live("b")
+        nu, b = self._gdot_live
+        # the terms with B_n are B_n expm1(-nu_n t), the negated terms of Re gdot
+        block = -float(np.add.reduce(_series_terms(nu[:live] * -t, b[:live], True)))
+        return block + self._table.tail_sums(n_stop, True)[1]
 
     def _explicit(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
         """Sum of the K explicit terms at every time: c_n h(nu_n t), or -c_n nu_n expm1(-nu_n t) for gdot; strict
@@ -521,11 +612,14 @@ class BrownianMatsubara:
         if t == 0.0:
             return 0j
         em = math.expm1(self._neg_gamma * t)
-        re = explicit + self._pole_b * (-em)
+        exact = t < self._t_direct
+        re = self._pole_b * (-em) if exact else explicit + self._pole_b * (-em)
         if self._m:  # the rest of the pair: m_rest (1 - e^{-nu_m t}) - P E, E over [gamma, nu_m]
             nu, m_rest, amp, lo, hi = self._pair
             re += m_rest * -math.expm1(-nu * t) - amp * _exp_divided_difference(lo, hi, t)
-        if self.include_tail:
+        if exact:
+            re += self._matsubara_gdot(t)
+        elif self.include_tail:
             re += self._gdot_tail(t)
         return complex(re, self.bath.eta * em)
 
@@ -582,9 +676,14 @@ class BrownianMatsubara:
         return values
 
     def gdot(self, t):
-        """gdot at a time (a complex) or at every time of a 1-d array (a complex array)."""
+        """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
+
+        As g's, the table of the K terms is built only when a time of the call has x >= _DIRECT_X.
+        """
         ts, scalar, times = _check_times(t, self._t_max)
-        return _rows(self._gdot_row, ts, scalar, times, self._explicit(ts, True).tolist())
+        top = max(times) if times else ts.max(initial=0.0)
+        explicit = self._explicit(ts, True).tolist() if top >= self._t_direct else [0.0] * ts.size
+        return _rows(self._gdot_row, ts, scalar, times, explicit)
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included: Re g of the

@@ -49,9 +49,6 @@ from .errors import DephaserError, ExtrapolationError
 # values 1e-9 to 8e-9 off, from 1e-152 down values 90 % off or worse, and it segfaults from about 1e-305 down.
 _FOURIER_MIN_TW = 3e-4
 
-# n > K terms (of each of nu_n, c_n, B_n) that a DirichletTable keeps between calls
-_TAIL_KEPT = 1 << 18
-
 # Exponentials e^-x are dead (below about 3e-20) past this x: L's direct sum and the Matsubara tail stop there.
 _EXP_DEAD = 45.0
 
@@ -310,9 +307,10 @@ class DirichletTable:
     by the partial fractions of cot (A&S §4.3) B_gamma = P / (gamma - nu_m) + pole_rest and B_m = P / (nu_m - gamma)
     + m_rest, P = pair_amp = 2 eta / beta, pole_rest = eta (cot(pi eps) - 1 / (pi eps)), eps = a - m, m_rest = -P /
     (nu_m + gamma).  The engines sum both rests and P times a divided difference over [gamma, nu_m]: the parts of
-    order 1 / (a - m) cancel in the algebra.  So c_m = B_m = 0 in explicit, tail and tail_sums, and the bare pole_b
-    and pole_c serve only a < 1/2 (m = 0) and strict truncation without the m-th term.  The tail's B_n is 4 eta gamma
-    / (beta (nu_n^2 - gamma^2)) where the K explicit terms take c_n nu_n.  DephaserError where a overflows.
+    order 1 / (a - m) cancel in the algebra.  So c_m = B_m = 0 in explicit, _coefficient and tail_sums, and the bare
+    pole_b and pole_c serve only a < 1/2 (m = 0) and strict truncation without the m-th term.  The live terms past K
+    take B_n as 4 eta gamma / (beta (nu_n^2 - gamma^2)), where the K explicit terms take c_n nu_n.  DephaserError where
+    a overflows.
     """
 
     def __init__(self, bath: BathParams):
@@ -333,8 +331,6 @@ class DirichletTable:
         self.pair_amp = 2.0 * eta / beta
         self.pole_rest = eta * _cot_rest(math.pi * (a - self.m))
         self.m_rest = -self.pair_amp / (self.nu_m + gamma)
-        # the first n > K terms of tail, by name, once computed
-        self._kept = {}
 
     @cached_property
     def explicit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,31 +351,11 @@ class DirichletTable:
         except FloatingPointError:
             raise DephaserError(
                 f"a coefficient {name}_n of n = {first} to {first + nu.size - 1} overflows: the bath is outside this "
-                "engine's range, or the time too small for its live Matsubara terms"
+                "engine's range"
             ) from None
         if 0 <= self.m - first < coef.size:
             coef[self.m - first] = 0.0
         return coef
-
-    def tail(self, name: str, lo: int, hi: int, nu: np.ndarray | None = None) -> np.ndarray:
-        """nu_n ("nu"), c_n ("c") or B_n ("b") for n = K+1+lo, ..., K+hi, from nu when given, or the kept ones (keep).
-
-        Each entry is computed on its own, so a kept one has the bits of one computed afresh.
-        """
-        kept = self._kept.get(name)
-        if kept is not None and hi <= kept.size:
-            return kept[lo:hi]
-        k = self.bath.matsubara_terms
-        if name == "nu":
-            return self.bath.matsubara_frequency(np.arange(k + 1.0 + lo, k + 1.0 + hi))
-        return self._coefficient(name, self.tail("nu", lo, hi) if nu is None else nu, k + 1 + lo)
-
-    def keep(self, stop: int, *names: str) -> None:
-        """Keep the first min(stop, _TAIL_KEPT) terms of tail(name, ...) of each name for later calls."""
-        size = min(stop, _TAIL_KEPT)
-        for name in names:
-            if name not in self._kept or self._kept[name].size < size:
-                self._kept[name] = self.tail(name, 0, size)
 
     @cached_property
     def tail_amps(self) -> tuple[float, float]:
@@ -530,6 +506,12 @@ def _end_coefficients(u: float, a: float, sign: float, power: int, corrections: 
     return u, sign * b[0] + 0.5 * r[0], sign * b[1], tuple(sign * v for v in b[2:])
 
 
+# B_2k / (2k)! (2k - 1)! and (2k)! for k = 1, ..., 5 (index k; 0 unused), at import: the constants of
+# _zero_end_coefficients, each the float or integer its term of the sum took before a's powers
+_ZERO_END_B = (0.0, *(bk * math.factorial(2 * k - 1) for k, bk in enumerate(_BERNOULLI, 1)))
+_ZERO_END_F = tuple(math.factorial(2 * k) for k in range(len(_BERNOULLI) + 1))
+
+
 def _zero_end_coefficients(a: float, corrections: int) -> tuple:
     """(d_1, ..., d_c) of the Euler-Maclaurin corrections -sum_k B_2k / (2k)! f^(2k-1)(0), k <= c = corrections, of
     f(u) = h(u x) q(u), q(u) = 1 / (u (u - a)(u + a)), at its lower end u = 0: sum_p d_p x^(2p).
@@ -538,10 +520,8 @@ def _zero_end_coefficients(a: float, corrections: int) -> tuple:
     sum_{p <= k} x^(2p) / ((2p)! a^(2k-2p)): terms of one sign.  L's f, e^-ux u^2 q(u), is the second derivative of
     this f in x, so its corrections are sum_p 2p (2p - 1) d_p x^(2p-2).
     """
-    bernoulli = _BERNOULLI[:corrections]
     return tuple(
-        sum(bk * math.factorial(2 * k - 1) / a ** (2 * k - 2 * p) for k, bk in enumerate(bernoulli, 1) if k >= p)
-        / (math.factorial(2 * p) * a * a)
+        sum(_ZERO_END_B[k] / a ** (2 * k - 2 * p) for k in range(p, corrections + 1)) / (_ZERO_END_F[p] * a * a)
         for p in range(1, corrections + 1)
     )
 

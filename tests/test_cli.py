@@ -557,14 +557,17 @@ def test_hight_overflowing_eta_over_gamma_reports_dephaser_error(capsys):
 
 
 def test_overflowing_tail_coefficient_reports_dephaser_error(capsys):
-    # nu_n^2 of the tail's live block overflowed in DirichletTable._coefficient: exit 0 behind a RuntimeWarning
+    # nu_n^2 of the tail's live terms overflowed in DirichletTable._coefficient: exit 0 behind a RuntimeWarning.  With
+    # K = 0 and beta 6e-152, nu_226^2 overflows, and the rate at t1 (x = 0.31) reads n = 1, ..., 226.  (The 2-million-
+    # term block below x = 0.2 that overflowed first at beta 6.2e-150, t 3.4e-184 is gone; measure agrees with hight
+    # there now.)
     argv = ["measure", "--engine", "analytic", "--eta", "6.468125137975613e-38", "--gamma", "1.819240580212178e+25",
-            "--beta", "6.200923544702667e-150", "--tmax", "3.410423092055236e-184", "--t1", "1.1785561275341496e+129"]
+            "--beta", "6e-152", "--terms", "0", "--tmax", "1e-160", "--t1", "3e-153"]
     rc, out, err = run_cli(capsys, argv)
     assert (rc, out) == (1, "")
     record = json.loads(err)["error"]
     assert record["type"] == "DephaserError"
-    assert record["message"].startswith("a coefficient b_n of n = 101 to ")
+    assert record["message"].startswith("a coefficient b_n of n = 1 to 226 overflows")
 
 
 def test_overflowing_distance_weight_reports_dephaser_error(capsys):
@@ -744,26 +747,29 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # largest move, 7.5e-12 relative, is gfun's Re g at t = 0.02, where the old value was 7.5e-12 off the oracle), and the
 # eight of the default bath's gfun, trdist, measure --t1 1 and echo --points 70 when S0 of the tail sums lost its 1 /
 # a^2 cancellation (Re g from x = 0.2 moved by up to 1.3e-13 relative, and gfun's worst Re g went 1.3e-13 -> 5.6e-15
-# off the oracle).
+# off the oracle), and eleven (gfun, trdist and measure on the default bath, beta 933, --gamma 6.2894 and 2 pi) when Re
+# gdot below x = 0.2 moved onto g's nodes (Re gdot by at most 5.5e-14 relative, gfun --beta 933 at t = 9.88, where
+# its worst Re gdot went 5.1e-14 -> 3.0e-15 off the oracle; trdist --beta 933's sigma by 2.0e-12 near its zero at
+# t2 = 0.25, where the rate cancels).
 CLI_STDOUT_DIGESTS = {
-    "gfun": "d7bdc8c47ffe127cbc563b099701f6ba730008eb69f79765ac41c44f6c7652d7",
-    "gfun --format json": "366738b5b6b1081148a0cc5a3f96e9d0bef82f840ebbceb9f34c49a9848acc43",
+    "gfun": "b37fd3f718c8cde833230cbe84de5417358f99aaf46823903cc3be730c5ea5d9",
+    "gfun --format json": "d8108516bee4419c8c397399a624fc784048b6bc0d6190d0d9d2dbea0dc7f22d",
     "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
-    "gfun --beta 933": "bbb8e0c793aa5e1ff22ba079b9bc26aa2ebcb4cbd5f67b8b4e911f34758ab68b",
-    "gfun --gamma 6.2894": "b01377acc51bfe995cbf95533e8b448383f30a2871f9488cd073e9aa8562b930",
-    "gfun --gamma 6.283185307179586": "31f5a1646b890acb77ba41e69d855e997f17ff40dc55effbf9623659bbc8a1d4",
+    "gfun --beta 933": "b88d51a0a0209f98da76cafffb73507dd4d14eb627946011182c24e59c6d9a7d",
+    "gfun --gamma 6.2894": "7245c83f1af88c3d2cefd5f9c26826df05e805d4bc1dc916410422effff008c2",
+    "gfun --gamma 6.283185307179586": "fa43dd507933facc38dd3631d566a685cb1a076ebc0f02bbadc5ae4cb2ca4786",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
-    "trdist --t1 1": "4d5ba258aa3035ada90d2dabdf5f154b046ac784dbadf3cadaf4e73d39f60d91",
-    "trdist --t1 1 --format json": "5c5c63e897c5e3293743157882744a4e27a4e7a385ae549db5731ffc40e961fa",
-    "trdist": "3c57f18022da7ef5fd1250f52710c04b6a6f76b67f4ce32e3e77361018e61283",
+    "trdist --t1 1": "83c179b49e19828a63db9c32b0ec715fbb7ae2b82296d10f063e1758064a68f8",
+    "trdist --t1 1 --format json": "5ab2030b9b94d2de9d834abe7c75eedd946fe7c92c8a643aee1377aff7bd6cfd",
+    "trdist": "ab03431ad06e3aa4d0eb44f48f72a310ff463494e86404d6977fff823b0c9584",
     "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
-    "trdist --beta 933 --t1 1": "ee5d94f74c0f06ee0942790c465061ce1ddf1087c268b3bf4ae53a1df48f683c",
+    "trdist --beta 933 --t1 1": "f4fb712b6dac129dbf0365fc7c4591b2eec0ba3effe7aab3f0c7f22a20c4186b",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
     "measure --t1 1": "f278b9f885d65cc9a72fb71a7b2872034a0e0feddba567228071cf368749721c",
     "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",
-    "measure --beta 933 --t1 1": "391cabfae7b878b9d513fe1d0cdfeec44d9e9e17db7a770614823e484a219d71",
-    "measure --gamma 6.2894 --t1 1": "f11cd350a8a0a4e433eed9f24384edd9b41b81fae6bf1a0bc2f07aa5a45445fa",
+    "measure --beta 933 --t1 1": "8ee60095bd4941396a81d7725eb931fc1a753030253a09cfec19ae230cd5e732",
+    "measure --gamma 6.2894 --t1 1": "67868627546b6f93ed7dfcf1dd50524ed67d0d9034f3295afd084f1ed302b604",
     "echo --points 70": "23293102af2d0f39f12691e54ec0d4402d195536fa2677aca27d2396a831c988",
     "echo --points 70 --format json": "3566dbb80a02846b966c703cbec502011ec4bb1a63b1edf2b5dbf3757885d334",
     "echo --engine hight --points 25": "5804e4e75e06ab7a4055c6233c2820f6874e2219dd027e554e0182c1d8e3587d",

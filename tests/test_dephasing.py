@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,12 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dephaser
-from dephaser import dephasing
+from dephaser import dephasing, spectral
 from dephaser.dephasing import (
     BrownianMatsubara,
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
+    _BLOCK_CAP,
     _MEMO_CALL,
     _MEMO_TIMES,
     _check_times,
@@ -282,19 +285,128 @@ def test_re_g_from_x_0_2_without_a_pair_matches_the_oracle(bath):
 
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_exact_g_below_x_0_2_reads_no_tail_column(monkeypatch, bath):
-    # the live block of g is gone below x = 0.2, and with it the Dirichlet table's kept tail columns; gdot keeps them
+    # below x = 0.2 the exact g and gdot read no K term and no live term past K: neither the K-term table nor the live
+    # columns, which they read from x = 0.2 on
     def refuse(*args):
-        raise AssertionError("g read a tail column of the Dirichlet table")
+        raise AssertionError("read a K term or a tail column")
 
-    monkeypatch.setattr(DirichletTable, "tail", refuse)
-    monkeypatch.setattr(DirichletTable, "keep", refuse)
+    monkeypatch.setattr(BrownianMatsubara, "_explicit", refuse)
+    monkeypatch.setattr(BrownianMatsubara, "_live", refuse)
     times = (1e-9, 1e-5, 1e-3)
     ev = BrownianMatsubara(bath)
     for t in times:
-        assert ev.g(t).real > 0.0
-    assert np.all(BrownianMatsubara(bath).g(np.array(times + (2e-3, 4e-3))).real > 0.0)
-    with pytest.raises(AssertionError, match="tail column"):
-        ev.gdot(1e-5)
+        assert ev.g(t).real > 0.0 and ev.gdot(t).real > 0.0
+    array = np.array(times + (2e-3, 4e-3))
+    assert np.all(BrownianMatsubara(bath).g(array).real > 0.0)
+    assert np.all(BrownianMatsubara(bath).gdot(array).real > 0.0)
+    x_direct = 0.2 * bath.beta / (2.0 * math.pi)
+    for fn in (ev.g, ev.gdot):
+        with pytest.raises(AssertionError, match="tail column"):
+            fn(x_direct)
+
+
+def _dead_weight_60(eta, gamma, beta, k, t):
+    """The weight C = (eta gamma beta / pi^2) sum_{n > N} e^{-nx} / (n^2 - a^2), N = K + _BLOCK_CAP, x = 2 pi t / beta,
+    to 60 digits: (1 / 2a) q^(N+1) (Phi(q, 1, N + 1 - a) - Phi(q, 1, N + 1 + a)), q = e^-x, by mpmath.lerchphi."""
+    with mpmath.workdps(60):
+        eta, gamma, beta, t = (mpmath.mpf(v) for v in (eta, gamma, beta, t))
+        a = beta * gamma / (2 * mpmath.pi)
+        q = mpmath.exp(-2 * mpmath.pi * t / beta)
+        n = k + _BLOCK_CAP + 1
+        rest = q**n * (mpmath.lerchphi(q, 1, n - a) - mpmath.lerchphi(q, 1, n + a)) / (2 * a)
+        return float(eta * gamma * beta / mpmath.pi**2 * rest)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(bath=st.sampled_from(_ITEM_3_BATHS), frac=st.floats(0.0, 1.0, exclude_max=True))
+@example(bath=_ITEM_3_BATHS[0], frac=0.0)
+@example(bath=_ITEM_3_BATHS[4], frac=0.0)
+@example(bath=_ITEM_3_BATHS[5], frac=0.0)
+def test_exact_re_gdot_below_x_0_2_matches_the_oracle(bath, frac):
+    # Re gdot less the dead weight C of its capped times is the x-derivative of Re g's small-x sum; measured: 6.6e-14
+    # on these baths from t = 1e-9 to x = 0.2 (the live block it replaces was up to 3.6e3 off at t = 1e-9, beta 933)
+    eta, gamma, beta, k = bath
+    t = 1e-9 * (0.2 * beta / (2.0 * math.pi) / 1e-9) ** frac
+    with mock.patch.object(dephasing, "_dead_weight", lambda n, a2, x: 0.0):
+        gdot = BrownianMatsubara(BathParams(eta, gamma, beta, k)).gdot(t)
+    assert 2.0 * math.pi * t / beta < 0.2 and gdot.real > 0.0
+    assert gdot.real == pytest.approx(reference(eta, gamma, beta, t)[1], rel=SMALL_T_RTOL)
+
+
+# (bath, t) where more than _BLOCK_CAP terms past K are live: gdot keeps the value of that block summed to K +
+# _BLOCK_CAP, which counted the rest as dead, as the exact sum plus their weight C
+_CAPPED_TIMES = [
+    (_ITEM_3_BATHS[0], 1e-9),
+    (_ITEM_3_BATHS[0], 1e-7),
+    (_ITEM_3_BATHS[4], 1e-5),
+    (_ITEM_3_BATHS[4], 1e-3),
+    (_ITEM_3_BATHS[5], 1e-3),
+    (_ITEM_3_BATHS[3], 1e-5),
+]
+
+
+@pytest.mark.parametrize("bath, t", _CAPPED_TIMES, ids=[f"beta {b[2]:.5g}, t {t:g}" for b, t in _CAPPED_TIMES])
+def test_capped_gdot_is_the_oracle_plus_its_dead_weight(bath, t):
+    # measured: within 6.6e-14; C is 2.9 times Re gdot at t = 1e-9 on the default bath and 1.1e-9 of it at t = 1e-3 on
+    # beta 939.84
+    eta, gamma, beta, k = bath
+    assert math.ceil(45.0 * beta / (2.0 * math.pi * t)) > k + _BLOCK_CAP
+    want = reference(eta, gamma, beta, t)[1] + _dead_weight_60(eta, gamma, beta, k, t)
+    assert BrownianMatsubara(BathParams(eta, gamma, beta, k)).gdot(t).real == pytest.approx(want, rel=SMALL_T_RTOL)
+
+
+def test_capped_gdot_raises_where_its_dead_weight_series_would_not_converge():
+    # N = K + _BLOCK_CAP below 2a: C's series in (a / N)^2 is not summed there, so a capped time raises
+    bath = BathParams(1.0, 1.0, 2.0 * math.pi * (_BLOCK_CAP + 100.0))
+    ev = BrownianMatsubara(bath)
+    with pytest.raises(DephaserError, match="dead weight"):
+        ev.gdot(1e-3)
+    # a time with fewer live terms sums no dead weight
+    t = 50.0 * bath.beta / (2.0 * math.pi * (_BLOCK_CAP + 100.0))
+    assert math.isfinite(ev.gdot(t).real)
+
+
+@pytest.mark.parametrize("first", ["g", "gdot"])
+def test_g_and_gdot_share_one_small_x_table(monkeypatch, first):
+    # a fresh engine builds the node table once below x = 0.2, for whichever of g and gdot comes first
+    calls = []
+    build = dephasing._matsubara_nodes
+    monkeypatch.setattr(dephasing, "_matsubara_nodes", lambda *args: calls.append(args) or build(*args))
+    ev = BrownianMatsubara(BathParams(1.3, 1.8, 933.0))
+    second = "gdot" if first == "g" else "g"
+    for name in (first, second, first):
+        for t in (1e-9, 1e-5, 1e-3):
+            assert getattr(ev, name)(t).real > 0.0
+    assert len(calls) == 1
+
+
+def test_capped_gdot_builds_no_large_block():
+    # the live block of up to _BLOCK_CAP terms took 32 MB at t = 1e-9; now a table of a few hundred nodes
+    ev = BrownianMatsubara(BATH)
+    ev.gdot(1e-9)
+    tracemalloc.start()
+    try:
+        BrownianMatsubara(BATH).gdot(1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gdot_never_builds_the_unpaired_s0(monkeypatch):
+    # S0(K) serves only g from x = 0.2 on, so a default-bath engine and its gdot never build its cubic tail
+    def refuse(a2):
+        raise AssertionError("built the cubic tail of S0")
+
+    monkeypatch.setattr(spectral, "_cubic_tail_coefficients", refuse)
+    ev = BrownianMatsubara(BATH)
+    assert ev._table.m == 0
+    ev.gdot(np.geomspace(1e-9, 1e3, 25))
+    for t in (1e-9, 0.1, 1.0, 100.0):
+        ev.gdot(t)
+    ev.g(1e-3)
+    with pytest.raises(AssertionError, match="cubic tail"):
+        ev.g(10.0)
 
 
 def test_resonant_pole_matches_quadrature():
@@ -643,15 +755,11 @@ _PINNED_BATHS = {
     "a = 2": (1.0, 1.0, 4.0 * math.pi),
 }
 _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
-# a time whose gdot tail has more live terms than this costs up to 18 ms a call; only these engines keep their tiniest
-# time for gdot.  g sums no live term below x = 0.2 and takes every time.
-_PINNED_LIVE = 1 << 15
-_PINNED_DEEP = {("default", 100), ("beta 933", 0)}
 # recorded with numpy 2.4.6 on x86-64; a change that moves a bit of g or gdot on purpose records it again and says so
 # (Re g below x = 0.2 by the window and Euler-Maclaurin tails of L, h by its Taylor series at small arguments, and g at
-# every pinned time; last: Re g from x = 0.2 on the default bath, when S0 of the tail sums lost its 1 / a^2
-# cancellation)
-_PINNED_DIGEST = "17a4d8108b4e9f6dcd0e85ec304d488079a0b98dd9e8da196e3fe04ec80ae2ba"
+# every pinned time; Re g from x = 0.2 on the default bath, when S0 of the tail sums lost its 1 / a^2 cancellation;
+# last: Re gdot below x = 0.2 on g's nodes, and gdot at every pinned time, which its 2-million-term block kept out)
+_PINNED_DIGEST = "6b281b9b32e7bf2a02c42ffb8724f81e62eb58eb71ffe4e0a5b0cfaf7396c028"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"
@@ -659,17 +767,11 @@ _PINNED_EXP = "3540e25f77aa1f4a993f2938cdb4dc45def29cc4db2b45a714edd46316d26de8"
 
 
 def _pinned_cases():
-    """(bath, include_tail, {"g": times, "gdot": times}) of every engine the digest covers."""
-    for name, (eta, gamma, beta) in _PINNED_BATHS.items():
+    """(bath, include_tail) of every engine the digest covers."""
+    for eta, gamma, beta in _PINNED_BATHS.values():
         for k in (0, 1, 25, 100):
-            bath = BathParams(eta, gamma, beta, k)
             for tail in (True, False):
-                ts = _PINNED_TIMES
-                if tail:
-                    keep = np.ceil(45.0 * beta / (2.0 * math.pi * ts)) - k <= _PINNED_LIVE
-                    keep[0] |= (name, k) in _PINNED_DEEP
-                    ts = ts[keep]
-                yield bath, tail, {"g": _PINNED_TIMES, "gdot": ts}
+                yield BathParams(eta, gamma, beta, k), tail
 
 
 def _skip_off_the_pinned_kernel():
@@ -685,9 +787,10 @@ def test_analytic_bits_match_the_pinned_digest():
     _skip_off_the_pinned_kernel()
     digest = hashlib.sha256()
     cases = 0
-    for bath, tail, times in _pinned_cases():
+    ts = _PINNED_TIMES
+    for bath, tail in _pinned_cases():
         whole, single, triple = (BrownianMatsubara(bath, tail) for _ in range(3))
-        for name, ts in times.items():
+        for name in ("g", "gdot"):
             digest.update(getattr(whole, name)(ts).tobytes())
             for s in ts.tolist():
                 digest.update(np.complex128(getattr(single, name)(s)).tobytes())
