@@ -32,9 +32,9 @@ from t of about 1e-5 down, the quadratures are off by 1e-6 relative or
 more (their absolute tolerances and Fourier tails).  The series' Re g is
 within 1e-12 relative of a 40-digit oracle (tests/_oracle.py) and
 positive from t = 1e-9 on, and so is its Re gdot less _dead_weight's C,
-which it adds where more than _BLOCK_CAP terms past K are live: the
-value of the live block it summed there until now, which counted them
-as dead and which perfbench's references record.  Both raise
+which it adds where more than _BLOCK_CAP terms past K are live: with C,
+gdot is the sum stopped at K + _BLOCK_CAP with the rest counted as dead,
+the value perfbench's references record.  Both raise
 DephaserError below x = 0.2 where x^2 leaves the normal floats.
 FrequencyQuadrature raises DephaserError for a Brownian density at
 0 < t < 3e-4 / w_split (3e-5 on the default bath), where its Fourier
@@ -95,8 +95,8 @@ from .spectral import (
     coth,
 )
 
-# live Matsubara terms past K that gdot below x = _DIRECT_X sums: past them it adds their dead weight (_dead_weight),
-# so that its value is the one of the live block summed to K + _BLOCK_CAP
+# live Matsubara terms past K after which gdot below x = _DIRECT_X adds their dead weight (_dead_weight): its value is
+# then that of the sum stopped at K + _BLOCK_CAP with the rest counted as dead, which perfbench's references record
 _BLOCK_CAP = 2_000_000
 # elements of the times x explicit-terms table that BrownianMatsubara builds at once
 _TABLE_BUDGET = 1 << 16
@@ -108,7 +108,8 @@ _MEMO_CALL = 3
 _MEMO_NODES = 1 << 13
 _TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = sys.float_info.max
-# the last n of g's live block from x = _DIRECT_X on, ceil(_EXP_DEAD / _DIRECT_X) = 225, and one for the rounding of x
+# the last n of the live terms of g and gdot from x = _DIRECT_X on, ceil(_EXP_DEAD / _DIRECT_X) = 225, and one for
+# the rounding of x
 _G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
 # h's Taylor terms (-1)^k / k!, k = 2, 3, ..., as a column
 _H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
@@ -383,10 +384,10 @@ class BrownianMatsubara:
     sum is exact.  Below x = 2 pi t / beta = _DIRECT_X it is _MatsubaraG's: the window around the pole and the
     Euler-Maclaurin tails, as the analytic L sums its own, and it reads no K; gdot's is that sum's x-derivative on the
     same table, built once at the first such call of either, plus _dead_weight where more than _BLOCK_CAP terms past K
-    are live (the value of the block it summed there until now).  From _DIRECT_X on each is the K explicit terms, the
-    at most 226 - K live terms past K (exponentials summed until they underflow, from one column of nu_n and c_n or
-    B_n per engine) and the table's digamma closed form of the rest.  include_tail=False keeps the K explicit terms;
-    matsubara_remainder reports what that drops.
+    are live (so that it is the sum stopped at K + _BLOCK_CAP, which perfbench's references record).  From _DIRECT_X
+    on each is the K explicit terms, the at most 226 - K live terms past K (exponentials summed until they underflow,
+    from one column of nu_n and c_n or B_n per engine) and the table's digamma closed form of the rest.
+    include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.
     Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term, wherever it lies, are the
     table's pair: one formula at every detuning from gamma = nu_m.  Only strict truncation with K < m has
     no m-th term to pair with; its truncated sum is singular at gamma = nu_m, and it keeps the bare pole.
@@ -471,7 +472,7 @@ class BrownianMatsubara:
         with np.errstate(over="ignore"):
             rate = self._pole_b + float(np.add.reduce(b)) + tail_b + pair_b
             moduli = abs(self._pole_b) + float(np.add.reduce(np.abs(b))) + abs(tail_b) + abs(pair_b) + pair_bound
-        # the largest nu_n of every call: nu_K of the explicit terms or, with the tail and K = 0, the live block's nu_1
+        # the largest nu_n of every call: nu_K of the explicit terms or, with the tail and K = 0, the live terms' nu_1
         nu_top = float(nu[-1]) if k else float(bath.matsubara_frequency(1)) if include_tail else 0.0
         arg_rate = max(gamma, nu_top, d.nu_m if m else 0.0)
         self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
@@ -558,7 +559,7 @@ class BrownianMatsubara:
         return terms + t * s1 - s0
 
     def _gdot_tail(self, t: float) -> float:
-        """The n > K part of gdot(t) from t_direct on: its at most _G_LIVE_STOP - K live terms, then the digamma rest."""
+        """The n > K part of gdot(t) from t_direct on: at most _G_LIVE_STOP - K live terms, then the digamma rest."""
         if self._dead_beta / (_TWO_PI * t) <= self._k:
             return self._s1_k
         n_stop = self._live_stop(t)

@@ -35,7 +35,6 @@ from dephaser.measures import Prepared, SingleTime, decay_exponent_rate
 from dephaser.spectral import (
     BathParams,
     BrownianCorrelation,
-    DirichletTable,
     OverdampedBrownian,
     TabulatedSpectralDensity,
     _H_SERIES_TOP,
@@ -381,7 +380,8 @@ def test_g_and_gdot_share_one_small_x_table(monkeypatch, first):
 
 
 def test_capped_gdot_builds_no_large_block():
-    # the live block of up to _BLOCK_CAP terms took 32 MB at t = 1e-9; now a table of a few hundred nodes
+    # the live block of up to _BLOCK_CAP terms and its kept columns peaked at 6.0 MiB at t = 1e-9; a fresh engine's
+    # node table and sum take 0.04 MiB
     ev = BrownianMatsubara(BATH)
     ev.gdot(1e-9)
     tracemalloc.start()
