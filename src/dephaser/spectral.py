@@ -518,7 +518,8 @@ def _zero_end_coefficients(a: float, corrections: int) -> tuple:
 
     f(u) = -(1 / a^2) sum_{j >= 2} x^j u^(j-1) / j! sum_i (u / a)^(2i) near 0, so f^(2k-1)(0) = -((2k-1)! / a^2)
     sum_{p <= k} x^(2p) / ((2p)! a^(2k-2p)): terms of one sign.  L's f, e^-ux u^2 q(u), is the second derivative of
-    this f in x, so its corrections are sum_p 2p (2p - 1) d_p x^(2p-2).
+    this f in x, so its corrections are sum_p 2p (2p - 1) d_p x^(2p-2), and Re gdot's, the first, sum_p 2p d_p
+    x^(2p-1).
     """
     return tuple(
         sum(_ZERO_END_B[k] / a ** (2 * k - 2 * p) for k in range(p, corrections + 1)) / (_ZERO_END_F[p] * a * a)

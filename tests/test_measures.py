@@ -385,7 +385,8 @@ def _scalar_growth_runs(ev, scenario, t_max):
         (BATH, Prepared(1.0), 10.0),
         (BATH, Prepared(1.0), 0.5),  # ends inside the growth run: truncated
         (BATH, SingleTime(), 10.0),
-        # cold: every scan point below t = 45 beta / (2 pi K) = 67 sums its own block of the tail
+        # cold: scan points below x = 0.2 (t < 29.7) take the small-x sum, and up to t = 45 beta / (2 pi K) = 67 the
+        # live terms past K
         (BathParams(eta=1.3, gamma=1.8, beta=933.0, matsubara_terms=100), Prepared(0.097), 100.0),
         # beta gamma / 2 pi = 1: the resonant pole terms
         (BathParams(eta=1.0, gamma=1.0, beta=2.0 * math.pi, matsubara_terms=25), Prepared(1.0), 10.0),
