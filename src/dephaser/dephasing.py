@@ -50,13 +50,15 @@ BrownianMatsubara and HighTemperatureBrownian raise DephaserError past
 the largest time at which g, its intermediates and the flip exponent
 of times up to it stay finite (_largest_time; 1.43e305 for the series
 on the default bath, where nu_K t would overflow).
-BrownianMatsubara also remembers g at its pointwise calls (one to three
-times, as the two-interval kernels and the measure's curves make them),
-up to _MEMO_TIMES times, and returns the same bits from the memo as
-computed afresh.  The two-interval kernels take g at t1, t2 and t1 + t2
-by one route, _g_two_interval: from that memo as Python numbers, or
-from one g call on the three times as an array for an evaluator
-without one.
+BrownianMatsubara also remembers g and gdot at their pointwise calls
+(one to three times, as the two-interval kernels and the measure's
+curves make them), up to _MEMO_TIMES times each, and returns the same
+bits from the memos as computed afresh.  A g call that misses a time
+also fills gdot's memo there from the same table, since the rate of a
+distance asks for gdot where the distance asked for g.  The two-interval
+kernels take g at t1, t2 and t1 + t2 by one route, _g_two_interval: from
+that memo as Python numbers, or from one g call on the three times as an
+array for an evaluator without one.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ from .spectral import (
 _BLOCK_CAP = 2_000_000
 # elements of the times x explicit-terms table that BrownianMatsubara builds at once
 _TABLE_BUDGET = 1 << 16
-# times BrownianMatsubara's g remembers from its pointwise calls; a full memo is cleared
+# times BrownianMatsubara's g and gdot each remember from pointwise calls; a full memo is cleared with the other
 _MEMO_TIMES = 1024
 # the most times of a call the memo serves: the t1, t2, t1 + t2 of a two-interval call
 _MEMO_CALL = 3
@@ -404,14 +406,15 @@ class BrownianMatsubara:
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
     table, summed row by row (the exact g and gdot build it only when a time of the call has x >= _DIRECT_X); the
-    pole term and the rest follow time by time, so a time gets the same bits alone as in an array.  A g call of at most
-    _MEMO_CALL (3) times is pointwise: g
-    keeps a memo, time -> value, and computes only the times it lacks; a call of held times is converted
-    but not checked.  An echo row repeats t1, the rows share their t2 axis, and a Prepared(t1) curve asks
-    for g(t1) at every point.  Those two-interval kernels read the memo through _g_points on Python floats
-    (_g_two_interval), not through g.  gdot keeps none: its pointwise calls (the growth rate's) seldom repeat a
-    time.  The memo holds at most _MEMO_TIMES (1024) times and is cleared when a call could overfill it;
-    larger calls (grids, the scan) neither read nor fill it, so memory does not grow with the grid.
+    pole term and the rest follow time by time, so a time gets the same bits alone as in an array.  A g or gdot call of
+    at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times it
+    lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
+    and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo through
+    _g_points on Python floats (_g_two_interval), not through g.  gdot seldom repeats its own times, but the rate of a
+    distance asks for gdot at the times of its g: a g miss also computes gdot there, from the same K-term table, and
+    fills gdot's memo, which the rate reads through _gdot_points (measures.decay_exponent_rate).  A gdot miss computes
+    gdot alone.  Each memo holds at most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill
+    either; larger calls (grids, the scan) neither read nor fill them, so memory does not grow with the grid.
     """
 
     def __init__(self, bath: BathParams, include_tail: bool = True):
@@ -476,8 +479,9 @@ class BrownianMatsubara:
         nu_top = float(nu[-1]) if k else float(bath.matsubara_frequency(1)) if include_tail else 0.0
         arg_rate = max(gamma, nu_top, d.nu_m if m else 0.0)
         self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
-        # time -> g(t) of the pointwise calls
+        # time -> g(t) and time -> gdot(t) of the pointwise calls, cleared together
         self._g_memo = {}
+        self._gdot_memo = {}
         # built at their first use: the small-x sums of g and gdot (_small_x), and the live terms past K of g and of
         # gdot from x = _DIRECT_X on (_live).  Set here, and not as cached properties, whose writes to the instance's
         # __dict__ would slow every attribute read of the engine's rows
@@ -571,9 +575,10 @@ class BrownianMatsubara:
         block = -float(np.add.reduce(_series_terms(nu[:live] * -t, b[:live], True)))
         return block + self._table.tail_sums(n_stop, True)[1]
 
-    def _explicit(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
-        """Sum of the K explicit terms at every time: c_n h(nu_n t), or -c_n nu_n expm1(-nu_n t) for gdot; strict
-        truncation takes h by _h, which keeps its digits at small nu_n t.
+    def _explicit(self, ts: np.ndarray, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) sum of the K explicit terms at every time, each an array where asked for and None where not:
+        c_n h(nu_n t) and -c_n nu_n expm1(-nu_n t).  Both come from one expm1(-nu_n t) table, g's as (e + nu_n t) c_n
+        and gdot's as e (-B_n); strict truncation takes g's h by _h, which keeps its digits at small nu_n t.
 
         The times x K table is built at most _TABLE_BUDGET elements at a
         time (one row when K alone exceeds it), and each row is summed as
@@ -581,14 +586,27 @@ class BrownianMatsubara:
         """
         rows = self._table_rows
         if ts.size > rows:
-            return np.concatenate([self._explicit(ts[i : i + rows], derivative) for i in range(0, ts.size, rows)])
-        if derivative:
-            return np.add.reduce(_series_terms(ts[:, None] * self._neg_nu, self._neg_b, True), axis=1)
-        if self.include_tail:  # the exact g sums them only at x >= _DIRECT_X, where nu_n t >= 1/5 cancels to 10 ulp
-            return np.add.reduce(_series_terms(ts[:, None] * self._neg_nu, self._table.explicit[1], False), axis=1)
-        terms = _h(ts[:, None] * -self._neg_nu)
-        terms *= self._table.explicit[1]
-        return np.add.reduce(terms, axis=1)
+            parts = [self._explicit(ts[i : i + rows], g, gdot) for i in range(0, ts.size, rows)]
+            return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
+        c = self._table.explicit[1]
+        g_sum = gdot_sum = None
+        exact_g = g and self.include_tail
+        if g and not exact_g:
+            terms = _h(ts[:, None] * -self._neg_nu)
+            terms *= c
+            g_sum = np.add.reduce(terms, axis=1)
+        if exact_g or gdot:
+            neg_x = ts[:, None] * self._neg_nu
+            # e takes neg_x's place unless g's terms still read it, so a call of one sum makes one table
+            e = np.expm1(neg_x, out=None if exact_g else neg_x)
+            if exact_g:  # the exact g sums them only at x >= _DIRECT_X, where nu_n t >= 1/5 cancels to 10 ulp
+                terms = np.subtract(e, neg_x, out=neg_x)
+                terms *= c
+                g_sum = np.add.reduce(terms, axis=1)
+            if gdot:
+                e *= self._neg_b
+                gdot_sum = np.add.reduce(e, axis=1)
+        return g_sum, gdot_sum
 
     def _g_row(self, t: float, explicit: float) -> complex:
         if t == 0.0:
@@ -630,8 +648,9 @@ class BrownianMatsubara:
         A call of at most _MEMO_CALL times looks its times up in the memo and
         returns at once when the memo holds them all: a held time was checked
         when it was stored.  Otherwise it checks its times, builds the table of
-        all of them and stores the row step of each time the memo lacks.  A
-        larger call leaves the memo alone.  A time's value is its own table row
+        all of them and stores the row step of each time the memo lacks, and
+        gdot's at those times in gdot's memo (_g_fill).  A larger call leaves
+        the memos alone.  A time's value is its own table row
         and row step either way, so its bits do not depend on the path.
         """
         # _as_times leaves a float as it is; a held float, the commonest call, skips calling it and is one lookup
@@ -640,11 +659,15 @@ class BrownianMatsubara:
             value = self._g_memo.get(t)
             return self._g_fill([t], [None])[0] if value is None else value
         if t.size > _MEMO_CALL:
-            top = _check_times(t, self._t_max)[0].max(initial=0.0)
-            # the exact g reads the K terms only from x = _DIRECT_X on; a call that has no such time builds no table
-            reads_k = top >= self._t_direct
-            return _rows(self._g_row, t, False, None, self._explicit(t, False).tolist() if reads_k else [0.0] * t.size)
+            return _rows(self._g_row, t, False, None, self._grid_sums(t, False))
         return np.fromiter(self._g_points(t.tolist(), t), complex, t.size)
+
+    def _grid_sums(self, ts: np.ndarray, derivative: bool) -> list:
+        """The explicit sums of g or of gdot at every time of a call of more than _MEMO_CALL times, after checking them,
+        as a list; zeros, with no table built, when no time has x >= _DIRECT_X (the exact engine reads no K below)."""
+        if _check_times(ts, self._t_max)[0].max(initial=0.0) < self._t_direct:
+            return [0.0] * ts.size
+        return self._explicit(ts, not derivative, derivative)[derivative].tolist()
 
     def _g_points(self, times: list, ts: np.ndarray | None = None) -> list:
         """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers;
@@ -655,36 +678,77 @@ class BrownianMatsubara:
         values = list(map(self._g_memo.get, times))
         return self._g_fill(times, values, ts) if None in values else values
 
-    def _g_fill(self, times: list, values: list, ts: np.ndarray | None = None) -> list:
-        """values, the memo's values at times, with each None replaced by g at its time, which the memo then holds.
+    def _gdot_points(self, times: list, ts: np.ndarray | None = None) -> list:
+        """gdot at the Python floats of a pointwise call, as _g_points gives g, from gdot's memo."""
+        values = list(map(self._gdot_memo.get, times))
+        return self._gdot_fill(times, values, ts) if None in values else values
 
-        The times are checked and the table of all of them is built, from ts or, without it, from an array made of
-        times; the row step runs for each time the memo lacks.
+    def _g_fill(self, times: list, values: list, ts: np.ndarray | None = None) -> list:
+        """values, g's memo's values at times, with each None replaced by g at its time, which the memo then holds.
+
+        The row step runs for each time the memo lacks, on the table of all the times (_pointwise_sums).  Each such
+        time that gdot's memo lacks takes gdot's row step too, on the same table, and gdot's memo holds it: the rate of
+        a distance asks for gdot at the times of its g.  Where that step raises DephaserError, g keeps its value and
+        gdot's memo its gap, for gdot to raise at its own call.
         """
-        memo = self._g_memo
-        _check_list(times, self._t_max)
-        # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-        if max(times) >= self._t_direct:
-            explicit = self._explicit(np.array(times) if ts is None else ts, False).tolist()
-        else:
-            explicit = [0.0] * len(times)
-        if len(memo) + len(times) > _MEMO_TIMES:
-            memo.clear()
+        memo, dots = self._g_memo, self._gdot_memo
+        new = [i for i, v in enumerate(values) if v is None]
+        paired = [i for i in new if times[i] not in dots]
+        explicit, slopes = self._pointwise_sums(times, ts, True, bool(paired))
+        for i in new:
+            s = times[i]
+            values[i] = memo[s] = self._g_row(s, explicit[i])
+        for i in paired:
+            s = times[i]
+            try:
+                dots[s] = self._gdot_row(s, slopes[i])
+            except DephaserError:
+                pass
+        return values
+
+    def _gdot_fill(self, times: list, values: list, ts: np.ndarray | None = None) -> list:
+        """values, gdot's memo's values at times, with each None replaced by gdot at its time, which the memo then
+        holds; g's row step does not run, so gdot builds none of g's sums."""
+        memo = self._gdot_memo
+        _, slopes = self._pointwise_sums(times, ts, False, True)
         for i, v in enumerate(values):
             if v is None:
                 s = times[i]
-                values[i] = memo[s] = self._g_row(s, explicit[i])
+                values[i] = memo[s] = self._gdot_row(s, slopes[i])
         return values
+
+    def _pointwise_sums(self, times: list, ts: np.ndarray | None, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) explicit sums at the Python floats times of a pointwise call, as lists where asked for, after
+        checking the times; both memos are cleared where the call could overfill either.
+
+        The table is built from ts or, without it, from an array made of times, and only when a time has x >=
+        _DIRECT_X: below it the exact engine reads no K term, and the sums are zeros.
+        """
+        _check_list(times, self._t_max)
+        memo, dots = self._g_memo, self._gdot_memo
+        if len(memo) + len(times) > _MEMO_TIMES or len(dots) + len(times) > _MEMO_TIMES:
+            memo.clear()
+            dots.clear()
+        if max(times) < self._t_direct:
+            zeros = [0.0] * len(times)
+            return zeros, zeros
+        # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
+        g_sum, gdot_sum = self._explicit(np.array(times) if ts is None else ts, g, gdot)
+        return g_sum.tolist() if g else None, gdot_sum.tolist() if gdot else None
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
 
-        As g's, the table of the K terms is built only when a time of the call has x >= _DIRECT_X.
+        As g's: a call of at most _MEMO_CALL times reads gdot's memo, which g's pointwise calls fill too, and computes
+        and stores gdot alone at the times it lacks; a larger call leaves both memos alone.
         """
-        ts, scalar, times = _check_times(t, self._t_max)
-        top = max(times) if times else ts.max(initial=0.0)
-        explicit = self._explicit(ts, True).tolist() if top >= self._t_direct else [0.0] * ts.size
-        return _rows(self._gdot_row, ts, scalar, times, explicit)
+        t = t if type(t) is float else _as_times(t)
+        if type(t) is float:
+            value = self._gdot_memo.get(t)
+            return self._gdot_fill([t], [None])[0] if value is None else value
+        if t.size > _MEMO_CALL:
+            return _rows(self._gdot_row, t, False, None, self._grid_sums(t, True))
+        return np.fromiter(self._gdot_points(t.tolist(), t), complex, t.size)
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included: Re g of the

@@ -634,15 +634,25 @@ def test_figures_trd_evaluates_g_once_per_distinct_time_and_curve(monkeypatch, c
 
 
 def _gdot_call_sizes(monkeypatch, cls):
-    """The number of times in each gdot call of cls from now on."""
+    """The number of times in each call of cls from now on that asks for gdot: a gdot call, or a _gdot_points call
+    from outside one, the route of the measure's pointwise rate."""
     sizes = []
-    gdot = cls.gdot
+    inside = []
 
-    def counted(self, t):
-        sizes.append(np.size(t))
-        return gdot(self, t)
+    def counting(method):
+        def counted(self, t, *args):
+            if not inside:
+                sizes.append(np.size(t))
+            inside.append(True)
+            try:
+                return method(self, t, *args)
+            finally:
+                inside.pop()
 
-    monkeypatch.setattr(cls, "gdot", counted)
+        return counted
+
+    for name in ("gdot", "_gdot_points"):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     return sizes
 
 
@@ -650,8 +660,9 @@ def test_measure_takes_the_certified_root_in_few_two_time_gdot_calls(monkeypatch
     sizes = _gdot_call_sizes(monkeypatch, BrownianMatsubara)
     rc, _, _ = run_cli(capsys, ["measure", "--t1", "1"])
     assert rc == 0
-    # the rate at 0 and at t_max, then about 10 steps of the root, each at (t, t1 + t)
-    assert max(sizes) <= 2 and len(sizes) <= 20
+    # the rate at 0 and at t_max, then about 10 steps of the root, each at (t, t1 + t) through _gdot_points, which
+    # are counted: 11 calls measured
+    assert max(sizes) <= 2 and 2 < len(sizes) <= 20
 
 
 # stdout of `dephaser measure --search grid` without and with a preparation, recorded from the brute-force search;

@@ -624,24 +624,30 @@ _POINTWISE_CALL = st.tuples(
 # a time the memo holds ahead of, between and behind times it does not
 @example([(False, [1.0], True), (False, [1.0, 2.5, 1.0 + 1e-9], False), (False, [0.3, 1.0, 0.05], False)])
 @example([(True, [2.5], True), (True, [-0.0, 0.3, 2.5], False), (True, [0.0], True)])
+# gdot read where g filled its memo, at a time of its own, and g where gdot's memo already held a time
+@example([(False, [1.0, 2.5], False), (True, [2.5], True), (True, [1.0, 0.3], False), (False, [0.3, 0.05], False)])
 def test_memo_never_changes_a_bit(calls):
-    # each value read through one long-lived evaluator, against one array call of a fresh evaluator past the memo
+    # each value read through one long-lived evaluator, g and gdot interleaved in the order of the calls, against one
+    # array call of a fresh evaluator past the memos
     for make in _MEMO_ENGINES:
         ev = make()
+        want = {}
         for name in ("g", "gdot"):
             times = [t for derivative, ts, _ in calls if derivative == (name == "gdot") for t in ts]
             padded = np.array(times + [0.7] * (_MEMO_CALL + 1))
-            want = iter(getattr(make(), name)(padded)[: len(times)].tolist())
-            for derivative, ts, as_float in calls:
-                if derivative != (name == "gdot"):
-                    continue
-                if as_float and len(ts) == 1:
-                    got = [getattr(ev, name)(ts[0])]
-                else:
-                    got = getattr(ev, name)(np.array(ts)).tolist()
-                assert np.array(got).tobytes() == np.array([next(want) for _ in ts]).tobytes()
-        # and g's memo was in use whenever g was called, so its repeats were read from it
+            want[name] = iter(getattr(make(), name)(padded)[: len(times)].tolist())
+        for derivative, ts, as_float in calls:
+            name = "gdot" if derivative else "g"
+            if as_float and len(ts) == 1:
+                got = [getattr(ev, name)(ts[0])]
+            else:
+                got = getattr(ev, name)(np.array(ts)).tolist()
+            assert np.array(got).tobytes() == np.array([next(want[name]) for _ in ts]).tobytes()
+        # and g's memo was in use whenever g was called, so its repeats were read from it, and it filled gdot's memo
+        # at its times, from which gdot then read them
         assert len(ev._g_memo) > 0 or all(derivative for derivative, _, _ in calls)
+        assert ev._g_memo.keys() <= ev._gdot_memo.keys()
+        assert len(ev._gdot_memo) > 0
 
 
 def test_memo_is_bounded_and_skips_array_calls():
@@ -650,16 +656,22 @@ def test_memo_is_bounded_and_skips_array_calls():
     for i in range(0, ts.size, _MEMO_CALL):
         ev.g(ts[i : i + _MEMO_CALL])
         ev.gdot(float(ts[i]))
-        assert 0 < len(ev._g_memo) <= _MEMO_TIMES
-    # g's memo is the engine's one memo
-    assert [name for name, value in vars(ev).items() if isinstance(value, dict)] == ["_g_memo"]
-    # an array call larger than a pointwise one neither reads the memo nor fills it
+        # and a gdot time of its own, which g's memo lacks, so gdot's memo fills faster
+        ev.gdot(float(ts[i]) + 1e-3)
+        assert 0 < len(ev._g_memo) <= _MEMO_TIMES and 0 < len(ev._gdot_memo) <= _MEMO_TIMES
+        # cleared together: every time g's memo holds, gdot's holds too
+        assert ev._g_memo.keys() <= ev._gdot_memo.keys()
+    # g's and gdot's memos are the engine's only dicts
+    assert [name for name, value in vars(ev).items() if isinstance(value, dict)] == ["_g_memo", "_gdot_memo"]
+    # an array call larger than a pointwise one neither reads the memos nor fills them
     fresh = BrownianMatsubara(BATH)
     grid = np.linspace(0.0, 10.0, 1000)
-    fresh._g_memo[float(grid[1])] = 1234j
-    g = fresh.g(grid)
-    assert 1234j not in g
-    assert list(fresh._g_memo) == [float(grid[1])]
+    for name in ("g", "gdot"):
+        memo = getattr(fresh, f"_{name}_memo")
+        memo[float(grid[1])] = 1234j
+        assert 1234j not in getattr(fresh, name)(grid)
+        assert list(memo) == [float(grid[1])]
+    assert list(fresh._g_memo) == list(fresh._gdot_memo) == [float(grid[1])]
 
 
 _HELD = [0.3, 1.0, 2.5]
@@ -702,14 +714,40 @@ def test_memo_hits_skip_the_time_check(monkeypatch):
 def test_mixed_memo_call_computes_and_stores_only_its_new_times():
     ev = BrownianMatsubara(BATH)
     ev.g(1.0)
-    held = ev._g_memo[1.0]
-    rows = []
-    g_row = ev._g_row
+    held, held_gdot = ev._g_memo[1.0], ev._gdot_memo[1.0]
+    rows, gdot_rows = [], []
+    g_row, gdot_row = ev._g_row, ev._gdot_row
     ev._g_row = lambda t, explicit: rows.append(t) or g_row(t, explicit)
+    ev._gdot_row = lambda t, explicit: gdot_rows.append(t) or gdot_row(t, explicit)
     g = ev.g(np.array([0.3, 1.0, 2.5]))
-    assert rows == [0.3, 2.5]
-    assert list(ev._g_memo) == [1.0, 0.3, 2.5] and ev._g_memo[1.0] is held
+    assert rows == gdot_rows == [0.3, 2.5]
+    assert list(ev._g_memo) == list(ev._gdot_memo) == [1.0, 0.3, 2.5]
+    assert ev._g_memo[1.0] is held and ev._gdot_memo[1.0] is held_gdot
     assert np.array_equal(_bits(g), _bits(BrownianMatsubara(BATH).g(np.array([0.3, 1.0, 2.5]))))
+    # gdot's new time takes gdot's row alone, and g's new time where gdot's memo holds it takes g's row alone
+    gdot = ev.gdot(np.array([2.5, 0.7]))
+    assert rows == [0.3, 2.5] and gdot_rows == [0.3, 2.5, 0.7]
+    assert list(ev._gdot_memo) == [1.0, 0.3, 2.5, 0.7] and list(ev._g_memo) == [1.0, 0.3, 2.5]
+    ev.g(0.7)
+    assert rows == [0.3, 2.5, 0.7] and gdot_rows == [0.3, 2.5, 0.7]
+    assert np.array_equal(_bits(gdot), _bits(BrownianMatsubara(BATH).gdot(np.array([2.5, 0.7]))))
+
+
+def test_repeated_pointwise_gdot_runs_its_row_once(monkeypatch):
+    # a gdot time asked for twice, as crosscheck asks for half of its pointwise analytic gdot times, is read from the
+    # memo the second time, as a float and inside an array
+    rows = []
+    gdot_row = BrownianMatsubara._gdot_row
+    monkeypatch.setattr(BrownianMatsubara, "_gdot_row", lambda self, t, e: rows.append(t) or gdot_row(self, t, e))
+    for bath in (BATH, BathParams(1.3, 1.8, 933.0)):
+        ev = BrownianMatsubara(bath)
+        first = ev.gdot(1.0)
+        assert ev.gdot(1.0) is first and ev.gdot(np.array([1.0]))[0] == first
+        ev.gdot(np.array([2.0, 1e-3]))
+        ev.gdot(2.0)
+        ev.gdot(1e-3)
+        assert rows == [1.0, 2.0, 1e-3]
+        rows.clear()
 
 
 def test_memo_first_calls_convert_and_raise_as_the_time_check_does():
@@ -737,10 +775,10 @@ def test_memo_first_calls_convert_and_raise_as_the_time_check_does():
             if bad != past:  # a float32 overflows there
                 calls.append(np.float32([1.0, bad]))
             for call in calls:
-                size = len(ev._g_memo)
+                sizes = len(ev._g_memo), len(ev._gdot_memo)
                 with pytest.raises(error, match=re.escape(message)):
                     f(call)
-                assert len(ev._g_memo) == size
+                assert (len(ev._g_memo), len(ev._gdot_memo)) == sizes
         with pytest.raises(ValueError, match="1-d array"):
             f(np.array([[1.0]]))
 

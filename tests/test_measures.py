@@ -183,6 +183,66 @@ def test_sigma_degenerate_pairs():
     assert sigma(pops, ev, Prepared(1.0), 0.5) == 0.0
 
 
+def _count_work(monkeypatch):
+    """Lists that gather, from now on, BrownianMatsubara's K-term tables (one entry per _explicit call) and the times
+    of its g and gdot row steps."""
+    work = {"tables": [], "g": [], "gdot": []}
+    explicit, g_row, gdot_row = BrownianMatsubara._explicit, BrownianMatsubara._g_row, BrownianMatsubara._gdot_row
+    monkeypatch.setattr(BrownianMatsubara, "_explicit", lambda self, *a: work["tables"].append(1) or explicit(self, *a))
+    monkeypatch.setattr(BrownianMatsubara, "_g_row", lambda self, t, e: work["g"].append(t) or g_row(self, t, e))
+    monkeypatch.setattr(
+        BrownianMatsubara, "_gdot_row", lambda self, t, e: work["gdot"].append(t) or gdot_row(self, t, e)
+    )
+    return work
+
+
+@pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
+def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
+    # E at a new time fills gdot's memo at its times from the same K-term table, so the rate there runs no row; the
+    # beta 933 bath's t = 2 is below x = 0.2, where no table is built
+    ev = BrownianMatsubara(bath)
+    scenario = Prepared(1.0)
+    work = _count_work(monkeypatch)
+    e = decay_exponent(ev, scenario, 2.0)
+    rate = decay_exponent_rate(ev, scenario, 2.0)
+    reads_k = 3.0 >= ev._t_direct
+    assert work == {"tables": [1] * reads_k, "g": [1.0, 2.0, 3.0], "gdot": [1.0, 2.0, 3.0]}
+    # sigma at a new time: one table for t and t1 + t, each row once
+    s = sigma(analytic_pair(), ev, scenario, 4.0)
+    assert work == {"tables": [1] * (2 * reads_k), "g": [1.0, 2.0, 3.0, 4.0, 5.0], "gdot": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    # the rate, E and sigma at held times run no row and build no table
+    for t in (2.0, 4.0):
+        decay_exponent_rate(ev, scenario, t)
+        decay_exponent(ev, scenario, t)
+        sigma(analytic_pair(), ev, scenario, t)
+    assert work["tables"] == [1] * (2 * reads_k) and work["g"] == work["gdot"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    # the same bits as a fresh engine's array calls
+    fresh = BrownianMatsubara(bath)
+    g1, g2, g12 = fresh.g(np.array([1.0, 2.0, 3.0, 0.0])).tolist()[:3]
+    assert e == (2.0 * g1 + 2.0 * g2 - g12).real
+    a, b = fresh.gdot(np.array([2.0, 3.0, 0.0, 0.0])).real.tolist()[:2]
+    assert rate == 2.0 * a - b
+    assert s == sigma(analytic_pair(), BrownianMatsubara(bath), scenario, 4.0)
+
+
+def test_distance_keeps_its_value_where_only_gdot_raises():
+    # beta gamma / 2 pi = 1.6e6 is past half of K + _BLOCK_CAP, so gdot raises at t = 1; g's pointwise calls, which
+    # also fill gdot's memo, still return g, E and the distance there, with the values of g's route alone
+    bath = BathParams(1.0, 1.0, 1e7, 100)
+    ev = BrownianMatsubara(bath)
+    assert ev.g(1.0) == 0.33537250849097444 - 0.36787944117144233j
+    assert decay_exponent(ev, Prepared(1.0), 1.0) == 0.6311587325867783
+    assert decay_exponent(BrownianMatsubara(bath), SingleTime(), 1.0) == 0.33537250849097444
+    assert pair_distance(analytic_pair(), BrownianMatsubara(bath), Prepared(1.0), 1.0) == 0.5319750269387351
+    assert 1.0 not in ev._gdot_memo
+    for t in (1.0, np.array([1.0, 2.0])):
+        with pytest.raises(DephaserError, match="more than 2000000 live Matsubara terms past K"):
+            ev.gdot(t)
+    with pytest.raises(DephaserError, match="more than 2000000 live Matsubara terms past K"):
+        decay_exponent_rate(ev, Prepared(1.0), 1.0)
+    assert ev.g(1.0) == 0.33537250849097444 - 0.36787944117144233j
+
+
 def test_single_interval_is_markovian():
     for ev in (HighTemperatureBrownian(BATH), BrownianMatsubara(BATH)):
         res = non_markovianity(SYS, ev, SingleTime(), t_max=10.0)
