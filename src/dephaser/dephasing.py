@@ -54,11 +54,12 @@ BrownianMatsubara also remembers g and gdot at their pointwise calls
 (one to three times, as the two-interval kernels and the measure's
 curves make them), up to _MEMO_TIMES times each, and returns the same
 bits from the memos as computed afresh.  A g call that misses a time
-also fills gdot's memo there from the same table, since the rate of a
-distance asks for gdot where the distance asked for g.  The two-interval
-kernels take g at t1, t2 and t1 + t2 by one route, _g_two_interval: from
-that memo as Python numbers, or from one g call on the three times as an
-array for an evaluator without one.
+also fills gdot's memo there from the same row step, whose exponentials
+g and gdot share, since the rate of a distance asks for gdot where the
+distance asked for g.  The two-interval kernels take g at t1, t2 and
+t1 + t2 by one route, _g_two_interval: from that memo as Python numbers,
+or from one g call on the three times as an array for an evaluator
+without one.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from operator import itemgetter
 
 import numpy as np
 
@@ -219,17 +221,6 @@ def _complex(re: np.ndarray, im: np.ndarray, scalar: bool):
     return complex(out[0]) if scalar else out
 
 
-def _series_terms(neg_x, coef, derivative: bool):
-    """Matsubara terms coef (expm1(-x) + x) of g, or coef expm1(-x) of gdot (over neg_x), from neg_x = -x."""
-    if derivative:
-        e = np.expm1(neg_x, out=neg_x)
-    else:
-        e = np.expm1(neg_x)
-        e -= neg_x
-    e *= coef
-    return e
-
-
 def _dead_weight(n: float, a2: float, x: float) -> float:
     """sum_{k > n} e^{-kx} / (k^2 - a^2) for x > 0 and n >= 2a, a^2 = a2: the weight that the sum counts as dead where
     it stops at n while e^{-kx} is still live.
@@ -258,35 +249,39 @@ def _dead_weight(n: float, a2: float, x: float) -> float:
 
 
 class _MatsubaraG:
-    """S(x) = sum_{n >= 1, n != m} h(n x) q(n), q(u) = 1 / (u (u - a)(u + a)), h(y) = e^-y + y - 1, for 0 < x <
-    _DIRECT_X: Re g's Matsubara part over s0 = eta gamma beta^2 / (2 pi^3), with x = 2 pi t / beta.
+    """(S(x), S'(x)) for 0 < x < _DIRECT_X: S(x) = sum_{n >= 1, n != m} h(n x) q(n), q(u) = 1 / (u (u - a)(u + a)), h(y)
+    = e^-y + y - 1, is Re g's Matsubara part over s0 = eta gamma beta^2 / (2 pi^3), with x = 2 pi t / beta, and S'(x) =
+    sum_{n >= 1, n != m} (1 - e^-nx) n q(n) Re gdot's over s1 = eta gamma beta / pi^2.
 
-    It is the weighted sum of h(u_i x) on the points and weights of spectral._matsubara_nodes (power 0), which the
+    S is the weighted sum of h(u_i x) on the points and weights of spectral._matsubara_nodes (power 0), which the
     analytic L shares, with their Euler-Maclaurin end terms.  The upper tail's integral of h(u x) u^-3 is x^2 M(top x),
     M(z) = int_z^inf h(v) v^-3 dv = h(z) / (2 z^2) + (1 - e^-z) / (2 z) + E1(z) / 2 (by parts; every term positive).
+    S' is its x-derivative term by term: w_i u_i (1 - e^-u_i x), whose factor 1 - e^-y = -expm1(-y) keeps its digits at
+    every y, the end terms' and the zero end's derivatives, and the upper tail's int_top^inf (1 - e^-ux) u^-2 du = (1 -
+    e^-z) / top + x E1(z), z = top x (by parts).  A call takes the one or both of them that its row step asks for, from
+    one expm1(-u_i x) over the points, whose end terms and top share their exponentials: the row of a g miss takes
+    both, and S' reads every point's e = expm1(-y) where S reads e + y from its first group past the Taylor series.
 
-    h cancels at small y, so the weighted sum is taken by groups, the points between consecutive powers of 4: a group
+    h cancels at small y, so S's weighted sum is taken by groups, the points between consecutive powers of 4: a group
     whose largest y is below _H_SERIES_TOP is h's Taylor series (spectral._H_TAYLOR) of its moments sum_i w_i u_i^k,
     scaled by the group's largest u, kept from the start; from the first other group on, each term is w_i (expm1(-y_i)
     + y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within 7.1e-14 of
     tests/_oracle.reference on 14 baths (a from 1.6e-4 to 3000) from t = 1e-9 to x = 0.2, with no K or live term
     read.  DephaserError where a reaches _A_MAX, past which the window's n - a are not exact.
-
-    derivative(x) is S'(x) on the same points, Re gdot's Matsubara part over s1 = eta gamma beta / pi^2: one table
-    serves g and gdot.
     """
 
     def __init__(self, a: float, m: int):
         u, w, ends, zero_end, top = _matsubara_nodes(a, m, *_G_RULE)
         self._top = top
         self._zero_end = zero_end
-        # S': the weights u_i w_i, the end terms without x^2 M(top x) and the zero end's x-derivative over x
+        # S': the weights u_i w_i and the zero end's x-derivative over x
         self._slopes = u * w
-        self._slope_ends = tuple(ends)
         self._zero_slope = tuple(2 * p * d for p, d in enumerate(zero_end, 1))
-        # the top end, with the terms of x^2 M(top x) in h(y) and in h'(y)
-        _, b0, b1, b = ends[0]
-        ends[0] = (top, b0 + 0.5 / (top * top), b1 + 0.5 / top, b)
+        # each end's u, b0, b1 and b_i of S, and u b0 + b1 and u b1 of S'; the top's b0 and b1 in S take the terms of
+        # x^2 M(top x) in h(y) and in h'(y)
+        ends = [(v, b0, b1, b, v * b0 + b1, v * b1) for v, b0, b1, b in ends]
+        _, b0, b1, b, d0, d1 = ends[0]
+        ends[0] = (top, b0 + 0.5 / (top * top), b1 + 0.5 / top, b, d0, d1)
         self._ends = ends
         self._nodes, self._weights = u, w
         # the groups: the points of each power of 4, at most a factor 4 apart
@@ -303,61 +298,59 @@ class _MatsubaraG:
         np.multiply.accumulate(powers, axis=0, out=powers)
         self._moments = _H_TAYLOR_COLUMN * np.add.reduceat(powers, self._starts[:-1], axis=1)
 
-    def __call__(self, x: float) -> float:
-        # the groups whose largest y is below _H_SERIES_TOP, by their Taylor series; the points of the rest one by one
-        g = bisect_left(self._top_list, _H_SERIES_TOP / x)
-        s = 0.0
-        if g:
-            z = self._tops[:g] * x
-            powers = np.empty((len(_H_TAYLOR), g))
+    def __call__(self, x: float, g: bool, gdot: bool) -> tuple:
+        """(S(x) where g, S'(x) where gdot), each None where not asked for."""
+        # S's groups whose largest y is below _H_SERIES_TOP by their Taylor series, the points of the rest one by one
+        k = bisect_left(self._top_list, _H_SERIES_TOP / x) if g else 0
+        first = self._starts[k]
+        # -u_i x and expm1(-u_i x) of the points from lo: all of them for S', those from first for S alone; e takes
+        # neg's place where S does not read it
+        lo = 0 if gdot else first
+        neg = (self._nodes[lo:] if lo else self._nodes) * -x
+        e = np.expm1(neg, out=None if g else neg)
+        s = ds = 0.0
+        if k:
+            z = self._tops[:k] * x
+            powers = np.empty((len(_H_TAYLOR), k))
             powers[:] = z
             powers[0] *= z
             np.multiply.accumulate(powers, axis=0, out=powers)
-            s = float(np.vdot(powers, self._moments[:, :g]))
-        first = self._starts[g]
-        if first < self._nodes.size:
-            y = self._nodes[first:] * x
-            terms = np.expm1(-y)
-            terms += y
-            s += float(np.dot(self._weights[first:], terms))
-        for u, b0, b1, b in self._ends:
+            s = float(np.vdot(powers, self._moments[:, :k]))
+        if g and first < self._nodes.size:
+            s += float(np.dot(self._weights[first:], e[first - lo :] - neg[first - lo :]))  # expm1(-y) + y
+        if gdot:
+            ds = -float(np.dot(self._slopes, e))
+        for u, b0, b1, b, d0, d1 in self._ends:
             y = u * x
+            em = math.expm1(-y)
+            ey = math.exp(-y)
+            if g:  # h(y) b0 - x expm1(-y) b1 + x^2 e^-y P(x), P(x) = sum_i b_i x^i
+                p = 0.0
+                for bi in reversed(b):
+                    p = p * x + bi
+                s += (em + y if y >= _H_SERIES_TOP else _h(y)) * b0 - x * em * b1 + x * x * ey * p
+            if gdot:  # its d/dx with the b0 and b1 of S': h'(y)(u b0 + b1) + x e^-y (u b1 + sum_i (2 + i - y) b_i x^i)
+                p = 0.0
+                for i in range(len(b) - 1, -1, -1):
+                    p = p * x + (2 + i - y) * b[i]
+                ds += -em * d0 + x * ey * (d1 + p)
+        if g:
             p = 0.0
-            for bi in reversed(b):
-                p = p * x + bi
-            s += _h(y) * b0 - x * math.expm1(-y) * b1 + x * x * math.exp(-y) * p
-        p = 0.0
-        for d in reversed(self._zero_end):
-            p = (p + d) * x * x
-        s += p
-        # the rest of x^2 M(top x): E1(z) = e^-z (e^z E1(z))
+            for d in reversed(self._zero_end):
+                p = (p + d) * x * x
+            s += p
+        if gdot:
+            p = 0.0
+            for d in reversed(self._zero_slope):
+                p = p * x * x + d
+            ds += p * x
+        # the rest of x^2 M(top x) and its derivative: E1(z) = e^-z (e^z E1(z))
         y = self._top * x
-        return s + 0.5 * x * x * math.exp(-y) * _e1_scaled(y)
-
-    def derivative(self, x: float) -> float:
-        """S'(x) = sum_{n >= 1, n != m} (1 - e^-nx) n q(n): Re gdot's Matsubara part over s1 = eta gamma beta / pi^2.
-
-        The x-derivative of S's sum, term by term: w_i u_i (1 - e^-u_i x), whose factor 1 - e^-y = -expm1(-y) keeps its
-        digits at every y, the end terms' and the zero end's derivatives, and the upper tail's int_top^inf (1 - e^-ux)
-        u^-2 du = (1 - e^-z) / top + x E1(z), z = top x (by parts).
-        """
-        e = self._nodes * -x
-        np.expm1(e, out=e)
-        s = -float(np.dot(self._slopes, e))
-        for u, b0, b1, b in self._slope_ends:
-            # d/dx of h(y) b0 + x h'(y) b1 + x^2 e^-y P(x), P(x) = sum_i b_i x^i: h'(y)(u b0 + b1) + x e^-y (u b1 +
-            # sum_i (2 + i - y) b_i x^i)
-            y = u * x
-            p = 0.0
-            for i in range(len(b) - 1, -1, -1):
-                p = p * x + (2 + i - y) * b[i]
-            s += -math.expm1(-y) * (u * b0 + b1) + x * math.exp(-y) * (u * b1 + p)
-        p = 0.0
-        for d in reversed(self._zero_slope):
-            p = p * x * x + d
-        s += p * x
-        z = self._top * x
-        return s - math.expm1(-z) / self._top + x * math.exp(-z) * _e1_scaled(z)
+        ey, e1 = math.exp(-y), _e1_scaled(y)
+        return (
+            s + 0.5 * x * x * ey * e1 if g else None,
+            ds - math.expm1(-y) / self._top + x * ey * e1 if gdot else None,
+        )
 
 
 def _g_two_interval(evaluator, t1: float, t2: float) -> list:
@@ -406,15 +399,18 @@ class BrownianMatsubara:
 
     g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
     table, summed row by row (the exact g and gdot build it only when a time of the call has x >= _DIRECT_X); the
-    pole term and the rest follow time by time, so a time gets the same bits alone as in an array.  A g or gdot call of
+    pole term and the rest follow time by time in one row step (_row), so a time gets the same bits alone as in an
+    array.  The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's
+    exponentials: one _MatsubaraG call below _DIRECT_X, one live block and one tail_sums from there.  A g or gdot call of
     at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times it
     lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
     and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo through
     _g_points on Python floats (_g_two_interval), not through g.  gdot seldom repeats its own times, but the rate of a
-    distance asks for gdot at the times of its g: a g miss also computes gdot there, from the same K-term table, and
-    fills gdot's memo, which the rate reads through _gdot_points (measures.decay_exponent_rate).  A gdot miss computes
-    gdot alone.  Each memo holds at most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill
-    either; larger calls (grids, the scan) neither read nor fill them, so memory does not grow with the grid.
+    distance asks for gdot at the times of its g: the row step of a g miss takes both halves, and gdot's memo holds the
+    second, which the rate reads through _gdot_points (measures.decay_exponent_rate).  A gdot miss takes gdot's half
+    alone, since g's would build S0 from _DIRECT_X on, and array calls take the half they return.  Each memo holds at
+    most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill either; larger calls (grids, the
+    scan) neither read nor fill them, so memory does not grow with the grid.
     """
 
     def __init__(self, bath: BathParams, include_tail: bool = True):
@@ -450,13 +446,11 @@ class BrownianMatsubara:
         self._neg_nu = -nu
         self._neg_b = -b
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        # per-bath factors of the row, _g_tail, _gdot_tail and _live_stop formulas, each the value or product its
-        # formula starts with (same bits)
+        # per-bath factors of the row and _tail formulas, each the value or product its formula starts with (same bits)
         self._k = k
         self._gamma = gamma
-        self._neg_gamma = -gamma
         self._dead_beta = _EXP_DEAD * bath.beta
-        # S1(K), which gdot reads from x = _DIRECT_X on; S0(K) at the first g that reads it (_g_tail)
+        # S1(K), which gdot reads from x = _DIRECT_X on; S0(K) at the first g that reads it (_tail)
         self._s1_k = d.tail_sums(k, True)[1] if include_tail else 0.0
         self._s0_k = None
         # x = 2 pi t / beta is t times this, and the exact g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X
@@ -505,10 +499,11 @@ class BrownianMatsubara:
         nu = self.bath.matsubara_frequency(np.arange(self._k + 1.0, _G_LIVE_STOP + 1.0))
         return nu, self._table._coefficient(name, nu, self._k + 1)
 
-    def _small_x(self, t: float) -> float:
-        """x = 2 pi t / beta below t_direct, with the _MatsubaraG of g and gdot built at the first call of either.
+    def _small_x(self, t: float, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) exact Matsubara part below t_direct, each None where not asked for, from one _MatsubaraG call,
+        built at the first call: s0 S and s1 S', plus _dead_weight where more than _BLOCK_CAP terms past K are live.
 
-        DephaserError where x^2 leaves the normal floats.
+        DephaserError where x^2 leaves the normal floats, and gdot's at such a time where N = K + _BLOCK_CAP < 2a.
         """
         x = t * self._x_rate
         if not x * x >= sys.float_info.min:
@@ -518,21 +513,10 @@ class BrownianMatsubara:
             )
         if self._small_x_sum is None:
             self._small_x_sum = _MatsubaraG(self.bath.pole_ratio, self._m)
-        return x
-
-    def _matsubara_g(self, t: float) -> float:
-        """The exact Matsubara part of Re g(t) below t_direct."""
-        x = self._small_x(t)
-        return self._s0 * self._small_x_sum(x)
-
-    def _matsubara_gdot(self, t: float) -> float:
-        """The Matsubara part of Re gdot(t) below t_direct: exact, plus _dead_weight where more than _BLOCK_CAP terms
-        past K are live.
-
-        DephaserError where x^2 leaves the normal floats, and at such a time where N = K + _BLOCK_CAP < 2a.
-        """
-        x = self._small_x(t)
-        re = self._s1 * self._small_x_sum.derivative(x)
+        s, ds = self._small_x_sum(x, g, gdot)
+        if not gdot:
+            return self._s0 * s, None
+        ds = self._s1 * ds
         n = self._k + _BLOCK_CAP
         # ceil(v) > N exactly when v > N
         if self._dead_beta / (_TWO_PI * t) > n:
@@ -542,38 +526,39 @@ class BrownianMatsubara:
                     f"time {t!r} has more than {_BLOCK_CAP} live Matsubara terms past K, and beta gamma / 2 pi = "
                     f"{a!r} is past half of K + {_BLOCK_CAP}, where their dead weight is not summed"
                 )
-            re += self._s1 * _dead_weight(float(n), a * a, x)
-        return re
+            ds += self._s1 * _dead_weight(float(n), a * a, x)
+        return (self._s0 * s if g else None), ds
 
-    def _g_tail(self, t: float) -> float:
-        """The n > K part of g(t) from t_direct on: its at most _G_LIVE_STOP - K live terms, then the digamma rest."""
+    def _tail(self, t: float, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) n > K part from t_direct on, each None where not asked for: the at most _G_LIVE_STOP - K live
+        terms from one expm1(-nu_n t), then the digamma rest from one tail_sums, whose S1 both read."""
         # ceil(x) <= K exactly when x <= K, so this is _live_stop(t) == 0 without its call
         if self._dead_beta / (_TWO_PI * t) <= self._k:
+            if not g:
+                return None, self._s1_k
             s0 = self._s0_k
             if s0 is None:
                 s0 = self._s0_k = self._table.tail_sums(self._k)[0]
-            return t * self._s1_k - s0
+            return t * self._s1_k - s0, self._s1_k if gdot else None
         n_stop = self._live_stop(t)
         live = n_stop - self._k
-        if self._g_live is None:
+        if g and self._g_live is None:
             self._g_live = self._live("c")
-        nu, c = self._g_live
-        terms = float(np.add.reduce(_series_terms(nu[:live] * -t, c[:live], False)))
-        s0, s1 = self._table.tail_sums(n_stop)
-        return terms + t * s1 - s0
-
-    def _gdot_tail(self, t: float) -> float:
-        """The n > K part of gdot(t) from t_direct on: at most _G_LIVE_STOP - K live terms, then the digamma rest."""
-        if self._dead_beta / (_TWO_PI * t) <= self._k:
-            return self._s1_k
-        n_stop = self._live_stop(t)
-        live = n_stop - self._k
-        if self._gdot_live is None:
+        if gdot and self._gdot_live is None:
             self._gdot_live = self._live("b")
-        nu, b = self._gdot_live
-        # the terms with B_n are B_n expm1(-nu_n t), the negated terms of Re gdot
-        block = -float(np.add.reduce(_series_terms(nu[:live] * -t, b[:live], True)))
-        return block + self._table.tail_sums(n_stop, True)[1]
+        neg_x = (self._g_live if g else self._gdot_live)[0][:live] * -t
+        e = np.expm1(neg_x, out=None if g else neg_x)
+        s0, s1 = self._table.tail_sums(n_stop, not g)
+        g_tail = gdot_tail = None
+        if g:
+            terms = np.subtract(e, neg_x, out=neg_x)
+            terms *= self._g_live[1][:live]
+            g_tail = float(np.add.reduce(terms)) + t * s1 - s0
+        if gdot:
+            # the terms with B_n are B_n expm1(-nu_n t), the negated terms of Re gdot
+            e *= self._gdot_live[1][:live]
+            gdot_tail = -float(np.add.reduce(e)) + s1
+        return g_tail, gdot_tail
 
     def _explicit(self, ts: np.ndarray, g: bool, gdot: bool) -> tuple:
         """(g's, gdot's) sum of the K explicit terms at every time, each an array where asked for and None where not:
@@ -608,39 +593,44 @@ class BrownianMatsubara:
                 gdot_sum = np.add.reduce(e, axis=1)
         return g_sum, gdot_sum
 
-    def _g_row(self, t: float, explicit: float) -> complex:
+    def _row(self, t: float, g_sum, gdot_sum) -> tuple:
+        """(g, gdot) at t from their explicit sums (0.0 below t_direct, where they are not read), each None where its
+        sum is None: one step of the pole, the pair and the rest, whose exponentials the two halves share."""
         if t == 0.0:
-            return 0j
-        # _h, whose expm1 branch is written out here: this is the hot path of pointwise calls
+            return 0j, 0j
+        g, gdot = g_sum is not None, gdot_sum is not None
+        g_value = gdot_value = None
         y = self._gamma * t
-        hg = math.expm1(-y) + y if y >= _H_SERIES_TOP else _h(y)
+        em = math.expm1(-y)
         exact = t < self._t_direct
-        re = self._pole_c * hg if exact else explicit + self._pole_c * hg
-        if self._m:  # the rest of the pair: m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
-            nu, m_rest, amp, lo, hi = self._pair
-            y = nu * t
-            h_m = math.expm1(-y) + y if y >= _H_SERIES_TOP else _h(y)
-            re += m_rest / nu * h_m + amp * _h_divided_difference(lo, hi, t)
         if exact:
-            re += self._matsubara_g(t)
+            g_rest, gdot_rest = self._small_x(t, g, gdot)
         elif self.include_tail:
-            re += self._g_tail(t)
-        return complex(re, -self._table.pole_im * hg)
-
-    def _gdot_row(self, t: float, explicit: float) -> complex:
-        if t == 0.0:
-            return 0j
-        em = math.expm1(self._neg_gamma * t)
-        exact = t < self._t_direct
-        re = self._pole_b * (-em) if exact else explicit + self._pole_b * (-em)
-        if self._m:  # the rest of the pair: m_rest (1 - e^{-nu_m t}) - P E, E over [gamma, nu_m]
+            g_rest, gdot_rest = self._tail(t, g, gdot)
+        else:
+            g_rest = gdot_rest = None
+        if self._m:  # the pair: the m-th term's nu_m and rest, P, and the least and largest of gamma and nu_m
             nu, m_rest, amp, lo, hi = self._pair
-            re += m_rest * -math.expm1(-nu * t) - amp * _exp_divided_difference(lo, hi, t)
-        if exact:
-            re += self._matsubara_gdot(t)
-        elif self.include_tail:
-            re += self._gdot_tail(t)
-        return complex(re, self.bath.eta * em)
+            y_m = nu * t
+            em_m = math.expm1(-y_m)
+        if g:
+            # _h, whose expm1 branch is written out here: this is the hot path of pointwise calls
+            hg = em + y if y >= _H_SERIES_TOP else _h(y)
+            re = self._pole_c * hg if exact else g_sum + self._pole_c * hg
+            if self._m:  # m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
+                h_m = em_m + y_m if y_m >= _H_SERIES_TOP else _h(y_m)
+                re += m_rest / nu * h_m + amp * _h_divided_difference(lo, hi, t)
+            if g_rest is not None:
+                re += g_rest
+            g_value = complex(re, -self._table.pole_im * hg)
+        if gdot:
+            re = self._pole_b * (-em) if exact else gdot_sum + self._pole_b * (-em)
+            if self._m:  # m_rest (1 - e^{-nu_m t}) - P E, E over [gamma, nu_m]
+                re += m_rest * -em_m - amp * _exp_divided_difference(lo, hi, t)
+            if gdot_rest is not None:
+                re += gdot_rest
+            gdot_value = complex(re, self.bath.eta * em)
+        return g_value, gdot_value
 
     def g(self, t):
         """g at a time (a complex) or at every time of a 1-d array (a complex array).
@@ -648,26 +638,45 @@ class BrownianMatsubara:
         A call of at most _MEMO_CALL times looks its times up in the memo and
         returns at once when the memo holds them all: a held time was checked
         when it was stored.  Otherwise it checks its times, builds the table of
-        all of them and stores the row step of each time the memo lacks, and
-        gdot's at those times in gdot's memo (_g_fill).  A larger call leaves
-        the memos alone.  A time's value is its own table row
-        and row step either way, so its bits do not depend on the path.
+        all of them and runs the row step of each time the memo lacks, which
+        fills g's memo and gdot's (_fill).  A larger call leaves the memos
+        alone.  A time's value is its own table row and row step either way,
+        so its bits do not depend on the path.
         """
         # _as_times leaves a float as it is; a held float, the commonest call, skips calling it and is one lookup
         t = t if type(t) is float else _as_times(t)
         if type(t) is float:
             value = self._g_memo.get(t)
-            return self._g_fill([t], [None])[0] if value is None else value
+            return self._fill([t], [None], None, False)[0] if value is None else value
         if t.size > _MEMO_CALL:
-            return _rows(self._g_row, t, False, None, self._grid_sums(t, False))
+            return self._grid(t, False)
         return np.fromiter(self._g_points(t.tolist(), t), complex, t.size)
 
-    def _grid_sums(self, ts: np.ndarray, derivative: bool) -> list:
-        """The explicit sums of g or of gdot at every time of a call of more than _MEMO_CALL times, after checking them,
-        as a list; zeros, with no table built, when no time has x >= _DIRECT_X (the exact engine reads no K below)."""
+    def gdot(self, t):
+        """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
+
+        As g's: a call of at most _MEMO_CALL times reads gdot's memo, which g's pointwise calls fill too, and runs the
+        row step at the times it lacks (_fill); a larger call leaves both memos alone.
+        """
+        t = t if type(t) is float else _as_times(t)
+        if type(t) is float:
+            value = self._gdot_memo.get(t)
+            return self._fill([t], [None], None, True)[0] if value is None else value
+        if t.size > _MEMO_CALL:
+            return self._grid(t, True)
+        return np.fromiter(self._gdot_points(t.tolist(), t), complex, t.size)
+
+    def _grid(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
+        """g, or gdot where derivative, at every time of a call of more than _MEMO_CALL times, after checking them:
+        the row step of the half asked for on its explicit sums, zeros with no table built when no time has x >=
+        _DIRECT_X (the exact engine reads no K below)."""
         if _check_times(ts, self._t_max)[0].max(initial=0.0) < self._t_direct:
-            return [0.0] * ts.size
-        return self._explicit(ts, not derivative, derivative)[derivative].tolist()
+            sums = [0.0] * ts.size
+        else:
+            sums = self._explicit(ts, not derivative, derivative)[derivative].tolist()
+        nones = [None] * ts.size
+        rows = map(self._row, ts.tolist(), nones if derivative else sums, sums if derivative else nones)
+        return np.fromiter(map(itemgetter(derivative), rows), complex, ts.size)
 
     def _g_points(self, times: list, ts: np.ndarray | None = None) -> list:
         """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers;
@@ -676,50 +685,42 @@ class BrownianMatsubara:
         The memo is looked up once; a call of held times returns at once, with no array made.
         """
         values = list(map(self._g_memo.get, times))
-        return self._g_fill(times, values, ts) if None in values else values
+        return self._fill(times, values, ts, False) if None in values else values
 
     def _gdot_points(self, times: list, ts: np.ndarray | None = None) -> list:
         """gdot at the Python floats of a pointwise call, as _g_points gives g, from gdot's memo."""
         values = list(map(self._gdot_memo.get, times))
-        return self._gdot_fill(times, values, ts) if None in values else values
+        return self._fill(times, values, ts, True) if None in values else values
 
-    def _g_fill(self, times: list, values: list, ts: np.ndarray | None = None) -> list:
-        """values, g's memo's values at times, with each None replaced by g at its time, which the memo then holds.
+    def _fill(self, times: list, values: list, ts: np.ndarray | None, derivative: bool) -> list:
+        """values, g's memo's values at times (gdot's where derivative), with each None replaced by the row step at its
+        time, which the memo then holds.
 
-        The row step runs for each time the memo lacks, on the table of all the times (_pointwise_sums).  Each such
-        time that gdot's memo lacks takes gdot's row step too, on the same table, and gdot's memo holds it: the rate of
-        a distance asks for gdot at the times of its g.  Where that step raises DephaserError, g keeps its value and
-        gdot's memo its gap, for gdot to raise at its own call.
+        The row steps run on the table of all the times (_pointwise_sums).  A g miss takes gdot's half too, since the
+        rate of a distance asks for gdot at the times of its g, and gdot's memo keeps it unless it holds the time;
+        where that half raises DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at its own
+        call.  A gdot miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
         """
         memo, dots = self._g_memo, self._gdot_memo
-        new = [i for i, v in enumerate(values) if v is None]
-        paired = [i for i in new if times[i] not in dots]
-        explicit, slopes = self._pointwise_sums(times, ts, True, bool(paired))
-        for i in new:
-            s = times[i]
-            values[i] = memo[s] = self._g_row(s, explicit[i])
-        for i in paired:
-            s = times[i]
-            try:
-                dots[s] = self._gdot_row(s, slopes[i])
-            except DephaserError:
-                pass
-        return values
-
-    def _gdot_fill(self, times: list, values: list, ts: np.ndarray | None = None) -> list:
-        """values, gdot's memo's values at times, with each None replaced by gdot at its time, which the memo then
-        holds; g's row step does not run, so gdot builds none of g's sums."""
-        memo = self._gdot_memo
-        _, slopes = self._pointwise_sums(times, ts, False, True)
+        g_sums, gdot_sums = self._pointwise_sums(times, ts, derivative)
         for i, v in enumerate(values):
             if v is None:
                 s = times[i]
-                values[i] = memo[s] = self._gdot_row(s, slopes[i])
+                if derivative:
+                    values[i] = dots[s] = self._row(s, None, gdot_sums[i])[1]
+                    continue
+                try:
+                    g, gdot = self._row(s, g_sums[i], gdot_sums[i])
+                except DephaserError:  # from gdot's half, or from g's, which raises it again alone
+                    g, gdot = self._row(s, g_sums[i], None)
+                values[i] = memo[s] = g
+                if gdot is not None:
+                    dots.setdefault(s, gdot)
         return values
 
-    def _pointwise_sums(self, times: list, ts: np.ndarray | None, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) explicit sums at the Python floats times of a pointwise call, as lists where asked for, after
-        checking the times; both memos are cleared where the call could overfill either.
+    def _pointwise_sums(self, times: list, ts: np.ndarray | None, derivative: bool) -> tuple:
+        """(g's, gdot's) explicit sums at the Python floats times of a pointwise call, as lists (g's None where
+        derivative), after checking the times; both memos are cleared where the call could overfill either.
 
         The table is built from ts or, without it, from an array made of times, and only when a time has x >=
         _DIRECT_X: below it the exact engine reads no K term, and the sums are zeros.
@@ -731,24 +732,10 @@ class BrownianMatsubara:
             dots.clear()
         if max(times) < self._t_direct:
             zeros = [0.0] * len(times)
-            return zeros, zeros
+            return None if derivative else zeros, zeros
         # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-        g_sum, gdot_sum = self._explicit(np.array(times) if ts is None else ts, g, gdot)
-        return g_sum.tolist() if g else None, gdot_sum.tolist() if gdot else None
-
-    def gdot(self, t):
-        """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
-
-        As g's: a call of at most _MEMO_CALL times reads gdot's memo, which g's pointwise calls fill too, and computes
-        and stores gdot alone at the times it lacks; a larger call leaves both memos alone.
-        """
-        t = t if type(t) is float else _as_times(t)
-        if type(t) is float:
-            value = self._gdot_memo.get(t)
-            return self._gdot_fill([t], [None])[0] if value is None else value
-        if t.size > _MEMO_CALL:
-            return _rows(self._gdot_row, t, False, None, self._grid_sums(t, True))
-        return np.fromiter(self._gdot_points(t.tolist(), t), complex, t.size)
+        g_sum, gdot_sum = self._explicit(np.array(times) if ts is None else ts, not derivative, True)
+        return None if derivative else g_sum.tolist(), gdot_sum.tolist()
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included: Re g of the

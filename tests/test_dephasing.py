@@ -711,34 +711,45 @@ def test_memo_hits_skip_the_time_check(monkeypatch):
         ev.g(np.array([1.0, 0.7]))
 
 
-def test_mixed_memo_call_computes_and_stores_only_its_new_times():
+def _count_rows(monkeypatch) -> list:
+    """A list that gathers, from now on, (t, g's half asked for, gdot's half asked for) of every BrownianMatsubara row
+    step."""
+    rows = []
+    row = BrownianMatsubara._row
+    monkeypatch.setattr(
+        BrownianMatsubara, "_row", lambda self, t, g, gdot: rows.append((t, g is not None, gdot is not None)) or row(self, t, g, gdot)
+    )
+    return rows
+
+
+def test_mixed_memo_call_computes_and_stores_only_its_new_times(monkeypatch):
+    want_g = BrownianMatsubara(BATH).g(np.array([0.3, 1.0, 2.5]))
+    want_gdot = BrownianMatsubara(BATH).gdot(np.array([2.5, 0.7]))
     ev = BrownianMatsubara(BATH)
     ev.g(1.0)
     held, held_gdot = ev._g_memo[1.0], ev._gdot_memo[1.0]
-    rows, gdot_rows = [], []
-    g_row, gdot_row = ev._g_row, ev._gdot_row
-    ev._g_row = lambda t, explicit: rows.append(t) or g_row(t, explicit)
-    ev._gdot_row = lambda t, explicit: gdot_rows.append(t) or gdot_row(t, explicit)
+    rows = _count_rows(monkeypatch)
     g = ev.g(np.array([0.3, 1.0, 2.5]))
-    assert rows == gdot_rows == [0.3, 2.5]
+    # each new time runs one row step, whose g and gdot the memos hold
+    assert rows == [(0.3, True, True), (2.5, True, True)]
     assert list(ev._g_memo) == list(ev._gdot_memo) == [1.0, 0.3, 2.5]
     assert ev._g_memo[1.0] is held and ev._gdot_memo[1.0] is held_gdot
-    assert np.array_equal(_bits(g), _bits(BrownianMatsubara(BATH).g(np.array([0.3, 1.0, 2.5]))))
-    # gdot's new time takes gdot's row alone, and g's new time where gdot's memo holds it takes g's row alone
+    assert np.array_equal(_bits(g), _bits(want_g))
+    # gdot's new time takes one row of gdot's half alone, and g's new time where gdot's memo holds it one row, whose
+    # gdot does not replace the held one
     gdot = ev.gdot(np.array([2.5, 0.7]))
-    assert rows == [0.3, 2.5] and gdot_rows == [0.3, 2.5, 0.7]
+    assert rows[2:] == [(0.7, False, True)]
     assert list(ev._gdot_memo) == [1.0, 0.3, 2.5, 0.7] and list(ev._g_memo) == [1.0, 0.3, 2.5]
+    held_gdot = ev._gdot_memo[0.7]
     ev.g(0.7)
-    assert rows == [0.3, 2.5, 0.7] and gdot_rows == [0.3, 2.5, 0.7]
-    assert np.array_equal(_bits(gdot), _bits(BrownianMatsubara(BATH).gdot(np.array([2.5, 0.7]))))
+    assert rows[3:] == [(0.7, True, True)] and ev._gdot_memo[0.7] is held_gdot
+    assert np.array_equal(_bits(gdot), _bits(want_gdot))
 
 
 def test_repeated_pointwise_gdot_runs_its_row_once(monkeypatch):
     # a gdot time asked for twice, as crosscheck asks for half of its pointwise analytic gdot times, is read from the
     # memo the second time, as a float and inside an array
-    rows = []
-    gdot_row = BrownianMatsubara._gdot_row
-    monkeypatch.setattr(BrownianMatsubara, "_gdot_row", lambda self, t, e: rows.append(t) or gdot_row(self, t, e))
+    rows = _count_rows(monkeypatch)
     for bath in (BATH, BathParams(1.3, 1.8, 933.0)):
         ev = BrownianMatsubara(bath)
         first = ev.gdot(1.0)
@@ -746,8 +757,51 @@ def test_repeated_pointwise_gdot_runs_its_row_once(monkeypatch):
         ev.gdot(np.array([2.0, 1e-3]))
         ev.gdot(2.0)
         ev.gdot(1e-3)
-        assert rows == [1.0, 2.0, 1e-3]
+        assert [t for t, _, _ in rows] == [1.0, 2.0, 1e-3]
         rows.clear()
+
+
+class _CountingNumpy:
+    """numpy as dephasing reads it, with the sizes of the arrays that its expm1 calls take gathered in expm1_sizes."""
+
+    def __init__(self):
+        self.expm1_sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def expm1(self, x, *args, **kwargs):
+        self.expm1_sizes.append(np.size(x))
+        return np.expm1(x, *args, **kwargs)
+
+
+def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypatch):
+    # a g miss runs one row step for g and gdot, which share its exponentials: below x = 0.2 one expm1 over the nodes,
+    # from there one K-term table for the call and, with live terms past K, one tail_sums
+    rows = _count_rows(monkeypatch)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(dephasing, "np", counting)
+    ev = BrownianMatsubara(BathParams(1.3, 1.8, 933.0))
+    ev.g(1.0)
+    assert counting.expm1_sizes == [ev._small_x_sum._nodes.size]
+    assert ev.gdot(1.0) is ev._gdot_memo[1.0] and rows == [(1.0, True, True)]
+    # K = 25 on a = 5.5: every time here has live terms past K
+    bath = BathParams(5.4, 1.55, 22.3, 25)
+    ev = BrownianMatsubara(bath)
+    times = [1.0, 2.0, 5.0]
+    assert all(ev._live_stop(t) for t in times)
+    tables, tails = [], []
+    explicit, tail_sums = BrownianMatsubara._explicit, type(ev._table).tail_sums
+    monkeypatch.setattr(BrownianMatsubara, "_explicit", lambda self, *a: tables.append(len(a[0])) or explicit(self, *a))
+    monkeypatch.setattr(type(ev._table), "tail_sums", lambda self, *a: tails.append(a) or tail_sums(self, *a))
+    counting.expm1_sizes.clear()
+    ev.g(np.array(times))
+    assert tables == [3] and len(tails) == 3
+    # the K-term table of the three times, and one live block per time
+    assert counting.expm1_sizes == [3 * 25] + [ev._live_stop(t) - 25 for t in times]
+    gdot = [ev.gdot(t) for t in times]
+    assert tables == [3] and len(tails) == 3 and rows[1:] == [(t, True, True) for t in times]
+    assert np.array(gdot).tobytes() == BrownianMatsubara(bath).gdot(np.array(times + [0.0])).tobytes()[: 3 * 16]
 
 
 def test_memo_first_calls_convert_and_raise_as_the_time_check_does():

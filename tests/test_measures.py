@@ -185,37 +185,34 @@ def test_sigma_degenerate_pairs():
 
 def _count_work(monkeypatch):
     """Lists that gather, from now on, BrownianMatsubara's K-term tables (one entry per _explicit call) and the times
-    of its g and gdot row steps."""
-    work = {"tables": [], "g": [], "gdot": []}
-    explicit, g_row, gdot_row = BrownianMatsubara._explicit, BrownianMatsubara._g_row, BrownianMatsubara._gdot_row
+    of its row steps, each of which takes g's and gdot's halves at a g miss."""
+    work = {"tables": [], "rows": []}
+    explicit, row = BrownianMatsubara._explicit, BrownianMatsubara._row
     monkeypatch.setattr(BrownianMatsubara, "_explicit", lambda self, *a: work["tables"].append(1) or explicit(self, *a))
-    monkeypatch.setattr(BrownianMatsubara, "_g_row", lambda self, t, e: work["g"].append(t) or g_row(self, t, e))
-    monkeypatch.setattr(
-        BrownianMatsubara, "_gdot_row", lambda self, t, e: work["gdot"].append(t) or gdot_row(self, t, e)
-    )
+    monkeypatch.setattr(BrownianMatsubara, "_row", lambda self, t, *sums: work["rows"].append(t) or row(self, t, *sums))
     return work
 
 
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
-    # E at a new time fills gdot's memo at its times from the same K-term table, so the rate there runs no row; the
-    # beta 933 bath's t = 2 is below x = 0.2, where no table is built
+    # E at a new time fills gdot's memo at its times from the same K-term table and row step, so the rate there runs
+    # no row; the beta 933 bath's t = 2 is below x = 0.2, where no table is built
     ev = BrownianMatsubara(bath)
     scenario = Prepared(1.0)
     work = _count_work(monkeypatch)
     e = decay_exponent(ev, scenario, 2.0)
     rate = decay_exponent_rate(ev, scenario, 2.0)
     reads_k = 3.0 >= ev._t_direct
-    assert work == {"tables": [1] * reads_k, "g": [1.0, 2.0, 3.0], "gdot": [1.0, 2.0, 3.0]}
-    # sigma at a new time: one table for t and t1 + t, each row once
+    assert work == {"tables": [1] * reads_k, "rows": [1.0, 2.0, 3.0]}
+    # sigma at a new time: one table for t and t1 + t, one row each
     s = sigma(analytic_pair(), ev, scenario, 4.0)
-    assert work == {"tables": [1] * (2 * reads_k), "g": [1.0, 2.0, 3.0, 4.0, 5.0], "gdot": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    assert work == {"tables": [1] * (2 * reads_k), "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
     # the rate, E and sigma at held times run no row and build no table
     for t in (2.0, 4.0):
         decay_exponent_rate(ev, scenario, t)
         decay_exponent(ev, scenario, t)
         sigma(analytic_pair(), ev, scenario, t)
-    assert work["tables"] == [1] * (2 * reads_k) and work["g"] == work["gdot"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert work == {"tables": [1] * (2 * reads_k), "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
     # the same bits as a fresh engine's array calls
     fresh = BrownianMatsubara(bath)
     g1, g2, g12 = fresh.g(np.array([1.0, 2.0, 3.0, 0.0])).tolist()[:3]
@@ -397,7 +394,7 @@ def _scalar_re_gdot(ev, t):
     else:
         re += d.pole_b * (-math.expm1(-p.gamma * t))
     if small_x:
-        return re + ev._matsubara_gdot(t)
+        return re + ev._small_x(t, False, True)[1]
     k = p.matsubara_terms
     n_stop = math.ceil(45.0 * p.beta / (2.0 * math.pi * t))
     if n_stop <= k:

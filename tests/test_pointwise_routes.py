@@ -3,13 +3,15 @@
 echo_response, two_time_map and decay_exponent take g at t1, t2 and t1 + t2 by one route (dephasing._g_two_interval):
 from the memo of an engine that keeps one, else from one array call.  Held and fresh times, engines with and without
 a memo, and a plain wrapper of an engine must all give the bits of flip_exponent_grid, decay_exponent_grid and an
-array call past the memo.
+array call past the memo; and g and gdot at a time keep their bits whichever of the g miss, the gdot miss and the
+array call reached it first.
 """
 
 import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dynamics import _numpy_scalar_map
@@ -94,3 +96,33 @@ def test_pointwise_two_interval_calls_have_the_grid_bits(pairs, eps, p, phase):
                         # the matrix product of the vector, as numpy takes it, to roundoff
                         product = DensityMatrix2.from_vector(op.matrix @ state.to_vector())
                         assert abs(out.p11 - product.p11) <= 1e-15 and abs(out.c12 - product.c12) <= 1e-15
+
+
+# (bath, times): below x = 0.2 (beta 933, paired; the default bath, unpaired), with live terms past K = 25 (a = 5.5,
+# paired), and late on the default bath, where every term, nu_1 t > 45 from t = 7.2 on, is dead
+_ROUTE_TIMES = [
+    (BathParams(1.3, 1.8, 933.0), [1e-3, 0.5, 2.0]),
+    (BathParams(1.0, 0.5, 1.0), [1e-4, 0.01, 0.03]),
+    (BathParams(5.4, 1.55, 22.3, 25), [1.0, 2.0, 5.0]),
+    (BathParams(1.0, 0.5, 1.0), [7.5, 9.0, 12.0]),
+]
+
+
+@pytest.mark.parametrize("include_tail", [True, False], ids=["exact", "strict"])
+@pytest.mark.parametrize("bath, times", _ROUTE_TIMES, ids=["small-x", "small-x-unpaired", "live-past-k", "all-dead"])
+def test_g_and_gdot_keep_their_bits_whichever_route_reached_them_first(bath, times, include_tail):
+    # a g miss (which also fills gdot's memo), a gdot miss, and an array call past the memos, each first at a time of
+    # a fresh engine, then the other function at the same time: every value has the array call's bits
+    def make():
+        return BrownianMatsubara(bath, include_tail)
+
+    padded = np.array(times + [0.7] * _MEMO_CALL)
+    want = {name: getattr(make(), name)(padded)[: len(times)].tolist() for name in ("g", "gdot")}
+    for first, second in (("g", "gdot"), ("gdot", "g")):
+        for as_array in (False, True):
+            ev = make()
+            got = {}
+            for name in (first, second):
+                f = getattr(ev, name)
+                got[name] = f(np.array(times)).tolist() if as_array else [f(t) for t in times]
+            assert {name: _bits(got[name]) for name in got} == {name: _bits(want[name]) for name in want}
