@@ -284,7 +284,13 @@ class _MatsubaraG:
         ends[0] = (top, b0 + 0.5 / (top * top), b1 + 0.5 / top, b, d0, d1)
         self._ends = ends
         self._nodes, self._weights = u, w
-        # the groups: the points of each power of 4, at most a factor 4 apart
+        # S's groups and their moments, which S' does not read: built at the first call that asks for S
+        self._moments = None
+
+    def _group(self) -> None:
+        """The groups, the points of each power of 4, at most a factor 4 apart: their largest u and first points, and
+        their moments."""
+        u = self._nodes
         ids = np.floor(np.log2(u) * 0.5)
         lasts = np.flatnonzero(ids[1:] != ids[:-1])
         self._tops = np.concatenate((u[lasts], u[-1:]))
@@ -294,15 +300,19 @@ class _MatsubaraG:
         r = u / np.repeat(self._tops, [b - a for a, b in zip(starts, starts[1:])])
         powers = np.empty((len(_H_TAYLOR), u.size))
         powers[:] = r
-        powers[0] *= r * w
+        powers[0] *= r * self._weights
         np.multiply.accumulate(powers, axis=0, out=powers)
-        self._moments = _H_TAYLOR_COLUMN * np.add.reduceat(powers, self._starts[:-1], axis=1)
+        self._moments = _H_TAYLOR_COLUMN * np.add.reduceat(powers, starts[:-1], axis=1)
 
     def __call__(self, x: float, g: bool, gdot: bool) -> tuple:
         """(S(x) where g, S'(x) where gdot), each None where not asked for."""
-        # S's groups whose largest y is below _H_SERIES_TOP by their Taylor series, the points of the rest one by one
-        k = bisect_left(self._top_list, _H_SERIES_TOP / x) if g else 0
-        first = self._starts[k]
+        k = first = 0
+        if g:
+            if self._moments is None:
+                self._group()
+            # the groups whose largest y is below _H_SERIES_TOP by their Taylor series, the points of the rest one by one
+            k = bisect_left(self._top_list, _H_SERIES_TOP / x)
+            first = self._starts[k]
         # -u_i x and expm1(-u_i x) of the points from lo: all of them for S', those from first for S alone; e takes
         # neg's place where S does not read it
         lo = 0 if gdot else first
@@ -446,11 +456,12 @@ class BrownianMatsubara:
         self._neg_nu = -nu
         self._neg_b = -b
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        # per-bath factors of the row and _tail formulas, each the value or product its formula starts with (same bits)
+        # per-bath factors of the row and _live_tail formulas, each the value or product its formula starts with (same
+        # bits)
         self._k = k
         self._gamma = gamma
         self._dead_beta = _EXP_DEAD * bath.beta
-        # S1(K), which gdot reads from x = _DIRECT_X on; S0(K) at the first g that reads it (_tail)
+        # S1(K), which gdot reads from x = _DIRECT_X on; S0(K) at the first g that reads it (_row)
         self._s1_k = d.tail_sums(k, True)[1] if include_tail else 0.0
         self._s0_k = None
         # x = 2 pi t / beta is t times this, and the exact g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X
@@ -529,17 +540,10 @@ class BrownianMatsubara:
             ds += self._s1 * _dead_weight(float(n), a * a, x)
         return (self._s0 * s if g else None), ds
 
-    def _tail(self, t: float, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) n > K part from t_direct on, each None where not asked for: the at most _G_LIVE_STOP - K live
-        terms from one expm1(-nu_n t), then the digamma rest from one tail_sums, whose S1 both read."""
-        # ceil(x) <= K exactly when x <= K, so this is _live_stop(t) == 0 without its call
-        if self._dead_beta / (_TWO_PI * t) <= self._k:
-            if not g:
-                return None, self._s1_k
-            s0 = self._s0_k
-            if s0 is None:
-                s0 = self._s0_k = self._table.tail_sums(self._k)[0]
-            return t * self._s1_k - s0, self._s1_k if gdot else None
+    def _live_tail(self, t: float, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) n > K part from t_direct on where terms past K are live, each None where not asked for: the at
+        most _G_LIVE_STOP - K live terms from one expm1(-nu_n t), then the digamma rest from one tail_sums, whose S1
+        both read."""
         n_stop = self._live_stop(t)
         live = n_stop - self._k
         if g and self._g_live is None:
@@ -598,17 +602,27 @@ class BrownianMatsubara:
         sum is None: one step of the pole, the pair and the rest, whose exponentials the two halves share."""
         if t == 0.0:
             return 0j, 0j
-        g, gdot = g_sum is not None, gdot_sum is not None
+        g = g_sum is not None
+        gdot = gdot_sum is not None
         g_value = gdot_value = None
         y = self._gamma * t
         em = math.expm1(-y)
         exact = t < self._t_direct
         if exact:
             g_rest, gdot_rest = self._small_x(t, g, gdot)
-        elif self.include_tail:
-            g_rest, gdot_rest = self._tail(t, g, gdot)
-        else:
+        elif not self.include_tail:
             g_rest = gdot_rest = None
+        elif self._dead_beta / (_TWO_PI * t) <= self._k:
+            # every term past K is dead (ceil(v) <= K exactly when v <= K, so this is _live_stop(t) == 0 without its
+            # call): the digamma rest S1(K), and S0(K), built at the first g that reads it
+            gdot_rest = self._s1_k
+            g_rest = None
+            if g:
+                if self._s0_k is None:
+                    self._s0_k = self._table.tail_sums(self._k)[0]
+                g_rest = t * self._s1_k - self._s0_k
+        else:
+            g_rest, gdot_rest = self._live_tail(t, g, gdot)
         if self._m:  # the pair: the m-th term's nu_m and rest, P, and the least and largest of gamma and nu_m
             nu, m_rest, amp, lo, hi = self._pair
             y_m = nu * t

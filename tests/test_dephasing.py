@@ -379,6 +379,22 @@ def test_g_and_gdot_share_one_small_x_table(monkeypatch, first):
     assert len(calls) == 1
 
 
+def test_gdot_builds_no_group_moments_of_g(monkeypatch):
+    # S's groups and their Taylor moments serve g alone: a fresh engine's gdot below x = 0.2 does not build them, and
+    # g builds them once, at its first call there
+    groups = []
+    group = dephasing._MatsubaraG._group
+    monkeypatch.setattr(dephasing._MatsubaraG, "_group", lambda self: groups.append(1) or group(self))
+    ev = BrownianMatsubara(BathParams(1.3, 1.8, 933.0))
+    for t in (1e-9, 1e-5, 1e-3, 2.0):
+        ev.gdot(t)
+    ev.gdot(np.geomspace(1e-6, 1.0, 5))
+    assert groups == []
+    for t in (1e-5, 1e-3, 3.0):
+        ev.g(t)
+    assert groups == [1]
+
+
 def test_capped_gdot_builds_no_large_block():
     # the live block of up to _BLOCK_CAP terms and its kept columns peaked at 6.0 MiB at t = 1e-9; a fresh engine's
     # node table and sum take 0.04 MiB
