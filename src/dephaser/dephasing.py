@@ -67,6 +67,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -264,10 +265,10 @@ class _MatsubaraG:
 
     h cancels at small y, so S's weighted sum is taken by groups, the points between consecutive powers of 4: a group
     whose largest y is below _H_SERIES_TOP is h's Taylor series (spectral._H_TAYLOR) of its moments sum_i w_i u_i^k,
-    scaled by the group's largest u, kept from the start; from the first other group on, each term is w_i (expm1(-y_i)
-    + y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within 7.1e-14 of
-    tests/_oracle.reference on 14 baths (a from 1.6e-4 to 3000) from t = 1e-9 to x = 0.2, with no K or live term
-    read.  DephaserError where a reaches _A_MAX, past which the window's n - a are not exact.
+    scaled by the group's largest u, kept from the first call that asks for S; from the first other group on, each
+    term is w_i (expm1(-y_i) + y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within
+    7.1e-14 of tests/_oracle.reference on 14 baths (a from 1.6e-4 to 3000) from t = 1e-9 to x = 0.2, with no K or live
+    term read.  DephaserError where a reaches _A_MAX, past which the window's n - a are not exact.
     """
 
     def __init__(self, a: float, m: int):
@@ -310,7 +311,7 @@ class _MatsubaraG:
         if g:
             if self._moments is None:
                 self._group()
-            # the groups whose largest y is below _H_SERIES_TOP by their Taylor series, the points of the rest one by one
+            # the groups whose largest y is below _H_SERIES_TOP by their Taylor series, the rest's points one by one
             k = bisect_left(self._top_list, _H_SERIES_TOP / x)
             first = self._starts[k]
         # -u_i x and expm1(-u_i x) of the points from lo: all of them for S', those from first for S alone; e takes
@@ -411,9 +412,9 @@ class BrownianMatsubara:
     table, summed row by row (the exact g and gdot build it only when a time of the call has x >= _DIRECT_X); the
     pole term and the rest follow time by time in one row step (_row), so a time gets the same bits alone as in an
     array.  The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's
-    exponentials: one _MatsubaraG call below _DIRECT_X, one live block and one tail_sums from there.  A g or gdot call of
-    at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times it
-    lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
+    exponentials: one _MatsubaraG call below _DIRECT_X, one live block and one tail_sums from there.  A g or gdot call
+    of at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times
+    it lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
     and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo through
     _g_points on Python floats (_g_two_interval), not through g.  gdot seldom repeats its own times, but the rate of a
     distance asks for gdot at the times of its g: the row step of a g miss takes both halves, and gdot's memo holds the
@@ -688,8 +689,7 @@ class BrownianMatsubara:
             sums = [0.0] * ts.size
         else:
             sums = self._explicit(ts, not derivative, derivative)[derivative].tolist()
-        nones = [None] * ts.size
-        rows = map(self._row, ts.tolist(), nones if derivative else sums, sums if derivative else nones)
+        rows = map(self._row, ts.tolist(), repeat(None) if derivative else sums, sums if derivative else repeat(None))
         return np.fromiter(map(itemgetter(derivative), rows), complex, ts.size)
 
     def _g_points(self, times: list, ts: np.ndarray | None = None) -> list:

@@ -732,9 +732,11 @@ def _count_rows(monkeypatch) -> list:
     step."""
     rows = []
     row = BrownianMatsubara._row
-    monkeypatch.setattr(
-        BrownianMatsubara, "_row", lambda self, t, g, gdot: rows.append((t, g is not None, gdot is not None)) or row(self, t, g, gdot)
-    )
+    def counted(self, t, g, gdot):
+        rows.append((t, g is not None, gdot is not None))
+        return row(self, t, g, gdot)
+
+    monkeypatch.setattr(BrownianMatsubara, "_row", counted)
     return rows
 
 
