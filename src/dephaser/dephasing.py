@@ -54,12 +54,11 @@ BrownianMatsubara also remembers g and gdot at their pointwise calls
 (one to three times, as the two-interval kernels and the measure's
 curves make them), up to _MEMO_TIMES times each, and returns the same
 bits from the memos as computed afresh.  A g call that misses a time
-also fills gdot's memo there from the same row step, whose exponentials
-g and gdot share, since the rate of a distance asks for gdot where the
-distance asked for g.  The two-interval kernels take g at t1, t2 and
-t1 + t2 by one route, _g_two_interval: from that memo as Python numbers,
-or from one g call on the three times as an array for an evaluator
-without one.
+also fills gdot's memo there from the same row step, since the rate of a
+distance asks for gdot where the distance asked for g.  The two-interval
+kernels take g at t1, t2 and t1 + t2 by one route, _g_two_interval: from
+that memo as Python numbers, or from one g call on the three times as an
+array for an evaluator without one.
 """
 
 from __future__ import annotations
@@ -526,19 +525,18 @@ class BrownianMatsubara:
         if self._small_x_sum is None:
             self._small_x_sum = _MatsubaraG(self.bath.pole_ratio, self._m)
         s, ds = self._small_x_sum(x, g, gdot)
-        if not gdot:
-            return self._s0 * s, None
-        ds = self._s1 * ds
-        n = self._k + _BLOCK_CAP
-        # ceil(v) > N exactly when v > N
-        if self._dead_beta / (_TWO_PI * t) > n:
-            a = self._table.a
-            if n < 2.0 * a:
-                raise DephaserError(
-                    f"time {t!r} has more than {_BLOCK_CAP} live Matsubara terms past K, and beta gamma / 2 pi = "
-                    f"{a!r} is past half of K + {_BLOCK_CAP}, where their dead weight is not summed"
-                )
-            ds += self._s1 * _dead_weight(float(n), a * a, x)
+        if gdot:
+            ds = self._s1 * ds
+            n = self._k + _BLOCK_CAP
+            # ceil(v) > N exactly when v > N
+            if self._dead_beta / (_TWO_PI * t) > n:
+                a = self._table.a
+                if n < 2.0 * a:
+                    raise DephaserError(
+                        f"time {t!r} has more than {_BLOCK_CAP} live Matsubara terms past K, and beta gamma / 2 pi = "
+                        f"{a!r} is past half of K + {_BLOCK_CAP}, where their dead weight is not summed"
+                    )
+                ds += self._s1 * _dead_weight(float(n), a * a, x)
         return (self._s0 * s if g else None), ds
 
     def _live_tail(self, t: float, g: bool, gdot: bool) -> tuple:
