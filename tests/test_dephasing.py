@@ -732,6 +732,7 @@ def _count_rows(monkeypatch) -> list:
     step."""
     rows = []
     row = BrownianMatsubara._row
+
     def counted(self, t, g, gdot):
         rows.append((t, g is not None, gdot is not None))
         return row(self, t, g, gdot)

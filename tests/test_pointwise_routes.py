@@ -112,15 +112,17 @@ _ROUTE_TIMES = [
 @pytest.mark.parametrize("bath, times", _ROUTE_TIMES, ids=["small-x", "small-x-unpaired", "live-past-k", "all-dead"])
 def test_g_and_gdot_keep_their_bits_whichever_route_reached_them_first(bath, times, include_tail):
     # a g miss (which also fills gdot's memo), a gdot miss, and an array call past the memos, each first at a time of
-    # a fresh engine, then the other function at the same time: every value has the array call's bits
+    # an engine, then the other function at the same time: every value has the array call's bits
     def make():
         return BrownianMatsubara(bath, include_tail)
 
     padded = np.array(times + [0.7] * _MEMO_CALL)
     want = {name: getattr(make(), name)(padded)[: len(times)].tolist() for name in ("g", "gdot")}
     for first, second in (("g", "gdot"), ("gdot", "g")):
-        for as_array in (False, True):
+        for as_array, after_array in ((False, False), (True, False), (False, True)):
             ev = make()
+            if after_array:
+                assert np.array_equal(_bits(getattr(ev, first)(padded)), _bits(getattr(make(), first)(padded)))
             got = {}
             for name in (first, second):
                 f = getattr(ev, name)
