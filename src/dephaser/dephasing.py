@@ -66,8 +66,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -687,8 +685,8 @@ class BrownianMatsubara:
             sums = [0.0] * ts.size
         else:
             sums = self._explicit(ts, not derivative, derivative)[derivative].tolist()
-        rows = map(self._row, ts.tolist(), repeat(None) if derivative else sums, sums if derivative else repeat(None))
-        return np.fromiter(map(itemgetter(derivative), rows), complex, ts.size)
+        half = (lambda s, v: self._row(s, None, v)[1]) if derivative else (lambda s, v: self._row(s, v, None)[0])
+        return _rows(half, ts, False, None, sums)
 
     def _g_points(self, times: list, ts: np.ndarray | None = None) -> list:
         """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers;
@@ -708,31 +706,33 @@ class BrownianMatsubara:
         """values, g's memo's values at times (gdot's where derivative), with each None replaced by the row step at its
         time, which the memo then holds.
 
-        The row steps run on the table of all the times (_pointwise_sums).  A g miss takes gdot's half too, since the
-        rate of a distance asks for gdot at the times of its g, and gdot's memo keeps it unless it holds the time;
-        where that half raises DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at its own
-        call.  A gdot miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
+        The row steps run on the table of all the times (_pointwise_sums).  A g miss takes gdot's half too where
+        gdot's memo lacks the time, since the rate of a distance asks for gdot at the times of its g; where that half
+        raises DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at its own call.  A gdot
+        miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
         """
         memo, dots = self._g_memo, self._gdot_memo
-        g_sums, gdot_sums = self._pointwise_sums(times, ts, derivative)
-        for i, v in enumerate(values):
-            if v is None:
-                s = times[i]
-                if derivative:
-                    values[i] = dots[s] = self._row(s, None, gdot_sums[i])[1]
-                    continue
-                try:
-                    g, gdot = self._row(s, g_sums[i], gdot_sums[i])
-                except DephaserError:  # from gdot's half, or from g's, which raises it again alone
-                    g, gdot = self._row(s, g_sums[i], None)
-                values[i] = memo[s] = g
-                if gdot is not None:
-                    dots.setdefault(s, gdot)
+        new = [i for i, v in enumerate(values) if v is None]
+        paired = [derivative or times[i] not in dots for i in new]  # read before _pointwise_sums may clear the memos
+        g_sums, gdot_sums = self._pointwise_sums(times, ts, not derivative, any(paired))
+        for i, pair in zip(new, paired):
+            s = times[i]
+            gdot_sum = gdot_sums[i] if pair else None
+            if derivative:
+                values[i] = dots[s] = self._row(s, None, gdot_sum)[1]
+                continue
+            try:
+                g, gdot = self._row(s, g_sums[i], gdot_sum)
+            except DephaserError:  # from gdot's half, or from g's, which raises it again alone
+                g, gdot = self._row(s, g_sums[i], None)
+            values[i] = memo[s] = g
+            if gdot is not None:
+                dots[s] = gdot
         return values
 
-    def _pointwise_sums(self, times: list, ts: np.ndarray | None, derivative: bool) -> tuple:
-        """(g's, gdot's) explicit sums at the Python floats times of a pointwise call, as lists (g's None where
-        derivative), after checking the times; both memos are cleared where the call could overfill either.
+    def _pointwise_sums(self, times: list, ts: np.ndarray | None, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) explicit sums at the Python floats times of a pointwise call, as lists where asked for, after
+        checking the times; both memos are cleared where the call could overfill either.
 
         The table is built from ts or, without it, from an array made of times, and only when a time has x >=
         _DIRECT_X: below it the exact engine reads no K term, and the sums are zeros.
@@ -744,10 +744,10 @@ class BrownianMatsubara:
             dots.clear()
         if max(times) < self._t_direct:
             zeros = [0.0] * len(times)
-            return None if derivative else zeros, zeros
+            return zeros, zeros
         # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-        g_sum, gdot_sum = self._explicit(np.array(times) if ts is None else ts, not derivative, True)
-        return None if derivative else g_sum.tolist(), gdot_sum.tolist()
+        g_sum, gdot_sum = self._explicit(np.array(times) if ts is None else ts, g, gdot)
+        return g_sum.tolist() if g else None, gdot_sum.tolist() if gdot else None
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included: Re g of the

@@ -754,15 +754,35 @@ def test_mixed_memo_call_computes_and_stores_only_its_new_times(monkeypatch):
     assert list(ev._g_memo) == list(ev._gdot_memo) == [1.0, 0.3, 2.5]
     assert ev._g_memo[1.0] is held and ev._gdot_memo[1.0] is held_gdot
     assert np.array_equal(_bits(g), _bits(want_g))
-    # gdot's new time takes one row of gdot's half alone, and g's new time where gdot's memo holds it one row, whose
-    # gdot does not replace the held one
+    # gdot's new time takes one row of gdot's half alone, and g's new time where gdot's memo holds it one row of g's
+    # half alone, which leaves the held gdot in place
     gdot = ev.gdot(np.array([2.5, 0.7]))
     assert rows[2:] == [(0.7, False, True)]
     assert list(ev._gdot_memo) == [1.0, 0.3, 2.5, 0.7] and list(ev._g_memo) == [1.0, 0.3, 2.5]
     held_gdot = ev._gdot_memo[0.7]
     ev.g(0.7)
-    assert rows[3:] == [(0.7, True, True)] and ev._gdot_memo[0.7] is held_gdot
+    assert rows[3:] == [(0.7, True, False)] and ev._gdot_memo[0.7] is held_gdot
     assert np.array_equal(_bits(gdot), _bits(want_gdot))
+
+
+def test_g_miss_where_gdot_is_held_builds_and_runs_g_half_alone(monkeypatch):
+    # a g call whose new times gdot's memo all holds takes neither gdot's explicit sums nor gdot's half of the row
+    ev = BrownianMatsubara(BATH)
+    ev.gdot(np.array([0.7, 2.5]))
+    held = dict(ev._gdot_memo)
+    tables = []
+    explicit = BrownianMatsubara._explicit
+
+    def counted(self, ts, g, gdot):
+        tables.append((ts.size, g, gdot))
+        return explicit(self, ts, g, gdot)
+
+    monkeypatch.setattr(BrownianMatsubara, "_explicit", counted)
+    rows = _count_rows(monkeypatch)
+    g = ev.g(np.array([0.7, 2.5]))
+    assert tables == [(2, True, False)] and rows == [(0.7, True, False), (2.5, True, False)]
+    assert all(ev._gdot_memo[s] is v for s, v in held.items())
+    assert np.array_equal(_bits(g), _bits(BrownianMatsubara(BATH).g(np.array([0.7, 2.5]))))
 
 
 def test_repeated_pointwise_gdot_runs_its_row_once(monkeypatch):
