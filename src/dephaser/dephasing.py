@@ -712,31 +712,30 @@ class BrownianMatsubara:
         miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
         """
         memo, dots = self._g_memo, self._gdot_memo
-        new = [i for i, v in enumerate(values) if v is None]
-        paired = [derivative or times[i] not in dots for i in new]  # read before _pointwise_sums may clear the memos
-        g_sums, gdot_sums = self._pointwise_sums(times, ts, not derivative, any(paired))
-        for i, pair in zip(new, paired):
-            s = times[i]
-            gdot_sum = gdot_sums[i] if pair else None
-            if derivative:
-                values[i] = dots[s] = self._row(s, None, gdot_sum)[1]
-                continue
-            try:
-                g, gdot = self._row(s, g_sums[i], gdot_sum)
-            except DephaserError:  # from gdot's half, or from g's, which raises it again alone
-                g, gdot = self._row(s, g_sums[i], None)
-            values[i] = memo[s] = g
-            if gdot is not None:
-                dots[s] = gdot
+        g_sums, gdot_sums = self._pointwise_sums(times, ts, derivative)
+        for i, v in enumerate(values):
+            if v is None:
+                s = times[i]
+                if derivative:
+                    values[i] = dots[s] = self._row(s, None, gdot_sums[i])[1]
+                    continue
+                gdot_sum = None if s in dots else gdot_sums[i]
+                try:
+                    g, gdot = self._row(s, g_sums[i], gdot_sum)
+                except DephaserError:  # from gdot's half, or from g's, which raises it again alone
+                    g, gdot = self._row(s, g_sums[i], None)
+                values[i] = memo[s] = g
+                if gdot is not None:
+                    dots[s] = gdot
         return values
 
-    def _pointwise_sums(self, times: list, ts: np.ndarray | None, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) explicit sums at the Python floats times of a pointwise call, as lists where asked for, after
-        checking the times; both memos are cleared where the call could overfill either.
+    def _pointwise_sums(self, times: list, ts: np.ndarray | None, derivative: bool) -> tuple:
+        """(g's, gdot's) explicit sums at the Python floats times of a pointwise call, as lists, after checking the
+        times; both memos are cleared where the call could overfill either.
 
         The table is built from ts or, without it, from an array made of times, and only when a time has x >=
-        _DIRECT_X: below it the exact engine reads no K term, and the sums are zeros.
-        """
+        _DIRECT_X: below it the exact engine reads no K term, and the sums are zeros.  It leaves g's sums out of a
+        gdot call and gdot's out of a g call whose times gdot's memo all holds (None)."""
         _check_list(times, self._t_max)
         memo, dots = self._g_memo, self._gdot_memo
         if len(memo) + len(times) > _MEMO_TIMES or len(dots) + len(times) > _MEMO_TIMES:
@@ -745,9 +744,10 @@ class BrownianMatsubara:
         if max(times) < self._t_direct:
             zeros = [0.0] * len(times)
             return zeros, zeros
+        gdot = derivative or not dots.keys() >= set(times)
         # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-        g_sum, gdot_sum = self._explicit(np.array(times) if ts is None else ts, g, gdot)
-        return g_sum.tolist() if g else None, gdot_sum.tolist() if gdot else None
+        g_sum, gdot_sum = self._explicit(np.array(times) if ts is None else ts, not derivative, gdot)
+        return None if derivative else g_sum.tolist(), gdot_sum.tolist() if gdot else None
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included: Re g of the
