@@ -66,6 +66,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -113,6 +114,9 @@ _FLOAT_MAX = sys.float_info.max
 # the last n of the live terms of g and gdot from x = _DIRECT_X on, ceil(_EXP_DEAD / _DIRECT_X) = 225, and one for
 # the rounding of x
 _G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
+# the most live terms that a time sums on Python floats, in every route; a time with more sums one numpy row of them,
+# which math.expm1 would not give the bits of
+_LIVE_FLOATS = 7
 # h's Taylor terms (-1)^k / k!, k = 2, 3, ..., as a column
 _H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
 
@@ -217,6 +221,19 @@ def _complex(re: np.ndarray, im: np.ndarray, scalar: bool):
     out = re.astype(complex)
     out.imag = im
     return complex(out[0]) if scalar else out
+
+
+def _running_sums(first: float, terms: list) -> list:
+    """[first, first + terms[0], first + terms[0] + terms[1], ...], each the running sum plus its compensation
+    (Neumaier), so that it is off by about an ulp of itself, not by the roundings of every partial sum."""
+    s, comp = first, 0.0
+    sums = [first]
+    for v in terms:
+        total = s + v
+        comp += (s - total) + v if abs(s) >= abs(v) else (v - total) + s
+        s = total
+        sums.append(s + comp)
+    return sums
 
 
 def _dead_weight(n: float, a2: float, x: float) -> float:
@@ -450,18 +467,15 @@ class BrownianMatsubara:
         if include_tail:
             self._check_tail_amps()
         nu, _, b = d.explicit
-        # the table's nu_n and B_n with their signs flipped, the factors of the table rows, and the rows of one table
+        # strict truncation's nu_n and B_n with their signs flipped, and the rows of one table of its K terms
         self._neg_nu = -nu
         self._neg_b = -b
         self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        # per-bath factors of the row and _live_tail formulas, each the value or product its formula starts with (same
+        # per-bath factors of the row and _live_sums formulas, each the value or product its formula starts with (same
         # bits)
         self._k = k
         self._gamma = gamma
         self._dead_beta = _EXP_DEAD * bath.beta
-        # S1(K), which gdot reads from x = _DIRECT_X on; S0(K) at the first g that reads it (_row)
-        self._s1_k = d.tail_sums(k, True)[1] if include_tail else 0.0
-        self._s0_k = None
         # x = 2 pi t / beta is t times this, and the exact g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X
         # (0 with strict truncation, which reads the K terms at every t); s0 turns that sum into Re g's Matsubara part
         self._x_rate = _TWO_PI / bath.beta
@@ -473,7 +487,7 @@ class BrownianMatsubara:
         # the engine's Dirichlet coefficients: the pole (its rest when paired), the K terms, the tail's sum and the m-th
         # rest, whose sum is the late-time rate of Re g and whose moduli, with P / min(gamma, nu_m), bound its terms
         pair_b, pair_bound = (d.m_rest, d.pair_amp / self._pair[3]) if m else (0.0, 0.0)
-        tail_b = self._s1_k
+        tail_b = d.tail_sums(k, True)[1] if include_tail else 0.0
         # a sum that overflows leaves t_max 0: no positive time is then safe
         with np.errstate(over="ignore"):
             rate = self._pole_b + float(np.add.reduce(b)) + tail_b + pair_b
@@ -485,28 +499,15 @@ class BrownianMatsubara:
         # time -> g(t) and time -> gdot(t) of the pointwise calls, cleared together
         self._g_memo = {}
         self._gdot_memo = {}
-        # built at their first use: the small-x sums of g and gdot (_small_x), and the live terms past K of g and of
-        # gdot from x = _DIRECT_X on (_live).  Set here, and not as cached properties, whose writes to the instance's
-        # __dict__ would slow every attribute read of the engine's rows
-        self._small_x_sum = self._g_live = self._gdot_live = None
+        # built at their first use: the small-x sums of g and gdot (_small_x), the live terms' table with G1 from x =
+        # _DIRECT_X on, and G0 at the first g there (_live_table).  Set here, and not as cached properties, whose
+        # writes to the instance's __dict__ would slow every attribute read of the engine's rows
+        self._small_x_sum = self._live = self._g0 = None
 
     def _check_tail_amps(self) -> None:
         """DephaserError where a prefactor of the digamma sums of DirichletTable.tail_sums overflows."""
         for value, what in zip(self._table.tail_amps, ("eta gamma beta / pi^2", "eta gamma beta^2 / (2 pi^3 a^2)")):
             _finite(value, what)
-
-    def _live_stop(self, t: float) -> int:
-        """Last n of the live terms past K at time t, or 0 when every e^{-nu_n t} with n > K is dead.
-
-        At t >= t_direct that is at most ceil(_EXP_DEAD / _DIRECT_X) = 225 or, by the rounding of x, 226.
-        """
-        n_osc = math.ceil(self._dead_beta / (_TWO_PI * t))
-        return 0 if n_osc <= self._k else n_osc
-
-    def _live(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(nu_n, c_n ("c") or B_n ("b")) of n = K + 1, ..., _G_LIVE_STOP, with the m-th 0."""
-        nu = self.bath.matsubara_frequency(np.arange(self._k + 1.0, _G_LIVE_STOP + 1.0))
-        return nu, self._table._coefficient(name, nu, self._k + 1)
 
     def _small_x(self, t: float, g: bool, gdot: bool) -> tuple:
         """(g's, gdot's) exact Matsubara part below t_direct, each None where not asked for, from one _MatsubaraG call,
@@ -537,34 +538,100 @@ class BrownianMatsubara:
                 ds += self._s1 * _dead_weight(float(n), a * a, x)
         return (self._s0 * s if g else None), ds
 
-    def _live_tail(self, t: float, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) n > K part from t_direct on where terms past K are live, each None where not asked for: the at
-        most _G_LIVE_STOP - K live terms from one expm1(-nu_n t), then the digamma rest from one tail_sums, whose S1
-        both read."""
-        n_stop = self._live_stop(t)
-        live = n_stop - self._k
-        if g and self._g_live is None:
-            self._g_live = self._live("c")
-        if gdot and self._gdot_live is None:
-            self._gdot_live = self._live("b")
-        neg_x = (self._g_live if g else self._gdot_live)[0][:live] * -t
-        e = np.expm1(neg_x, out=None if g else neg_x)
-        s0, s1 = self._table.tail_sums(n_stop, not g)
-        g_tail = gdot_tail = None
-        if g:
-            terms = np.subtract(e, neg_x, out=neg_x)
-            terms *= self._g_live[1][:live]
-            g_tail = float(np.add.reduce(terms)) + t * s1 - s0
-        if gdot:
-            # the terms with B_n are B_n expm1(-nu_n t), the negated terms of Re gdot
-            e *= self._gdot_live[1][:live]
-            gdot_tail = -float(np.add.reduce(e)) + s1
-        return g_tail, gdot_tail
+    def _live_table(self, g: bool) -> tuple:
+        """(-nu_n, c_n, B_n, the floats (nu_n, c_n, B_n) of n <= _LIVE_FLOATS, G1) of the live terms n = 1, ...,
+        _G_LIVE_STOP with the m-th 0, built at the first row from t_direct on, and G0 at the first g there.
+
+        G1[j] = S1(j) and G0[j] = S0(j), the sums of B_n and c_n over n > j but m, j = 0, ..., _G_LIVE_STOP, each a
+        compensated running sum (_running_sums): G0 from S0(_G_LIVE_STOP) of one tail_sums less the terms from the
+        last, and G1 so too where there is no pair.  With the pair, G1 runs up from its closed form G1[0] = rate -
+        pole_rest - m_rest, as the B_k of the Dirichlet form sum to its rate 2 eta / (beta gamma), to which Re gdot
+        cancels them late: on the cold baths (a = 267 to 15915) that keeps Re g and Re gdot from x = 0.2 on within
+        1.2e-13 of the oracle but at a = 15915 (5.2e-12), where S1(_G_LIVE_STOP) left up to 3.9e-12 at a = 3183.  gdot
+        reads no G0, so it builds no S0, and with the pair it takes no tail_sums.  DephaserError where a coefficient
+        overflows (nu_226^2 at beta 6e-152).
+        """
+        d = self._table
+        if self._live is None:
+            nu = self.bath.matsubara_frequency(np.arange(1.0, _G_LIVE_STOP + 1.0))
+            b, c = d._coefficient("b", nu, 1), d._coefficient("c", nu, 1)
+            if d.m:
+                s0 = d.tail_sums(_G_LIVE_STOP)[0] if g else None
+                g1 = _running_sums(d.rate - (d.pole_rest + d.m_rest), (-b).tolist())
+            else:
+                s0, s1 = d.tail_sums(_G_LIVE_STOP, not g)
+                g1 = _running_sums(s1, b[::-1].tolist())[::-1]
+            floats = list(zip(*(v[:_LIVE_FLOATS].tolist() for v in (nu, c, b))))
+            self._live = (-nu, c, b, floats, g1)
+        elif g and self._g0 is None:
+            s0 = d.tail_sums(_G_LIVE_STOP)[0]
+        if g and self._g0 is None:
+            self._g0 = _running_sums(s0, self._live[1][::-1].tolist())[::-1]
+        return self._live
+
+    def _live_sums(self, times: list, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) exact Matsubara part at the Python floats times, each a list where asked for and None where
+        not; 0.0 below t_direct, where _row takes _small_x's, and no table built where every time is below it.
+
+        From t_direct on, the terms n > L are dead, L = min(ceil(_EXP_DEAD beta / (2 pi t)), _G_LIVE_STOP): g's part is
+        sum_{n <= L} c_n (expm1(-nu_n t) + nu_n t) + t G1[L] - G0[L], and gdot's -sum_{n <= L} B_n expm1(-nu_n t) +
+        G1[L], from one expm1 per term.  A time with L <= _LIVE_FLOATS sums its terms on Python floats.  The others
+        sum one numpy row of L terms each, which numpy sums alike as a 1-d array and as a row of a table: a call of
+        at most _MEMO_CALL times sums a 1-d row per time, which costs a pointwise call less than a table, and a
+        larger call's times are one table per L, of at most _TABLE_BUDGET elements at a time.  So a time gets the
+        same bits alone as in an array.
+        """
+        g_sums = [0.0] * len(times) if g else None
+        gdot_sums = [0.0] * len(times) if gdot else None
+        if max(times) < self._t_direct:
+            return g_sums, gdot_sums
+        live = [
+            (i, s, min(math.ceil(self._dead_beta / (_TWO_PI * s)), _G_LIVE_STOP))
+            for i, s in enumerate(times)
+            if s >= self._t_direct
+        ]
+        neg_nu, c, b, floats, g1 = self._live_table(g)
+        g0 = self._g0
+        rows = []  # (i, t, L, the sums over n <= L of g's terms and of gdot's)
+        wide = []
+        for i, s, stop in live:
+            if stop <= _LIVE_FLOATS:
+                sg = sd = 0.0
+                for nu, cn, bn in floats[:stop]:
+                    y = nu * s
+                    e = math.expm1(-y)
+                    sg += cn * (e + y)
+                    sd += bn * e
+                rows.append((i, s, stop, sg, sd))
+            elif len(live) <= _MEMO_CALL:
+                neg = neg_nu[:stop] * s
+                e = np.expm1(neg)
+                sg = np.add.reduce((e - neg) * c[:stop]) if g else None
+                sd = np.add.reduce(e * b[:stop]) if gdot else None
+                rows.append((i, s, stop, sg, sd))
+            else:
+                wide.append((i, s, stop))
+        wide.sort(key=lambda point: point[2])
+        for stop, part in groupby(wide, key=lambda point: point[2]):
+            part = list(part)
+            size = max(1, _TABLE_BUDGET // stop)
+            for k in range(0, len(part), size):
+                chunk = part[k : k + size]
+                neg = np.array([s for _, s, _ in chunk])[:, None] * neg_nu[:stop]
+                e = np.expm1(neg)
+                sg = np.add.reduce((e - neg) * c[:stop], axis=1).tolist() if g else repeat(None)
+                sd = np.add.reduce(e * b[:stop], axis=1).tolist() if gdot else repeat(None)
+                rows += [(i, s, stop, u, v) for (i, s, _), u, v in zip(chunk, sg, sd)]
+        for i, s, stop, sg, sd in rows:
+            if g:
+                g_sums[i] = float(sg) + s * g1[stop] - g0[stop]
+            if gdot:
+                gdot_sums[i] = -float(sd) + g1[stop]
+        return g_sums, gdot_sums
 
     def _explicit(self, ts: np.ndarray, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) sum of the K explicit terms at every time, each an array where asked for and None where not:
-        c_n h(nu_n t) and -c_n nu_n expm1(-nu_n t).  Both come from one expm1(-nu_n t) table, g's as (e + nu_n t) c_n
-        and gdot's as e (-B_n); strict truncation takes g's h by _h, which keeps its digits at small nu_n t.
+        """(g's, gdot's) sum of strict truncation's K terms at every time, each an array where asked for and None where
+        not: c_n h(nu_n t) by _h, which keeps its digits at small nu_n t, and -c_n nu_n expm1(-nu_n t) as e (-B_n).
 
         The times x K table is built at most _TABLE_BUDGET elements at a
         time (one row when K alone exceeds it), and each row is summed as
@@ -574,29 +641,28 @@ class BrownianMatsubara:
         if ts.size > rows:
             parts = [self._explicit(ts[i : i + rows], g, gdot) for i in range(0, ts.size, rows)]
             return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
-        c = self._table.explicit[1]
         g_sum = gdot_sum = None
-        exact_g = g and self.include_tail
-        if g and not exact_g:
+        if g:
             terms = _h(ts[:, None] * -self._neg_nu)
-            terms *= c
+            terms *= self._table.explicit[1]
             g_sum = np.add.reduce(terms, axis=1)
-        if exact_g or gdot:
-            neg_x = ts[:, None] * self._neg_nu
-            # e takes neg_x's place unless g's terms still read it, so a call of one sum makes one table
-            e = np.expm1(neg_x, out=None if exact_g else neg_x)
-            if exact_g:  # the exact g sums them only at x >= _DIRECT_X, where nu_n t >= 1/5 cancels to 10 ulp
-                terms = np.subtract(e, neg_x, out=neg_x)
-                terms *= c
-                g_sum = np.add.reduce(terms, axis=1)
-            if gdot:
-                e *= self._neg_b
-                gdot_sum = np.add.reduce(e, axis=1)
+        if gdot:
+            e = np.expm1(ts[:, None] * self._neg_nu)
+            e *= self._neg_b
+            gdot_sum = np.add.reduce(e, axis=1)
         return g_sum, gdot_sum
 
+    def _sums(self, times: list, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) Matsubara sums at the Python floats times for _row, each a list where asked for and None where
+        not: the exact engine's _live_sums, or strict truncation's K terms (_explicit)."""
+        if self.include_tail:
+            return self._live_sums(times, g, gdot)
+        return tuple(None if v is None else v.tolist() for v in self._explicit(np.array(times), g, gdot))
+
     def _row(self, t: float, g_sum, gdot_sum) -> tuple:
-        """(g, gdot) at t from their explicit sums (0.0 below t_direct, where they are not read), each None where its
-        sum is None: one step of the pole, the pair and the rest, whose exponentials the two halves share."""
+        """(g, gdot) at t from their Matsubara sums (_sums; the exact engine's are 0.0 below t_direct, where it takes
+        _small_x's), each None where its sum is None: one step of the pole, the pair and the sums, whose exponentials
+        the two halves share.  Strict truncation adds its K terms first, the exact engine its Matsubara part last."""
         if t == 0.0:
             return 0j, 0j
         g = g_sum is not None
@@ -604,42 +670,32 @@ class BrownianMatsubara:
         g_value = gdot_value = None
         y = self._gamma * t
         em = math.expm1(-y)
-        exact = t < self._t_direct
-        if exact:
-            g_rest, gdot_rest = self._small_x(t, g, gdot)
-        elif not self.include_tail:
-            g_rest = gdot_rest = None
-        elif self._dead_beta / (_TWO_PI * t) <= self._k:
-            # every term past K is dead (ceil(v) <= K exactly when v <= K, so this is _live_stop(t) == 0 without its
-            # call): the digamma rest S1(K), and S0(K), built at the first g that reads it
-            gdot_rest = self._s1_k
-            g_rest = None
-            if g:
-                if self._s0_k is None:
-                    self._s0_k = self._table.tail_sums(self._k)[0]
-                g_rest = t * self._s1_k - self._s0_k
-        else:
-            g_rest, gdot_rest = self._live_tail(t, g, gdot)
+        exact = self.include_tail
+        if t < self._t_direct:
+            g_sum, gdot_sum = self._small_x(t, g, gdot)
         if self._m:  # the pair: the m-th term's nu_m and rest, P, and the least and largest of gamma and nu_m
             nu, m_rest, amp, lo, hi = self._pair
             y_m = nu * t
             em_m = math.expm1(-y_m)
+            # E over [gamma, nu_m], which gdot reads and H reads from hi t = _H_SERIES_TOP on, with expm1(-lo t)
+            dd = _exp_divided_difference(lo, hi, t) if gdot or hi * t >= _H_SERIES_TOP else None
         if g:
             # _h, whose expm1 branch is written out here: this is the hot path of pointwise calls
             hg = em + y if y >= _H_SERIES_TOP else _h(y)
             re = self._pole_c * hg if exact else g_sum + self._pole_c * hg
             if self._m:  # m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
                 h_m = em_m + y_m if y_m >= _H_SERIES_TOP else _h(y_m)
-                re += m_rest / nu * h_m + amp * _h_divided_difference(lo, hi, t)
-            if g_rest is not None:
-                re += g_rest
+                h_dd = _h_divided_difference(lo, hi, t, dd, em if lo == self._gamma else em_m)
+                re += m_rest / nu * h_m + amp * h_dd
+            if exact:
+                re += g_sum
             g_value = complex(re, -self._table.pole_im * hg)
         if gdot:
             re = self._pole_b * (-em) if exact else gdot_sum + self._pole_b * (-em)
-            if self._m:  # m_rest (1 - e^{-nu_m t}) - P E, E over [gamma, nu_m]
-                re += m_rest * -em_m - amp * _exp_divided_difference(lo, hi, t)
-            if gdot_rest is not None:
-                re += gdot_rest
+            if self._m:  # m_rest (1 - e^{-nu_m t}) - P E
+                re += m_rest * -em_m - amp * dd
+            if exact:
+                re += gdot_sum
             gdot_value = complex(re, self.bath.eta * em)
         return g_value, gdot_value
 
@@ -658,10 +714,10 @@ class BrownianMatsubara:
         t = t if type(t) is float else _as_times(t)
         if type(t) is float:
             value = self._g_memo.get(t)
-            return self._fill([t], [None], None, False)[0] if value is None else value
+            return self._fill([t], [None], False)[0] if value is None else value
         if t.size > _MEMO_CALL:
             return self._grid(t, False)
-        return np.fromiter(self._g_points(t.tolist(), t), complex, t.size)
+        return np.fromiter(self._g_points(t.tolist()), complex, t.size)
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
@@ -672,82 +728,67 @@ class BrownianMatsubara:
         t = t if type(t) is float else _as_times(t)
         if type(t) is float:
             value = self._gdot_memo.get(t)
-            return self._fill([t], [None], None, True)[0] if value is None else value
+            return self._fill([t], [None], True)[0] if value is None else value
         if t.size > _MEMO_CALL:
             return self._grid(t, True)
-        return np.fromiter(self._gdot_points(t.tolist(), t), complex, t.size)
+        return np.fromiter(self._gdot_points(t.tolist()), complex, t.size)
 
     def _grid(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
         """g, or gdot where derivative, at every time of a call of more than _MEMO_CALL times, after checking them:
-        the row step of the half asked for on its explicit sums, zeros with no table built when no time has x >=
-        _DIRECT_X (the exact engine reads no K below)."""
-        if _check_times(ts, self._t_max)[0].max(initial=0.0) < self._t_direct:
-            sums = [0.0] * ts.size
-        else:
-            sums = self._explicit(ts, not derivative, derivative)[derivative].tolist()
+        the row step of the half asked for on its sums (_sums)."""
+        times = _check_times(ts, self._t_max)[0].tolist()
+        sums = self._sums(times, not derivative, derivative)[derivative]
         half = (lambda s, v: self._row(s, None, v)[1]) if derivative else (lambda s, v: self._row(s, v, None)[0])
-        return _rows(half, ts, False, None, sums)
+        return _rows(half, ts, False, times, sums)
 
-    def _g_points(self, times: list, ts: np.ndarray | None = None) -> list:
-        """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers;
-        ts is the times' array where the caller has one.
+    def _g_points(self, times: list) -> list:
+        """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers.
 
         The memo is looked up once; a call of held times returns at once, with no array made.
         """
         values = list(map(self._g_memo.get, times))
-        return self._fill(times, values, ts, False) if None in values else values
+        return self._fill(times, values, False) if None in values else values
 
-    def _gdot_points(self, times: list, ts: np.ndarray | None = None) -> list:
+    def _gdot_points(self, times: list) -> list:
         """gdot at the Python floats of a pointwise call, as _g_points gives g, from gdot's memo."""
         values = list(map(self._gdot_memo.get, times))
-        return self._fill(times, values, ts, True) if None in values else values
+        return self._fill(times, values, True) if None in values else values
 
-    def _fill(self, times: list, values: list, ts: np.ndarray | None, derivative: bool) -> list:
+    def _fill(self, times: list, values: list, derivative: bool) -> list:
         """values, g's memo's values at times (gdot's where derivative), with each None replaced by the row step at its
-        time, which the memo then holds.
+        time, which the memo then holds, after checking the times; both memos are cleared where the call could overfill
+        either.
 
-        The row steps run on the table of all the times (_pointwise_sums).  A g miss takes gdot's half too where
-        gdot's memo lacks the time, since the rate of a distance asks for gdot at the times of its g; where that half
-        raises DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at its own call.  A gdot
-        miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
+        The row steps run on the sums of the new times (_sums).  A g miss takes gdot's half too where gdot's memo lacks
+        the time, since the rate of a distance asks for gdot at the times of its g; where that half raises
+        DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at its own call.  A gdot miss takes
+        gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
         """
-        memo, dots = self._g_memo, self._gdot_memo
-        g_sums, gdot_sums = self._pointwise_sums(times, ts, derivative)
-        for i, v in enumerate(values):
-            if v is None:
-                s = times[i]
-                if derivative:
-                    values[i] = dots[s] = self._row(s, None, gdot_sums[i])[1]
-                    continue
-                gdot_sum = None if s in dots else gdot_sums[i]
-                try:
-                    g, gdot = self._row(s, g_sums[i], gdot_sum)
-                except DephaserError:  # from gdot's half, or from g's, which raises it again alone
-                    g, gdot = self._row(s, g_sums[i], None)
-                values[i] = memo[s] = g
-                if gdot is not None:
-                    dots[s] = gdot
-        return values
-
-    def _pointwise_sums(self, times: list, ts: np.ndarray | None, derivative: bool) -> tuple:
-        """(g's, gdot's) explicit sums at the Python floats times of a pointwise call, as lists, after checking the
-        times; both memos are cleared where the call could overfill either.
-
-        The table is built from ts or, without it, from an array made of times, and only when a time has x >=
-        _DIRECT_X: below it the exact engine reads no K term, and the sums are zeros.  It leaves g's sums out of a
-        gdot call and gdot's out of a g call whose times gdot's memo all holds (None)."""
         _check_list(times, self._t_max)
         memo, dots = self._g_memo, self._gdot_memo
         if len(memo) + len(times) > _MEMO_TIMES or len(dots) + len(times) > _MEMO_TIMES:
             memo.clear()
             dots.clear()
-        if max(times) < self._t_direct:
-            zeros = [0.0] * len(times)
-            return zeros, zeros
-        gdot = derivative or not dots.keys() >= set(times)
-        # the table costs its few ufunc calls whatever its rows, so it is built for every time of the call
-        g_sum, gdot_sum = self._explicit(np.array(times) if ts is None else ts, not derivative, gdot)
-        return None if derivative else g_sum.tolist(), gdot_sum.tolist() if gdot else None
+        new = [s for s, v in zip(times, values) if v is None]
+        gdot = derivative or not dots.keys() >= set(new)
+        g_sums, gdot_sums = self._sums(new, not derivative, gdot)
+        j = 0
+        for i, s in enumerate(times):
+            if values[i] is not None:
+                continue
+            if derivative:
+                values[i] = dots[s] = self._row(s, None, gdot_sums[j])[1]
+            else:
+                gdot_sum = None if s in dots else gdot_sums[j]
+                try:
+                    g, gdot = self._row(s, g_sums[j], gdot_sum)
+                except DephaserError:  # from gdot's half, or from g's, which raises it again alone
+                    g, gdot = self._row(s, g_sums[j], None)
+                values[i] = memo[s] = g
+                if gdot is not None:
+                    dots[s] = gdot
+            j += 1
+        return values
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included: Re g of the

@@ -69,7 +69,7 @@ _ASYMPTOTIC = 50.0
 # 1 / (k k!) for k = 18, ..., 1: the terms of E1's series, of which the 19th and later leave out less than
 # 0.01 ulp of e^z E1(z) below z = 1
 _SERIES = tuple(1 / (k * math.factorial(k)) for k in range(18, 0, -1))
-# n from which _cubic_tail's Euler-Maclaurin series serves, whose sixth correction, about 1.6 / n^12, is below 3e-18
+# n from which _zeta_tail's Euler-Maclaurin series serves, whose sixth correction, about 1.6 / n^12, is below 3e-18
 # of it; DirichletTable keeps the sums from n < _CUBIC_X
 _CUBIC_X = 30
 # y below which h(y) = e^-y + y - 1 is its Taylor series: expm1(-y) + y cancels to 2 ulp / y, 4 ulp at 1/2
@@ -226,39 +226,44 @@ def _digamma(x: float) -> float:
     return acc + (math.log(x) - 0.5 / x - s)
 
 
-# (l, the (B_2k / (2k)! (2j + 3)(2j + 4) ... (2j + 2k + 1), j) of k = 1, ..., l, j = l - k) of C_l, l = 5, ..., 0, of
-# _cubic_tail_coefficients, at import: each constant is the float its term of the sum rounds to before a^(2j)
-_CUBIC_TERMS = tuple(
-    (l, tuple((bk * math.prod(range(2 * j + 3, 2 * l + 2)), j) for bk, j in zip(_BERNOULLI, range(l - 1, -1, -1))))
-    for l in range(5, -1, -1)
-)
+# (l, the (B_2k / (2k)! (2j + p)(2j + p + 1) ... (2j + 2k + p - 1), j) of k = 1, ..., l, j = l - k) of C_l, l = 5, ...,
+# 0, of _zeta_tail_coefficients, by the power p = 3 (S0's sum) and p = 2 (S1's), at import: each constant is the float
+# its term of the sum rounds to before a^(2j)
+_ZETA_TERMS = {
+    p: tuple(
+        (l, tuple((bk * math.prod(range(2 * j + p, 2 * l + p - 1)), j) for bk, j in zip(_BERNOULLI, range(l - 1, -1, -1))))
+        for l in range(5, -1, -1)
+    )
+    for p in (2, 3)
+}
 
 
-def _cubic_tail_coefficients(a2: float) -> tuple:
-    """(C_5, ..., C_0) of _cubic_tail at a^2 = a2: C_l = a^(2l) / (2l + 2) + sum_{k=1}^{l} B_2k / (2k)! (2j + 3)(2j
-    + 4) ... (2j + 2k + 1) a^(2j), j = l - k."""
+def _zeta_tail_coefficients(a2: float, p: int) -> tuple:
+    """(C_5, ..., C_0) of _zeta_tail at a^2 = a2 and the power p: C_l = a^(2l) / (2l + p - 1) + sum_{k=1}^{l} B_2k /
+    (2k)! (2j + p)(2j + p + 1) ... (2j + 2k + p - 1) a^(2j), j = l - k."""
     powers = [a2**j for j in range(6)]
     coefficients = []
-    for l, terms in _CUBIC_TERMS:
+    for l, terms in _ZETA_TERMS[p]:
         s = 0.0
         for b, j in terms:
             s += b * powers[j]
-        coefficients.append(powers[l] / (2 * l + 2) + s)
+        coefficients.append(powers[l] / (2 * l + p - 1) + s)
     return tuple(coefficients)
 
 
-def _cubic_tail(n: float, a2: float, coefficients: tuple) -> float:
-    """sum_{k >= n} 1 / (k (k^2 - a^2)) for n >= _CUBIC_X and a^2 = a2 <= 1/4, within 4 ulp, with no 1 / a^2: its
-    Euler-Maclaurin sum (A&S 23.1.30) in w = 1 / n^2.
+def _zeta_tail(n: float, a2: float, coefficients: tuple, p: int) -> float:
+    """sum_{k >= n} 1 / (k^(p - 2) (k^2 - a^2)) for n >= _CUBIC_X, a^2 = a2 <= 1/4 and p = 3 or 2, within 4 ulp, with
+    no 1 / a^2: its Euler-Maclaurin sum (A&S 23.1.30) in w = 1 / n^2.
 
-    That sum is sum_j a^(2j) zeta(2j + 3, n) (ratio a^2 / n^2 <= 1 / 3600) with each Hurwitz zeta's asymptotic series,
-    gathered by powers of w: w (sum_l C_l w^l + 1 / (2 n (1 - a^2 w))), the last term half the first term's sum over
-    j, with the C_l of _cubic_tail_coefficients.
+    That sum is sum_j a^(2j) zeta(2j + p, n) (ratio a^2 / n^2 <= 1 / 3600) with each Hurwitz zeta's asymptotic series,
+    gathered by powers of w: n^(1 - p) (sum_l C_l w^l + 1 / (2 n (1 - a^2 w))), the last term half the first term's
+    sum over j, with the C_l of _zeta_tail_coefficients.
     """
     c5, c4, c3, c2, c1, c0 = coefficients
     w = 1.0 / (n * n)
-    # written out, as _digamma's series is: this is the hot path of g from x = 0.2 on unpaired baths
-    return w * (((((c5 * w + c4) * w + c3) * w + c2) * w + c1) * w + c0 + 0.5 / (n * (1.0 - a2 * w)))
+    # written out, as _digamma's series is
+    s = ((((c5 * w + c4) * w + c3) * w + c2) * w + c1) * w + c0 + 0.5 / (n * (1.0 - a2 * w))
+    return w * s if p == 3 else s / n
 
 
 @dataclass(frozen=True)
@@ -331,6 +336,8 @@ class DirichletTable:
         self.pair_amp = 2.0 * eta / beta
         self.pole_rest = eta * _cot_rest(math.pi * (a - self.m))
         self.m_rest = -self.pair_amp / (self.nu_m + gamma)
+        # where m = 0, _zeta_sum's a^2, coefficients and sums below _CUBIC_X by power, each built at its first use
+        self._zeta = {}
 
     @cached_property
     def explicit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -364,43 +371,46 @@ class DirichletTable:
         s0_amp = (eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3)) / self.a**2
         return eta * gamma * beta / math.pi**2, s0_amp
 
-    @cached_property
-    def _unpaired_s0(self) -> tuple[float, float, tuple]:
-        """Where m = 0: the prefactor eta gamma beta^2 / (2 pi^3) of S0, a^2 and the coefficients of its _cubic_tail."""
-        eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
-        a2 = self.a**2
-        return eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3), a2, _cubic_tail_coefficients(a2)
+    def _zeta_sum(self, p: int, n: int) -> float:
+        """Where m = 0: sum_{k >= n} 1 / (k^(p - 2) (k^2 - a^2)), S0's sum (p = 3) or S1's (p = 2) from n >= 1.
 
-    @cached_property
-    def _unpaired_head(self) -> list:
-        """Where m = 0: _cubic_tail at n = 1, ..., _CUBIC_X from that at _CUBIC_X and the terms below it, added from the
-        smallest; built at the first tail_sums call that reads it, one with last < _CUBIC_X."""
-        _, a2, coefficients = self._unpaired_s0
-        head = [_cubic_tail(_CUBIC_X, a2, coefficients)]
-        for n in range(_CUBIC_X - 1, 0, -1):
-            head.append(head[-1] + 1.0 / (n * (n * n - a2)))
-        return head[::-1]
+        _zeta_tail from _CUBIC_X on.  Below it, the sums at n = 1, ..., _CUBIC_X from that at _CUBIC_X and the terms
+        below it, added from the smallest, built for p at its first such n.  Each p's coefficients are built at its
+        first sum, so S1 alone builds none of S0's.
+        """
+        sums = self._zeta.get(p)
+        if sums is None:
+            a2 = self.a**2
+            sums = self._zeta[p] = [a2, _zeta_tail_coefficients(a2, p), None]
+        a2, coefficients, head = sums
+        if n >= _CUBIC_X:
+            return _zeta_tail(n, a2, coefficients, p)
+        if head is None:
+            head = [_zeta_tail(_CUBIC_X, a2, coefficients, p)]
+            for k in range(_CUBIC_X - 1, 0, -1):
+                head.append(head[-1] + 1.0 / (k ** (p - 2) * (k * k - a2)))
+            head = sums[2] = head[::-1]
+        return head[n - 1]
 
     def tail_sums(self, last: int, derivative: bool = False) -> tuple[float, float]:
         """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > last but n = m, by digamma; S0 is nan when derivative.
 
         Where m > last, psi(last + 1 - a) = psi(a - last) + pi cot(pi a) (A&S 6.3.7) puts -eta cot(pi a) into S1 and
         -(eta / gamma) cot(pi a) into S0; with -B_m and -c_m they are the pair's constants, which replace them.  Where
-        m = 0 (a < 1/2), S0 is its prefactor times _cubic_tail, sum_{k >= n} 1 / (k (k^2 - a^2)), as its digamma
-        difference psi(n) - (psi(n - a) + psi(n + a)) / 2 over a^2 cancels as a -> 0.
+        m = 0 (a < 1/2) no digamma runs: S0 and S1 are their prefactors times _zeta_sum's sum_{k >= n} 1 / (k (k^2 -
+        a^2)) and sum_{k >= n} 1 / (k^2 - a^2), as their digamma differences psi(n) - (psi(n - a) + psi(n + a)) / 2
+        over a^2 and (psi(n + a) - psi(n - a)) / (2a) cancel as a -> 0.
         """
         s1_amp, s0_amp = self.tail_amps
-        a, n = self.a, last + 1.0
+        a, n = self.a, last + 1
+        if not self.m:
+            eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
+            s0 = math.nan if derivative else eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3) * self._zeta_sum(3, n)
+            return s0, s1_amp * self._zeta_sum(2, n)
         paired = self.m > last
         above, below = _digamma(n + a), _digamma(a - last if paired else n - a)
         s1 = s1_amp * (above - below) / (2.0 * a)
-        if derivative:
-            s0 = math.nan
-        elif self.m:
-            s0 = s0_amp * (_digamma(n) - 0.5 * (below + above))
-        else:
-            amp, a2, coefficients = self._unpaired_s0
-            s0 = amp * (self._unpaired_head[last] if last < _CUBIC_X else _cubic_tail(n, a2, coefficients))
+        s0 = math.nan if derivative else s0_amp * (_digamma(float(n)) - 0.5 * (below + above))
         if paired:
             gamma, nu = self.bath.gamma, self.nu_m
             s1 -= self.pole_rest + self.m_rest
@@ -703,12 +713,13 @@ def _exp_divided_difference(lo: float, hi: float, t: float) -> float:
     return math.exp(-lo * t) * (t * math.expm1(-x) / x if x else -t)
 
 
-def _h_divided_difference(lo: float, hi: float, t: float) -> float:
+def _h_divided_difference(lo: float, hi: float, t: float, dd: float | None = None, em: float | None = None) -> float:
     """Divided difference of h(lambda t) / lambda over [lo, hi] (lo <= hi), h(y) = e^-y + y - 1, to a few ulp.
 
     Below hi t = _H_SERIES_TOP it is its series t^2 sum_{j >= 0} (-1)^j e_j / (j + 2)!, with e_j = sum_{i <= j} (lo t)^i
     (hi t)^(j - i) the complete homogeneous polynomial, the divided difference of lambda^(j + 1) (McCurdy, Ng and
-    Parlett); from there (lo E - expm1(-lo t)) / (lo hi), whose terms cancel by at most a factor 5.
+    Parlett); from there (lo E - expm1(-lo t)) / (lo hi), whose terms cancel by at most a factor 5.  A caller that
+    has E = _exp_divided_difference(lo, hi, t) or expm1(-lo t) passes them as dd and em, which then run once.
     """
     b = hi * t
     if b < _H_SERIES_TOP:
@@ -720,7 +731,9 @@ def _h_divided_difference(lo: float, hi: float, t: float) -> float:
             e = b * e + power
             s += c * e
         return t * t * s
-    return (lo * _exp_divided_difference(lo, hi, t) - math.expm1(-lo * t)) / lo / hi
+    if dd is None:
+        dd = _exp_divided_difference(lo, hi, t)
+    return (lo * dd - (math.expm1(-lo * t) if em is None else em)) / lo / hi
 
 
 def _split_frequency(bath: BathParams) -> float:

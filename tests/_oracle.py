@@ -143,8 +143,9 @@ def tail_sums(eta: float, gamma: float, beta: float, a: float, last: int) -> tup
     a is the engine's BathParams.pole_ratio, and the digamma arguments are its floats: n + a, and n - a or, where
     m > last, a - last, with psi(n - a) = psi(a - last) + pi cot(pi (a - last)) at that float.  So only its
     digamma, its arithmetic on the digamma values and the pair's constants in place of cot, c_m and B_m differ.
-    Where m = 0 the engine's S0 takes no digamma, and S0 here is the exact sum of c_n at the float a, (eta gamma
-    beta^2 / (2 pi^3)) sum_j a^(2j) zeta(2j + 3, n), whose ratio a^2 / n^2 is at most 1/4.
+    Where m = 0 the engine takes no digamma, and S0 and S1 here are the exact sums of c_n and B_n at the float a,
+    (eta gamma beta^2 / (2 pi^3)) sum_j a^(2j) zeta(2j + 3, n) and (eta gamma beta / pi^2) sum_j a^(2j) zeta(2j + 2,
+    n), whose ratio a^2 / n^2 is at most 1/4.
     """
     n = last + 1.0
     m = round(a)
@@ -166,6 +167,8 @@ def tail_sums(eta: float, gamma: float, beta: float, a: float, last: int) -> tup
         if not m:
             series = mpmath.nsum(lambda j: a ** (2 * j) * mpmath.zeta(2 * j + 3, n), [0, mpmath.inf])
             s0 = eta * gamma * beta**2 / (2 * mpmath.pi**3) * series
+            series = mpmath.nsum(lambda j: a ** (2 * j) * mpmath.zeta(2 * j + 2, n), [0, mpmath.inf])
+            s1 = eta * gamma * beta / mpmath.pi**2 * series
         return float(s0), float(s1)
 
 

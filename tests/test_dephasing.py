@@ -282,15 +282,84 @@ def test_re_g_from_x_0_2_without_a_pair_matches_the_oracle(bath):
         assert ev.g(t).real == pytest.approx(reference(eta, gamma, beta, t)[0], rel=SMALL_T_RTOL), x
 
 
+# Re g and Re gdot of the exact engine from x = 0.2 on, where it sums its L <= 226 live terms and the sums past them
+# (G1, G0), against the oracle at x = 0.2, 0.25, 0.3, 0.5, 1, 2, 45/8, 45/7, 10, 30 and 60.  Measured worst relative
+# (g, gdot) on item 3's six baths, then before the live terms took G1 and G0: default (1.4e-16, 1.3e-16), was (5.1e-15,
+# 2.6e-15); a = 0.95 (8.1e-16, 3.3e-16), was (1.5e-14, 6.3e-16); a = 1.001 (6.0e-15, 3.6e-16), was (1.4e-14, 1.4e-15);
+# a = 5.37 (2.6e-15, 1.8e-15), was (6.4e-15, 3.6e-15); beta 933 (2.4e-14, 3.1e-14), was (1.0e-13, 1.2e-13); beta 939.84
+# (3.4e-14, 1.7e-14), was (1.0e-13, 1.8e-13).  Each pinned at about twice its measure
+_FROM_X_0_2 = (0.2, 0.25, 0.3, 0.5, 1.0, 2.0, 45.0 / 8.0, 45.0 / 7.0, 10.0, 30.0, 60.0)
+_FROM_X_0_2_BOUNDS = [(3e-16, 3e-16), (2e-15, 7e-16), (1.3e-14, 8e-16), (6e-15, 4e-15), (5e-14, 7e-14), (7e-14, 4e-14)]
+
+
+@pytest.mark.parametrize("bath, bounds", zip(_ITEM_3_BATHS, _FROM_X_0_2_BOUNDS), ids=[str(b[:3]) for b in _ITEM_3_BATHS])
+def test_exact_g_and_gdot_from_x_0_2_match_the_oracle(bath, bounds):
+    eta, gamma, beta, k = bath
+    ev = BrownianMatsubara(BathParams(eta, gamma, beta, k))
+    for x in _FROM_X_0_2:
+        t = x * beta / (2.0 * math.pi)
+        for got, want, bound in zip((ev.g(t).real, ev.gdot(t).real), reference(eta, gamma, beta, t), bounds):
+            assert abs(got - want) <= bound * abs(want), (x, got, want)
+
+
+# The cold baths a = 3183 (1, 2, 1e4) and a = 15915 (1, 0.5, 2e5): the oracle's (Re g, Re gdot) at x = 0.2, 1, 45/7
+# and 60, recorded here because a point of a = 15915 takes it 14-40 s; 20 more digits moved none of them (at x = 0.2
+# and 60).  Measured worst relative (g, gdot) on the 11 x above: a = 3183 (6.3e-14, 6.4e-14), was (2.3e-12, 3.2e-12),
+# and on 33 x to 60 (1.2e-13, 1.1e-13), was (2.5e-12, 3.2e-12); a = 15915 (5.1e-12, 3.3e-12), was (5.1e-12, 5.2e-12),
+# and on 33 x (5.1e-12, 5.2e-12), was (5.8e-12, 5.2e-12): with the pair, G1 is the closed form rate - pole_rest -
+# m_rest less the live B_n, where S1(226) of the digamma sums left a = 3183 thirty times further off.  Pinned at about
+# twice the measure on the 11 x
+_COLD_ORACLE = {
+    (1.0, 2.0, 1e4): (
+        (1.3e-13, 1.3e-13),
+        {
+            0.2: (2.2393265640486595, 0.0010033360481409295),
+            1.0: (2.764251086666686, 0.00021639538070023444),
+            45.0 / 7.0: (3.7737215174211634, 0.00010032347355925772),
+            60.0: (12.30039359133584, 0.0001),
+        },
+    ),
+    (1.0, 0.5, 2e5): (
+        (1.1e-11, 7e-12),
+        {
+            0.2: (11.0065092670972, 0.00020066626212328177),
+            1.0: (13.106204462694464, 4.327906858938365e-05),
+            45.0 / 7.0: (17.144086074840285, 2.006469470569206e-05),
+            60.0: (51.25077437030356, 2e-05),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("bath", list(_COLD_ORACLE), ids=["a 3183", "a 15915"])
+def test_cold_baths_from_x_0_2_match_the_recorded_oracle(bath):
+    bounds, values = _COLD_ORACLE[bath]
+    eta, gamma, beta = bath
+    ev = BrownianMatsubara(BathParams(eta, gamma, beta))
+    for x, want in values.items():
+        t = x * beta / (2.0 * math.pi)
+        for got, w, bound in zip((ev.g(t).real, ev.gdot(t).real), want, bounds):
+            assert abs(got - w) <= bound * abs(w), (x, got, w)
+
+
+def test_default_bath_at_x_0_25_is_within_an_ulp_or_so():
+    # t = 0.04, x = 0.25: the K-term table's and the live tail's expm1 + y left Re g 27 ulp and Re gdot 21 ulp off the
+    # oracle; the live terms with G1 and G0 leave 1 ulp and 0 (measured), pinned at 4 ulp
+    want = reference(1.0, 0.5, 1.0, 0.04)
+    ev = BrownianMatsubara(BATH)
+    for got, w in zip((ev.g(0.04).real, ev.gdot(0.04).real), want):
+        assert abs(got - w) <= 4.0 * math.ulp(w), (got, w)
+
+
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_exact_g_below_x_0_2_reads_no_tail_column(monkeypatch, bath):
-    # below x = 0.2 the exact g and gdot read no K term and no live term past K: neither the K-term table nor the live
-    # columns, which they read from x = 0.2 on
+    # below x = 0.2 the exact g and gdot read no K term and no live term: neither a K-term table, which only strict
+    # truncation builds, nor the live terms' table, which they read from x = 0.2 on
     def refuse(*args):
         raise AssertionError("read a K term or a tail column")
 
     monkeypatch.setattr(BrownianMatsubara, "_explicit", refuse)
-    monkeypatch.setattr(BrownianMatsubara, "_live", refuse)
+    monkeypatch.setattr(BrownianMatsubara, "_live_table", refuse)
     times = (1e-9, 1e-5, 1e-3)
     ev = BrownianMatsubara(bath)
     for t in times:
@@ -410,11 +479,16 @@ def test_capped_gdot_builds_no_large_block():
 
 
 def test_gdot_never_builds_the_unpaired_s0(monkeypatch):
-    # S0(K) serves only g from x = 0.2 on, so a default-bath engine and its gdot never build its cubic tail
-    def refuse(a2):
-        raise AssertionError("built the cubic tail of S0")
+    # S0 serves only g from x = 0.2 on, so a default-bath engine and its gdot never build its cubic tail; S1's own
+    # series in 1 / n^2 they do build
+    coefficients = spectral._zeta_tail_coefficients
 
-    monkeypatch.setattr(spectral, "_cubic_tail_coefficients", refuse)
+    def refuse(a2, p):
+        if p == 3:
+            raise AssertionError("built the cubic tail of S0")
+        return coefficients(a2, p)
+
+    monkeypatch.setattr(spectral, "_zeta_tail_coefficients", refuse)
     ev = BrownianMatsubara(BATH)
     assert ev._table.m == 0
     ev.gdot(np.geomspace(1e-9, 1e3, 25))
@@ -766,21 +840,21 @@ def test_mixed_memo_call_computes_and_stores_only_its_new_times(monkeypatch):
 
 
 def test_g_miss_where_gdot_is_held_builds_and_runs_g_half_alone(monkeypatch):
-    # a g call whose new times gdot's memo all holds takes neither gdot's explicit sums nor gdot's half of the row
+    # a g call whose new times gdot's memo all holds takes neither gdot's live sums nor gdot's half of the row
     ev = BrownianMatsubara(BATH)
     ev.gdot(np.array([0.7, 2.5]))
     held = dict(ev._gdot_memo)
-    tables = []
-    explicit = BrownianMatsubara._explicit
+    calls = []
+    sums = BrownianMatsubara._sums
 
-    def counted(self, ts, g, gdot):
-        tables.append((ts.size, g, gdot))
-        return explicit(self, ts, g, gdot)
+    def counted(self, times, g, gdot):
+        calls.append((len(times), g, gdot))
+        return sums(self, times, g, gdot)
 
-    monkeypatch.setattr(BrownianMatsubara, "_explicit", counted)
+    monkeypatch.setattr(BrownianMatsubara, "_sums", counted)
     rows = _count_rows(monkeypatch)
     g = ev.g(np.array([0.7, 2.5]))
-    assert tables == [(2, True, False)] and rows == [(0.7, True, False), (2.5, True, False)]
+    assert calls == [(2, True, False)] and rows == [(0.7, True, False), (2.5, True, False)]
     assert all(ev._gdot_memo[s] is v for s, v in held.items())
     assert np.array_equal(_bits(g), _bits(BrownianMatsubara(BATH).g(np.array([0.7, 2.5]))))
 
@@ -816,7 +890,7 @@ class _CountingNumpy:
 
 def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypatch):
     # a g miss runs one row step for g and gdot, which share its exponentials: below x = 0.2 one expm1 over the nodes,
-    # from there one K-term table for the call and, with live terms past K, one tail_sums
+    # from there one expm1 over the time's L live terms, or none where L <= 7 sums them on Python floats
     rows = _count_rows(monkeypatch)
     counting = _CountingNumpy()
     monkeypatch.setattr(dephasing, "np", counting)
@@ -824,23 +898,55 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     ev.g(1.0)
     assert counting.expm1_sizes == [ev._small_x_sum._nodes.size]
     assert ev.gdot(1.0) is ev._gdot_memo[1.0] and rows == [(1.0, True, True)]
-    # K = 25 on a = 5.5: every time here has live terms past K
+    # K = 25 on a = 5.5: the times' L, ceil(45 beta / (2 pi t)), are 160, 80 and 32, past K
     bath = BathParams(5.4, 1.55, 22.3, 25)
     ev = BrownianMatsubara(bath)
     times = [1.0, 2.0, 5.0]
-    assert all(ev._live_stop(t) for t in times)
+    stops = [math.ceil(45.0 * bath.beta / (2.0 * math.pi * t)) for t in times]
+    assert stops == [160, 80, 32]
     tables, tails = [], []
     explicit, tail_sums = BrownianMatsubara._explicit, type(ev._table).tail_sums
     monkeypatch.setattr(BrownianMatsubara, "_explicit", lambda self, *a: tables.append(len(a[0])) or explicit(self, *a))
     monkeypatch.setattr(type(ev._table), "tail_sums", lambda self, *a: tails.append(a) or tail_sums(self, *a))
     counting.expm1_sizes.clear()
     ev.g(np.array(times))
-    assert tables == [3] and len(tails) == 3
-    # the K-term table of the three times, and one live block per time
-    assert counting.expm1_sizes == [3 * 25] + [ev._live_stop(t) - 25 for t in times]
+    # no K-term table, one tail_sums for the engine's G0 (its G1 is the pair's closed form), and one row of L terms
+    # per time
+    assert tables == [] and [a[0] for a in tails] == [226]
+    assert counting.expm1_sizes == stops
     gdot = [ev.gdot(t) for t in times]
-    assert tables == [3] and len(tails) == 3 and rows[1:] == [(t, True, True) for t in times]
+    assert tables == [] and len(tails) == 1 and rows[1:] == [(t, True, True) for t in times]
     assert np.array(gdot).tobytes() == BrownianMatsubara(bath).gdot(np.array(times + [0.0])).tobytes()[: 3 * 16]
+    # x >= 45 / 7 on the default bath (t >= 1.03): L <= 7 terms on Python floats, and no numpy expm1
+    ev = BrownianMatsubara(BATH)
+    counting.expm1_sizes.clear()
+    for t in (1.05, 2.0, 50.0):
+        ev.g(t)
+        ev.gdot(2.0 * t)
+    assert counting.expm1_sizes == []
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    eta=st.floats(-1.0, 1.0).map(lambda v: 10.0**v),
+    gamma=st.floats(0.01, 3.0),
+    beta=st.floats(-1.0, 3.0).map(lambda v: 10.0**v),
+    xs=st.lists(st.floats(0.2, 80.0), min_size=1, max_size=5),
+)
+@example(1.0, 0.5, 1.0, [0.2, 45.0 / 8.0, 45.0 / 7.0, 60.0])
+@example(1.3, 1.8, 933.0, [0.2, 0.25, 6.0])
+def test_exact_g_and_gdot_from_x_0_2_read_no_k(eta, gamma, beta, xs):
+    # from x = 0.2 on, the exact engine sums its live terms n <= L and two per-bath constants: no K term, so every K
+    # gives the same bits, pointwise and in an array; t at x = 0.2 itself is the first time it reads them
+    ts = [max(x * beta / (2.0 * math.pi), BrownianMatsubara(BathParams(eta, gamma, beta))._t_direct) for x in xs]
+    array = np.array(ts + [ts[0]] * _MEMO_CALL)
+    want = {name: getattr(BrownianMatsubara(BathParams(eta, gamma, beta, 0)), name)(array) for name in ("g", "gdot")}
+    for k in (1, 25, 100, 400):
+        bath = BathParams(eta, gamma, beta, k)
+        for name in ("g", "gdot"):
+            assert _bits(getattr(BrownianMatsubara(bath), name)(array)).tolist() == _bits(want[name]).tolist()
+            f = getattr(BrownianMatsubara(bath), name)
+            assert _bits(np.array([f(t) for t in ts])).tolist() == _bits(want[name][: len(ts)]).tolist()
 
 
 def test_memo_first_calls_convert_and_raise_as_the_time_check_does():
@@ -889,8 +995,11 @@ _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
 # recorded with numpy 2.4.6 on x86-64; a change that moves a bit of g or gdot on purpose records it again and says so
 # (Re g below x = 0.2 by the window and Euler-Maclaurin tails of L, h by its Taylor series at small arguments, and g at
 # every pinned time; Re g from x = 0.2 on the default bath, when S0 of the tail sums lost its 1 / a^2 cancellation;
-# last: Re gdot below x = 0.2 on g's nodes, and gdot at every pinned time, which its 2-million-term block kept out)
-_PINNED_DIGEST = "6b281b9b32e7bf2a02c42ffb8724f81e62eb58eb71ffe4e0a5b0cfaf7396c028"
+# Re gdot below x = 0.2 on g's nodes, and gdot at every pinned time, which its 2-million-term block kept out; last: the
+# exact g and gdot from x = 0.2 on, when they took their live terms and G1 and G0 in place of the K terms and the
+# digamma rest, 196 of 4000 values of the exact engines by at most 2.9e-13 relative; strict truncation and every value
+# below x = 0.2 kept their bits)
+_PINNED_DIGEST = "91ba44100107bea66ab5ade25b83779fdf06a1c23b805bfe6b43f67db6b7b45e"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"

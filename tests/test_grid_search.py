@@ -149,8 +149,9 @@ def test_default_bath_30x30x8_is_the_brute_force(t1):
 
 def test_50x50x8_keeps_the_brute_force_result():
     # n_value and pair of the brute-force search at 50x50x8, t1 = 1, t_max = 10; n_value recorded again (8 ulp) when
-    # the pole term's h(gamma t) took its Taylor series at small gamma t, and (68 ulp, 8.3e-15) when S0 of the tail
-    # sums lost its 1 / a^2 cancellation, which moved Re g from x = 0.2 on
+    # the pole term's h(gamma t) took its Taylor series at small gamma t, (68 ulp, 8.3e-15) when S0 of the tail
+    # sums lost its 1 / a^2 cancellation, which moved Re g from x = 0.2 on, and (2 ulp) when g and gdot from x = 0.2
+    # on took their live terms and G1 and G0
     res = non_markovianity(
         SystemParams(), BrownianMatsubara(BATH), Prepared(1.0), t_max=10.0, search=GridSearch(50, 50, 8)
     )
@@ -158,7 +159,7 @@ def test_50x50x8_keeps_the_brute_force_result():
         DensityMatrix2(0.4897959183673469, 0.4998958658736181 + 0j),
         DensityMatrix2(0.4897959183673469, -0.4998958658736181 + 6.121958720491211e-17j),
     )
-    assert bits(res.n_value, res.pair) == bits(0.22810828664624122, want)
+    assert bits(res.n_value, res.pair) == bits(0.22810828664624117, want)
 
 
 @pytest.mark.parametrize(

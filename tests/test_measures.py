@@ -51,7 +51,13 @@ from dephaser.measures import (
     sigma,
 )
 from dephaser.response import echo_response, flip_exponent_grid
-from dephaser.spectral import BathParams, OverdampedBrownian, TabulatedSpectralDensity, _exp_divided_difference
+from dephaser.spectral import (
+    BathParams,
+    DirichletTable,
+    OverdampedBrownian,
+    TabulatedSpectralDensity,
+    _exp_divided_difference,
+)
 
 BATH = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=100)
 SYS = SystemParams(epsilon=2.0)
@@ -184,35 +190,36 @@ def test_sigma_degenerate_pairs():
 
 
 def _count_work(monkeypatch):
-    """Lists that gather, from now on, BrownianMatsubara's K-term tables (one entry per _explicit call) and the times
-    of its row steps, each of which takes g's and gdot's halves at a g miss."""
-    work = {"tables": [], "rows": []}
-    explicit, row = BrownianMatsubara._explicit, BrownianMatsubara._row
+    """Lists that gather, from now on, BrownianMatsubara's K-term tables (one entry per _explicit call, which only
+    strict truncation makes), the number of new times of each of its sums calls (_sums, one per miss) and the times of
+    its row steps, each of which takes g's and gdot's halves at a g miss."""
+    work = {"tables": [], "sums": [], "rows": []}
+    explicit, sums, row = BrownianMatsubara._explicit, BrownianMatsubara._sums, BrownianMatsubara._row
     monkeypatch.setattr(BrownianMatsubara, "_explicit", lambda self, *a: work["tables"].append(1) or explicit(self, *a))
+    monkeypatch.setattr(BrownianMatsubara, "_sums", lambda self, ts, *a: work["sums"].append(len(ts)) or sums(self, ts, *a))
     monkeypatch.setattr(BrownianMatsubara, "_row", lambda self, t, *sums: work["rows"].append(t) or row(self, t, *sums))
     return work
 
 
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
-    # E at a new time fills gdot's memo at its times from the same K-term table and row step, so the rate there runs
-    # no row; the beta 933 bath's t = 2 is below x = 0.2, where no table is built
+    # E at a new time fills gdot's memo at its times from the same sums and row step, so the rate there runs no row;
+    # the exact engine builds no K-term table (the beta 933 bath's t = 2 is below x = 0.2, the default bath's above)
     ev = BrownianMatsubara(bath)
     scenario = Prepared(1.0)
     work = _count_work(monkeypatch)
     e = decay_exponent(ev, scenario, 2.0)
     rate = decay_exponent_rate(ev, scenario, 2.0)
-    reads_k = 3.0 >= ev._t_direct
-    assert work == {"tables": [1] * reads_k, "rows": [1.0, 2.0, 3.0]}
-    # sigma at a new time: one table for t and t1 + t, one row each
+    assert work == {"tables": [], "sums": [3], "rows": [1.0, 2.0, 3.0]}
+    # sigma at a new time: one sums call for t and t1 + t, one row each
     s = sigma(analytic_pair(), ev, scenario, 4.0)
-    assert work == {"tables": [1] * (2 * reads_k), "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
-    # the rate, E and sigma at held times run no row and build no table
+    assert work == {"tables": [], "sums": [3, 2], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    # the rate, E and sigma at held times run no row and no sums
     for t in (2.0, 4.0):
         decay_exponent_rate(ev, scenario, t)
         decay_exponent(ev, scenario, t)
         sigma(analytic_pair(), ev, scenario, t)
-    assert work == {"tables": [1] * (2 * reads_k), "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    assert work == {"tables": [], "sums": [3, 2], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
     # the same bits as a fresh engine's array calls
     fresh = BrownianMatsubara(bath)
     g1, g2, g12 = fresh.g(np.array([1.0, 2.0, 3.0, 0.0])).tolist()[:3]
@@ -220,6 +227,24 @@ def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
     a, b = fresh.gdot(np.array([2.0, 3.0, 0.0, 0.0])).real.tolist()[:2]
     assert rate == 2.0 * a - b
     assert s == sigma(analytic_pair(), BrownianMatsubara(bath), scenario, 4.0)
+
+
+def test_prepared_curve_reads_two_tail_sums_and_no_k_table(monkeypatch):
+    # a 1000-point Prepared(1) curve of E and its rate on the default bath, as param_sweep draws it: the engine's
+    # tail_sums runs at construction (S1(K), for its largest time) and once more, for the live terms' G1 and G0; no
+    # K-term table is built; and each point's new times take one sums call and one row step each
+    work = _count_work(monkeypatch)
+    tails = []
+    tail_sums = DirichletTable.tail_sums
+    monkeypatch.setattr(DirichletTable, "tail_sums", lambda self, *a: tails.append(a) or tail_sums(self, *a))
+    ev = BrownianMatsubara(BATH)
+    scenario = Prepared(1.0)
+    ts = np.linspace(0.0, 20.0, 1000).tolist()
+    for t in ts:
+        decay_exponent(ev, scenario, t)
+        decay_exponent_rate(ev, scenario, t)
+    assert len(tails) <= 2 and work["tables"] == []
+    assert len(work["sums"]) <= len(ts) and len(work["rows"]) == sum(work["sums"])
 
 
 def test_distance_keeps_its_value_where_only_gdot_raises():
@@ -377,15 +402,14 @@ def test_preparation_dependence_saturates():
 
 
 def _scalar_re_gdot(ev, t):
-    """Re gdot(t) of BrownianMatsubara as its scalar-only form computes it: K terms, pole, then tail; below x = 0.2
-    the pole, then the Matsubara sum on the nodes of g's (the engine's own)."""
+    """Re gdot(t) of BrownianMatsubara as its scalar-only form computes it: the pole, then the Matsubara part; below x
+    = 0.2 the Matsubara sum on the nodes of g's (the engine's own), from there the L = ceil(45 beta / (2 pi t)) <= 226
+    live terms and G1[L], their sum over n > L."""
     if t == 0.0:
         return 0.0
     p = ev.bath
     d = ev._table
-    nu_k, _, b_k = d.explicit
-    small_x = t < ev._t_direct
-    re = 0.0 if small_x else float(np.sum(-b_k * np.expm1(-nu_k * t)))
+    re = 0.0
     if d.m:
         # the pole's rest, then the pair: the m-th term's rest and P times the divided difference of e^{-lambda t}
         re += d.pole_rest * (-math.expm1(-p.gamma * t))
@@ -393,19 +417,22 @@ def _scalar_re_gdot(ev, t):
         re += d.m_rest * -math.expm1(-d.nu_m * t) - d.pair_amp * _exp_divided_difference(*rates, t)
     else:
         re += d.pole_b * (-math.expm1(-p.gamma * t))
-    if small_x:
+    if t < ev._t_direct:
         return re + ev._small_x(t, False, True)[1]
-    k = p.matsubara_terms
-    n_stop = math.ceil(45.0 * p.beta / (2.0 * math.pi * t))
-    if n_stop <= k:
-        return re + d.tail_sums(k)[1]
-    # the at most 226 - K live terms
-    nu = 2.0 * math.pi * np.arange(k + 1.0, n_stop + 1.0) / p.beta
-    cnu = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
-    if k < d.m <= n_stop:
-        cnu[d.m - k - 1] = 0.0  # the pair holds the m-th term
-    block = float(np.sum(-cnu * np.expm1(-nu * t)))
-    return re + (block + d.tail_sums(n_stop)[1])
+    nu = 2.0 * math.pi * np.arange(1.0, 227.0) / p.beta
+    with np.errstate(divide="ignore"):  # nu_m = gamma exactly: the entry the pair replaces
+        b = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
+    if 1 <= d.m <= 226:
+        b[d.m - 1] = 0.0  # the pair holds the m-th term
+    g1 = ev._live_table(False)[4]  # S1(n) for n = 0, ..., 226, as the engine's first row at x >= 0.2 builds it
+    stop = min(math.ceil(45.0 * p.beta / (2.0 * math.pi * t)), 226)
+    if stop <= 7:  # on Python floats
+        block = 0.0
+        for nu_n, b_n in zip(nu[:stop].tolist(), b[:stop].tolist()):
+            block += b_n * math.expm1(-nu_n * t)
+    else:
+        block = float(np.sum(b[:stop] * np.expm1(-nu[:stop] * t)))
+    return re + (-block + g1[stop])
 
 
 def _scalar_rate(ev, scenario, t):
@@ -700,11 +727,13 @@ _LIBRARY_BATHS = {
 # records it again and says so (all three when Re g below x = 0.2 took L's window and Euler-Maclaurin tails and h its
 # Taylor series at small arguments; the default bath, when S0 of the tail sums lost its 1 / a^2 cancellation; last:
 # beta 933 and a = 1.001, when Re gdot below x = 0.2 moved onto g's nodes: 82 and 2 of 363 values, by at most 1e-13
-# relative but for one growth end of beta 933, a root refined to 1e-10, which moved by 1.3e-12)
+# relative but for one growth end of beta 933, a root refined to 1e-10, which moved by 1.3e-12; last: the default bath
+# and a = 1.001, when g and gdot from x = 0.2 on took their live terms and G1 and G0: 111 and 222 of 363 values, by at
+# most 2.4e-15 and 1.7e-13 relative)
 _LIBRARY_DIGESTS = {
-    "default": "99a8c4c6d5d6aaba71617f64a862779c83da513906cb34dd36944e5218b4d1d8",
+    "default": "5791dafcb9db9f54c9e5f0c587769c1e738653c1a373e29ac1310eb0a59b2833",
     "beta 933": "796fc387c65439f7476256170498345622aae4f6148abde244425a270f5a2234",
-    "a = 1.001": "b73dac4def3b3c6702441cd7d05cfff31ee979528d27c98b1d0b64dc8a522961",
+    "a = 1.001": "cba94efc422c8c53e14a3f6feb716fb112aeb84f504c3ea9b4a66fb3aa01d5dd",
 }
 
 

@@ -98,18 +98,41 @@ def test_pointwise_two_interval_calls_have_the_grid_bits(pairs, eps, p, phase):
                         assert abs(out.p11 - product.p11) <= 1e-15 and abs(out.c12 - product.c12) <= 1e-15
 
 
-# (bath, times): below x = 0.2 (beta 933, paired; the default bath, unpaired), with live terms past K = 25 (a = 5.5,
-# paired), and late on the default bath, where every term, nu_1 t > 45 from t = 7.2 on, is dead
+def _across_x_0_2(bath):
+    """The last time below x = 0.2 of the exact engine on bath, the first at it, and the next float."""
+    t = BrownianMatsubara(bath)._t_direct
+    return [math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)]
+
+
+# (bath, times): below x = 0.2 (beta 933, paired; the default bath, unpaired), with L = ceil(45 beta / (2 pi t))
+# live terms past K = 25 (a = 5.5, paired), late on the default bath, where every term, nu_1 t > 45 from t = 7.2 on,
+# is dead, across x = 45/7, where L goes from 8 (a numpy row) to 7 (Python floats) at t = 1.0231, and across x = 0.2
+# on the default bath and on beta 933
 _ROUTE_TIMES = [
     (BathParams(1.3, 1.8, 933.0), [1e-3, 0.5, 2.0]),
     (BathParams(1.0, 0.5, 1.0), [1e-4, 0.01, 0.03]),
     (BathParams(5.4, 1.55, 22.3, 25), [1.0, 2.0, 5.0]),
     (BathParams(1.0, 0.5, 1.0), [7.5, 9.0, 12.0]),
+    (BathParams(1.0, 0.5, 1.0), [0.9, 1.02, 1.03]),
+    (BathParams(1.0, 0.5, 1.0), _across_x_0_2(BathParams(1.0, 0.5, 1.0))),
+    (BathParams(1.3, 1.8, 933.0), _across_x_0_2(BathParams(1.3, 1.8, 933.0))),
 ]
+_ROUTE_IDS = ["small-x", "small-x-unpaired", "live-past-k", "all-dead", "l-8-to-7", "x-0.2", "x-0.2-beta-933"]
+
+
+def test_route_times_cross_the_live_term_boundaries():
+    # the L of the times above, one way or the other across 45/7 and across 0.2 (where L is 225 or 226)
+    def stop(bath, t):
+        return math.ceil(45.0 * bath.beta / (2.0 * math.pi * t))
+
+    (bath, times), (_, edge) = _ROUTE_TIMES[4], _ROUTE_TIMES[5]
+    assert [stop(bath, t) for t in times] == [8, 8, 7]
+    t_direct = BrownianMatsubara(bath)._t_direct
+    assert edge[0] < t_direct == edge[1] < edge[2] and stop(bath, t_direct) in (225, 226)
 
 
 @pytest.mark.parametrize("include_tail", [True, False], ids=["exact", "strict"])
-@pytest.mark.parametrize("bath, times", _ROUTE_TIMES, ids=["small-x", "small-x-unpaired", "live-past-k", "all-dead"])
+@pytest.mark.parametrize("bath, times", _ROUTE_TIMES, ids=_ROUTE_IDS)
 def test_g_and_gdot_keep_their_bits_whichever_route_reached_them_first(bath, times, include_tail):
     # a g miss (which also fills gdot's memo), a gdot miss, and an array call past the memos, each first at a time of
     # an engine, then the other function at the same time: every value has the array call's bits

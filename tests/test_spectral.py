@@ -22,7 +22,7 @@ from scipy.special import digamma as scipy_digamma
 
 import dephaser
 from dephaser import _expint_fits, spectral
-from dephaser.dephasing import BrownianMatsubara
+from dephaser.dephasing import _G_LIVE_STOP, BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
     _A_MAX,
@@ -333,15 +333,17 @@ def _tail_sums_error_bound(bath, m):
 def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, m):
     """(S0, S1) against 40-digit mpmath on the same float inputs, and scipy's bits where every digamma runs scipy's operations.
 
-    Where m = 0, S0 is no digamma difference (DirichletTable.tail_sums): it is within 4 ulp of the oracle instead.
+    Where m = 0, neither sum is a digamma difference (DirichletTable.tail_sums): each is within 4 ulp of the oracle
+    instead.
     """
-    ev = BrownianMatsubara(bath)
     k = bath.matsubara_terms
     assert in_path(_below(bath, k))
     assert bath.dirichlet().m == m
-    live_stops = sorted({ev._live_stop(f * bath.beta) for f in np.geomspace(1e-4, 0.1, 7)} - {0})
+    # the last live n past K of times from x = 2 pi 1e-4 to 0.2 pi, where the engine took tail_sums before it summed
+    # its live terms from two per-bath constants, and _G_LIVE_STOP, where it takes them now
+    live_stops = sorted({math.ceil(45.0 / (2.0 * math.pi * f)) for f in np.geomspace(1e-4, 0.1, 7)} - set(range(k + 1)))
     assert len(live_stops) >= 4
-    for last in [k] + live_stops:
+    for last in [k, _G_LIVE_STOP] + live_stops:
         got = bath.dirichlet().tail_sums(last)
         assert [type(v) for v in got] == [float, float]
         want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, last)
@@ -349,28 +351,43 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, m):
         assert all(abs(g - w) <= b for g, w, b in zip(got, want, bound)), (last, got, want, bound)
         if all(x > 10.0 for x in (last + 1.0, _below(bath, last), last + 1.0 + bath.pole_ratio)):
             scipy_sums = _scipy_tail_sums(bath, last)
-            assert got[1] == scipy_sums[1] and (got[0] == scipy_sums[0] or not m), last
+            assert (got[1] == scipy_sums[1] and got[0] == scipy_sums[0]) or not m, last
         if not m:
-            assert abs(got[0] - want[0]) <= 4.0 * _ULP * abs(want[0]), (last, got, want)
+            assert all(abs(g - w) <= 4.0 * _ULP * abs(w) for g, w in zip(got, want)), (last, got, want)
         # gdot takes S1 alone, with the same bits
         s0, s1 = bath.dirichlet().tail_sums(last, derivative=True)
         assert math.isnan(s0) and s1 == got[1], last
 
 
 def test_unpaired_tail_sums_build_their_head_only_below_the_cubic_series():
-    # the sums of n = 1, ..., _CUBIC_X serve tail_sums(last) only at last < _CUBIC_X; an unpaired engine's constructor
-    # reads tail_sums(K), so at K >= _CUBIC_X it builds none
+    # the sums of n = 1, ..., _CUBIC_X serve tail_sums(last) only at last + 1 < _CUBIC_X; an unpaired engine's constructor
+    # reads tail_sums(K), so at K >= _CUBIC_X it builds none, and S1 alone builds none of S0's
     bath = BathParams(1.0, 0.5, 1.0, matsubara_terms=_CUBIC_X)
     table = BrownianMatsubara(bath)._table
-    assert table.m == 0 and "_unpaired_head" not in vars(table)
+    assert table.m == 0 and list(table._zeta) == [2] and table._zeta[2][2] is None
     for last in (_CUBIC_X, _CUBIC_X + 1, 100, 10**6):
         table.tail_sums(last)
-    assert "_unpaired_head" not in vars(table)
-    # the first sum below it builds the head, once, and gives a fresh table's bits
-    assert table.tail_sums(_CUBIC_X - 1) == bath.dirichlet().tail_sums(_CUBIC_X - 1)
-    head = table._unpaired_head
+    assert all(sums[2] is None for sums in table._zeta.values())
+    # the first sum from n = last + 1 below it builds the heads, once, and gives a fresh table's bits
+    assert table.tail_sums(_CUBIC_X - 2) == bath.dirichlet().tail_sums(_CUBIC_X - 2)
+    heads = [sums[2] for sums in table._zeta.values()]
+    assert len(heads) == 2 and all(len(head) == _CUBIC_X for head in heads)
     table.tail_sums(0)
-    assert table._unpaired_head is head
+    assert all(sums[2] is head for sums, head in zip(table._zeta.values(), heads))
+
+
+# The m = 0 sums of tail_sums against the oracle's exact sums at a = 1e-3 and 1e-5: S1 was a first difference of
+# digammas, 2.8e-11 off at a = 1e-3 and up to 8.3e-9 off at a = 1e-5, before it took its own series in 1 / n^2.
+# Measured since: S1 within 2.5e-16 relative (1.1 ulp), S0 unchanged; pinned at 4 ulp, as S0 is above
+@pytest.mark.parametrize("a", [1e-3, 1e-5])
+def test_unpaired_s1_is_its_series_in_inverse_squares(a):
+    bath = BathParams(1.0, 2.0 * math.pi * a, 1.0)
+    table = bath.dirichlet()
+    assert table.m == 0
+    for last in (0, 1, 7, 25, _CUBIC_X - 1, _CUBIC_X, 100, _G_LIVE_STOP, 400):
+        got = table.tail_sums(last)[1]
+        want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, last)[1]
+        assert abs(got - want) <= 4.0 * _ULP * abs(want), (last, got, want)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
