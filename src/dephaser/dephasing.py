@@ -11,9 +11,11 @@ evaluators are provided:
     (include_tail=True, the default) or truncated strictly at K terms.
     Below x = 2 pi t / beta = 0.2 its exact Re g and Re gdot sum the
     Matsubara terms on the nodes of the analytic L's sum (_MatsubaraG, one
-    table for both); from there the n > K remainder is at most 226 - K live
-    terms and digamma closed forms.  Its digamma is spectral._digamma, so
-    it and HighTemperatureBrownian load no scipy; only the two quadrature
+    table for both); from there they sum their L <= 226 live terms and
+    the sums past them, two running sums per engine, and read no K.  Its
+    digamma is spectral._digamma, which runs where the engine is built
+    and once more where those sums are, so it and
+    HighTemperatureBrownian load no scipy; only the two quadrature
     engines do.
   * HighTemperatureBrownian: the beta*gamma -> 0 closed form.
   * FrequencyQuadrature: direct adaptive integration of the spectral
@@ -66,7 +68,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from itertools import groupby, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -405,8 +407,9 @@ class BrownianMatsubara:
     Euler-Maclaurin tails, as the analytic L sums its own, and it reads no K; gdot's is that sum's x-derivative on the
     same table, built once at the first such call of either, plus _dead_weight where more than _BLOCK_CAP terms past K
     are live (so that it is the sum stopped at K + _BLOCK_CAP, which perfbench's references record).  From _DIRECT_X
-    on each is the K explicit terms, the at most 226 - K live terms past K (exponentials summed until they underflow,
-    from one column of nu_n and c_n or B_n per engine) and the table's digamma closed form of the rest.
+    on each is the L = min(ceil(45 beta / (2 pi t)), 226) live terms, whose exponentials are summed until they
+    underflow, and G1[L] and G0[L], the sums of B_n and c_n past them (_live_sums): one 226-term table and two
+    running sums per engine, and no K.  K shapes the exact engine only through its largest time and _dead_weight.
     include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.
     Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term, wherever it lies, are the
     table's pair: one formula at every detuning from gamma = nu_m.  Only strict truncation with K < m has
@@ -417,16 +420,17 @@ class BrownianMatsubara:
     where gamma^2 or an amplitude of the pole term or the pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and, with
     the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100), and where a c_n of the K terms
     does (gamma 1e153, beta 1e-150).  g and gdot raise it past the largest time the table's amplitudes allow
-    (_largest_time), and where a coefficient of the live terms past K overflows (nu_226^2 at beta 6e-152, K = 0,
+    (_largest_time), and where a coefficient of the live terms' table overflows (nu_226^2 at beta 6e-152, K = 0,
     x >= _DIRECT_X).  The exact g and gdot raise it below x = _DIRECT_X where a reaches 2^52 and where x^2 leaves the
     normal floats (t below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms past K where
     K + _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta gamma above about 6.3e6 at K = 100).
 
-    g and gdot take a time or a 1-d array of times.  The K explicit terms of all times are one times x K
-    table, summed row by row (the exact g and gdot build it only when a time of the call has x >= _DIRECT_X); the
-    pole term and the rest follow time by time in one row step (_row), so a time gets the same bits alone as in an
-    array.  The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's
-    exponentials: one _MatsubaraG call below _DIRECT_X, one live block and one tail_sums from there.  A g or gdot call
+    g and gdot take a time or a 1-d array of times.  The Matsubara sums of a call's times (_sums) are strict
+    truncation's one times x K table, summed row by row, or the exact engine's live sums from _DIRECT_X on: L <= 7
+    terms on Python floats, more as one numpy row, which a larger call's times share as one table per L.  The pole
+    term, the pair and those sums follow time by time in one row step (_row), so a time gets the same bits alone as
+    in an array.  The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the
+    rest's exponentials: one _MatsubaraG call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call
     of at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times
     it lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
     and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo through
@@ -542,14 +546,12 @@ class BrownianMatsubara:
         """(-nu_n, c_n, B_n, the floats (nu_n, c_n, B_n) of n <= _LIVE_FLOATS, G1) of the live terms n = 1, ...,
         _G_LIVE_STOP with the m-th 0, built at the first row from t_direct on, and G0 at the first g there.
 
-        G1[j] = S1(j) and G0[j] = S0(j), the sums of B_n and c_n over n > j but m, j = 0, ..., _G_LIVE_STOP, each a
-        compensated running sum (_running_sums): G0 from S0(_G_LIVE_STOP) of one tail_sums less the terms from the
-        last, and G1 so too where there is no pair.  With the pair, G1 runs up from its closed form G1[0] = rate -
-        pole_rest - m_rest, as the B_k of the Dirichlet form sum to its rate 2 eta / (beta gamma), to which Re gdot
-        cancels them late: on the cold baths (a = 267 to 15915) that keeps Re g and Re gdot from x = 0.2 on within
-        1.2e-13 of the oracle but at a = 15915 (5.2e-12), where S1(_G_LIVE_STOP) left up to 3.9e-12 at a = 3183.  gdot
-        reads no G0, so it builds no S0, and with the pair it takes no tail_sums.  DephaserError where a coefficient
-        overflows (nu_226^2 at beta 6e-152).
+        G1[j] = S1(j) and G0[j] = S0(j), the sums of B_n and c_n over n > j but m, j = 0, ..., _G_LIVE_STOP, are
+        compensated running sums (_running_sums): G0 from S0(_G_LIVE_STOP) of one tail_sums less the terms from the
+        last, and G1 so too where there is no pair.  With the pair G1 runs up from its closed form G1[0] = rate -
+        pole_rest - m_rest (the B_k sum to the rate), to which Re gdot cancels its terms late: on a cold bath S1 of
+        the digamma sums left Re g and Re gdot 30 times further off the oracle.  gdot reads no G0, so it builds no S0.
+        DephaserError where a coefficient overflows (nu_226^2 at beta 6e-152).
         """
         d = self._table
         if self._live is None:
@@ -593,7 +595,7 @@ class BrownianMatsubara:
         neg_nu, c, b, floats, g1 = self._live_table(g)
         g0 = self._g0
         rows = []  # (i, t, L, the sums over n <= L of g's terms and of gdot's)
-        wide = []
+        wide = {}  # L -> [(i, t)] of a larger call
         for i, s, stop in live:
             if stop <= _LIVE_FLOATS:
                 sg = sd = 0.0
@@ -610,18 +612,16 @@ class BrownianMatsubara:
                 sd = np.add.reduce(e * b[:stop]) if gdot else None
                 rows.append((i, s, stop, sg, sd))
             else:
-                wide.append((i, s, stop))
-        wide.sort(key=lambda point: point[2])
-        for stop, part in groupby(wide, key=lambda point: point[2]):
-            part = list(part)
+                wide.setdefault(stop, []).append((i, s))
+        for stop, part in wide.items():
             size = max(1, _TABLE_BUDGET // stop)
             for k in range(0, len(part), size):
                 chunk = part[k : k + size]
-                neg = np.array([s for _, s, _ in chunk])[:, None] * neg_nu[:stop]
+                neg = np.array([s for _, s in chunk])[:, None] * neg_nu[:stop]
                 e = np.expm1(neg)
                 sg = np.add.reduce((e - neg) * c[:stop], axis=1).tolist() if g else repeat(None)
                 sd = np.add.reduce(e * b[:stop], axis=1).tolist() if gdot else repeat(None)
-                rows += [(i, s, stop, u, v) for (i, s, _), u, v in zip(chunk, sg, sd)]
+                rows += [(i, s, stop, u, v) for (i, s), u, v in zip(chunk, sg, sd)]
         for i, s, stop, sg, sd in rows:
             if g:
                 g_sums[i] = float(sg) + s * g1[stop] - g0[stop]

@@ -313,9 +313,9 @@ class DirichletTable:
     + m_rest, P = pair_amp = 2 eta / beta, pole_rest = eta (cot(pi eps) - 1 / (pi eps)), eps = a - m, m_rest = -P /
     (nu_m + gamma).  The engines sum both rests and P times a divided difference over [gamma, nu_m]: the parts of
     order 1 / (a - m) cancel in the algebra.  So c_m = B_m = 0 in explicit, _coefficient and tail_sums, and the bare
-    pole_b and pole_c serve only a < 1/2 (m = 0) and strict truncation without the m-th term.  The live terms past K
-    take B_n as 4 eta gamma / (beta (nu_n^2 - gamma^2)), where the K explicit terms take c_n nu_n.  DephaserError where
-    a overflows.
+    pole_b and pole_c serve only a < 1/2 (m = 0) and strict truncation without the m-th term.  The exact engine's
+    live terms take B_n as 4 eta gamma / (beta (nu_n^2 - gamma^2)), where the K explicit terms take c_n nu_n.
+    DephaserError where a overflows.
     """
 
     def __init__(self, bath: BathParams):
