@@ -13,8 +13,8 @@ evaluators are provided:
     Matsubara terms on the nodes of the analytic L's sum (_MatsubaraG, one
     table for both); from there they sum their L <= 226 live terms and
     the sums past them, two running sums per engine, and read no K.  Its
-    digamma is spectral._digamma, which runs where the engine is built
-    and once more where those sums are, so it and
+    digamma is spectral._digamma, which runs only where the engine and
+    those sums are built, and never without a pair, so it and
     HighTemperatureBrownian load no scipy; only the two quadrature
     engines do.
   * HighTemperatureBrownian: the beta*gamma -> 0 closed form.
@@ -103,7 +103,7 @@ from .spectral import (
 # live Matsubara terms past K after which gdot below x = _DIRECT_X adds their dead weight (_dead_weight): its value is
 # then that of the sum stopped at K + _BLOCK_CAP with the rest counted as dead, which perfbench's references record
 _BLOCK_CAP = 2_000_000
-# elements of the times x explicit-terms table that BrownianMatsubara builds at once
+# elements of a times x terms table (strict truncation's K terms, or the live terms of one L) built at once
 _TABLE_BUDGET = 1 << 16
 # times BrownianMatsubara's g and gdot each remember from pointwise calls; a full memo is cleared with the other
 _MEMO_TIMES = 1024
