@@ -57,7 +57,14 @@ _OPTIONS = (
     ("beta", float, 1.0, None, "inverse temperature"),
     ("gamma", float, 0.5, None, "bath cutoff frequency"),
     ("eta", float, 1.0, None, "bath coupling strength"),
-    ("terms", int, 100, None, "Matsubara terms K of the truncated curves of figures trd; the analytic engine reads K only in its largest time and its small-t gdot (at most 1000000)"),
+    (
+        "terms",
+        int,
+        100,
+        None,
+        "Matsubara terms K of the truncated curves of figures trd; the analytic engine reads K only in its largest "
+        "time and its small-t gdot (at most 1000000)",
+    ),
     ("engine", str, "analytic", ENGINE_NAMES, "g(t) evaluator"),
     ("t1", float, 0.0, None, "preparation interval before the flip"),
     ("tmax", float, 10.0, None, "end of the scanned interval"),

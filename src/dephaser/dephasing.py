@@ -430,7 +430,8 @@ class BrownianMatsubara:
     terms on Python floats, more as one numpy row, which a larger call's times share as one table per L.  The pole
     term, the pair and those sums follow time by time in one row step (_row), so a time gets the same bits alone as
     in an array.  The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the
-    rest's exponentials: one _MatsubaraG call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call
+    rest's exponentials: one _MatsubaraG call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot
+    call
     of at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times
     it lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
     and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo through

@@ -231,7 +231,13 @@ def _digamma(x: float) -> float:
 # its term of the sum rounds to before a^(2j)
 _ZETA_TERMS = {
     p: tuple(
-        (l, tuple((bk * math.prod(range(2 * j + p, 2 * l + p - 1)), j) for bk, j in zip(_BERNOULLI, range(l - 1, -1, -1))))
+        (
+            l,
+            tuple(
+                (bk * math.prod(range(2 * j + p, 2 * l + p - 1)), j)
+                for bk, j in zip(_BERNOULLI, range(l - 1, -1, -1))
+            ),
+        )
         for l in range(5, -1, -1)
     )
     for p in (2, 3)

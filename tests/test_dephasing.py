@@ -292,7 +292,9 @@ _FROM_X_0_2 = (0.2, 0.25, 0.3, 0.5, 1.0, 2.0, 45.0 / 8.0, 45.0 / 7.0, 10.0, 30.0
 _FROM_X_0_2_BOUNDS = [(3e-16, 3e-16), (2e-15, 7e-16), (1.3e-14, 8e-16), (6e-15, 4e-15), (5e-14, 7e-14), (7e-14, 4e-14)]
 
 
-@pytest.mark.parametrize("bath, bounds", zip(_ITEM_3_BATHS, _FROM_X_0_2_BOUNDS), ids=[str(b[:3]) for b in _ITEM_3_BATHS])
+@pytest.mark.parametrize(
+    "bath, bounds", zip(_ITEM_3_BATHS, _FROM_X_0_2_BOUNDS), ids=[str(b[:3]) for b in _ITEM_3_BATHS]
+)
 def test_exact_g_and_gdot_from_x_0_2_match_the_oracle(bath, bounds):
     eta, gamma, beta, k = bath
     ev = BrownianMatsubara(BathParams(eta, gamma, beta, k))

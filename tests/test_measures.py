@@ -196,7 +196,9 @@ def _count_work(monkeypatch):
     work = {"tables": [], "sums": [], "rows": []}
     explicit, sums, row = BrownianMatsubara._explicit, BrownianMatsubara._sums, BrownianMatsubara._row
     monkeypatch.setattr(BrownianMatsubara, "_explicit", lambda self, *a: work["tables"].append(1) or explicit(self, *a))
-    monkeypatch.setattr(BrownianMatsubara, "_sums", lambda self, ts, *a: work["sums"].append(len(ts)) or sums(self, ts, *a))
+    monkeypatch.setattr(
+        BrownianMatsubara, "_sums", lambda self, ts, *a: work["sums"].append(len(ts)) or sums(self, ts, *a)
+    )
     monkeypatch.setattr(BrownianMatsubara, "_row", lambda self, t, *sums: work["rows"].append(t) or row(self, t, *sums))
     return work
 
