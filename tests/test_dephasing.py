@@ -861,6 +861,27 @@ def test_g_miss_where_gdot_is_held_builds_and_runs_g_half_alone(monkeypatch):
     assert np.array_equal(_bits(g), _bits(BrownianMatsubara(BATH).g(np.array([0.7, 2.5]))))
 
 
+def test_joint_row_shares_the_pair_divided_differences_with_g_alone_bits(monkeypatch):
+    # a row that takes both halves hands gdot's E and its expm1(-lo t) to g's divided difference H, from hi t = 1/2
+    # on: g must keep the bits of a g-alone row whose H computes both itself, on either side of 1/2, with the pole below
+    # nu_m (a = 0.95, 1.001, 5.5) and above it (a = 267, where lo is nu_m), below x = 0.2 as from it
+    def own(lo, hi, t, dd=None, em=None):
+        return spectral._h_divided_difference(lo, hi, t)
+
+    baths = (BathParams(0.5, 1.2, 5.0), BathParams(1.0, 6.2894, 1.0), BathParams(5.4, 1.55, 22.3, 25))
+    for bath in baths + (BathParams(1.3, 1.8, 933.0),):
+        ev = BrownianMatsubara(bath)
+        lo, hi = ev._pair[3:]
+        for t in (0.1 / hi, 0.49 / hi, 0.5 / hi, 2.0 / hi, 0.5, 3.0, 40.0):
+            g_sums, gdot_sums = ev._sums([t], True, True)
+            joint = ev._row(t, g_sums[0], gdot_sums[0])
+            with monkeypatch.context() as m:
+                m.setattr(dephasing, "_h_divided_difference", own)
+                alone = ev._row(t, g_sums[0], None)[0]
+            assert _bits(np.array([joint[0]])).tolist() == _bits(np.array([alone])).tolist(), (bath, t)
+            assert joint[1] == ev._row(t, None, gdot_sums[0])[1]
+
+
 def test_repeated_pointwise_gdot_runs_its_row_once(monkeypatch):
     # a gdot time asked for twice, as crosscheck asks for half of its pointwise analytic gdot times, is read from the
     # memo the second time, as a float and inside an array
