@@ -68,7 +68,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from itertools import repeat
 
 import numpy as np
 
@@ -103,7 +102,7 @@ from .spectral import (
 # live Matsubara terms past K after which gdot below x = _DIRECT_X adds their dead weight (_dead_weight): its value is
 # then that of the sum stopped at K + _BLOCK_CAP with the rest counted as dead, which perfbench's references record
 _BLOCK_CAP = 2_000_000
-# elements of a times x terms table (strict truncation's K terms, or the live terms of one L) built at once
+# elements of strict truncation's times x K table built at once
 _TABLE_BUDGET = 1 << 16
 # times BrownianMatsubara's g and gdot each remember from pointwise calls; a full memo is cleared with the other
 _MEMO_TIMES = 1024
@@ -117,8 +116,10 @@ _FLOAT_MAX = sys.float_info.max
 # the rounding of x
 _G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
 # the most live terms that a time sums on Python floats, in every route; a time with more sums one numpy row of them,
-# which math.expm1 would not give the bits of
-_LIVE_FLOATS = 7
+# which math.expm1 would not give the bits of.  Measured per L on a g miss, which takes both halves (86 % of the live
+# times of param_sweep): the loop costs about 3 us and 0.12 us a term, the row 7.3 us, and they cross between L = 32
+# and 36 (a gdot-only row, 4.7 us, crosses near 16)
+_LIVE_FLOATS = 32
 # h's Taylor terms (-1)^k / k!, k = 2, 3, ..., as a column
 _H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
 
@@ -236,6 +237,12 @@ def _running_sums(first: float, terms: list) -> list:
         s = total
         sums.append(s + comp)
     return sums
+
+
+def _held(values: list) -> memoryview:
+    """values as a memoryview of a float64 array: 8 bytes a value where a list of floats takes 32, and each read back
+    as a Python float."""
+    return memoryview(np.array(values))
 
 
 def _dead_weight(n: float, a2: float, x: float) -> float:
@@ -420,14 +427,16 @@ class BrownianMatsubara:
     where gamma^2 or an amplitude of the pole term or the pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and, with
     the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100), and where a c_n of the K terms
     does (gamma 1e153, beta 1e-150).  g and gdot raise it past the largest time the table's amplitudes allow
-    (_largest_time), and where a coefficient of the live terms' table overflows (nu_226^2 at beta 6e-152, K = 0,
-    x >= _DIRECT_X).  The exact g and gdot raise it below x = _DIRECT_X where a reaches 2^52 and where x^2 leaves the
-    normal floats (t below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms past K where
-    K + _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta gamma above about 6.3e6 at K = 100).
+    (_largest_time), and where a coefficient of the live terms' table overflows: it holds n = 1, ..., 226 whatever L
+    a time reads, so at beta 6e-152 (nu_n^2 overflows from n = 129) the exact g and gdot raise from x = _DIRECT_X on
+    at every K, also at 1 <= K <= 13, whose K terms fit.  The exact g and gdot raise it below x = _DIRECT_X where a
+    reaches 2^52 and where x^2 leaves the normal floats (t below about 2.4e-155 beta); gdot also at a time with more
+    than _BLOCK_CAP live terms past K where K + _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta
+    gamma above about 6.3e6 at K = 100).
 
     g and gdot take a time or a 1-d array of times.  The Matsubara sums of a call's times (_sums) are strict
-    truncation's one times x K table, summed row by row, or the exact engine's live sums from _DIRECT_X on: L <= 7
-    terms on Python floats, more as one numpy row, which a larger call's times share as one table per L.  The pole
+    truncation's one times x K table, summed row by row, or the exact engine's live sums from _DIRECT_X on: L <= 32
+    terms on Python floats (_LIVE_FLOATS), more as one numpy row per time.  The pole
     term, the pair and those sums follow time by time in one row step (_row), so a time gets the same bits alone as
     in an array.  The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the
     rest's exponentials: one _MatsubaraG call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot
@@ -472,10 +481,10 @@ class BrownianMatsubara:
         if include_tail:
             self._check_tail_amps()
         nu, _, b = d.explicit
-        # strict truncation's nu_n and B_n with their signs flipped, and the rows of one table of its K terms
-        self._neg_nu = -nu
-        self._neg_b = -b
-        self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
+        if not include_tail:  # strict truncation's nu_n and B_n with their signs flipped, and its table's rows
+            self._neg_nu = -nu
+            self._neg_b = -b
+            self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
         # per-bath factors of the row and _live_sums formulas, each the value or product its formula starts with (same
         # bits)
         self._k = k
@@ -544,15 +553,17 @@ class BrownianMatsubara:
         return (self._s0 * s if g else None), ds
 
     def _live_table(self, g: bool) -> tuple:
-        """(-nu_n, c_n, B_n, the floats (nu_n, c_n, B_n) of n <= _LIVE_FLOATS, G1) of the live terms n = 1, ...,
-        _G_LIVE_STOP with the m-th 0, built at the first row from t_direct on, and G0 at the first g there.
+        """(the rows -nu_n, c_n and B_n of the live terms n = 1, ..., _G_LIVE_STOP with the m-th 0, their first
+        _LIVE_FLOATS columns as a memoryview of the floats -nu_n, c_n, B_n one n after the other, G1), built at the
+        first row from t_direct on, and G0 at the first g there.  The memoryview, which the Python-float loop reads,
+        holds no float objects.
 
         G1[j] = S1(j) and G0[j] = S0(j), the sums of B_n and c_n over n > j but m, j = 0, ..., _G_LIVE_STOP, are
         compensated running sums (_running_sums): G0 from S0(_G_LIVE_STOP) of one tail_sums less the terms from the
         last, and G1 so too where there is no pair.  With the pair G1 runs up from its closed form G1[0] = rate -
         pole_rest - m_rest (the B_k sum to the rate), to which Re gdot cancels its terms late: on a cold bath S1 of
         the digamma sums left Re g and Re gdot 30 times further off the oracle.  gdot reads no G0, so it builds no S0.
-        DephaserError where a coefficient overflows (nu_226^2 at beta 6e-152).
+        DephaserError where a coefficient overflows (nu_n^2 from n = 129 at beta 6e-152), whatever K and the time's L.
         """
         d = self._table
         if self._live is None:
@@ -564,12 +575,12 @@ class BrownianMatsubara:
             else:
                 s0, s1 = d.tail_sums(_G_LIVE_STOP, not g)
                 g1 = _running_sums(s1, b[::-1].tolist())[::-1]
-            floats = list(zip(*(v[:_LIVE_FLOATS].tolist() for v in (nu, c, b))))
-            self._live = (-nu, c, b, floats, g1)
+            terms = np.stack((-nu, c, b))
+            self._live = (terms, memoryview(terms[:, :_LIVE_FLOATS].T.ravel()), _held(g1))
         elif g and self._g0 is None:
             s0 = d.tail_sums(_G_LIVE_STOP)[0]
         if g and self._g0 is None:
-            self._g0 = _running_sums(s0, self._live[1][::-1].tolist())[::-1]
+            self._g0 = _held(_running_sums(s0, self._live[0][1, ::-1].tolist())[::-1])
         return self._live
 
     def _live_sums(self, times: list, g: bool, gdot: bool) -> tuple:
@@ -578,56 +589,36 @@ class BrownianMatsubara:
 
         From t_direct on, the terms n > L are dead, L = min(ceil(_EXP_DEAD beta / (2 pi t)), _G_LIVE_STOP): g's part is
         sum_{n <= L} c_n (expm1(-nu_n t) + nu_n t) + t G1[L] - G0[L], and gdot's -sum_{n <= L} B_n expm1(-nu_n t) +
-        G1[L], from one expm1 per term.  A time with L <= _LIVE_FLOATS sums its terms on Python floats.  The others
-        sum one numpy row of L terms each, which numpy sums alike as a 1-d array and as a row of a table: a call of
-        at most _MEMO_CALL times sums a 1-d row per time, which costs a pointwise call less than a table, and a
-        larger call's times are one table per L, of at most _TABLE_BUDGET elements at a time.  So a time gets the
-        same bits alone as in an array.
+        G1[L], from one expm1 per term: on Python floats where L <= _LIVE_FLOATS, else as one numpy row of L terms.
+        Each time sums its own terms, so it gets the same bits alone as in an array.
         """
         g_sums = [0.0] * len(times) if g else None
         gdot_sums = [0.0] * len(times) if gdot else None
         if max(times) < self._t_direct:
             return g_sums, gdot_sums
-        live = [
-            (i, s, min(math.ceil(self._dead_beta / (_TWO_PI * s)), _G_LIVE_STOP))
-            for i, s in enumerate(times)
-            if s >= self._t_direct
-        ]
-        neg_nu, c, b, floats, g1 = self._live_table(g)
+        terms, floats, g1 = self._live_table(g)
         g0 = self._g0
-        rows = []  # (i, t, L, the sums over n <= L of g's terms and of gdot's)
-        wide = {}  # L -> [(i, t)] of a larger call
-        for i, s, stop in live:
+        for i, s in enumerate(times):
+            if s < self._t_direct:
+                continue
+            stop = min(math.ceil(self._dead_beta / (_TWO_PI * s)), _G_LIVE_STOP)
             if stop <= _LIVE_FLOATS:
                 sg = sd = 0.0
-                for nu, cn, bn in floats[:stop]:
-                    y = nu * s
-                    e = math.expm1(-y)
-                    sg += cn * (e + y)
+                row = iter(floats[: 3 * stop])
+                for neg_nu, cn, bn in zip(row, row, row):
+                    y = neg_nu * s
+                    e = math.expm1(y)
+                    sg += cn * (e - y)
                     sd += bn * e
-                rows.append((i, s, stop, sg, sd))
-            elif len(live) <= _MEMO_CALL:
-                neg = neg_nu[:stop] * s
-                e = np.expm1(neg)
-                sg = np.add.reduce((e - neg) * c[:stop]) if g else None
-                sd = np.add.reduce(e * b[:stop]) if gdot else None
-                rows.append((i, s, stop, sg, sd))
             else:
-                wide.setdefault(stop, []).append((i, s))
-        for stop, part in wide.items():
-            size = max(1, _TABLE_BUDGET // stop)
-            for k in range(0, len(part), size):
-                chunk = part[k : k + size]
-                neg = np.array([s for _, s in chunk])[:, None] * neg_nu[:stop]
+                neg = terms[0, :stop] * s
                 e = np.expm1(neg)
-                sg = np.add.reduce((e - neg) * c[:stop], axis=1).tolist() if g else repeat(None)
-                sd = np.add.reduce(e * b[:stop], axis=1).tolist() if gdot else repeat(None)
-                rows += [(i, s, stop, u, v) for (i, s), u, v in zip(chunk, sg, sd)]
-        for i, s, stop, sg, sd in rows:
+                sg = float(np.add.reduce((e - neg) * terms[1, :stop])) if g else 0.0
+                sd = float(np.add.reduce(e * terms[2, :stop])) if gdot else 0.0
             if g:
-                g_sums[i] = float(sg) + s * g1[stop] - g0[stop]
+                g_sums[i] = sg + s * g1[stop] - g0[stop]
             if gdot:
-                gdot_sums[i] = -float(sd) + g1[stop]
+                gdot_sums[i] = -sd + g1[stop]
         return g_sums, gdot_sums
 
     def _explicit(self, ts: np.ndarray, g: bool, gdot: bool) -> tuple:

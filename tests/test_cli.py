@@ -666,7 +666,7 @@ def test_measure_takes_the_certified_root_in_few_two_time_gdot_calls(monkeypatch
 
 
 # stdout of `dephaser measure --search grid` without and with a preparation, recorded from the brute-force search;
-# N of the second recorded again (1.7e-14) when S0 of the tail sums lost its 1 / a^2 cancellation, and N (2.6e-15)
+# N of the second recorded again (1.7e-14) when S0 of the tail sums lost its 1 / a^2 cancellation, and N (8.7e-16)
 # and its interval's end (5.5e-16) when g and gdot from x = 0.2 on took their live terms and G1 and G0
 MEASURE_GRID_STDOUT = {
     (): (
@@ -704,7 +704,7 @@ MEASURE_GRID_STDOUT = {
     ("--t1", "0.5"): (
         '{\n'
         '  "schema_version": 1,\n'
-        '  "n_value": 0.12782755506529841,\n'
+        '  "n_value": 0.1278275550652982,\n'
         '  "t_max": 10.0,\n'
         '  "truncated": false,\n'
         '  "scenario": {\n'
@@ -723,7 +723,7 @@ MEASURE_GRID_STDOUT = {
         '    {\n'
         '      "t_start": 0.0,\n'
         '      "t_end": 0.3626374889765849,\n'
-        '      "delta_d": 0.12782755506529841\n'
+        '      "delta_d": 0.1278275550652982\n'
         '    }\n'
         '  ],\n'
         '  "pair": {\n'
@@ -765,28 +765,28 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # t2 = 0.25, where the rate cancels), and eleven (gfun, trdist and echo --points 70 of the default bath, gfun --gamma
 # 6.2894 and 2 pi, measure --t1 1 and --gamma 6.2894 --t1 1) when g and gdot from x = 0.2 on took their live terms and
 # G1 and G0 (the largest move 1.3e-13 relative, trdist --t1 1's sigma near its zero; gfun's Re g by at most 5.8e-15,
-# echo's by 2.9e-14 on a value of 2e-18, measure's N by at most 1.0e-15).
+# echo's by 2.9e-14 on a value of 2e-18, measure's N by at most 7.7e-16).
 CLI_STDOUT_DIGESTS = {
-    "gfun": "e621f4a2e3f30d90e3536449f704b20cea56dc2265d1067accc1a45f9caaa81a",
-    "gfun --format json": "12ce82e671e9dc331cf58bdc71c14008d1bb723251fa2f14f24c33e2dd1b87e0",
+    "gfun": "09ad246c981ed7efeea01b5e691a394dd5e0ad115742d03cb9b7a2f93c4991e9",
+    "gfun --format json": "71d0cdce7cb8c97a83981ef00d24d9da59bb09d5e259c58232de7366f288a46b",
     "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
     "gfun --beta 933": "b88d51a0a0209f98da76cafffb73507dd4d14eb627946011182c24e59c6d9a7d",
-    "gfun --gamma 6.2894": "9dcbd3ec3a272277686633a023da815ad6e8bea87e6b49bd9ac9ef13a535931d",
-    "gfun --gamma 6.283185307179586": "f10fb9dc09ebd48b2a145c8dc4f4e7b8f2e15d77324e6929994e694b6fd79292",
+    "gfun --gamma 6.2894": "9fbad4b4c25c14919347297c475cf5328619dbf284dbe3904ec1ad9fe121e340",
+    "gfun --gamma 6.283185307179586": "b6ba059839756364364f15235ce12f8b0cf440f38e901ac8220017cea8341669",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
-    "trdist --t1 1": "0d6940b9a09fbd5c85ed53daadc14a189a1326ddc7b39bc07200e23422d126e8",
-    "trdist --t1 1 --format json": "b7728966b1f78b06eedca68400bbc434cdc11f0c26a0dee373c812e9ed7db2ec",
-    "trdist": "43903715c64a0228b47f598fe44ca7e7f4dda4e14c4b5586cf097d0b84a72df1",
+    "trdist --t1 1": "e6324db8f52018e83dd12513eb5ccaece5c54d53b06fc6872cbfc89aa010d060",
+    "trdist --t1 1 --format json": "7292715b5dc5b509b724ba26d09ab334ba3cddf75763931157eab6923d340b38",
+    "trdist": "79bbfebade9e75240be7da178ae7485788380a7a99783e4daa84bda081f4c2b4",
     "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
     "trdist --beta 933 --t1 1": "f4fb712b6dac129dbf0365fc7c4591b2eec0ba3effe7aab3f0c7f22a20c4186b",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
     "measure --t1 1": "8ec3032d932d69d319fdee9096fd409df204d4e9b2b724d0a3f054ae90ca7650",
     "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",
     "measure --beta 933 --t1 1": "8ee60095bd4941396a81d7725eb931fc1a753030253a09cfec19ae230cd5e732",
-    "measure --gamma 6.2894 --t1 1": "650f92200179bee507ebd6b6891160865666fa617401b31ead83c9ace5171a1f",
-    "echo --points 70": "78e69892d574f180e6d2cc10699495596b72d54f1c15709ef9faa8dd890e48c7",
-    "echo --points 70 --format json": "4945195e4d451af0eccbf4d27b288a9bdba4c9e32dc2122d1872eee6f1c46142",
+    "measure --gamma 6.2894 --t1 1": "16766c224a5a599d6c4ee6d75b62ab9012976975f534c3cd38bd65497a6b2a9f",
+    "echo --points 70": "250f938f3c1d6b3ac9d54b01f7266a7a0291dd8cca3163259aee70f15786633f",
+    "echo --points 70 --format json": "bef30412e68256cfe047c0df40ab3eedb93f700253dded7a24a947761a27ef31",
     "echo --engine hight --points 25": "5804e4e75e06ab7a4055c6233c2820f6874e2219dd027e554e0182c1d8e3587d",
     "echo --beta 933 --points 25": "0d2903d99350654a89bac16d6cbe792a56c04e4ceff7f41656176571783beb7d",
     "figures trd": "767adc3b0c252a50a36c63bd449934a61b343b735ebf8f0bca2a0e9da46c6660",

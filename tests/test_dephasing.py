@@ -913,7 +913,7 @@ class _CountingNumpy:
 
 def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypatch):
     # a g miss runs one row step for g and gdot, which share its exponentials: below x = 0.2 one expm1 over the nodes,
-    # from there one expm1 over the time's L live terms, or none where L <= 7 sums them on Python floats
+    # from there one expm1 over the time's L live terms, or none where L <= 32 sums them on Python floats
     rows = _count_rows(monkeypatch)
     counting = _CountingNumpy()
     monkeypatch.setattr(dephasing, "np", counting)
@@ -934,16 +934,16 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     counting.expm1_sizes.clear()
     ev.g(np.array(times))
     # no K-term table, one tail_sums for the engine's G0 (its G1 is the pair's closed form), and one row of L terms
-    # per time
+    # per time past _LIVE_FLOATS = 32: none for the third
     assert tables == [] and [a[0] for a in tails] == [226]
-    assert counting.expm1_sizes == stops
+    assert counting.expm1_sizes == stops[:2]
     gdot = [ev.gdot(t) for t in times]
     assert tables == [] and len(tails) == 1 and rows[1:] == [(t, True, True) for t in times]
     assert np.array(gdot).tobytes() == BrownianMatsubara(bath).gdot(np.array(times + [0.0])).tobytes()[: 3 * 16]
-    # x >= 45 / 7 on the default bath (t >= 1.03): L <= 7 terms on Python floats, and no numpy expm1
+    # x >= 45 / 32 on the default bath (t >= 0.224): L <= 32 terms on Python floats, and no numpy expm1
     ev = BrownianMatsubara(BATH)
     counting.expm1_sizes.clear()
-    for t in (1.05, 2.0, 50.0):
+    for t in (0.224, 0.5, 1.05, 2.0, 50.0):
         ev.g(t)
         ev.gdot(2.0 * t)
     assert counting.expm1_sizes == []
@@ -956,7 +956,7 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     beta=st.floats(-1.0, 3.0).map(lambda v: 10.0**v),
     xs=st.lists(st.floats(0.2, 80.0), min_size=1, max_size=5),
 )
-@example(1.0, 0.5, 1.0, [0.2, 45.0 / 8.0, 45.0 / 7.0, 60.0])
+@example(1.0, 0.5, 1.0, [0.2, 45.0 / 33.0, 45.0 / 32.0, 45.0 / 7.0, 60.0])
 @example(1.3, 1.8, 933.0, [0.2, 0.25, 6.0])
 def test_exact_g_and_gdot_from_x_0_2_read_no_k(eta, gamma, beta, xs):
     # from x = 0.2 on, the exact engine sums its live terms n <= L and two per-bath constants: no K term, so every K
@@ -1020,9 +1020,9 @@ _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
 # every pinned time; Re g from x = 0.2 on the default bath, when S0 of the tail sums lost its 1 / a^2 cancellation;
 # Re gdot below x = 0.2 on g's nodes, and gdot at every pinned time, which its 2-million-term block kept out; last: the
 # exact g and gdot from x = 0.2 on, when they took their live terms and G1 and G0 in place of the K terms and the
-# digamma rest, 196 of 4000 values of the exact engines by at most 2.9e-13 relative; strict truncation and every value
+# digamma rest, 197 of 4000 values of the exact engines by at most 2.9e-13 relative; strict truncation and every value
 # below x = 0.2 kept their bits)
-_PINNED_DIGEST = "91ba44100107bea66ab5ade25b83779fdf06a1c23b805bfe6b43f67db6b7b45e"
+_PINNED_DIGEST = "6d0fcc3ff2ee0e856325eb7006ba27d15596f0d652a5b32c0f93eb749bee77ad"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"
@@ -1212,6 +1212,23 @@ def test_huge_time_raises_dephaser_error(make, t):
         for times in (t, np.array([t]), np.array([0.0, 1.0, t]), np.array([t] + [1.0] * 5)):
             with pytest.raises(DephaserError, match=re.escape(f"time {t!r} is past ")):
                 fn(times)
+
+
+def test_live_terms_table_overflow_raises_at_every_k():
+    # beta 6e-152: nu_n^2 overflows from n = 129 and c_n from n = 14, so K = 5 terms fit, but the exact engine builds
+    # the live terms' table of n = 1, ..., 226 at its first time from x = 0.2 on, whatever the time's L (5 at x = 9)
+    beta = 6e-152
+    exact = BrownianMatsubara(BathParams(1.0, 0.5, beta, 5))
+    strict = BrownianMatsubara(BathParams(1.0, 0.5, beta, 5), include_tail=False)
+    below = 0.1 * beta / (2.0 * math.pi)
+    assert exact.g(below).real > 0.0 and exact.gdot(below).real > 0.0
+    for x in (0.2, 9.0, 45.0):
+        t = x * beta / (2.0 * math.pi)
+        for fn in (exact.g, exact.gdot):
+            for times in (t, np.array([t] * 5)):
+                with pytest.raises(DephaserError, match=re.escape("a coefficient b_n of n = 1 to 226 overflows")):
+                    fn(times)
+        assert strict.g(t).real > 0.0  # strict truncation reads only its K terms
 
 
 def test_hight_overflowing_eta_over_gamma_raises():

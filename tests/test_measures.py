@@ -15,6 +15,7 @@ from test_dephasing import _skip_off_the_pinned_kernel
 
 import dephaser
 from dephaser.dephasing import (
+    _LIVE_FLOATS,
     BrownianMatsubara,
     FrequencyQuadrature,
     HighTemperatureBrownian,
@@ -426,9 +427,9 @@ def _scalar_re_gdot(ev, t):
         b = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
     if 1 <= d.m <= 226:
         b[d.m - 1] = 0.0  # the pair holds the m-th term
-    g1 = ev._live_table(False)[4]  # S1(n) for n = 0, ..., 226, as the engine's first row at x >= 0.2 builds it
+    g1 = ev._live_table(False)[2]  # S1(n) for n = 0, ..., 226, as the engine's first row at x >= 0.2 builds it
     stop = min(math.ceil(45.0 * p.beta / (2.0 * math.pi * t)), 226)
-    if stop <= 7:  # on Python floats
+    if stop <= _LIVE_FLOATS:  # on Python floats
         block = 0.0
         for nu_n, b_n in zip(nu[:stop].tolist(), b[:stop].tolist()):
             block += b_n * math.expm1(-nu_n * t)
@@ -730,12 +731,12 @@ _LIBRARY_BATHS = {
 # Taylor series at small arguments; the default bath, when S0 of the tail sums lost its 1 / a^2 cancellation; last:
 # beta 933 and a = 1.001, when Re gdot below x = 0.2 moved onto g's nodes: 82 and 2 of 363 values, by at most 1e-13
 # relative but for one growth end of beta 933, a root refined to 1e-10, which moved by 1.3e-12; last: the default bath
-# and a = 1.001, when g and gdot from x = 0.2 on took their live terms and G1 and G0: 111 and 222 of 363 values, by at
+# and a = 1.001, when g and gdot from x = 0.2 on took their live terms and G1 and G0: 111 and 223 of 363 values, by at
 # most 2.4e-15 and 1.7e-13 relative)
 _LIBRARY_DIGESTS = {
     "default": "5791dafcb9db9f54c9e5f0c587769c1e738653c1a373e29ac1310eb0a59b2833",
     "beta 933": "796fc387c65439f7476256170498345622aae4f6148abde244425a270f5a2234",
-    "a = 1.001": "cba94efc422c8c53e14a3f6feb716fb112aeb84f504c3ea9b4a66fb3aa01d5dd",
+    "a = 1.001": "4e719a47a789952225f54124272bad1c5a4229a47106b47f680c69061a0a705e",
 }
 
 

@@ -106,27 +106,27 @@ def _across_x_0_2(bath):
 
 # (bath, times): below x = 0.2 (beta 933, paired; the default bath, unpaired), with L = ceil(45 beta / (2 pi t))
 # live terms past K = 25 (a = 5.5, paired), late on the default bath, where every term, nu_1 t > 45 from t = 7.2 on,
-# is dead, across x = 45/7, where L goes from 8 (a numpy row) to 7 (Python floats) at t = 1.0231, and across x = 0.2
+# is dead, across x = 45/32, where L goes from 33 (a numpy row) to 32 (Python floats) at t = 0.22381, and across x = 0.2
 # on the default bath and on beta 933
 _ROUTE_TIMES = [
     (BathParams(1.3, 1.8, 933.0), [1e-3, 0.5, 2.0]),
     (BathParams(1.0, 0.5, 1.0), [1e-4, 0.01, 0.03]),
     (BathParams(5.4, 1.55, 22.3, 25), [1.0, 2.0, 5.0]),
     (BathParams(1.0, 0.5, 1.0), [7.5, 9.0, 12.0]),
-    (BathParams(1.0, 0.5, 1.0), [0.9, 1.02, 1.03]),
+    (BathParams(1.0, 0.5, 1.0), [0.21, 0.2237, 0.2239]),
     (BathParams(1.0, 0.5, 1.0), _across_x_0_2(BathParams(1.0, 0.5, 1.0))),
     (BathParams(1.3, 1.8, 933.0), _across_x_0_2(BathParams(1.3, 1.8, 933.0))),
 ]
-_ROUTE_IDS = ["small-x", "small-x-unpaired", "live-past-k", "all-dead", "l-8-to-7", "x-0.2", "x-0.2-beta-933"]
+_ROUTE_IDS = ["small-x", "small-x-unpaired", "live-past-k", "all-dead", "l-33-to-32", "x-0.2", "x-0.2-beta-933"]
 
 
 def test_route_times_cross_the_live_term_boundaries():
-    # the L of the times above, one way or the other across 45/7 and across 0.2 (where L is 225 or 226)
+    # the L of the times above, one way or the other across 45/32 and across 0.2 (where L is 225 or 226)
     def stop(bath, t):
         return math.ceil(45.0 * bath.beta / (2.0 * math.pi * t))
 
     (bath, times), (_, edge) = _ROUTE_TIMES[4], _ROUTE_TIMES[5]
-    assert [stop(bath, t) for t in times] == [8, 8, 7]
+    assert [stop(bath, t) for t in times] == [35, 33, 32]
     t_direct = BrownianMatsubara(bath)._t_direct
     assert edge[0] < t_direct == edge[1] < edge[2] and stop(bath, t_direct) in (225, 226)
 
