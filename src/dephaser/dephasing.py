@@ -510,6 +510,8 @@ class BrownianMatsubara:
         nu_top = float(nu[-1]) if k else float(bath.matsubara_frequency(1)) if include_tail else 0.0
         arg_rate = max(gamma, nu_top, d.nu_m if m else 0.0)
         self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
+        if include_tail:  # the exact engine reads its K terms only here: the table drops its cached arrays of them
+            del d.explicit
         # time -> g(t) and time -> gdot(t) of the pointwise calls, cleared together
         self._g_memo = {}
         self._gdot_memo = {}
