@@ -59,8 +59,8 @@ bits from the memos as computed afresh.  A g call that misses a time
 also fills gdot's memo there from the same row step, since the rate of a
 distance asks for gdot where the distance asked for g.  The two-interval
 kernels take g at t1, t2 and t1 + t2 by one route, _g_two_interval: from
-that memo as Python numbers, or from one g call on the three times as an
-array for an evaluator without one.
+that memo in one lookup per time (a miss passes them to _fill), or from
+one g call on the three times as an array for an evaluator without one.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ _G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
 # the most live terms that a time sums on Python floats, in every route; a time with more sums one numpy row of them,
 # which math.expm1 would not give the bits of.  Measured per L on a g miss, which takes both halves (86 % of the live
 # times of param_sweep): the loop costs about 3 us and 0.12 us a term, the row 7.3 us, and they cross between L = 32
-# and 36 (a gdot-only row, 4.7 us, crosses near 16)
+# and 36.  A gdot-only time sums gdot's terms alone (4.4 us at L = 32), at g's threshold, so gdot has one set of bits
 _LIVE_FLOATS = 32
 # h's Taylor terms (-1)^k / k!, k = 2, 3, ..., as a column
 _H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
@@ -391,12 +391,18 @@ def _g_two_interval(evaluator, t1: float, t2: float) -> list:
     """[g(t1), g(t2), g(t1 + t2)] as Python complex numbers at checked float times: the one pointwise route of the
     two-interval kernels and maps.
 
-    An engine that keeps a memo answers from it (its _g_points), with no array made where it holds the three times;
-    any other evaluator gets one g call on the three times as an array.
+    An engine that keeps a memo (BrownianMatsubara's _g_memo) answers from it in three lookups where it holds the three
+    times, and else hands the looked-up values to its _fill; any other evaluator gets one g call on them as an array.
     """
-    times = [t1, t2, t1 + t2]
-    points = getattr(evaluator, "_g_points", None)
-    return evaluator.g(np.array(times)).tolist() if points is None else points(times)
+    t12 = t1 + t2
+    try:
+        memo = evaluator._g_memo
+    except AttributeError:
+        return evaluator.g(np.array([t1, t2, t12])).tolist()
+    g1, g2, g12 = memo.get(t1), memo.get(t2), memo.get(t12)
+    if g1 is None or g2 is None or g12 is None:
+        return evaluator._fill([t1, t2, t12], [g1, g2, g12], False)
+    return [g1, g2, g12]
 
 
 def _g_distinct(evaluator, times) -> np.ndarray:
@@ -436,20 +442,19 @@ class BrownianMatsubara:
 
     g and gdot take a time or a 1-d array of times.  The Matsubara sums of a call's times (_sums) are strict
     truncation's one times x K table, summed row by row, or the exact engine's live sums from _DIRECT_X on: L <= 32
-    terms on Python floats (_LIVE_FLOATS), more as one numpy row per time.  The pole
-    term, the pair and those sums follow time by time in one row step (_row), so a time gets the same bits alone as
-    in an array.  The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the
-    rest's exponentials: one _MatsubaraG call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot
-    call
-    of at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times
-    it lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
-    and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo through
-    _g_points on Python floats (_g_two_interval), not through g.  gdot seldom repeats its own times, but the rate of a
-    distance asks for gdot at the times of its g: the row step of a g miss takes both halves, and gdot's memo holds the
-    second, which the rate reads through _gdot_points (measures.decay_exponent_rate).  A gdot miss takes gdot's half
-    alone, since g's would build S0 from _DIRECT_X on, and array calls take the half they return.  Each memo holds at
-    most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill either; larger calls (grids, the
-    scan) neither read nor fill them, so memory does not grow with the grid.
+    terms on Python floats (_LIVE_FLOATS), more as one numpy row per time.  The pole term, the pair and those sums
+    follow time by time in one row step (_row), so a time gets the same bits alone as in an array.  The row step takes
+    g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's exponentials: one _MatsubaraG
+    call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call of at most _MEMO_CALL (3) times is
+    pointwise: g and gdot each keep a memo, time -> value, and compute only the times it lacks; a call of held times is
+    converted but not checked.  An echo row repeats t1, the rows share their t2 axis, and a Prepared(t1) curve asks for
+    g(t1) at every point.  Those two-interval kernels read g's memo in one lookup per time, and hand a miss's values to
+    _fill (_g_two_interval), not through g.  gdot seldom repeats its own times, but the rate of a distance asks for gdot
+    at the times of its g: the row step of a g miss takes both halves, and gdot's memo holds the second, which the rate
+    reads through _gdot_points (measures.decay_exponent_rate).  A gdot miss takes gdot's half alone, since g's would
+    build S0 from _DIRECT_X on, and array calls take the half they return.  Each memo holds at most _MEMO_TIMES (1024)
+    times, and both are cleared when a call could overfill either; larger calls (grids, the scan) neither read nor fill
+    them, so memory does not grow with the grid.
     """
 
     def __init__(self, bath: BathParams, include_tail: bool = True):
@@ -607,11 +612,15 @@ class BrownianMatsubara:
             if stop <= _LIVE_FLOATS:
                 sg = sd = 0.0
                 row = iter(floats[: 3 * stop])
-                for neg_nu, cn, bn in zip(row, row, row):
-                    y = neg_nu * s
-                    e = math.expm1(y)
-                    sg += cn * (e - y)
-                    sd += bn * e
+                if g:
+                    for neg_nu, cn, bn in zip(row, row, row):
+                        y = neg_nu * s
+                        e = math.expm1(y)
+                        sg += cn * (e - y)
+                        sd += bn * e
+                else:  # gdot's terms alone, with the same roundings
+                    for neg_nu, _, bn in zip(row, row, row):
+                        sd += bn * math.expm1(neg_nu * s)
             else:
                 neg = terms[0, :stop] * s
                 e = np.expm1(neg)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import _check_time, _g_two_interval, flip_exponent
+from .dephasing import _FLOAT_MAX, _check_time, _g_two_interval, flip_exponent
 from .errors import SuperoperatorError
 
 POSITIVITY_TOL = 1e-10
@@ -112,20 +112,8 @@ class DensityMatrix2:
 
 
 def _complex_rows(matrix) -> list:
-    """The rows of a 4x4 matrix as lists of Python complex numbers; SuperoperatorError for another shape.
-
-    A list of four lists of four numbers, as two_time_map gives, is converted
-    entry by entry; anything else, and rows or entries that do not unpack or
-    convert so, go through numpy, which raises its own error for what it
-    cannot convert.
-    """
-    if type(matrix) is list and len(matrix) == 4:
-        r0, r1, r2, r3 = matrix
-        if type(r0) is type(r1) is type(r2) is type(r3) is list:
-            try:
-                return [[complex(a), complex(b), complex(c), complex(d)] for a, b, c, d in matrix]
-            except (TypeError, ValueError, OverflowError):
-                pass
+    """The rows of a 4x4 matrix as lists of Python complex numbers, through numpy, which raises its own error for what
+    it cannot convert; SuperoperatorError for another shape."""
     m = np.array(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise SuperoperatorError("expected a 4x4 matrix")
@@ -142,11 +130,23 @@ class LiouvilleOp:
     outputs.  Non-finite entries and violations beyond 1e-12 raise
     SuperoperatorError.  The map is kept as its rows of Python complex
     numbers, on which the checks run and which a call applies to a state;
-    the read-only ndarray .matrix is built from them where it is read.
+    the read-only ndarray .matrix is built from them where it is read.  A
+    matrix passed in is converted to them (_complex_rows); two_time_map's
+    rows, built so, take the same checks alone (_from_rows).
     """
 
     def __init__(self, matrix):
-        r0, r1, r2, r3 = rows = _complex_rows(matrix)
+        self._check(_complex_rows(matrix))
+
+    @classmethod
+    def _from_rows(cls, rows: list) -> "LiouvilleOp":
+        """The map of rows, four lists of four Python complex numbers, with __init__'s checks and no conversion."""
+        op = cls.__new__(cls)
+        op._check(rows)
+        return op
+
+    def _check(self, rows: list) -> None:
+        r0, r1, r2, r3 = rows
         # a nan defect compares False below, so non-finite entries are rejected first
         if not all(map(cmath.isfinite, r0 + r1 + r2 + r3)):
             raise SuperoperatorError("map entries must be finite")
@@ -237,10 +237,12 @@ def two_time_map(system: SystemParams, evaluator, uprime: LiouvilleOp, t1: float
     composition of single-interval maps: the coherence routes through
     uprime carry kernels depending jointly on t1 and t2.  The |2><1|
     amplitude kept through the junction fuses the intervals; the flipped
-    one carries the flip exponent.
+    one carries the flip exponent.  The times are checked as echo_response
+    checks them, and the 16 entries, built as Python complex numbers, take
+    LiouvilleOp's checks without its conversion (LiouvilleOp._from_rows).
     """
-    t1 = _check_time(t1)
-    t2 = _check_time(t2)
+    if not (type(t1) is type(t2) is float and 0.0 <= t1 <= _FLOAT_MAX >= t2 >= 0.0):
+        t1, t2 = _check_time(t1), _check_time(t2)
     eps = system.epsilon
     g1, g2, g12 = _g_two_interval(evaluator, t1, t2)
     k1 = _kernel(eps, t1, g1)
@@ -256,7 +258,7 @@ def two_time_map(system: SystemParams, evaluator, uprime: LiouvilleOp, t1: float
         [k2 * u2[0], kfc * u2[1], kk * u2[2], k2 * u2[3]],
         [u3[0], k1c * u3[1], k1 * u3[2], u3[3]],
     ]
-    return LiouvilleOp(m)
+    return LiouvilleOp._from_rows(m)
 
 
 def propagate_two_time(

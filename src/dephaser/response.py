@@ -18,19 +18,21 @@ import cmath
 
 import numpy as np
 
-from .dephasing import _check_time, _check_times, _g_distinct, _g_two_interval, flip_exponent
+from .dephasing import _FLOAT_MAX, _check_time, _check_times, _g_distinct, _g_two_interval, flip_exponent
 
 
 def echo_response(evaluator, t1: float, t2: float) -> complex:
     """Two-interval rephasing kernel R(t1, t2).
 
-    g at t1, t2 and t1 + t2 comes by the pointwise route of the two-interval
-    kernels (dephasing._g_two_interval), from the engine's memo where it
-    holds them.  exp is cmath.exp, which has np.exp's bits over the engines'
-    range; where |R| overflows (Re of the flip exponent below about -709.78)
+    The times pass one comparison chain where both are Python floats in [0, max float], else _check_time, which
+    converts them and raises its ValueError.  g at t1, t2 and t1 + t2 comes by the pointwise route of the two-interval
+    kernels (dephasing._g_two_interval), in three lookups of the engine's memo where it holds them.  exp is cmath.exp,
+    which has np.exp's bits over the engines' range; where |R| overflows (Re of the flip exponent below about -709.78)
     it raises OverflowError, where np.exp gave inf behind a RuntimeWarning.
     """
-    g1, g2, g12 = _g_two_interval(evaluator, _check_time(t1), _check_time(t2))
+    if not (type(t1) is type(t2) is float and 0.0 <= t1 <= _FLOAT_MAX >= t2 >= 0.0):
+        t1, t2 = _check_time(t1), _check_time(t2)
+    g1, g2, g12 = _g_two_interval(evaluator, t1, t2)
     return cmath.exp(-flip_exponent(g1, g2, g12))
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dephaser import dynamics
 from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian, flip_exponent
 from dephaser.dynamics import (
     DensityMatrix2,
@@ -303,6 +304,54 @@ def test_two_time_map_validates_as_superoperator():
     # populations ride through untouched
     assert m[0, 0] == 1.0 and m[3, 3] == 1.0
     assert m[0, 1] == 0.0 and m[3, 1] == 0.0
+
+
+class _NanBath:
+    """An evaluator whose g is nan at every time."""
+
+    def g(self, t):
+        return np.full(np.shape(t), complex(math.nan, 0.0))
+
+
+def test_two_time_map_runs_the_map_checks_on_the_rows_it_builds(monkeypatch):
+    for uprime in (identity_op(), coherence_flip()):
+        with pytest.raises(SuperoperatorError, match="^map entries must be finite$"):
+            two_time_map(SYS, _NanBath(), uprime, 0.5, 1.0)
+    # its rows are Python complex numbers already, so only a matrix from outside is converted (_complex_rows)
+    ev, flip, converted = BrownianMatsubara(BATH), coherence_flip(), []
+    rows = dynamics._complex_rows
+    monkeypatch.setattr(dynamics, "_complex_rows", lambda m: converted.append(m) or rows(m))
+    two_time_map(SYS, ev, flip, 0.5, 1.0)
+    assert converted == []
+    LiouvilleOp(np.eye(4))
+    assert len(converted) == 1
+
+
+def _identity_rows_with(i, j, value):
+    rows = np.eye(4).tolist()
+    rows[i][j] = value
+    return rows
+
+
+# matrices from outside that _complex_rows cannot convert entry by entry, with what LiouvilleOp raises for them
+_MALFORMED = {
+    "rows of three": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], SuperoperatorError, "^expected a 4x4 matrix$"),
+    "three rows": (np.eye(4)[:3].tolist(), SuperoperatorError, "^expected a 4x4 matrix$"),
+    "ragged": ([[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ValueError, "inhomogeneous"),
+    "nested entry": (_identity_rows_with(0, 0, [1.0]), ValueError, "inhomogeneous"),
+    "string": (_identity_rows_with(0, 0, "a"), ValueError, "malformed string"),
+    "None": (_identity_rows_with(1, 2, None), SuperoperatorError, "^map entries must be finite$"),
+    "nan": (_identity_rows_with(1, 2, math.nan), SuperoperatorError, "^map entries must be finite$"),
+    "int past the floats": (_identity_rows_with(0, 0, 10**400), OverflowError, "too large"),
+    "3-d array": (np.zeros((4, 4, 1)), SuperoperatorError, "^expected a 4x4 matrix$"),
+    "array with inf": (np.where(np.eye(4) > 0, np.inf, 0.0), SuperoperatorError, "^map entries must be finite$"),
+}
+
+
+@pytest.mark.parametrize("matrix, error, message", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_liouville_rejects_malformed_matrices(matrix, error, message):
+    with pytest.raises(error, match=message):
+        LiouvilleOp(matrix)
 
 
 def test_propagated_states_stay_physical():

@@ -47,13 +47,25 @@ def test_n_matches_the_oracle(case):
     assert 0.0 < grid_n <= (1.0 + N_RTOL) * want_n, (grid_n, want_n)
 
 
-# Re gdot is wrong at small t (ROADMAP item 3), and where t1 is small t* is small and the growth end reads it: on the
-# default bath at t1 = 1e-7 N is 3.6e-3 off; at beta 933, t1 = 1e-5, `dephaser measure` prints N = 2.36e-10 with exit 0
-# where the oracle gives 6.89e-10
-_SMALL_T1 = [(1.0, 0.5, 1.0, 1e-7), (1.3, 1.8, 933.0, 1e-5)]
+# where t1 is small, t* is small; each case misses the oracle for its own reason.  On the default bath at t1 = 1e-7,
+# N = e^{-E(t*)} - e^{-E(0)} = 3.1e-14 cancels: the engine's N is 1.8e-4 off a 50-digit N and _oracle.measure's, whose
+# last step is that float subtraction, 3.4e-3 off, so the two are 3.6e-3 apart, with or without _dead_weight's C.  At
+# beta 933, t1 = 1e-5, Re gdot adds C, which t* reads: `dephaser measure` prints N = 2.36e-10 with exit 0 where the
+# oracle gives 6.89e-10, and without C the engine meets the oracle
+_SMALL_T1 = [
+    pytest.param(
+        (1.0, 0.5, 1.0, 1e-7),
+        id="(1.0, 0.5, 1.0), t1 1e-07",
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 20: cancellation in N = e^{-E(t*)} - e^{-E(0)}"),
+    ),
+    pytest.param(
+        (1.3, 1.8, 933.0, 1e-5),
+        id="(1.3, 1.8, 933.0), t1 1e-05",
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3: Re gdot adds _dead_weight's C at small t"),
+    ),
+]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: Re gdot at small t, which t* reads where t1 is small")
-@pytest.mark.parametrize("case", _SMALL_T1, ids=[f"{c[:3]}, t1 {c[3]:g}" for c in _SMALL_T1])
+@pytest.mark.parametrize("case", _SMALL_T1)
 def test_n_at_small_t1_matches_the_oracle(case):
     _check_against_the_oracle(case)

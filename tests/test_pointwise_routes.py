@@ -30,6 +30,7 @@ from dephaser import (
     two_time_map,
 )
 from dephaser.dephasing import _MEMO_CALL, flip_exponent
+from dephaser.spectral import _check_time
 from dephaser.measures import Prepared, decay_exponent, decay_exponent_grid
 
 # a warm bath, a = 0.95 past 1/2, the cold beta 933 bath below and above x = 0.2, and the pole on nu_1
@@ -96,6 +97,81 @@ def test_pointwise_two_interval_calls_have_the_grid_bits(pairs, eps, p, phase):
                         # the matrix product of the vector, as numpy takes it, to roundoff
                         product = DensityMatrix2.from_vector(op.matrix @ state.to_vector())
                         assert abs(out.p11 - product.p11) <= 1e-15 and abs(out.c12 - product.c12) <= 1e-15
+
+
+# the four pointwise two-interval calls, each on an evaluator and (t1, t2)
+_TWO_INTERVAL_CALLS = {
+    "echo_response": lambda ev, t1, t2: echo_response(ev, t1, t2),
+    "decay_exponent": lambda ev, t1, t2: decay_exponent(ev, Prepared(t1), t2),
+    "two_time_map": lambda ev, t1, t2: two_time_map(SystemParams(0.4), ev, coherence_flip(), t1, t2),
+    "propagate_two_time": lambda ev, t1, t2: propagate_two_time(
+        DensityMatrix2(0.3, 0.2 + 0.1j), SystemParams(0.4), ev, coherence_flip(), t1, t2
+    ),
+}
+
+
+def _count_fills(ev) -> list:
+    """The list of ev's _fill calls from now on, each (times, values as passed, derivative)."""
+    calls = []
+    fill = ev._fill
+
+    def counted(times, values, derivative):
+        calls.append((list(times), list(values), derivative))
+        return fill(times, values, derivative)
+
+    ev._fill = counted
+    return calls
+
+
+@pytest.mark.parametrize("include_tail", [True, False], ids=["exact", "strict"])
+@pytest.mark.parametrize("name", list(_TWO_INTERVAL_CALLS))
+def test_held_two_interval_calls_fill_nothing_and_a_fresh_time_fills_once(name, include_tail):
+    call = _TWO_INTERVAL_CALLS[name]
+    ev = BrownianMatsubara(BathParams(1.0, 0.5, 1.0), include_tail)
+    call(ev, 0.3, 1.1)
+    calls = _count_fills(ev)
+    call(ev, 0.3, 1.1)
+    call(ev, 1.1, 0.3)  # the same three times
+    assert calls == []
+    # 0.6 is the one fresh time: one _fill on the three times, with the held values as the memo gave them
+    held = ev._g_memo[0.3]
+    call(ev, 0.3, 0.3)
+    assert calls == [([0.3, 0.3, 0.6], [held, held, None], False)]
+    assert calls[0][1][0] is held
+    call(ev, 0.3, 0.3)
+    assert len(calls) == 1
+
+
+# bad times of every type a caller may pass, and good times that are not Python floats
+_BAD_TIMES = [math.nan, math.inf, -math.inf, -0.5, -1, np.float64(-0.5), np.float64(math.nan), np.float64(math.inf)]
+
+
+@pytest.mark.parametrize("bad", _BAD_TIMES, ids=repr)
+def test_bad_times_raise_the_time_check_error_through_the_two_interval_kernels(bad):
+    with pytest.raises(ValueError) as want:
+        _check_time(bad)
+    ev = BrownianMatsubara(BathParams(1.0, 0.5, 1.0))
+    for name in ("echo_response", "two_time_map"):
+        for t1, t2 in ((bad, 1.0), (1.0, bad), (1, bad), (np.float64(1.0), bad), (bad, bad)):
+            with pytest.raises(ValueError) as got:
+                _TWO_INTERVAL_CALLS[name](ev, t1, t2)
+            assert str(got.value) == str(want.value), (name, t1, t2)
+    assert ev._g_memo == {}
+
+
+@pytest.mark.parametrize("name", ["echo_response", "two_time_map"])
+def test_int_and_numpy_times_give_the_float_bits_and_hold_floats(name):
+    call = _TWO_INTERVAL_CALLS[name]
+
+    def out_bits(ev, t1, t2):
+        out = call(ev, t1, t2)
+        return out.matrix.tobytes() if name == "two_time_map" else _bits(out)
+
+    bath = BathParams(1.0, 0.5, 1.0)
+    for t1, t2 in ((1, 2), (np.float64(0.7), 3), (2, np.float64(0.25)), (np.float64(0.0), np.float64(1.5))):
+        ev = BrownianMatsubara(bath)
+        assert out_bits(ev, t1, t2) == out_bits(BrownianMatsubara(bath), float(t1), float(t2))
+        assert ev._g_memo and all(type(t) is float for t in ev._g_memo)
 
 
 def _across_x_0_2(bath):
