@@ -12,6 +12,7 @@ from .dephasing import (
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
+    TruncatedMatsubara,
     flip_exponent,
     make_evaluator,
 )

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dephasing import ENGINE_NAMES, BrownianMatsubara, HighTemperatureBrownian, make_evaluator
+from .dephasing import ENGINE_NAMES, HighTemperatureBrownian, TruncatedMatsubara, make_evaluator
 from .dynamics import SystemParams
 from .errors import DephaserError
 from .measures import (
@@ -62,8 +62,8 @@ _OPTIONS = (
         int,
         100,
         None,
-        "Matsubara terms K of the truncated curves of figures trd; the analytic engine reads K only in its largest "
-        "time and its small-t gdot (at most 1000000)",
+        "Matsubara terms K of the truncated curves of figures trd; the analytic engine reads K only in its gdot "
+        "below x = 2 pi t / beta = 0.2, where more than 2000000 terms past K are live (at most 1000000)",
     ),
     ("engine", str, "analytic", ENGINE_NAMES, "g(t) evaluator"),
     ("t1", float, 0.0, None, "preparation interval before the flip"),
@@ -305,7 +305,7 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
             raise ValueError("figures trd needs --terms of at least 1: terms_0 names the high-temperature curve")
         ts = cfg.grid(1)
         ev_ht = HighTemperatureBrownian(cfg.bath)
-        ev_k = BrownianMatsubara(cfg.bath, include_tail=False)
+        ev_k = TruncatedMatsubara(cfg.bath)
         columns, curves = ["t2"], []
         for t1, scenario in ((0.0, SingleTime()), (1.0, Prepared(1.0))):
             for label, ev in (("terms_0", ev_ht), (f"terms_{cfg.bath.matsubara_terms}", ev_k)):

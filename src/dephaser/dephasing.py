@@ -7,16 +7,15 @@ g is the double time integral of the bath correlation function,
 and its derivative gdot(t) = int_0^t dtau L(tau).  Four interchangeable
 evaluators are provided:
 
-  * BrownianMatsubara: the pole-plus-Matsubara series, exact
-    (include_tail=True, the default) or truncated strictly at K terms.
-    Below x = 2 pi t / beta = 0.2 its exact Re g and Re gdot sum the
-    Matsubara terms on the nodes of the analytic L's sum (_MatsubaraG, one
-    table for both); from there they sum their L <= 226 live terms and
-    the sums past them, two running sums per engine, and read no K.  Its
-    digamma is spectral._digamma, which runs only where the engine and
-    those sums are built, and never without a pair, so it and
-    HighTemperatureBrownian load no scipy; only the two quadrature
-    engines do.
+  * BrownianMatsubara: the exact pole-plus-Matsubara series.  Below
+    x = 2 pi t / beta = 0.2 its Re g and Re gdot sum the Matsubara terms
+    on the nodes of the analytic L's sum (_MatsubaraG, one table for
+    both); from there they sum their L <= 226 live terms and the sums
+    past them, two running sums per engine, and read no K.  Its digamma
+    is spectral._digamma, which runs only where those sums are built,
+    and never without a pair, so it and HighTemperatureBrownian load no
+    scipy; only the two quadrature engines do.  TruncatedMatsubara, the
+    series strictly truncated at K terms, is figures trd's curve.
   * HighTemperatureBrownian: the beta*gamma -> 0 closed form.
   * FrequencyQuadrature: direct adaptive integration of the spectral
     representation, with the oscillatory tails handled by a dedicated
@@ -48,10 +47,10 @@ per call, by one function, _check_times, whose method follows the size
 of the call: a float and up to three times on Python floats, more by
 numpy reductions.  The first bad time of the call raises, in call order.
 A time gets the same bits alone as inside an array.
-BrownianMatsubara and HighTemperatureBrownian raise DephaserError past
+The series engines and HighTemperatureBrownian raise DephaserError past
 the largest time at which g, its intermediates and the flip exponent
-of times up to it stay finite (_largest_time; 1.43e305 for the series
-on the default bath, where nu_K t would overflow).
+of times up to it stay finite (_largest_time; 8.99e306 for the exact
+series on the default bath, 1.43e305 for its K = 100 truncation).
 BrownianMatsubara also remembers g and gdot at their pointwise calls
 (one to three times, as the two-interval kernels and the measure's
 curves make them), up to _MEMO_TIMES times each, and returns the same
@@ -412,37 +411,31 @@ def _g_distinct(evaluator, times) -> np.ndarray:
 
 
 class BrownianMatsubara:
-    """Pole-plus-Matsubara series for the overdamped Brownian bath, summed from BathParams.dirichlet().
+    """The exact pole-plus-Matsubara series for the overdamped Brownian bath, summed from BathParams.dirichlet().
 
     g(t) = (pole_c - i pole_im) h(gamma t) + sum_{n >= 1} c_n h(nu_n t), h(y) = e^-y + y - 1, in the names of
-    DirichletTable; every h is spectral._h, which keeps its digits at small y.  With include_tail=True (default) the
-    sum is exact.  Below x = 2 pi t / beta = _DIRECT_X it is _MatsubaraG's: the window around the pole and the
-    Euler-Maclaurin tails, as the analytic L sums its own, and it reads no K; gdot's is that sum's x-derivative on the
-    same table, built once at the first such call of either, plus _dead_weight where more than _BLOCK_CAP terms past K
-    are live (so that it is the sum stopped at K + _BLOCK_CAP, which perfbench's references record).  From _DIRECT_X
-    on each is the L = min(ceil(45 beta / (2 pi t)), 226) live terms, whose exponentials are summed until they
-    underflow, and G1[L] and G0[L], the sums of B_n and c_n past them (_live_sums): one 226-term table and two
-    running sums per engine, and no K.  K shapes the exact engine only through its largest time and _dead_weight.
-    include_tail=False keeps the K explicit terms; matsubara_remainder reports what that drops.
-    Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term, wherever it lies, are the
-    table's pair: one formula at every detuning from gamma = nu_m.  Only strict truncation with K < m has
-    no m-th term to pair with; its truncated sum is singular at gamma = nu_m, and it keeps the bare pole.
+    DirichletTable; every h is spectral._h, which keeps its digits at small y.  Below x = 2 pi t / beta = _DIRECT_X the
+    sum is _MatsubaraG's: the window around the pole and the Euler-Maclaurin tails, as the analytic L sums its own, and
+    it reads no K; gdot's is that sum's x-derivative on the same table, built once at the first such call of either,
+    plus _dead_weight where more than _BLOCK_CAP terms past K are live (so that it is the sum stopped at K + _BLOCK_CAP,
+    which perfbench's references record).  From _DIRECT_X on each is the L = min(ceil(45 beta / (2 pi t)), 226) live
+    terms, whose exponentials are summed until they underflow, and G1[L] and G0[L], the sums of B_n and c_n past them
+    (_sums): one 226-term table and two running sums per engine, and no K.  K reaches it only as _dead_weight's N;
+    TruncatedMatsubara sums the K terms alone.  Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term
+    are a pair: one formula at every detuning from gamma = nu_m.
 
-    The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi), nu_K^2 or 2 eta / (beta gamma)
-    leaves the normal floats (beta gamma < 9.4e-154, 2 pi K / beta > 1.3e154, eta 1e-318 on beta gamma 0.5),
-    where gamma^2 or an amplitude of the pole term or the pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and, with
-    the tail, where a digamma prefactor does (eta 1e307, gamma 1, beta 100), and where a c_n of the K terms
-    does (gamma 1e153, beta 1e-150).  g and gdot raise it past the largest time the table's amplitudes allow
-    (_largest_time), and where a coefficient of the live terms' table overflows: it holds n = 1, ..., 226 whatever L
-    a time reads, so at beta 6e-152 (nu_n^2 overflows from n = 129) the exact g and gdot raise from x = _DIRECT_X on
-    at every K, also at 1 <= K <= 13, whose K terms fit.  The exact g and gdot raise it below x = _DIRECT_X where a
-    reaches 2^52 and where x^2 leaves the normal floats (t below about 2.4e-155 beta); gdot also at a time with more
-    than _BLOCK_CAP live terms past K where K + _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta
-    gamma above about 6.3e6 at K = 100).
+    The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi) or 2 eta / (beta gamma) leaves the normal
+    floats (beta gamma < 9.4e-154, eta 1e-318 on beta gamma 0.5), where gamma^2 or an amplitude of the pole term or the
+    pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and where a digamma prefactor does (eta 1e307, gamma 1, beta
+    100).  g and gdot raise it past the largest time the table's amplitudes allow (_largest_time, from max(gamma, nu_1,
+    nu_m) and the rate: 8.99e306 on the default bath at every K), and where a coefficient of the live terms' table
+    overflows: it holds n = 1, ..., 226 whatever L a time reads, so at beta 6e-152 (nu_n^2 overflows from n = 129) g and
+    gdot raise from x = _DIRECT_X on at every K.  They raise it below x = _DIRECT_X where a reaches 2^52 and where x^2
+    leaves the normal floats (t below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms
+    past K where K + _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta gamma past 6.3e6 at K = 100).
 
-    g and gdot take a time or a 1-d array of times.  The Matsubara sums of a call's times (_sums) are strict
-    truncation's one times x K table, summed row by row, or the exact engine's live sums from _DIRECT_X on: L <= 32
-    terms on Python floats (_LIVE_FLOATS), more as one numpy row per time.  The pole term, the pair and those sums
+    g and gdot take a time or a 1-d array of times.  The live sums of a call's times from _DIRECT_X on (_sums) take L <=
+    32 terms on Python floats (_LIVE_FLOATS), more as one numpy row per time.  The pole term, the pair and those sums
     follow time by time in one row step (_row), so a time gets the same bits alone as in an array.  The row step takes
     g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's exponentials: one _MatsubaraG
     call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call of at most _MEMO_CALL (3) times is
@@ -457,21 +450,45 @@ class BrownianMatsubara:
     them, so memory does not grow with the grid.
     """
 
-    def __init__(self, bath: BathParams, include_tail: bool = True):
+    def __init__(self, bath: BathParams):
+        d = self._pole_terms(bath, math.inf)
+        # the prefactors of the digamma sums of DirichletTable.tail_sums
+        for value, what in zip(d.tail_amps, ("eta gamma beta / pi^2", "eta gamma beta^2 / (2 pi^3 a^2)")):
+            _finite(value, what)
+        # the bath of the exact g, whose growth rate has one zero at most (measures)
+        self.certified_bath = bath
+        # per-bath factors of the row and _sums formulas, each the value or product its formula starts with (same bits);
+        # K sets only _dead_weight's N
+        self._k = bath.matsubara_terms
+        self._dead_beta = _EXP_DEAD * bath.beta
+        # x = 2 pi t / beta is t times this, and g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X; s0 turns
+        # that sum into Re g's Matsubara part
+        self._x_rate = _TWO_PI / bath.beta
+        self._t_direct = _DIRECT_X * bath.beta / _TWO_PI
+        self._s0 = bath.eta * bath.gamma * _pow(bath.beta, 2) / (2.0 * math.pi**3)
+        # and s1 turns the sum's derivative into Re gdot's; where more than _BLOCK_CAP terms past K are live, that is
+        # the exact sum plus _dead_weight(N), N = K + _BLOCK_CAP, which _table.tail_sums(N) counted as dead
+        self._s1 = d.tail_amps[0]
+        # the Matsubara B_n sum to the rate less the pole's and the m-th terms (_live_table's G1[0]); a time's live
+        # terms reach nu_n t <= _EXP_DEAD + nu_1 t, so nu_1 = x_rate is their argument rate
+        b_sum = d.rate - self._pole_b - (d.m_rest if self._m else 0.0)
+        self._t_max = self._largest_time_of(b_sum, abs(b_sum), self._x_rate)
+        # built at their first use: the small-x sums of g and gdot (_small_x), the live terms' table with G1 from x =
+        # _DIRECT_X on, and G0 at the first g there (_live_table).  Set here, and not as cached properties, whose
+        # writes to the instance's __dict__ would slow every attribute read of the engine's rows
+        self._small_x_sum = self._live = self._g0 = None
+
+    def _pole_terms(self, bath: BathParams, k: float):
+        """The checks, DirichletTable (returned), pole term, pair (where a rounds to m >= 1 with m <= k, else the bare
+        pole) and memos of an engine whose Matsubara terms run to n = k, inf for the exact sum."""
         self.bath = bath
         self.beta = bath.beta
-        self.include_tail = include_tail
-        # the bath of the exact g, whose growth rate has one zero at most (measures); not with a truncated sum
-        self.certified_bath = bath if include_tail else None
-        gamma = bath.gamma
-        k = bath.matsubara_terms
+        gamma = self._gamma = bath.gamma
         _normal(bath.pole_ratio * bath.pole_ratio, "(beta gamma / 2 pi)^2")
         _finite(_pow(gamma, 2), "gamma^2")  # in every c_n and B_n
-        if k:
-            _normal(_pow(float(bath.matsubara_frequency(k)), 2), "nu_K^2")
         d = self._table = bath.dirichlet()
         # m of the pair, or 0 where there is none: a < 1/2, or strict truncation without the m-th term
-        m = self._m = d.m if include_tail or d.m <= k else 0
+        m = self._m = d.m if d.m <= k else 0
         if m:
             # the pole's rest in g and in gdot (|pole_rest| / gamma < eta / gamma, which is checked), and the pair
             self._pole_c, self._pole_b = d.pole_rest / gamma, d.pole_rest
@@ -483,52 +500,21 @@ class BrownianMatsubara:
         for value, what in ((d.pole_im, "eta / gamma"), *amps):
             _finite(value, what)
         _normal(d.rate, "2 eta / (beta gamma)")
-        if include_tail:
-            self._check_tail_amps()
-        nu, _, b = d.explicit
-        if not include_tail:  # strict truncation's nu_n and B_n with their signs flipped, and its table's rows
-            self._neg_nu = -nu
-            self._neg_b = -b
-            self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
-        # per-bath factors of the row and _live_sums formulas, each the value or product its formula starts with (same
-        # bits)
-        self._k = k
-        self._gamma = gamma
-        self._dead_beta = _EXP_DEAD * bath.beta
-        # x = 2 pi t / beta is t times this, and the exact g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X
-        # (0 with strict truncation, which reads the K terms at every t); s0 turns that sum into Re g's Matsubara part
-        self._x_rate = _TWO_PI / bath.beta
-        self._t_direct = _DIRECT_X * bath.beta / _TWO_PI if include_tail else 0.0
-        self._s0 = bath.eta * gamma * _pow(bath.beta, 2) / (2.0 * math.pi**3)
-        # and s1 turns the sum's derivative into Re gdot's; where more than _BLOCK_CAP terms past K are live, that is
-        # the exact sum plus _dead_weight(N), N = K + _BLOCK_CAP, which _table.tail_sums(N) counted as dead
-        self._s1 = d.tail_amps[0]
-        # the engine's Dirichlet coefficients: the pole (its rest when paired), the K terms, the tail's sum and the m-th
-        # rest, whose sum is the late-time rate of Re g and whose moduli, with P / min(gamma, nu_m), bound its terms
-        pair_b, pair_bound = (d.m_rest, d.pair_amp / self._pair[3]) if m else (0.0, 0.0)
-        tail_b = d.tail_sums(k, True)[1] if include_tail else 0.0
-        # a sum that overflows leaves t_max 0: no positive time is then safe
-        with np.errstate(over="ignore"):
-            rate = self._pole_b + float(np.add.reduce(b)) + tail_b + pair_b
-            moduli = abs(self._pole_b) + float(np.add.reduce(np.abs(b))) + abs(tail_b) + abs(pair_b) + pair_bound
-        # the largest nu_n of every call: nu_K of the explicit terms or, with the tail and K = 0, the live terms' nu_1
-        nu_top = float(nu[-1]) if k else float(bath.matsubara_frequency(1)) if include_tail else 0.0
-        arg_rate = max(gamma, nu_top, d.nu_m if m else 0.0)
-        self._t_max = _largest_time(arg_rate, abs(rate) + bath.eta, moduli)
-        if include_tail:  # the exact engine reads its K terms only here: the table drops its cached arrays of them
-            del d.explicit
         # time -> g(t) and time -> gdot(t) of the pointwise calls, cleared together
         self._g_memo = {}
         self._gdot_memo = {}
-        # built at their first use: the small-x sums of g and gdot (_small_x), the live terms' table with G1 from x =
-        # _DIRECT_X on, and G0 at the first g there (_live_table).  Set here, and not as cached properties, whose
-        # writes to the instance's __dict__ would slow every attribute read of the engine's rows
-        self._small_x_sum = self._live = self._g0 = None
+        return d
 
-    def _check_tail_amps(self) -> None:
-        """DephaserError where a prefactor of the digamma sums of DirichletTable.tail_sums overflows."""
-        for value, what in zip(self._table.tail_amps, ("eta gamma beta / pi^2", "eta gamma beta^2 / (2 pi^3 a^2)")):
-            _finite(value, what)
+    def _largest_time_of(self, b_sum: float, b_moduli: float, nu_top: float) -> float:
+        """_largest_time of the pole (its rest when paired), the Matsubara B_n, of sum b_sum and moduli b_moduli, and
+        the m-th rest, whose sum is the late-time rate of Re g and whose moduli, with P / min(gamma, nu_m), bound its
+        terms; nu_top is the Matsubara terms' argument rate.  A sum that overflows leaves it 0: no time is then safe."""
+        d = self._table
+        pair_b, pair_bound = (d.m_rest, d.pair_amp / self._pair[3]) if self._m else (0.0, 0.0)
+        rate = self._pole_b + b_sum + pair_b
+        moduli = abs(self._pole_b) + b_moduli + abs(pair_b) + pair_bound
+        arg_rate = max(self._gamma, nu_top, d.nu_m if self._m else 0.0)
+        return _largest_time(arg_rate, abs(rate) + self.bath.eta, moduli)
 
     def _small_x(self, t: float, g: bool, gdot: bool) -> tuple:
         """(g's, gdot's) exact Matsubara part below t_direct, each None where not asked for, from one _MatsubaraG call,
@@ -590,7 +576,7 @@ class BrownianMatsubara:
             self._g0 = _held(_running_sums(s0, self._live[0][1, ::-1].tolist())[::-1])
         return self._live
 
-    def _live_sums(self, times: list, g: bool, gdot: bool) -> tuple:
+    def _sums(self, times: list, g: bool, gdot: bool) -> tuple:
         """(g's, gdot's) exact Matsubara part at the Python floats times, each a list where asked for and None where
         not; 0.0 below t_direct, where _row takes _small_x's, and no table built where every time is below it.
 
@@ -632,40 +618,9 @@ class BrownianMatsubara:
                 gdot_sums[i] = -sd + g1[stop]
         return g_sums, gdot_sums
 
-    def _explicit(self, ts: np.ndarray, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) sum of strict truncation's K terms at every time, each an array where asked for and None where
-        not: c_n h(nu_n t) by _h, which keeps its digits at small nu_n t, and -c_n nu_n expm1(-nu_n t) as e (-B_n).
-
-        The times x K table is built at most _TABLE_BUDGET elements at a
-        time (one row when K alone exceeds it), and each row is summed as
-        the 1-d sum of its K terms is.
-        """
-        rows = self._table_rows
-        if ts.size > rows:
-            parts = [self._explicit(ts[i : i + rows], g, gdot) for i in range(0, ts.size, rows)]
-            return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
-        g_sum = gdot_sum = None
-        if g:
-            terms = _h(ts[:, None] * -self._neg_nu)
-            terms *= self._table.explicit[1]
-            g_sum = np.add.reduce(terms, axis=1)
-        if gdot:
-            e = np.expm1(ts[:, None] * self._neg_nu)
-            e *= self._neg_b
-            gdot_sum = np.add.reduce(e, axis=1)
-        return g_sum, gdot_sum
-
-    def _sums(self, times: list, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) Matsubara sums at the Python floats times for _row, each a list where asked for and None where
-        not: the exact engine's _live_sums, or strict truncation's K terms (_explicit)."""
-        if self.include_tail:
-            return self._live_sums(times, g, gdot)
-        return tuple(None if v is None else v.tolist() for v in self._explicit(np.array(times), g, gdot))
-
     def _row(self, t: float, g_sum, gdot_sum) -> tuple:
-        """(g, gdot) at t from their Matsubara sums (_sums; the exact engine's are 0.0 below t_direct, where it takes
-        _small_x's), each None where its sum is None: one step of the pole, the pair and the sums, whose exponentials
-        the two halves share.  Strict truncation adds its K terms first, the exact engine its Matsubara part last."""
+        """(g, gdot) at t from their Matsubara sums (_sums; 0.0 below t_direct, where it takes _small_x's), each None
+        where its sum is None: one step of the pole, the pair and, last, the sums; the halves share its exponentials."""
         if t == 0.0:
             return 0j, 0j
         g = g_sum is not None
@@ -673,7 +628,6 @@ class BrownianMatsubara:
         g_value = gdot_value = None
         y = self._gamma * t
         em = math.expm1(-y)
-        exact = self.include_tail
         if t < self._t_direct:
             g_sum, gdot_sum = self._small_x(t, g, gdot)
         if self._m:  # the pair: the m-th term's nu_m and rest, P, and the least and largest of gamma and nu_m
@@ -685,21 +639,17 @@ class BrownianMatsubara:
         if g:
             # _h, whose expm1 branch is written out here: this is the hot path of pointwise calls
             hg = em + y if y >= _H_SERIES_TOP else _h(y)
-            re = self._pole_c * hg if exact else g_sum + self._pole_c * hg
+            re = self._pole_c * hg
             if self._m:  # m_rest h(nu_m t) / nu_m + P H, H over [gamma, nu_m]
                 h_m = em_m + y_m if y_m >= _H_SERIES_TOP else _h(y_m)
                 h_dd = _h_divided_difference(lo, hi, t, dd, em if lo == self._gamma else em_m)
                 re += m_rest / nu * h_m + amp * h_dd
-            if exact:
-                re += g_sum
-            g_value = complex(re, -self._table.pole_im * hg)
+            g_value = complex(re + g_sum, -self._table.pole_im * hg)
         if gdot:
-            re = self._pole_b * (-em) if exact else gdot_sum + self._pole_b * (-em)
+            re = self._pole_b * (-em)
             if self._m:  # m_rest (1 - e^{-nu_m t}) - P E
                 re += m_rest * -em_m - amp * dd
-            if exact:
-                re += gdot_sum
-            gdot_value = complex(re, self.bath.eta * em)
+            gdot_value = complex(re + gdot_sum, self.bath.eta * em)
         return g_value, gdot_value
 
     def g(self, t):
@@ -793,19 +743,67 @@ class BrownianMatsubara:
             j += 1
         return values
 
-    def matsubara_remainder(self, t: float) -> complex:
-        """Exact value of the n > K part of g(t) that strict truncation drops, the m-th term included: Re g of the
-        exact engine less Re g of strict truncation.
 
-        DephaserError where either engine's constructor raises, such as where a prefactor of the digamma sums
+class TruncatedMatsubara(BrownianMatsubara):
+    """BrownianMatsubara's series truncated strictly at the bath's K terms, the curve figures trd draws: the pole
+    term, the pair where 1 <= m <= K (where K < m its sum is singular at gamma = nu_m, and it keeps the bare pole),
+    and c_n h(nu_n t), n = 1, ..., K.  matsubara_remainder reports what it drops.  g and gdot are BrownianMatsubara's,
+    memos and row step included, on the K terms' sums (_sums).  Its rate's coefficients can change sign three times,
+    so it has no certified_bath and measures scan it.
+
+    DephaserError as BrownianMatsubara's, but not where a digamma prefactor overflows, since it sums no tail, and also
+    where nu_K^2 leaves the normal floats (2 pi K / beta > 1.3e154), where a c_n of the K terms overflows (gamma
+    1e153, beta 1e-150), and past the largest time of its own terms (from nu_K t).
+    """
+
+    certified_bath = None
+    # every time reads the K terms: none takes _MatsubaraG's sum
+    _t_direct = 0.0
+
+    def __init__(self, bath: BathParams):
+        k = bath.matsubara_terms
+        if k:
+            _normal(_pow(float(bath.matsubara_frequency(k)), 2), "nu_K^2")
+        d = self._pole_terms(bath, k)
+        nu, _, b = d.explicit
+        # nu_n and B_n with their signs flipped, and the rows of the times x K table
+        self._neg_nu = -nu
+        self._neg_b = -b
+        self._table_rows = max(1, _TABLE_BUDGET // max(k, 1))
+        with np.errstate(over="ignore"):
+            b_sum, b_moduli = float(np.add.reduce(b)), float(np.add.reduce(np.abs(b)))
+        self._t_max = self._largest_time_of(b_sum, b_moduli, float(nu[-1]) if k else 0.0)
+
+    def _sums(self, times: list, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) sum of the K terms at the Python floats times for _row, each a list where asked for and None
+        where not: c_n h(nu_n t) by _h, which keeps its digits at small nu_n t, and -c_n nu_n expm1(-nu_n t) as e
+        (-B_n), from the times x K table built _table_rows times at once (_TABLE_BUDGET elements, or one row where K
+        alone exceeds it), each row summed as the 1-d sum of its K terms is."""
+        g_sums, gdot_sums = ([] if g else None), ([] if gdot else None)
+        for i in range(0, len(times), self._table_rows):
+            ts = np.array(times[i : i + self._table_rows])[:, None]
+            if g:
+                terms = _h(ts * -self._neg_nu)
+                terms *= self._table.explicit[1]
+                g_sums += np.add.reduce(terms, axis=1).tolist()
+            if gdot:
+                e = np.expm1(ts * self._neg_nu)
+                e *= self._neg_b
+                gdot_sums += np.add.reduce(e, axis=1).tolist()
+        return g_sums, gdot_sums
+
+    def matsubara_remainder(self, t: float) -> complex:
+        """Exact value of the n > K part of g(t) that the truncation drops, the m-th term included: Re g of
+        BrownianMatsubara less this engine's.
+
+        DephaserError where BrownianMatsubara's constructor raises, such as where a prefactor of the digamma sums
         overflows, and at K < m with gamma = nu_m exactly, where the m-th term is infinite.
         """
         t = _check_time(t)
         d = self._table
-        if d.m > self._k:
+        if d.m > self.bath.matsubara_terms:
             _normal(d.nu_m * d.nu_m - self._gamma * self._gamma, f"nu_{d.m}^2 - gamma^2")
-        exact, strict = (BrownianMatsubara(self.bath, tail) for tail in (True, False))
-        return complex(exact.g(t).real - strict.g(t).real, 0.0)
+        return complex(BrownianMatsubara(self.bath).g(t).real - self.g(t).real, 0.0)
 
 
 class HighTemperatureBrownian:

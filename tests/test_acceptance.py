@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from dephaser.cli import RunConfig, cmd_figures
-from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian, make_evaluator
+from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian, TruncatedMatsubara, make_evaluator
 from dephaser.dynamics import (
     DensityMatrix2,
     SystemParams,
@@ -98,7 +98,7 @@ def test_criterion_3_prepared_distance_curves():
     i1k = cols.index("d_t1_1_terms_100")
 
     monotone = bool(np.all(np.diff(data[:, i00]) < 0) and np.all(np.diff(data[:, i0k]) < 0))
-    strict = BrownianMatsubara(BATH, include_tail=False)
+    strict = TruncatedMatsubara(BATH)
     regrowth = growth_intervals(strict, Prepared(1.0), t_max=10.0)
     gap0 = float(np.max(np.abs(data[:, i00] - data[:, i0k])))
     gap1 = float(np.max(np.abs(data[:, i10] - data[:, i1k])))

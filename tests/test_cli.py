@@ -23,7 +23,7 @@ from dephaser.cli import (
     _write_series,
     main,
 )
-from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian
+from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian, TruncatedMatsubara
 from dephaser.dynamics import SystemParams
 from dephaser.measures import Prepared, SingleTime, decay_exponent_grid, decay_exponent_rate, non_markovianity
 from dephaser.response import echo_response
@@ -354,7 +354,7 @@ def test_figures_trd_labels_the_truncated_curves_by_their_terms(capsys):
     cols, rows = parse_csv(out)
     assert cols == ["t2", "d_t1_0_terms_0", "d_t1_0_terms_7", "d_t1_1_terms_0", "d_t1_1_terms_7"]
     data = np.array(rows)
-    ev = BrownianMatsubara(BathParams(1.0, 0.5, 1.0, 7), include_tail=False)
+    ev = TruncatedMatsubara(BathParams(1.0, 0.5, 1.0, 7))
     for col, scenario in ((2, SingleTime()), (4, Prepared(1.0))):
         e = decay_exponent_grid(ev, scenario, data[:, 0])
         assert np.all(data[:, col] == np.exp(-(e - e[0])))
@@ -509,14 +509,15 @@ def test_overflowing_pole_amplitude_reports_dephaser_error(capsys):
 @pytest.mark.parametrize(
     "argv, time",
     [
-        (["gfun", "--tmax", "1e306", "--points", "3"], "1e+306"),
+        (["gfun", "--tmax", "1e307", "--points", "3"], "1e+307"),
         (["trdist", "--engine", "hight", "--eta", "1e8", "--gamma", "0.001", "--beta", "1e8", "--t1", "1e300",
           "--tmax", "1", "--points", "4"], "1e+300"),
     ],
     ids=["gfun", "trdist-hight"],
 )
 def test_huge_time_reports_dephaser_error(capsys, argv, time):
-    # gfun wrote Re g = inf where it is about 4e306, and trdist a distance of 1 on every row where 2 Im g(t1) overflows
+    # gfun wrote Re g = inf at 1e306, where it is about 4e306 (the bound is 8.99e306 on the default bath now that it
+    # reads no nu_K), and trdist a distance of 1 on every row where 2 Im g(t1) overflows
     rc, out, err = run_cli(capsys, argv)
     assert rc == 1
     assert out == ""
@@ -809,7 +810,7 @@ def test_cli_stdout_matches_the_pinned_digests(capsys):
 def test_measure_scans_with_one_array_gdot_call(monkeypatch):
     # the truncated series has no certificate (its C_K can be negative), so it keeps the grid scan
     sizes = _gdot_call_sizes(monkeypatch, BrownianMatsubara)
-    ev = BrownianMatsubara(DEFAULT_BATH, include_tail=False)
+    ev = TruncatedMatsubara(DEFAULT_BATH)
     res = non_markovianity(SystemParams(), ev, Prepared(1.0), t_max=10.0)
     scan = [n for n in sizes if n > 2]
     # the 10 001 grid points at t and at t1 + t, in at most two calls

@@ -1,5 +1,6 @@
 """Lineshape function engines: agreement, limits, truncation, resonance."""
 
+import cmath
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import mpmath
@@ -24,10 +26,12 @@ from dephaser.dephasing import (
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
+    TruncatedMatsubara,
     _BLOCK_CAP,
     _MEMO_CALL,
     _MEMO_TIMES,
     _check_times,
+    flip_exponent,
     make_evaluator,
 )
 from dephaser.errors import DephaserError
@@ -35,6 +39,7 @@ from dephaser.measures import Prepared, SingleTime, decay_exponent_rate
 from dephaser.spectral import (
     BathParams,
     BrownianCorrelation,
+    DirichletTable,
     OverdampedBrownian,
     TabulatedSpectralDensity,
     _H_SERIES_TOP,
@@ -190,13 +195,13 @@ def test_strict_truncation_is_cauchy():
     gs = []
     for k in (50, 100, 200):
         p = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=k)
-        gs.append(BrownianMatsubara(p, include_tail=False).g(1.0))
+        gs.append(TruncatedMatsubara(p).g(1.0))
     assert abs(gs[2] - gs[1]) < abs(gs[1] - gs[0])
 
 
 def test_matsubara_remainder_consistency():
-    full = BrownianMatsubara(BATH, include_tail=True)
-    strict = BrownianMatsubara(BATH, include_tail=False)
+    full = BrownianMatsubara(BATH)
+    strict = TruncatedMatsubara(BATH)
     for t in (0.3, 1.0, 5.0):
         rem = strict.matsubara_remainder(t)
         assert rem.imag == 0.0
@@ -204,7 +209,7 @@ def test_matsubara_remainder_consistency():
         assert full.g(t) - strict.g(t) == pytest.approx(rem, rel=1e-12)
     # remainder shrinks as more terms are kept explicitly
     p400 = BathParams(eta=1.0, gamma=0.5, beta=1.0, matsubara_terms=400)
-    assert BrownianMatsubara(p400).matsubara_remainder(1.0).real < strict.matsubara_remainder(1.0).real
+    assert TruncatedMatsubara(p400).matsubara_remainder(1.0).real < strict.matsubara_remainder(1.0).real
 
 
 def test_matsubara_remainder_on_a_cold_bath():
@@ -218,7 +223,7 @@ def test_matsubara_remainder_on_a_cold_bath():
             nu = 2 * mpmath.pi * n / b
             strict += 4 * e * g / (b * nu * (nu**2 - g**2)) * (mpmath.expm1(-nu * tt) + nu * tt)
         want = float(mpmath.mpf(reference(eta, gamma, beta, t)[0]) - strict)
-    rem = BrownianMatsubara(BathParams(eta, gamma, beta), include_tail=False).matsubara_remainder(t)
+    rem = TruncatedMatsubara(BathParams(eta, gamma, beta)).matsubara_remainder(t)
     # measured: 5.9e-14
     assert rem.imag == 0.0 and rem.real == pytest.approx(want, rel=SMALL_T_RTOL)
 
@@ -355,12 +360,11 @@ def test_default_bath_at_x_0_25_is_within_an_ulp_or_so():
 
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_exact_g_below_x_0_2_reads_no_tail_column(monkeypatch, bath):
-    # below x = 0.2 the exact g and gdot read no K term and no live term: neither a K-term table, which only strict
-    # truncation builds, nor the live terms' table, which they read from x = 0.2 on
+    # below x = 0.2 the exact g and gdot read no live term: not the live terms' table, which they read from x = 0.2 on
+    # (the exact engine has no K-term table to read)
     def refuse(*args):
-        raise AssertionError("read a K term or a tail column")
+        raise AssertionError("read a tail column")
 
-    monkeypatch.setattr(BrownianMatsubara, "_explicit", refuse)
     monkeypatch.setattr(BrownianMatsubara, "_live_table", refuse)
     times = (1e-9, 1e-5, 1e-3)
     ev = BrownianMatsubara(bath)
@@ -660,7 +664,7 @@ _RESONANT = BathParams(eta=1.3, gamma=1.0, beta=2.0 * math.pi, matsubara_terms=2
 @example((_RESONANT, np.array([0.0, 1e-9, 0.3, 45.0 / 25.0, 7.0]), 1.0))
 def test_array_times_match_scalar_times_bit_for_bit(case):
     bath, ts, t1 = case
-    engines = [BrownianMatsubara(bath), BrownianMatsubara(bath, include_tail=False), HighTemperatureBrownian(bath)]
+    engines = [BrownianMatsubara(bath), TruncatedMatsubara(bath), HighTemperatureBrownian(bath)]
     for ev in engines:
         _assert_array_is_scalar_loop(ev.g, ts)
         _assert_array_is_scalar_loop(ev.gdot, ts)
@@ -700,7 +704,7 @@ _MEMO_ENGINES = [
     lambda: BrownianMatsubara(BATH),
     lambda: BrownianMatsubara(BathParams(1.3, 1.8, 933.0)),
     lambda: BrownianMatsubara(_RESONANT),
-    lambda: BrownianMatsubara(BATH, include_tail=False),
+    lambda: TruncatedMatsubara(BATH),
 ]
 # repeats of these times, -0.0 against 0.0, two times 1e-9 apart, and either side of the warm tail's split 45 / 200 pi
 _MEMO_POOL = st.sampled_from([0.0, -0.0, 0.05, 45.0 / (200.0 * math.pi), 0.3, 1.0, 1.0 + 1e-9, 2.5])
@@ -927,18 +931,17 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     times = [1.0, 2.0, 5.0]
     stops = [math.ceil(45.0 * bath.beta / (2.0 * math.pi * t)) for t in times]
     assert stops == [160, 80, 32]
-    tables, tails = [], []
-    explicit, tail_sums = BrownianMatsubara._explicit, type(ev._table).tail_sums
-    monkeypatch.setattr(BrownianMatsubara, "_explicit", lambda self, *a: tables.append(len(a[0])) or explicit(self, *a))
+    tails = []
+    tail_sums = type(ev._table).tail_sums
     monkeypatch.setattr(type(ev._table), "tail_sums", lambda self, *a: tails.append(a) or tail_sums(self, *a))
     counting.expm1_sizes.clear()
     ev.g(np.array(times))
-    # no K-term table, one tail_sums for the engine's G0 (its G1 is the pair's closed form), and one row of L terms
-    # per time past _LIVE_FLOATS = 32: none for the third
-    assert tables == [] and [a[0] for a in tails] == [226]
+    # one tail_sums for the engine's G0 (its G1 is the pair's closed form), and one row of L terms per time past
+    # _LIVE_FLOATS = 32: none for the third
+    assert [a[0] for a in tails] == [226]
     assert counting.expm1_sizes == stops[:2]
     gdot = [ev.gdot(t) for t in times]
-    assert tables == [] and len(tails) == 1 and rows[1:] == [(t, True, True) for t in times]
+    assert len(tails) == 1 and rows[1:] == [(t, True, True) for t in times]
     assert np.array(gdot).tobytes() == BrownianMatsubara(bath).gdot(np.array(times + [0.0])).tobytes()[: 3 * 16]
     # x >= 45 / 32 on the default bath (t >= 0.224): L <= 32 terms on Python floats, and no numpy expm1
     ev = BrownianMatsubara(BATH)
@@ -949,19 +952,24 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     assert counting.expm1_sizes == []
 
 
+# the least x = 2 pi t / beta at which no K >= 0 adds _dead_weight's C, 45 / _BLOCK_CAP, with a margin for rounding
+_C_FREE_X = 45.0 / _BLOCK_CAP * (1.0 + 1e-12)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(
     eta=st.floats(-1.0, 1.0).map(lambda v: 10.0**v),
     gamma=st.floats(0.01, 3.0),
     beta=st.floats(-1.0, 3.0).map(lambda v: 10.0**v),
-    xs=st.lists(st.floats(0.2, 80.0), min_size=1, max_size=5),
+    xs=st.lists(st.floats(math.log10(_C_FREE_X), math.log10(80.0)).map(lambda v: 10.0**v), min_size=1, max_size=5),
 )
 @example(1.0, 0.5, 1.0, [0.2, 45.0 / 33.0, 45.0 / 32.0, 45.0 / 7.0, 60.0])
-@example(1.3, 1.8, 933.0, [0.2, 0.25, 6.0])
+@example(1.3, 1.8, 933.0, [_C_FREE_X, 1e-3, 0.2, 0.25, 6.0])
 def test_exact_g_and_gdot_from_x_0_2_read_no_k(eta, gamma, beta, xs):
-    # from x = 0.2 on, the exact engine sums its live terms n <= L and two per-bath constants: no K term, so every K
-    # gives the same bits, pointwise and in an array; t at x = 0.2 itself is the first time it reads them
-    ts = [max(x * beta / (2.0 * math.pi), BrownianMatsubara(BathParams(eta, gamma, beta))._t_direct) for x in xs]
+    # from x = 0.2 on, the exact engine sums its live terms n <= L and two per-bath constants, and below it
+    # _MatsubaraG's sum: no K term, so every K gives the same bits, pointwise and in an array, wherever gdot adds no C
+    # (x >= 45 / (K + _BLOCK_CAP) for every K); t_direct itself is the first time that reads the live terms
+    ts = [x * beta / (2.0 * math.pi) for x in xs] + [BrownianMatsubara(BathParams(eta, gamma, beta))._t_direct]
     array = np.array(ts + [ts[0]] * _MEMO_CALL)
     want = {name: getattr(BrownianMatsubara(BathParams(eta, gamma, beta, 0)), name)(array) for name in ("g", "gdot")}
     for k in (1, 25, 100, 400):
@@ -970,6 +978,33 @@ def test_exact_g_and_gdot_from_x_0_2_read_no_k(eta, gamma, beta, xs):
             assert _bits(getattr(BrownianMatsubara(bath), name)(array)).tolist() == _bits(want[name]).tolist()
             f = getattr(BrownianMatsubara(bath), name)
             assert _bits(np.array([f(t) for t in ts])).tolist() == _bits(want[name][: len(ts)]).tolist()
+
+
+def test_exact_constructor_reads_no_k(monkeypatch):
+    # the exact engine's largest time comes from closed forms, the B_n sum to the rate and max(gamma, nu_1, nu_m):
+    # its constructor calls no tail_sums and reads no K-term table, and every K gives the same bound
+    tails = []
+    tail_sums = DirichletTable.tail_sums
+    monkeypatch.setattr(DirichletTable, "tail_sums", lambda self, *a: tails.append(a) or tail_sums(self, *a))
+
+    def refuse(self):
+        raise AssertionError("read the K terms")
+
+    monkeypatch.setattr(DirichletTable, "explicit", property(refuse))
+    baths = [*_PINNED_BATHS.values(), (0.5, 1.2, 5.0), (2.0, 0.3, 0.3)]
+    for eta, gamma, beta in baths:
+        t_maxes = {BrownianMatsubara(BathParams(eta, gamma, beta, k))._t_max for k in (0, 1, 25, 100, 400, 10**6)}
+        assert len(t_maxes) == 1 and tails == []
+    monkeypatch.undo()
+    # that bound is sound: g, gdot and the flip exponent stay finite up to it, with no warning
+    for eta, gamma, beta in baths:
+        ev = BrownianMatsubara(BathParams(eta, gamma, beta))
+        t = ev._t_max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [f(s) for f in (ev.g, ev.gdot) for s in (t, 0.5 * t)]
+            values.append(flip_exponent(ev.g(0.5 * t), ev.g(0.5 * t), ev.g(t)))
+        assert all(cmath.isfinite(v) for v in values), (eta, gamma, beta, t, values)
 
 
 def test_memo_first_calls_convert_and_raise_as_the_time_check_does():
@@ -1030,11 +1065,11 @@ _PINNED_EXP = "3540e25f77aa1f4a993f2938cdb4dc45def29cc4db2b45a714edd46316d26de8"
 
 
 def _pinned_cases():
-    """(bath, include_tail) of every engine the digest covers."""
+    """(bath, engine class) of every engine the digest covers."""
     for eta, gamma, beta in _PINNED_BATHS.values():
         for k in (0, 1, 25, 100):
-            for tail in (True, False):
-                yield BathParams(eta, gamma, beta, k), tail
+            for engine in (BrownianMatsubara, TruncatedMatsubara):
+                yield BathParams(eta, gamma, beta, k), engine
 
 
 def _skip_off_the_pinned_kernel():
@@ -1051,8 +1086,8 @@ def test_analytic_bits_match_the_pinned_digest():
     digest = hashlib.sha256()
     cases = 0
     ts = _PINNED_TIMES
-    for bath, tail in _pinned_cases():
-        whole, single, triple = (BrownianMatsubara(bath, tail) for _ in range(3))
+    for bath, engine in _pinned_cases():
+        whole, single, triple = (engine(bath) for _ in range(3))
         for name in ("g", "gdot"):
             digest.update(getattr(whole, name)(ts).tobytes())
             for s in ts.tolist():
@@ -1187,7 +1222,7 @@ def test_overflowing_amplitude_raises(bath, what):
         BrownianMatsubara(bath)
     if what.startswith("eta gamma beta"):
         # strict truncation sums no tail, but the remainder it drops is that tail: it was nan
-        strict = BrownianMatsubara(bath, include_tail=False)
+        strict = TruncatedMatsubara(bath)
         assert np.isfinite(strict.g(1.0))
         with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
             strict.matsubara_remainder(1.0)
@@ -1198,12 +1233,12 @@ def test_overflowing_amplitude_raises(bath, what):
     [
         (lambda: BrownianMatsubara(BathParams(1e300, 0.5, 1.0)), 1e10),  # Re g and Im g overflow
         (lambda: HighTemperatureBrownian(BathParams(1e300, 0.5, 1.0)), 1e10),
-        (lambda: BrownianMatsubara(BathParams(1e300, 0.5, 1.0), include_tail=False), 1e10),
-        (lambda: BrownianMatsubara(BATH), 1e306),  # nu_K t overflows, and Re g with it
+        (lambda: TruncatedMatsubara(BathParams(1e300, 0.5, 1.0)), 1e10),
+        (lambda: BrownianMatsubara(BATH), 1e307),  # (|C| + eta) t = 5e307 is past a quarter of the largest float
         (lambda: HighTemperatureBrownian(BATH), 1e308),  # Re g overflows
         (lambda: HighTemperatureBrownian(BathParams(1e8, 0.001, 1e8)), 1e300),  # 2 Im g overflows
     ],
-    ids=["analytic", "hight", "strict", "analytic-nu-K-t", "hight-default", "hight-flip"],
+    ids=["analytic", "hight", "strict", "analytic-default", "hight-default", "hight-flip"],
 )
 def test_huge_time_raises_dephaser_error(make, t):
     # each returned inf (or a g whose flip exponent overflows) behind at most a RuntimeWarning
@@ -1219,7 +1254,7 @@ def test_live_terms_table_overflow_raises_at_every_k():
     # the live terms' table of n = 1, ..., 226 at its first time from x = 0.2 on, whatever the time's L (5 at x = 9)
     beta = 6e-152
     exact = BrownianMatsubara(BathParams(1.0, 0.5, beta, 5))
-    strict = BrownianMatsubara(BathParams(1.0, 0.5, beta, 5), include_tail=False)
+    strict = TruncatedMatsubara(BathParams(1.0, 0.5, beta, 5))
     below = 0.1 * beta / (2.0 * math.pi)
     assert exact.g(below).real > 0.0 and exact.gdot(below).real > 0.0
     for x in (0.2, 9.0, 45.0):
@@ -1260,9 +1295,9 @@ def test_overflowing_bath_powers_raise_dephaser_error(make, what):
 
 def test_subnormal_coupling_raises_dephaser_error():
     # C = 2 eta / (beta gamma) = 4e-318: the growth end was 0.623652913284209, 1.3e-3 off, and N was 0.0
-    for tail in (True, False):
+    for engine in (BrownianMatsubara, TruncatedMatsubara):
         with pytest.raises(DephaserError, match=re.escape("2 eta / (beta gamma) = 3.999995e-318 leaves the normal")):
-            BrownianMatsubara(BathParams(1e-318, 0.5, 1.0), include_tail=tail)
+            engine(BathParams(1e-318, 0.5, 1.0))
 
 
 def test_largest_times_keep_their_bits():

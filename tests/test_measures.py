@@ -20,6 +20,7 @@ from dephaser.dephasing import (
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
+    TruncatedMatsubara,
 )
 from dephaser.dynamics import (
     DensityMatrix2,
@@ -191,12 +192,10 @@ def test_sigma_degenerate_pairs():
 
 
 def _count_work(monkeypatch):
-    """Lists that gather, from now on, BrownianMatsubara's K-term tables (one entry per _explicit call, which only
-    strict truncation makes), the number of new times of each of its sums calls (_sums, one per miss) and the times of
-    its row steps, each of which takes g's and gdot's halves at a g miss."""
-    work = {"tables": [], "sums": [], "rows": []}
-    explicit, sums, row = BrownianMatsubara._explicit, BrownianMatsubara._sums, BrownianMatsubara._row
-    monkeypatch.setattr(BrownianMatsubara, "_explicit", lambda self, *a: work["tables"].append(1) or explicit(self, *a))
+    """Lists that gather, from now on, the number of new times of each of BrownianMatsubara's sums calls (_sums, one
+    per miss) and the times of its row steps, each of which takes g's and gdot's halves at a g miss."""
+    work = {"sums": [], "rows": []}
+    sums, row = BrownianMatsubara._sums, BrownianMatsubara._row
     monkeypatch.setattr(
         BrownianMatsubara, "_sums", lambda self, ts, *a: work["sums"].append(len(ts)) or sums(self, ts, *a)
     )
@@ -206,23 +205,23 @@ def _count_work(monkeypatch):
 
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
-    # E at a new time fills gdot's memo at its times from the same sums and row step, so the rate there runs no row;
-    # the exact engine builds no K-term table (the beta 933 bath's t = 2 is below x = 0.2, the default bath's above)
+    # E at a new time fills gdot's memo at its times from the same sums and row step, so the rate there runs no row
+    # (the beta 933 bath's t = 2 is below x = 0.2, the default bath's above)
     ev = BrownianMatsubara(bath)
     scenario = Prepared(1.0)
     work = _count_work(monkeypatch)
     e = decay_exponent(ev, scenario, 2.0)
     rate = decay_exponent_rate(ev, scenario, 2.0)
-    assert work == {"tables": [], "sums": [3], "rows": [1.0, 2.0, 3.0]}
+    assert work == {"sums": [3], "rows": [1.0, 2.0, 3.0]}
     # sigma at a new time: one sums call for t and t1 + t, one row each
     s = sigma(analytic_pair(), ev, scenario, 4.0)
-    assert work == {"tables": [], "sums": [3, 2], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    assert work == {"sums": [3, 2], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
     # the rate, E and sigma at held times run no row and no sums
     for t in (2.0, 4.0):
         decay_exponent_rate(ev, scenario, t)
         decay_exponent(ev, scenario, t)
         sigma(analytic_pair(), ev, scenario, t)
-    assert work == {"tables": [], "sums": [3, 2], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    assert work == {"sums": [3, 2], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
     # the same bits as a fresh engine's array calls
     fresh = BrownianMatsubara(bath)
     g1, g2, g12 = fresh.g(np.array([1.0, 2.0, 3.0, 0.0])).tolist()[:3]
@@ -232,10 +231,10 @@ def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
     assert s == sigma(analytic_pair(), BrownianMatsubara(bath), scenario, 4.0)
 
 
-def test_prepared_curve_reads_two_tail_sums_and_no_k_table(monkeypatch):
+def test_prepared_curve_reads_one_tail_sums(monkeypatch):
     # a 1000-point Prepared(1) curve of E and its rate on the default bath, as param_sweep draws it: the engine's
-    # tail_sums runs at construction (S1(K), for its largest time) and once more, for the live terms' G1 and G0; no
-    # K-term table is built; and each point's new times take one sums call and one row step each
+    # tail_sums runs once, for the live terms' G1 and G0, and not at construction, whose largest time takes the
+    # closed-form B_n sum; and each point's new times take one sums call and one row step each
     work = _count_work(monkeypatch)
     tails = []
     tail_sums = DirichletTable.tail_sums
@@ -246,7 +245,7 @@ def test_prepared_curve_reads_two_tail_sums_and_no_k_table(monkeypatch):
     for t in ts:
         decay_exponent(ev, scenario, t)
         decay_exponent_rate(ev, scenario, t)
-    assert len(tails) <= 2 and work["tables"] == []
+    assert len(tails) == 1
     assert len(work["sums"]) <= len(ts) and len(work["rows"]) == sum(work["sums"])
 
 
@@ -597,10 +596,12 @@ def test_certified_single_interval_is_the_scan(engine, bath):
 # a growth end past 2^19, where adjacent floats lie more than _REFINE_TOL apart: the bisection looped forever there
 _FAR_GROWTH_END = """
 import json, sys
-from dephaser import BathParams, BrownianMatsubara, HighTemperatureBrownian, Prepared, SystemParams, non_markovianity
+from dephaser import (
+    BathParams, BrownianMatsubara, HighTemperatureBrownian, Prepared, SystemParams, TruncatedMatsubara, non_markovianity
+)
 bath = BathParams(1.0, 1e-7, 1.0)
 engines = {"hight": HighTemperatureBrownian(bath), "analytic": BrownianMatsubara(bath),
-           "strict": BrownianMatsubara(bath, include_tail=False)}
+           "strict": TruncatedMatsubara(bath)}
 res = non_markovianity(SystemParams(), engines[sys.argv[1]], Prepared(1e7), t_max=1e8)
 print(json.dumps([[i.t_start, i.t_end] for i in res.intervals]))
 """
@@ -657,7 +658,7 @@ def test_root_survives_a_subnormal_rate():
 def test_only_an_exact_brownian_g_is_certified():
     w = np.geomspace(1e-3, 100.0, 400)
     tab = TabulatedSpectralDensity(w, OverdampedBrownian(BATH).j(w))
-    assert BrownianMatsubara(BATH, include_tail=False).certified_bath is None
+    assert TruncatedMatsubara(BATH).certified_bath is None
     assert FrequencyQuadrature(tab, BATH.beta).certified_bath is None
     assert TimeDomainQuadrature(tab, BATH.beta).certified_bath is None
     for ev in (

@@ -22,6 +22,7 @@ from dephaser import (
     DensityMatrix2,
     HighTemperatureBrownian,
     SystemParams,
+    TruncatedMatsubara,
     coherence_flip,
     echo_response,
     flip_exponent_grid,
@@ -42,7 +43,7 @@ _BATHS = [
 ]
 _ENGINES = [
     lambda bath: BrownianMatsubara(bath),
-    lambda bath: BrownianMatsubara(bath, include_tail=False),
+    lambda bath: TruncatedMatsubara(bath),
     lambda bath: HighTemperatureBrownian(bath),
 ]
 
@@ -123,11 +124,11 @@ def _count_fills(ev) -> list:
     return calls
 
 
-@pytest.mark.parametrize("include_tail", [True, False], ids=["exact", "strict"])
+@pytest.mark.parametrize("engine", [BrownianMatsubara, TruncatedMatsubara], ids=["exact", "strict"])
 @pytest.mark.parametrize("name", list(_TWO_INTERVAL_CALLS))
-def test_held_two_interval_calls_fill_nothing_and_a_fresh_time_fills_once(name, include_tail):
+def test_held_two_interval_calls_fill_nothing_and_a_fresh_time_fills_once(name, engine):
     call = _TWO_INTERVAL_CALLS[name]
-    ev = BrownianMatsubara(BathParams(1.0, 0.5, 1.0), include_tail)
+    ev = engine(BathParams(1.0, 0.5, 1.0))
     call(ev, 0.3, 1.1)
     calls = _count_fills(ev)
     call(ev, 0.3, 1.1)
@@ -207,13 +208,13 @@ def test_route_times_cross_the_live_term_boundaries():
     assert edge[0] < t_direct == edge[1] < edge[2] and stop(bath, t_direct) in (225, 226)
 
 
-@pytest.mark.parametrize("include_tail", [True, False], ids=["exact", "strict"])
+@pytest.mark.parametrize("engine", [BrownianMatsubara, TruncatedMatsubara], ids=["exact", "strict"])
 @pytest.mark.parametrize("bath, times", _ROUTE_TIMES, ids=_ROUTE_IDS)
-def test_g_and_gdot_keep_their_bits_whichever_route_reached_them_first(bath, times, include_tail):
+def test_g_and_gdot_keep_their_bits_whichever_route_reached_them_first(bath, times, engine):
     # a g miss (which also fills gdot's memo), a gdot miss, and an array call past the memos, each first at a time of
     # an engine, then the other function at the same time: every value has the array call's bits
     def make():
-        return BrownianMatsubara(bath, include_tail)
+        return engine(bath)
 
     padded = np.array(times + [0.7] * _MEMO_CALL)
     want = {name: getattr(make(), name)(padded)[: len(times)].tolist() for name in ("g", "gdot")}

@@ -360,10 +360,11 @@ def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, m):
 
 
 def test_unpaired_tail_sums_build_their_head_only_below_the_cubic_series():
-    # the sums of n = 1, ..., _CUBIC_X serve tail_sums(last) only at last + 1 < _CUBIC_X; an unpaired engine's
-    # constructor reads tail_sums(K), so at K >= _CUBIC_X it builds none, and S1 alone builds none of S0's
-    bath = BathParams(1.0, 0.5, 1.0, matsubara_terms=_CUBIC_X)
-    table = BrownianMatsubara(bath)._table
+    # the sums of n = 1, ..., _CUBIC_X serve tail_sums(last) only at last + 1 < _CUBIC_X: at last = _CUBIC_X an
+    # unpaired table builds none, and S1 alone builds none of S0's
+    bath = BathParams(1.0, 0.5, 1.0)
+    table = bath.dirichlet()
+    table.tail_sums(_CUBIC_X, True)
     assert table.m == 0 and list(table._zeta) == [2] and table._zeta[2][2] is None
     for last in (_CUBIC_X, _CUBIC_X + 1, 100, 10**6):
         table.tail_sums(last)
