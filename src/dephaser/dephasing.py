@@ -244,6 +244,12 @@ def _held(values: list) -> memoryview:
     return memoryview(np.array(values))
 
 
+def _row_sums(terms: np.ndarray, weights: np.ndarray) -> list:
+    """terms times weights, in place, summed by row as a list: the table is freed at the return, not held by a local."""
+    terms *= weights
+    return np.add.reduce(terms, axis=1).tolist()
+
+
 def _dead_weight(n: float, a2: float, x: float) -> float:
     """sum_{k > n} e^{-kx} / (k^2 - a^2) for x > 0 and n >= 2a, a^2 = a2: the weight that the sum counts as dead where
     it stops at n while e^{-kx} is still live.
@@ -457,9 +463,8 @@ class BrownianMatsubara:
             _finite(value, what)
         # the bath of the exact g, whose growth rate has one zero at most (measures)
         self.certified_bath = bath
-        # per-bath factors of the row and _sums formulas, each the value or product its formula starts with (same bits);
-        # K sets only _dead_weight's N
-        self._k = bath.matsubara_terms
+        # per-bath factors of the row and _sums formulas, each the value or product its formula starts with (same bits)
+        self._k = bath.matsubara_terms  # only _dead_weight's N reads K
         self._dead_beta = _EXP_DEAD * bath.beta
         # x = 2 pi t / beta is t times this, and g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X; s0 turns
         # that sum into Re g's Matsubara part
@@ -776,20 +781,15 @@ class TruncatedMatsubara(BrownianMatsubara):
 
     def _sums(self, times: list, g: bool, gdot: bool) -> tuple:
         """(g's, gdot's) sum of the K terms at the Python floats times for _row, each a list where asked for and None
-        where not: c_n h(nu_n t) by _h, which keeps its digits at small nu_n t, and -c_n nu_n expm1(-nu_n t) as e
-        (-B_n), from the times x K table built _table_rows times at once (_TABLE_BUDGET elements, or one row where K
-        alone exceeds it), each row summed as the 1-d sum of its K terms is."""
+        where not: c_n h(nu_n t) by _h, which keeps its digits at small nu_n t, and expm1(-nu_n t) (-B_n), by times x
+        K tables of _TABLE_BUDGET elements (one row where K exceeds it), each row summed as the 1-d sum of its terms."""
         g_sums, gdot_sums = ([] if g else None), ([] if gdot else None)
         for i in range(0, len(times), self._table_rows):
             ts = np.array(times[i : i + self._table_rows])[:, None]
             if g:
-                terms = _h(ts * -self._neg_nu)
-                terms *= self._table.explicit[1]
-                g_sums += np.add.reduce(terms, axis=1).tolist()
+                g_sums += _row_sums(_h(ts * -self._neg_nu), self._table.explicit[1])
             if gdot:
-                e = np.expm1(ts * self._neg_nu)
-                e *= self._neg_b
-                gdot_sums += np.add.reduce(e, axis=1).tolist()
+                gdot_sums += _row_sums(np.expm1(ts * self._neg_nu), self._neg_b)
         return g_sums, gdot_sums
 
     def matsubara_remainder(self, t: float) -> complex:
