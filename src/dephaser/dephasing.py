@@ -115,9 +115,9 @@ _FLOAT_MAX = sys.float_info.max
 # the rounding of x
 _G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
 # the most live terms that a time sums on Python floats, in every route; a time with more sums one numpy row of them,
-# which math.expm1 would not give the bits of.  Measured per L on a g miss, which takes both halves (86 % of the live
-# times of param_sweep): the loop costs about 3 us and 0.12 us a term, the row 7.3 us, and they cross between L = 32
-# and 36.  A gdot-only time sums gdot's terms alone (4.4 us at L = 32), at g's threshold, so gdot has one set of bits
+# which math.expm1 would not give the bits of.  Per L of one live-sum step (_sum_at; best of 11 x 2000 calls, Xeon,
+# Python 3.11): both halves, as a g miss takes them, cost 0.4 us and 0.1 us a term on the loop, 5.1 us as the row;
+# gdot's alone 0.4 and 0.07 us, 3.0 us.  They cross near L = 48 and 37, but L = 32 fixes the bits, so it stays
 _LIVE_FLOATS = 32
 # h's Taylor terms (-1)^k / k!, k = 2, 3, ..., as a column
 _H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
@@ -426,7 +426,7 @@ class BrownianMatsubara:
     plus _dead_weight where more than _BLOCK_CAP terms past K are live (so that it is the sum stopped at K + _BLOCK_CAP,
     which perfbench's references record).  From _DIRECT_X on each is the L = min(ceil(45 beta / (2 pi t)), 226) live
     terms, whose exponentials are summed until they underflow, and G1[L] and G0[L], the sums of B_n and c_n past them
-    (_sums): one 226-term table and two running sums per engine, and no K.  K reaches it only as _dead_weight's N;
+    (_sum_at): one 226-term table and two running sums per engine, and no K.  K reaches it only as _dead_weight's N;
     TruncatedMatsubara sums the K terms alone.  Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term
     are a pair: one formula at every detuning from gamma = nu_m.
 
@@ -440,19 +440,20 @@ class BrownianMatsubara:
     leaves the normal floats (t below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms
     past K where K + _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta gamma past 6.3e6 at K = 100).
 
-    g and gdot take a time or a 1-d array of times.  The live sums of a call's times from _DIRECT_X on (_sums) take L <=
-    32 terms on Python floats (_LIVE_FLOATS), more as one numpy row per time.  The pole term, the pair and those sums
-    follow time by time in one row step (_row), so a time gets the same bits alone as in an array.  The row step takes
-    g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's exponentials: one _MatsubaraG
-    call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call of at most _MEMO_CALL (3) times is
-    pointwise: g and gdot each keep a memo, time -> value, and compute only the times it lacks; a call of held times is
-    converted but not checked.  An echo row repeats t1, the rows share their t2 axis, and a Prepared(t1) curve asks for
-    g(t1) at every point.  Those two-interval kernels read g's memo in one lookup per time, and hand a miss's values to
-    _fill (_g_two_interval), not through g.  gdot seldom repeats its own times, but the rate of a distance asks for gdot
-    at the times of its g: the row step of a g miss takes both halves, and gdot's memo holds the second, which the rate
-    reads through _gdot_points (measures.decay_exponent_rate).  A gdot miss takes gdot's half alone, since g's would
-    build S0 from _DIRECT_X on, and array calls take the half they return.  Each memo holds at most _MEMO_TIMES (1024)
-    times, and both are cleared when a call could overfill either; larger calls (grids, the scan) neither read nor fill
+    g and gdot take a time or a 1-d array of times.  Every time, alone or in an array, takes one live-sum step
+    (_sum_at), from _DIRECT_X on over its L <= 32 live terms on Python floats (_LIVE_FLOATS), or more as one numpy row,
+    and one row step (_row) of the pole term, the pair and that sum, so it gets the same bits alone as in an array.
+    The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's
+    exponentials: one _MatsubaraG call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call of
+    at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times
+    it lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
+    and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo in one lookup per
+    time, and hand a miss's values to _fill (_g_two_interval), not through g.  gdot seldom repeats its own times, but
+    the rate of a distance asks for gdot at the times of its g: the row step of a g miss takes both halves, and gdot's
+    memo holds the second, which the rate reads in the same way (measures.decay_exponent_rate).  A gdot miss takes
+    gdot's half alone, since g's would build S0 from _DIRECT_X on, and array calls take the half they return.  Each
+    memo holds at most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill either; larger calls
+    (grids, the scan) neither read nor fill
     them, so memory does not grow with the grid.
     """
 
@@ -463,7 +464,7 @@ class BrownianMatsubara:
             _finite(value, what)
         # the bath of the exact g, whose growth rate has one zero at most (measures)
         self.certified_bath = bath
-        # per-bath factors of the row and _sums formulas, each the value or product its formula starts with (same bits)
+        # per-bath factors of the row and live-sum steps, each the value or product its formula starts with (same bits)
         self._k = bath.matsubara_terms  # only _dead_weight's N reads K
         self._dead_beta = _EXP_DEAD * bath.beta
         # x = 2 pi t / beta is t times this, and g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X; s0 turns
@@ -552,9 +553,8 @@ class BrownianMatsubara:
 
     def _live_table(self, g: bool) -> tuple:
         """(the rows -nu_n, c_n and B_n of the live terms n = 1, ..., _G_LIVE_STOP with the m-th 0, their first
-        _LIVE_FLOATS columns as a memoryview of the floats -nu_n, c_n, B_n one n after the other, G1), built at the
-        first row from t_direct on, and G0 at the first g there.  The memoryview, which the Python-float loop reads,
-        holds no float objects.
+        _LIVE_FLOATS columns as a list of the tuples (-nu_n, c_n, B_n), which the Python-float loop slices, G1), built
+        at the first row from t_direct on, and G0 at the first g there.
 
         G1[j] = S1(j) and G0[j] = S0(j), the sums of B_n and c_n over n > j but m, j = 0, ..., _G_LIVE_STOP, are
         compensated running sums (_running_sums): G0 from S0(_G_LIVE_STOP) of one tail_sums less the terms from the
@@ -574,57 +574,54 @@ class BrownianMatsubara:
                 s0, s1 = d.tail_sums(_G_LIVE_STOP, not g)
                 g1 = _running_sums(s1, b[::-1].tolist())[::-1]
             terms = np.stack((-nu, c, b))
-            self._live = (terms, memoryview(terms[:, :_LIVE_FLOATS].T.ravel()), _held(g1))
+            self._live = (terms, list(zip(*terms[:, :_LIVE_FLOATS].tolist())), _held(g1))
         elif g and self._g0 is None:
             s0 = d.tail_sums(_G_LIVE_STOP)[0]
         if g and self._g0 is None:
             self._g0 = _held(_running_sums(s0, self._live[0][1, ::-1].tolist())[::-1])
         return self._live
 
-    def _sums(self, times: list, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) exact Matsubara part at the Python floats times, each a list where asked for and None where
-        not; 0.0 below t_direct, where _row takes _small_x's, and no table built where every time is below it.
+    def _sum_at(self, s: float, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) exact Matsubara part at the Python float s, each None where not asked for, in every route: 0.0
+        below t_direct, where _row takes _small_x's, and no table built there.
 
         From t_direct on, the terms n > L are dead, L = min(ceil(_EXP_DEAD beta / (2 pi t)), _G_LIVE_STOP): g's part is
         sum_{n <= L} c_n (expm1(-nu_n t) + nu_n t) + t G1[L] - G0[L], and gdot's -sum_{n <= L} B_n expm1(-nu_n t) +
         G1[L], from one expm1 per term: on Python floats where L <= _LIVE_FLOATS, else as one numpy row of L terms.
-        Each time sums its own terms, so it gets the same bits alone as in an array.
         """
-        g_sums = [0.0] * len(times) if g else None
-        gdot_sums = [0.0] * len(times) if gdot else None
-        if max(times) < self._t_direct:
-            return g_sums, gdot_sums
-        terms, floats, g1 = self._live_table(g)
-        g0 = self._g0
-        for i, s in enumerate(times):
-            if s < self._t_direct:
-                continue
-            stop = min(math.ceil(self._dead_beta / (_TWO_PI * s)), _G_LIVE_STOP)
-            if stop <= _LIVE_FLOATS:
-                sg = sd = 0.0
-                row = iter(floats[: 3 * stop])
-                if g:
-                    for neg_nu, cn, bn in zip(row, row, row):
-                        y = neg_nu * s
-                        e = math.expm1(y)
-                        sg += cn * (e - y)
-                        sd += bn * e
-                else:  # gdot's terms alone, with the same roundings
-                    for neg_nu, _, bn in zip(row, row, row):
-                        sd += bn * math.expm1(neg_nu * s)
-            else:
-                neg = terms[0, :stop] * s
-                e = np.expm1(neg)
-                sg = float(np.add.reduce((e - neg) * terms[1, :stop])) if g else 0.0
-                sd = float(np.add.reduce(e * terms[2, :stop])) if gdot else 0.0
+        if s < self._t_direct:
+            return (0.0 if g else None), (0.0 if gdot else None)
+        if self._live is None or g and self._g0 is None:
+            self._live_table(g)
+        terms, floats, g1 = self._live
+        stop = math.ceil(self._dead_beta / (_TWO_PI * s))
+        if stop <= _LIVE_FLOATS:
+            sg = sd = 0.0
             if g:
-                g_sums[i] = sg + s * g1[stop] - g0[stop]
-            if gdot:
-                gdot_sums[i] = -sd + g1[stop]
-        return g_sums, gdot_sums
+                for neg_nu, cn, bn in floats[:stop]:
+                    y = neg_nu * s
+                    e = math.expm1(y)
+                    sg += cn * (e - y)
+                    sd += bn * e
+            else:  # gdot's terms alone, with the same roundings
+                for neg_nu, _, bn in floats[:stop]:
+                    sd += bn * math.expm1(neg_nu * s)
+        else:
+            stop = min(stop, _G_LIVE_STOP)
+            neg = terms[0, :stop] * s
+            e = np.expm1(neg)
+            sg = float(np.add.reduce((e - neg) * terms[1, :stop])) if g else 0.0
+            sd = float(np.add.reduce(e * terms[2, :stop])) if gdot else 0.0
+        top = g1[stop]
+        return (sg + s * top - self._g0[stop] if g else None), (-sd + top if gdot else None)
+
+    def _sums(self, times: list, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) exact Matsubara part at the Python floats times, each a list or None: _sum_at at each time."""
+        sums = [self._sum_at(s, g, gdot) for s in times]
+        return ([s for s, _ in sums] if g else None), ([d for _, d in sums] if gdot else None)
 
     def _row(self, t: float, g_sum, gdot_sum) -> tuple:
-        """(g, gdot) at t from their Matsubara sums (_sums; 0.0 below t_direct, where it takes _small_x's), each None
+        """(g, gdot) at t from their Matsubara sums (_sum_at; 0.0 below t_direct, where it takes _small_x's), each None
         where its sum is None: one step of the pole, the pair and, last, the sums; the halves share its exponentials."""
         if t == 0.0:
             return 0j, 0j
@@ -700,10 +697,8 @@ class BrownianMatsubara:
         return _rows(half, ts, False, times, sums)
 
     def _g_points(self, times: list) -> list:
-        """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers.
-
-        The memo is looked up once; a call of held times returns at once, with no array made.
-        """
+        """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers:
+        the memo is looked up once, and a call of held times returns at once, with no array made."""
         values = list(map(self._g_memo.get, times))
         return self._fill(times, values, False) if None in values else values
 
@@ -717,35 +712,30 @@ class BrownianMatsubara:
         time, which the memo then holds, after checking the times; both memos are cleared where the call could overfill
         either.
 
-        The row steps run on the sums of the new times (_sums).  A g miss takes gdot's half too where gdot's memo lacks
-        the time, since the rate of a distance asks for gdot at the times of its g; where that half raises
-        DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at its own call.  A gdot miss takes
-        gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
+        Each new time runs one live-sum step (_sum_at) and one row step on it.  A g miss takes gdot's half too where
+        gdot's memo lacks the time, decided time by time, since the rate of a distance asks for gdot at the times of its
+        g; where that half raises DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at its own
+        call.  A gdot miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
         """
         _check_list(times, self._t_max)
         memo, dots = self._g_memo, self._gdot_memo
         if len(memo) + len(times) > _MEMO_TIMES or len(dots) + len(times) > _MEMO_TIMES:
             memo.clear()
             dots.clear()
-        new = [s for s, v in zip(times, values) if v is None]
-        gdot = derivative or not dots.keys() >= set(new)
-        g_sums, gdot_sums = self._sums(new, not derivative, gdot)
-        j = 0
         for i, s in enumerate(times):
             if values[i] is not None:
                 continue
             if derivative:
-                values[i] = dots[s] = self._row(s, None, gdot_sums[j])[1]
-            else:
-                gdot_sum = None if s in dots else gdot_sums[j]
-                try:
-                    g, gdot = self._row(s, g_sums[j], gdot_sum)
-                except DephaserError:  # from gdot's half, or from g's, which raises it again alone
-                    g, gdot = self._row(s, g_sums[j], None)
-                values[i] = memo[s] = g
-                if gdot is not None:
-                    dots[s] = gdot
-            j += 1
+                values[i] = dots[s] = self._row(s, *self._sum_at(s, False, True))[1]
+                continue
+            g_sum, gdot_sum = self._sum_at(s, True, s not in dots)
+            try:
+                g, gdot = self._row(s, g_sum, gdot_sum)
+            except DephaserError:  # from gdot's half, or from g's, which raises it again alone
+                g, gdot = self._row(s, g_sum, None)
+            values[i] = memo[s] = g
+            if gdot is not None:
+                dots[s] = gdot
         return values
 
 
@@ -753,8 +743,9 @@ class TruncatedMatsubara(BrownianMatsubara):
     """BrownianMatsubara's series truncated strictly at the bath's K terms, the curve figures trd draws: the pole
     term, the pair where 1 <= m <= K (where K < m its sum is singular at gamma = nu_m, and it keeps the bare pole),
     and c_n h(nu_n t), n = 1, ..., K.  matsubara_remainder reports what it drops.  g and gdot are BrownianMatsubara's,
-    memos and row step included, on the K terms' sums (_sums).  Its rate's coefficients can change sign three times,
-    so it has no certified_bath and measures scan it.
+    memos and row step included, on the K terms' sums: an array's from its times x K table (_sums), a pointwise miss's
+    from one row of it (_sum_at).  Its rate's coefficients can change sign three times, so it has no certified_bath and
+    measures scan it.
 
     DephaserError as BrownianMatsubara's, but not where a digamma prefactor overflows, since it sums no tail, and also
     where nu_K^2 leaves the normal floats (2 pi K / beta > 1.3e154), where a c_n of the K terms overflows (gamma
@@ -791,6 +782,10 @@ class TruncatedMatsubara(BrownianMatsubara):
             if gdot:
                 gdot_sums += _row_sums(np.expm1(ts * self._neg_nu), self._neg_b)
         return g_sums, gdot_sums
+
+    def _sum_at(self, s: float, g: bool, gdot: bool) -> tuple:
+        """(g's, gdot's) sum of the K terms at the Python float s for _row: one row of _sums' table."""
+        return tuple(None if sums is None else sums[0] for sums in self._sums([s], g, gdot))
 
     def matsubara_remainder(self, t: float) -> complex:
         """Exact value of the n > K part of g(t) that the truncation drops, the m-th term included: Re g of

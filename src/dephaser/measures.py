@@ -132,15 +132,15 @@ def decay_exponent_rate(evaluator, scenario, t):
     """dE/dt of decay_exponent at a time (a float) or at every time of a 1-d array; negative values mark rephasing.
 
     gdot at the times, and for Prepared also at t1 plus each time: a float
-    from the engine's _gdot_points on the two times as Python numbers where
-    it has one (BrownianMatsubara, whose pointwise g at those times, as
-    decay_exponent takes it, has filled gdot's memo there too), else in one
-    gdot call on the two times as an array; an array in one call on its
-    times and one on t1 plus them.  Other times than a float are checked
-    first (_check_times); a float is checked once, by the engine's own check
-    of the times it lacks, which names it before t1 plus it.  A float time
-    is computed on Python floats, whose IEEE arithmetic gives the bits of
-    the same time inside an array.
+    from the engine's gdot memo in one lookup per time where it keeps one
+    (BrownianMatsubara, whose pointwise g at those times, as decay_exponent
+    takes it, has filled gdot's memo there too), handing a miss's values to
+    its _fill, else in one gdot call on the two times as an array; an array
+    in one call on its times and one on t1 plus them.  Other times than a
+    float are checked first (_check_times); a float is checked once, by the
+    engine's own check of the times it lacks, which names it before t1 plus
+    it.  A float time is computed on Python floats, whose IEEE arithmetic
+    gives the bits of the same time inside an array.
     """
     scalar = type(t) is float
     if not scalar:
@@ -150,9 +150,14 @@ def decay_exponent_rate(evaluator, scenario, t):
         return evaluator.gdot(t).real
     if isinstance(scenario, Prepared):
         if scalar:
-            times = [t, scenario.t1 + t]
-            points = getattr(evaluator, "_gdot_points", None)
-            a, b = evaluator.gdot(np.array(times)).tolist() if points is None else points(times)
+            t12 = scenario.t1 + t
+            memo = getattr(evaluator, "_gdot_memo", None)
+            if memo is None:
+                a, b = evaluator.gdot(np.array([t, t12])).tolist()
+            else:
+                a, b = memo.get(t), memo.get(t12)
+                if a is None or b is None:
+                    a, b = evaluator._fill([t, t12], [a, b], True)
             return 2.0 * a.real - b.real
         return 2.0 * evaluator.gdot(t).real - evaluator.gdot(scenario.t1 + t).real
     raise TypeError(f"unknown scenario {scenario!r}")

@@ -13,6 +13,7 @@ import pytest
 from test_dephasing import _skip_off_the_pinned_kernel
 
 import dephaser
+from dephaser import measures
 from dephaser.cli import (
     _OPTIONS,
     _WRITE_ROWS,
@@ -635,25 +636,19 @@ def test_figures_trd_evaluates_g_once_per_distinct_time_and_curve(monkeypatch, c
 
 
 def _gdot_call_sizes(monkeypatch, cls):
-    """The number of times in each call of cls from now on that asks for gdot: a gdot call, or a _gdot_points call
-    from outside one, the route of the measure's pointwise rate."""
+    """The number of times in each ask for gdot of an engine of cls from now on: a gdot call, or a Prepared rate at one
+    time (measures.decay_exponent_rate), the route of the measure's pointwise rate, which reads gdot's memo at t and
+    t1 + t, and fills it there, without a gdot call."""
     sizes = []
-    inside = []
+    gdot, rate = cls.gdot, measures.decay_exponent_rate
 
-    def counting(method):
-        def counted(self, t, *args):
-            if not inside:
-                sizes.append(np.size(t))
-            inside.append(True)
-            try:
-                return method(self, t, *args)
-            finally:
-                inside.pop()
+    def counted_rate(evaluator, scenario, t):
+        if isinstance(evaluator, cls) and isinstance(scenario, Prepared) and np.ndim(t) == 0:
+            sizes.append(2)
+        return rate(evaluator, scenario, t)
 
-        return counted
-
-    for name in ("gdot", "_gdot_points"):
-        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    monkeypatch.setattr(cls, "gdot", lambda self, t: sizes.append(np.size(t)) or gdot(self, t))
+    monkeypatch.setattr(measures, "decay_exponent_rate", counted_rate)
     return sizes
 
 
@@ -661,8 +656,8 @@ def test_measure_takes_the_certified_root_in_few_two_time_gdot_calls(monkeypatch
     sizes = _gdot_call_sizes(monkeypatch, BrownianMatsubara)
     rc, _, _ = run_cli(capsys, ["measure", "--t1", "1"])
     assert rc == 0
-    # the rate at 0 and at t_max, then about 10 steps of the root, each at (t, t1 + t) through _gdot_points, which
-    # are counted: 11 calls measured
+    # the rate at 0 and at t_max, then about 10 steps of the root, each at (t, t1 + t) from gdot's memo, which are
+    # counted: 11 calls measured
     assert max(sizes) <= 2 and 2 < len(sizes) <= 20
 
 

@@ -846,21 +846,22 @@ def test_mixed_memo_call_computes_and_stores_only_its_new_times(monkeypatch):
 
 
 def test_g_miss_where_gdot_is_held_builds_and_runs_g_half_alone(monkeypatch):
-    # a g call whose new times gdot's memo all holds takes neither gdot's live sums nor gdot's half of the row
+    # a g call whose new times gdot's memo all holds takes neither gdot's live sums nor gdot's half of the row: one
+    # live-sum step of g's half alone and one row per time
     ev = BrownianMatsubara(BATH)
     ev.gdot(np.array([0.7, 2.5]))
     held = dict(ev._gdot_memo)
     calls = []
-    sums = BrownianMatsubara._sums
+    sum_at = BrownianMatsubara._sum_at
 
-    def counted(self, times, g, gdot):
-        calls.append((len(times), g, gdot))
-        return sums(self, times, g, gdot)
+    def counted(self, s, g, gdot):
+        calls.append((s, g, gdot))
+        return sum_at(self, s, g, gdot)
 
-    monkeypatch.setattr(BrownianMatsubara, "_sums", counted)
+    monkeypatch.setattr(BrownianMatsubara, "_sum_at", counted)
     rows = _count_rows(monkeypatch)
     g = ev.g(np.array([0.7, 2.5]))
-    assert calls == [(2, True, False)] and rows == [(0.7, True, False), (2.5, True, False)]
+    assert calls == rows == [(0.7, True, False), (2.5, True, False)]
     assert all(ev._gdot_memo[s] is v for s, v in held.items())
     assert np.array_equal(_bits(g), _bits(BrownianMatsubara(BATH).g(np.array([0.7, 2.5]))))
 

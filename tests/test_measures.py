@@ -192,12 +192,12 @@ def test_sigma_degenerate_pairs():
 
 
 def _count_work(monkeypatch):
-    """Lists that gather, from now on, the number of new times of each of BrownianMatsubara's sums calls (_sums, one
-    per miss) and the times of its row steps, each of which takes g's and gdot's halves at a g miss."""
-    work = {"sums": [], "rows": []}
-    sums, row = BrownianMatsubara._sums, BrownianMatsubara._row
+    """Lists that gather, from now on, the times of BrownianMatsubara's live-sum steps (_sum_at, one per new time) and
+    of its row steps, each of which takes g's and gdot's halves at a g miss."""
+    work = {"steps": [], "rows": []}
+    sum_at, row = BrownianMatsubara._sum_at, BrownianMatsubara._row
     monkeypatch.setattr(
-        BrownianMatsubara, "_sums", lambda self, ts, *a: work["sums"].append(len(ts)) or sums(self, ts, *a)
+        BrownianMatsubara, "_sum_at", lambda self, s, *a: work["steps"].append(s) or sum_at(self, s, *a)
     )
     monkeypatch.setattr(BrownianMatsubara, "_row", lambda self, t, *sums: work["rows"].append(t) or row(self, t, *sums))
     return work
@@ -205,23 +205,24 @@ def _count_work(monkeypatch):
 
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
-    # E at a new time fills gdot's memo at its times from the same sums and row step, so the rate there runs no row
+    # E at a new time fills gdot's memo at its times from the same live-sum and row steps, so the rate there runs no
+    # row
     # (the beta 933 bath's t = 2 is below x = 0.2, the default bath's above)
     ev = BrownianMatsubara(bath)
     scenario = Prepared(1.0)
     work = _count_work(monkeypatch)
     e = decay_exponent(ev, scenario, 2.0)
     rate = decay_exponent_rate(ev, scenario, 2.0)
-    assert work == {"sums": [3], "rows": [1.0, 2.0, 3.0]}
-    # sigma at a new time: one sums call for t and t1 + t, one row each
+    assert work == {"steps": [1.0, 2.0, 3.0], "rows": [1.0, 2.0, 3.0]}
+    # sigma at a new time: one live-sum step and one row each for t and t1 + t
     s = sigma(analytic_pair(), ev, scenario, 4.0)
-    assert work == {"sums": [3, 2], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
-    # the rate, E and sigma at held times run no row and no sums
+    assert work == {"steps": [1.0, 2.0, 3.0, 4.0, 5.0], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    # the rate, E and sigma at held times run no row and no live-sum step
     for t in (2.0, 4.0):
         decay_exponent_rate(ev, scenario, t)
         decay_exponent(ev, scenario, t)
         sigma(analytic_pair(), ev, scenario, t)
-    assert work == {"sums": [3, 2], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    assert work == {"steps": [1.0, 2.0, 3.0, 4.0, 5.0], "rows": [1.0, 2.0, 3.0, 4.0, 5.0]}
     # the same bits as a fresh engine's array calls
     fresh = BrownianMatsubara(bath)
     g1, g2, g12 = fresh.g(np.array([1.0, 2.0, 3.0, 0.0])).tolist()[:3]
@@ -234,7 +235,8 @@ def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
 def test_prepared_curve_reads_one_tail_sums(monkeypatch):
     # a 1000-point Prepared(1) curve of E and its rate on the default bath, as param_sweep draws it: the engine's
     # tail_sums runs once, for the live terms' G1 and G0, and not at construction, whose largest time takes the
-    # closed-form B_n sum; and each point's new times take one sums call and one row step each
+    # closed-form B_n sum; and each point's new times, t and t1 + t, take one live-sum step and one row step each, as
+    # t1 does at the first point (where it is t1 + 0 too) and again after the memos' one clear at 1024 times
     work = _count_work(monkeypatch)
     tails = []
     tail_sums = DirichletTable.tail_sums
@@ -246,7 +248,7 @@ def test_prepared_curve_reads_one_tail_sums(monkeypatch):
         decay_exponent(ev, scenario, t)
         decay_exponent_rate(ev, scenario, t)
     assert len(tails) == 1
-    assert len(work["sums"]) <= len(ts) and len(work["rows"]) == sum(work["sums"])
+    assert work["steps"] == work["rows"] and len(work["rows"]) <= 2 * len(ts) + 2
 
 
 def test_distance_keeps_its_value_where_only_gdot_raises():

@@ -183,8 +183,9 @@ def _across_x_0_2(bath):
 
 # (bath, times): below x = 0.2 (beta 933, paired; the default bath, unpaired), with L = ceil(45 beta / (2 pi t))
 # live terms past K = 25 (a = 5.5, paired), late on the default bath, where every term, nu_1 t > 45 from t = 7.2 on,
-# is dead, across x = 45/32, where L goes from 33 (a numpy row) to 32 (Python floats) at t = 0.22381, and across x = 0.2
-# on the default bath and on beta 933
+# is dead, across x = 45/32, where L goes from 33 (a numpy row) to 32 (Python floats) at t = 0.22381, across x = 0.2
+# on the default bath and on beta 933, and the t1, t and t1 + t of a Prepared(4.8) point at t = 0.5 on the paired a = 5.5
+# bath: t1 a numpy row of 34 terms, t below x = 0.2 and t1 + t on Python floats, so that one g miss takes all three
 _ROUTE_TIMES = [
     (BathParams(1.3, 1.8, 933.0), [1e-3, 0.5, 2.0]),
     (BathParams(1.0, 0.5, 1.0), [1e-4, 0.01, 0.03]),
@@ -193,12 +194,23 @@ _ROUTE_TIMES = [
     (BathParams(1.0, 0.5, 1.0), [0.21, 0.2237, 0.2239]),
     (BathParams(1.0, 0.5, 1.0), _across_x_0_2(BathParams(1.0, 0.5, 1.0))),
     (BathParams(1.3, 1.8, 933.0), _across_x_0_2(BathParams(1.3, 1.8, 933.0))),
+    (BathParams(5.4, 1.55, 22.3, 25), [4.8, 0.5, 4.8 + 0.5]),
 ]
-_ROUTE_IDS = ["small-x", "small-x-unpaired", "live-past-k", "all-dead", "l-33-to-32", "x-0.2", "x-0.2-beta-933"]
+_ROUTE_IDS = [
+    "small-x",
+    "small-x-unpaired",
+    "live-past-k",
+    "all-dead",
+    "l-33-to-32",
+    "x-0.2",
+    "x-0.2-beta-933",
+    "prepared-across-l-32-and-x-0.2",
+]
 
 
 def test_route_times_cross_the_live_term_boundaries():
-    # the L of the times above, one way or the other across 45/32 and across 0.2 (where L is 225 or 226)
+    # the L of the times above, one way or the other across 45/32 and across 0.2 (where L is 225 or 226), and the
+    # Prepared point's t and t1 + t across both
     def stop(bath, t):
         return math.ceil(45.0 * bath.beta / (2.0 * math.pi * t))
 
@@ -206,6 +218,9 @@ def test_route_times_cross_the_live_term_boundaries():
     assert [stop(bath, t) for t in times] == [35, 33, 32]
     t_direct = BrownianMatsubara(bath)._t_direct
     assert edge[0] < t_direct == edge[1] < edge[2] and stop(bath, t_direct) in (225, 226)
+    paired, (t1, t, t12) = _ROUTE_TIMES[7]
+    assert paired.dirichlet().m == 6 and t < BrownianMatsubara(paired)._t_direct < t1
+    assert [stop(paired, s) for s in (t1, t12)] == [34, 31]
 
 
 @pytest.mark.parametrize("engine", [BrownianMatsubara, TruncatedMatsubara], ids=["exact", "strict"])
