@@ -582,8 +582,8 @@ class BrownianMatsubara:
         return self._live
 
     def _sum_at(self, s: float, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) exact Matsubara part at the Python float s, each None where not asked for, in every route: 0.0
-        below t_direct, where _row takes _small_x's, and no table built there.
+        """(g's, gdot's) exact Matsubara part at the Python float s, each None where not asked for: every route's step.
+        0.0 below t_direct, where _row takes _small_x's, and no table built there.
 
         From t_direct on, the terms n > L are dead, L = min(ceil(_EXP_DEAD beta / (2 pi t)), _G_LIVE_STOP): g's part is
         sum_{n <= L} c_n (expm1(-nu_n t) + nu_n t) + t G1[L] - G0[L], and gdot's -sum_{n <= L} B_n expm1(-nu_n t) +
@@ -593,18 +593,18 @@ class BrownianMatsubara:
             return (0.0 if g else None), (0.0 if gdot else None)
         if self._live is None or g and self._g0 is None:
             self._live_table(g)
-        terms, floats, g1 = self._live
+        terms, leading, g1 = self._live
         stop = math.ceil(self._dead_beta / (_TWO_PI * s))
         if stop <= _LIVE_FLOATS:
             sg = sd = 0.0
             if g:
-                for neg_nu, cn, bn in floats[:stop]:
+                for neg_nu, cn, bn in leading[:stop]:
                     y = neg_nu * s
                     e = math.expm1(y)
                     sg += cn * (e - y)
                     sd += bn * e
             else:  # gdot's terms alone, with the same roundings
-                for neg_nu, _, bn in floats[:stop]:
+                for neg_nu, _, bn in leading[:stop]:
                     sd += bn * math.expm1(neg_nu * s)
         else:
             stop = min(stop, _G_LIVE_STOP)
@@ -618,7 +618,7 @@ class BrownianMatsubara:
     def _sums(self, times: list, g: bool, gdot: bool) -> tuple:
         """(g's, gdot's) exact Matsubara part at the Python floats times, each a list or None: _sum_at at each time."""
         sums = [self._sum_at(s, g, gdot) for s in times]
-        return ([s for s, _ in sums] if g else None), ([d for _, d in sums] if gdot else None)
+        return ([a for a, _ in sums] if g else None), ([b for _, b in sums] if gdot else None)
 
     def _row(self, t: float, g_sum, gdot_sum) -> tuple:
         """(g, gdot) at t from their Matsubara sums (_sum_at; 0.0 below t_direct, where it takes _small_x's), each None

@@ -206,8 +206,7 @@ def _count_work(monkeypatch):
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.3, 1.8, 933.0)], ids=["default", "beta-933"])
 def test_distance_and_its_rate_at_a_new_time_take_one_table(monkeypatch, bath):
     # E at a new time fills gdot's memo at its times from the same live-sum and row steps, so the rate there runs no
-    # row
-    # (the beta 933 bath's t = 2 is below x = 0.2, the default bath's above)
+    # row (the beta 933 bath's t = 2 is below x = 0.2, the default bath's above)
     ev = BrownianMatsubara(bath)
     scenario = Prepared(1.0)
     work = _count_work(monkeypatch)

@@ -184,8 +184,8 @@ def _across_x_0_2(bath):
 # (bath, times): below x = 0.2 (beta 933, paired; the default bath, unpaired), with L = ceil(45 beta / (2 pi t))
 # live terms past K = 25 (a = 5.5, paired), late on the default bath, where every term, nu_1 t > 45 from t = 7.2 on,
 # is dead, across x = 45/32, where L goes from 33 (a numpy row) to 32 (Python floats) at t = 0.22381, across x = 0.2
-# on the default bath and on beta 933, and the t1, t and t1 + t of a Prepared(4.8) point at t = 0.5 on the paired a = 5.5
-# bath: t1 a numpy row of 34 terms, t below x = 0.2 and t1 + t on Python floats, so that one g miss takes all three
+# on the default bath and on beta 933, and the t1, t and t1 + t of a Prepared(4.8) point at t = 0.5 on the paired
+# a = 5.5 bath: t1 a numpy row of 34 terms, t below x = 0.2 and t1 + t on Python floats, one g miss taking all three
 _ROUTE_TIMES = [
     (BathParams(1.3, 1.8, 933.0), [1e-3, 0.5, 2.0]),
     (BathParams(1.0, 0.5, 1.0), [1e-4, 0.01, 0.03]),
