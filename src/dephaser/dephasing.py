@@ -453,8 +453,7 @@ class BrownianMatsubara:
     memo holds the second, which the rate reads in the same way (measures.decay_exponent_rate).  A gdot miss takes
     gdot's half alone, since g's would build S0 from _DIRECT_X on, and array calls take the half they return.  Each
     memo holds at most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill either; larger calls
-    (grids, the scan) neither read nor fill
-    them, so memory does not grow with the grid.
+    (grids, the scan) neither read nor fill them, so memory does not grow with the grid.
     """
 
     def __init__(self, bath: BathParams):
