@@ -9,7 +9,7 @@ evaluators are provided:
 
   * BrownianMatsubara: the exact pole-plus-Matsubara series.  Below
     x = 2 pi t / beta = 0.2 its Re g and Re gdot sum the Matsubara terms
-    on the nodes of the analytic L's sum (_MatsubaraG, one table for
+    on the analytic L's node set (spectral._SmallXSums, one table for
     both); from there they sum their L <= 226 live terms and the sums
     past them, two running sums per engine, and read no K.  Its digamma
     is spectral._digamma, which runs only where those sums are built,
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 
 import numpy as np
 
@@ -76,7 +75,6 @@ from .spectral import (
     _DIRECT_X,
     _EXP_DEAD,
     _FOURIER_MIN_TW,
-    _G_RULE,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
@@ -87,10 +85,8 @@ from .spectral import (
     _exp_divided_difference,
     _finite,
     _H_SERIES_TOP,
-    _H_TAYLOR,
     _h,
     _h_divided_difference,
-    _matsubara_nodes,
     _normal,
     _pow,
     _split_frequency,
@@ -119,8 +115,6 @@ _G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
 # Python 3.11): both halves, as a g miss takes them, cost 0.4 us and 0.1 us a term on the loop, 5.1 us as the row;
 # gdot's alone 0.4 and 0.07 us, 3.0 us.  They cross near L = 48 and 37, but L = 32 fixes the bits, so it stays
 _LIVE_FLOATS = 32
-# h's Taylor terms (-1)^k / k!, k = 2, 3, ..., as a column
-_H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
 
 
 def flip_exponent(g1, g2, g12):
@@ -277,121 +271,6 @@ def _dead_weight(n: float, a2: float, x: float) -> float:
     return math.exp(-z) / n * (s - 0.5 * w + (x + 2.0 * w) * w / 12.0)
 
 
-class _MatsubaraG:
-    """(S(x), S'(x)) for 0 < x < _DIRECT_X: S(x) = sum_{n >= 1, n != m} h(n x) q(n), q(u) = 1 / (u (u - a)(u + a)), h(y)
-    = e^-y + y - 1, is Re g's Matsubara part over s0 = eta gamma beta^2 / (2 pi^3), with x = 2 pi t / beta, and S'(x) =
-    sum_{n >= 1, n != m} (1 - e^-nx) n q(n) Re gdot's over s1 = eta gamma beta / pi^2.
-
-    S is the weighted sum of h(u_i x) on the points and weights of spectral._matsubara_nodes (power 0), which the
-    analytic L shares, with their Euler-Maclaurin end terms.  The upper tail's integral of h(u x) u^-3 is x^2 M(top x),
-    M(z) = int_z^inf h(v) v^-3 dv = h(z) / (2 z^2) + (1 - e^-z) / (2 z) + E1(z) / 2 (by parts; every term positive).
-    S' is its x-derivative term by term: w_i u_i (1 - e^-u_i x), whose factor 1 - e^-y = -expm1(-y) keeps its digits at
-    every y, the end terms' and the zero end's derivatives, and the upper tail's int_top^inf (1 - e^-ux) u^-2 du = (1 -
-    e^-z) / top + x E1(z), z = top x (by parts).  A call takes the one or both of them that its row step asks for, from
-    one expm1(-u_i x) over the points, whose end terms and top share their exponentials: the row of a g miss takes
-    both, and S' reads every point's e = expm1(-y) where S reads e + y from its first group past the Taylor series.
-
-    h cancels at small y, so S's weighted sum is taken by groups, the points between consecutive powers of 4: a group
-    whose largest y is below _H_SERIES_TOP is h's Taylor series (spectral._H_TAYLOR) of its moments sum_i w_i u_i^k,
-    scaled by the group's largest u, kept from the first call that asks for S; from the first other group on, each
-    term is w_i (expm1(-y_i) + y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Within
-    7.1e-14 of tests/_oracle.reference on 14 baths (a from 1.6e-4 to 3000) from t = 1e-9 to x = 0.2, with no K or live
-    term read.  DephaserError where a reaches _A_MAX, past which the window's n - a are not exact.
-    """
-
-    def __init__(self, a: float, m: int):
-        u, w, ends, zero_end, top = _matsubara_nodes(a, m, *_G_RULE)
-        self._top = top
-        self._zero_end = zero_end
-        # S': the weights u_i w_i and the zero end's x-derivative over x
-        self._slopes = u * w
-        self._zero_slope = tuple(2 * p * d for p, d in enumerate(zero_end, 1))
-        # each end's u, b0, b1 and b_i of S, and u b0 + b1 and u b1 of S'; the top's b0 and b1 in S take the terms of
-        # x^2 M(top x) in h(y) and in h'(y)
-        ends = [(v, b0, b1, b, v * b0 + b1, v * b1) for v, b0, b1, b in ends]
-        _, b0, b1, b, d0, d1 = ends[0]
-        ends[0] = (top, b0 + 0.5 / (top * top), b1 + 0.5 / top, b, d0, d1)
-        self._ends = ends
-        self._nodes, self._weights = u, w
-        # S's groups and their moments, which S' does not read: built at the first call that asks for S
-        self._moments = None
-
-    def _group(self) -> None:
-        """The groups, the points of each power of 4, at most a factor 4 apart: their largest u and first points, and
-        their moments."""
-        u = self._nodes
-        ids = np.floor(np.log2(u) * 0.5)
-        lasts = np.flatnonzero(ids[1:] != ids[:-1])
-        self._tops = np.concatenate((u[lasts], u[-1:]))
-        self._top_list = self._tops.tolist()
-        starts = self._starts = [0, *(lasts + 1).tolist(), u.size]
-        # w r^k, k = 2, 3, ..., of each point's r = u / (its group's largest u), summed by group, times h's Taylor terms
-        r = u / np.repeat(self._tops, [b - a for a, b in zip(starts, starts[1:])])
-        powers = np.empty((len(_H_TAYLOR), u.size))
-        powers[:] = r
-        powers[0] *= r * self._weights
-        np.multiply.accumulate(powers, axis=0, out=powers)
-        self._moments = _H_TAYLOR_COLUMN * np.add.reduceat(powers, starts[:-1], axis=1)
-
-    def __call__(self, x: float, g: bool, gdot: bool) -> tuple:
-        """(S(x) where g, S'(x) where gdot), each None where not asked for."""
-        k = first = 0
-        if g:
-            if self._moments is None:
-                self._group()
-            # the groups whose largest y is below _H_SERIES_TOP by their Taylor series, the rest's points one by one
-            k = bisect_left(self._top_list, _H_SERIES_TOP / x)
-            first = self._starts[k]
-        # -u_i x and expm1(-u_i x) of the points from lo: all of them for S', those from first for S alone; e takes
-        # neg's place where S does not read it
-        lo = 0 if gdot else first
-        neg = (self._nodes[lo:] if lo else self._nodes) * -x
-        e = np.expm1(neg, out=None if g else neg)
-        s = ds = 0.0
-        if k:
-            z = self._tops[:k] * x
-            powers = np.empty((len(_H_TAYLOR), k))
-            powers[:] = z
-            powers[0] *= z
-            np.multiply.accumulate(powers, axis=0, out=powers)
-            s = float(np.vdot(powers, self._moments[:, :k]))
-        if g and first < self._nodes.size:
-            s += float(np.dot(self._weights[first:], e[first - lo :] - neg[first - lo :]))  # expm1(-y) + y
-        if gdot:
-            ds = -float(np.dot(self._slopes, e))
-        for u, b0, b1, b, d0, d1 in self._ends:
-            y = u * x
-            em = math.expm1(-y)
-            ey = math.exp(-y)
-            if g:  # h(y) b0 - x expm1(-y) b1 + x^2 e^-y P(x), P(x) = sum_i b_i x^i
-                p = 0.0
-                for bi in reversed(b):
-                    p = p * x + bi
-                s += (em + y if y >= _H_SERIES_TOP else _h(y)) * b0 - x * em * b1 + x * x * ey * p
-            if gdot:  # its d/dx with the b0 and b1 of S': h'(y)(u b0 + b1) + x e^-y (u b1 + sum_i (2 + i - y) b_i x^i)
-                p = 0.0
-                for i in range(len(b) - 1, -1, -1):
-                    p = p * x + (2 + i - y) * b[i]
-                ds += -em * d0 + x * ey * (d1 + p)
-        if g:
-            p = 0.0
-            for d in reversed(self._zero_end):
-                p = (p + d) * x * x
-            s += p
-        if gdot:
-            p = 0.0
-            for d in reversed(self._zero_slope):
-                p = p * x * x + d
-            ds += p * x
-        # the rest of x^2 M(top x) and its derivative: E1(z) = e^-z (e^z E1(z))
-        y = self._top * x
-        ey, e1 = math.exp(-y), _e1_scaled(y)
-        return (
-            s + 0.5 * x * x * ey * e1 if g else None,
-            ds - math.expm1(-y) / self._top + x * ey * e1 if gdot else None,
-        )
-
-
 def _g_two_interval(evaluator, t1: float, t2: float) -> list:
     """[g(t1), g(t2), g(t1 + t2)] as Python complex numbers at checked float times: the one pointwise route of the
     two-interval kernels and maps.
@@ -421,14 +300,14 @@ class BrownianMatsubara:
 
     g(t) = (pole_c - i pole_im) h(gamma t) + sum_{n >= 1} c_n h(nu_n t), h(y) = e^-y + y - 1, in the names of
     DirichletTable; every h is spectral._h, which keeps its digits at small y.  Below x = 2 pi t / beta = _DIRECT_X the
-    sum is _MatsubaraG's: the window around the pole and the Euler-Maclaurin tails, as the analytic L sums its own, and
-    it reads no K; gdot's is that sum's x-derivative on the same table, built once at the first such call of either,
-    plus _dead_weight where more than _BLOCK_CAP terms past K are live (so that it is the sum stopped at K + _BLOCK_CAP,
-    which perfbench's references record).  From _DIRECT_X on each is the L = min(ceil(45 beta / (2 pi t)), 226) live
-    terms, whose exponentials are summed until they underflow, and G1[L] and G0[L], the sums of B_n and c_n past them
-    (_sum_at): one 226-term table and two running sums per engine, and no K.  K reaches it only as _dead_weight's N;
-    TruncatedMatsubara sums the K terms alone.  Where a = beta gamma / 2 pi rounds to m >= 1, the pole and the m-th term
-    are a pair: one formula at every detuning from gamma = nu_m.
+    sum is spectral._SmallXSums' S, the window around the pole and the Euler-Maclaurin tails on the node set that the
+    analytic L reads too, and it reads no K; gdot's is S', its x-derivative on the same table, built once at the first
+    such call of either, plus _dead_weight where more than _BLOCK_CAP terms past K are live (so that it is the sum
+    stopped at K + _BLOCK_CAP, which perfbench's references record).  From _DIRECT_X on each is the L = min(ceil(45
+    beta / (2 pi t)), 226) live terms, whose exponentials are summed until they underflow, and G1[L] and G0[L], the
+    sums of B_n and c_n past them (_sum_at): one 226-term table and two running sums per engine, and no K.  K reaches
+    it only as _dead_weight's N; TruncatedMatsubara sums the K terms alone.  Where a = beta gamma / 2 pi rounds to m >=
+    1, the pole and the m-th term are a pair: one formula at every detuning from gamma = nu_m.
 
     The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi) or 2 eta / (beta gamma) leaves the normal
     floats (beta gamma < 9.4e-154, eta 1e-318 on beta gamma 0.5), where gamma^2 or an amplitude of the pole term or the
@@ -444,7 +323,7 @@ class BrownianMatsubara:
     (_sum_at), from _DIRECT_X on over its L <= 32 live terms on Python floats (_LIVE_FLOATS), or more as one numpy row,
     and one row step (_row) of the pole term, the pair and that sum, so it gets the same bits alone as in an array.
     The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's
-    exponentials: one _MatsubaraG call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call of
+    exponentials: one _SmallXSums call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call of
     at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times
     it lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
     and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo in one lookup per
@@ -466,7 +345,7 @@ class BrownianMatsubara:
         # per-bath factors of the row and live-sum steps, each the value or product its formula starts with (same bits)
         self._k = bath.matsubara_terms  # only _dead_weight's N reads K
         self._dead_beta = _EXP_DEAD * bath.beta
-        # x = 2 pi t / beta is t times this, and g is _MatsubaraG's sum below t_direct, where x < _DIRECT_X; s0 turns
+        # x = 2 pi t / beta is t times this, and g is _SmallXSums' sum below t_direct, where x < _DIRECT_X; s0 turns
         # that sum into Re g's Matsubara part
         self._x_rate = _TWO_PI / bath.beta
         self._t_direct = _DIRECT_X * bath.beta / _TWO_PI
@@ -478,10 +357,10 @@ class BrownianMatsubara:
         # terms reach nu_n t <= _EXP_DEAD + nu_1 t, so nu_1 = x_rate is their argument rate
         b_sum = d.rate - self._pole_b - (d.m_rest if self._m else 0.0)
         self._t_max = self._largest_time_of(b_sum, abs(b_sum), self._x_rate)
-        # built at their first use: the small-x sums of g and gdot (_small_x), the live terms' table with G1 from x =
+        # built at their first use, as the table's small-x sums (small_x) are: the live terms' table with G1 from x =
         # _DIRECT_X on, and G0 at the first g there (_live_table).  Set here, and not as cached properties, whose
         # writes to the instance's __dict__ would slow every attribute read of the engine's rows
-        self._small_x_sum = self._live = self._g0 = None
+        self._live = self._g0 = None
 
     def _pole_terms(self, bath: BathParams, k: float):
         """The checks, DirichletTable (returned), pole term, pair (where a rounds to m >= 1 with m <= k, else the bare
@@ -522,8 +401,8 @@ class BrownianMatsubara:
         return _largest_time(arg_rate, abs(rate) + self.bath.eta, moduli)
 
     def _small_x(self, t: float, g: bool, gdot: bool) -> tuple:
-        """(g's, gdot's) exact Matsubara part below t_direct, each None where not asked for, from one _MatsubaraG call,
-        built at the first call: s0 S and s1 S', plus _dead_weight where more than _BLOCK_CAP terms past K are live.
+        """(g's, gdot's) exact Matsubara part below t_direct, each None where not asked for, from one call of the
+        table's small_x: s0 S and s1 S', plus _dead_weight where more than _BLOCK_CAP terms past K are live.
 
         DephaserError where x^2 leaves the normal floats, and gdot's at such a time where N = K + _BLOCK_CAP < 2a.
         """
@@ -533,9 +412,7 @@ class BrownianMatsubara:
                 f"time {t!r} is too small for the Matsubara sum of g and gdot: (2 pi t / beta)^2 = {x * x!r} leaves "
                 "the normal floats"
             )
-        if self._small_x_sum is None:
-            self._small_x_sum = _MatsubaraG(self.bath.pole_ratio, self._m)
-        s, ds = self._small_x_sum(x, g, gdot)
+        s, ds = self._table.small_x(x, g, gdot)
         if gdot:
             ds = self._s1 * ds
             n = self._k + _BLOCK_CAP
@@ -671,7 +548,7 @@ class BrownianMatsubara:
             return self._fill([t], [None], False)[0] if value is None else value
         if t.size > _MEMO_CALL:
             return self._grid(t, False)
-        return np.fromiter(self._g_points(t.tolist()), complex, t.size)
+        return np.fromiter(self._points(t.tolist(), False), complex, t.size)
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
@@ -685,7 +562,7 @@ class BrownianMatsubara:
             return self._fill([t], [None], True)[0] if value is None else value
         if t.size > _MEMO_CALL:
             return self._grid(t, True)
-        return np.fromiter(self._gdot_points(t.tolist()), complex, t.size)
+        return np.fromiter(self._points(t.tolist(), True), complex, t.size)
 
     def _grid(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
         """g, or gdot where derivative, at every time of a call of more than _MEMO_CALL times, after checking them:
@@ -695,33 +572,31 @@ class BrownianMatsubara:
         half = (lambda s, v: self._row(s, None, v)[1]) if derivative else (lambda s, v: self._row(s, v, None)[0])
         return _rows(half, ts, False, times, sums)
 
-    def _g_points(self, times: list) -> list:
-        """g at the Python floats of a pointwise call, at most _MEMO_CALL of them, as a list of Python complex numbers:
-        the memo is looked up once, and a call of held times returns at once, with no array made."""
-        values = list(map(self._g_memo.get, times))
-        return self._fill(times, values, False) if None in values else values
-
-    def _gdot_points(self, times: list) -> list:
-        """gdot at the Python floats of a pointwise call, as _g_points gives g, from gdot's memo."""
-        values = list(map(self._gdot_memo.get, times))
-        return self._fill(times, values, True) if None in values else values
+    def _points(self, times: list, derivative: bool) -> list:
+        """g, or gdot where derivative, at the at most _MEMO_CALL Python floats of a pointwise call, as Python complex
+        numbers: its memo is looked up once, and a call of held times returns at once, with no array made."""
+        values = list(map((self._gdot_memo if derivative else self._g_memo).get, times))
+        return self._fill(times, values, derivative) if None in values else values
 
     def _fill(self, times: list, values: list, derivative: bool) -> list:
         """values, g's memo's values at times (gdot's where derivative), with each None replaced by the row step at its
         time, which the memo then holds, after checking the times; both memos are cleared where the call could overfill
         either.
 
-        Each new time runs one live-sum step (_sum_at) and one row step on it.  A g miss takes gdot's half too where
-        gdot's memo lacks the time, decided time by time, since the rate of a distance asks for gdot at the times of its
-        g; where that half raises DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at its own
-        call.  A gdot miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on, which gdot never reads.
+        Each new time runs one live-sum step (_sum_at) and one row step, once however often the call holds it.  A g miss
+        takes gdot's half too where gdot's memo lacks the time, since the rate of a distance asks for gdot at the times
+        of its g; where that half raises DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at
+        its own call.  A gdot miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on.
         """
         _check_list(times, self._t_max)
         memo, dots = self._g_memo, self._gdot_memo
         if len(memo) + len(times) > _MEMO_TIMES or len(dots) + len(times) > _MEMO_TIMES:
             memo.clear()
             dots.clear()
+        held = dots if derivative else memo
         for i, s in enumerate(times):
+            if values[i] is None:
+                values[i] = held.get(s)  # where an earlier new time of this call was s
             if values[i] is not None:
                 continue
             if derivative:
@@ -752,7 +627,7 @@ class TruncatedMatsubara(BrownianMatsubara):
     """
 
     certified_bath = None
-    # every time reads the K terms: none takes _MatsubaraG's sum
+    # every time reads the K terms: none takes _SmallXSums' sum
     _t_direct = 0.0
 
     def __init__(self, bath: BathParams):

@@ -12,12 +12,12 @@ overdamped Brownian form
 
 L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation): the
 Matsubara terms next to the pole are summed exactly and the rest by
-Euler-Maclaurin, on the nodes that Re g's sum shares (_matsubara_nodes), at
-a bounded cost per call at any temperature.  Against a
-40-digit Lerch-phi sum (tests/_oracle.py) Re L is within 1e-13 relative,
-or 8 ulp of the sum of its terms' magnitudes where it is tiny against
-them, from beta 0.1 to 1e6.  Tabulated spectral densities are integrated
-on their own grid.
+Euler-Maclaurin, on the one node set of the small-x sums of L, Re g and
+Re gdot (_SmallXSums), at a bounded cost per call at any temperature.
+Against a 40-digit Lerch-phi sum (tests/_oracle.py) Re L is within 1e-13
+relative, or 8 ulp of the sum of its terms' magnitudes where it is tiny
+against them, from beta 0.1 to 1e6.  Tabulated spectral densities are
+integrated on their own grid.
 
 Re L(t) diverges logarithmically as t -> 0 for the Brownian form (the
 integrand falls off only as 1/w), so L(0) raises DephaserError there;
@@ -25,14 +25,15 @@ lim_{t->0+} Im L(t) = -eta*gamma.  A tabulated density has a finite grid,
 so its L(0) is the finite trapezoid sum, with Im L(0) = 0 by oddness.
 
 BathParams makes every decision about the Brownian bath: the thermal frequencies nu_n, the pair of the
-pole gamma with the nearest one, and the one table of its Dirichlet coefficients (DirichletTable), which
-the analytic L here and the series engine of dephasing (BrownianMatsubara) read.
+pole gamma with the nearest one, and the one table of its Dirichlet coefficients and small-x sums (DirichletTable),
+which the analytic L here and the series engine of dephasing (BrownianMatsubara) read.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -76,6 +77,7 @@ _CUBIC_X = 30
 _H_SERIES_TOP = 0.5
 # (-1)^k / k! for k = 2, ..., 15: h's Taylor terms, of which the 16th and later leave out less than 6e-18 of h below 1/2
 _H_TAYLOR = tuple((-1) ** k / math.factorial(k) for k in range(2, 16))
+_H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
 # The 16-point Gauss-Legendre rule on [-1, 1], which is symmetric: its positive nodes and their weights; then the rule
 # on [0, 1], nodes in increasing order
 _GAUSS_NODES = (
@@ -90,19 +92,12 @@ _UNIT_NODES = 0.5 + 0.5 * np.array([-v for v in reversed(_GAUSS_NODES)] + list(_
 _UNIT_WEIGHTS = 0.5 * np.array(_GAUSS_WEIGHTS[::-1] + _GAUSS_WEIGHTS)
 # (i, j, coefficient) of the Euler-Maclaurin corrections sum_k B_2k / (2k)! f^(2k-1), k <= 5: the term of b_i in
 # r^(j) of _end_coefficients, by Leibniz; (-1)^i for i >= 2 is that of the i-th derivative of e^-y, and of h(y) =
-# e^-y + y - 1.  The first k (k + 1) are those of the first k corrections.
+# e^-y + y - 1
 _EM_TERMS = tuple(
     (i, j - i, bk * math.comb(j, i) * ((-1) ** i if i >= 2 else 1))
     for j, bk in zip(range(1, 10, 2), _BERNOULLI)
     for i in range(j + 1)
 )
-# (power, panel width, Euler-Maclaurin corrections) of _matsubara_nodes for Re g's sum and for L's.  At 312 times
-# from t = 1e-9 to x = 0.2 on 74 baths, panels of 2, 3 and 4 left Re g within 7.1e-14 of the oracle and panels of 6
-# left 3.9e-11.  L's e^-ux bends faster: with panels of 3 it was 1619 ulp off at (1, 0.5, 2e5), t = 1000, where
-# panels of 2 leave it 0.7 ulp off.  At 32.5 or more from the pole the fifth correction, B_10 / 10! f^(9), is below
-# 2e-16 of g's f; L's keeps it, whose x^9 e^-y term at its ends and x^8 one at u = 0 reach 7 ulp of Re L.
-_G_RULE = (0, 3.0, 4)
-_L_RULE = (2, 2.0, 5)
 # How far past the pole's scale the upper integral of _matsubara_nodes runs, where its integrand has fallen by e^-40
 _REACH = 20.0
 
@@ -371,6 +366,11 @@ class DirichletTable:
         return coef
 
     @cached_property
+    def small_x(self) -> _SmallXSums:
+        """The Matsubara sums of g, gdot and L below x = _DIRECT_X, built at the first read."""
+        return _SmallXSums(self.a, self.m)
+
+    @cached_property
     def tail_amps(self) -> tuple[float, float]:
         """The prefactors of S1 and of S0 in tail_sums."""
         eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
@@ -479,10 +479,10 @@ def _check_pole_ratio(a: float) -> None:
         raise DephaserError(f"beta gamma / 2 pi = {a!r} is past 2^52, where the Matsubara terms' n - a are not exact")
 
 
-def _panels(lo: float, hi: float, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of the 16-point Gauss-Legendre rule on each of the equal panels of [lo, hi], at most width
-    wide, in increasing order."""
-    nodes, weights = _unit_panels(max(1, math.ceil((hi - lo) / width)))
+def _panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the 16-point Gauss-Legendre rule on each of the equal panels of [lo, hi], at most 2 wide, in
+    increasing order."""
+    nodes, weights = _unit_panels(max(1, math.ceil((hi - lo) / 2.0)))
     return lo + (hi - lo) * nodes, (hi - lo) * weights
 
 
@@ -493,31 +493,35 @@ def _unit_panels(k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.tile(_UNIT_WEIGHTS / k, k)
 
 
-def _end_coefficients(u: float, a: float, sign: float, power: int, corrections: int) -> tuple:
-    """(u, b0, b1, b) of an end u of an Euler-Maclaurin sum of f(v) = phi(v x) r(v), r(v) = v^power q(v), q(v) = 1 /
-    (v (v - a)(v + a)), phi = h (Re g, power 0) or phi(y) = e^-y (L, power 2), h(y) = e^-y + y - 1.
-
-    Its term f(u) / 2 + sign sum_k B_2k / (2k)! f^(2k-1)(u), k <= corrections, at any x, is h(y) b0 + x h'(y) b1 +
-    x^2 e^-y sum_i b[i] x^i for h, y = u x, h' = 1 - e^-y, and e^-y (b0 - x b1 + x^2 sum_i b[i] x^i) for e^-y: by
-    Leibniz, f^(j) = sum_i C(j, i) x^i phi^(i)(y) r^(j-i)(u), with phi^(i) = (-1)^i e^-y for i >= 2 (_EM_TERMS).  The
-    derivatives of q follow from p q = 1, p = v^3 - a^2 v, and those of v^2 q from them by Leibniz.
-    """
+def _q_derivatives(u: float, a: float) -> list:
+    """[q(u), q'(u), ..., q^(9)(u)], q(v) = 1 / (v (v - a)(v + a)), for five corrections at an end u, from p q = 1."""
     p = u * (u - a) * (u + a)
-    # sum_i C(j, i) p^(i) q^(j-i) = 0 for j >= 1, with p' = 3 v^2 - a^2, p'' = 6 v and p''' = 6
+    # p = v^3 - a^2 v: sum_i C(j, i) p^(i) q^(j-i) = 0 for j >= 1, with p' = 3 v^2 - a^2, p'' = 6 v and p''' = 6
     p1, p2 = 3.0 * u * u - a * a, 3.0 * u
     r = [1.0 / p]
-    for j in range(1, 2 * corrections):
+    for j in range(1, 2 * len(_BERNOULLI)):
         s = j * p1 * r[j - 1]
         if j >= 2:
             s += j * (j - 1) * p2 * r[j - 2]
         if j >= 3:
             s += j * (j - 1) * (j - 2) * r[j - 3]
         r.append(-s / p)
+    return r
+
+
+def _end_coefficients(u: float, sign: float, r: list, power: int) -> tuple:
+    """(u, b0, b1, b) of an end u of an Euler-Maclaurin sum of f(v) = phi(v x) v^power q(v), from q's derivatives r =
+    _q_derivatives(u, a): phi = h (Re g, power 0) or phi(y) = e^-y (L, power 2), h(y) = e^-y + y - 1.
+
+    Its term f(u) / 2 + sign sum_k B_2k / (2k)! f^(2k-1)(u), k <= 5, at any x, is h(y) b0 + x h'(y) b1 + x^2 e^-y
+    sum_i b[i] x^i for h, y = u x, h' = 1 - e^-y, and e^-y (b0 - x b1 + x^2 sum_i b[i] x^i) for e^-y: by Leibniz,
+    f^(j) = sum_i C(j, i) x^i phi^(i)(y) (v^power q)^(j-i)(u), with phi^(i) = (-1)^i e^-y for i >= 2 (_EM_TERMS).
+    """
     if power:  # (v^2 q)^(j) = v^2 q^(j) + 2 j v q^(j-1) + j (j - 1) q^(j-2)
         shifted = zip(r, [0.0, *r], [0.0, 0.0, *r])
         r = [u * u * q + 2.0 * j * u * q1 + j * (j - 1) * q2 for j, (q, q1, q2) in enumerate(shifted)]
-    b = [0.0] * (2 * corrections)
-    for i, j, coef in _EM_TERMS[: corrections * (corrections + 1)]:
+    b = [0.0] * len(r)
+    for i, j, coef in _EM_TERMS:
         b[i] += coef * r[j]
     return u, sign * b[0] + 0.5 * r[0], sign * b[1], tuple(sign * v for v in b[2:])
 
@@ -528,9 +532,9 @@ _ZERO_END_B = (0.0, *(bk * math.factorial(2 * k - 1) for k, bk in enumerate(_BER
 _ZERO_END_F = tuple(math.factorial(2 * k) for k in range(len(_BERNOULLI) + 1))
 
 
-def _zero_end_coefficients(a: float, corrections: int) -> tuple:
-    """(d_1, ..., d_c) of the Euler-Maclaurin corrections -sum_k B_2k / (2k)! f^(2k-1)(0), k <= c = corrections, of
-    f(u) = h(u x) q(u), q(u) = 1 / (u (u - a)(u + a)), at its lower end u = 0: sum_p d_p x^(2p).
+def _zero_end_coefficients(a: float) -> tuple:
+    """(d_1, ..., d_5) of the Euler-Maclaurin corrections -sum_k B_2k / (2k)! f^(2k-1)(0), k <= 5, of f(u) = h(u x)
+    q(u), q(u) = 1 / (u (u - a)(u + a)), at its lower end u = 0: sum_p d_p x^(2p).
 
     f(u) = -(1 / a^2) sum_{j >= 2} x^j u^(j-1) / j! sum_i (u / a)^(2i) near 0, so f^(2k-1)(0) = -((2k-1)! / a^2)
     sum_{p <= k} x^(2p) / ((2p)! a^(2k-2p)): terms of one sign.  L's f, e^-ux u^2 q(u), is the second derivative of
@@ -538,28 +542,34 @@ def _zero_end_coefficients(a: float, corrections: int) -> tuple:
     x^(2p-1).
     """
     return tuple(
-        sum(_ZERO_END_B[k] / a ** (2 * k - 2 * p) for k in range(p, corrections + 1)) / (_ZERO_END_F[p] * a * a)
-        for p in range(1, corrections + 1)
+        sum(_ZERO_END_B[k] / a ** (2 * k - 2 * p) for k in range(p, len(_ZERO_END_B))) / (_ZERO_END_F[p] * a * a)
+        for p in range(1, len(_ZERO_END_B))
     )
 
 
-def _matsubara_nodes(a: float, m: int, power: int, width: float, corrections: int) -> tuple:
-    """(u, w, ends, zero_end, top) of the small-x sums of Re g and L: sum_{n >= 1, n != m} phi(n x) n^power q(n), q(u) =
-    1 / (u (u - a)(u + a)), for 0 < x < _DIRECT_X.
+# One rule for every small-x sum: panels at most 2 wide and five Euler-Maclaurin corrections at each end.  At 560
+# times from t = 1e-9 to x = 0.2 on 100 baths (a from 1.6e-4 to 3000) it left Re g within 7.2e-14 of the oracle and Re
+# gdot less dephasing._dead_weight within 1.6e-13, at a = 3000 and x = 0.19 (g's own rule, panels of 3 and four
+# corrections: 7.2e-14 and 1.2e-13).  L's e^-ux bends faster: with panels of 3 it was 1619 ulp off at (1, 0.5, 2e5),
+# t = 1000, where panels of 2 leave it 0.7 ulp off, and the fifth correction's x^9 e^-y term at its ends and x^8 one at
+# u = 0 reach 7 ulp of Re L.
+def _matsubara_nodes(a: float, m: int) -> tuple:
+    """(u, w, ends, zero_end, top) of the small-x sums of _SmallXSums: sum_{n >= 1, n != m} phi(n x) n^power q(n), q(u)
+    = 1 / (u (u - a)(u + a)), for 0 < x < _DIRECT_X.
 
     Re g's Matsubara part over s0 = eta gamma beta^2 / (2 pi^3) is that of h(y) = e^-y + y - 1 and power 0; L's S is
     that of e^-y and power 2, its second derivative in x.  The 2 _WINDOW + 1 terms around c = max(m, 1) are exact.
     The tails n >= top = c + _WINDOW + 1 and 1 <= n <= last = c - _WINDOW - 1 are their Euler-Maclaurin sums (A&S
-    23.1.30): the integral of f(u) = phi(u x) u^power q(u), half of f at each end and the corrections, the
-    _end_coefficients of top and last in ends.  f has no pole at u = 0, where h(u x) q(u) ~ -u x^2 / (2 a^2), so the
-    lower tail is summed from n = 0, f(0) = 0, with the corrections there of _zero_end_coefficients (() with no lower
-    tail).  The upper integral is that of phi(u x) u^(power-3), which the reader takes in closed form, plus that of
-    phi(u x)(q(u) - u^-3) u^power, which falls as u^-3 or faster past top and is a Gauss-Legendre sum (_panels) in tau
-    = log((u - a) / (top - a)) up to log(a / (top - a)) + _REACH.  The lower one is a sum in s = log((1 + u) / (a -
-    u)), which resolves phi's bend at u x = 1 and the pole's scale a - u alike (in log(a - u) alone h's bend near u =
-    0 was missed by 1e-9 of Re g at t = 10 on beta 933).  The panels are at most width wide, and each end takes
-    corrections terms.  Their nodes join the window's n as the points u, in increasing order, with weights w, so the
-    sum is sum_i w_i phi(u_i x) plus the end terms.  DephaserError where a reaches _A_MAX.
+    23.1.30): the integral of f(u) = phi(u x) u^power q(u), half of f at each end and five corrections, which the
+    reader forms for its power (_end_coefficients) from the (u, sign, q's derivatives) of top and last in ends.  f has
+    no pole at u = 0, where h(u x) q(u) ~ -u x^2 / (2 a^2), so the lower tail is summed from n = 0, f(0) = 0, with the
+    corrections there of _zero_end_coefficients (() with no lower tail).  The upper integral is that of phi(u x)
+    u^(power-3), which the reader takes in closed form, plus that of phi(u x)(q(u) - u^-3) u^power, which falls as u^-3
+    or faster past top and is a Gauss-Legendre sum (_panels) in tau = log((u - a) / (top - a)) up to log(a / (top - a))
+    + _REACH.  The lower one is a sum in s = log((1 + u) / (a - u)), which resolves phi's bend at u x = 1 and the
+    pole's scale a - u alike (in log(a - u) alone h's bend near u = 0 was missed by 1e-9 of Re g at t = 10 on beta
+    933).  Their nodes join the window's n as the points u, in increasing order, with the weights w of power 0, so the
+    sum is sum_i w_i u_i^power phi(u_i x) plus the end terms.  DephaserError where a reaches _A_MAX.
     """
     _check_pole_ratio(a)
     c = max(m, 1)
@@ -570,28 +580,166 @@ def _matsubara_nodes(a: float, m: int, power: int, width: float, corrections: in
     q = 1.0 / (n * below * (n + a))
     top = c + _WINDOW + 1.0
     gap = top - a
-    tau, w = _panels(0.0, max(0.0, math.log(a / gap)) + _REACH, width)
+    tau, w = _panels(0.0, max(0.0, math.log(a / gap)) + _REACH)
     upper = a + gap * np.exp(tau)
-    # dtau = du / (u - a), so the integrand of phi(u x) u^power is (q(u) - u^-3)(u - a) u^power = a^2 u^power / (u^3
-    # (u + a))
+    # dtau = du / (u - a), so the integrand of phi(u x) is (q(u) - u^-3)(u - a) = a^2 / (u^3 (u + a))
     nodes, weights = [n, upper], [q, w * (a * a / (upper**3 * (upper + a)))]
-    ends = [_end_coefficients(top, a, -1.0, power, corrections)]
+    ends = [(top, -1.0, _q_derivatives(top, a))]
     last = c - _WINDOW - 1.0
     zero_end = ()
     if last >= 1.0:
-        s, w = _panels(-math.log(a), math.log((1.0 + last) / (a - last)), width)
+        s, w = _panels(-math.log(a), math.log((1.0 + last) / (a - last)))
         e = np.exp(s)
         lower = (a * e - 1.0) / (1.0 + e)
         nodes.insert(0, lower)
-        # du / ds = (1 + u)(a - u) / (a + 1), so the integrand of phi(u x) u^power is -(1 + u) u^power / ((a + 1) u
-        # (u + a))
+        # du / ds = (1 + u)(a - u) / (a + 1), so the integrand of phi(u x) is -(1 + u) / ((a + 1) u (u + a))
         weights.insert(0, w * (1.0 + lower) / ((-1.0 - a) * lower * (lower + a)))
-        ends.append(_end_coefficients(last, a, 1.0, power, corrections))
-        zero_end = _zero_end_coefficients(a, corrections)
-    u, w = np.concatenate(nodes), np.concatenate(weights)
-    if power:
-        w *= u**power
-    return u, w, ends, zero_end, top
+        ends.append((last, 1.0, _q_derivatives(last, a)))
+        zero_end = _zero_end_coefficients(a)
+    return np.concatenate(nodes), np.concatenate(weights), ends, zero_end, top
+
+
+class _SmallXSums:
+    """The Matsubara sums of one bath below x = 2 pi t / beta = _DIRECT_X, on the one node set of _matsubara_nodes:
+    S(x) = sum_{n >= 1, n != m} h(n x) q(n), q(u) = 1 / (u (u - a)(u + a)), h(y) = e^-y + y - 1, Re g's Matsubara part
+    over s0 = eta gamma beta^2 / (2 pi^3); S'(x) = sum_{n >= 1, n != m} (1 - e^-nx) n q(n), Re gdot's over s1 = eta
+    gamma beta / pi^2; and S_L(x) = sum_{n >= 1, n != m} e^-nx n^2 q(n), Re L's over c_log = 2 eta gamma / pi.
+
+    S is the weighted sum of h(u_i x) on the points and weights of _matsubara_nodes with their Euler-Maclaurin end
+    terms.  The upper tail's integral of h(u x) u^-3 is x^2 M(top x), M(z) = int_z^inf h(v) v^-3 dv = h(z) / (2 z^2) +
+    (1 - e^-z) / (2 z) + E1(z) / 2 (by parts; every term positive).  S' is its x-derivative term by term: w_i u_i (1 -
+    e^-u_i x), whose factor 1 - e^-y = -expm1(-y) keeps its digits at every y, the end terms' and the zero end's
+    derivatives, and the upper tail's int_top^inf (1 - e^-ux) u^-2 du = (1 - e^-z) / top + x E1(z), z = top x (by
+    parts).  A call takes the one or both of them that its row step asks for, from one expm1(-u_i x) over the points,
+    whose end terms and top share their exponentials: the row of a g miss takes both, and S' reads every point's e =
+    expm1(-y) where S reads e + y from its first group past the Taylor series.
+
+    h cancels at small y, so S's weighted sum is taken by groups, the points between consecutive powers of 4: a group
+    whose largest y is below _H_SERIES_TOP is h's Taylor series (_H_TAYLOR) of its moments sum_i w_i u_i^k, scaled by
+    the group's largest u, kept from the first call that asks for S; from the first other group on, each term is w_i
+    (expm1(-y_i) + y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Re g and Re gdot less
+    dephasing._dead_weight are within 7.2e-14 and 1.6e-13 of tests/_oracle.reference on 14 baths (a from 1.6e-4 to
+    3000) from t = 1e-9 to x = 0.2, with no K or live term read.  S_L (correlation) is sum_i u_i^2 w_i e^-u_i x, the
+    end terms of power 2, the zero end's second x-derivative and E1(top x) for the upper tail's 1 / u part, on weights
+    and ends built at its first call.  DephaserError where a reaches _A_MAX, past which the window's n - a are inexact.
+    """
+
+    def __init__(self, a: float, m: int):
+        # the points, their weights of power 0, each end's (u, sign, q's derivatives), the zero end and top
+        self._nodes, self._weights, self._q_ends, self._zero_end, self._top = _matsubara_nodes(a, m)
+        # built at their first use, so that each sum builds only what it reads: the end terms of S and S' (_power_0),
+        # S's groups and their moments (_group), and S_L's weights, end terms and zero end (correlation)
+        self._ends = self._moments = self._correlation = None
+
+    def _power_0(self) -> None:
+        """S's and S''s end terms, and S''s weights u_i w_i and zero end's x-derivative over x."""
+        self._slopes = self._nodes * self._weights
+        self._zero_slope = tuple(2 * p * d for p, d in enumerate(self._zero_end, 1))
+        # each end's u, b0, b1 and b_i of S, and u b0 + b1 and u b1 of S'; the top's b0 and b1 in S take the terms of
+        # x^2 M(top x) in h(y) and in h'(y)
+        ends = (_end_coefficients(*end, 0) for end in self._q_ends)
+        ends = self._ends = [(v, b0, b1, b, v * b0 + b1, v * b1) for v, b0, b1, b in ends]
+        top, b0, b1, b, d0, d1 = ends[0]
+        ends[0] = (top, b0 + 0.5 / (top * top), b1 + 0.5 / top, b, d0, d1)
+
+    def _group(self) -> None:
+        """The groups, the points of each power of 4, at most a factor 4 apart: their largest u and first points, and
+        their moments."""
+        u = self._nodes
+        ids = np.floor(np.log2(u) * 0.5)
+        lasts = np.flatnonzero(ids[1:] != ids[:-1])
+        self._tops = np.concatenate((u[lasts], u[-1:]))
+        self._top_list = self._tops.tolist()
+        starts = self._starts = [0, *(lasts + 1).tolist(), u.size]
+        # w r^k, k = 2, 3, ..., of each point's r = u / (its group's largest u), summed by group, times h's Taylor terms
+        r = u / np.repeat(self._tops, [b - a for a, b in zip(starts, starts[1:])])
+        powers = np.empty((len(_H_TAYLOR), u.size))
+        powers[:] = r
+        powers[0] *= r * self._weights
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        self._moments = _H_TAYLOR_COLUMN * np.add.reduceat(powers, starts[:-1], axis=1)
+
+    def __call__(self, x: float, g: bool, gdot: bool) -> tuple:
+        """(S(x) where g, S'(x) where gdot), each None where not asked for."""
+        if self._ends is None:
+            self._power_0()
+        k = first = 0
+        if g:
+            if self._moments is None:
+                self._group()
+            # the groups whose largest y is below _H_SERIES_TOP by their Taylor series, the rest's points one by one
+            k = bisect_left(self._top_list, _H_SERIES_TOP / x)
+            first = self._starts[k]
+        # -u_i x and expm1(-u_i x) of the points from lo: all of them for S', those from first for S alone; e takes
+        # neg's place where S does not read it
+        lo = 0 if gdot else first
+        neg = (self._nodes[lo:] if lo else self._nodes) * -x
+        e = np.expm1(neg, out=None if g else neg)
+        s = ds = 0.0
+        if k:
+            z = self._tops[:k] * x
+            powers = np.empty((len(_H_TAYLOR), k))
+            powers[:] = z
+            powers[0] *= z
+            np.multiply.accumulate(powers, axis=0, out=powers)
+            s = float(np.vdot(powers, self._moments[:, :k]))
+        if g and first < self._nodes.size:
+            s += float(np.dot(self._weights[first:], e[first - lo :] - neg[first - lo :]))  # expm1(-y) + y
+        if gdot:
+            ds = -float(np.dot(self._slopes, e))
+        for u, b0, b1, b, d0, d1 in self._ends:
+            y = u * x
+            em = math.expm1(-y)
+            ey = math.exp(-y)
+            if g:  # h(y) b0 - x expm1(-y) b1 + x^2 e^-y P(x), P(x) = sum_i b_i x^i
+                p = 0.0
+                for bi in reversed(b):
+                    p = p * x + bi
+                s += (em + y if y >= _H_SERIES_TOP else _h(y)) * b0 - x * em * b1 + x * x * ey * p
+            if gdot:  # its d/dx with the b0 and b1 of S': h'(y)(u b0 + b1) + x e^-y (u b1 + sum_i (2 + i - y) b_i x^i)
+                p = 0.0
+                for i in range(len(b) - 1, -1, -1):
+                    p = p * x + (2 + i - y) * b[i]
+                ds += -em * d0 + x * ey * (d1 + p)
+        if g:
+            p = 0.0
+            for d in reversed(self._zero_end):
+                p = (p + d) * x * x
+            s += p
+        if gdot:
+            p = 0.0
+            for d in reversed(self._zero_slope):
+                p = p * x * x + d
+            ds += p * x
+        # the rest of x^2 M(top x) and its derivative: E1(z) = e^-z (e^z E1(z))
+        y = self._top * x
+        ey, e1 = math.exp(-y), _e1_scaled(y)
+        return (
+            s + 0.5 * x * x * ey * e1 if g else None,
+            ds - math.expm1(-y) / self._top + x * ey * e1 if gdot else None,
+        )
+
+    def correlation(self, x: float) -> float:
+        """S_L(x), L's Matsubara sum over c_log."""
+        if self._correlation is None:
+            ends = [_end_coefficients(*end, 2) for end in self._q_ends]
+            zero_end = tuple(2 * p * (2 * p - 1) * d for p, d in enumerate(self._zero_end, 1))
+            self._correlation = self._nodes**2 * self._weights, ends, zero_end
+        w, ends, zero_end = self._correlation
+        e = self._nodes * -x
+        np.exp(e, out=e)
+        s = float(np.dot(w, e))
+        for v, b0, b1, b in ends:
+            p = 0.0
+            for bi in reversed(b):
+                p = p * x + bi
+            s += math.exp(-v * x) * (b0 - x * b1 + x * x * p)
+        p = 0.0
+        for d in reversed(zero_end):
+            p = p * x * x + d
+        # the upper tail's 1 / u part: int_top^inf e^-ux / u du = E1(top x)
+        y = self._top * x
+        return s + p + math.exp(-y) * _e1_scaled(y)
 
 
 class BrownianCorrelation:
@@ -601,12 +749,10 @@ class BrownianCorrelation:
     and S(x) = sum_{n >= 1, n != m} w_n e^{-n x}, w_n = n / ((n - a)(n + a)) = n^2 q(n); the m-th term and the pole
     are read from BathParams.dirichlet() as its pair, gamma (pole_rest e^{-gamma t} - m_rest e^{-nu_m t} + P E[gamma,
     nu_m] of e^{-lambda t}), or as eta gamma cot(beta gamma / 2) e^{-gamma t} where m = 0.  From x = _DIRECT_X, S is
-    its live terms, n <= ceil(_EXP_DEAD / x) <= 225.  Below it, S is summed on the points and weights of Re g's sum
-    (_matsubara_nodes, power 2), built at the first such call and kept: sum_i w_i e^{-u_i x}, the Euler-Maclaurin end
-    terms, the lower tail's corrections at u = 0 (a polynomial in x) and E1(top x) for the upper tail's 1 / u part, a
-    bounded amount of work at any temperature.  Raises DephaserError where a reaches _A_MAX or c_log overflows, where
-    Re L overflows, at t = 0 and where x underflows to 0 (t below about 4e-325 beta), and ValueError at a negative,
-    infinite or nan t.
+    its live terms, n <= ceil(_EXP_DEAD / x) <= 225.  Below it, S is its table's small_x.correlation, on the node set
+    that Re g and Re gdot read, built at the first such call and kept: a bounded amount of work at any temperature.
+    Raises DephaserError where a reaches _A_MAX or c_log overflows, where Re L overflows, at t = 0 and where x
+    underflows to 0 (t below about 4e-325 beta), and ValueError at a negative, infinite or nan t.
     """
 
     def __init__(self, bath: BathParams):
@@ -622,29 +768,6 @@ class BrownianCorrelation:
             w[d.m - 1] = 0.0  # the pair's term
         self._direct = n, w
         self._pair_rates = (min(bath.gamma, d.nu_m), max(bath.gamma, d.nu_m))
-        # the tables of S below x = _DIRECT_X, built at the first call there
-        self._small_x = None
-
-    def _small_x_sum(self, x: float) -> float:
-        """S(x) for 0 < x < _DIRECT_X, on the tables of _matsubara_nodes."""
-        if self._small_x is None:
-            u, w, ends, zero_end, top = _matsubara_nodes(self.table.a, self.table.m, *_L_RULE)
-            self._small_x = u, w, ends, tuple(2 * p * (2 * p - 1) * d for p, d in enumerate(zero_end, 1)), top
-        u, w, ends, zero_end, top = self._small_x
-        e = u * -x
-        np.exp(e, out=e)
-        s = float(np.dot(w, e))
-        for v, b0, b1, b in ends:
-            p = 0.0
-            for bi in reversed(b):
-                p = p * x + bi
-            s += math.exp(-v * x) * (b0 - x * b1 + x * x * p)
-        p = 0.0
-        for d in reversed(zero_end):
-            p = p * x * x + d
-        # the upper tail's 1 / u part: int_top^inf e^-ux / u du = E1(top x)
-        y = top * x
-        return s + p + math.exp(-y) * _e1_scaled(y)
 
     def __call__(self, t: float) -> complex:
         # fails for nan as well as for negative and infinite times
@@ -668,7 +791,7 @@ class BrownianCorrelation:
             e *= w[:live]
             s = float(np.add.reduce(e))
         else:
-            s = self._small_x_sum(x)
+            s = d.small_x.correlation(x)
         re = self.c_log * s
         decay = math.exp(-p.gamma * t)
         if d.m:

@@ -761,30 +761,33 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # t2 = 0.25, where the rate cancels), and eleven (gfun, trdist and echo --points 70 of the default bath, gfun --gamma
 # 6.2894 and 2 pi, measure --t1 1 and --gamma 6.2894 --t1 1) when g and gdot from x = 0.2 on took their live terms and
 # G1 and G0 (the largest move 1.3e-13 relative, trdist --t1 1's sigma near its zero; gfun's Re g by at most 5.8e-15,
-# echo's by 2.9e-14 on a value of 2e-18, measure's N by at most 7.7e-16).
+# echo's by 2.9e-14 on a value of 2e-18, measure's N by at most 7.7e-16), and six (gfun --beta 933, --gamma 6.2894 and
+# 2 pi, trdist --beta 933 --t1 1, measure --gamma 6.2894 --t1 1 and echo --beta 933 --points 25) when g's nodes below x
+# = 0.2 took L's rule (gfun's values by at most 2.9e-15 relative, trdist's sigma by 1.4e-13 near its zero, echo's R by
+# 7.2e-15, measure's N by 8.8e-14 and its growth end, a root refined to 1e-10, by 4.5e-11).
 CLI_STDOUT_DIGESTS = {
     "gfun": "09ad246c981ed7efeea01b5e691a394dd5e0ad115742d03cb9b7a2f93c4991e9",
     "gfun --format json": "71d0cdce7cb8c97a83981ef00d24d9da59bb09d5e259c58232de7366f288a46b",
     "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
-    "gfun --beta 933": "b88d51a0a0209f98da76cafffb73507dd4d14eb627946011182c24e59c6d9a7d",
-    "gfun --gamma 6.2894": "9fbad4b4c25c14919347297c475cf5328619dbf284dbe3904ec1ad9fe121e340",
-    "gfun --gamma 6.283185307179586": "b6ba059839756364364f15235ce12f8b0cf440f38e901ac8220017cea8341669",
+    "gfun --beta 933": "0dccceb5aaa60a8fb84c0487867b5e5d8ffcbbe6aff56d0eb910f457f8cb2dae",
+    "gfun --gamma 6.2894": "a22747d1d64a9c62c769e08e149b90de802fe68bb66963adb390d5d65fa866b8",
+    "gfun --gamma 6.283185307179586": "7bcb42235f731867016ced36f95e824c51990feee4d5674ac3129428ddb2b89c",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
     "trdist --t1 1": "e6324db8f52018e83dd12513eb5ccaece5c54d53b06fc6872cbfc89aa010d060",
     "trdist --t1 1 --format json": "7292715b5dc5b509b724ba26d09ab334ba3cddf75763931157eab6923d340b38",
     "trdist": "79bbfebade9e75240be7da178ae7485788380a7a99783e4daa84bda081f4c2b4",
     "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
-    "trdist --beta 933 --t1 1": "f4fb712b6dac129dbf0365fc7c4591b2eec0ba3effe7aab3f0c7f22a20c4186b",
+    "trdist --beta 933 --t1 1": "e164e74824e2d9bc8e78d79f42ba3bcc95f28ff1fef40c2af77b9feb09bce198",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
     "measure --t1 1": "8ec3032d932d69d319fdee9096fd409df204d4e9b2b724d0a3f054ae90ca7650",
     "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",
     "measure --beta 933 --t1 1": "8ee60095bd4941396a81d7725eb931fc1a753030253a09cfec19ae230cd5e732",
-    "measure --gamma 6.2894 --t1 1": "16766c224a5a599d6c4ee6d75b62ab9012976975f534c3cd38bd65497a6b2a9f",
+    "measure --gamma 6.2894 --t1 1": "18c0ab7a33ef305bbb9baa8d4cbe721b64d7cc0b40d8f9e82ddd062ba755bfda",
     "echo --points 70": "250f938f3c1d6b3ac9d54b01f7266a7a0291dd8cca3163259aee70f15786633f",
     "echo --points 70 --format json": "bef30412e68256cfe047c0df40ab3eedb93f700253dded7a24a947761a27ef31",
     "echo --engine hight --points 25": "5804e4e75e06ab7a4055c6233c2820f6874e2219dd027e554e0182c1d8e3587d",
-    "echo --beta 933 --points 25": "0d2903d99350654a89bac16d6cbe792a56c04e4ceff7f41656176571783beb7d",
+    "echo --beta 933 --points 25": "473308c92d9e5221712b14ec27d3d8d4b1d38dea5d25704a2690f79494bf94d6",
     "figures trd": "767adc3b0c252a50a36c63bd449934a61b343b735ebf8f0bca2a0e9da46c6660",
     "figures trd --format json --points 200": "600644c8de85d7bc2ddbc69e68e836907dc52a49a4b4d81e67f7c2cbdf7f774a",
     "figures trd2t --points 70": "b4135d89f963aeaa7ab9b4b8d690d97698017fe6eeba5905adcfa469575a2a76",

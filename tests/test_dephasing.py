@@ -228,8 +228,9 @@ def test_matsubara_remainder_on_a_cold_bath():
     assert rem.imag == 0.0 and rem.real == pytest.approx(want, rel=SMALL_T_RTOL)
 
 
-# Re g of the exact engine below x = 2 pi t / beta = 0.2, where it is _MatsubaraG's window and Euler-Maclaurin tails,
-# against the oracle: 6.6e-14 is the largest error on item 3's six baths from t = 1e-9 and on 80 random baths
+# Re g of the exact engine below x = 2 pi t / beta = 0.2, where it is _SmallXSums' window and Euler-Maclaurin tails,
+# against the oracle: the largest error is 6.3e-14 on item 3's six baths (72 times from t = 1e-9) and 6.0e-14 on 80
+# random baths (320 times)
 SMALL_T_RTOL = 1e-12
 # item 3's six baths: default, (0.5, 1.2, 5) with a = 0.95, a = 1.001, and three of param_sweep's pool, a = 5.37 at
 # K = 25 and the cold beta 933 and 939.84; t = 1e-9 on each
@@ -444,8 +445,8 @@ def test_capped_gdot_raises_where_its_dead_weight_series_would_not_converge():
 def test_g_and_gdot_share_one_small_x_table(monkeypatch, first):
     # a fresh engine builds the node table once below x = 0.2, for whichever of g and gdot comes first
     calls = []
-    build = dephasing._matsubara_nodes
-    monkeypatch.setattr(dephasing, "_matsubara_nodes", lambda *args: calls.append(args) or build(*args))
+    build = spectral._matsubara_nodes
+    monkeypatch.setattr(spectral, "_matsubara_nodes", lambda *args: calls.append(args) or build(*args))
     ev = BrownianMatsubara(BathParams(1.3, 1.8, 933.0))
     second = "gdot" if first == "g" else "g"
     for name in (first, second, first):
@@ -458,8 +459,8 @@ def test_gdot_builds_no_group_moments_of_g(monkeypatch):
     # S's groups and their Taylor moments serve g alone: a fresh engine's gdot below x = 0.2 does not build them, and
     # g builds them once, at its first call there
     groups = []
-    group = dephasing._MatsubaraG._group
-    monkeypatch.setattr(dephasing._MatsubaraG, "_group", lambda self: groups.append(1) or group(self))
+    group = spectral._SmallXSums._group
+    monkeypatch.setattr(spectral._SmallXSums, "_group", lambda self: groups.append(1) or group(self))
     ev = BrownianMatsubara(BathParams(1.3, 1.8, 933.0))
     for t in (1e-9, 1e-5, 1e-3, 2.0):
         ev.gdot(t)
@@ -903,7 +904,7 @@ def test_repeated_pointwise_gdot_runs_its_row_once(monkeypatch):
 
 
 class _CountingNumpy:
-    """numpy as dephasing reads it, with the sizes of the arrays that its expm1 calls take gathered in expm1_sizes."""
+    """numpy as dephasing and spectral read it, with the sizes of the arrays that its expm1 calls take gathered in expm1_sizes."""
 
     def __init__(self):
         self.expm1_sizes = []
@@ -922,9 +923,10 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     rows = _count_rows(monkeypatch)
     counting = _CountingNumpy()
     monkeypatch.setattr(dephasing, "np", counting)
+    monkeypatch.setattr(spectral, "np", counting)
     ev = BrownianMatsubara(BathParams(1.3, 1.8, 933.0))
     ev.g(1.0)
-    assert counting.expm1_sizes == [ev._small_x_sum._nodes.size]
+    assert counting.expm1_sizes == [ev._table.small_x._nodes.size]
     assert ev.gdot(1.0) is ev._gdot_memo[1.0] and rows == [(1.0, True, True)]
     # K = 25 on a = 5.5: the times' L, ceil(45 beta / (2 pi t)), are 160, 80 and 32, past K
     bath = BathParams(5.4, 1.55, 22.3, 25)
@@ -1057,8 +1059,9 @@ _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
 # Re gdot below x = 0.2 on g's nodes, and gdot at every pinned time, which its 2-million-term block kept out; last: the
 # exact g and gdot from x = 0.2 on, when they took their live terms and G1 and G0 in place of the K terms and the
 # digamma rest, 197 of 4000 values of the exact engines by at most 2.9e-13 relative; strict truncation and every value
-# below x = 0.2 kept their bits)
-_PINNED_DIGEST = "6d0fcc3ff2ee0e856325eb7006ba27d15596f0d652a5b32c0f93eb749bee77ad"
+# below x = 0.2 kept their bits; last: Re g and Re gdot below x = 0.2, when g's nodes took L's rule, panels 2 wide and
+# five Euler-Maclaurin corrections: 536 of the 6960 values hashed, by at most 6.7e-15 relative)
+_PINNED_DIGEST = "47bfa3804b0c0b34be7546ec56c6e96e85042caf24d6d0a8967b82eac4dfff0a"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"

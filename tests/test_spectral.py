@@ -34,6 +34,7 @@ from dephaser.spectral import (
     BrownianCorrelation,
     OverdampedBrownian,
     TabulatedSpectralDensity,
+    _SmallXSums,
     _asymptotic_rest,
     _cot_rest,
     _digamma,
@@ -470,8 +471,9 @@ def _cut_times(bath):
 def _small_x_pieces(ev, x):
     """Every float that BrownianCorrelation sums into S(x) below x = _DIRECT_X: the terms of its points, each end
     term, each term of the polynomial at u = 0 and E1(top x)."""
-    ev._small_x_sum(x)  # builds the tables
-    u, w, ends, zero_end, top = ev._small_x
+    sums = _SmallXSums(ev.table.a, ev.table.m)
+    sums.correlation(x)  # builds L's weights and ends
+    u, (w, ends, zero_end), top = sums._nodes, sums._correlation, sums._top
     pieces = (w * np.exp(-u * x)).tolist()
     for v, b0, b1, b in ends:
         pieces.append(math.exp(-v * x) * (b0 - x * b1 + x * x * sum(bi * x**i for i, bi in enumerate(b))))
@@ -535,9 +537,10 @@ def test_correlation_branches_agree_at_the_switch(name):
     # Euler-Maclaurin tails start nearest their dead terms; and both branches against the oracle either side of 0.2
     bath = _CUT_BATHS[name]
     ev = BrownianCorrelation(bath)
+    sums = _SmallXSums(ev.table.a, ev.table.m)
     for x in (_DIRECT_X, np.nextafter(_DIRECT_X, 0.0)):
         direct = _direct_terms(ev, x)
-        assert abs(ev._small_x_sum(x) - math.fsum(direct)) <= 8.0 * _ULP * math.fsum(np.abs(direct)), x
+        assert abs(sums.correlation(x) - math.fsum(direct)) <= 8.0 * _ULP * math.fsum(np.abs(direct)), x
     sides = set()
     for x in (0.19, 0.2 * (1.0 - 1e-15), 0.2 * (1.0 + 1e-15), 0.21):
         t = x * bath.beta / (2.0 * math.pi)
@@ -623,6 +626,32 @@ def test_correlation_builds_its_small_x_tables_once(monkeypatch):
             ev(x * bath.beta / (2.0 * math.pi))
         assert len(calls) == 1
         calls.clear()
+
+
+def test_correlation_reads_the_node_set_of_g_and_gdot(monkeypatch):
+    # one node set per bath: L's small-x weights are u^2 w of the points and weights that Re g and Re gdot read, bit for
+    # bit, and its ends of power 2 come from the same lists of q's derivatives, formed at L's first call there; an
+    # engine that evaluates only g and gdot forms no end of power 2, and one that evaluates only L none of power 0
+    powers = []
+    end_coefficients = spectral._end_coefficients
+    monkeypatch.setattr(spectral, "_end_coefficients", lambda *args: powers.append(args[-1]) or end_coefficients(*args))
+    bath = BathParams(1.3, 1.8, 933.0)
+    ev = BrownianMatsubara(bath)
+    for t in (1e-9, 1e-5, 1e-3, 0.5):
+        ev.g(t)
+        ev.gdot(2.0 * t)
+    sums = ev._table.small_x
+    assert powers == [0, 0] and sums._correlation is None
+    corr = BrownianCorrelation(bath)
+    x = 2.0 * math.pi * 1e-3 / bath.beta
+    corr(1e-3)
+    assert powers == [0, 0, 2, 2]
+    own = corr.table.small_x
+    for got, want in ((own._nodes, sums._nodes), (own._weights, sums._weights)):
+        assert got.tobytes() == want.tobytes()
+    assert own._correlation[0].tobytes() == (sums._nodes**2 * sums._weights).tobytes()
+    assert sums.correlation(x) == own.correlation(x)
+    assert [end[2] for end in own._q_ends] == [end[2] for end in sums._q_ends]
 
 
 def test_correlation_raises_past_its_domain():
