@@ -548,11 +548,10 @@ def _zero_end_coefficients(a: float) -> tuple:
 
 
 # One rule for every small-x sum: panels at most 2 wide and five Euler-Maclaurin corrections at each end.  At 560
-# times from t = 1e-9 to x = 0.2 on 100 baths (a from 1.6e-4 to 3000) it left Re g within 7.2e-14 of the oracle and Re
-# gdot less dephasing._dead_weight within 1.6e-13, at a = 3000 and x = 0.19 (g's own rule, panels of 3 and four
-# corrections: 7.2e-14 and 1.2e-13).  L's e^-ux bends faster: with panels of 3 it was 1619 ulp off at (1, 0.5, 2e5),
-# t = 1000, where panels of 2 leave it 0.7 ulp off, and the fifth correction's x^9 e^-y term at its ends and x^8 one at
-# u = 0 reach 7 ulp of Re L.
+# times from t = 1e-9 to x = 0.2 on 100 baths (a from 1.6e-4 to 3000) it leaves Re g within 7.2e-14 of the oracle and
+# Re gdot less dephasing._dead_weight within 1.6e-13.  L's e^-ux bends faster: with panels of 3 it was 1619 ulp off at
+# (1, 0.5, 2e5), t = 1000, where panels of 2 leave it 0.7 ulp off, and the fifth correction's x^9 e^-y term at its ends
+# and x^8 one at u = 0 reach 7 ulp of Re L.
 def _matsubara_nodes(a: float, m: int) -> tuple:
     """(u, w, ends, zero_end, top) of the small-x sums of _SmallXSums: sum_{n >= 1, n != m} phi(n x) n^power q(n), q(u)
     = 1 / (u (u - a)(u + a)), for 0 < x < _DIRECT_X.
@@ -627,8 +626,7 @@ class _SmallXSums:
     def __init__(self, a: float, m: int):
         # the points, their weights of power 0, each end's (u, sign, q's derivatives), the zero end and top
         self._nodes, self._weights, self._q_ends, self._zero_end, self._top = _matsubara_nodes(a, m)
-        # built at their first use, so that each sum builds only what it reads: the end terms of S and S' (_power_0),
-        # S's groups and their moments (_group), and S_L's weights, end terms and zero end (correlation)
+        # each sum's own tables, built at its first call: S's and S''s end terms (_power_0), S's groups (_group), S_L's
         self._ends = self._moments = self._correlation = None
 
     def _power_0(self) -> None:
@@ -656,7 +654,8 @@ class _SmallXSums:
         powers = np.empty((len(_H_TAYLOR), u.size))
         powers[:] = r
         powers[0] *= r * self._weights
-        np.multiply.accumulate(powers, axis=0, out=powers)
+        for k in range(1, len(powers)):  # row by row: a multiply.accumulate down the short axis took twice as long
+            powers[k] *= powers[k - 1]
         self._moments = _H_TAYLOR_COLUMN * np.add.reduceat(powers, starts[:-1], axis=1)
 
     def __call__(self, x: float, g: bool, gdot: bool) -> tuple:
