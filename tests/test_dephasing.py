@@ -904,7 +904,8 @@ def test_repeated_pointwise_gdot_runs_its_row_once(monkeypatch):
 
 
 class _CountingNumpy:
-    """numpy as dephasing and spectral read it, with the sizes of the arrays that its expm1 calls take gathered in expm1_sizes."""
+    """numpy as dephasing and spectral read it, with the sizes of the arrays that its expm1 calls take gathered in
+    expm1_sizes."""
 
     def __init__(self):
         self.expm1_sizes = []
