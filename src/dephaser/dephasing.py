@@ -11,7 +11,8 @@ evaluators are provided:
     x = 2 pi t / beta = 0.2 its Re g and Re gdot sum the Matsubara terms
     on the analytic L's node set (spectral._SmallXSums, one table for
     both); from there they sum their L <= 226 live terms and the sums
-    past them, two running sums per engine, and read no K.  Its digamma
+    past them, two running sums, all of the table the analytic L reads
+    its weights from (DirichletTable.live), and read no K.  Its digamma
     is spectral._digamma, which runs only where those sums are built,
     and never without a pair, so it and HighTemperatureBrownian load no
     scipy; only the two quadrature engines do.  TruncatedMatsubara, the
@@ -75,6 +76,7 @@ from .spectral import (
     _DIRECT_X,
     _EXP_DEAD,
     _FOURIER_MIN_TW,
+    _LIVE_STOP,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
@@ -107,9 +109,6 @@ _MEMO_CALL = 3
 _MEMO_NODES = 1 << 13
 _TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = sys.float_info.max
-# the last n of the live terms of g and gdot from x = _DIRECT_X on, ceil(_EXP_DEAD / _DIRECT_X) = 225, and one for
-# the rounding of x
-_G_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
 # the most live terms that a time sums on Python floats, in every route; a time with more sums one numpy row of them,
 # which math.expm1 would not give the bits of.  Per L of one live-sum step (_sum_at; best of 11 x 2000 calls, Xeon,
 # Python 3.11): both halves, as a g miss takes them, cost 0.4 us and 0.1 us a term on the loop, 5.1 us as the row;
@@ -219,25 +218,6 @@ def _complex(re: np.ndarray, im: np.ndarray, scalar: bool):
     return complex(out[0]) if scalar else out
 
 
-def _running_sums(first: float, terms: list) -> list:
-    """[first, first + terms[0], first + terms[0] + terms[1], ...], each the running sum plus its compensation
-    (Neumaier), so that it is off by about an ulp of itself, not by the roundings of every partial sum."""
-    s, comp = first, 0.0
-    sums = [first]
-    for v in terms:
-        total = s + v
-        comp += (s - total) + v if abs(s) >= abs(v) else (v - total) + s
-        s = total
-        sums.append(s + comp)
-    return sums
-
-
-def _held(values: list) -> memoryview:
-    """values as a memoryview of a float64 array: 8 bytes a value where a list of floats takes 32, and each read back
-    as a Python float."""
-    return memoryview(np.array(values))
-
-
 def _row_sums(terms: np.ndarray, weights: np.ndarray) -> list:
     """terms times weights, in place, summed by row as a list: the table is freed at the return, not held by a local."""
     terms *= weights
@@ -305,19 +285,20 @@ class BrownianMatsubara:
     such call of either, plus _dead_weight where more than _BLOCK_CAP terms past K are live (so that it is the sum
     stopped at K + _BLOCK_CAP, which perfbench's references record).  From _DIRECT_X on each is the L = min(ceil(45
     beta / (2 pi t)), 226) live terms, whose exponentials are summed until they underflow, and G1[L] and G0[L], the
-    sums of B_n and c_n past them (_sum_at): one 226-term table and two running sums per engine, and no K.  K reaches
-    it only as _dead_weight's N; TruncatedMatsubara sums the K terms alone.  Where a = beta gamma / 2 pi rounds to m >=
-    1, the pole and the m-th term are a pair: one formula at every detuning from gamma = nu_m.
+    sums of B_n and c_n past them (_sum_at): the table's live terms and sums (DirichletTable.live_terms, live_sums),
+    B_n = s1 / d_n and c_n = s0 / (n d_n) of the row d_n = (n - a)(n + a) whose n / d_n the analytic L weighs, and no
+    K.  K reaches it only as _dead_weight's N; TruncatedMatsubara sums the K terms alone.  Where a = beta gamma / 2 pi
+    rounds to m >= 1, the pole and the m-th term are a pair: one formula at every detuning from gamma = nu_m.
 
     The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi) or 2 eta / (beta gamma) leaves the normal
     floats (beta gamma < 9.4e-154, eta 1e-318 on beta gamma 0.5), where gamma^2 or an amplitude of the pole term or the
-    pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and where a digamma prefactor does (eta 1e307, gamma 1, beta
-    100).  g and gdot raise it past the largest time the table's amplitudes allow (_largest_time, from max(gamma, nu_1,
-    nu_m) and the rate: 8.99e306 on the default bath at every K), and where a coefficient of the live terms' table
-    overflows: it holds n = 1, ..., 226 whatever L a time reads, so at beta 6e-152 (nu_n^2 overflows from n = 129) g and
-    gdot raise from x = _DIRECT_X on at every K.  They raise it below x = _DIRECT_X where a reaches 2^52 and where x^2
-    leaves the normal floats (t below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms
-    past K where K + _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta gamma past 6.3e6 at K = 100).
+    pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and where s0 or s1, the amplitudes of the c_n and B_n, does (eta
+    1e307, gamma 1, beta 100).  Past them no coefficient overflows: they need no nu_n^2, so g and gdot at beta 6e-152,
+    where nu_n^2 overflows from n = 129, match the oracle from x = _DIRECT_X on.  g and gdot raise it past the largest
+    time the table's amplitudes allow (_largest_time, from max(gamma, nu_1, nu_m) and the rate: 8.99e306 on the default
+    bath at every K).  They raise it below x = _DIRECT_X where a reaches 2^52 and where x^2 leaves the normal floats (t
+    below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms past K where K + _BLOCK_CAP <
+    2a, where _dead_weight's series would not converge (beta gamma past 6.3e6 at K = 100).
 
     g and gdot take a time or a 1-d array of times.  Every time, alone or in an array, takes one live-sum step
     (_sum_at), from _DIRECT_X on over its L <= 32 live terms on Python floats (_LIVE_FLOATS), or more as one numpy row,
@@ -337,29 +318,26 @@ class BrownianMatsubara:
 
     def __init__(self, bath: BathParams):
         d = self._pole_terms(bath, math.inf)
-        # the prefactors of the digamma sums of DirichletTable.tail_sums
-        for value, what in zip(d.tail_amps, ("eta gamma beta / pi^2", "eta gamma beta^2 / (2 pi^3 a^2)")):
-            _finite(value, what)
         # the bath of the exact g, whose growth rate has one zero at most (measures)
         self.certified_bath = bath
         # per-bath factors of the row and live-sum steps, each the value or product its formula starts with (same bits)
         self._k = bath.matsubara_terms  # only _dead_weight's N reads K
         self._dead_beta = _EXP_DEAD * bath.beta
-        # x = 2 pi t / beta is t times this, and g is _SmallXSums' sum below t_direct, where x < _DIRECT_X; s0 turns
-        # that sum into Re g's Matsubara part
+        # x = 2 pi t / beta is t times this, and g is _SmallXSums' sum below t_direct, where x < _DIRECT_X; the
+        # amplitudes s0 and s1 of c_n and B_n turn that sum into Re g's Matsubara part and its derivative into Re
+        # gdot's.  Where more than _BLOCK_CAP terms past K are live, that is the exact sum plus _dead_weight(N), N = K
+        # + _BLOCK_CAP, the weight of the terms past N that the capped sum counted as dead
         self._x_rate = _TWO_PI / bath.beta
         self._t_direct = _DIRECT_X * bath.beta / _TWO_PI
-        self._s0 = bath.eta * bath.gamma * _pow(bath.beta, 2) / (2.0 * math.pi**3)
-        # and s1 turns the sum's derivative into Re gdot's; where more than _BLOCK_CAP terms past K are live, that is
-        # the exact sum plus _dead_weight(N), N = K + _BLOCK_CAP, which _table.tail_sums(N) counted as dead
-        self._s1 = d.tail_amps[0]
-        # the Matsubara B_n sum to the rate less the pole's and the m-th terms (_live_table's G1[0]); a time's live
+        self._s0, self._s1 = d.amplitudes
+        # the Matsubara B_n sum to the rate less the pole's and the m-th terms (the table's G1[0]); a time's live
         # terms reach nu_n t <= _EXP_DEAD + nu_1 t, so nu_1 = x_rate is their argument rate
         b_sum = d.rate - self._pole_b - (d.m_rest if self._m else 0.0)
         self._t_max = self._largest_time_of(b_sum, abs(b_sum), self._x_rate)
-        # built at their first use, as the table's small-x sums (small_x) are: the live terms' table with G1 from x =
-        # _DIRECT_X on, and G0 at the first g there (_live_table).  Set here, and not as cached properties, whose
-        # writes to the instance's __dict__ would slow every attribute read of the engine's rows
+        # references to the table's live terms from x = _DIRECT_X on, taken at their first use there (_sum_at): the
+        # rows, their first _LIVE_FLOATS columns as the tuples (-nu_n, c_n, B_n) that the Python-float loop slices, and
+        # G1; and G0 at the first g there.  Set here, and not as cached properties, whose writes to the instance's
+        # __dict__ would slow every attribute read of the engine's rows
         self._live = self._g0 = None
 
     def _pole_terms(self, bath: BathParams, k: float):
@@ -369,7 +347,7 @@ class BrownianMatsubara:
         self.beta = bath.beta
         gamma = self._gamma = bath.gamma
         _normal(bath.pole_ratio * bath.pole_ratio, "(beta gamma / 2 pi)^2")
-        _finite(_pow(gamma, 2), "gamma^2")  # in every c_n and B_n
+        _finite(_pow(gamma, 2), "gamma^2")  # gamma past 1.3e154
         d = self._table = bath.dirichlet()
         # m of the pair, or 0 where there is none: a < 1/2, or strict truncation without the m-th term
         m = self._m = d.m if d.m <= k else 0
@@ -427,48 +405,21 @@ class BrownianMatsubara:
                 ds += self._s1 * _dead_weight(float(n), a * a, x)
         return (self._s0 * s if g else None), ds
 
-    def _live_table(self, g: bool) -> tuple:
-        """(the rows -nu_n, c_n and B_n of the live terms n = 1, ..., _G_LIVE_STOP with the m-th 0, their first
-        _LIVE_FLOATS columns as a list of the tuples (-nu_n, c_n, B_n), which the Python-float loop slices, G1), built
-        at the first row from t_direct on, and G0 at the first g there.
-
-        G1[j] = S1(j) and G0[j] = S0(j), the sums of B_n and c_n over n > j but m, j = 0, ..., _G_LIVE_STOP, are
-        compensated running sums (_running_sums): G0 from S0(_G_LIVE_STOP) of one tail_sums less the terms from the
-        last, and G1 so too where there is no pair.  With the pair G1 runs up from its closed form G1[0] = rate -
-        pole_rest - m_rest (the B_k sum to the rate), to which Re gdot cancels its terms late: on a cold bath S1 of
-        the digamma sums left Re g and Re gdot 30 times further off the oracle.  gdot reads no G0, so it builds no S0.
-        DephaserError where a coefficient overflows (nu_n^2 from n = 129 at beta 6e-152), whatever K and the time's L.
-        """
-        d = self._table
-        if self._live is None:
-            nu = self.bath.matsubara_frequency(np.arange(1.0, _G_LIVE_STOP + 1.0))
-            b, c = d._coefficient("b", nu, 1), d._coefficient("c", nu, 1)
-            if d.m:
-                s0 = d.tail_sums(_G_LIVE_STOP)[0] if g else None
-                g1 = _running_sums(d.rate - (d.pole_rest + d.m_rest), (-b).tolist())
-            else:
-                s0, s1 = d.tail_sums(_G_LIVE_STOP, not g)
-                g1 = _running_sums(s1, b[::-1].tolist())[::-1]
-            terms = np.stack((-nu, c, b))
-            self._live = (terms, list(zip(*terms[:, :_LIVE_FLOATS].tolist())), _held(g1))
-        elif g and self._g0 is None:
-            s0 = d.tail_sums(_G_LIVE_STOP)[0]
-        if g and self._g0 is None:
-            self._g0 = _held(_running_sums(s0, self._live[0][1, ::-1].tolist())[::-1])
-        return self._live
-
     def _sum_at(self, s: float, g: bool, gdot: bool) -> tuple:
         """(g's, gdot's) exact Matsubara part at the Python float s, each None where not asked for: every route's step.
         0.0 below t_direct, where _row takes _small_x's, and no table built there.
 
-        From t_direct on, the terms n > L are dead, L = min(ceil(_EXP_DEAD beta / (2 pi t)), _G_LIVE_STOP): g's part is
+        From t_direct on, the terms n > L are dead, L = min(ceil(_EXP_DEAD beta / (2 pi t)), _LIVE_STOP): g's part is
         sum_{n <= L} c_n (expm1(-nu_n t) + nu_n t) + t G1[L] - G0[L], and gdot's -sum_{n <= L} B_n expm1(-nu_n t) +
         G1[L], from one expm1 per term: on Python floats where L <= _LIVE_FLOATS, else as one numpy row of L terms.
+        The table's live terms and sums are built at the first such step (DirichletTable.live_terms, live_sums).
         """
         if s < self._t_direct:
             return (0.0 if g else None), (0.0 if gdot else None)
         if self._live is None or g and self._g0 is None:
-            self._live_table(g)
+            terms = self._table.live_terms
+            g1, self._g0 = self._table.live_sums(g)
+            self._live = terms, list(zip(*terms[:, :_LIVE_FLOATS].tolist())), g1
         terms, leading, g1 = self._live
         stop = math.ceil(self._dead_beta / (_TWO_PI * s))
         if stop <= _LIVE_FLOATS:
@@ -483,7 +434,7 @@ class BrownianMatsubara:
                 for neg_nu, _, bn in leading[:stop]:
                     sd += bn * math.expm1(neg_nu * s)
         else:
-            stop = min(stop, _G_LIVE_STOP)
+            stop = min(stop, _LIVE_STOP)
             neg = terms[0, :stop] * s
             e = np.expm1(neg)
             sg = float(np.add.reduce((e - neg) * terms[1, :stop])) if g else 0.0
@@ -621,9 +572,9 @@ class TruncatedMatsubara(BrownianMatsubara):
     from one row of it (_sum_at).  Its rate's coefficients can change sign three times, so it has no certified_bath and
     measures scan it.
 
-    DephaserError as BrownianMatsubara's, but not where a digamma prefactor overflows, since it sums no tail, and also
-    where nu_K^2 leaves the normal floats (2 pi K / beta > 1.3e154), where a c_n of the K terms overflows (gamma
-    1e153, beta 1e-150), and past the largest time of its own terms (from nu_K t).
+    DephaserError as BrownianMatsubara's, whose amplitudes s0 and s1 its K terms take (DirichletTable.explicit), and
+    also where nu_K^2 leaves the normal floats (2 pi K / beta > 1.3e154) and past the largest time of its own terms
+    (from nu_K t).
     """
 
     certified_bath = None
@@ -665,8 +616,8 @@ class TruncatedMatsubara(BrownianMatsubara):
         """Exact value of the n > K part of g(t) that the truncation drops, the m-th term included: Re g of
         BrownianMatsubara less this engine's.
 
-        DephaserError where BrownianMatsubara's constructor raises, such as where a prefactor of the digamma sums
-        overflows, and at K < m with gamma = nu_m exactly, where the m-th term is infinite.
+        DephaserError where BrownianMatsubara's constructor raises, and at K < m with gamma = nu_m exactly, where the
+        m-th term is infinite.
         """
         t = _check_time(t)
         d = self._table

@@ -35,8 +35,8 @@ Part V, ch. 1) the rate has at most one zero: E decreases on one interval
 growth runs come from one scan: the rate on a grid over [0, t_max], then
 a bracketed root on each cell where its sign changes.  The evaluators of
 the exact Brownian g carry a certified_bath, so the rates at 0 and t_max
-bracket the one zero and their grid is one cell: BrownianMatsubara with
-its tail, HighTemperatureBrownian, and FrequencyQuadrature and
+bracket the one zero and their grid is one cell: BrownianMatsubara,
+HighTemperatureBrownian, and FrequencyQuadrature and
 TimeDomainQuadrature on a Brownian density.  Strict truncation,
 tabulated densities and any other evaluator are scanned on _N_SCAN cells.
 """
@@ -480,8 +480,8 @@ def non_markovianity(
     For the Brownian bath the rate of E is an exponential sum whose
     coefficients change sign once, so it has one zero at most and the
     growth is one interval [0, t*) after a preparation and none without.
-    An evaluator of the exact Brownian g (BrownianMatsubara with its
-    tail, HighTemperatureBrownian, the quadrature engines on a Brownian
+    An evaluator of the exact Brownian g (BrownianMatsubara,
+    HighTemperatureBrownian, the quadrature engines on a Brownian
     density) scans one cell, the rate at 0 and t_max, and finds t* by 10
     to 30 more rate calls; strict truncation, tabulated densities and
     wrapped evaluators scan 10 001 times.

@@ -10,10 +10,12 @@ overdamped Brownian form
 
     J(w) = 2 eta w gamma / (w^2 + gamma^2)
 
-L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation): the
-Matsubara terms next to the pole are summed exactly and the rest by
-Euler-Maclaurin, on the one node set of the small-x sums of L, Re g and
-Re gdot (_SmallXSums), at a bounded cost per call at any temperature.
+L(t) has a pole-plus-Matsubara expansion (BrownianCorrelation).  Below
+x = 2 pi t / beta = 0.2 the Matsubara terms next to the pole are summed
+exactly and the rest by Euler-Maclaurin, on the one node set of the
+small-x sums of L, Re g and Re gdot (_SmallXSums), at a bounded cost per
+call at any temperature; from 0.2 on, L, g and gdot sum their live terms
+n <= 226 of one table (DirichletTable.live).
 Against a 40-digit Lerch-phi sum (tests/_oracle.py) Re L is within 1e-13
 relative, or 8 ulp of the sum of its terms' magnitudes where it is tiny
 against them, from beta 0.1 to 1e6.  Tabulated spectral densities are
@@ -25,8 +27,10 @@ lim_{t->0+} Im L(t) = -eta*gamma.  A tabulated density has a finite grid,
 so its L(0) is the finite trapezoid sum, with Im L(0) = 0 by oddness.
 
 BathParams makes every decision about the Brownian bath: the thermal frequencies nu_n, the pair of the
-pole gamma with the nearest one, and the one table of its Dirichlet coefficients and small-x sums (DirichletTable),
-which the analytic L here and the series engine of dephasing (BrownianMatsubara) read.
+pole gamma with the nearest one, and the one table of its Dirichlet coefficients, live terms and small-x sums
+(DirichletTable), which the analytic L here and the series engines of dephasing read.  Every Matsubara coefficient is
+an amplitude times a power of n over d_n = (n - a)(n + a), a = beta gamma / 2 pi: L's weight n / d_n, B_n = s1 / d_n
+and c_n = s0 / (n d_n).
 """
 
 from __future__ import annotations
@@ -58,9 +62,12 @@ _L0_DIVERGES = "Re L(t) of the Brownian bath diverges logarithmically as t -> 0;
 
 # The Matsubara terms that the small-x sums of L and of Re g (_matsubara_nodes) take exactly on either side of the one
 # nearest the pole below x = _DIRECT_X, so that their Euler-Maclaurin tails start 32.5 or more from the pole; from
-# _DIRECT_X, L sums its at most 225 live terms.  From _A_MAX on, the window's n - a are no longer exact.
+# _DIRECT_X, L, g and gdot sum their live terms n <= ceil(_EXP_DEAD / x) <= 225 of the one table of n = 1, ...,
+# _LIVE_STOP, one more for the rounding of x (DirichletTable.live).  From _A_MAX on, the window's n - a are no longer
+# exact.
 _WINDOW = 32
 _DIRECT_X = 0.2
+_LIVE_STOP = math.ceil(_EXP_DEAD / _DIRECT_X) + 1
 _A_MAX = 2.0**52
 # B_2k / (2k)! for k = 1, ..., 5: the Euler-Maclaurin corrections of the tails, by the (2k - 1)-th derivative
 _BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
@@ -70,9 +77,6 @@ _ASYMPTOTIC = 50.0
 # 1 / (k k!) for k = 18, ..., 1: the terms of E1's series, of which the 19th and later leave out less than
 # 0.01 ulp of e^z E1(z) below z = 1
 _SERIES = tuple(1 / (k * math.factorial(k)) for k in range(18, 0, -1))
-# n from which _zeta_tail's Euler-Maclaurin series serves, whose sixth correction, about 1.6 / n^12, is below 3e-18
-# of it; DirichletTable keeps the sums from n < _CUBIC_X
-_CUBIC_X = 30
 # y below which h(y) = e^-y + y - 1 is its Taylor series: expm1(-y) + y cancels to 2 ulp / y, 4 ulp at 1/2
 _H_SERIES_TOP = 0.5
 # (-1)^k / k! for k = 2, ..., 15: h's Taylor terms, of which the 16th and later leave out less than 6e-18 of h below 1/2
@@ -253,8 +257,9 @@ def _zeta_tail_coefficients(a2: float, p: int) -> tuple:
 
 
 def _zeta_tail(n: float, a2: float, coefficients: tuple, p: int) -> float:
-    """sum_{k >= n} 1 / (k^(p - 2) (k^2 - a^2)) for n >= _CUBIC_X, a^2 = a2 <= 1/4 and p = 3 or 2, within 4 ulp, with
-    no 1 / a^2: its Euler-Maclaurin sum (A&S 23.1.30) in w = 1 / n^2.
+    """sum_{k >= n} 1 / (k^(p - 2) (k^2 - a^2)) for n >= 30, a^2 = a2 <= 1/4 and p = 3 or 2, within 4 ulp, with no
+    1 / a^2: its Euler-Maclaurin sum (A&S 23.1.30) in w = 1 / n^2, whose sixth correction, about 1.6 / n^12, is below
+    3e-18 of it from n = 30 on.
 
     That sum is sum_j a^(2j) zeta(2j + p, n) (ratio a^2 / n^2 <= 1 / 3600) with each Hurwitz zeta's asymptotic series,
     gathered by powers of w: n^(1 - p) (sum_l C_l w^l + 1 / (2 n (1 - a^2 w))), the last term half the first term's
@@ -306,25 +311,32 @@ class BathParams:
 class DirichletTable:
     """Every coefficient of the Brownian bath's Dirichlet form Re gdot(t) = rate - sum_k B_k e^{-lambda_k t}, once.
 
-    lambda_k runs over gamma and the nu_n: B_gamma = pole_b = eta cot(beta gamma / 2), B_n = c_n nu_n with
-    c_n = 4 eta gamma / (beta nu_n (nu_n^2 - gamma^2)), and rate = sum_k B_k = 2 eta / (beta gamma).  So
-    Re g(t) = rate t - sum_k (B_k / lambda_k)(1 - e^{-lambda_k t}) and Re L(t) = sum_k B_k lambda_k e^{-lambda_k t};
-    Im g(t) = -pole_im h(gamma t), h(y) = e^-y + y - 1.  The pair: with a = beta gamma / 2 pi and m = round(a) >= 1,
-    by the partial fractions of cot (A&S §4.3) B_gamma = P / (gamma - nu_m) + pole_rest and B_m = P / (nu_m - gamma)
-    + m_rest, P = pair_amp = 2 eta / beta, pole_rest = eta (cot(pi eps) - 1 / (pi eps)), eps = a - m, m_rest = -P /
-    (nu_m + gamma).  The engines sum both rests and P times a divided difference over [gamma, nu_m]: the parts of
-    order 1 / (a - m) cancel in the algebra.  So c_m = B_m = 0 in explicit, _coefficient and tail_sums, and the bare
-    pole_b and pole_c serve only a < 1/2 (m = 0) and strict truncation without the m-th term.  The exact engine's
-    live terms take B_n as 4 eta gamma / (beta (nu_n^2 - gamma^2)), where the K explicit terms take c_n nu_n.
-    DephaserError where a overflows.
+    lambda_k runs over gamma and the nu_n: B_gamma = pole_b = eta cot(beta gamma / 2), and with a = beta gamma / 2 pi
+    and d_n = (n - a)(n + a), B_n = s1 / d_n and c_n = B_n / nu_n = s0 / (n d_n), s1 = eta gamma beta / pi^2 and s0 =
+    eta gamma beta^2 / (2 pi^3) (amplitudes); rate = sum_k B_k = 2 eta / (beta gamma).  So Re g(t) = rate t - sum_k
+    (B_k / lambda_k)(1 - e^{-lambda_k t}) and Re L(t) = sum_k B_k lambda_k e^{-lambda_k t}, whose n-th term is c_log (n
+    / d_n) e^{-n x}, c_log = 2 eta gamma / pi, x = 2 pi t / beta; Im g(t) = -pole_im h(gamma t), h(y) = e^-y + y - 1.
+    The pair: with m = round(a) >= 1, by the partial fractions of cot (A&S §4.3) B_gamma = P / (gamma - nu_m) +
+    pole_rest and B_m = P / (nu_m - gamma) + m_rest, P = pair_amp = 2 eta / beta, pole_rest = eta (cot(pi eps) - 1 /
+    (pi eps)), eps = a - m, m_rest = -P / (nu_m + gamma).  The engines sum both rests and P times a divided difference
+    over [gamma, nu_m]: the parts of order 1 / (a - m) cancel in the algebra.  So d_m = inf, which leaves c_m, B_m and
+    L's m-th weight 0 in explicit, live and tail_sums, and the bare pole_b and pole_c serve only a < 1/2 (m = 0) and
+    strict truncation without the m-th term.
+
+    Every c_n, B_n and weight n / d_n is formed from one row of d_n: explicit's of the K terms, and live's of the
+    terms n = 1, ..., _LIVE_STOP that L, g and gdot sum from x = _DIRECT_X on, built at its first read, as the sums
+    below _DIRECT_X are (small_x).  Away from the pair |d_n| >= 3/4, and |d_n| >= (1 + a) / 2 where m >= 1, so with
+    s0 = (2 / pi)(eta / gamma) a^2 and s1 = 2 eta a / pi no coefficient overflows where s0, s1 and eta / gamma are
+    finite, at any temperature: amplitudes raises DephaserError where s0 or s1 overflows, and the engines check eta /
+    gamma.  DephaserError where a overflows.
     """
 
     def __init__(self, bath: BathParams):
         self.bath = bath
         eta, gamma, beta = bath.eta, bath.gamma, bath.beta
-        # a = beta gamma / 2 pi, which tail_sums reads at every call
+        # a = beta gamma / 2 pi, which every d_n reads
         a = self.a = _finite(bath.pole_ratio, "beta gamma / 2 pi")
-        # the numerator of every c_n and B_n
+        # 4 eta gamma, of the pole's term of L
         self.amp = 4.0 * eta * gamma
         self.cot = 1.0 / math.tan(0.5 * beta * gamma)
         self.rate = 2.0 * eta / (beta * gamma)
@@ -337,91 +349,120 @@ class DirichletTable:
         self.pair_amp = 2.0 * eta / beta
         self.pole_rest = eta * _cot_rest(math.pi * (a - self.m))
         self.m_rest = -self.pair_amp / (self.nu_m + gamma)
-        # where m = 0, _zeta_sum's a^2, coefficients and sums below _CUBIC_X by power, each built at its first use
-        self._zeta = {}
+        # the live terms' sums past each n, G1 and G0, each built at its first read (live_sums)
+        self._g1 = self._g0 = None
+
+    @cached_property
+    def amplitudes(self) -> tuple[float, float]:
+        """(s0, s1) = (eta gamma beta^2 / (2 pi^3), eta gamma beta / pi^2), the amplitudes of c_n and B_n, and of the
+        sums below _DIRECT_X; DephaserError where either overflows."""
+        eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
+        s1 = _finite(eta * gamma * beta / math.pi**2, "eta gamma beta / pi^2")
+        return _finite(eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3), "eta gamma beta^2 / (2 pi^3)"), s1
+
+    def _denominators(self, n: np.ndarray) -> np.ndarray:
+        """d_n = (n - a)(n + a) of the terms n = 1, ..., n.size, with d_m = inf for the pair's term."""
+        d = (n - self.a) * (n + self.a)
+        if 1 <= self.m <= d.size:
+            d[self.m - 1] = math.inf
+        return d
+
+    def _coefficients(self, n: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c_n, B_n) = (s0 / (n d_n), s1 / d_n) of the terms n with denominators d."""
+        s0, s1 = self.amplitudes
+        return s0 / (n * d), s1 / d
 
     @cached_property
     def explicit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(nu_n, c_n, B_n) for n = 1, ..., K, with B_n = c_n nu_n and c_m = B_m = 0."""
-        nu = self.bath.matsubara_frequency(np.arange(1.0, self.bath.matsubara_terms + 1.0))
-        c = self._coefficient("c", nu, 1)
-        return nu, c, c * nu
+        """(nu_n, c_n, B_n) for n = 1, ..., K, with c_m = B_m = 0."""
+        n = np.arange(1.0, self.bath.matsubara_terms + 1.0)
+        return self.bath.matsubara_frequency(n), *self._coefficients(n, self._denominators(n))
 
-    def _coefficient(self, name: str, nu: np.ndarray, first: int) -> np.ndarray:
-        """c_n ("c") or the tail's B_n ("b") at the frequencies nu of n = first, first + 1, ..., with the m-th 0.
+    @cached_property
+    def live(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, d_n) of the live terms n = 1, ..., _LIVE_STOP from x = _DIRECT_X on, at the first read: L's weights are
+        n / d_n (BrownianCorrelation), and the series' c_n and B_n those of live_terms."""
+        n = np.arange(1.0, _LIVE_STOP + 1.0)
+        return n, self._denominators(n)
 
-        DephaserError where nu_n^2, a product of the denominator or the coefficient overflows.
+    @cached_property
+    def live_terms(self) -> np.ndarray:
+        """The rows -nu_n, c_n and B_n of the live terms, at the first read."""
+        n, d = self.live
+        return np.stack((-self.bath.matsubara_frequency(n), *self._coefficients(n, d)))
+
+    def live_sums(self, g: bool) -> tuple:
+        """(G1, G0) of the live terms, G1 built at the first call and G0 at the first where g (None until then).
+
+        G1[j] = S1(j) and G0[j] = S0(j), the sums of B_n and c_n over n > j but m, j = 0, ..., _LIVE_STOP, are
+        compensated running sums (_running_sums): G0 from S0(_LIVE_STOP) of one tail_sums less the terms from the
+        last, and G1 so too where there is no pair.  With the pair G1 runs up from its closed form G1[0] = rate -
+        pole_rest - m_rest (the B_k sum to the rate), to which Re gdot cancels its terms late: on a cold bath S1 of
+        the digamma sums left Re g and Re gdot 30 times further off the oracle.  G1 alone builds no S0.
         """
-        beta, gamma = self.bath.beta, self.bath.gamma
-        try:
-            with np.errstate(divide="ignore", over="raise"):  # nu_m = gamma exactly: the entry the pair replaces
-                coef = self.amp / (beta * nu * (nu**2 - gamma**2) if name == "c" else beta * (nu**2 - gamma**2))
-        except FloatingPointError:
-            raise DephaserError(
-                f"a coefficient {name}_n of n = {first} to {first + nu.size - 1} overflows: the bath is outside this "
-                "engine's range"
-            ) from None
-        if 0 <= self.m - first < coef.size:
-            coef[self.m - first] = 0.0
-        return coef
+        s0 = None
+        if self._g1 is None:
+            b = self.live_terms[2]
+            if self.m:
+                g1 = _running_sums(self.rate - (self.pole_rest + self.m_rest), (-b).tolist())
+            else:
+                s0, s1 = self.tail_sums(not g)
+                g1 = _running_sums(s1, b[::-1].tolist())[::-1]
+            self._g1 = _held(g1)
+        if g and self._g0 is None:
+            if s0 is None:
+                s0 = self.tail_sums()[0]
+            self._g0 = _held(_running_sums(s0, self.live_terms[1, ::-1].tolist())[::-1])
+        return self._g1, self._g0
 
     @cached_property
     def small_x(self) -> _SmallXSums:
         """The Matsubara sums of g, gdot and L below x = _DIRECT_X, built at the first read."""
         return _SmallXSums(self.a, self.m)
 
-    @cached_property
-    def tail_amps(self) -> tuple[float, float]:
-        """The prefactors of S1 and of S0 in tail_sums."""
-        eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
-        s0_amp = (eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3)) / self.a**2
-        return eta * gamma * beta / math.pi**2, s0_amp
+    def tail_sums(self, derivative: bool = False) -> tuple[float, float]:
+        """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > _LIVE_STOP but n = m, by digamma; S0 is nan when derivative.
 
-    def _zeta_sum(self, p: int, n: int) -> float:
-        """Where m = 0: sum_{k >= n} 1 / (k^(p - 2) (k^2 - a^2)), S0's sum (p = 3) or S1's (p = 2) from n >= 1.
-
-        _zeta_tail from _CUBIC_X on.  Below it, the sums at n = 1, ..., _CUBIC_X from that at _CUBIC_X and the terms
-        below it, added from the smallest, built for p at its first such n.  Each p's coefficients are built at its
-        first sum, so S1 alone builds none of S0's.
+        Where m > _LIVE_STOP, psi(n - a) = psi(a - _LIVE_STOP) + pi cot(pi a) (A&S 6.3.7), n = _LIVE_STOP + 1, puts
+        -eta cot(pi a) into S1 and -(eta / gamma) cot(pi a) into S0; with -B_m and -c_m they are the pair's constants,
+        which replace them.  Where m = 0 (a < 1/2) no digamma runs: S0 and S1 are s0 and s1 times _zeta_tail's sum_{k
+        >= n} 1 / (k (k^2 - a^2)) and sum_{k >= n} 1 / (k^2 - a^2), as their digamma differences psi(n) - (psi(n - a)
+        + psi(n + a)) / 2 over a^2 and (psi(n + a) - psi(n - a)) / (2a) cancel as a -> 0.
         """
-        sums = self._zeta.get(p)
-        if sums is None:
-            a2 = self.a**2
-            sums = self._zeta[p] = [a2, _zeta_tail_coefficients(a2, p), None]
-        a2, coefficients, head = sums
-        if n >= _CUBIC_X:
-            return _zeta_tail(n, a2, coefficients, p)
-        if head is None:
-            head = [_zeta_tail(_CUBIC_X, a2, coefficients, p)]
-            for k in range(_CUBIC_X - 1, 0, -1):
-                head.append(head[-1] + 1.0 / (k ** (p - 2) * (k * k - a2)))
-            head = sums[2] = head[::-1]
-        return head[n - 1]
-
-    def tail_sums(self, last: int, derivative: bool = False) -> tuple[float, float]:
-        """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > last but n = m, by digamma; S0 is nan when derivative.
-
-        Where m > last, psi(last + 1 - a) = psi(a - last) + pi cot(pi a) (A&S 6.3.7) puts -eta cot(pi a) into S1 and
-        -(eta / gamma) cot(pi a) into S0; with -B_m and -c_m they are the pair's constants, which replace them.  Where
-        m = 0 (a < 1/2) no digamma runs: S0 and S1 are their prefactors times _zeta_sum's sum_{k >= n} 1 / (k (k^2 -
-        a^2)) and sum_{k >= n} 1 / (k^2 - a^2), as their digamma differences psi(n) - (psi(n - a) + psi(n + a)) / 2
-        over a^2 and (psi(n + a) - psi(n - a)) / (2a) cancel as a -> 0.
-        """
-        s1_amp, s0_amp = self.tail_amps
-        a, n = self.a, last + 1
+        s0, s1 = self.amplitudes
+        a, n = self.a, _LIVE_STOP + 1
         if not self.m:
-            eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
-            s0 = math.nan if derivative else eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3) * self._zeta_sum(3, n)
-            return s0, s1_amp * self._zeta_sum(2, n)
-        paired = self.m > last
-        above, below = _digamma(n + a), _digamma(a - last if paired else n - a)
-        s1 = s1_amp * (above - below) / (2.0 * a)
-        s0 = math.nan if derivative else s0_amp * (_digamma(float(n)) - 0.5 * (below + above))
+            a2 = a**2
+            s0 = math.nan if derivative else s0 * _zeta_tail(n, a2, _zeta_tail_coefficients(a2, 3), 3)
+            return s0, s1 * _zeta_tail(n, a2, _zeta_tail_coefficients(a2, 2), 2)
+        paired = self.m > _LIVE_STOP
+        above, below = _digamma(n + a), _digamma(a - _LIVE_STOP if paired else n - a)
+        s0 = math.nan if derivative else s0 / a**2 * (_digamma(float(n)) - 0.5 * (below + above))
+        s1 = s1 * (above - below) / (2.0 * a)
         if paired:
             gamma, nu = self.bath.gamma, self.nu_m
             s1 -= self.pole_rest + self.m_rest
             s0 -= self.pole_rest / gamma + self.m_rest / nu - self.pair_amp / gamma / nu
         return s0, s1
+
+
+def _running_sums(first: float, terms: list) -> list:
+    """[first, first + terms[0], first + terms[0] + terms[1], ...], each the running sum plus its compensation
+    (Neumaier), so that it is off by about an ulp of itself, not by the roundings of every partial sum."""
+    s, comp = first, 0.0
+    sums = [first]
+    for v in terms:
+        total = s + v
+        comp += (s - total) + v if abs(s) >= abs(v) else (v - total) + s
+        s = total
+        sums.append(s + comp)
+    return sums
+
+
+def _held(values: list) -> memoryview:
+    """values as a memoryview of a float64 array: 8 bytes a value where a list of floats takes 32, and each read back
+    as a Python float."""
+    return memoryview(np.array(values))
 
 
 class OverdampedBrownian:
@@ -745,28 +786,26 @@ class BrownianCorrelation:
     """Fast analytic L(t) for the overdamped Brownian bath, from its Dirichlet table.
 
     Re L is c_log S(x) plus the pole's term, with x = 2 pi t / beta, a = beta gamma / 2 pi, c_log = 2 eta gamma / pi
-    and S(x) = sum_{n >= 1, n != m} w_n e^{-n x}, w_n = n / ((n - a)(n + a)) = n^2 q(n); the m-th term and the pole
-    are read from BathParams.dirichlet() as its pair, gamma (pole_rest e^{-gamma t} - m_rest e^{-nu_m t} + P E[gamma,
-    nu_m] of e^{-lambda t}), or as eta gamma cot(beta gamma / 2) e^{-gamma t} where m = 0.  From x = _DIRECT_X, S is
-    its live terms, n <= ceil(_EXP_DEAD / x) <= 225.  Below it, S is its table's small_x.correlation, on the node set
-    that Re g and Re gdot read, built at the first such call and kept: a bounded amount of work at any temperature.
-    Raises DephaserError where a reaches _A_MAX or c_log overflows, where Re L overflows, at t = 0 and where x
-    underflows to 0 (t below about 4e-325 beta), and ValueError at a negative, infinite or nan t.
+    and S(x) = sum_{n >= 1, n != m} w_n e^{-n x}, w_n = n / d_n = n^2 q(n), d_n = (n - a)(n + a); the m-th term and
+    the pole are read from BathParams.dirichlet() as its pair, gamma (pole_rest e^{-gamma t} - m_rest e^{-nu_m t} + P
+    E[gamma, nu_m] of e^{-lambda t}), or as eta gamma cot(beta gamma / 2) e^{-gamma t} where m = 0.  From x =
+    _DIRECT_X, S is its live terms, n <= ceil(_EXP_DEAD / x) <= 225, on the d_n of the table's live terms, whose B_n
+    and c_n the series engine reads (DirichletTable.live); L builds neither.  Below it, S is its table's
+    small_x.correlation, on the node set that Re g and Re gdot read, built at the first such call and kept: a bounded
+    amount of work at any temperature.  Raises DephaserError where a reaches _A_MAX or c_log overflows, where Re L
+    overflows, at t = 0 and where x underflows to 0 (t below about 4e-325 beta), and ValueError at a negative,
+    infinite or nan t.
     """
 
     def __init__(self, bath: BathParams):
         self.bath = bath
-        d = self.table = bath.dirichlet()
-        a = d.a
-        _check_pole_ratio(a)
-        self.c_log = _finite(d.amp / (2.0 * math.pi), "2 eta gamma / pi")
-        n = np.arange(1.0, math.ceil(_EXP_DEAD / _DIRECT_X) + 1.0)
-        with np.errstate(divide="ignore"):  # n = a = m exactly
-            w = n / ((n - a) * (n + a))
-        if 1 <= d.m <= n.size:
-            w[d.m - 1] = 0.0  # the pair's term
-        self._direct = n, w
-        self._pair_rates = (min(bath.gamma, d.nu_m), max(bath.gamma, d.nu_m))
+        table = self.table = bath.dirichlet()
+        _check_pole_ratio(table.a)
+        self.c_log = _finite(table.amp / (2.0 * math.pi), "2 eta gamma / pi")
+        # n and the weights n / d_n of the live terms, the pair's 0
+        n, d = table.live
+        self._weights = n, n / d
+        self._pair_rates = (min(bath.gamma, table.nu_m), max(bath.gamma, table.nu_m))
 
     def __call__(self, t: float) -> complex:
         # fails for nan as well as for negative and infinite times
@@ -782,7 +821,7 @@ class BrownianCorrelation:
                 "x = 2 pi t / beta underflows to 0"
             )
         if x >= _DIRECT_X:
-            n, w = self._direct
+            n, w = self._weights
             live = math.ceil(_EXP_DEAD / x)
             # -x is exact, so these are the bits of sum(w exp(-n x)), in one temporary
             e = n[:live] * -x

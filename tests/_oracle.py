@@ -21,7 +21,7 @@ rest is at most P r^J x^2 / (3 J N^(2J)) in Re g and
 both bounds are within 1e-13 of the values: 1 000 terms serve the warm
 baths, about 20 000 the cold ones (beta gamma / (2 pi) near 270).
 
-The working precision follows what cancels (_digits).  Each bracket of
+The working precision follows what cancels (_digits, _split_digits, _pole_factor).  Each bracket of
 the closed form, Li_s(e^-x) + x zeta(s - 1) - zeta(s), is O(x^2) out of
 O(1), and r^3 = a^6 scales the last ones, so the split loses about
 2 log10(1/x) + 6 log10(a) digits: 40 digits, plus 2 per decade of x below
@@ -30,7 +30,11 @@ cot(beta gamma / 2), and the m-th remainder term each grow as 1 / (a - m),
 a = beta gamma / 2 pi, and cancel; the rounding of the reduced argument of
 cot, and of k^2 - r, moves each by a relative 10^-dps that the cancellation
 scales by 1 / (a - m)^2.  So 2 digits more per decade of |a - m| below
-1e-3.  A test pins the rule: 20 digits more move no value by 1e-15.
+1e-3.  The pole term's h(gamma t) = expm1(-gamma t) + gamma t cancels to
+about gamma t / 2 of gamma t, which x does not bound on a hot bath (gamma t
+= 7e-153 at x = 9 on beta 6e-152), so it takes log10(2 / (gamma t)) more
+digits on its own (_pole_factor).  A test pins the rule: 20 digits more
+move no value by 1e-15.
 
 reference is independent of every engine: no quadrature, no digamma, no
 float64.  tail_sums gives the digamma differences that
@@ -83,18 +87,26 @@ def reference_with_bounds(eta: float, gamma: float, beta: float, t: float, min_t
             series_gdot += r**j * (mpmath.zeta(s - 1) - mpmath.polylog(s - 1, q))
         pref = 4 * eta * gamma / (beta * nu1**3)
         cot = mpmath.cot(beta * gamma / 2)
+        h = _pole_factor(gamma * t)
         remainders = _remainders(x, r, q, 2 * nj)
         n = 0
         while True:
             rest_g, rest_gdot = next(remainders)
             n += CHUNK
-            re_g = (eta / gamma) * cot * (mpmath.expm1(-gamma * t) + gamma * t) + pref * (series_g + r**nj * rest_g)
+            re_g = (eta / gamma) * cot * h + pref * (series_g + r**nj * rest_g)
             re_gdot = -eta * cot * mpmath.expm1(-gamma * t) + pref * nu1 * (series_gdot + r**nj * rest_gdot)
             bound_g = pref * r**nj * x**2 / (3 * nj * n ** (2 * nj))
             bound_gdot = 2 * pref * nu1 * r**nj * x / (3 * nj * n ** (2 * nj))
             within = bound_g <= 1e-13 * abs(re_g) and bound_gdot <= 1e-13 * abs(re_gdot)
             if n >= min_terms and n * n >= 4 * r and within:
                 return float(re_g), float(re_gdot), (float(bound_g), float(bound_gdot), n)
+
+
+def _pole_factor(y):
+    """h(y) = expm1(-y) + y of the pole term, y = gamma t > 0, to the working precision: the sum cancels to about y / 2
+    of y where y is small, so it takes log10(2 / y) more digits there."""
+    with mpmath.extradps(max(0, math.ceil(math.log10(2.0 / float(y))))):
+        return mpmath.expm1(-y) + y
 
 
 def _digits(a: float) -> int:

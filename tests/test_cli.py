@@ -558,18 +558,21 @@ def test_hight_overflowing_eta_over_gamma_reports_dephaser_error(capsys):
     assert record["message"].startswith("eta / gamma = inf overflows")
 
 
-def test_overflowing_tail_coefficient_reports_dephaser_error(capsys):
-    # nu_n^2 of the tail's live terms overflowed in DirichletTable._coefficient: exit 0 behind a RuntimeWarning.  With
-    # K = 0 and beta 6e-152, nu_226^2 overflows, and the rate at t1 (x = 0.31) reads n = 1, ..., 226.  (The 2-million-
-    # term block below x = 0.2 that overflowed first at beta 6.2e-150, t 3.4e-184 is gone; measure agrees with hight
-    # there now.)
-    argv = ["measure", "--engine", "analytic", "--eta", "6.468125137975613e-38", "--gamma", "1.819240580212178e+25",
-            "--beta", "6e-152", "--terms", "0", "--tmax", "1e-160", "--t1", "3e-153"]
-    rc, out, err = run_cli(capsys, argv)
-    assert (rc, out) == (1, "")
-    record = json.loads(err)["error"]
-    assert record["type"] == "DephaserError"
-    assert record["message"].startswith("a coefficient b_n of n = 1 to 226 overflows")
+def test_hot_bath_live_terms_measure_as_hight(capsys):
+    # nu_n^2 of the live terms overflowed in the old B_n = 4 eta gamma / (beta (nu_n^2 - gamma^2)): with K = 0 and beta
+    # 6e-152, nu_226^2 overflows, and the rate at t1 (x = 0.31) reads n = 1, ..., 226, so measure raised DephaserError.
+    # From d_n = (n - a)(n + a) the coefficients are finite (a = 1.7e-127), and the exact N is hight's
+    argv = ["measure", "--eta", "6.468125137975613e-38", "--gamma", "1.819240580212178e+25", "--beta", "6e-152",
+            "--terms", "0", "--tmax", "1e-160", "--t1", "3e-153"]
+    records = {}
+    for engine in ("analytic", "hight"):
+        rc, out, err = run_cli(capsys, [*argv, "--engine", engine])
+        assert (rc, err) == (0, "")
+        records[engine] = json.loads(out)
+        assert math.isfinite(records[engine]["n_value"])
+    analytic, hight = (records[e] for e in ("analytic", "hight"))
+    assert analytic["n_value"] == hight["n_value"]
+    assert analytic["intervals"] == hight["intervals"]
 
 
 def test_overflowing_distance_weight_reports_dephaser_error(capsys):
@@ -764,19 +767,22 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # echo's by 2.9e-14 on a value of 2e-18, measure's N by at most 7.7e-16), and six (gfun --beta 933, --gamma 6.2894 and
 # 2 pi, trdist --beta 933 --t1 1, measure --gamma 6.2894 --t1 1 and echo --beta 933 --points 25) when g's nodes below x
 # = 0.2 took L's rule (gfun's values by at most 2.9e-15 relative, trdist's sigma by 1.4e-13 near its zero, echo's R by
-# 7.2e-15, measure's N by 8.8e-14 and its growth end, a root refined to 1e-10, by 4.5e-11).
+# 7.2e-15, measure's N by 8.8e-14 and its growth end, a root refined to 1e-10, by 4.5e-11), and eleven (gfun, trdist and
+# echo --points 70 of the default bath, both formats, gfun --gamma 6.2894 and 2 pi, and figures trd) when every c_n and
+# B_n took the one row d_n = (n - a)(n + a) (gfun's values by at most 5.5e-16, trdist's by 3.7e-15, echo's R by 1.4e-14
+# on a value of 1.4e-13, figures trd's distance by 7.1e-15).
 CLI_STDOUT_DIGESTS = {
-    "gfun": "09ad246c981ed7efeea01b5e691a394dd5e0ad115742d03cb9b7a2f93c4991e9",
-    "gfun --format json": "71d0cdce7cb8c97a83981ef00d24d9da59bb09d5e259c58232de7366f288a46b",
+    "gfun": "b6fe7673008eb94b94ca97f92953ba04daec03f095f00549552d6ca7ed8d6d56",
+    "gfun --format json": "0752802542beff37c8dbb45a289858fd8dc0e107c742f037f42cd6a4cb14b1c5",
     "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
     "gfun --beta 933": "0dccceb5aaa60a8fb84c0487867b5e5d8ffcbbe6aff56d0eb910f457f8cb2dae",
-    "gfun --gamma 6.2894": "a22747d1d64a9c62c769e08e149b90de802fe68bb66963adb390d5d65fa866b8",
-    "gfun --gamma 6.283185307179586": "7bcb42235f731867016ced36f95e824c51990feee4d5674ac3129428ddb2b89c",
+    "gfun --gamma 6.2894": "3c5d012b3fb4c586d96be54302c4fe1f94e94b71e1363aafcbb4d6b0dbb7ba15",
+    "gfun --gamma 6.283185307179586": "0b7e38f7e014247f326138e5ddafac99c613d4cee827cd85b7b484617e4927b4",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
-    "trdist --t1 1": "e6324db8f52018e83dd12513eb5ccaece5c54d53b06fc6872cbfc89aa010d060",
-    "trdist --t1 1 --format json": "7292715b5dc5b509b724ba26d09ab334ba3cddf75763931157eab6923d340b38",
-    "trdist": "79bbfebade9e75240be7da178ae7485788380a7a99783e4daa84bda081f4c2b4",
+    "trdist --t1 1": "ecec1d78c2c9a0fb0a330ff1e2eeb0ef90838edc13a6042cfd82b7874b3e36e8",
+    "trdist --t1 1 --format json": "0320b1a5e7a451e3533aa6c767e4d622b81c483fc4feec7eeb81f4c20b561dfa",
+    "trdist": "f4d9127c4af2529d30f195c0bba440920c282449504076952267917aa1cee9ab",
     "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
     "trdist --beta 933 --t1 1": "e164e74824e2d9bc8e78d79f42ba3bcc95f28ff1fef40c2af77b9feb09bce198",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
@@ -784,12 +790,12 @@ CLI_STDOUT_DIGESTS = {
     "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",
     "measure --beta 933 --t1 1": "8ee60095bd4941396a81d7725eb931fc1a753030253a09cfec19ae230cd5e732",
     "measure --gamma 6.2894 --t1 1": "18c0ab7a33ef305bbb9baa8d4cbe721b64d7cc0b40d8f9e82ddd062ba755bfda",
-    "echo --points 70": "250f938f3c1d6b3ac9d54b01f7266a7a0291dd8cca3163259aee70f15786633f",
-    "echo --points 70 --format json": "bef30412e68256cfe047c0df40ab3eedb93f700253dded7a24a947761a27ef31",
+    "echo --points 70": "7d40a1b3f45befbb78d2737f5eb5180478d04e525baaed2069bc8fc00ef0c026",
+    "echo --points 70 --format json": "85e5422f2d989c978f09296a4547f5a4d43e419977cc6b1ac0295b22b78c5ed5",
     "echo --engine hight --points 25": "5804e4e75e06ab7a4055c6233c2820f6874e2219dd027e554e0182c1d8e3587d",
     "echo --beta 933 --points 25": "473308c92d9e5221712b14ec27d3d8d4b1d38dea5d25704a2690f79494bf94d6",
-    "figures trd": "767adc3b0c252a50a36c63bd449934a61b343b735ebf8f0bca2a0e9da46c6660",
-    "figures trd --format json --points 200": "600644c8de85d7bc2ddbc69e68e836907dc52a49a4b4d81e67f7c2cbdf7f774a",
+    "figures trd": "216caf258462bdca18d0d5629827cfdbfe9ae566aafe05407f85fec51c77dd20",
+    "figures trd --format json --points 200": "c45e3b0ffdc6a75e7a047a39ad8ef46e478ed4141a50551b8ff3f2cd2882127e",
     "figures trd2t --points 70": "b4135d89f963aeaa7ab9b4b8d690d97698017fe6eeba5905adcfa469575a2a76",
     "figures trd2t --points 70 --format json": "54465b87b14f82d9ed751c795dd6e676f8667a5a3c4b49ed9b795e202c23595e",
 }

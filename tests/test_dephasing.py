@@ -350,6 +350,45 @@ def test_cold_baths_from_x_0_2_match_the_recorded_oracle(bath):
             assert abs(got - w) <= bound * abs(w), (x, got, w)
 
 
+# The same cold baths below x = 0.2, where g and gdot are s0 S and s1 S' of the small-x sums: the oracle's (Re g, Re
+# gdot) at x = 1e-3, 0.01, 0.1 and 0.19, recorded here as _COLD_ORACLE's are (a point of a = 15915 takes the oracle
+# 3-7 s here); 20 more digits moved none of them.  C, the dead weight of gdot's capped sums, starts below x = 45 / (K
+# + _BLOCK_CAP) = 2.2e-5 at K = 100 and is not added at these x.  Measured worst relative (g, gdot): a = 3183 (5.8e-14,
+# 1.2e-13), a = 15915 (7.5e-14, 7.2e-13), both at x = 0.19.  Pinned at about twice the measure
+_COLD_SMALL_X_ORACLE = {
+    (1.0, 2.0, 1e4): (
+        (1.2e-13, 2.5e-13),
+        {
+            1e-3: (0.5178744691115238, 0.22777827949756896),
+            0.01: (1.2849110789625175, 0.020040127335778618),
+            0.1: (2.0182908858492192, 0.0020017058720331994),
+            0.19: (2.222947623915195, 0.00105580209784049),
+        },
+    ),
+    (1.0, 0.5, 2e5): (
+        (1.5e-13, 1.5e-12),
+        {
+            1e-3: (4.253203515602505, 0.04033322225448116),
+            0.01: (7.190058265394196, 0.00400034931041656),
+            0.1: (10.122375602767903, 0.00040033359361970754),
+            0.19: (10.940993832392545, 0.00021115931443997673),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("bath", list(_COLD_SMALL_X_ORACLE), ids=["a 3183", "a 15915"])
+def test_cold_baths_below_x_0_2_match_the_recorded_oracle(bath):
+    bounds, values = _COLD_SMALL_X_ORACLE[bath]
+    eta, gamma, beta = bath
+    ev = BrownianMatsubara(BathParams(eta, gamma, beta))
+    for x, want in values.items():
+        t = x * beta / (2.0 * math.pi)
+        assert 45.0 / x < ev._k + _BLOCK_CAP  # no dead weight C
+        for got, w, bound in zip((ev.g(t).real, ev.gdot(t).real), want, bounds):
+            assert abs(got - w) <= bound * abs(w), (x, got, w)
+
+
 def test_default_bath_at_x_0_25_is_within_an_ulp_or_so():
     # t = 0.04, x = 0.25: the K-term table's and the live tail's expm1 + y left Re g 27 ulp and Re gdot 21 ulp off the
     # oracle; the live terms with G1 and G0 leave 1 ulp and 0 (measured), pinned at 4 ulp
@@ -366,7 +405,7 @@ def test_exact_g_below_x_0_2_reads_no_tail_column(monkeypatch, bath):
     def refuse(*args):
         raise AssertionError("read a tail column")
 
-    monkeypatch.setattr(BrownianMatsubara, "_live_table", refuse)
+    monkeypatch.setattr(DirichletTable, "live_terms", property(refuse))
     times = (1e-9, 1e-5, 1e-3)
     ev = BrownianMatsubara(bath)
     for t in times:
@@ -942,7 +981,7 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     ev.g(np.array(times))
     # one tail_sums for the engine's G0 (its G1 is the pair's closed form), and one row of L terms per time past
     # _LIVE_FLOATS = 32: none for the third
-    assert [a[0] for a in tails] == [226]
+    assert tails == [()]
     assert counting.expm1_sizes == stops[:2]
     gdot = [ev.gdot(t) for t in times]
     assert len(tails) == 1 and rows[1:] == [(t, True, True) for t in times]
@@ -1061,8 +1100,10 @@ _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
 # exact g and gdot from x = 0.2 on, when they took their live terms and G1 and G0 in place of the K terms and the
 # digamma rest, 197 of 4000 values of the exact engines by at most 2.9e-13 relative; strict truncation and every value
 # below x = 0.2 kept their bits; last: Re g and Re gdot below x = 0.2, when g's nodes took L's rule, panels 2 wide and
-# five Euler-Maclaurin corrections: 536 of the 6960 values hashed, by at most 6.7e-15 relative)
-_PINNED_DIGEST = "47bfa3804b0c0b34be7546ec56c6e96e85042caf24d6d0a8967b82eac4dfff0a"
+# five Euler-Maclaurin corrections: 536 of the 6960 values hashed, by at most 6.7e-15 relative; last: when every c_n
+# and B_n took the one row d_n = (n - a)(n + a): 464 of the 6960 values, Re parts only, by at most 1.5e-14 relative,
+# the exact engine on beta 933 from x = 0.2 on, and 7.6e-16 in strict truncation)
+_PINNED_DIGEST = "d5134b4867e7d74ccb29c2950990905a5553fa1d23f97b6b691b682fc6d535f9"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"
@@ -1226,11 +1267,9 @@ def test_overflowing_amplitude_raises(bath, what):
     with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
         BrownianMatsubara(bath)
     if what.startswith("eta gamma beta"):
-        # strict truncation sums no tail, but the remainder it drops is that tail: it was nan
-        strict = TruncatedMatsubara(bath)
-        assert np.isfinite(strict.g(1.0))
+        # strict truncation's K terms take the same amplitudes, s1 / d_n and s0 / (n d_n): its remainder was nan
         with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
-            strict.matsubara_remainder(1.0)
+            TruncatedMatsubara(bath)
 
 
 @pytest.mark.parametrize(
@@ -1254,20 +1293,20 @@ def test_huge_time_raises_dephaser_error(make, t):
                 fn(times)
 
 
-def test_live_terms_table_overflow_raises_at_every_k():
-    # beta 6e-152: nu_n^2 overflows from n = 129 and c_n from n = 14, so K = 5 terms fit, but the exact engine builds
-    # the live terms' table of n = 1, ..., 226 at its first time from x = 0.2 on, whatever the time's L (5 at x = 9)
+def test_live_terms_on_a_hot_bath_match_the_oracle_at_every_k():
+    # beta 6e-152: nu_n^2 overflows from n = 129, so the live terms' B_n and c_n of nu_n^2 - gamma^2 raised
+    # DephaserError from x = 0.2 on at every K; from d_n = (n - a)(n + a) they are finite, and the exact g and gdot
+    # match the oracle, alone and in arrays (measured: 1.4e-16 relative, hight's closed form within its rounding)
     beta = 6e-152
-    exact = BrownianMatsubara(BathParams(1.0, 0.5, beta, 5))
     strict = TruncatedMatsubara(BathParams(1.0, 0.5, beta, 5))
-    below = 0.1 * beta / (2.0 * math.pi)
-    assert exact.g(below).real > 0.0 and exact.gdot(below).real > 0.0
     for x in (0.2, 9.0, 45.0):
         t = x * beta / (2.0 * math.pi)
-        for fn in (exact.g, exact.gdot):
+        want = reference(1.0, 0.5, beta, t)
+        for k in (0, 5, 100):
+            exact = BrownianMatsubara(BathParams(1.0, 0.5, beta, k))
             for times in (t, np.array([t] * 5)):
-                with pytest.raises(DephaserError, match=re.escape("a coefficient b_n of n = 1 to 226 overflows")):
-                    fn(times)
+                for got, w in zip((exact.g(times).real, exact.gdot(times).real), want):
+                    assert np.all(np.abs(got - w) <= 3e-16 * abs(w)), (x, k, got, w)
         assert strict.g(t).real > 0.0  # strict truncation reads only its K terms
 
 
@@ -1288,7 +1327,7 @@ def test_hight_overflowing_eta_over_gamma_raises():
         (lambda: BrownianCorrelation(BathParams(1.0, 1e200, 1e200)), "beta gamma / 2 pi = inf overflows"),
         (lambda: BrownianMatsubara(BathParams(1.0, 1e80, 1e81, 0)), "(beta gamma / 2 pi)^2 = inf leaves"),
         (lambda: BrownianMatsubara(BathParams(1.0, 7e263, 1e-217, 0)), "gamma^2 = inf overflows"),
-        (lambda: BrownianMatsubara(BathParams(0.18, 1.6e-153, 1.8e156)), "eta gamma beta^2 / (2 pi^3 a^2) = inf"),
+        (lambda: BrownianMatsubara(BathParams(0.18, 1.6e-153, 1.8e156)), "eta gamma beta^2 / (2 pi^3) = inf"),
     ],
     ids=["hight-gamma^2", "L-a_max", "analytic-a", "L-a", "analytic-a^2", "analytic-gamma^2", "analytic-beta^2"],
 )

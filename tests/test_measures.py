@@ -440,12 +440,13 @@ def _scalar_re_gdot(ev, t):
         re += d.pole_b * (-math.expm1(-p.gamma * t))
     if t < ev._t_direct:
         return re + ev._small_x(t, False, True)[1]
-    nu = 2.0 * math.pi * np.arange(1.0, 227.0) / p.beta
-    with np.errstate(divide="ignore"):  # nu_m = gamma exactly: the entry the pair replaces
-        b = 4.0 * p.eta * p.gamma / (p.beta * (nu**2 - p.gamma**2))
+    n = np.arange(1.0, 227.0)
+    nu = 2.0 * math.pi * n / p.beta
+    d_n = (n - p.pole_ratio) * (n + p.pole_ratio)
     if 1 <= d.m <= 226:
-        b[d.m - 1] = 0.0  # the pair holds the m-th term
-    g1 = ev._live_table(False)[2]  # S1(n) for n = 0, ..., 226, as the engine's first row at x >= 0.2 builds it
+        d_n[d.m - 1] = math.inf  # the pair holds the m-th term
+    b = p.eta * p.gamma * p.beta / math.pi**2 / d_n  # B_n = s1 / d_n
+    g1 = d.live_sums(False)[0]  # S1(n) for n = 0, ..., 226, as the engine's first row at x >= 0.2 builds it
     stop = min(math.ceil(45.0 * p.beta / (2.0 * math.pi * t)), 226)
     if stop <= _LIVE_FLOATS:  # on Python floats
         block = 0.0
@@ -754,11 +755,13 @@ _LIBRARY_BATHS = {
 # and a = 1.001, when g and gdot from x = 0.2 on took their live terms and G1 and G0: 111 and 223 of 363 values, by at
 # most 2.4e-15 and 1.7e-13 relative; last: beta 933 and a = 1.001, when g's nodes below x = 0.2 took L's rule: 190 and
 # 1 of 363 values, by at most 5.5e-15 and 1.3e-16 relative but for beta 933's N, by 1.6e-12, and its two growth ends,
-# roots refined to 1e-10, which moved by 4.0e-11)
+# roots refined to 1e-10, which moved by 4.0e-11; last: a = 1.001, when every c_n and B_n took the one row d_n = (n -
+# a)(n + a): 173 of 363 values, by at most 2.1e-15 relative but for the N of Prepared(1) and Prepared(3), 1.3e-3 and
+# 6.5e-4, which moved by 1.1e-16 and 2.2e-16, 8.8e-14 and 3.4e-13 of themselves)
 _LIBRARY_DIGESTS = {
     "default": "5791dafcb9db9f54c9e5f0c587769c1e738653c1a373e29ac1310eb0a59b2833",
     "beta 933": "a94e6fec1199fbed998293479455405050e3be8c89708d66628e28b6318d5a56",
-    "a = 1.001": "0574618df9ea8c896b56c658ea73b2fe76df42efe40949da1847e43cfb4de718",
+    "a = 1.001": "711ccf053364245781b2e9916d7ee0d894f194c79db2dbaa6d33ebb7cfe10ace",
 }
 
 

@@ -7,6 +7,7 @@ working precision adds to 40; these tests pin that rule where the loss is larges
 import math
 
 import _oracle
+import mpmath
 import pytest
 from test_spectral import _ORACLE_POINTS
 
@@ -43,3 +44,17 @@ def test_reference_on_the_cold_bath_at_1e_9_is_its_90_digit_value():
 def test_correlation_holds_its_digits_at_pinned_points(monkeypatch, point):
     got, want = _oracle.correlation(*point), _with_more_digits(monkeypatch, _oracle.correlation, *point)
     assert abs(got[0] - want[0]) <= DIGITS_RTOL * abs(want[0]), (got, want)
+
+
+@pytest.mark.parametrize("beta", [1e-40, 6e-152])
+def test_reference_on_hot_baths_is_the_high_temperature_closed_form(beta):
+    # (1, 0.5, beta) at x = 9: gamma t is 3.6e-40 and 4.3e-151, where expm1(-gamma t) + gamma t at the working precision
+    # left Re g 18 % off at beta 1e-40 and a factor of about 1e151 off at 6e-152.  The Matsubara terms add about a^2 =
+    # (beta gamma / 2 pi)^2 of Re g to the closed form (2 eta / (beta gamma^2)) h(gamma t), below 1e-80 here
+    eta, gamma = 1.0, 0.5
+    t = 9.0 * beta / (2.0 * math.pi)
+    with mpmath.workdps(400):  # h(y) = expm1(-y) + y cancels to y / 2 of y
+        y = mpmath.mpf(gamma) * t
+        want = (2 * eta / (beta * gamma**2) * (mpmath.expm1(-y) + y), -2 * eta / (beta * gamma) * mpmath.expm1(-y))
+    for got, w in zip(_oracle.reference(eta, gamma, beta, t), want):
+        assert abs(got - w) <= DIGITS_RTOL * abs(w), (got, w)

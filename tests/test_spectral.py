@@ -22,14 +22,14 @@ from scipy.special import digamma as scipy_digamma
 
 import dephaser
 from dephaser import _expint_fits, spectral
-from dephaser.dephasing import _G_LIVE_STOP, BrownianMatsubara
+from dephaser.dephasing import BrownianMatsubara
 from dephaser.errors import DephaserError, ExtrapolationError
 from dephaser.spectral import (
     _A_MAX,
     _ASYMPTOTIC,
-    _CUBIC_X,
     _DIRECT_X,
     _EXP_DEAD,
+    _LIVE_STOP,
     BathParams,
     BrownianCorrelation,
     OverdampedBrownian,
@@ -323,59 +323,37 @@ def _tail_sums_error_bound(bath, m):
     "bath, in_path, m",
     [
         (BathParams(1.0, 0.5, 1.0), lambda x: x > 10.0, 0),
-        # a = 267 > K + 1: the pair's m is past K, and the reflection gives the argument a - K
+        # a = 267 > _LIVE_STOP + 1: the pair's m is past the live terms, and the reflection gives the argument a - 226
         (BathParams(1.0, 1.8, 933.0), lambda x: x > 10.0, 267),
-        # a = 101.5, so K + 1 - a = -0.5: the reflection gives a - K = 1.5, below 10
-        (BathParams(1.0, 1.0, 2.0 * math.pi * 101.5), lambda x: x == 1.5, 102),
+        # a = 227.5, so 227 - a = -0.5: the reflection gives a - 226 = 1.5, below 10
+        (BathParams(1.0, 1.0, 2.0 * math.pi * 227.5), lambda x: x == 1.5, 228),
         (BathParams(1.0, 1.0, 4.0 * math.pi), lambda x: x > 10.0, 2),
     ],
-    ids=["warm", "cold a > K + 1", "root window", "resonant"],
+    ids=["warm", "cold a > 227", "reflected a = 227.5", "resonant"],
 )
 def test_tail_sums_match_scipy_digamma_bit_for_bit(bath, in_path, m):
-    """(S0, S1) against 40-digit mpmath on the same float inputs, and scipy's bits where every digamma runs scipy's operations.
+    """(S0, S1) past the live terms against 40-digit mpmath on the same float inputs, and scipy's bits where every
+    digamma runs scipy's operations.
 
     Where m = 0, neither sum is a digamma difference (DirichletTable.tail_sums): each is within 4 ulp of the oracle
     instead.
     """
-    k = bath.matsubara_terms
-    assert in_path(_below(bath, k))
+    last = _LIVE_STOP
+    assert in_path(_below(bath, last))
     assert bath.dirichlet().m == m
-    # the last live n past K of times from x = 2 pi 1e-4 to 0.2 pi, where the engine took tail_sums before it summed
-    # its live terms from two per-bath constants, and _G_LIVE_STOP, where it takes them now
-    live_stops = sorted({math.ceil(45.0 / (2.0 * math.pi * f)) for f in np.geomspace(1e-4, 0.1, 7)} - set(range(k + 1)))
-    assert len(live_stops) >= 4
-    for last in [k, _G_LIVE_STOP] + live_stops:
-        got = bath.dirichlet().tail_sums(last)
-        assert [type(v) for v in got] == [float, float]
-        want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, last)
-        bound = _tail_sums_error_bound(bath, last)
-        assert all(abs(g - w) <= b for g, w, b in zip(got, want, bound)), (last, got, want, bound)
-        if all(x > 10.0 for x in (last + 1.0, _below(bath, last), last + 1.0 + bath.pole_ratio)):
-            scipy_sums = _scipy_tail_sums(bath, last)
-            assert (got[1] == scipy_sums[1] and got[0] == scipy_sums[0]) or not m, last
-        if not m:
-            assert all(abs(g - w) <= 4.0 * _ULP * abs(w) for g, w in zip(got, want)), (last, got, want)
-        # gdot takes S1 alone, with the same bits
-        s0, s1 = bath.dirichlet().tail_sums(last, derivative=True)
-        assert math.isnan(s0) and s1 == got[1], last
-
-
-def test_unpaired_tail_sums_build_their_head_only_below_the_cubic_series():
-    # the sums of n = 1, ..., _CUBIC_X serve tail_sums(last) only at last + 1 < _CUBIC_X: at last = _CUBIC_X an
-    # unpaired table builds none, and S1 alone builds none of S0's
-    bath = BathParams(1.0, 0.5, 1.0)
-    table = bath.dirichlet()
-    table.tail_sums(_CUBIC_X, True)
-    assert table.m == 0 and list(table._zeta) == [2] and table._zeta[2][2] is None
-    for last in (_CUBIC_X, _CUBIC_X + 1, 100, 10**6):
-        table.tail_sums(last)
-    assert all(sums[2] is None for sums in table._zeta.values())
-    # the first sum from n = last + 1 below it builds the heads, once, and gives a fresh table's bits
-    assert table.tail_sums(_CUBIC_X - 2) == bath.dirichlet().tail_sums(_CUBIC_X - 2)
-    heads = [sums[2] for sums in table._zeta.values()]
-    assert len(heads) == 2 and all(len(head) == _CUBIC_X for head in heads)
-    table.tail_sums(0)
-    assert all(sums[2] is head for sums, head in zip(table._zeta.values(), heads))
+    got = bath.dirichlet().tail_sums()
+    assert [type(v) for v in got] == [float, float]
+    want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, last)
+    bound = _tail_sums_error_bound(bath, last)
+    assert all(abs(g - w) <= b for g, w, b in zip(got, want, bound)), (got, want, bound)
+    if all(x > 10.0 for x in (last + 1.0, _below(bath, last), last + 1.0 + bath.pole_ratio)):
+        scipy_sums = _scipy_tail_sums(bath, last)
+        assert (got[1] == scipy_sums[1] and got[0] == scipy_sums[0]) or not m
+    if not m:
+        assert all(abs(g - w) <= 4.0 * _ULP * abs(w) for g, w in zip(got, want)), (got, want)
+    # gdot takes S1 alone, with the same bits
+    s0, s1 = bath.dirichlet().tail_sums(derivative=True)
+    assert math.isnan(s0) and s1 == got[1]
 
 
 # The m = 0 sums of tail_sums against the oracle's exact sums at a = 1e-3 and 1e-5: S1 was a first difference of
@@ -386,10 +364,9 @@ def test_unpaired_s1_is_its_series_in_inverse_squares(a):
     bath = BathParams(1.0, 2.0 * math.pi * a, 1.0)
     table = bath.dirichlet()
     assert table.m == 0
-    for last in (0, 1, 7, 25, _CUBIC_X - 1, _CUBIC_X, 100, _G_LIVE_STOP, 400):
-        got = table.tail_sums(last)[1]
-        want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, last)[1]
-        assert abs(got - want) <= 4.0 * _ULP * abs(want), (last, got, want)
+    got = table.tail_sums()[1]
+    want = tail_sums(bath.eta, bath.gamma, bath.beta, bath.pole_ratio, _LIVE_STOP)[1]
+    assert abs(got - want) <= 4.0 * _ULP * abs(want), (got, want)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -397,32 +374,63 @@ def test_unpaired_s1_is_its_series_in_inverse_squares(a):
     eta=st.floats(0.1, 10.0),
     gamma=st.floats(0.2, 2.0),
     beta=st.one_of(st.floats(0.1, 30.0), st.floats(900.0, 1000.0)),
-    k=st.sampled_from([0, 1, 25, 100]),
 )
-@example(eta=1.3, gamma=1.8, beta=933.0, k=100)
-@example(eta=1.0, gamma=1.0, beta=4.0 * math.pi, k=25)  # the pole on nu_2
-@example(eta=1.3, gamma=1.0, beta=2.0 * math.pi, k=1)  # the pole on nu_1
-@example(eta=1.0, gamma=1.0, beta=4.0 * math.pi, k=1)  # the pole on nu_2, past K: S1 reflects
-def test_dirichlet_rate_is_the_sum_of_its_coefficients(eta, gamma, beta, k):
-    """C = B_gamma + sum_{n<=K} B_n + S1(K) to roundoff: S1's digamma bound, 8 ulp of sum |terms|, the pole's argument.
+@example(eta=1.3, gamma=1.8, beta=933.0)
+@example(eta=1.0, gamma=1.0, beta=4.0 * math.pi)  # the pole on nu_2
+@example(eta=1.3, gamma=1.0, beta=2.0 * math.pi)  # the pole on nu_1
+@example(eta=1.0, gamma=1.0, beta=2.0 * math.pi * 227.5)  # the pole past the live terms: S1 reflects
+def test_dirichlet_rate_is_the_sum_of_its_coefficients(eta, gamma, beta):
+    """C = B_gamma + sum_{n<=226} B_n + S1 to roundoff: S1's digamma bound, 8 ulp of sum |terms|, the pole's argument.
 
-    With m >= 1 the pole and the m-th term are the pair: B_gamma + B_m = pole_rest + m_rest, and B_m leaves the
-    explicit terms and S1.  pole_rest takes a - m rounded, which moves it by at most eta pi ulp(a).  With m = 0,
-    B_gamma is eta cot of beta gamma / 2 rounded, which moves it by eta (1 + cot^2) ulp(beta gamma / 2).
+    The B_n are the live terms' and S1 the tail_sums past them.  With m >= 1 the pole and the m-th term are the pair:
+    B_gamma + B_m = pole_rest + m_rest, and B_m leaves the live terms and S1.  pole_rest takes a - m rounded, which
+    moves it by at most eta pi ulp(a).  With m = 0, B_gamma is eta cot of beta gamma / 2 rounded, which moves it by eta
+    (1 + cot^2) ulp(beta gamma / 2).
     """
-    bath = BathParams(eta, gamma, beta, k)
+    bath = BathParams(eta, gamma, beta)
     d = bath.dirichlet()
     terms = [d.pole_rest, d.m_rest] if d.m else [d.pole_b]
-    terms += [*d.explicit[2].tolist(), d.tail_sums(k)[1]]
-    if 1 <= d.m <= k:
-        assert d.explicit[2][d.m - 1] == 0.0
-    bound = _tail_sums_error_bound(bath, k)[1] + 8.0 * _ULP * math.fsum(map(abs, terms + [d.rate]))
+    b = d.live_terms[2]
+    terms += [*b.tolist(), d.tail_sums()[1]]
+    if 1 <= d.m <= _LIVE_STOP:
+        assert b[d.m - 1] == 0.0
+    bound = _tail_sums_error_bound(bath, _LIVE_STOP)[1] + 8.0 * _ULP * math.fsum(map(abs, terms + [d.rate]))
     if d.m:
         bound += eta * math.pi * math.ulp(bath.pole_ratio)
     else:
         bound += eta * (1.0 + d.cot**2) * math.ulp(0.5 * beta * gamma)
     assert abs(math.fsum(terms) - d.rate) <= bound
     assert d.rate == 2.0 * eta / (beta * gamma)
+
+
+@pytest.mark.parametrize(
+    "bath",
+    [BATH, BathParams(1.0, 1.0, 4.0 * math.pi, 300), BathParams(1.3, 1.8, 933.0, 25)],
+    ids=["warm", "resonant, K = 300", "beta 933"],
+)
+def test_every_coefficient_reads_the_one_row_of_d_n(bath):
+    # L's weights n / d_n, the live B_n = s1 / d_n and c_n = s0 / (n d_n) and the K terms' are formed from the one row
+    # d_n = (n - a)(n + a), d_m = inf for the pair's term; and a one-shot L builds no coefficient and no sum past them
+    ev = BrownianCorrelation(bath)
+    for x in (0.05, 0.2, 3.0):
+        assert math.isfinite(ev(x * bath.beta / (2.0 * math.pi)).real)
+    table = ev.table
+    assert "live_terms" not in vars(table) and (table._g1, table._g0) == (None, None)
+    n, d = table.live
+    a, m = bath.pole_ratio, table.m
+    want = (n - a) * (n + a)
+    if 1 <= m <= _LIVE_STOP:
+        want[m - 1] = math.inf
+    assert n.tolist() == list(range(1, _LIVE_STOP + 1)) and d.tobytes() == want.tobytes()
+    assert ev._weights[0] is n and ev._weights[1].tobytes() == (n / d).tobytes()
+    s0, s1 = table.amplitudes
+    _, c, b = table.live_terms
+    assert b.tobytes() == (s1 / d).tobytes() and c.tobytes() == (s0 / (n * d)).tobytes()
+    k = min(bath.matsubara_terms, _LIVE_STOP)
+    nu_k, c_k, b_k = table.explicit
+    assert c_k[:k].tobytes() == c[:k].tobytes() and b_k[:k].tobytes() == b[:k].tobytes()
+    if 1 <= m <= _LIVE_STOP:
+        assert ev._weights[1][m - 1] == b[m - 1] == c[m - 1] == 0.0
 
 
 @pytest.mark.parametrize("bath", [BATH, BathParams(1.0, 1.0, 4.0 * math.pi)], ids=["warm", "resonant"])
@@ -491,11 +499,11 @@ def _direct_terms(ev, x):
 
 
 def _correlation_pieces(ev, t):
-    """Every float that BrownianCorrelation sums into Re L(t), with all 225 terms of the direct branch."""
+    """Every float that BrownianCorrelation sums into Re L(t), with all 226 live terms from x = _DIRECT_X."""
     p, d = ev.bath, ev.table
     x = 2.0 * math.pi * t / p.beta
     if x >= _DIRECT_X:
-        n, w = ev._direct
+        n, w = ev._weights
         pieces = (ev.c_log * w * np.exp(-n * x)).tolist()
     else:
         pieces = [ev.c_log * v for v in _small_x_pieces(ev, x)]
@@ -511,12 +519,12 @@ def _correlation_pieces(ev, t):
 
 @pytest.mark.parametrize("bath", _CUT_BATHS.values(), ids=_CUT_BATHS.keys())
 def test_correlation_series_stops_at_its_live_terms(bath):
-    """Re L within 4 ulp of sum |pieces| of its small-x sum, or of all 225 direct terms, reading no dead one.
+    """Re L within 4 ulp of sum |pieces| of its small-x sum, or of all 226 live terms, reading no dead one.
 
     From x = _DIRECT_X the terms past n = ceil(_EXP_DEAD / x) are set to nan, so a sum that reads them returns nan.
     """
     ev = BrownianCorrelation(bath)
-    n, w = ev._direct
+    n, w = ev._weights
     cut = window = 0
     for t in _cut_times(bath):
         pieces = _correlation_pieces(ev, t)
@@ -524,9 +532,9 @@ def test_correlation_series_stops_at_its_live_terms(bath):
         live = math.ceil(_EXP_DEAD / x)
         cut += x >= _DIRECT_X and live < n.size
         window += x < _DIRECT_X
-        ev._direct = n, np.where(n <= live, w, math.nan)
+        ev._weights = n, np.where(n <= live, w, math.nan)
         got = ev(t).real
-        ev._direct = n, w
+        ev._weights = n, w
         assert abs(got - math.fsum(pieces)) <= 4.0 * _ULP * math.fsum(map(abs, pieces)), t
     assert cut >= 3 and window >= 3  # times where the cut drops terms, and times of the small-x sum
 
