@@ -283,22 +283,22 @@ class BrownianMatsubara:
     sum is spectral._SmallXSums' S, the window around the pole and the Euler-Maclaurin tails on the node set that the
     analytic L reads too, and it reads no K; gdot's is S', its x-derivative on the same table, built once at the first
     such call of either, plus _dead_weight where more than _BLOCK_CAP terms past K are live (so that it is the sum
-    stopped at K + _BLOCK_CAP, which perfbench's references record).  From _DIRECT_X on each is the L = min(ceil(45
-    beta / (2 pi t)), 226) live terms, whose exponentials are summed until they underflow, and G1[L] and G0[L], the
-    sums of B_n and c_n past them (_sum_at): the table's live terms and sums (DirichletTable.live_terms, live_sums),
-    B_n = s1 / d_n and c_n = s0 / (n d_n) of the row d_n = (n - a)(n + a) whose n / d_n the analytic L weighs, and no
-    K.  K reaches it only as _dead_weight's N; TruncatedMatsubara sums the K terms alone.  Where a = beta gamma / 2 pi
-    rounds to m >= 1, the pole and the m-th term are a pair: one formula at every detuning from gamma = nu_m.
+    stopped at K + _BLOCK_CAP, which perfbench's references record).  From _DIRECT_X on each is the L = min(ceil(45 beta
+    / (2 pi t)), 226) live terms, whose exponentials are summed until they underflow, and G1[L] and G0[L], the sums of
+    B_n and c_n past them (_sum_at): the table's live terms and sums (DirichletTable.live_terms, g1, g0), B_n = s1 / d_n
+    and c_n = B_n / nu_n of the row d_n = (n - a)(n + a) whose n / d_n the analytic L weighs, and no K.  K reaches it
+    only as _dead_weight's N; TruncatedMatsubara sums the K terms alone.  Where a = beta gamma / 2 pi rounds to m >= 1,
+    the pole and the m-th term are a pair: one formula at every detuning from gamma = nu_m.
 
     The constructor raises DephaserError where a^2 (a = beta gamma / 2 pi) or 2 eta / (beta gamma) leaves the normal
     floats (beta gamma < 9.4e-154, eta 1e-318 on beta gamma 0.5), where gamma^2 or an amplitude of the pole term or the
-    pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and where s0 or s1, the amplitudes of the c_n and B_n, does (eta
-    1e307, gamma 1, beta 100).  Past them no coefficient overflows: they need no nu_n^2, so g and gdot at beta 6e-152,
-    where nu_n^2 overflows from n = 129, match the oracle from x = _DIRECT_X on.  g and gdot raise it past the largest
-    time the table's amplitudes allow (_largest_time, from max(gamma, nu_1, nu_m) and the rate: 8.99e306 on the default
-    bath at every K).  They raise it below x = _DIRECT_X where a reaches 2^52 and where x^2 leaves the normal floats (t
-    below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms past K where K + _BLOCK_CAP <
-    2a, where _dead_weight's series would not converge (beta gamma past 6.3e6 at K = 100).
+    pair overflows (eta 1e300, gamma 1e-8, beta 1e-20) and where s0 or s1, the amplitudes of the sums below _DIRECT_X
+    and past the live terms, does (eta 1e307, gamma 1, beta 100).  No coefficient needs nu_n^2, so g and gdot at beta
+    6e-152, where nu_n^2 overflows from n = 129, match the oracle from x = _DIRECT_X on.  g and gdot raise it past the
+    largest time the table's amplitudes allow (_largest_time, from max(gamma, nu_1, nu_m) and the rate: 8.99e306 on the
+    default bath at every K).  They raise it below x = _DIRECT_X where a reaches 2^52 and where x^2 leaves the normal
+    floats (t below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms past K where K +
+    _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta gamma past 6.3e6 at K = 100).
 
     g and gdot take a time or a 1-d array of times.  Every time, alone or in an array, takes one live-sum step
     (_sum_at), from _DIRECT_X on over its L <= 32 live terms on Python floats (_LIVE_FLOATS), or more as one numpy row,
@@ -412,14 +412,16 @@ class BrownianMatsubara:
         From t_direct on, the terms n > L are dead, L = min(ceil(_EXP_DEAD beta / (2 pi t)), _LIVE_STOP): g's part is
         sum_{n <= L} c_n (expm1(-nu_n t) + nu_n t) + t G1[L] - G0[L], and gdot's -sum_{n <= L} B_n expm1(-nu_n t) +
         G1[L], from one expm1 per term: on Python floats where L <= _LIVE_FLOATS, else as one numpy row of L terms.
-        The table's live terms and sums are built at the first such step (DirichletTable.live_terms, live_sums).
+        The table's live terms and G1 are built at the first such step, and G0 at the first g (DirichletTable).
         """
         if s < self._t_direct:
             return (0.0 if g else None), (0.0 if gdot else None)
         if self._live is None or g and self._g0 is None:
-            terms = self._table.live_terms
-            g1, self._g0 = self._table.live_sums(g)
-            self._live = terms, list(zip(*terms[:, :_LIVE_FLOATS].tolist())), g1
+            table = self._table
+            terms = table.live_terms
+            self._live = terms, list(zip(*terms[:, :_LIVE_FLOATS].tolist())), table.g1
+            if g:
+                self._g0 = table.g0
         terms, leading, g1 = self._live
         stop = math.ceil(self._dead_beta / (_TWO_PI * s))
         if stop <= _LIVE_FLOATS:
@@ -572,9 +574,10 @@ class TruncatedMatsubara(BrownianMatsubara):
     from one row of it (_sum_at).  Its rate's coefficients can change sign three times, so it has no certified_bath and
     measures scan it.
 
-    DephaserError as BrownianMatsubara's, whose amplitudes s0 and s1 its K terms take (DirichletTable.explicit), and
-    also where nu_K^2 leaves the normal floats (2 pi K / beta > 1.3e154) and past the largest time of its own terms
-    (from nu_K t).
+    DephaserError as BrownianMatsubara's but for s0 and s1, which its K terms do not need (DirichletTable.explicit): at
+    (eta 1e307, gamma 1, beta 100) it computes where the exact engine and matsubara_remainder raise.  Also where a K
+    term overflows, where nu_K^2 leaves the normal floats (2 pi K / beta > 1.3e154) and past the largest time of its own
+    terms (from nu_K t).
     """
 
     certified_bath = None

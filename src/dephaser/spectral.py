@@ -29,8 +29,8 @@ so its L(0) is the finite trapezoid sum, with Im L(0) = 0 by oddness.
 BathParams makes every decision about the Brownian bath: the thermal frequencies nu_n, the pair of the
 pole gamma with the nearest one, and the one table of its Dirichlet coefficients, live terms and small-x sums
 (DirichletTable), which the analytic L here and the series engines of dephasing read.  Every Matsubara coefficient is
-an amplitude times a power of n over d_n = (n - a)(n + a), a = beta gamma / 2 pi: L's weight n / d_n, B_n = s1 / d_n
-and c_n = s0 / (n d_n).
+an amplitude over d_n = (n - a)(n + a), a = beta gamma / 2 pi: L's weight n / d_n, B_n = s1 / d_n and c_n = B_n /
+nu_n.
 """
 
 from __future__ import annotations
@@ -313,22 +313,22 @@ class DirichletTable:
 
     lambda_k runs over gamma and the nu_n: B_gamma = pole_b = eta cot(beta gamma / 2), and with a = beta gamma / 2 pi
     and d_n = (n - a)(n + a), B_n = s1 / d_n and c_n = B_n / nu_n = s0 / (n d_n), s1 = eta gamma beta / pi^2 and s0 =
-    eta gamma beta^2 / (2 pi^3) (amplitudes); rate = sum_k B_k = 2 eta / (beta gamma).  So Re g(t) = rate t - sum_k
-    (B_k / lambda_k)(1 - e^{-lambda_k t}) and Re L(t) = sum_k B_k lambda_k e^{-lambda_k t}, whose n-th term is c_log (n
-    / d_n) e^{-n x}, c_log = 2 eta gamma / pi, x = 2 pi t / beta; Im g(t) = -pole_im h(gamma t), h(y) = e^-y + y - 1.
-    The pair: with m = round(a) >= 1, by the partial fractions of cot (A&S §4.3) B_gamma = P / (gamma - nu_m) +
-    pole_rest and B_m = P / (nu_m - gamma) + m_rest, P = pair_amp = 2 eta / beta, pole_rest = eta (cot(pi eps) - 1 /
-    (pi eps)), eps = a - m, m_rest = -P / (nu_m + gamma).  The engines sum both rests and P times a divided difference
-    over [gamma, nu_m]: the parts of order 1 / (a - m) cancel in the algebra.  So d_m = inf, which leaves c_m, B_m and
-    L's m-th weight 0 in explicit, live and tail_sums, and the bare pole_b and pole_c serve only a < 1/2 (m = 0) and
-    strict truncation without the m-th term.
+    eta gamma beta^2 / (2 pi^3) (amplitudes, which the sums of every n past the live terms and below _DIRECT_X take);
+    rate = sum_k B_k = 2 eta / (beta gamma).  So Re g(t) = rate t - sum_k (B_k / lambda_k)(1 - e^{-lambda_k t}) and Re
+    L(t) = sum_k B_k lambda_k e^{-lambda_k t}, whose n-th term is c_log (n / d_n) e^{-n x}, c_log = 2 eta gamma / pi, x
+    = 2 pi t / beta; Im g(t) = -pole_im h(gamma t), h(y) = e^-y + y - 1.  The pair: with m = round(a) >= 1, by the
+    partial fractions of cot (A&S §4.3) B_gamma = P / (gamma - nu_m) + pole_rest and B_m = P / (nu_m - gamma) + m_rest,
+    P = pair_amp = 2 eta / beta, pole_rest = eta (cot(pi eps) - 1 / (pi eps)), eps = a - m, m_rest = -P / (nu_m +
+    gamma).  The engines sum both rests and P times a divided difference over [gamma, nu_m]: the parts of order 1 / (a -
+    m) cancel in the algebra.  So d_m = inf, which leaves c_m, B_m and L's m-th weight 0 in explicit, live and
+    tail_sums, and the bare pole_b and pole_c serve only a < 1/2 (m = 0) and strict truncation without the m-th term.
 
     Every c_n, B_n and weight n / d_n is formed from one row of d_n: explicit's of the K terms, and live's of the
     terms n = 1, ..., _LIVE_STOP that L, g and gdot sum from x = _DIRECT_X on, built at its first read, as the sums
     below _DIRECT_X are (small_x).  Away from the pair |d_n| >= 3/4, and |d_n| >= (1 + a) / 2 where m >= 1, so with
-    s0 = (2 / pi)(eta / gamma) a^2 and s1 = 2 eta a / pi no coefficient overflows where s0, s1 and eta / gamma are
-    finite, at any temperature: amplitudes raises DephaserError where s0 or s1 overflows, and the engines check eta /
-    gamma.  DephaserError where a overflows.
+    s1 = 2 eta a / pi, |B_n| < 4 eta / pi and |c_n| < 1.2 eta / gamma at any temperature: the coefficients need no
+    finite s0 or s1 (_coefficients), and raise DephaserError only where one of them overflows.  amplitudes raises it
+    where s0 or s1 overflows, and the constructor where a does.
     """
 
     def __init__(self, bath: BathParams):
@@ -349,13 +349,11 @@ class DirichletTable:
         self.pair_amp = 2.0 * eta / beta
         self.pole_rest = eta * _cot_rest(math.pi * (a - self.m))
         self.m_rest = -self.pair_amp / (self.nu_m + gamma)
-        # the live terms' sums past each n, G1 and G0, each built at its first read (live_sums)
-        self._g1 = self._g0 = None
 
     @cached_property
     def amplitudes(self) -> tuple[float, float]:
-        """(s0, s1) = (eta gamma beta^2 / (2 pi^3), eta gamma beta / pi^2), the amplitudes of c_n and B_n, and of the
-        sums below _DIRECT_X; DephaserError where either overflows."""
+        """(s0, s1) = (eta gamma beta^2 / (2 pi^3), eta gamma beta / pi^2), the amplitudes of c_n and B_n in the sums
+        past the live terms (tail_sums) and below _DIRECT_X; DephaserError where either overflows."""
         eta, gamma, beta = self.bath.eta, self.bath.gamma, self.bath.beta
         s1 = _finite(eta * gamma * beta / math.pi**2, "eta gamma beta / pi^2")
         return _finite(eta * gamma * _pow(beta, 2) / (2.0 * math.pi**3), "eta gamma beta^2 / (2 pi^3)"), s1
@@ -367,16 +365,27 @@ class DirichletTable:
             d[self.m - 1] = math.inf
         return d
 
-    def _coefficients(self, n: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c_n, B_n) = (s0 / (n d_n), s1 / d_n) of the terms n with denominators d."""
-        s0, s1 = self.amplitudes
-        return s0 / (n * d), s1 / d
+    def _coefficients(self, n: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nu_n, c_n, B_n) = (nu_n, B_n / nu_n, s1 / d_n) of the terms n with denominators d.
+
+        s1 takes eta's power of 2 last (frexp), so that B_n has the roundings of s1 / d_n wherever eta gamma is normal
+        and is finite where s1 is not (eta 1e307, gamma 1, beta 100).  DephaserError where a coefficient overflows.
+        """
+        bath = self.bath
+        mantissa, exponent = math.frexp(bath.eta)
+        nu = bath.matsubara_frequency(n)
+        try:
+            with np.errstate(over="raise"):
+                b = np.ldexp(mantissa * bath.gamma * bath.beta / math.pi**2 / d, exponent)
+                return nu, b / nu, b
+        except FloatingPointError:
+            raise DephaserError("a coefficient c_n or B_n overflows: the bath is outside this engine's range") from None
 
     @cached_property
     def explicit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(nu_n, c_n, B_n) for n = 1, ..., K, with c_m = B_m = 0."""
         n = np.arange(1.0, self.bath.matsubara_terms + 1.0)
-        return self.bath.matsubara_frequency(n), *self._coefficients(n, self._denominators(n))
+        return self._coefficients(n, self._denominators(n))
 
     @cached_property
     def live(self) -> tuple[np.ndarray, np.ndarray]:
@@ -388,32 +397,26 @@ class DirichletTable:
     @cached_property
     def live_terms(self) -> np.ndarray:
         """The rows -nu_n, c_n and B_n of the live terms, at the first read."""
-        n, d = self.live
-        return np.stack((-self.bath.matsubara_frequency(n), *self._coefficients(n, d)))
+        nu, c, b = self._coefficients(*self.live)
+        return np.stack((-nu, c, b))
 
-    def live_sums(self, g: bool) -> tuple:
-        """(G1, G0) of the live terms, G1 built at the first call and G0 at the first where g (None until then).
+    @cached_property
+    def g1(self) -> memoryview:
+        """G1[j] = S1(j), the sum of B_n over n > j but m, j = 0, ..., _LIVE_STOP, at the first read: a compensated
+        running sum (_running_sums), down from S1(_LIVE_STOP) where there is no pair (_unpaired_tail), and with the pair
+        up from its closed form G1[0] = rate - pole_rest - m_rest (the B_k sum to the rate), to which Re gdot cancels
+        its terms late: on a cold bath S1 of the digamma sums left Re g and Re gdot 30 times further off the oracle.  It
+        builds no S0."""
+        b = self.live_terms[2]
+        if self.m:
+            return _held(_running_sums(self.rate - (self.pole_rest + self.m_rest), (-b).tolist()))
+        return _held(_running_sums(self._unpaired_tail(2), b[::-1].tolist())[::-1])
 
-        G1[j] = S1(j) and G0[j] = S0(j), the sums of B_n and c_n over n > j but m, j = 0, ..., _LIVE_STOP, are
-        compensated running sums (_running_sums): G0 from S0(_LIVE_STOP) of one tail_sums less the terms from the
-        last, and G1 so too where there is no pair.  With the pair G1 runs up from its closed form G1[0] = rate -
-        pole_rest - m_rest (the B_k sum to the rate), to which Re gdot cancels its terms late: on a cold bath S1 of
-        the digamma sums left Re g and Re gdot 30 times further off the oracle.  G1 alone builds no S0.
-        """
-        s0 = None
-        if self._g1 is None:
-            b = self.live_terms[2]
-            if self.m:
-                g1 = _running_sums(self.rate - (self.pole_rest + self.m_rest), (-b).tolist())
-            else:
-                s0, s1 = self.tail_sums(not g)
-                g1 = _running_sums(s1, b[::-1].tolist())[::-1]
-            self._g1 = _held(g1)
-        if g and self._g0 is None:
-            if s0 is None:
-                s0 = self.tail_sums()[0]
-            self._g0 = _held(_running_sums(s0, self.live_terms[1, ::-1].tolist())[::-1])
-        return self._g1, self._g0
+    @cached_property
+    def g0(self) -> memoryview:
+        """G0[j] = S0(j), the sum of c_n over n > j but m, at the first read: the running sum down from S0(_LIVE_STOP)
+        of tail_sums, as G1's."""
+        return _held(_running_sums(self.tail_sums()[0], self.live_terms[1, ::-1].tolist())[::-1])
 
     @cached_property
     def small_x(self) -> _SmallXSums:
@@ -429,12 +432,10 @@ class DirichletTable:
         >= n} 1 / (k (k^2 - a^2)) and sum_{k >= n} 1 / (k^2 - a^2), as their digamma differences psi(n) - (psi(n - a)
         + psi(n + a)) / 2 over a^2 and (psi(n + a) - psi(n - a)) / (2a) cancel as a -> 0.
         """
+        if not self.m:
+            return (math.nan if derivative else self._unpaired_tail(3)), self._unpaired_tail(2)
         s0, s1 = self.amplitudes
         a, n = self.a, _LIVE_STOP + 1
-        if not self.m:
-            a2 = a**2
-            s0 = math.nan if derivative else s0 * _zeta_tail(n, a2, _zeta_tail_coefficients(a2, 3), 3)
-            return s0, s1 * _zeta_tail(n, a2, _zeta_tail_coefficients(a2, 2), 2)
         paired = self.m > _LIVE_STOP
         above, below = _digamma(n + a), _digamma(a - _LIVE_STOP if paired else n - a)
         s0 = math.nan if derivative else s0 / a**2 * (_digamma(float(n)) - 0.5 * (below + above))
@@ -444,6 +445,11 @@ class DirichletTable:
             s1 -= self.pole_rest + self.m_rest
             s0 -= self.pole_rest / gamma + self.m_rest / nu - self.pair_amp / gamma / nu
         return s0, s1
+
+    def _unpaired_tail(self, p: int) -> float:
+        """Where m = 0, tail_sums' S0 (p = 3) or S1 (p = 2), which G1 takes alone."""
+        a2 = self.a**2
+        return self.amplitudes[3 - p] * _zeta_tail(_LIVE_STOP + 1, a2, _zeta_tail_coefficients(a2, p), p)
 
 
 def _running_sums(first: float, terms: list) -> list:

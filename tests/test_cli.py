@@ -575,6 +575,20 @@ def test_hot_bath_live_terms_measure_as_hight(capsys):
     assert analytic["intervals"] == hight["intervals"]
 
 
+def test_strict_truncation_needs_no_tail_amplitude(capsys):
+    # s0 = eta gamma beta^2 / (2 pi^3) overflows at eta 3e304 on beta 933, gamma 0.5: the exact engine's sums past its
+    # live terms and below x = 0.2 take it, but the K terms of figures trd's strict truncation do not, and its curves
+    # are finite on this grid
+    argv = ["--eta", "3e304", "--beta", "933", "--points", "3", "--tmax", "1e-150"]
+    rc, out, err = run_cli(capsys, ["figures", "trd", *argv])
+    assert (rc, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
+    rc, out, err = run_cli(capsys, ["gfun", "--engine", "analytic", *argv])
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"]["message"].startswith("eta gamma beta^2 / (2 pi^3) = inf overflows")
+
+
 def test_overflowing_distance_weight_reports_dephaser_error(capsys):
     # e^{-2E} of a decay exponent E below -354.9 at a run end: the record was typed OverflowError.  The E came from
     # Re g(t1) = 3.1e-7 where it underflows (the n > K tail's cancellation, ROADMAP item 3); the exact Re g now refuses
@@ -768,21 +782,21 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # 2 pi, trdist --beta 933 --t1 1, measure --gamma 6.2894 --t1 1 and echo --beta 933 --points 25) when g's nodes below x
 # = 0.2 took L's rule (gfun's values by at most 2.9e-15 relative, trdist's sigma by 1.4e-13 near its zero, echo's R by
 # 7.2e-15, measure's N by 8.8e-14 and its growth end, a root refined to 1e-10, by 4.5e-11), and eleven (gfun, trdist and
-# echo --points 70 of the default bath, both formats, gfun --gamma 6.2894 and 2 pi, and figures trd) when every c_n and
-# B_n took the one row d_n = (n - a)(n + a) (gfun's values by at most 5.5e-16, trdist's by 3.7e-15, echo's R by 1.4e-14
-# on a value of 1.4e-13, figures trd's distance by 7.1e-15).
+# echo --points 70 of the default bath, both formats, gfun --gamma 6.2894 and 2 pi, and figures trd) when every B_n
+# took the one row d_n = (n - a)(n + a) and c_n = B_n / nu_n (gfun's values by at most 4.4e-16, trdist's distance by
+# 1.4e-14 on a value of 3.9e-13, echo's |R| by 1.5e-14 on a value of 1.8e-8, figures trd's distance by 7.2e-15).
 CLI_STDOUT_DIGESTS = {
-    "gfun": "b6fe7673008eb94b94ca97f92953ba04daec03f095f00549552d6ca7ed8d6d56",
-    "gfun --format json": "0752802542beff37c8dbb45a289858fd8dc0e107c742f037f42cd6a4cb14b1c5",
+    "gfun": "36aec8d13fdd81eccceb3cca8f7947277cb980379711d75413c5ff34348c7baf",
+    "gfun --format json": "e57bf64d8ae46db0d3b1d67ac3899a14e0684f6f94b2949f95a1ad5331b960d3",
     "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
     "gfun --beta 933": "0dccceb5aaa60a8fb84c0487867b5e5d8ffcbbe6aff56d0eb910f457f8cb2dae",
-    "gfun --gamma 6.2894": "3c5d012b3fb4c586d96be54302c4fe1f94e94b71e1363aafcbb4d6b0dbb7ba15",
-    "gfun --gamma 6.283185307179586": "0b7e38f7e014247f326138e5ddafac99c613d4cee827cd85b7b484617e4927b4",
+    "gfun --gamma 6.2894": "810c29a2baa9b2592068bec1b4fca9163c86cad870da34286f14be06736df31c",
+    "gfun --gamma 6.283185307179586": "78c9b1f44333d40a860ec570d1e1f176c1ddcd64ed6d2df53c9327e06b9c7340",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
-    "trdist --t1 1": "ecec1d78c2c9a0fb0a330ff1e2eeb0ef90838edc13a6042cfd82b7874b3e36e8",
-    "trdist --t1 1 --format json": "0320b1a5e7a451e3533aa6c767e4d622b81c483fc4feec7eeb81f4c20b561dfa",
-    "trdist": "f4d9127c4af2529d30f195c0bba440920c282449504076952267917aa1cee9ab",
+    "trdist --t1 1": "298019db25b70884ca589f09405c1c1edc8d353b5943ca23cd1c22d9ee6d52d5",
+    "trdist --t1 1 --format json": "88f2c6b27275a597c318611ae651df7175d8027e437e367a19c632fa3b7cd1d4",
+    "trdist": "e7bd34f52168df75db31613612f525489da9a76ac4ae351e6ce084a89c8905cf",
     "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
     "trdist --beta 933 --t1 1": "e164e74824e2d9bc8e78d79f42ba3bcc95f28ff1fef40c2af77b9feb09bce198",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
@@ -790,12 +804,12 @@ CLI_STDOUT_DIGESTS = {
     "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",
     "measure --beta 933 --t1 1": "8ee60095bd4941396a81d7725eb931fc1a753030253a09cfec19ae230cd5e732",
     "measure --gamma 6.2894 --t1 1": "18c0ab7a33ef305bbb9baa8d4cbe721b64d7cc0b40d8f9e82ddd062ba755bfda",
-    "echo --points 70": "7d40a1b3f45befbb78d2737f5eb5180478d04e525baaed2069bc8fc00ef0c026",
-    "echo --points 70 --format json": "85e5422f2d989c978f09296a4547f5a4d43e419977cc6b1ac0295b22b78c5ed5",
+    "echo --points 70": "53c592465cd7692245d1fb52e0cb4cebcc957e073419727867b6a205805a92c1",
+    "echo --points 70 --format json": "cc13b8446933b81835bf173ecca01765b6be0206c108fa79f55bc6803efabd7c",
     "echo --engine hight --points 25": "5804e4e75e06ab7a4055c6233c2820f6874e2219dd027e554e0182c1d8e3587d",
     "echo --beta 933 --points 25": "473308c92d9e5221712b14ec27d3d8d4b1d38dea5d25704a2690f79494bf94d6",
-    "figures trd": "216caf258462bdca18d0d5629827cfdbfe9ae566aafe05407f85fec51c77dd20",
-    "figures trd --format json --points 200": "c45e3b0ffdc6a75e7a047a39ad8ef46e478ed4141a50551b8ff3f2cd2882127e",
+    "figures trd": "7f3ba1f9fad5e0c5bf2010e1c7ecc78290972971433ca83488613db863f6ce5b",
+    "figures trd --format json --points 200": "dad0507ccefbf80e612c7b182b19fbda081eaa8dc31fbd890a1426849bf737db",
     "figures trd2t --points 70": "b4135d89f963aeaa7ab9b4b8d690d97698017fe6eeba5905adcfa469575a2a76",
     "figures trd2t --points 70 --format json": "54465b87b14f82d9ed751c795dd6e676f8667a5a3c4b49ed9b795e202c23595e",
 }

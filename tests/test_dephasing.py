@@ -1100,10 +1100,10 @@ _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
 # exact g and gdot from x = 0.2 on, when they took their live terms and G1 and G0 in place of the K terms and the
 # digamma rest, 197 of 4000 values of the exact engines by at most 2.9e-13 relative; strict truncation and every value
 # below x = 0.2 kept their bits; last: Re g and Re gdot below x = 0.2, when g's nodes took L's rule, panels 2 wide and
-# five Euler-Maclaurin corrections: 536 of the 6960 values hashed, by at most 6.7e-15 relative; last: when every c_n
-# and B_n took the one row d_n = (n - a)(n + a): 464 of the 6960 values, Re parts only, by at most 1.5e-14 relative,
-# the exact engine on beta 933 from x = 0.2 on, and 7.6e-16 in strict truncation)
-_PINNED_DIGEST = "d5134b4867e7d74ccb29c2950990905a5553fa1d23f97b6b691b682fc6d535f9"
+# five Euler-Maclaurin corrections: 536 of the 6960 values hashed, by at most 6.7e-15 relative; last: when every B_n
+# took the one row d_n = (n - a)(n + a) and c_n = B_n / nu_n: 672 of the 6960 values, Re parts only, by at most 1.5e-14
+# relative, the exact engine on beta 933 from x = 0.2 on, and 8.4e-16 in strict truncation)
+_PINNED_DIGEST = "7a342dd5d6eb9f450ec55bb0b3b27e91c9deb266149934946323bb31283864cc"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"
@@ -1267,9 +1267,20 @@ def test_overflowing_amplitude_raises(bath, what):
     with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
         BrownianMatsubara(bath)
     if what.startswith("eta gamma beta"):
-        # strict truncation's K terms take the same amplitudes, s1 / d_n and s0 / (n d_n): its remainder was nan
+        # strict truncation sums no tail, and its K terms need neither amplitude, but the remainder it drops is that
+        # tail: it was nan
+        strict = TruncatedMatsubara(bath)
+        assert np.isfinite(strict.g(1.0)) and np.isfinite(strict.gdot(1.0))
         with pytest.raises(DephaserError, match=re.escape(f"{what} = inf overflows")):
-            TruncatedMatsubara(bath)
+            strict.matsubara_remainder(1.0)
+
+
+def test_overflowing_strict_coefficient_raises():
+    # c_1 = B_1 / nu_1, about 1.15 eta / gamma on a = 1.5, overflows where eta / gamma = 1.6e308 and every amplitude
+    # the constructor checks do not
+    bath = BathParams(1.6e300, 1e-8, 3.0 * math.pi / 1e-8)
+    with pytest.raises(DephaserError, match="a coefficient c_n or B_n overflows"):
+        TruncatedMatsubara(bath)
 
 
 @pytest.mark.parametrize(

@@ -250,9 +250,9 @@ def test_a_time_repeated_among_a_calls_new_times_runs_once(monkeypatch):
 
 def test_prepared_curve_reads_one_tail_sums(monkeypatch):
     # a 1000-point Prepared(1) curve of E and its rate on the default bath, as param_sweep draws it: the engine's
-    # tail_sums runs once, for the live terms' G1 and G0, and not at construction, whose largest time takes the
-    # closed-form B_n sum; and each point's new times, t and t1 + t, take one live-sum step and one row step each: at
-    # the first point t1, which is t1 + 0 too, takes one, and it takes one again after the memos' one clear at 1024
+    # tail_sums runs once, for the live terms' G0 (G1 takes S1 alone), and not at construction, whose largest time takes
+    # the closed-form B_n sum; and each point's new times, t and t1 + t, take one live-sum step and one row step each:
+    # at the first point t1, which is t1 + 0 too, takes one, and it takes one again after the memos' one clear at 1024
     # times
     work = _count_work(monkeypatch)
     tails = []
@@ -446,7 +446,7 @@ def _scalar_re_gdot(ev, t):
     if 1 <= d.m <= 226:
         d_n[d.m - 1] = math.inf  # the pair holds the m-th term
     b = p.eta * p.gamma * p.beta / math.pi**2 / d_n  # B_n = s1 / d_n
-    g1 = d.live_sums(False)[0]  # S1(n) for n = 0, ..., 226, as the engine's first row at x >= 0.2 builds it
+    g1 = d.g1  # S1(n) for n = 0, ..., 226, as the engine's first row at x >= 0.2 builds it
     stop = min(math.ceil(45.0 * p.beta / (2.0 * math.pi * t)), 226)
     if stop <= _LIVE_FLOATS:  # on Python floats
         block = 0.0
@@ -755,13 +755,13 @@ _LIBRARY_BATHS = {
 # and a = 1.001, when g and gdot from x = 0.2 on took their live terms and G1 and G0: 111 and 223 of 363 values, by at
 # most 2.4e-15 and 1.7e-13 relative; last: beta 933 and a = 1.001, when g's nodes below x = 0.2 took L's rule: 190 and
 # 1 of 363 values, by at most 5.5e-15 and 1.3e-16 relative but for beta 933's N, by 1.6e-12, and its two growth ends,
-# roots refined to 1e-10, which moved by 4.0e-11; last: a = 1.001, when every c_n and B_n took the one row d_n = (n -
-# a)(n + a): 173 of 363 values, by at most 2.1e-15 relative but for the N of Prepared(1) and Prepared(3), 1.3e-3 and
-# 6.5e-4, which moved by 1.1e-16 and 2.2e-16, 8.8e-14 and 3.4e-13 of themselves)
+# roots refined to 1e-10, which moved by 4.0e-11; last: the default bath and a = 1.001, when every B_n took the one row
+# d_n = (n - a)(n + a) and c_n = B_n / nu_n: 4 and 107 of 363 values, by at most 3.2e-16 and 2.1e-15 relative but for
+# the N of Prepared(1) on a = 1.001, 1.3e-3, which moved by 1.1e-16, 8.8e-14 of itself)
 _LIBRARY_DIGESTS = {
-    "default": "5791dafcb9db9f54c9e5f0c587769c1e738653c1a373e29ac1310eb0a59b2833",
+    "default": "3d33612b336d6535dba4b0dabacb67fe44b4b08cd597c8842c58506d23188e57",
     "beta 933": "a94e6fec1199fbed998293479455405050e3be8c89708d66628e28b6318d5a56",
-    "a = 1.001": "711ccf053364245781b2e9916d7ee0d894f194c79db2dbaa6d33ebb7cfe10ace",
+    "a = 1.001": "7d14b618cf9ba41ad1e09fca6dbb282f744e61fc60e6701b324a0207af2b18f9",
 }
 
 

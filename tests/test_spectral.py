@@ -409,13 +409,13 @@ def test_dirichlet_rate_is_the_sum_of_its_coefficients(eta, gamma, beta):
     ids=["warm", "resonant, K = 300", "beta 933"],
 )
 def test_every_coefficient_reads_the_one_row_of_d_n(bath):
-    # L's weights n / d_n, the live B_n = s1 / d_n and c_n = s0 / (n d_n) and the K terms' are formed from the one row
+    # L's weights n / d_n, the live B_n = s1 / d_n and c_n = B_n / nu_n and the K terms' are formed from the one row
     # d_n = (n - a)(n + a), d_m = inf for the pair's term; and a one-shot L builds no coefficient and no sum past them
     ev = BrownianCorrelation(bath)
     for x in (0.05, 0.2, 3.0):
         assert math.isfinite(ev(x * bath.beta / (2.0 * math.pi)).real)
     table = ev.table
-    assert "live_terms" not in vars(table) and (table._g1, table._g0) == (None, None)
+    assert not {"live_terms", "g1", "g0"} & vars(table).keys()
     n, d = table.live
     a, m = bath.pole_ratio, table.m
     want = (n - a) * (n + a)
@@ -423,9 +423,9 @@ def test_every_coefficient_reads_the_one_row_of_d_n(bath):
         want[m - 1] = math.inf
     assert n.tolist() == list(range(1, _LIVE_STOP + 1)) and d.tobytes() == want.tobytes()
     assert ev._weights[0] is n and ev._weights[1].tobytes() == (n / d).tobytes()
-    s0, s1 = table.amplitudes
-    _, c, b = table.live_terms
-    assert b.tobytes() == (s1 / d).tobytes() and c.tobytes() == (s0 / (n * d)).tobytes()
+    s1 = table.amplitudes[1]
+    neg_nu, c, b = table.live_terms
+    assert b.tobytes() == (s1 / d).tobytes() and c.tobytes() == (b / -neg_nu).tobytes()
     k = min(bath.matsubara_terms, _LIVE_STOP)
     nu_k, c_k, b_k = table.explicit
     assert c_k[:k].tobytes() == c[:k].tobytes() and b_k[:k].tobytes() == b[:k].tobytes()
