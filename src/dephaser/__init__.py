@@ -43,7 +43,6 @@ from .measures import (
     SingleTime,
     StatePair,
     decay_exponent,
-    decay_exponent_grid,
     decay_exponent_rate,
     growth_intervals,
     non_markovianity,

@@ -42,8 +42,7 @@ from .measures import (
     AnalyticPair,
     GridSearch,
     Prepared,
-    SingleTime,
-    decay_exponent_grid,
+    decay_exponent,
     decay_exponent_rate,
     non_markovianity,
 )
@@ -76,7 +75,7 @@ _OPTIONS = (
 
 # (default when points is None, cap) by grid dimension: 1-d series, 2-d square grids
 _POINTS = {1: (1000, 1_000_000), 2: (200, 2000)}
-# the analytic engine allocates arrays of this length, so it is checked first
+# strict truncation (figures trd) allocates arrays of --terms elements, so it is checked first
 _TERMS_CAP = 1_000_000
 # the Python types a config value of each option type may have, and their JSON name
 _JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
@@ -94,7 +93,7 @@ class RunConfig:
     out: str | None
 
     def scenario(self):
-        return Prepared(self.t1) if self.t1 > 0.0 else SingleTime()
+        return Prepared(self.t1)
 
     def evaluator(self):
         return make_evaluator(self.engine, self.bath)
@@ -251,7 +250,7 @@ def cmd_trdist(cfg: RunConfig) -> Series:
     ts = cfg.grid(1)
     ev = cfg.evaluator()
     scenario = cfg.scenario()
-    d = _normalized_distance(decay_exponent_grid(ev, scenario, ts))
+    d = _normalized_distance(decay_exponent(ev, scenario, ts))
     rate = decay_exponent_rate(ev, scenario, ts)
     sigma = _overflow_checked("sigma = -(dE/dt) exp(-(E - E(0)))", np.multiply, -rate, d)
     return Series(["t2", "distance", "sigma"], np.column_stack((ts, d, sigma)))
@@ -307,10 +306,10 @@ def cmd_figures(cfg: RunConfig, which: str) -> Series:
         ev_ht = HighTemperatureBrownian(cfg.bath)
         ev_k = TruncatedMatsubara(cfg.bath)
         columns, curves = ["t2"], []
-        for t1, scenario in ((0.0, SingleTime()), (1.0, Prepared(1.0))):
+        for t1 in (0.0, 1.0):
             for label, ev in (("terms_0", ev_ht), (f"terms_{cfg.bath.matsubara_terms}", ev_k)):
                 columns.append(f"d_t1_{t1:g}_{label}")
-                curves.append(_normalized_distance(decay_exponent_grid(ev, scenario, ts)))
+                curves.append(_normalized_distance(decay_exponent(ev, Prepared(t1), ts)))
         return Series(columns, np.column_stack([ts] + curves))
 
     if which == "trd2t":

@@ -60,7 +60,9 @@ also fills gdot's memo there from the same row step, since the rate of a
 distance asks for gdot where the distance asked for g.  The two-interval
 kernels take g at t1, t2 and t1 + t2 by one route, _g_two_interval: from
 that memo in one lookup per time (a miss passes them to _fill), or from
-one g call on the three times as an array for an evaluator without one.
+one g call on the distinct ones as an array for an evaluator without one.
+Every route asks an evaluator for each distinct time of a call once
+(_distinct).
 """
 
 from __future__ import annotations
@@ -256,23 +258,33 @@ def _g_two_interval(evaluator, t1: float, t2: float) -> list:
     two-interval kernels and maps.
 
     An engine that keeps a memo (BrownianMatsubara's _g_memo) answers from it in three lookups where it holds the three
-    times, and else hands the looked-up values to its _fill; any other evaluator gets one g call on them as an array.
+    times, and else hands the looked-up values to its _fill; any other evaluator gets one g call on the distinct ones
+    (_distinct).
     """
     t12 = t1 + t2
     try:
         memo = evaluator._g_memo
     except AttributeError:
-        return evaluator.g(np.array([t1, t2, t12])).tolist()
+        return _distinct(evaluator.g, [t1, t2, t12])
     g1, g2, g12 = memo.get(t1), memo.get(t2), memo.get(t12)
     if g1 is None or g2 is None or g12 is None:
         return evaluator._fill([t1, t2, t12], [g1, g2, g12], False)
     return [g1, g2, g12]
 
 
-def _g_distinct(evaluator, times) -> np.ndarray:
-    """Complex g at every time of the 1-d array times, from one evaluator call on the distinct values."""
+def _distinct(f, times):
+    """f, an evaluator's bound g or gdot, at every time of times from one call of f on the distinct ones: an evaluator
+    is asked for each time once.
+
+    A list of Python floats, as the pointwise routes pass, gives a list of Python complex numbers, and f meets its times
+    in call order; a 1-d array gives a complex array, and f meets them sorted.
+    """
+    if type(times) is list:
+        distinct = list(dict.fromkeys(times))
+        values = f(np.array(distinct)).tolist()
+        return values if len(distinct) == len(times) else list(map(dict(zip(distinct, values)).__getitem__, times))
     distinct, where = np.unique(times, return_inverse=True)
-    return evaluator.g(distinct)[where]
+    return f(distinct)[where]
 
 
 class BrownianMatsubara:

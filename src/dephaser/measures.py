@@ -6,14 +6,17 @@ trace distance is
     D(t) = sqrt(dp^2 + |dc|^2 e^{-2 E(t)}),
 
 with dp, dc the initial population and coherence differences and E(t)
-the decay exponent of the channel:
+the decay exponent of the channel after a preparation interval t1 and a
+flip at the junction (the scenario Prepared(t1)):
 
-  * one free interval:          E(t) = Re g(t)
-  * flip at the junction after
-    a preparation interval t1:  E(t) = Re flip_exponent(g(t1), g(t), g(t1+t))
+    E(t) = Re flip_exponent(g(t1), g(t), g(t1+t)).
 
-The second form can decrease in t (the bath rephases the coherence it
-just dephased), so D can grow: that is the memory effect measured here.
+It can decrease in t (the bath rephases the coherence it just dephased),
+so D can grow: that is the memory effect measured here.  t1 = 0 is one
+free interval, E(t) = Re g(t) exactly, because the flip acts before the
+bath has correlated with the system; SingleTime() is Prepared(0.0).  The
+initial correlations are thus t1 alone: N is one function of it, and
+N(0) = 0 for the exact bath, whose Re gdot is positive.
 The measure integrates sigma = dD/dt over the regions where it is
 positive, which by the formula above are exactly the regions where
 E decreases, independent of the pair as long as dc != 0.  The antipodal
@@ -49,7 +52,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dephasing import _check_time, _check_times, _g_distinct, _g_two_interval, flip_exponent
+from .dephasing import _check_time, _check_times, _distinct, _g_two_interval, flip_exponent
 from .dynamics import DensityMatrix2, SystemParams
 from .errors import DephaserError
 
@@ -62,7 +65,6 @@ __all__ = [
     "SingleTime",
     "StatePair",
     "decay_exponent",
-    "decay_exponent_grid",
     "decay_exponent_rate",
     "growth_intervals",
     "non_markovianity",
@@ -85,13 +87,12 @@ class StatePair:
 
 
 @dataclass(frozen=True)
-class SingleTime:
-    """One free interval starting from the initial states."""
-
-
-@dataclass(frozen=True)
 class Prepared:
-    """Free interval of length t1, coherence flip, then the scanned interval."""
+    """Free interval of length t1, coherence flip, then the scanned interval.
+
+    t1 = 0 is one free interval starting from the initial states: the flip acts before the bath has correlated with the
+    system, and E(t) = 2 g(0) + 2 g(t) - g(0 + t) is Re g(t), and its rate Re gdot(t), with no rounding.
+    """
 
     t1: float
 
@@ -99,68 +100,74 @@ class Prepared:
         object.__setattr__(self, "t1", _check_time(self.t1))
 
 
+def SingleTime() -> Prepared:  # noqa: N802 -- named as the scenarios are
+    """One free interval starting from the initial states: Prepared(0.0)."""
+    return Prepared(0.0)
+
+
 def analytic_pair() -> StatePair:
     """The maximizing pair: equal populations, antipodal unit coherence difference."""
     return StatePair(DensityMatrix2(0.5, 0.5 + 0j), DensityMatrix2(0.5, -0.5 + 0j))
 
 
-def decay_exponent(evaluator, scenario, t: float) -> float:
-    """E(t) such that the coherence difference shrinks by e^{-E(t)}: from g(t), or from g at t1, t and t1 + t by the
-    pointwise route of the two-interval kernels (dephasing._g_two_interval)."""
-    t = _check_time(t)
-    if isinstance(scenario, SingleTime):
-        return evaluator.g(t).real
-    if isinstance(scenario, Prepared):
-        g1, g2, g12 = _g_two_interval(evaluator, scenario.t1, t)
-        return flip_exponent(g1, g2, g12).real
-    raise TypeError(f"unknown scenario {scenario!r}")
+def decay_exponent(evaluator, scenario, t):
+    """E(t) such that the coherence difference shrinks by e^{-E(t)}, at a time (a float) or at every time of a 1-d
+    array: from g at t1, t and t1 + t.
 
-
-def decay_exponent_grid(evaluator, scenario, ts) -> np.ndarray:
-    """decay_exponent at every time of the 1-d array ts, with g evaluated once per distinct time."""
-    ts, _, _ = _check_times(ts)
-    if isinstance(scenario, SingleTime):
-        return _g_distinct(evaluator, ts).real
-    if isinstance(scenario, Prepared):
-        t1 = scenario.t1
-        g = _g_distinct(evaluator, np.concatenate(([t1], ts, t1 + ts)))
-        return flip_exponent(g[0], g[1 : ts.size + 1], g[ts.size + 1 :]).real
-    raise TypeError(f"unknown scenario {scenario!r}")
+    A time comes by the pointwise route of the two-interval kernels
+    (dephasing._g_two_interval); an array's times are checked first
+    (_check_times), and g is taken once on the distinct times of t1, the
+    array and t1 plus it (_distinct), found on Python floats where the
+    check lists the array's times.
+    """
+    if not isinstance(scenario, Prepared):
+        raise TypeError(f"unknown scenario {scenario!r}")
+    t1 = scenario.t1
+    if type(t) is not float:
+        ts, scalar, times = _check_times(t)
+        if not scalar:
+            every = np.concatenate(([t1], ts, t1 + ts)) if times is None else [t1, *times, *[t1 + s for s in times]]
+            g = np.asarray(_distinct(evaluator.g, every))
+            return flip_exponent(g[0], g[1 : ts.size + 1], g[ts.size + 1 :]).real
+        t = ts.item()
+    g1, g2, g12 = _g_two_interval(evaluator, t1, _check_time(t))
+    return flip_exponent(g1, g2, g12).real
 
 
 def decay_exponent_rate(evaluator, scenario, t):
     """dE/dt of decay_exponent at a time (a float) or at every time of a 1-d array; negative values mark rephasing.
 
-    gdot at the times, and for Prepared also at t1 plus each time: a float
-    from the engine's gdot memo in one lookup per time where it keeps one
-    (BrownianMatsubara, whose pointwise g at those times, as decay_exponent
-    takes it, has filled gdot's memo there too), handing a miss's values to
-    its _fill, else in one gdot call on the two times as an array; an array
-    in one call on its times and one on t1 plus them.  Other times than a
-    float are checked first (_check_times); a float is checked once, by the
-    engine's own check of the times it lacks, which names it before t1 plus
-    it.  A float time is computed on Python floats, whose IEEE arithmetic
-    gives the bits of the same time inside an array.
+    2 Re gdot(t) - Re gdot(t1 + t), with gdot asked for each distinct time
+    once.  A float from the engine's gdot memo in one lookup per time where
+    it keeps one (BrownianMatsubara, whose pointwise g at those times, as
+    decay_exponent takes it, has filled gdot's memo there too), handing a
+    miss's values to its _fill, else in one gdot call on the distinct ones
+    of the two times; an array in one gdot call on the distinct times of it
+    and t1 plus it (_distinct), found as decay_exponent finds them.  Other
+    times than a float are checked first (_check_times); a float is checked
+    once, by the engine's own check of the times it lacks, which names it
+    before t1 plus it.  A float time is computed on Python floats, whose
+    IEEE arithmetic gives the bits of the same time inside an array.
     """
-    scalar = type(t) is float
-    if not scalar:
-        ts, scalar, _ = _check_times(t)
-        t = ts.item() if scalar else ts
-    if isinstance(scenario, SingleTime):
-        return evaluator.gdot(t).real
-    if isinstance(scenario, Prepared):
-        if scalar:
-            t12 = scenario.t1 + t
-            memo = getattr(evaluator, "_gdot_memo", None)
-            if memo is None:
-                a, b = evaluator.gdot(np.array([t, t12])).tolist()
-            else:
-                a, b = memo.get(t), memo.get(t12)
-                if a is None or b is None:
-                    a, b = evaluator._fill([t, t12], [a, b], True)
-            return 2.0 * a.real - b.real
-        return 2.0 * evaluator.gdot(t).real - evaluator.gdot(scenario.t1 + t).real
-    raise TypeError(f"unknown scenario {scenario!r}")
+    if not isinstance(scenario, Prepared):
+        raise TypeError(f"unknown scenario {scenario!r}")
+    if type(t) is not float:
+        ts, scalar, times = _check_times(t)
+        if not scalar:
+            t1 = scenario.t1
+            both = np.concatenate((ts, t1 + ts)) if times is None else [*times, *[t1 + s for s in times]]
+            d = np.asarray(_distinct(evaluator.gdot, both)).real
+            return 2.0 * d[: ts.size] - d[ts.size :]
+        t = ts.item()
+    t12 = scenario.t1 + t
+    memo = getattr(evaluator, "_gdot_memo", None)
+    if memo is None:
+        a, b = _distinct(evaluator.gdot, [t, t12])
+    else:
+        a, b = memo.get(t), memo.get(t12)
+        if a is None or b is None:
+            a, b = evaluator._fill([t, t12], [a, b], True)
+    return 2.0 * a.real - b.real
 
 
 def _weight(e: float) -> float:
@@ -345,9 +352,9 @@ def _growth_runs(evaluator, scenario, t_max: float):
 
 def _weights(evaluator, scenario, runs):
     """(w_end, w_start, unit): the _scaled_weights at the ends and at the starts of the growth runs, and their unit,
-    from one decay_exponent_grid call."""
+    from one decay_exponent call on their times."""
     ends_starts = [e for _, e in runs] + [s for s, _ in runs]
-    w, unit = _scaled_weights(decay_exponent_grid(evaluator, scenario, ends_starts).tolist())
+    w, unit = _scaled_weights(decay_exponent(evaluator, scenario, ends_starts).tolist())
     return w[: len(runs)], w[len(runs) :], unit
 
 

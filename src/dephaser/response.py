@@ -18,7 +18,7 @@ import cmath
 
 import numpy as np
 
-from .dephasing import _FLOAT_MAX, _check_time, _check_times, _g_distinct, _g_two_interval, flip_exponent
+from .dephasing import _FLOAT_MAX, _check_time, _check_times, _distinct, _g_two_interval, flip_exponent
 
 
 def echo_response(evaluator, t1: float, t2: float) -> complex:
@@ -44,6 +44,6 @@ def flip_exponent_grid(evaluator, ts) -> np.ndarray:
     """
     ts, _, _ = _check_times(ts)
     n = ts.size
-    g = _g_distinct(evaluator, np.concatenate((ts, (ts[:, None] + ts).ravel())))
+    g = _distinct(evaluator.g, np.concatenate((ts, (ts[:, None] + ts).ravel())))
     g_axis = g[:n]
     return flip_exponent(g_axis[:, None], g_axis, g[n:].reshape(n, n))

@@ -423,8 +423,8 @@ class DirichletTable:
         """The Matsubara sums of g, gdot and L below x = _DIRECT_X, built at the first read."""
         return _SmallXSums(self.a, self.m)
 
-    def tail_sums(self, derivative: bool = False) -> tuple[float, float]:
-        """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > _LIVE_STOP but n = m, by digamma; S0 is nan when derivative.
+    def tail_sums(self) -> tuple[float, float]:
+        """(S0, S1), S0 = sum c_n and S1 = sum B_n over n > _LIVE_STOP but n = m, by digamma.
 
         Where m > _LIVE_STOP, psi(n - a) = psi(a - _LIVE_STOP) + pi cot(pi a) (A&S 6.3.7), n = _LIVE_STOP + 1, puts
         -eta cot(pi a) into S1 and -(eta / gamma) cot(pi a) into S0; with -B_m and -c_m they are the pair's constants,
@@ -433,12 +433,12 @@ class DirichletTable:
         + psi(n + a)) / 2 over a^2 and (psi(n + a) - psi(n - a)) / (2a) cancel as a -> 0.
         """
         if not self.m:
-            return (math.nan if derivative else self._unpaired_tail(3)), self._unpaired_tail(2)
+            return self._unpaired_tail(3), self._unpaired_tail(2)
         s0, s1 = self.amplitudes
         a, n = self.a, _LIVE_STOP + 1
         paired = self.m > _LIVE_STOP
         above, below = _digamma(n + a), _digamma(a - _LIVE_STOP if paired else n - a)
-        s0 = math.nan if derivative else s0 / a**2 * (_digamma(float(n)) - 0.5 * (below + above))
+        s0 = s0 / a**2 * (_digamma(float(n)) - 0.5 * (below + above))
         s1 = s1 * (above - below) / (2.0 * a)
         if paired:
             gamma, nu = self.bath.gamma, self.nu_m

@@ -251,3 +251,24 @@ def measure(eta: float, gamma: float, beta: float, t1: float) -> tuple[float, fl
     g1 = reference(eta, gamma, beta, t1)[0]
     e_star = 2.0 * g1 + 2.0 * reference(eta, gamma, beta, t_star)[0] - reference(eta, gamma, beta, t1 + t_star)[0]
     return math.exp(-e_star) - math.exp(-g1), t_star
+
+
+def hight_measure(eta: float, gamma: float, beta: float, t1: float) -> tuple[float, float, float, float]:
+    """(N, t*, E(t*), E(0)) of the Prepared(t1) scenario on HighTemperatureBrownian's bath in closed form, with no root
+    and no series.
+
+    Re g = A h(gamma t), A = 2 eta / (beta gamma^2) and h(y) = e^-y + y - 1, so the rate 2 Re gdot(t) - Re gdot(t1 + t)
+    is (2 eta / (beta gamma)) (1 - (2 - e^{-gamma t1}) e^{-gamma t}), whose one zero is t* = log1p(u) / gamma, u =
+    -expm1(-gamma t1).  E(0) = Re g(t1) = A h(gamma t1) and E(t*) - E(0) = A (log1p(u) - u), so N = e^{-E(t*)} -
+    e^{-E(0)} = e^{-A h(gamma t1)} expm1(A (u - log1p(u))).  h(y) and u - log1p(u) are about y^2 / 2 and u^2 / 2 of
+    their O(y) terms, so the working precision is 40 digits plus 2 per decade of gamma t1 below 1.
+    """
+    y = gamma * t1
+    with mpmath.workdps(40 + (2 * max(0, math.ceil(-math.log10(y))) if y > 0.0 else 0)):
+        y1 = mpmath.mpf(gamma) * t1
+        u = -mpmath.expm1(-y1)
+        amp = 2 * mpmath.mpf(eta) / (mpmath.mpf(beta) * mpmath.mpf(gamma) ** 2)
+        gain = u - mpmath.log1p(u)
+        e_zero = amp * (mpmath.expm1(-y1) + y1)
+        n = mpmath.exp(-e_zero) * mpmath.expm1(amp * gain)
+        return float(n), float(mpmath.log1p(u) / gamma), float(e_zero - amp * gain), float(e_zero)

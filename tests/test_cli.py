@@ -26,7 +26,7 @@ from dephaser.cli import (
 )
 from dephaser.dephasing import BrownianMatsubara, HighTemperatureBrownian, TruncatedMatsubara
 from dephaser.dynamics import SystemParams
-from dephaser.measures import Prepared, SingleTime, decay_exponent_grid, decay_exponent_rate, non_markovianity
+from dephaser.measures import Prepared, SingleTime, decay_exponent, decay_exponent_rate, non_markovianity
 from dephaser.response import echo_response
 from dephaser.spectral import BathParams
 
@@ -357,7 +357,7 @@ def test_figures_trd_labels_the_truncated_curves_by_their_terms(capsys):
     data = np.array(rows)
     ev = TruncatedMatsubara(BathParams(1.0, 0.5, 1.0, 7))
     for col, scenario in ((2, SingleTime()), (4, Prepared(1.0))):
-        e = decay_exponent_grid(ev, scenario, data[:, 0])
+        e = decay_exponent(ev, scenario, data[:, 0])
         assert np.all(data[:, col] == np.exp(-(e - e[0])))
 
 
@@ -673,9 +673,9 @@ def test_measure_takes_the_certified_root_in_few_two_time_gdot_calls(monkeypatch
     sizes = _gdot_call_sizes(monkeypatch, BrownianMatsubara)
     rc, _, _ = run_cli(capsys, ["measure", "--t1", "1"])
     assert rc == 0
-    # the rate at 0 and at t_max, then about 10 steps of the root, each at (t, t1 + t) from gdot's memo, which are
-    # counted: 11 calls measured
-    assert max(sizes) <= 2 and 2 < len(sizes) <= 20
+    # the rate at 0 and at t_max in one call on the 4 distinct times of (0, t_max) and t1 plus them, then about 10 steps
+    # of the root, each at (t, t1 + t) from gdot's memo, which are counted: 11 calls measured
+    assert sizes[0] == 4 and set(sizes[1:]) == {2} and len(sizes) <= 19
 
 
 # stdout of `dephaser measure --search grid` without and with a preparation, recorded from the brute-force search;
@@ -831,8 +831,9 @@ def test_measure_scans_with_one_array_gdot_call(monkeypatch):
     ev = TruncatedMatsubara(DEFAULT_BATH)
     res = non_markovianity(SystemParams(), ev, Prepared(1.0), t_max=10.0)
     scan = [n for n in sizes if n > 2]
-    # the 10 001 grid points at t and at t1 + t, in at most two calls
-    assert len(scan) <= 2 and sum(scan) == 2 * 10001
+    # the distinct times of the 10 001 grid points t and t1 + t, 12 056 of them, in one call
+    ts = np.linspace(0.0, 10.0, 10001)
+    assert scan == [np.unique(np.concatenate((ts, 1.0 + ts))).size]
     # the rest are the root's steps, one call at (t, t1 + t) each: 3 at this one crossing, 3-7 per crossing on
     # other baths, so at most 7 per interval, the most measured
     steps = len(sizes) - len(scan)

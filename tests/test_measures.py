@@ -46,7 +46,6 @@ from dephaser.measures import (
     _weights,
     analytic_pair,
     decay_exponent,
-    decay_exponent_grid,
     decay_exponent_rate,
     growth_intervals,
     non_markovianity,
@@ -97,6 +96,75 @@ def test_decay_exponent_forms():
     assert decay_exponent(ev, Prepared(0.0), t) == pytest.approx(ev.g(t).real, rel=1e-15)
 
 
+_ENGINES_OF_BATH = {
+    "hight": HighTemperatureBrownian,
+    "analytic": BrownianMatsubara,
+    "strict": TruncatedMatsubara,
+    "time-quad": lambda bath: TimeDomainQuadrature(OverdampedBrownian(bath), bath.beta),
+    "freq-quad": lambda bath: FrequencyQuadrature(OverdampedBrownian(bath), bath.beta),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENGINES_OF_BATH))
+def test_no_preparation_has_the_bits_of_one_free_interval(name):
+    # Prepared(0.0), which SingleTime() returns, is E = 2 g(0) + 2 g(t) - g(0 + t) and dE/dt = 2 gdot(t) - gdot(0 + t):
+    # Re g(t) and Re gdot(t) with no rounding, alone and in arrays (a repeated time, and past the memo's three)
+    ev = _ENGINES_OF_BATH[name](BATH)
+    ts = np.array([0.0, 0.3, 1.7, 0.3, 4.0])
+    g, gdot = ev.g(ts).real, ev.gdot(ts).real
+    assert SingleTime() == Prepared(0.0)
+    for scenario in (Prepared(0.0), Prepared(-0.0)):
+        for t, want_e, want_rate in zip(ts.tolist(), g.tolist(), gdot.tolist()):
+            assert decay_exponent(ev, scenario, t).hex() == want_e.hex()
+            assert decay_exponent_rate(ev, scenario, t).hex() == want_rate.hex()
+        for times in (ts, ts[1:3]):
+            assert decay_exponent(ev, scenario, times).tobytes() == ev.g(times).real.tobytes()
+            assert decay_exponent_rate(ev, scenario, times).tobytes() == ev.gdot(times).real.tobytes()
+
+
+class _Asked:
+    """HighTemperatureBrownian's g and gdot behind no memo, with the times of every call; certified or not."""
+
+    def __init__(self, certified: bool):
+        self._ev = HighTemperatureBrownian(BATH)
+        self.bath = BATH
+        self.certified_bath = BATH if certified else None
+        self.calls = []
+
+    def g(self, t):
+        self.calls.append(np.atleast_1d(t).tolist())
+        return self._ev.g(t)
+
+    def gdot(self, t):
+        self.calls.append(np.atleast_1d(t).tolist())
+        return self._ev.gdot(t)
+
+
+@pytest.mark.parametrize("certified", [True, False], ids=["certified", "scanned"])
+def test_an_evaluator_without_a_memo_is_asked_for_each_time_once(certified):
+    # every call of E, its rate, the kernels and the measure asks g or gdot for distinct times only: t1 = 0 makes t1 +
+    # t = t, t = 0 makes t1 + t = t1, and the scan's t1 + t meet its grid
+    ev = _Asked(certified)
+    ts = np.linspace(0.0, 10.0, 1001)
+    for scenario in (Prepared(0.0), Prepared(1.0)):
+        for t in (0.0, 1.0, 2.5):
+            decay_exponent(ev, scenario, t)
+            decay_exponent_rate(ev, scenario, t)
+            sigma(analytic_pair(), ev, scenario, t)
+        decay_exponent(ev, scenario, ts)
+        decay_exponent_rate(ev, scenario, ts)
+        non_markovianity(SYS, ev, scenario, t_max=10.0)
+        growth_intervals(ev, scenario, t_max=10.0)
+    for t1, t2 in ((0.0, 0.7), (0.7, 0.0), (0.7, 0.7), (0.0, 0.0)):
+        echo_response(ev, t1, t2)
+        two_time_map(SYS, ev, coherence_flip(), t1, t2)
+    flip_exponent_grid(ev, ts[:50])
+    assert ev.calls and all(len(set(times)) == len(times) for times in ev.calls)
+    # the scan asks for the 10 001 grid times and t1 plus them in one call, 12 056 of them at t1 = 1
+    grid = np.linspace(0.0, 10.0, _N_SCAN + 1)
+    assert (np.unique(np.concatenate((grid, 1.0 + grid))).size in map(len, ev.calls)) is not certified
+
+
 def test_prepared_stores_its_checked_time_as_a_float():
     # a str or int t1 is stored as the float it checks as, so the exponent's t1 + t is a float sum
     ev = HighTemperatureBrownian(BATH)
@@ -113,7 +181,7 @@ def test_decay_exponent_grid_matches_pointwise_exactly(scenario):
     # an odd grid holding t1 itself, so t1 and t1 + 0 share one g call
     ts = np.concatenate((np.linspace(0.0, 7.123, 41), [1.0, 0.37]))
     want = [decay_exponent(ev, scenario, float(t)) for t in ts]
-    assert decay_exponent_grid(ev, scenario, ts).tolist() == want
+    assert decay_exponent(ev, scenario, ts).tolist() == want
 
 
 def test_grid_entries_check_their_times_in_call_order():
@@ -122,7 +190,7 @@ def test_grid_entries_check_their_times_in_call_order():
     times = [math.nan, -1.0]
     with pytest.raises(ValueError) as rate_error:
         decay_exponent_rate(ev, SingleTime(), times)
-    for grid in (lambda: decay_exponent_grid(ev, SingleTime(), times), lambda: flip_exponent_grid(ev, times)):
+    for grid in (lambda: decay_exponent(ev, SingleTime(), times), lambda: flip_exponent_grid(ev, times)):
         with pytest.raises(ValueError) as grid_error:
             grid()
         assert str(grid_error.value) == str(rate_error.value) == "time must be finite and nonnegative, got nan"
@@ -130,7 +198,7 @@ def test_grid_entries_check_their_times_in_call_order():
         flip_exponent_grid(ev, [0.5, -1.0])
     for scenario in (SingleTime(), Prepared(1.0)):
         with pytest.raises(ValueError, match=r"a scalar or a 1-d array, got shape \(2, 2\)"):
-            decay_exponent_grid(ev, scenario, np.ones((2, 2)))
+            decay_exponent(ev, scenario, np.ones((2, 2)))
 
 
 def test_rate_matches_exponent_derivative():
@@ -458,7 +526,7 @@ def _scalar_re_gdot(ev, t):
 
 
 def _scalar_rate(ev, scenario, t):
-    if isinstance(scenario, SingleTime):
+    if scenario.t1 == 0.0:
         return _scalar_re_gdot(ev, t)
     return 2.0 * _scalar_re_gdot(ev, t) - _scalar_re_gdot(ev, scenario.t1 + t)
 
@@ -772,7 +840,7 @@ def _library_bytes(bath):
     out = []
     for scenario in (SingleTime(), Prepared(0.5), Prepared(2.0)):
         out.append(np.array([decay_exponent(ev, scenario, t) for t in (0.3, 1.0, 4.0)]))
-        out.append(decay_exponent_grid(ev, scenario, ts))
+        out.append(decay_exponent(ev, scenario, ts))
         out.append(np.asarray(decay_exponent_rate(ev, scenario, ts)))
         out.append(np.array([decay_exponent_rate(ev, scenario, 0.7)]))
     out.append(np.array([echo_response(ev, t1, t2) for t1 in (0.2, 1.0, 3.0) for t2 in (0.0, 0.5, 2.5)]))

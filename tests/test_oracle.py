@@ -1,6 +1,6 @@
 """The oracles of tests/_oracle.py prove their own digits: 20 more digits of working precision move no value.
 
-reference's exact split loses about 2 log10(1/x) + 6 log10(a) digits to cancellation (ROADMAP item 14), which its
+reference's exact split loses about 2 log10(1/x) + 6 log10(a) digits to cancellation, which its
 working precision adds to 40; these tests pin that rule where the loss is largest, and correlation the same way.
 """
 

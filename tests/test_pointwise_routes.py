@@ -2,7 +2,7 @@
 
 echo_response, two_time_map and decay_exponent take g at t1, t2 and t1 + t2 by one route (dephasing._g_two_interval):
 from the memo of an engine that keeps one, else from one array call.  Held and fresh times, engines with and without
-a memo, and a plain wrapper of an engine must all give the bits of flip_exponent_grid, decay_exponent_grid and an
+a memo, and a plain wrapper of an engine must all give the bits of flip_exponent_grid, decay_exponent's arrays and an
 array call past the memo; and g and gdot at a time keep their bits whichever of the g miss, the gdot miss and the
 array call reached it first.
 """
@@ -32,7 +32,7 @@ from dephaser import (
 )
 from dephaser.dephasing import _MEMO_CALL, flip_exponent
 from dephaser.spectral import _check_time
-from dephaser.measures import Prepared, decay_exponent, decay_exponent_grid
+from dephaser.measures import Prepared, decay_exponent
 
 # a warm bath, a = 0.95 past 1/2, the cold beta 933 bath below and above x = 0.2, and the pole on nu_1
 _BATHS = [
@@ -84,7 +84,7 @@ def test_pointwise_two_interval_calls_have_the_grid_bits(pairs, eps, p, phase):
                 g = make(bath).g(np.array([t1, t2, t1 + t2] + [0.7] * _MEMO_CALL))[:3].tolist()
                 flip = flip_exponent(*g)
                 assert _bits(flip_exponent_grid(make(bath), np.array([t1, t2]))[0, 1]) == _bits(flip)
-                grid_e = decay_exponent_grid(make(bath), Prepared(t1), np.array([t2]))[0]
+                grid_e = decay_exponent(make(bath), Prepared(t1), np.array([t2]))[0]
                 assert _bits(grid_e) == _bits(flip.real)
                 for ev in (held, plain):
                     assert _bits(echo_response(ev, t1, t2)) == _bits(cmath.exp(-flip))
