@@ -108,7 +108,8 @@ _ENGINES_OF_BATH = {
 @pytest.mark.parametrize("name", list(_ENGINES_OF_BATH))
 def test_no_preparation_has_the_bits_of_one_free_interval(name):
     # Prepared(0.0), which SingleTime() returns, is E = 2 g(0) + 2 g(t) - g(0 + t) and dE/dt = 2 gdot(t) - gdot(0 + t):
-    # Re g(t) and Re gdot(t) with no rounding, alone and in arrays (a repeated time, and past the memo's three)
+    # Re g(t) and Re gdot(t) with no rounding, alone and in arrays (five times with a repeat, and two, which the time
+    # check lists)
     ev = _ENGINES_OF_BATH[name](BATH)
     ts = np.array([0.0, 0.3, 1.7, 0.3, 4.0])
     g, gdot = ev.g(ts).real, ev.gdot(ts).real
