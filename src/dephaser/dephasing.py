@@ -52,10 +52,10 @@ The series engines and HighTemperatureBrownian raise DephaserError past
 the largest time at which g, its intermediates and the flip exponent
 of times up to it stay finite (_largest_time; 8.99e306 for the exact
 series on the default bath, 1.43e305 for its K = 100 truncation).
-BrownianMatsubara also remembers g and gdot at their pointwise calls
-(one to three times, as the two-interval kernels and the measure's
-curves make them), up to _MEMO_TIMES times each, and returns the same
-bits from the memos as computed afresh.  A g call that misses a time
+BrownianMatsubara also remembers g and gdot at their float calls, up
+to _MEMO_TIMES times each, and returns the same bits from the memos as
+computed afresh; an array call, of any size, takes the grid route and
+neither reads nor fills them.  A g call that misses a time
 also fills gdot's memo there from the same row step, since the rate of a
 distance asks for gdot where the distance asked for g.  The two-interval
 kernels take g at t1, t2 and t1 + t2 by one route, _g_two_interval: from
@@ -105,7 +105,8 @@ _BLOCK_CAP = 2_000_000
 _TABLE_BUDGET = 1 << 16
 # times BrownianMatsubara's g and gdot each remember from pointwise calls; a full memo is cleared with the other
 _MEMO_TIMES = 1024
-# the most times of a call the memo serves: the t1, t2, t1 + t2 of a two-interval call
+# the most times of an array call that _check_times checks on Python floats, as many as a two-interval call's t1, t2
+# and t1 + t2; arrays, of any size, neither read nor fill BrownianMatsubara's memos
 _MEMO_CALL = 3
 # quadrature nodes u -> L(u) that a TimeDomainQuadrature remembers across its integrals; a full memo is cleared
 _MEMO_NODES = 1 << 13
@@ -312,19 +313,20 @@ class BrownianMatsubara:
     floats (t below about 2.4e-155 beta); gdot also at a time with more than _BLOCK_CAP live terms past K where K +
     _BLOCK_CAP < 2a, where _dead_weight's series would not converge (beta gamma past 6.3e6 at K = 100).
 
-    g and gdot take a time or a 1-d array of times.  Every time, alone or in an array, takes one live-sum step
-    (_sum_at), from _DIRECT_X on over its L <= 32 live terms on Python floats (_LIVE_FLOATS), or more as one numpy row,
-    and one row step (_row) of the pole term, the pair and that sum, so it gets the same bits alone as in an array.
-    The row step takes g's half, gdot's or both, which share the pole's and the pair's expm1 and the rest's
-    exponentials: one _SmallXSums call below _DIRECT_X, one expm1 over the live terms from there.  A g or gdot call of
-    at most _MEMO_CALL (3) times is pointwise: g and gdot each keep a memo, time -> value, and compute only the times
-    it lacks; a call of held times is converted but not checked.  An echo row repeats t1, the rows share their t2 axis,
-    and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo in one lookup per
-    time, and hand a miss's values to _fill (_g_two_interval), not through g.  gdot seldom repeats its own times, but
-    the rate of a distance asks for gdot at the times of its g: the row step of a g miss takes both halves, and gdot's
-    memo holds the second, which the rate reads in the same way (measures.decay_exponent_rate).  A gdot miss takes
-    gdot's half alone, since g's would build S0 from _DIRECT_X on, and array calls take the half they return.  Each
-    memo holds at most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill either; larger calls
+    g and gdot take a time or a 1-d array of times, each by one route: a float reads the memo (_fill at a time it
+    lacks), and an array, of any size, takes the grid route (_grid), which neither reads nor fills it.  Every time,
+    alone or in an array, takes one Matsubara step (_sum_at): _small_x's sums below _DIRECT_X, and from there its L <=
+    32 live terms on Python floats (_LIVE_FLOATS), or more as one numpy row; then one row step (_row), which adds up the
+    pole term, the pair and that sum, so it gets the same bits alone as in an array.  Either step takes g's half,
+    gdot's or both, which share the pole's and the pair's expm1 and the rest's exponentials: one _SmallXSums call below
+    _DIRECT_X, one expm1 over the live terms from there.  g and gdot each keep a memo, time -> value, and a float
+    call computes only a time it lacks; a held float is not checked again.  An echo row repeats t1, the rows share
+    their t2 axis, and a Prepared(t1) curve asks for g(t1) at every point.  Those two-interval kernels read g's memo in
+    one lookup per time, and hand a miss's values to _fill (_g_two_interval), not through g.  gdot seldom repeats its
+    own times, but the rate of a distance asks for gdot at the times of its g: the steps of a g miss take both halves,
+    and gdot's memo holds the second, which the rate reads in the same way (measures.decay_exponent_rate).  A gdot miss
+    takes gdot's half alone, since g's would build S0 from _DIRECT_X on, and array calls take the half they return.
+    Each memo holds at most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill either; arrays
     (grids, the scan) neither read nor fill them, so memory does not grow with the grid.
     """
 
@@ -419,15 +421,15 @@ class BrownianMatsubara:
 
     def _sum_at(self, s: float, g: bool, gdot: bool) -> tuple:
         """(g's, gdot's) exact Matsubara part at the Python float s, each None where not asked for: every route's step.
-        0.0 below t_direct, where _row takes _small_x's, and no table built there.
+        Below t_direct (x < _DIRECT_X) _small_x's, with no live table built, and 0.0 at s = 0, where _row returns 0j.
 
         From t_direct on, the terms n > L are dead, L = min(ceil(_EXP_DEAD beta / (2 pi t)), _LIVE_STOP): g's part is
         sum_{n <= L} c_n (expm1(-nu_n t) + nu_n t) + t G1[L] - G0[L], and gdot's -sum_{n <= L} B_n expm1(-nu_n t) +
         G1[L], from one expm1 per term: on Python floats where L <= _LIVE_FLOATS, else as one numpy row of L terms.
         The table's live terms and G1 are built at the first such step, and G0 at the first g (DirichletTable).
         """
-        if s < self._t_direct:
-            return (0.0 if g else None), (0.0 if gdot else None)
+        if s < self._t_direct:  # at s = 0 _small_x would raise, and _row returns 0j
+            return self._small_x(s, g, gdot) if s else ((0.0 if g else None), (0.0 if gdot else None))
         if self._live is None or g and self._g0 is None:
             table = self._table
             terms = table.live_terms
@@ -462,8 +464,8 @@ class BrownianMatsubara:
         return ([a for a, _ in sums] if g else None), ([b for _, b in sums] if gdot else None)
 
     def _row(self, t: float, g_sum, gdot_sum) -> tuple:
-        """(g, gdot) at t from their Matsubara sums (_sum_at; 0.0 below t_direct, where it takes _small_x's), each None
-        where its sum is None: one step of the pole, the pair and, last, the sums; the halves share its exponentials."""
+        """(g, gdot) at t from their Matsubara sums (_sum_at), each None where its sum is None: one step that adds up
+        the pole term, the pair and, last, the sums; the halves share its exponentials."""
         if t == 0.0:
             return 0j, 0j
         g = g_sum is not None
@@ -471,8 +473,6 @@ class BrownianMatsubara:
         g_value = gdot_value = None
         y = self._gamma * t
         em = math.expm1(-y)
-        if t < self._t_direct:
-            g_sum, gdot_sum = self._small_x(t, g, gdot)
         if self._m:  # the pair: the m-th term's nu_m and rest, P, and the least and largest of gamma and nu_m
             nu, m_rest, amp, lo, hi = self._pair
             y_m = nu * t
@@ -498,60 +498,49 @@ class BrownianMatsubara:
     def g(self, t):
         """g at a time (a complex) or at every time of a 1-d array (a complex array).
 
-        A call of at most _MEMO_CALL times looks its times up in the memo and
-        returns at once when the memo holds them all: a held time was checked
-        when it was stored.  Otherwise it checks its times, builds the table of
-        all of them and runs the row step of each time the memo lacks, which
-        fills g's memo and gdot's (_fill).  A larger call leaves the memos
-        alone.  A time's value is its own table row and row step either way,
-        so its bits do not depend on the path.
+        A float is looked up in the memo and returned at once when held: it
+        was checked when it was stored.  Otherwise it is checked and runs the
+        Matsubara and row steps, which fill g's memo and gdot's (_fill).  An
+        array, of any size, takes the grid route (_grid) and leaves the memos
+        alone.  A time's value is its own Matsubara and row step either way,
+        so its bits do not depend on the route.
         """
         # _as_times leaves a float as it is; a held float, the commonest call, skips calling it and is one lookup
         t = t if type(t) is float else _as_times(t)
         if type(t) is float:
             value = self._g_memo.get(t)
             return self._fill([t], [None], False)[0] if value is None else value
-        if t.size > _MEMO_CALL:
-            return self._grid(t, False)
-        return np.fromiter(self._points(t.tolist(), False), complex, t.size)
+        return self._grid(t, False)
 
     def gdot(self, t):
         """gdot at a time (a complex) or at every time of a 1-d array (a complex array).
 
-        As g's: a call of at most _MEMO_CALL times reads gdot's memo, which g's pointwise calls fill too, and runs the
-        row step at the times it lacks (_fill); a larger call leaves both memos alone.
+        As g's: a float reads gdot's memo, which g's float calls fill too, and runs the steps of gdot's half alone where
+        the memo lacks it (_fill); an array takes the grid route (_grid) and leaves both memos alone.
         """
         t = t if type(t) is float else _as_times(t)
         if type(t) is float:
             value = self._gdot_memo.get(t)
             return self._fill([t], [None], True)[0] if value is None else value
-        if t.size > _MEMO_CALL:
-            return self._grid(t, True)
-        return np.fromiter(self._points(t.tolist(), True), complex, t.size)
+        return self._grid(t, True)
 
     def _grid(self, ts: np.ndarray, derivative: bool) -> np.ndarray:
-        """g, or gdot where derivative, at every time of a call of more than _MEMO_CALL times, after checking them:
-        the row step of the half asked for on its sums (_sums)."""
+        """g, or gdot where derivative, at every time of an array call, after checking them: the row step of the half
+        asked for on its sums (_sums).  The memos are neither read nor filled."""
         times = _check_times(ts, self._t_max)[0].tolist()
         sums = self._sums(times, not derivative, derivative)[derivative]
         half = (lambda s, v: self._row(s, None, v)[1]) if derivative else (lambda s, v: self._row(s, v, None)[0])
         return _rows(half, ts, False, times, sums)
-
-    def _points(self, times: list, derivative: bool) -> list:
-        """g, or gdot where derivative, at the at most _MEMO_CALL Python floats of a pointwise call, as Python complex
-        numbers: its memo is looked up once, and a call of held times returns at once, with no array made."""
-        values = list(map((self._gdot_memo if derivative else self._g_memo).get, times))
-        return self._fill(times, values, derivative) if None in values else values
 
     def _fill(self, times: list, values: list, derivative: bool) -> list:
         """values, g's memo's values at times (gdot's where derivative), with each None replaced by the row step at its
         time, which the memo then holds, after checking the times; both memos are cleared where the call could overfill
         either.
 
-        Each new time runs one live-sum step (_sum_at) and one row step, once however often the call holds it.  A g miss
-        takes gdot's half too where gdot's memo lacks the time, since the rate of a distance asks for gdot at the times
-        of its g; where that half raises DephaserError, g keeps its value and gdot's memo its gap, for gdot to raise at
-        its own call.  A gdot miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on.
+        Each new time runs one Matsubara step (_sum_at) and one row step, once however often the call holds it.  A g
+        miss takes gdot's half too where gdot's memo lacks the time, since the rate of a distance asks for gdot at the
+        times of its g; where that half's sum raises DephaserError, g's sum is taken again alone, g keeps its value and
+        gdot's memo its gap, for gdot to raise at its own call.  A gdot miss takes gdot's half alone: g's would build S0 from x = _DIRECT_X on.
         """
         _check_list(times, self._t_max)
         memo, dots = self._g_memo, self._gdot_memo
@@ -565,13 +554,13 @@ class BrownianMatsubara:
             if values[i] is not None:
                 continue
             if derivative:
-                values[i] = dots[s] = self._row(s, *self._sum_at(s, False, True))[1]
+                values[i] = dots[s] = self._row(s, None, self._sum_at(s, False, True)[1])[1]
                 continue
-            g_sum, gdot_sum = self._sum_at(s, True, s not in dots)
             try:
-                g, gdot = self._row(s, g_sum, gdot_sum)
+                g_sum, gdot_sum = self._sum_at(s, True, s not in dots)
             except DephaserError:  # from gdot's half, or from g's, which raises it again alone
-                g, gdot = self._row(s, g_sum, None)
+                g_sum, gdot_sum = self._sum_at(s, True, False)
+            g, gdot = self._row(s, g_sum, gdot_sum)
             values[i] = memo[s] = g
             if gdot is not None:
                 dots[s] = gdot
@@ -582,8 +571,8 @@ class TruncatedMatsubara(BrownianMatsubara):
     """BrownianMatsubara's series truncated strictly at the bath's K terms, the curve figures trd draws: the pole
     term, the pair where 1 <= m <= K (where K < m its sum is singular at gamma = nu_m, and it keeps the bare pole),
     and c_n h(nu_n t), n = 1, ..., K.  matsubara_remainder reports what it drops.  g and gdot are BrownianMatsubara's,
-    memos and row step included, on the K terms' sums: an array's from its times x K table (_sums), a pointwise miss's
-    from one row of it (_sum_at).  Its rate's coefficients can change sign three times, so it has no certified_bath and
+    memos and row step included, on the K terms' sums at every time, below x = _DIRECT_X too: an array's from its times
+    x K table (_sums), a float miss's from one row of it (_sum_at).  Its rate's coefficients can change sign three times, so it has no certified_bath and
     measures scan it.
 
     DephaserError as BrownianMatsubara's but for s0 and s1, which its K terms do not need (DirichletTable.explicit): at
@@ -593,8 +582,6 @@ class TruncatedMatsubara(BrownianMatsubara):
     """
 
     certified_bath = None
-    # every time reads the K terms: none takes _SmallXSums' sum
-    _t_direct = 0.0
 
     def __init__(self, bath: BathParams):
         k = bath.matsubara_terms

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dephaser
-from dephaser import dephasing, spectral
+from dephaser import dephasing, measures, spectral
 from dephaser.dephasing import (
     BrownianMatsubara,
     FrequencyQuadrature,
@@ -31,6 +31,7 @@ from dephaser.dephasing import (
     _MEMO_CALL,
     _MEMO_TIMES,
     _check_times,
+    _g_two_interval,
     flip_exponent,
     make_evaluator,
 )
@@ -763,22 +764,18 @@ _POINTWISE_CALL = st.tuples(
 # gdot read where g filled its memo, at a time of its own, and g where gdot's memo already held a time
 @example([(False, [1.0, 2.5], False), (True, [2.5], True), (True, [1.0, 0.3], False), (False, [0.3, 0.05], False)])
 def test_memo_never_changes_a_bit(calls):
-    # each value read through one long-lived evaluator, g and gdot interleaved in the order of the calls, against one
-    # array call of a fresh evaluator past the memos
+    # each value read through one long-lived evaluator by the routes that read its memos, g and gdot interleaved in the
+    # order of the calls, against one array call of a fresh evaluator, which reads no memo
     for make in _MEMO_ENGINES:
         ev = make()
-        want = {}
-        for name in ("g", "gdot"):
-            times = [t for derivative, ts, _ in calls if derivative == (name == "gdot") for t in ts]
-            padded = np.array(times + [0.7] * (_MEMO_CALL + 1))
-            want[name] = iter(getattr(make(), name)(padded)[: len(times)].tolist())
+        got = {"g": ([], []), "gdot": ([], [])}
         for derivative, ts, as_float in calls:
-            name = "gdot" if derivative else "g"
-            if as_float and len(ts) == 1:
-                got = [getattr(ev, name)(ts[0])]
-            else:
-                got = getattr(ev, name)(np.array(ts)).tolist()
-            assert np.array(got).tobytes() == np.array([next(want[name]) for _ in ts]).tobytes()
+            times, values = _memo_route(ev, derivative, ts, as_float)
+            got["gdot" if derivative else "g"][0].extend(times)
+            got["gdot" if derivative else "g"][1].extend(values)
+        for name, (times, values) in got.items():
+            want = getattr(make(), name)(np.array(times))
+            assert np.array(values, dtype=complex).tobytes() == want.tobytes()
         # and g's memo was in use whenever g was called, so its repeats were read from it, and it filled gdot's memo
         # at its times, from which gdot then read them
         assert len(ev._g_memo) > 0 or all(derivative for derivative, _, _ in calls)
@@ -786,14 +783,30 @@ def test_memo_never_changes_a_bit(calls):
         assert len(ev._gdot_memo) > 0
 
 
+def _memo_route(ev, derivative, ts, as_float):
+    """(times, values) of one call of the memo test on ev by a route that reads the memos: float calls where as_float or
+    of one time, else, at its first two times t1 and t2, the two-interval route of g (_g_two_interval), which reads t1,
+    t2 and t1 + t2, or gdot's through the pointwise rate of Prepared(t1) at t2, which reads t2 and t1 + t2."""
+    if as_float or len(ts) == 1:
+        return ts, [getattr(ev, "gdot" if derivative else "g")(s) for s in ts]
+    t1, t2 = ts[:2]
+    if not derivative:
+        return [t1, t2, t1 + t2], _g_two_interval(ev, t1, t2)
+    rate = decay_exponent_rate(ev, Prepared(t1), t2)
+    values = [ev._gdot_memo[t2], ev._gdot_memo[t1 + t2]]
+    assert rate == 2.0 * values[0].real - values[1].real
+    return [t2, t1 + t2], values
+
+
 def test_memo_is_bounded_and_skips_array_calls():
     ev = BrownianMatsubara(BATH)
-    ts = np.linspace(0.1, 10.0, 2 * _MEMO_TIMES + 7)
-    for i in range(0, ts.size, _MEMO_CALL):
-        ev.g(ts[i : i + _MEMO_CALL])
-        ev.gdot(float(ts[i]))
+    ts = np.linspace(0.1, 10.0, 2 * _MEMO_TIMES + 7).tolist()
+    for i in range(0, len(ts) - 1, 2):
+        # g at three new times, two of the grid's and their sum, as a two-interval kernel asks for them
+        _g_two_interval(ev, ts[i], ts[i + 1])
+        ev.gdot(ts[i])
         # and a gdot time of its own, which g's memo lacks, so gdot's memo fills faster
-        ev.gdot(float(ts[i]) + 1e-3)
+        ev.gdot(ts[i] + 1e-3)
         assert 0 < len(ev._g_memo) <= _MEMO_TIMES and 0 < len(ev._gdot_memo) <= _MEMO_TIMES
         # cleared together: every time g's memo holds, gdot's holds too
         assert ev._g_memo.keys() <= ev._gdot_memo.keys()
@@ -814,11 +827,13 @@ _HELD = [0.3, 1.0, 2.5]
 
 
 def test_memo_hits_give_a_fresh_engines_bits():
-    # a held float and held arrays of 1, 2 and 3 times, each against a fresh engine's call of the same form
+    # a held float, and arrays of 1, 2 and 3 held times, which take the grid route past the memo, each against a fresh
+    # engine's call of the same form
     for make in _MEMO_ENGINES:
         ev = make()
-        ev.g(np.array(_HELD))
-        ev.gdot(np.array(_HELD))
+        for s in _HELD:
+            ev.g(s)
+            ev.gdot(s)
         for name in ("g", "gdot"):
             held = getattr(ev, name)
             for s in _HELD:
@@ -829,22 +844,27 @@ def test_memo_hits_give_a_fresh_engines_bits():
 
 
 def test_memo_hits_skip_the_time_check(monkeypatch):
-    # a held time was checked when it was stored, so a g call of held times is converted but reaches no check
+    # a held time was checked when it was stored, so a float call, a two-interval call or a pointwise rate of held times
+    # reaches no check
     ev = BrownianMatsubara(BATH)
-    ev.g(np.array(_HELD))
+    for s in (*_HELD, 1.5):
+        ev.g(s)
 
     def refuse(*args):
         raise AssertionError("a call of held times checked them")
 
     for name in ("_check_times", "_check_list"):
         monkeypatch.setattr(dephasing, name, refuse)
+    monkeypatch.setattr(measures, "_check_times", refuse)
     for s in _HELD:
         ev.g(s)
-    for size in (1, 2, 3):
-        ev.g(np.array(_HELD[:size]))
-    ev.g([1.0, 0.3])
+        ev.gdot(s)
+    _g_two_interval(ev, 1.0, 1.5)
+    decay_exponent_rate(ev, Prepared(1.0), 1.5)
     with pytest.raises(AssertionError):  # a time the memo lacks is checked
-        ev.g(np.array([1.0, 0.7]))
+        ev.g(0.7)
+    with pytest.raises(AssertionError):  # and so is an array, held times or not: it takes the grid route
+        ev.g(np.array([1.0]))
 
 
 def _count_rows(monkeypatch) -> list:
@@ -862,34 +882,38 @@ def _count_rows(monkeypatch) -> list:
 
 
 def test_mixed_memo_call_computes_and_stores_only_its_new_times(monkeypatch):
-    want_g = BrownianMatsubara(BATH).g(np.array([0.3, 1.0, 2.5]))
-    want_gdot = BrownianMatsubara(BATH).gdot(np.array([2.5, 0.7]))
+    # a two-interval call at t1 = 0.3 and t2 = 1.0, where g's memo holds 1.0, then the rate of Prepared(1.2) at t12
+    t12, t_new = 0.3 + 1.0, 1.2 + (0.3 + 1.0)
+    want_g = BrownianMatsubara(BATH).g(np.array([0.3, 1.0, t12]))
+    want_gdot = BrownianMatsubara(BATH).gdot(np.array([t12, t_new]))
     ev = BrownianMatsubara(BATH)
     ev.g(1.0)
     held, held_gdot = ev._g_memo[1.0], ev._gdot_memo[1.0]
     rows = _count_rows(monkeypatch)
-    g = ev.g(np.array([0.3, 1.0, 2.5]))
+    g = _g_two_interval(ev, 0.3, 1.0)
     # each new time runs one row step, whose g and gdot the memos hold
-    assert rows == [(0.3, True, True), (2.5, True, True)]
-    assert list(ev._g_memo) == list(ev._gdot_memo) == [1.0, 0.3, 2.5]
+    assert rows == [(0.3, True, True), (t12, True, True)]
+    assert list(ev._g_memo) == list(ev._gdot_memo) == [1.0, 0.3, t12]
     assert ev._g_memo[1.0] is held and ev._gdot_memo[1.0] is held_gdot
-    assert np.array_equal(_bits(g), _bits(want_g))
-    # gdot's new time takes one row of gdot's half alone, and g's new time where gdot's memo holds it one row of g's
-    # half alone, which leaves the held gdot in place
-    gdot = ev.gdot(np.array([2.5, 0.7]))
-    assert rows[2:] == [(0.7, False, True)]
-    assert list(ev._gdot_memo) == [1.0, 0.3, 2.5, 0.7] and list(ev._g_memo) == [1.0, 0.3, 2.5]
-    held_gdot = ev._gdot_memo[0.7]
-    ev.g(0.7)
-    assert rows[3:] == [(0.7, True, False)] and ev._gdot_memo[0.7] is held_gdot
-    assert np.array_equal(_bits(gdot), _bits(want_gdot))
+    assert np.array_equal(_bits(np.array(g)), _bits(want_g))
+    # the rate of Prepared(1.2) at t12 reads gdot's memo at t12 and takes one row of gdot's half alone at its new
+    # 1.2 + t12; g's new time where gdot's memo holds it takes one row of g's half alone, which leaves the held gdot in
+    # place
+    decay_exponent_rate(ev, Prepared(1.2), t12)
+    assert rows[2:] == [(t_new, False, True)]
+    assert list(ev._gdot_memo) == [1.0, 0.3, t12, t_new] and list(ev._g_memo) == [1.0, 0.3, t12]
+    held_gdot = ev._gdot_memo[t_new]
+    ev.g(t_new)
+    assert rows[3:] == [(t_new, True, False)] and ev._gdot_memo[t_new] is held_gdot
+    assert np.array_equal(_bits(np.array([ev._gdot_memo[t12], held_gdot])), _bits(want_gdot))
 
 
 def test_g_miss_where_gdot_is_held_builds_and_runs_g_half_alone(monkeypatch):
     # a g call whose new times gdot's memo all holds takes neither gdot's live sums nor gdot's half of the row: one
     # live-sum step of g's half alone and one row per time
     ev = BrownianMatsubara(BATH)
-    ev.gdot(np.array([0.7, 2.5]))
+    for s in (0.7, 2.5):
+        ev.gdot(s)
     held = dict(ev._gdot_memo)
     calls = []
     sum_at = BrownianMatsubara._sum_at
@@ -900,10 +924,11 @@ def test_g_miss_where_gdot_is_held_builds_and_runs_g_half_alone(monkeypatch):
 
     monkeypatch.setattr(BrownianMatsubara, "_sum_at", counted)
     rows = _count_rows(monkeypatch)
-    g = ev.g(np.array([0.7, 2.5]))
-    assert calls == rows == [(0.7, True, False), (2.5, True, False)]
+    g = _g_two_interval(ev, 0.7, 2.5)
+    # 0.7 + 2.5, which gdot's memo lacks, takes both halves
+    assert calls == rows == [(0.7, True, False), (2.5, True, False), (0.7 + 2.5, True, True)]
     assert all(ev._gdot_memo[s] is v for s, v in held.items())
-    assert np.array_equal(_bits(g), _bits(BrownianMatsubara(BATH).g(np.array([0.7, 2.5]))))
+    assert np.array_equal(_bits(np.array(g)), _bits(BrownianMatsubara(BATH).g(np.array([0.7, 2.5, 0.7 + 2.5]))))
 
 
 def test_joint_row_shares_the_pair_divided_differences_with_g_alone_bits(monkeypatch):
@@ -929,17 +954,45 @@ def test_joint_row_shares_the_pair_divided_differences_with_g_alone_bits(monkeyp
 
 def test_repeated_pointwise_gdot_runs_its_row_once(monkeypatch):
     # a gdot time asked for twice, as crosscheck asks for half of its pointwise analytic gdot times, is read from the
-    # memo the second time, as a float and inside an array
+    # memo the second time, as a float and by the pointwise rate
     rows = _count_rows(monkeypatch)
     for bath in (BATH, BathParams(1.3, 1.8, 933.0)):
         ev = BrownianMatsubara(bath)
         first = ev.gdot(1.0)
-        assert ev.gdot(1.0) is first and ev.gdot(np.array([1.0]))[0] == first
-        ev.gdot(np.array([2.0, 1e-3]))
-        ev.gdot(2.0)
+        assert ev.gdot(1.0) is first
+        # gdot at 1.0, held, and at 2.0, new
+        assert decay_exponent_rate(ev, Prepared(1.0), 1.0) == 2.0 * first.real - ev.gdot(2.0).real
+        decay_exponent_rate(ev, Prepared(1.0), 1e-3)
         ev.gdot(1e-3)
-        assert [t for t, _, _ in rows] == [1.0, 2.0, 1e-3]
+        ev.gdot(1.0 + 1e-3)
+        decay_exponent_rate(ev, Prepared(1.0), 1.0)
+        assert [t for t, _, _ in rows] == [1.0, 2.0, 1e-3, 1.0 + 1e-3]
         rows.clear()
+
+
+def _memo_items(ev) -> list:
+    """(time, id of the value) of every entry of ev's g memo, then of its gdot memo."""
+    return [(t, id(v)) for memo in (ev._g_memo, ev._gdot_memo) for t, v in memo.items()]
+
+
+def test_array_of_up_to_three_times_leaves_the_memos_alone(monkeypatch):
+    # an array of 1 to 3 times takes the grid route, as a larger one does: the row step of the half it asks for at
+    # every time, held or not, both memos left as they were, and the bits of the same float calls on a fresh engine
+    for make in _MEMO_ENGINES:
+        ev = make()
+        for s in _HELD[:2]:
+            ev.g(s)
+        held = _memo_items(ev)
+        for name in ("g", "gdot"):
+            for ts in ([0.3], [1.0, 0.7], [0.7, 0.3, 0.05]):
+                fresh = make()
+                want = np.array([getattr(fresh, name)(s) for s in ts])
+                with monkeypatch.context() as m:
+                    rows = _count_rows(m)
+                    got = getattr(ev, name)(np.array(ts))
+                assert rows == [(s, name == "g", name == "gdot") for s in ts]
+                assert _memo_items(ev) == held
+                assert np.array_equal(_bits(got), _bits(want))
 
 
 class _CountingNumpy:
@@ -978,14 +1031,15 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     tail_sums = type(ev._table).tail_sums
     monkeypatch.setattr(type(ev._table), "tail_sums", lambda self, *a: tails.append(a) or tail_sums(self, *a))
     counting.expm1_sizes.clear()
-    ev.g(np.array(times))
+    for t in times:
+        ev.g(t)
     # one tail_sums for the engine's G0 (its G1 is the pair's closed form), and one row of L terms per time past
     # _LIVE_FLOATS = 32: none for the third
     assert tails == [()]
     assert counting.expm1_sizes == stops[:2]
     gdot = [ev.gdot(t) for t in times]
     assert len(tails) == 1 and rows[1:] == [(t, True, True) for t in times]
-    assert np.array(gdot).tobytes() == BrownianMatsubara(bath).gdot(np.array(times + [0.0])).tobytes()[: 3 * 16]
+    assert np.array(gdot).tobytes() == BrownianMatsubara(bath).gdot(np.array(times)).tobytes()
     # x >= 45 / 32 on the default bath (t >= 0.224): L <= 32 terms on Python floats, and no numpy expm1
     ev = BrownianMatsubara(BATH)
     counting.expm1_sizes.clear()
@@ -1052,8 +1106,9 @@ def test_exact_constructor_reads_no_k(monkeypatch):
 
 def test_memo_first_calls_convert_and_raise_as_the_time_check_does():
     ev = BrownianMatsubara(BATH)
-    ev.g(np.array(_HELD))
-    ev.gdot(np.array(_HELD))
+    for s in _HELD:
+        ev.g(s)
+        ev.gdot(s)
     past = 2.0 * ev._t_max
     for name in ("g", "gdot"):
         f, fresh = getattr(ev, name), getattr(BrownianMatsubara(BATH), name)
