@@ -32,15 +32,20 @@ three routes agree to better than 1e-6 relative for t in [0.05, 20], the
 range acceptance criterion 1 tests.  They are not validated below it:
 from t of about 1e-5 down, the quadratures are off by 1e-6 relative or
 more (their absolute tolerances and Fourier tails).  The series' Re g is
-within 1e-12 relative of a 40-digit oracle (tests/_oracle.py) and
-positive from t = 1e-9 on, and so is its Re gdot less _dead_weight's C,
+within 1e-12 relative of a 40-digit oracle (tests/_oracle.py), tested
+for a = beta gamma / 2 pi up to 15 915 (past about 1e4 the error grows
+roughly as a: 6.5e-12 at a = 1.6e6, 4.4e-7 at 1.6e11; ROADMAP item 23),
+and positive from t = 1e-9 on, and so is its Re gdot less _dead_weight's C,
 which it adds where more than _BLOCK_CAP terms past K are live: with C,
 gdot is the sum stopped at K + _BLOCK_CAP with the rest counted as dead,
 the value perfbench's references record.  Both raise
 DephaserError below x = 0.2 where x^2 leaves the normal floats.
 FrequencyQuadrature raises DephaserError for a Brownian density at
 0 < t < 3e-4 / w_split (3e-5 on the default bath), where its Fourier
-tails lose Re g.
+tails lose Re g, and past its largest time (_largest_time of w_split
+and its growth; 8.99e306 on the default bath).  TimeDomainQuadrature
+raises it for a Brownian density past max(gamma, 2 pi / beta) t =
+_TQ_RATE_T (2500), where its rule misses L's narrow part near 0.
 
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
@@ -110,6 +115,13 @@ _MEMO_TIMES = 1024
 _MEMO_CALL = 3
 # quadrature nodes u -> L(u) that a TimeDomainQuadrature remembers across its integrals; a full memo is cleared
 _MEMO_NODES = 1 << 13
+# the largest max(gamma, 2 pi / beta) t at which TimeDomainQuadrature integrates a Brownian density.  Past some
+# multiple of it the adaptive rule on [0, t] misses the narrow part of L near u = 0 and returns a wrong value without
+# an error (Re g(5e5) = 1.9e-109 on the default bath, where the series gives 2.0e6).  Against BrownianMatsubara on 46
+# baths (beta 1e-3 to 940, gamma 0.01 to 20), the relative error of g or gdot first passed 1e-6 at 5.6e3 to 6.3e3
+# where a = beta gamma / 2 pi is 5e-4 to 1.6e-3 (L's Matsubara part missed; 20 times a decade), and at 2.5e4 or later
+# on the others: this bound is a factor 2.2 below the earliest
+_TQ_RATE_T = 2.5e3
 _TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = sys.float_info.max
 # the most live terms that a time sums on Python floats, in every route; a time with more sums one numpy row of them,
@@ -670,7 +682,11 @@ class FrequencyQuadrature:
     Fourier integrator, which is what makes the conditionally convergent
     tails reliable.  Constant tail moments are cached at construction.
     g and gdot take a time or a 1-d array of times, integrated one by one;
-    a Brownian density raises DephaserError at 0 < t < 3e-4 / w_split.
+    a Brownian density raises DephaserError at 0 < t < 3e-4 / w_split and
+    past its largest time, where w t or eta g would leave the floats.
+    A Brownian density is integrated at eta = 1 and its g and gdot scaled
+    by eta last (_eta_times), so that a small eta does not pass
+    _quadrature's absolute test on a failed integral.
     """
 
     def __init__(self, sd, beta: float):
@@ -678,9 +694,14 @@ class FrequencyQuadrature:
         self.sd = sd
         self.beta = beta
         self.bath = self.certified_bath = _brownian_bath(sd, beta)
+        self._t_max = _FLOAT_MAX
         if self.bath is not None:
             self.w_split = _split_frequency(self.bath)
             self._t_min = _FOURIER_MIN_TW / self.w_split
+            # the arguments w t of the integrals below w_split, and g's growth, Re g's 2 eta t / (beta gamma) and Im g's
+            # eta t, as HighTemperatureBrownian's
+            eta = self.bath.eta
+            self._t_max = _largest_time(self.w_split, eta + 2.0 * eta / beta / self.bath.gamma, 0.0)
             # int_{w_split}^inf (J/w^2) coth dw and int_0^inf (J/w) dw
             self._tail_rc = integrate_to_inf(
                 lambda w: self._f_rc(w), self.w_split, tag="coth tail moment"
@@ -690,8 +711,10 @@ class FrequencyQuadrature:
             ) + integrate_to_inf(lambda w: self._j_over_w(w), self.w_split, tag="J/w tail")
 
     def _j_over_w(self, w):
-        p = self.bath
-        return 2.0 * p.eta * p.gamma / (w * w + p.gamma * p.gamma)
+        # at unit coupling: every integrand is linear in eta, which _eta_times puts in last, so that _quadrature's
+        # absolute test, which a small eta would pass on a failed integral, meets the integral at eta = 1
+        gamma = self.bath.gamma
+        return 2.0 * gamma / (w * w + gamma * gamma)
 
     def _f_rc(self, w):
         # (J/w^2) coth(beta w / 2)
@@ -707,8 +730,9 @@ class FrequencyQuadrature:
         return self._map(self._gdot, t)
 
     def _map(self, row, t):
-        """row at every time of t after _check_times; DephaserError at the first 0 < t < t_min of a Brownian density."""
-        ts, scalar, times = _check_times(t)
+        """row at every time of t after _check_times, which raises DephaserError past t_max; DephaserError at the first
+        0 < t < t_min of a Brownian density."""
+        ts, scalar, times = _check_times(t, self._t_max)
         for s in ts.tolist() if self.bath is not None else ():
             if 0.0 < s < self._t_min:
                 raise DephaserError(
@@ -737,7 +761,7 @@ class FrequencyQuadrature:
         im -= integrate_fourier_tail(
             lambda w: self._j_over_w(w) / w, ws, t, "sin", tag="Im g tail"
         )
-        return complex(re / math.pi, -im / math.pi)
+        return self._eta_times(re, im)
 
     def _gdot(self, t: float) -> complex:
         if t == 0.0:
@@ -754,7 +778,12 @@ class FrequencyQuadrature:
             lambda w: self._j_over_w(w) * math.cos(w * t), 0.0, ws, tag="Im gdot"
         )
         im -= integrate_fourier_tail(self._j_over_w, ws, t, "cos", tag="Im gdot tail")
-        return complex(re / math.pi, -im / math.pi)
+        return self._eta_times(re, im)
+
+    def _eta_times(self, re: float, im: float) -> complex:
+        """eta (re - i im) / pi from the unit-coupling integrals re and im of a Brownian density."""
+        eta = self.bath.eta
+        return complex(eta * (re / math.pi), eta * (-im / math.pi))
 
     def _g_tabulated(self, t: float) -> complex:
         w = self.sd.omega
@@ -788,6 +817,8 @@ class TimeDomainQuadrature:
     same value object, so a value's bits do not depend on the order of
     the calls.  It holds at most _MEMO_NODES (8192) nodes and is cleared
     when full, so a grid of g followed by its gdot shares little.
+    A Brownian density raises DephaserError past max(gamma, 2 pi / beta)
+    t = _TQ_RATE_T (2500), where the rule starts to miss L's narrow part.
     """
 
     def __init__(self, sd, beta: float):
@@ -795,8 +826,10 @@ class TimeDomainQuadrature:
         self.sd = sd
         self.beta = beta
         self.bath = self.certified_bath = _brownian_bath(sd, beta)
+        self._t_max = _FLOAT_MAX
         if self.bath is not None:
             self._corr = BrownianCorrelation(self.bath)
+            self._t_max = _TQ_RATE_T / max(self.bath.gamma, _TWO_PI / beta)
         else:
             therm = sd.values * coth(0.5 * beta * sd.omega)
             self._corr = lambda u: _tabulated_grid(sd, therm, u)
@@ -819,9 +852,14 @@ class TimeDomainQuadrature:
         return value
 
     def _integral(self, t: float, derivative: bool) -> complex:
-        """int_0^t w(u) L(u) du with w = t - u (g) or 1 (gdot); Re and Im integrated apart."""
+        """int_0^t w(u) L(u) du with w = t - u (g) or 1 (gdot); Re and Im integrated apart.  DephaserError past t_max."""
         if t == 0.0:
             return 0j
+        if t > self._t_max:
+            raise DephaserError(
+                f"time {t!r} is past the validated domain of time-quad, max(gamma, 2 pi / beta) t <= "
+                f"{_TQ_RATE_T:g} (t <= {self._t_max!r})"
+            )
         corr = self._corr_at
         w = (lambda u: 1.0) if derivative else (lambda u: t - u)
         name = "gdot" if derivative else "g"

@@ -15,10 +15,12 @@ factor as f(t1) h(t2).
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
 from .dephasing import _FLOAT_MAX, _check_time, _check_times, _distinct, _g_two_interval, flip_exponent
+from .errors import DephaserError
 
 
 def echo_response(evaluator, t1: float, t2: float) -> complex:
@@ -41,8 +43,13 @@ def flip_exponent_grid(evaluator, ts) -> np.ndarray:
 
     g is evaluated once per distinct time among ts and the sums
     ts[i] + ts[j] as rounded, and the values are indexed back onto the grid.
+    DephaserError where the largest sum leaves the floats, before any
+    engine sees it.
     """
     ts, _, _ = _check_times(ts)
+    top = float(np.maximum.reduce(ts, initial=0.0))
+    if top + top == math.inf:
+        raise DephaserError(f"time {top!r} is past half the largest float, so t1 + t2 = {top!r} + {top!r} overflows")
     n = ts.size
     g = _distinct(evaluator.g, np.concatenate((ts, (ts[:, None] + ts).ravel())))
     g_axis = g[:n]

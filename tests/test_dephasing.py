@@ -35,7 +35,7 @@ from dephaser.dephasing import (
     flip_exponent,
     make_evaluator,
 )
-from dephaser.errors import DephaserError
+from dephaser.errors import DephaserError, IntegrationError
 from dephaser.measures import Prepared, SingleTime, decay_exponent_rate
 from dephaser.spectral import (
     BathParams,
@@ -1286,6 +1286,26 @@ def test_time_quad_memo_stays_within_its_bound(monkeypatch):
     assert calls[0] > 3 * 100
 
 
+@pytest.mark.parametrize(
+    "bath", [BATH, BathParams(1.0, 0.5, 0.01), BathParams(1.3, 1.8, 933.0)], ids=["default", "hot", "beta 933"]
+)
+def test_time_quad_raises_past_its_largest_rate_time(bath):
+    # past max(gamma, 2 pi / beta) t of some multiple of 2500 the adaptive rule on [0, t] misses L's narrow part and
+    # returned wrong values with no error (Re g(5e5) = 1.9e-109 on the default bath, where the series gives 2.0e6); at
+    # the bound's side it still holds 1e-6 against the series, and just past it raises
+    tq = make_evaluator("time-quad", bath)
+    exact = BrownianMatsubara(bath)
+    t_max = 2500.0 / max(bath.gamma, 2.0 * math.pi / bath.beta)
+    inside, past = 0.99 * t_max, math.nextafter(t_max, math.inf)
+    for name in ("g", "gdot"):
+        got, want = getattr(tq, name)(inside), getattr(exact, name)(inside)
+        for part in ("real", "imag"):
+            assert getattr(got, part) == pytest.approx(getattr(want, part), rel=1e-6), (name, part)
+        for times in (past, np.array([1.0, past])):
+            with pytest.raises(DephaserError, match=re.escape(f"time {past!r} is past the validated domain of time-quad")):
+                getattr(tq, name)(times)
+
+
 def test_bad_time_in_array_rejected_like_a_scalar():
     # every engine checks a call of up to three times on Python floats, and a larger one by numpy reductions
     for ev in brownian_engines():
@@ -1347,8 +1367,11 @@ def test_overflowing_strict_coefficient_raises():
         (lambda: BrownianMatsubara(BATH), 1e307),  # (|C| + eta) t = 5e307 is past a quarter of the largest float
         (lambda: HighTemperatureBrownian(BATH), 1e308),  # Re g overflows
         (lambda: HighTemperatureBrownian(BathParams(1e8, 0.001, 1e8)), 1e300),  # 2 Im g overflows
+        # eta times the unit-coupling Re g overflows, and w_split t = 1e308 made math.sin raise ValueError
+        (lambda: make_evaluator("freq-quad", BathParams(1e300, 0.5, 1.0)), 1e10),
+        (lambda: make_evaluator("freq-quad", BATH), 1e307),
     ],
-    ids=["analytic", "hight", "strict", "analytic-default", "hight-default", "hight-flip"],
+    ids=["analytic", "hight", "strict", "analytic-default", "hight-default", "hight-flip", "freq-quad", "freq-quad-default"],
 )
 def test_huge_time_raises_dephaser_error(make, t):
     # each returned inf (or a g whose flip exponent overflows) behind at most a RuntimeWarning
@@ -1486,6 +1509,29 @@ def _child(*args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(dephaser.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_freq_quad_integrates_at_unit_coupling_and_scales_by_eta():
+    # every freq-quad integrand is linear in eta, so g and gdot are eta times the integrals at eta = 1: within a few ulp
+    # of eta times the unit-coupling values where those converge, and the unit coupling's IntegrationError where they do
+    # not (gamma 0.5, beta 1e-3), where a small eta used to pass _quadrature's absolute test with Re gdot's sign wrong
+    ulp = 2.0**-52
+    for gamma, beta in ((0.5, 1.0), (1.3, 100.0), (1.2, 0.2)):
+        unit = make_evaluator("freq-quad", BathParams(1.0, gamma, beta))
+        for eta in (1e-100, 1e-300):
+            ev = make_evaluator("freq-quad", BathParams(eta, gamma, beta))
+            for name in ("g", "gdot"):
+                for t in (0.3, 2.0):
+                    got, want = getattr(ev, name)(t), eta * getattr(unit, name)(t)
+                    for part in ("real", "imag"):
+                        assert math.isclose(getattr(got, part), getattr(want, part), rel_tol=4 * ulp), (eta, name, t)
+    hot = make_evaluator("freq-quad", BathParams(1.0, 0.5, 1e-3))
+    for name in ("g", "gdot"):
+        with pytest.raises(IntegrationError) as unit_error:
+            getattr(hot, name)(1.0)
+        for eta in (1e-100, 1e-300):
+            with pytest.raises(IntegrationError, match=re.escape(str(unit_error.value))):
+                getattr(make_evaluator("freq-quad", BathParams(eta, 0.5, 1e-3)), name)(1.0)
 
 
 def test_freq_quad_at_subnormal_time_raises_instead_of_crashing():
