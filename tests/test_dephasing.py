@@ -771,8 +771,9 @@ def test_memo_never_changes_a_bit(calls):
         got = {"g": ([], []), "gdot": ([], [])}
         for derivative, ts, as_float in calls:
             times, values = _memo_route(ev, derivative, ts, as_float)
-            got["gdot" if derivative else "g"][0].extend(times)
-            got["gdot" if derivative else "g"][1].extend(values)
+            got_times, got_values = got["gdot" if derivative else "g"]
+            got_times += times
+            got_values += values
         for name, (times, values) in got.items():
             want = getattr(make(), name)(np.array(times))
             assert np.array(values, dtype=complex).tobytes() == want.tobytes()
