@@ -59,8 +59,9 @@ of times up to it stay finite (_largest_time; 8.99e306 for the exact
 series on the default bath, 1.43e305 for its K = 100 truncation).
 BrownianMatsubara also remembers g and gdot at their float calls, up
 to _MEMO_TIMES times each, and returns the same bits from the memos as
-computed afresh; an array call, of any size, takes the grid route and
-neither reads nor fills them.  A g call that misses a time
+computed afresh; a call that could overfill either drops the older half
+of gdot's times from both.  An array call, of any size, takes the grid
+route and neither reads nor fills them.  A g call that misses a time
 also fills gdot's memo there from the same row step, since the rate of a
 distance asks for gdot where the distance asked for g.  The two-interval
 kernels take g at t1, t2 and t1 + t2 by one route, _g_two_interval: from
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -108,7 +110,8 @@ from .spectral import (
 _BLOCK_CAP = 2_000_000
 # elements of strict truncation's times x K table built at once
 _TABLE_BUDGET = 1 << 16
-# times BrownianMatsubara's g and gdot each remember from pointwise calls; a full memo is cleared with the other
+# times BrownianMatsubara's g and gdot each remember from pointwise calls; where a call could overfill either, the
+# older half of gdot's times leaves both, so that a curve's rates still find the gdot of its newer exponents
 _MEMO_TIMES = 1024
 # the most times of an array call that _check_times checks on Python floats, as many as a two-interval call's t1, t2
 # and t1 + t2; arrays, of any size, neither read nor fill BrownianMatsubara's memos
@@ -125,10 +128,11 @@ _TQ_RATE_T = 2.5e3
 _TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = sys.float_info.max
 # the most live terms that a time sums on Python floats, in every route; a time with more sums one numpy row of them,
-# which math.expm1 would not give the bits of.  Per L of one live-sum step (_sum_at; best of 11 x 2000 calls, Xeon,
-# Python 3.11): both halves, as a g miss takes them, cost 0.4 us and 0.1 us a term on the loop, 5.1 us as the row;
-# gdot's alone 0.4 and 0.07 us, 3.0 us.  They cross near L = 48 and 37, but L = 32 fixes the bits, so it stays
-_LIVE_FLOATS = 32
+# which math.expm1 would not give the bits of.  Per L of one live-sum step (_sum_at; best of 25 x 500 calls, shared
+# 2-core Xeon, Python 3.11, numpy 2.4): both halves, as a g miss takes them, cost 3.6 us at L = 32 and 0.1 us more a
+# term on the loop, 5.2 us as the row, crossing near L = 48; gdot's alone 2.7 us and 0.07 us a term, 3.1 us, crossing
+# between L = 36 and 38.  The smaller crossover is the bound
+_LIVE_FLOATS = 37
 
 
 def flip_exponent(g1, g2, g12):
@@ -328,7 +332,7 @@ class BrownianMatsubara:
     g and gdot take a time or a 1-d array of times, each by one route: a float reads the memo (_fill at a time it
     lacks), and an array, of any size, takes the grid route (_grid), which neither reads nor fills it.  Every time,
     alone or in an array, takes one Matsubara step (_sum_at): _small_x's sums below _DIRECT_X, and from there its L <=
-    32 live terms on Python floats (_LIVE_FLOATS), or more as one numpy row; then one row step (_row), which adds up the
+    37 live terms on Python floats (_LIVE_FLOATS), or more as one numpy row; then one row step (_row), which adds up the
     pole term, the pair and that sum, so it gets the same bits alone as in an array.  Either step takes g's half,
     gdot's or both, which share the pole's and the pair's expm1 and the rest's exponentials: one _SmallXSums call below
     _DIRECT_X, one expm1 over the live terms from there.  g and gdot each keep a memo, time -> value, and a float
@@ -338,8 +342,9 @@ class BrownianMatsubara:
     own times, but the rate of a distance asks for gdot at the times of its g: the steps of a g miss take both halves,
     and gdot's memo holds the second, which the rate reads in the same way (measures.decay_exponent_rate).  A gdot miss
     takes gdot's half alone, since g's would build S0 from _DIRECT_X on, and array calls take the half they return.
-    Each memo holds at most _MEMO_TIMES (1024) times, and both are cleared when a call could overfill either; arrays
-    (grids, the scan) neither read nor fill them, so memory does not grow with the grid.
+    Each memo holds at most _MEMO_TIMES (1024) times; where a call could overfill either, the older half of gdot's
+    times, in insertion order, leaves both (_fill).  Arrays (grids, the scan) neither read nor fill them, so memory does
+    not grow with the grid.
     """
 
     def __init__(self, bath: BathParams):
@@ -388,7 +393,7 @@ class BrownianMatsubara:
         for value, what in ((d.pole_im, "eta / gamma"), *amps):
             _finite(value, what)
         _normal(d.rate, "2 eta / (beta gamma)")
-        # time -> g(t) and time -> gdot(t) of the pointwise calls, cleared together
+        # time -> g(t) and time -> gdot(t) of the pointwise calls, whose older halves leave together (_fill)
         self._g_memo = {}
         self._gdot_memo = {}
         return d
@@ -546,8 +551,8 @@ class BrownianMatsubara:
 
     def _fill(self, times: list, values: list, derivative: bool) -> list:
         """values, g's memo's values at times (gdot's where derivative), with each None replaced by the row step at its
-        time, which the memo then holds, after checking the times; both memos are cleared where the call could overfill
-        either.
+        time, which the memo then holds, after checking the times.  Where the call could overfill either memo, the
+        older half of gdot's memo, in insertion order, leaves both.
 
         Each new time runs one Matsubara step (_sum_at) and one row step, once however often the call holds it.  A g
         miss takes gdot's half too where gdot's memo lacks the time, since the rate of a distance asks for gdot at the
@@ -557,8 +562,13 @@ class BrownianMatsubara:
         _check_list(times, self._t_max)
         memo, dots = self._g_memo, self._gdot_memo
         if len(memo) + len(times) > _MEMO_TIMES or len(dots) + len(times) > _MEMO_TIMES:
-            memo.clear()
-            dots.clear()
+            # the older half of gdot's memo, in insertion order, leaves both memos, so that every time g's memo holds
+            # gdot's holds too; g's holds others only after a gdot-only DephaserError, and is cleared if still too full
+            for s in list(islice(dots, len(dots) // 2)):
+                del dots[s]
+                memo.pop(s, None)
+            if len(memo) + len(times) > _MEMO_TIMES:
+                memo.clear()
         held = dots if derivative else memo
         for i, s in enumerate(times):
             if values[i] is None:

@@ -82,6 +82,8 @@ _H_SERIES_TOP = 0.5
 # (-1)^k / k! for k = 2, ..., 15: h's Taylor terms, of which the 16th and later leave out less than 6e-18 of h below 1/2
 _H_TAYLOR = tuple((-1) ** k / math.factorial(k) for k in range(2, 16))
 _H_TAYLOR_COLUMN = np.array(_H_TAYLOR)[:, None]
+# the powers 15, ..., 2 of h's Taylor terms, highest first, as a column
+_TAYLOR_POWERS = np.arange(len(_H_TAYLOR) + 1, 1, -1)[:, None]
 # The 16-point Gauss-Legendre rule on [-1, 1], which is symmetric: its positive nodes and their weights; then the rule
 # on [0, 1], nodes in increasing order
 _GAUSS_NODES = (
@@ -660,20 +662,24 @@ class _SmallXSums:
     whose end terms and top share their exponentials: the row of a g miss takes both, and S' reads every point's e =
     expm1(-y) where S reads e + y from its first group past the Taylor series.
 
-    h cancels at small y, so S's weighted sum is taken by groups, the points between consecutive powers of 4: a group
-    whose largest y is below _H_SERIES_TOP is h's Taylor series (_H_TAYLOR) of its moments sum_i w_i u_i^k, scaled by
-    the group's largest u, kept from the first call that asks for S; from the first other group on, each term is w_i
-    (expm1(-y_i) + y_i), whose y_i is at least 1/8 there, so that it cancels to 16 ulp at most.  Re g and Re gdot less
-    dephasing._dead_weight are within 7.2e-14 and 1.6e-13 of tests/_oracle.reference on 14 baths (a from 1.6e-4 to
-    3000) from t = 1e-9 to x = 0.2, with no K or live term read.  S_L (correlation) is sum_i u_i^2 w_i e^-u_i x, the
-    end terms of power 2, the zero end's second x-derivative and E1(top x) for the upper tail's 1 / u part, on weights
-    and ends built at its first call.  DephaserError where a reaches _A_MAX, past which the window's n - a are inexact.
+    h cancels at small y, so S's weighted sum is taken by groups, the points between consecutive powers of 4: the k
+    groups whose largest y is below _H_SERIES_TOP are h's Taylor series (_H_TAYLOR) of their moments sum_i w_i u_i^j,
+    each scaled by its group's largest u, kept from the first call that asks for S.  A call sums them as one polynomial
+    in z = x top, top the k-th group's largest u, by Horner's rule on Python floats: its coefficients, built at the
+    first call with k such groups (_taylor), rescale each group's moments by its ratio to top, at most 1.  From the
+    first other group on, each term is w_i (expm1(-y_i) + y_i), whose y_i is at least 1/8 there, so that it cancels
+    to 16 ulp at most.  Re g and Re gdot less dephasing._dead_weight are within 7.2e-14 and 1.6e-13 of
+    tests/_oracle.reference on 14 baths (a from 1.6e-4 to 3000) from t = 1e-9 to x = 0.2, with no K or live term read.
+    S_L (correlation) is sum_i u_i^2 w_i e^-u_i x, the end terms of power 2, the zero end's second x-derivative and
+    E1(top x) for the upper tail's 1 / u part, on weights and ends built at its first call.  DephaserError where a
+    reaches _A_MAX, past which the window's n - a are inexact.
     """
 
     def __init__(self, a: float, m: int):
         # the points, their weights of power 0, each end's (u, sign, q's derivatives), the zero end and top
         self._nodes, self._weights, self._q_ends, self._zero_end, self._top = _matsubara_nodes(a, m)
-        # each sum's own tables, built at its first call: S's and S''s end terms (_power_0), S's groups (_group), S_L's
+        # each sum's own tables, built at its first call: S's and S''s end terms (_power_0), S's groups and moments
+        # (_group) and the coefficients of each count of Taylor groups (_taylor), S_L's
         self._ends = self._moments = self._correlation = None
 
     def _power_0(self) -> None:
@@ -689,7 +695,7 @@ class _SmallXSums:
 
     def _group(self) -> None:
         """The groups, the points of each power of 4, at most a factor 4 apart: their largest u and first points, and
-        their moments."""
+        their moments; and a slot for the coefficients of each count of groups."""
         u = self._nodes
         ids = np.floor(np.log2(u) * 0.5)
         lasts = np.flatnonzero(ids[1:] != ids[:-1])
@@ -704,6 +710,18 @@ class _SmallXSums:
         for k in range(1, len(powers)):  # row by row: a multiply.accumulate down the short axis took twice as long
             powers[k] *= powers[k - 1]
         self._moments = _H_TAYLOR_COLUMN * np.add.reduceat(powers, starts[:-1], axis=1)
+        # the coefficients of the first k groups, each built at its first use (_taylor): every count's at once, from a
+        # table of all pairs of groups, cost a fresh engine's first g about 25 us on beta 933 (shared 2-core Xeon), and
+        # one count about 4 us
+        self._taylor_rows = [None] * len(self._top_list)
+
+    def _taylor(self, k: int) -> list:
+        """The coefficients of the first k groups' Taylor series as one polynomial in z = x top, top the k-th group's
+        largest u, highest power first, as Horner's rule reads them: the sum over the groups j < k of (top_j / top)^i
+        times their moments of r^i, i = 15, ..., 2.  Each ratio is at most 1, so no coefficient overflows at any a below
+        _A_MAX, where powers of top itself would."""
+        ratio = self._tops[:k] / self._tops[k - 1]
+        return np.einsum("ij,ij->i", ratio ** _TAYLOR_POWERS, self._moments[::-1, :k]).tolist()
 
     def __call__(self, x: float, g: bool, gdot: bool) -> tuple:
         """(S(x) where g, S'(x) where gdot), each None where not asked for."""
@@ -722,13 +740,14 @@ class _SmallXSums:
         neg = (self._nodes[lo:] if lo else self._nodes) * -x
         e = np.expm1(neg, out=None if g else neg)
         s = ds = 0.0
-        if k:
-            z = self._tops[:k] * x
-            powers = np.empty((len(_H_TAYLOR), k))
-            powers[:] = z
-            powers[0] *= z
-            np.multiply.accumulate(powers, axis=0, out=powers)
-            s = float(np.vdot(powers, self._moments[:, :k]))
+        if k:  # the k groups' Taylor series, one polynomial in z = x times their largest u, by Horner's rule
+            coefficients = self._taylor_rows[k - 1]
+            if coefficients is None:
+                coefficients = self._taylor_rows[k - 1] = self._taylor(k)
+            z = self._top_list[k - 1] * x
+            for c in coefficients:
+                s = s * z + c
+            s *= z * z
         if g and first < self._nodes.size:
             s += float(np.dot(self._weights[first:], e[first - lo :] - neg[first - lo :]))  # expm1(-y) + y
         if gdot:
@@ -915,11 +934,13 @@ def _split_frequency(bath: BathParams) -> float:
 
 
 def _brownian_quadrature(bath: BathParams, t: float) -> complex:
-    eta, gamma, beta = bath.eta, bath.gamma, bath.beta
+    """L(t) by quadrature at unit coupling, times eta last: L is linear in eta, and a small eta would pass _quadrature's
+    absolute test on a failed integral (as FrequencyQuadrature's _eta_times)."""
+    gamma, beta = bath.gamma, bath.beta
     ws = _split_frequency(bath)
 
     def j_func(w):
-        return 2.0 * eta * w * gamma / (w * w + gamma * gamma)
+        return 2.0 * w * gamma / (w * w + gamma * gamma)
 
     def f_therm(w):
         return j_func(w) * coth(0.5 * beta * w) / math.pi
@@ -928,7 +949,7 @@ def _brownian_quadrature(bath: BathParams, t: float) -> complex:
     re += integrate_fourier_tail(f_therm, ws, t, "cos", tag="Re L tail")
     im = integrate_finite(lambda w: j_func(w) * math.sin(w * t) / math.pi, 0.0, ws, tag="Im L")
     im += integrate_fourier_tail(lambda w: j_func(w) / math.pi, ws, t, "sin", tag="Im L tail")
-    return complex(re, -im)
+    return complex(bath.eta * re, bath.eta * -im)
 
 
 def _brownian_bath(sd, beta: float) -> BathParams | None:

@@ -784,21 +784,24 @@ def test_measure_grid_stdout_is_pinned(capsys, argv):
 # 7.2e-15, measure's N by 8.8e-14 and its growth end, a root refined to 1e-10, by 4.5e-11), and eleven (gfun, trdist and
 # echo --points 70 of the default bath, both formats, gfun --gamma 6.2894 and 2 pi, and figures trd) when every B_n
 # took the one row d_n = (n - a)(n + a) and c_n = B_n / nu_n (gfun's values by at most 4.4e-16, trdist's distance by
-# 1.4e-14 on a value of 3.9e-13, echo's |R| by 1.5e-14 on a value of 1.8e-8, figures trd's distance by 7.2e-15).
+# 1.4e-14 on a value of 3.9e-13, echo's |R| by 1.5e-14 on a value of 1.8e-8, figures trd's distance by 7.2e-15), and
+# six when S's Taylor groups below x = 0.2 became one Horner polynomial (gfun --beta 933 and 2 pi, trdist --beta 933
+# --t1 1: gfun's Re g by at most 3.8e-16 relative, trdist's distance by 1.8e-15) and times of 33 to 37 live terms moved
+# onto Python floats (gfun, both formats, --gamma 6.2894 and 2 pi: by at most 3.7e-16).
 CLI_STDOUT_DIGESTS = {
-    "gfun": "36aec8d13fdd81eccceb3cca8f7947277cb980379711d75413c5ff34348c7baf",
-    "gfun --format json": "e57bf64d8ae46db0d3b1d67ac3899a14e0684f6f94b2949f95a1ad5331b960d3",
+    "gfun": "1810657152f3139bd68d2893478898d8da650ff473e993e45d9c168da96fb2a3",
+    "gfun --format json": "b023c0291e675646b7b347d61c10adf941d25c20e480a10f98cf8c245b41f427",
     "gfun --engine hight": "1272e2b787329cc7233d7faf540560b1141fe49c9cda00fd8d692d5704572fc5",
-    "gfun --beta 933": "0dccceb5aaa60a8fb84c0487867b5e5d8ffcbbe6aff56d0eb910f457f8cb2dae",
-    "gfun --gamma 6.2894": "810c29a2baa9b2592068bec1b4fca9163c86cad870da34286f14be06736df31c",
-    "gfun --gamma 6.283185307179586": "78c9b1f44333d40a860ec570d1e1f176c1ddcd64ed6d2df53c9327e06b9c7340",
+    "gfun --beta 933": "e95a39483be864dd73aceafeab91853479d82a678ac866e76cb7fb7e34329ef7",
+    "gfun --gamma 6.2894": "487ad20617b36f35cc0a622cd2560d9d155669f50402db1ebe82d62026f4e6fc",
+    "gfun --gamma 6.283185307179586": "063d0c2731b7c43d24be124c4e7a00df8e5bbaceef36f961063a5d32ed31e94e",
     "gfun --engine freq-quad --points 3": "fa68da9b607f29f8c9362136ee7bf8aa57beaed01ccbef8b3fec0131c8162472",
     "gfun --engine time-quad --points 3": "6affe9c48abf752dda83c32b64d829606aa43ef60b68cecb4df7fb61c9b3f700",
     "trdist --t1 1": "298019db25b70884ca589f09405c1c1edc8d353b5943ca23cd1c22d9ee6d52d5",
     "trdist --t1 1 --format json": "88f2c6b27275a597c318611ae651df7175d8027e437e367a19c632fa3b7cd1d4",
     "trdist": "e7bd34f52168df75db31613612f525489da9a76ac4ae351e6ce084a89c8905cf",
     "trdist --engine hight --t1 0.5": "ed2338bcf288a2c31fec5d65e55c4c2be30fd2e42fd380070c0e4f8acde44b96",
-    "trdist --beta 933 --t1 1": "e164e74824e2d9bc8e78d79f42ba3bcc95f28ff1fef40c2af77b9feb09bce198",
+    "trdist --beta 933 --t1 1": "ed9280ff23009e670f45058b76150b919638302affe4f7150fa81c8a242bd125",
     "measure": "75ee620125ccb5908232dbc74e3cc240d199e4800faf7e44510808a758671036",
     "measure --t1 1": "8ec3032d932d69d319fdee9096fd409df204d4e9b2b724d0a3f054ae90ca7650",
     "measure --engine hight --t1 1": "2167607459b8a3b9a2e4bca8ce2cda0b2c99c38cff36354b896053e3c5854817",

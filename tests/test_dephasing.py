@@ -1,6 +1,7 @@
 """Lineshape function engines: agreement, limits, truncation, resonance."""
 
 import cmath
+import collections
 import hashlib
 import json
 import math
@@ -36,7 +37,7 @@ from dephaser.dephasing import (
     make_evaluator,
 )
 from dephaser.errors import DephaserError, IntegrationError
-from dephaser.measures import Prepared, SingleTime, decay_exponent_rate
+from dephaser.measures import Prepared, SingleTime, decay_exponent, decay_exponent_rate
 from dephaser.spectral import (
     BathParams,
     BrownianCorrelation,
@@ -909,6 +910,28 @@ def test_mixed_memo_call_computes_and_stores_only_its_new_times(monkeypatch):
     assert np.array_equal(_bits(np.array([ev._gdot_memo[t12], held_gdot])), _bits(want_gdot))
 
 
+def test_a_curve_runs_each_time_once(monkeypatch):
+    # a 1 000-point Prepared(t1) curve in seven segments, each the decay exponent at its float times and then their
+    # rates, as param_sweep asks for them; its 2 000 times overfill the 1 024-time memos, whose older half leaves, so
+    # that each rate finds the gdot that its segment's exponent left in gdot's memo
+    ev = BrownianMatsubara(BATH)
+    scenario = Prepared(1.0)
+    ts = np.linspace(0.0, 10.0 / BATH.gamma, 1000)
+    rows = _count_rows(monkeypatch)
+    bounds = np.linspace(0, ts.size, 8).astype(int).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        segment = ts[lo:hi].tolist()
+        for t in segment:
+            decay_exponent(ev, scenario, t)
+        for t in segment:
+            decay_exponent_rate(ev, scenario, t)
+    counts = collections.Counter(t for t, _, _ in rows)
+    assert len(counts) > _MEMO_TIMES
+    # one row step a time, but for t1, which every point reads: it leaves with an older half and runs again
+    assert counts.pop(scenario.t1) <= 1 + len(rows) // (_MEMO_TIMES // 2)
+    assert set(counts.values()) == {1}
+
+
 def test_g_miss_where_gdot_is_held_builds_and_runs_g_half_alone(monkeypatch):
     # a g call whose new times gdot's memo all holds takes neither gdot's live sums nor gdot's half of the row: one
     # live-sum step of g's half alone and one row per time
@@ -1035,7 +1058,7 @@ def test_new_pointwise_time_shares_its_exponentials_between_g_and_gdot(monkeypat
     for t in times:
         ev.g(t)
     # one tail_sums for the engine's G0 (its G1 is the pair's closed form), and one row of L terms per time past
-    # _LIVE_FLOATS = 32: none for the third
+    # _LIVE_FLOATS: none for the third
     assert tails == [()]
     assert counting.expm1_sizes == stops[:2]
     gdot = [ev.gdot(t) for t in times]
@@ -1158,8 +1181,10 @@ _PINNED_TIMES = np.geomspace(1e-9, 1e3, 25)
 # below x = 0.2 kept their bits; last: Re g and Re gdot below x = 0.2, when g's nodes took L's rule, panels 2 wide and
 # five Euler-Maclaurin corrections: 536 of the 6960 values hashed, by at most 6.7e-15 relative; last: when every B_n
 # took the one row d_n = (n - a)(n + a) and c_n = B_n / nu_n: 672 of the 6960 values, Re parts only, by at most 1.5e-14
-# relative, the exact engine on beta 933 from x = 0.2 on, and 8.4e-16 in strict truncation)
-_PINNED_DIGEST = "7a342dd5d6eb9f450ec55bb0b3b27e91c9deb266149934946323bb31283864cc"
+# relative, the exact engine on beta 933 from x = 0.2 on, and 8.4e-16 in strict truncation; last: when S's Taylor
+# groups below x = 0.2 became one Horner polynomial: 308 of the 27 840 real and imaginary parts, Re g only, by at most
+# 3.2e-16 relative)
+_PINNED_DIGEST = "aa240b1d116ce14074cd2d9569174da871691fa92dbdc74c1555c4eafe7886ec"
 # numpy picks its expm1 and exp kernels by CPU, and the digests hold only where expm1, row sums and exp (the analytic
 # L's n^-5 series) give these bits
 _PINNED_KERNEL = "ab18a038cefce15e5d6b6324fbe363f4e0123f06e3e7fcc36a8273a77e622c05"

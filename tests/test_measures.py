@@ -826,11 +826,13 @@ _LIBRARY_BATHS = {
 # 1 of 363 values, by at most 5.5e-15 and 1.3e-16 relative but for beta 933's N, by 1.6e-12, and its two growth ends,
 # roots refined to 1e-10, which moved by 4.0e-11; last: the default bath and a = 1.001, when every B_n took the one row
 # d_n = (n - a)(n + a) and c_n = B_n / nu_n: 4 and 107 of 363 values, by at most 3.2e-16 and 2.1e-15 relative but for
-# the N of Prepared(1) on a = 1.001, 1.3e-3, which moved by 1.1e-16, 8.8e-14 of itself)
+# the N of Prepared(1) on a = 1.001, 1.3e-3, which moved by 1.1e-16, 8.8e-14 of itself; last: beta 933, when S's
+# Taylor groups below x = 0.2 became one Horner polynomial, 1 of 363 values by 3.4e-16 relative, and a = 1.001, when
+# times of 33 to 37 live terms moved onto Python floats (_LIVE_FLOATS), 2 of 363 values by at most 2.3e-16 relative)
 _LIBRARY_DIGESTS = {
     "default": "3d33612b336d6535dba4b0dabacb67fe44b4b08cd597c8842c58506d23188e57",
-    "beta 933": "a94e6fec1199fbed998293479455405050e3be8c89708d66628e28b6318d5a56",
-    "a = 1.001": "7d14b618cf9ba41ad1e09fca6dbb282f744e61fc60e6701b324a0207af2b18f9",
+    "beta 933": "c0403923cbb0fe55f2c304040caff93bfdf90eed805c1ab16a86f7aa0af5d9b1",
+    "a = 1.001": "2dbe826de410860f6a8a65827abcdb259d7a3af1ca01583ea3f8062221f5b6ce",
 }
 
 

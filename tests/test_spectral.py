@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from bisect import bisect_left
 import os
 import re
 import subprocess
@@ -23,12 +24,14 @@ from scipy.special import digamma as scipy_digamma
 import dephaser
 from dephaser import _expint_fits, spectral
 from dephaser.dephasing import BrownianMatsubara
-from dephaser.errors import DephaserError, ExtrapolationError
+from dephaser.errors import DephaserError, ExtrapolationError, IntegrationError
 from dephaser.spectral import (
     _A_MAX,
     _ASYMPTOTIC,
     _DIRECT_X,
     _EXP_DEAD,
+    _H_SERIES_TOP,
+    _H_TAYLOR,
     _LIVE_STOP,
     BathParams,
     BrownianCorrelation,
@@ -611,6 +614,43 @@ def test_correlation_is_its_lower_tail_to_8_ulp_where_the_window_is_dead():
         assert abs(got - want) <= 8.0 * _ULP * abs(want), (beta, t, got, want)
 
 
+def _vdot_taylor(sums, x: float) -> tuple:
+    """(k, S's Taylor part at x) in the form before one Horner polynomial per group count: the k groups' powers (top
+    x)^i, i = 2, ..., 15, as a table reduced against their moments."""
+    k = bisect_left(sums._top_list, _H_SERIES_TOP / x)
+    z = sums._tops[:k] * x
+    powers = np.empty((len(_H_TAYLOR), k))
+    powers[:] = z
+    powers[0] *= z
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    return k, float(np.vdot(powers, sums._moments[:, :k]))
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.0796, 1.001, 267.3, 3183.0, 1.6e6, 1.6e11, 4e15, 0.99 * _A_MAX])
+def test_taylor_rows_are_finite_and_keep_the_sum(a):
+    # each group count's coefficients scale the groups by the largest one's top, so none overflows up to _A_MAX, and S
+    # with its one Horner polynomial stays within a few ulp of S with the table form in its place
+    sums = _SmallXSums(a, round(a))
+    sums(0.1, True, False)
+    for k in range(1, len(sums._top_list) + 1):
+        assert all(math.isfinite(c) for c in sums._taylor(k))
+    compared = 0
+    for x in np.geomspace(1e-12, _DIRECT_X, 100, endpoint=False).tolist():
+        k, want = _vdot_taylor(sums, x)
+        if not k:
+            continue
+        # the call's Horner's rule on its coefficients of the k groups
+        z = sums._top_list[k - 1] * x
+        taylor = 0.0
+        for c in sums._taylor(k):
+            taylor = taylor * z + c
+        taylor *= z * z
+        s = sums(x, True, False)[0]
+        assert abs(taylor - want) <= 4 * _ULP * abs(s), (x, taylor, want, s)
+        compared += 1
+    assert compared >= 50
+
+
 def test_correlation_builds_its_small_x_tables_once(monkeypatch):
     # the points and weights of the sum below x = 0.2 are built at the first call there and kept: not by the
     # constructor, not at x >= 0.2, and once for any number of calls below it
@@ -695,6 +735,31 @@ def test_correlation_analytic_matches_quadrature():
         a = correlation_function(sd, BATH.beta, t, route="analytic")
         q = correlation_function(sd, BATH.beta, t, route="quadrature")
         assert abs(a - q) / abs(q) < 1e-9
+
+
+# (gamma, beta, t) of the quadrature route of L at eta = 1 and other couplings: warm, cold and near the large-t miss;
+# on the hot bath at t = 1 the integral fails to converge at eta = 1
+_L_COUPLING_POINTS = [(0.5, 1.0, 1.0), (0.5, 1.0, 0.01), (1.2, 5.0, 26.0), (1.8, 933.0, 0.5), (0.5, 1e-3, 1.0)]
+
+
+def test_quadrature_l_is_eta_times_its_unit_coupling_value():
+    # L is linear in eta, and the route integrates at eta = 1 and scales last: a small eta cannot pass the integrator's
+    # absolute test on an integral that fails at eta = 1 (at eta 1e-100 on the hot bath it returned -3.05e-99)
+    raised = 0
+    for gamma, beta, t in _L_COUPLING_POINTS:
+        try:
+            unit = correlation_function(OverdampedBrownian(BathParams(1.0, gamma, beta)), beta, t, route="quadrature")
+        except IntegrationError:
+            unit = None
+        for eta in (1e-100, 1e-3, 7.5, 1e100):
+            sd = OverdampedBrownian(BathParams(eta, gamma, beta))
+            if unit is None:
+                with pytest.raises(IntegrationError):
+                    correlation_function(sd, beta, t, route="quadrature")
+            else:
+                assert correlation_function(sd, beta, t, route="quadrature") == complex(eta * unit.real, eta * unit.imag)
+        raised += unit is None
+    assert raised == 1
 
 
 # in a child process, so that a crash of the Fourier-tail integrator is an exit code
