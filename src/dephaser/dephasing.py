@@ -49,10 +49,11 @@ _TQ_RATE_T (2500), where its rule misses L's narrow part near 0.
 
 Every engine's g and gdot take a time (a float, giving a complex) or a
 1-d array of times (giving a complex array), and check the times once
-per call, by one function, _check_times, whose method follows the size
-of the call: a float and up to three times on Python floats, more by
-numpy reductions.  The first bad time of the call raises, in call order.
-A time gets the same bits alone as inside an array.
+per call, by one function, _check_times: a float on Python floats, an
+array, of any size, by numpy reductions.  The first bad time of the call
+raises, in call order.  A time gets the same bits alone as inside an
+array: a float runs on Python floats all the way, with numpy's expm1
+where the array's is numpy's.
 The series engines and HighTemperatureBrownian raise DephaserError past
 the largest time at which g, its intermediates and the flip exponent
 of times up to it stay finite (_largest_time; 8.99e306 for the exact
@@ -66,9 +67,10 @@ also fills gdot's memo there from the same row step, since the rate of a
 distance asks for gdot where the distance asked for g.  The two-interval
 kernels take g at t1, t2 and t1 + t2 by one route, _g_two_interval: from
 that memo in one lookup per time (a miss passes them to _fill), or from
-one g call on the distinct ones as an array for an evaluator without one.
-Every route asks an evaluator for each distinct time of a call once
-(_distinct).
+one float g call per distinct time for an evaluator without one.  Every
+route asks an evaluator for each distinct time of a call once
+(_distinct), and raises DephaserError where t1 + t2 overflows
+(_check_sum) before any engine meets the inf.
 """
 
 from __future__ import annotations
@@ -113,9 +115,6 @@ _TABLE_BUDGET = 1 << 16
 # times BrownianMatsubara's g and gdot each remember from pointwise calls; where a call could overfill either, the
 # older half of gdot's times leaves both, so that a curve's rates still find the gdot of its newer exponents
 _MEMO_TIMES = 1024
-# the most times of an array call that _check_times checks on Python floats, as many as a two-interval call's t1, t2
-# and t1 + t2; arrays, of any size, neither read nor fill BrownianMatsubara's memos
-_MEMO_CALL = 3
 # quadrature nodes u -> L(u) that a TimeDomainQuadrature remembers across its integrals; a full memo is cleared
 _MEMO_NODES = 1 << 13
 # the largest max(gamma, 2 pi / beta) t at which TimeDomainQuadrature integrates a Brownian density.  Past some
@@ -160,33 +159,34 @@ def _as_times(t):
     return float(ts)
 
 
-def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool, list | None]:
-    """(t as a 1-d float array, whether t is a scalar, the list of its times or None); ValueError at the first bad
-    time, then _check_range.
+def _check_times(t, t_max: float = _FLOAT_MAX) -> tuple[np.ndarray, bool]:
+    """(t as a 1-d float array, whether t is a scalar); ValueError at the first bad time, then _check_range.
 
-    The one time check of every engine, whose method follows the size of
-    the call: a float and up to _MEMO_CALL times are checked on Python
-    floats (_check_time, _check_list), which costs a pointwise call far
-    less than numpy reductions do, and their list is returned for _rows;
-    more are checked by two numpy reductions, which cost a grid far less
-    than a list of its times does, and the list is None.  The two cross at
-    about 80 times.
+    The one time check of every engine.  A scalar (a float, an int or a
+    0-d array) is checked as a Python float (_check_time); an array, of
+    any size, by two numpy reductions, whose initial values let an empty
+    array pass.
     """
     ts = t if type(t) is float else _as_times(t)
     if type(ts) is float:
         if not 0.0 <= ts <= t_max:  # a nan fails it too
             _check_range(_check_time(ts), t_max)
-        return np.array([ts]), True, [ts]
-    if ts.size <= _MEMO_CALL:
-        times = ts.tolist()
-        _check_list(times, t_max)
-        return ts, False, times
-    top = float(np.maximum.reduce(ts))
-    # min is nan if any time is, so the comparisons fail for nan, inf and negative times alike
-    if not (np.minimum.reduce(ts) >= 0.0 and top < math.inf):
+        return np.array([ts]), True
+    top = float(np.maximum.reduce(ts, initial=0.0))
+    # min and max are nan if any time is, so the comparisons fail for nan, inf and negative times alike
+    if not (np.minimum.reduce(ts, initial=0.0) >= 0.0 and top < math.inf):
         _check_time(ts[np.argmax(~(np.isfinite(ts) & (ts >= 0.0)))])
     _check_range(top, t_max)
-    return ts, False, None
+    return ts, False
+
+
+def _check_sum(t1: float, t2) -> None:
+    """DephaserError where t1 + t2 overflows, t1 a checked float and t2 a checked float or array (its largest time):
+    every two-interval route checks its sums by it before it forms them, so that no engine meets an inf its caller
+    did not pass."""
+    top = t2 if type(t2) is float else float(np.maximum.reduce(t2, initial=0.0))
+    if t1 + top == math.inf:
+        raise DephaserError(f"t1 + t2 = {t1!r} + {top!r} overflows: the two intervals must sum to a finite time")
 
 
 def _largest_time(arg_rate: float, growth: float, moduli: float) -> float:
@@ -220,21 +220,22 @@ def _check_list(times: list, t_max: float) -> None:
         _check_range(max(times), t_max)
 
 
-def _rows(row, ts: np.ndarray, scalar: bool, times: list | None, *columns: list):
-    """row(t, *column values at t) -> complex at every time of a call that _check_times returned as ts, scalar and
-    times, as a Python float: the list times when it has one, else ts as a list.
+def _rows(row, ts: np.ndarray, scalar: bool):
+    """row(t) -> complex at every time of a call that _check_times returned as ts and scalar, as a Python float.
 
     A Python complex when the times were a scalar, a complex array otherwise.
     """
-    values = list(map(row, ts.tolist() if times is None else times, *columns))
+    values = list(map(row, ts.tolist()))
     return values[0] if scalar else np.fromiter(values, complex, len(values))
 
 
-def _complex(re: np.ndarray, im: np.ndarray, scalar: bool):
-    """re + i im: a Python complex when the times were a scalar, a complex array otherwise."""
+def _complex(re, im):
+    """re + i im: a Python complex from scalars, a complex array from arrays."""
+    if not isinstance(re, np.ndarray):
+        return complex(re, im)
     out = re.astype(complex)
     out.imag = im
-    return complex(out[0]) if scalar else out
+    return out
 
 
 def _row_sums(terms: np.ndarray, weights: np.ndarray) -> list:
@@ -275,31 +276,32 @@ def _g_two_interval(evaluator, t1: float, t2: float) -> list:
     two-interval kernels and maps.
 
     An engine that keeps a memo (BrownianMatsubara's _g_memo) answers from it in three lookups where it holds the three
-    times, and else hands the looked-up values to its _fill; any other evaluator gets one g call on the distinct ones
-    (_distinct).
+    times, and else hands the looked-up values to its _fill; any other evaluator gets one float g call per distinct
+    time (_distinct).  A sum t1 + t2 that overflows is never held, and raises DephaserError (_check_sum) on both.
     """
     t12 = t1 + t2
     try:
         memo = evaluator._g_memo
     except AttributeError:
+        _check_sum(t1, t2)
         return _distinct(evaluator.g, [t1, t2, t12])
     g1, g2, g12 = memo.get(t1), memo.get(t2), memo.get(t12)
     if g1 is None or g2 is None or g12 is None:
+        _check_sum(t1, t2)
         return evaluator._fill([t1, t2, t12], [g1, g2, g12], False)
     return [g1, g2, g12]
 
 
 def _distinct(f, times):
-    """f, an evaluator's bound g or gdot, at every time of times from one call of f on the distinct ones: an evaluator
-    is asked for each time once.
+    """f, an evaluator's bound g or gdot, at every time of times, asked for each distinct time once.
 
-    A list of Python floats, as the pointwise routes pass, gives a list of Python complex numbers, and f meets its times
-    in call order; a 1-d array gives a complex array, and f meets them sorted.
+    A list of Python floats, as the pointwise routes pass, gives a list of Python complex numbers from one float call
+    of f per distinct time, in call order; a 1-d array gives a complex array from one call of f on its distinct times,
+    sorted.
     """
     if type(times) is list:
-        distinct = list(dict.fromkeys(times))
-        values = f(np.array(distinct)).tolist()
-        return values if len(distinct) == len(times) else list(map(dict(zip(distinct, values)).__getitem__, times))
+        values = {s: f(s) for s in dict.fromkeys(times)}
+        return list(map(values.__getitem__, times))
     distinct, where = np.unique(times, return_inverse=True)
     return f(distinct)[where]
 
@@ -547,7 +549,7 @@ class BrownianMatsubara:
         times = _check_times(ts, self._t_max)[0].tolist()
         sums = self._sums(times, not derivative, derivative)[derivative]
         half = (lambda s, v: self._row(s, None, v)[1]) if derivative else (lambda s, v: self._row(s, v, None)[0])
-        return _rows(half, ts, False, times, sums)
+        return np.fromiter(map(half, times, sums), complex, len(times))
 
     def _fill(self, times: list, values: list, derivative: bool) -> list:
         """values, g's memo's values at times (gdot's where derivative), with each None replaced by the row step at its
@@ -653,11 +655,12 @@ class TruncatedMatsubara(BrownianMatsubara):
 class HighTemperatureBrownian:
     """beta*gamma -> 0 closed form: g(t) = (2 eta/(beta gamma^2) - i eta/gamma) h(gamma t).
 
-    g and gdot take a time or a 1-d array of times, computed on the whole
-    array.  DephaserError where beta gamma^2, beta gamma or 2 eta over either
-    leaves the normal floats (magnitude below 2.2e-308, or infinite), where
-    eta / gamma overflows, and at a time past _largest_time of its own
-    amplitudes.
+    g and gdot take a time, computed on Python floats with numpy's expm1,
+    or a 1-d array of times, computed on the whole array, with the same
+    bits at each time.  DephaserError where beta gamma^2, beta gamma or 2
+    eta over either leaves the normal floats (magnitude below 2.2e-308, or
+    infinite), where eta / gamma overflows, and at a time past
+    _largest_time of its own amplitudes.
     """
 
     def __init__(self, bath: BathParams):
@@ -671,15 +674,14 @@ class HighTemperatureBrownian:
         self._t_max = _largest_time(gamma, eta - self._gdot_amp, 0.0)
 
     def g(self, t):
-        ts, scalar, _ = _check_times(t, self._t_max)
-        p = self.bath
-        hg = _h(p.gamma * ts)
-        return _complex(self._g_amp * hg, self._im_g_amp * hg, scalar)
+        ts, scalar = _check_times(t, self._t_max)
+        hg = _h(self.bath.gamma * (ts.item() if scalar else ts))
+        return _complex(self._g_amp * hg, self._im_g_amp * hg)
 
     def gdot(self, t):
-        ts, scalar, _ = _check_times(t, self._t_max)
-        em = np.expm1(-self.bath.gamma * ts)
-        return _complex(self._gdot_amp * em, self.bath.eta * em, scalar)
+        ts, scalar = _check_times(t, self._t_max)
+        em = np.expm1(-self.bath.gamma * (ts.item() if scalar else ts))
+        return _complex(self._gdot_amp * em, self.bath.eta * em)
 
 
 class FrequencyQuadrature:
@@ -742,14 +744,14 @@ class FrequencyQuadrature:
     def _map(self, row, t):
         """row at every time of t after _check_times, which raises DephaserError past t_max; DephaserError at the first
         0 < t < t_min of a Brownian density."""
-        ts, scalar, times = _check_times(t, self._t_max)
+        ts, scalar = _check_times(t, self._t_max)
         for s in ts.tolist() if self.bath is not None else ():
             if 0.0 < s < self._t_min:
                 raise DephaserError(
                     f"time {s!r} is below the validated domain of freq-quad, "
                     f"t >= {_FOURIER_MIN_TW:g} / w_split = {self._t_min!r}"
                 )
-        return _rows(row, ts, scalar, times)
+        return _rows(row, ts, scalar)
 
     def _g(self, t: float) -> complex:
         if t == 0.0:

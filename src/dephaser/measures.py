@@ -52,7 +52,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dephasing import _check_time, _check_times, _distinct, _g_two_interval, flip_exponent
+from .dephasing import _check_sum, _check_time, _check_times, _distinct, _g_two_interval, flip_exponent
 from .dynamics import DensityMatrix2, SystemParams
 from .errors import DephaserError
 
@@ -114,20 +114,21 @@ def decay_exponent(evaluator, scenario, t):
     """E(t) such that the coherence difference shrinks by e^{-E(t)}, at a time (a float) or at every time of a 1-d
     array: from g at t1, t and t1 + t.
 
-    A time comes by the pointwise route of the two-interval kernels
+    A time, a Python float or any scalar as the checked float, comes by
+    the pointwise route of the two-interval kernels
     (dephasing._g_two_interval); an array's times are checked first
-    (_check_times), and g is taken once on the distinct times of t1, the
-    array and t1 plus it (_distinct), found on Python floats where the
-    check lists the array's times.
+    (_check_times), and its sums with t1 before they are formed
+    (_check_sum); then g is taken once on the distinct times of t1, the
+    array and t1 plus it (_distinct).
     """
     if not isinstance(scenario, Prepared):
         raise TypeError(f"unknown scenario {scenario!r}")
     t1 = scenario.t1
     if type(t) is not float:
-        ts, scalar, times = _check_times(t)
+        ts, scalar = _check_times(t)
         if not scalar:
-            every = np.concatenate(([t1], ts, t1 + ts)) if times is None else [t1, *times, *[t1 + s for s in times]]
-            g = np.asarray(_distinct(evaluator.g, every))
+            _check_sum(t1, ts)
+            g = _distinct(evaluator.g, np.concatenate(([t1], ts, t1 + ts)))
             return flip_exponent(g[0], g[1 : ts.size + 1], g[ts.size + 1 :]).real
         t = ts.item()
     g1, g2, g12 = _g_two_interval(evaluator, t1, _check_time(t))
@@ -138,35 +139,34 @@ def decay_exponent_rate(evaluator, scenario, t):
     """dE/dt of decay_exponent at a time (a float) or at every time of a 1-d array; negative values mark rephasing.
 
     2 Re gdot(t) - Re gdot(t1 + t), with gdot asked for each distinct time
-    once.  A float from the engine's gdot memo in one lookup per time where
-    it keeps one (BrownianMatsubara, whose pointwise g at those times, as
+    once.  A time, a Python float or any scalar as the checked float,
+    from the engine's gdot memo in one lookup per time where it keeps one
+    (BrownianMatsubara, whose pointwise g at those times, as
     decay_exponent takes it, has filled gdot's memo there too), handing a
-    miss's values to its _fill, else in one gdot call on the distinct ones
-    of the two times; an array in one gdot call on the distinct times of it
-    and t1 plus it (_distinct), found as decay_exponent finds them.  Other
-    times than a float are checked first (_check_times); a float is checked
-    once, by the engine's own check of the times it lacks, which names it
-    before t1 plus it.  A float time is computed on Python floats, whose
-    IEEE arithmetic gives the bits of the same time inside an array.
+    miss's values to its _fill, else in one float gdot call per distinct
+    time of the two (_distinct); an array in one gdot call on the
+    distinct times of it and t1 plus it, found as decay_exponent finds
+    them.  A Python float is checked only where the memo lacks a time,
+    before t1 plus it (_check_sum).  A float time is computed on Python
+    floats, whose IEEE arithmetic gives the bits of the same time inside
+    an array.
     """
     if not isinstance(scenario, Prepared):
         raise TypeError(f"unknown scenario {scenario!r}")
+    t1 = scenario.t1
     if type(t) is not float:
-        ts, scalar, times = _check_times(t)
+        ts, scalar = _check_times(t)
         if not scalar:
-            t1 = scenario.t1
-            both = np.concatenate((ts, t1 + ts)) if times is None else [*times, *[t1 + s for s in times]]
-            d = np.asarray(_distinct(evaluator.gdot, both)).real
+            _check_sum(t1, ts)
+            d = _distinct(evaluator.gdot, np.concatenate((ts, t1 + ts))).real
             return 2.0 * d[: ts.size] - d[ts.size :]
         t = ts.item()
-    t12 = scenario.t1 + t
+    t12 = t1 + t
     memo = getattr(evaluator, "_gdot_memo", None)
-    if memo is None:
-        a, b = _distinct(evaluator.gdot, [t, t12])
-    else:
-        a, b = memo.get(t), memo.get(t12)
-        if a is None or b is None:
-            a, b = evaluator._fill([t, t12], [a, b], True)
+    a, b = (None, None) if memo is None else (memo.get(t), memo.get(t12))
+    if a is None or b is None:
+        _check_sum(t1, _check_time(t))
+        a, b = _distinct(evaluator.gdot, [t, t12]) if memo is None else evaluator._fill([t, t12], [a, b], True)
     return 2.0 * a.real - b.real
 
 
@@ -313,16 +313,20 @@ def _scan_runs(evaluator, scenario, t_max: float, cells: int):
     """Maximal (start, end) regions with dE/dt < 0 on a grid of `cells` equal cells of [0, t_max], plus a truncation
     flag.
 
-    Grid scan for sign changes (one rate call on the whole grid), then
-    _root on each crossing's cell, on Python floats.  Points where the
+    Grid scan for sign changes (one float rate call at each end of one
+    cell, else one rate call on the whole grid), then _root on each
+    crossing's cell, on Python floats.  Points where the
     rate is exactly zero count as non-growth, so grazing contacts
     contribute nothing.
     """
-    ts = np.linspace(0.0, t_max, cells + 1)
-    rate = decay_exponent_rate(evaluator, scenario, ts)
+    f = lambda t: decay_exponent_rate(evaluator, scenario, t)
+    if cells == 1:  # the ends by the float route, which reads and fills an engine's gdot memo
+        ts, rate = np.array([0.0, t_max]), np.array([f(0.0), f(t_max)])
+    else:
+        ts = np.linspace(0.0, t_max, cells + 1)
+        rate = decay_exponent_rate(evaluator, scenario, ts)
     neg = rate < 0.0
 
-    f = lambda t: decay_exponent_rate(evaluator, scenario, t)
     # where neg, padded with False at both ends, changes: each run's first index, then one past its last
     edges = np.flatnonzero(np.diff(neg, prepend=False, append=False)).tolist()
     ts, rate = ts.tolist(), rate.tolist()
@@ -341,8 +345,8 @@ def _growth_runs(evaluator, scenario, t_max: float):
     An evaluator with a certified_bath (one whose g is the exact Brownian
     g) has a rate with one zero at most, so the rates at 0 and t_max
     bracket it and the scan takes one cell: the rate at both ends, then
-    _root in 10 to 30 calls of one time each.  Any other evaluator is
-    scanned on _N_SCAN cells.
+    _root in 10 to 30 calls, each of one time, as a Python float.  Any
+    other evaluator is scanned on _N_SCAN cells, in one array call.
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError("t_max must be positive and finite")
@@ -352,9 +356,9 @@ def _growth_runs(evaluator, scenario, t_max: float):
 
 def _weights(evaluator, scenario, runs):
     """(w_end, w_start, unit): the _scaled_weights at the ends and at the starts of the growth runs, and their unit,
-    from one decay_exponent call on their times."""
+    from one float decay_exponent call at each: the engine's float route, BrownianMatsubara's memo."""
     ends_starts = [e for _, e in runs] + [s for s, _ in runs]
-    w, unit = _scaled_weights(decay_exponent(evaluator, scenario, ends_starts).tolist())
+    w, unit = _scaled_weights([decay_exponent(evaluator, scenario, t) for t in ends_starts])
     return w[: len(runs)], w[len(runs) :], unit
 
 

@@ -15,12 +15,10 @@ factor as f(t1) h(t2).
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
-from .dephasing import _FLOAT_MAX, _check_time, _check_times, _distinct, _g_two_interval, flip_exponent
-from .errors import DephaserError
+from .dephasing import _FLOAT_MAX, _check_sum, _check_time, _check_times, _distinct, _g_two_interval, flip_exponent
 
 
 def echo_response(evaluator, t1: float, t2: float) -> complex:
@@ -46,10 +44,9 @@ def flip_exponent_grid(evaluator, ts) -> np.ndarray:
     DephaserError where the largest sum leaves the floats, before any
     engine sees it.
     """
-    ts, _, _ = _check_times(ts)
+    ts = _check_times(ts)[0]
     top = float(np.maximum.reduce(ts, initial=0.0))
-    if top + top == math.inf:
-        raise DephaserError(f"time {top!r} is past half the largest float, so t1 + t2 = {top!r} + {top!r} overflows")
+    _check_sum(top, top)
     n = ts.size
     g = _distinct(evaluator.g, np.concatenate((ts, (ts[:, None] + ts).ravel())))
     g_axis = g[:n]

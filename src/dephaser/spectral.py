@@ -870,20 +870,15 @@ def _h(y):
     """h(y) = e^-y + y - 1 at y >= 0, a Python float or an array of any shape, within 2 ulp: its Taylor series below
     _H_SERIES_TOP, where expm1(-y) + y would cancel, and expm1(-y) + y from there.
 
-    An entry gets the same bits alone as in an array of any size: Horner's rule runs on Python floats or elementwise
-    on the array with the same roundings, and an array's expm1 is numpy's.  The array's Horner's rule costs two ufunc
-    calls a term, and a Python float's one multiply-add a term, so up to as many entries as terms (the pointwise
-    calls) every entry runs on Python floats."""
+    An entry gets the same bits alone as in an array: Horner's rule runs on Python floats or elementwise on the array
+    with the same roundings, and the expm1 of either is numpy's."""
     if type(y) is float:
         if y < _H_SERIES_TOP:
             p = 0.0
             for c in reversed(_H_TAYLOR):
                 p = p * y + c
             return p * y * y
-        return math.expm1(-y) + y
-    if y.size <= len(_H_TAYLOR):
-        values = zip(y.ravel().tolist(), np.expm1(-y).ravel().tolist())
-        return np.array([_h(s) if s < _H_SERIES_TOP else em + s for s, em in values]).reshape(y.shape)
+        return float(np.expm1(-y)) + y
     out = np.expm1(-y)
     out += y
     small = y < _H_SERIES_TOP

@@ -27,9 +27,16 @@ _COMMANDS = [
 _ETAS = ("1e-300", "1", "1e305")
 _T1S = ("0", "1")
 _BETAS = ("1e-3", "1", "933")
-# one input at an edge of the floats or of its range on the default bath: a time whose t1 + t2 leaves the floats,
-# gamma at either end, and K from none to its cap
-_EDGES = (("--tmax", "1e308"), ("--gamma", "1e-300"), ("--gamma", "1e300"), ("--terms", "0"), ("--terms", "1000000"))
+# inputs at an edge of the floats or of their range on the default bath, as option-value pairs: a time whose t1 + t2
+# leaves the floats, alone and with a t1 as large, gamma at either end, and K from none to its cap
+_EDGES = (
+    ("--tmax", "1e308"),
+    ("--t1", "1e308", "--tmax", "1e308"),
+    ("--gamma", "1e-300"),
+    ("--gamma", "1e300"),
+    ("--terms", "0"),
+    ("--terms", "1000000"),
+)
 # the records a call may end in: DephaserError, or its IntegrationError subclass from the quadrature engines
 _TYPED = ("DephaserError", "IntegrationError")
 # figures trd draws the series truncated at K terms, so it rejects K = 0 as an input, with a ValueError
@@ -84,7 +91,7 @@ def test_every_subcommand_writes_finite_output_or_a_dephaser_error(capsys):
 def test_every_subcommand_at_the_edges_of_its_inputs(capsys):
     failures = []
     for command, edge in itertools.product(_COMMANDS, _EDGES):
-        options = {"--points": "3", "--tmax": "2", edge[0]: edge[1]}
+        options = {"--points": "3", "--tmax": "2", **dict(zip(edge[::2], edge[1::2]))}
         argv = command + [v for option in options.items() for v in option]
         rejected = _REJECTED.get((*command, *edge))
         outcome = _outcome(capsys, argv, _TYPED if rejected is None else (rejected,))

@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +19,13 @@ from test_dephasing import _skip_off_the_pinned_kernel
 import dephaser
 from dephaser.dephasing import (
     _LIVE_FLOATS,
+    ENGINE_NAMES,
     BrownianMatsubara,
     FrequencyQuadrature,
     HighTemperatureBrownian,
     TimeDomainQuadrature,
     TruncatedMatsubara,
+    make_evaluator,
 )
 from dephaser.dynamics import (
     DensityMatrix2,
@@ -200,6 +204,59 @@ def test_grid_entries_check_their_times_in_call_order():
     for scenario in (SingleTime(), Prepared(1.0)):
         with pytest.raises(ValueError, match=r"a scalar or a 1-d array, got shape \(2, 2\)"):
             decay_exponent(ev, scenario, np.ones((2, 2)))
+
+
+# the two-interval routes at (t1, t2): the five functions, decay_exponent and its rate at a float and on an array;
+# each forms t1 + t2
+_TWO_INTERVAL_ROUTES = {
+    "echo_response": lambda ev, t1, t2: echo_response(ev, t1, t2),
+    "two_time_map": lambda ev, t1, t2: two_time_map(SystemParams(), ev, coherence_flip(), t1, t2),
+    "decay_exponent": lambda ev, t1, t2: decay_exponent(ev, Prepared(t1), t2),
+    "decay_exponent array": lambda ev, t1, t2: decay_exponent(ev, Prepared(t1), np.array([0.0, t2, 1.0])),
+    "decay_exponent_rate": lambda ev, t1, t2: decay_exponent_rate(ev, Prepared(t1), t2),
+    "decay_exponent_rate array": lambda ev, t1, t2: decay_exponent_rate(ev, Prepared(t1), np.array([0.0, t2, 1.0])),
+    "flip_exponent_grid": lambda ev, t1, t2: flip_exponent_grid(ev, np.array([0.0, t1, t2])),
+}
+
+
+@pytest.mark.parametrize("route", list(_TWO_INTERVAL_ROUTES))
+def test_an_overflowing_t1_plus_t2_raises_one_dephaser_error_on_every_route(route):
+    # valid times whose sum leaves the floats: every route raises the same DephaserError before an engine meets the
+    # inf, with no warning, where it raised ValueError "got inf" for a time the caller never passed
+    call = _TWO_INTERVAL_ROUTES[route]
+    for engine in ENGINE_NAMES:
+        ev = make_evaluator(engine, BATH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DephaserError, match=re.escape("t1 + t2 = 1e+308 + 1e+308 overflows")):
+                call(ev, 1e308, 1e308)
+
+
+def test_empty_arrays_give_empty_results():
+    # an array of no times takes the grid route like any other array: the checks' reductions start from 0
+    empty = np.array([])
+    engines = [make_evaluator(engine, BATH) for engine in ENGINE_NAMES] + [TruncatedMatsubara(BATH)]
+    for ev in engines:
+        for name in ("g", "gdot"):
+            values = getattr(ev, name)(empty)
+            assert values.shape == (0,) and values.dtype == complex
+        for scenario in (SingleTime(), Prepared(1.0)):
+            assert decay_exponent(ev, scenario, empty).shape == (0,)
+            assert decay_exponent_rate(ev, scenario, empty).shape == (0,)
+        assert flip_exponent_grid(ev, empty).shape == (0, 0)
+
+
+def test_the_measure_of_the_exact_engine_makes_no_array_call(monkeypatch):
+    # the one-cell scan, the root and the weights all ask for g and gdot at Python floats, from the engine's memos
+    def refuse(self, ts, derivative):
+        raise AssertionError("an array call of the exact engine")
+
+    monkeypatch.setattr(BrownianMatsubara, "_grid", refuse)
+    for bath in (BATH, BathParams(1.3, 1.8, 933.0)):
+        for scenario in (SingleTime(), Prepared(1.0), Prepared(1e-5)):
+            for search in (AnalyticPair(), GridSearch(4, 4, 4)):
+                non_markovianity(SystemParams(), BrownianMatsubara(bath), scenario, search=search)
+            growth_intervals(BrownianMatsubara(bath), scenario, 10.0)
 
 
 def test_rate_matches_exponent_derivative():

@@ -1,10 +1,10 @@
 """The pointwise two-interval route gives the bits of the grid routes.
 
 echo_response, two_time_map and decay_exponent take g at t1, t2 and t1 + t2 by one route (dephasing._g_two_interval):
-from the memo of an engine that keeps one, else from one array call.  Held and fresh times, engines with and without
-a memo, and a plain wrapper of an engine must all give the bits of flip_exponent_grid, decay_exponent's arrays and an
-array call past the memo; and g and gdot at a time keep their bits whichever of the g miss, the gdot miss and the
-array call reached it first.
+from the memo of an engine that keeps one, else from one float g call per distinct time.  Held and fresh times, engines
+with and without a memo, and a plain wrapper of an engine must all give the bits of flip_exponent_grid,
+decay_exponent's arrays and an array call past the memo; and g and gdot at a time keep their bits whichever of the g
+miss, the gdot miss and the array call reached it first.
 """
 
 import cmath
@@ -30,7 +30,7 @@ from dephaser import (
     propagate_two_time,
     two_time_map,
 )
-from dephaser.dephasing import _MEMO_CALL, flip_exponent
+from dephaser.dephasing import flip_exponent
 from dephaser.spectral import _check_time
 from dephaser.measures import Prepared, decay_exponent
 
@@ -81,7 +81,7 @@ def test_pointwise_two_interval_calls_have_the_grid_bits(pairs, eps, p, phase):
             held, plain = make(bath), _Plain(make(bath))
             for t1, t2 in pairs:
                 # the grid routes and an array call past the memo, each on a fresh engine
-                g = make(bath).g(np.array([t1, t2, t1 + t2] + [0.7] * _MEMO_CALL))[:3].tolist()
+                g = make(bath).g(np.array([t1, t2, t1 + t2])).tolist()
                 flip = flip_exponent(*g)
                 assert _bits(flip_exponent_grid(make(bath), np.array([t1, t2]))[0, 1]) == _bits(flip)
                 grid_e = decay_exponent(make(bath), Prepared(t1), np.array([t2]))[0]
@@ -231,13 +231,13 @@ def test_g_and_gdot_keep_their_bits_whichever_route_reached_them_first(bath, tim
     def make():
         return engine(bath)
 
-    padded = np.array(times + [0.7] * _MEMO_CALL)
-    want = {name: getattr(make(), name)(padded)[: len(times)].tolist() for name in ("g", "gdot")}
+    array = np.array(times)
+    want = {name: getattr(make(), name)(array).tolist() for name in ("g", "gdot")}
     for first, second in (("g", "gdot"), ("gdot", "g")):
         for as_array, after_array in ((False, False), (True, False), (False, True)):
             ev = make()
             if after_array:
-                assert np.array_equal(_bits(getattr(ev, first)(padded)), _bits(getattr(make(), first)(padded)))
+                assert np.array_equal(_bits(getattr(ev, first)(array)), _bits(getattr(make(), first)(array)))
             got = {}
             for name in (first, second):
                 f = getattr(ev, name)
